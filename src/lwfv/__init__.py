@@ -28,8 +28,6 @@ from .flux import (
     upwind_linear,
 )
 from .mesh import (
-    Cell,
-    Face,
     GeometryError,
     Mesh,
     MeshError,

@@ -7,10 +7,10 @@ Subcommands wrap the library studies with reproducible plain-text config:
     lwfv grad-study      --out DIR ...
     lwfv translate-study --out DIR ...
     lwfv solve           --out DIR ...
-    lwfv lw-verify       --out DIR ... [--threads N]
+    lwfv lw-verify       --out DIR ...
 
 Config files are ``key = value`` lines ('#' comments allowed); the flags
---levels/--seed/--threads/--out override the matching keys.  Every CSV
+--levels/--seed/--out override the matching keys.  Every CSV
 written embeds the digest of the fully resolved configuration in a header
 comment, so outputs are traceable to their inputs.  Exit codes: 0 success,
 1 internal error, 2 validation or invariant breach.
@@ -88,7 +88,6 @@ DEFAULTS = {
     "phi_count": "4",
     "p_max": "8",
     "level": "0",
-    "threads": "1",
     "out": "lwfv-out",
     "mesh_file": "",
 }
@@ -122,8 +121,6 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         cfg["levels"] = str(args.levels)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
-    if args.threads is not None:
-        cfg["threads"] = str(args.threads)
     if args.out is not None:
         cfg["out"] = args.out
     return cfg
@@ -260,9 +257,9 @@ def _out_dir(cfg: dict[str, str]) -> str:
 
 
 def _comments(cfg: dict[str, str], subcommand: str) -> list[str]:
-    # out and threads never influence the numbers, so reruns into a different
-    # directory or with a different worker count stay byte-identical
-    pairs = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    # out never influences the numbers, so reruns into a different
+    # directory stay byte-identical
+    pairs = {k: v for k, v in cfg.items() if k != "out"}
     return [f"lwfv {subcommand}", f"config {reports.config_digest(pairs)}"]
 
 
@@ -431,8 +428,7 @@ def cmd_lw_verify(cfg: dict[str, str]) -> int:
     phi_count = _get_int(cfg, "phi_count", minimum=1)
     phis = bump_corpus_spacetime(dim, problem.t_final)[:phi_count]
     report = lw_study(family, problem, phis, levels,
-                      cfl=_get_float(cfg, "cfl"),
-                      workers=_get_int(cfg, "threads", minimum=1))
+                      cfl=_get_float(cfg, "cfl"))
     reports.write_csv(
         os.path.join(out, "lw_report.csv"),
         ["level", "h", "dt", "phi_id", "T11", "T12", "R1", "T2t", "R",
@@ -475,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--levels", type=int, help="refinement levels")
     parser.add_argument("--seed", type=int, help="mesh-perturbation seed")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for level-parallel studies")
     return parser
 
 

@@ -253,30 +253,30 @@ def _initial_pairing(mesh: Mesh, u0: IntegrableFunction | None,
     """
     if mesh.cell_vertices is None:
         raise ValueError("weak gap needs cell geometry for quadrature")
-    total = 0.0
-    for c in mesh.cells:
-        verts = mesh.cell_vertices[c.id]
-        if u0 is None:
-            pts, w = quadrature.cell_rule(verts, order)
-            total += u0_cells[c.id] * float(np.dot(w, phi.value(pts, 0.0)))
-        elif u0.kind == "indicator":
-            if u0.geometry is not None and u0.geometry[0] == "interval":
-                _, a, b = u0.geometry
-                lo, hi = float(verts.min()), float(verts.max())
-                cl, ch = max(lo, a), min(hi, b)
-                if ch > cl:
-                    sub = np.array([[cl], [ch]])
-                    pts, w = quadrature.cell_rule(sub, order)
-                    total += float(np.dot(w, phi.value(pts, 0.0)))
-            else:
-                pts, w = quadrature.subdivision_rule(verts, 8)
-                vals = np.asarray(u0.fn(pts), dtype=float)
-                total += float(np.dot(w * vals, phi.value(pts, 0.0)))
+    verts = mesh.cell_vertices
+    if u0 is None:
+        pts, w = quadrature.cell_rule(verts, order)
+        per_cell = u0_cells * quadrature.rowdot(w, phi.value(pts, 0.0))
+    elif u0.kind == "indicator" and u0.geometry is not None \
+            and u0.geometry[0] == "interval":
+        # integrate phi over the part of each cell inside [a, b]
+        _, a, b = u0.geometry
+        lo = np.maximum(verts.min(axis=1)[:, 0], a)
+        hi = np.minimum(verts.max(axis=1)[:, 0], b)
+        hit = hi > lo
+        pts, w = quadrature.cell_rule(np.stack([lo[hit], hi[hit]], axis=1)[:, :, None],
+                                      order)
+        per_cell = np.zeros(mesh.n_cells)
+        per_cell[hit] = quadrature.rowdot(w, phi.value(pts, 0.0))
+    else:
+        if u0.kind == "indicator":
+            pts, w = quadrature.subdivision_rule(verts, 8)
         else:
             pts, w = quadrature.cell_rule(verts, order)
-            vals = np.asarray(u0.fn(pts), dtype=float)
-            total += float(np.dot(w * vals, phi.value(pts, 0.0)))
-    return total
+        vals = np.asarray(u0.fn(pts), dtype=float)
+        per_cell = quadrature.rowdot(w * vals, phi.value(pts, 0.0))
+    # a running sum in cell order; np.sum adds pairwise, in another order
+    return float(np.cumsum(per_cell)[-1])
 
 
 def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:
@@ -311,16 +311,13 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
         raise ValueError("weak gap needs cell geometry for quadrature")
     flux_fn = field.flux.flux
     n_steps = grid.n_steps
+    pts, wq = quadrature.cell_rule(mesh.cell_vertices, space_order)
 
     if phi.separable is not None:
         w_fn, gw_fn, g_fn, _ = phi.separable
         n_cells = mesh.n_cells
-        W = np.empty(n_cells)
-        GW = np.empty((n_cells, mesh.dim))
-        for c in mesh.cells:
-            pts, wq = quadrature.cell_rule(mesh.cell_vertices[c.id], space_order)
-            W[c.id] = float(np.dot(wq, np.asarray(w_fn(pts), dtype=float)))
-            GW[c.id] = wq @ np.asarray(gw_fn(pts), dtype=float)
+        W = quadrature.rowdot(wq, np.asarray(w_fn(pts), dtype=float))
+        GW = (wq[:, None, :] @ np.asarray(gw_fn(pts), dtype=float))[:, 0]
         g_nodes = np.asarray(g_fn(grid.nodes), dtype=float)
         a_term = float(np.dot(np.diff(g_nodes), vals[:-1] @ W))
         g_slab = _slab_means(g_fn, grid.nodes)
@@ -329,15 +326,9 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
         ).reshape(n_steps, n_cells, mesh.dim)
         b_term = float(np.dot(g_slab, np.einsum("nkd,kd->n", phys, GW)))
     else:
-        pts_all, w_all, cell_all = [], [], []
-        for c in mesh.cells:
-            pts, wq = quadrature.cell_rule(mesh.cell_vertices[c.id], space_order)
-            pts_all.append(pts)
-            w_all.append(wq)
-            cell_all.append(np.full(len(wq), c.id))
-        Q = np.vstack(pts_all)
-        WQ = np.concatenate(w_all)
-        CQ = np.concatenate(cell_all)
+        Q = pts.reshape(-1, mesh.dim)
+        WQ = wq.ravel()
+        CQ = np.repeat(np.arange(mesh.n_cells), wq.shape[1])
         xg, wg = quadrature.gauss_legendre(4)
         a_term = 0.0
         b_term = 0.0
@@ -481,16 +472,13 @@ def effective_c_phi(phi: SmoothTestFunction, quality: MeshQuality) -> float:
 
 def lw_study(family: MeshFamily, problem: Problem,
              phi_set: list[SmoothTestFunction], levels: int,
-             cfl: float = 0.45, check_flux: bool = True,
-             workers: int = 1) -> ConsistencyReport:
+             cfl: float = 0.45, check_flux: bool = True) -> ConsistencyReport:
     """Refinement study of the full residual decomposition.
 
     Per level: solve, compute the space-time seminorm, and for every test
     function the decomposition (master identity asserted), the weak gap,
     and both residual envelopes (asserted).  Decay slopes are fitted for
-    the per-level maxima of weak_gap, |R| and |R1|.  Levels are
-    independent; workers > 1 evaluates them in a thread pool with
-    deterministic, order-preserving collection.
+    the per-level maxima of weak_gap, |R| and |R1|.
     """
     if check_flux:
         rep = check_hypothesis_iii(problem.flux)
@@ -502,8 +490,8 @@ def lw_study(family: MeshFamily, problem: Problem,
     meshes = refine(family, levels)
     stencil_factor = 1.0 if problem.flux.stencil <= 2 else 2.0
 
-    def one_level(args: tuple[int, Mesh]) -> LevelRecord:
-        lvl, mesh = args
+    records = []
+    for lvl, mesh in enumerate(meshes):
         field = solve(mesh, problem, cfl=cfl)
         quality = compute_quality(mesh)
         for phi in phi_set:
@@ -525,19 +513,10 @@ def lw_study(family: MeshFamily, problem: Problem,
                 master_residual=dec.master_residual, weak_gap=gap,
                 r1_envelope=float(env.r1_bound), r_envelope=float(env.r_bound),
             ))
-        return LevelRecord(
+        records.append(LevelRecord(
             level=lvl, h=mesh.h_max, dt=float(field.grid.deltas[0]),
             quality=quality, seminorms=sem, rows=rows, decompositions=decomps,
-        )
-
-    jobs = list(enumerate(meshes))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one_level, jobs))
-    else:
-        records = [one_level(j) for j in jobs]
+        ))
 
     hs = np.array([rec.h for rec in records])
     slopes = {

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .mesh import Mesh
+from .mesh import far_neighbors
 from .translations import CellField
 
 __all__ = [
@@ -356,18 +356,6 @@ def consistency_check(flux: NumericalFlux, u_range=(-2.0, 2.0),
     )
 
 
-def _sorted_1d_neighbors(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Cell order along the axis and the periodic left/right neighbor maps."""
-    if mesh.dim != 1:
-        raise ValueError("stencil construction only supported on 1d meshes")
-    order = np.argsort(mesh.cell_center[:, 0])
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    left = order[(pos[np.arange(order.size)] - 1) % order.size]
-    right = order[(pos[np.arange(order.size)] + 1) % order.size]
-    return left, right
-
-
 def multipoint_jump_bound_check(flux: NumericalFlux, field: CellField,
                                 ) -> FluxCheckReport:
     """On actual 1d data, verify the three-point jump bound
@@ -375,16 +363,12 @@ def multipoint_jump_bound_check(flux: NumericalFlux, field: CellField,
     with M the extra stencil cell the flux consulted for that face.
     """
     mesh = field.mesh
-    left, right = _sorted_1d_neighbors(mesh)
     u = field.values
     mask = mesh.interior
     K = mesh.face_K[mask]
     L = mesh.face_L[mask]
     n = mesh.face_normal[mask]
-    # the far state behind K is K's periodic neighbor away from L, same for L
-    went_right = mesh.cell_center[L, 0] > mesh.cell_center[K, 0]
-    KK = np.where(went_right, left[K], right[K])
-    LL = np.where(went_right, right[L], left[L])
+    KK, LL = far_neighbors(mesh, K, L, periodic=True)
     fval = flux.evaluate(u[K], u[L], n, uKK=u[KK], uLL=u[LL])
     fK = np.einsum("fd,fd->f", flux.flux.value(u[K]), n)
     # strict variant: take the smaller of the two candidate far-cell jumps,

@@ -5,6 +5,27 @@ rectangles, or triangles) together with the face data needed by the discrete
 operators: areas, unit normals oriented from the first incident cell to the
 second, and the measures of the dual volumes attached to each face.
 
+A :class:`Mesh` is flat arrays and nothing else.  Cells are numbered
+0..n_cells-1 and faces 0..n_faces-1:
+
+* ``cell_volume`` (n_cells,), ``cell_center`` (n_cells, d) and ``cell_diam``
+  (n_cells,): the measure |K|, the anchor x_K (the barycenter for the
+  shipped builders, always inside the cell) and the diameter of each cell;
+* ``cell_vertices`` (n_cells, n_vertices, d): the vertex rows of each cell
+  (every family has a single cell shape), or None for meshes loaded from
+  the text format;
+* ``face_area`` (n_faces,), ``face_normal`` (n_faces, d) and
+  ``face_centroid`` (n_faces, d);
+* ``face_K`` and ``face_L`` (n_faces,): the two incident cells, with the
+  normal pointing from K to L; L is -1 on boundary faces, where the normal
+  points outward;
+* ``face_dk``, ``face_dl`` and ``face_dsig`` (n_faces,): the dual pieces
+  |D_K,sigma| and |D_L,sigma| (0 on boundary faces) and |D_sigma|, stored
+  as exactly dk + dl.
+
+There is no cell-to-face map: every per-cell quantity is a scatter over
+``face_K`` and ``face_L``.
+
 The dual volume of an interior face sigma shared by cells K and L is the
 union of one piece inside K and one inside L; only the measures matter to
 the operators.  Two constructions are shipped:
@@ -19,9 +40,8 @@ Meshes are immutable after construction and safe to share between studies.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +49,6 @@ __all__ = [
     "MeshError",
     "GeometryError",
     "RegularityError",
-    "Cell",
-    "Face",
     "Mesh",
     "MeshQuality",
     "MeshFamily",
@@ -43,6 +61,7 @@ __all__ = [
     "cartesian_2d_family",
     "perturbed_triangular_2d_family",
     "compute_quality",
+    "far_neighbors",
     "refine",
     "validate",
     "write_mesh",
@@ -65,100 +84,44 @@ class RegularityError(MeshError):
     """A refinement sequence drifted out of its regularity band."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One control volume.
-
-    ``center`` is the anchor point x_K used by the discrete operators (the
-    barycenter for the shipped builders); it must lie inside the cell.
-    """
-
-    id: int
-    volume: float
-    diameter: float
-    center: np.ndarray
-    face_ids: tuple[int, ...]
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.face_ids)
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face with its dual-volume measures.
-
-    ``normal`` is the unit normal oriented from cell ``K`` to cell ``L``
-    (outward for boundary faces, where L is -1).  ``d_sigma`` is the measure
-    of the full dual volume, stored as exactly ``dk + dl``.
-    """
-
-    id: int
-    area: float
-    normal: np.ndarray
-    K: int
-    L: int
-    d_sigma: float
-    dk: float
-    dl: float
-    centroid: np.ndarray
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.L < 0
-
-
 @dataclass
 class Mesh:
+    """Cells and faces as flat arrays; the module docstring lists them."""
+
     dim: int
-    cells: list[Cell]
-    faces: list[Face]
+    cell_volume: np.ndarray
+    cell_center: np.ndarray
+    cell_diam: np.ndarray
+    face_area: np.ndarray
+    face_normal: np.ndarray
+    face_K: np.ndarray
+    face_L: np.ndarray
+    face_dsig: np.ndarray
+    face_dk: np.ndarray
+    face_dl: np.ndarray
+    face_centroid: np.ndarray
     domain_measure: float
     h_max: float
     dual_policy: str = "cone"
     box: tuple[np.ndarray, np.ndarray] | None = None
-    cell_vertices: list[np.ndarray] | None = None
+    cell_vertices: np.ndarray | None = None
     family: str = ""
-
-    # flat views built once for vectorised kernels
-    cell_volume: np.ndarray = field(init=False, repr=False)
-    cell_center: np.ndarray = field(init=False, repr=False)
-    cell_diam: np.ndarray = field(init=False, repr=False)
-    face_area: np.ndarray = field(init=False, repr=False)
-    face_normal: np.ndarray = field(init=False, repr=False)
-    face_K: np.ndarray = field(init=False, repr=False)
-    face_L: np.ndarray = field(init=False, repr=False)
-    face_dsig: np.ndarray = field(init=False, repr=False)
-    face_dk: np.ndarray = field(init=False, repr=False)
-    face_dl: np.ndarray = field(init=False, repr=False)
-    face_centroid: np.ndarray = field(init=False, repr=False)
-    interior: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.cell_volume = np.array([c.volume for c in self.cells])
-        self.cell_center = np.array([c.center for c in self.cells])
-        self.cell_diam = np.array([c.diameter for c in self.cells])
-        self.face_area = np.array([f.area for f in self.faces])
-        self.face_normal = np.array([f.normal for f in self.faces])
-        self.face_K = np.array([f.K for f in self.faces], dtype=int)
-        self.face_L = np.array([f.L for f in self.faces], dtype=int)
-        self.face_dsig = np.array([f.d_sigma for f in self.faces])
-        self.face_dk = np.array([f.dk for f in self.faces])
-        self.face_dl = np.array([f.dl for f in self.faces])
-        self.face_centroid = np.array([f.centroid for f in self.faces])
-        self.interior = self.face_L >= 0
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.cell_volume.size
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return self.face_area.size
 
-    def with_faces(self, faces: list[Face]) -> "Mesh":
-        """Copy of the mesh with a replaced face list (used by tampering tests)."""
-        return replace(self, faces=faces)
+    @property
+    def interior(self) -> np.ndarray:
+        return self.face_L >= 0
+
+    def face_counts(self) -> np.ndarray:
+        """Number of faces of every cell."""
+        return _face_counts(self.face_K, self.face_L, self.n_cells)
 
 
 @dataclass(frozen=True)
@@ -193,41 +156,35 @@ class MeshFamily:
 # ---------------------------------------------------------------------------
 
 
-def _dual_split(policy: str, area: float, dist: float, dim: int, cell_vol: float,
-                n_faces: int) -> float:
-    if policy == "cone":
-        return area * dist / dim
-    if policy == "equal":
-        return cell_vol / n_faces
-    raise ValueError(f"unknown dual policy {policy!r}")
+def _face_counts(K: np.ndarray, L: np.ndarray, n_cells: int) -> np.ndarray:
+    return (np.bincount(K, minlength=n_cells)
+            + np.bincount(L[L >= 0], minlength=n_cells))
 
 
-def _finish_faces(raw, policy, dim, cells_vol, cells_nf):
-    """Turn raw face records into Face objects with dual measures.
-
-    ``raw`` rows: (area, normal, K, L, centroid, dist_K, dist_L).
+def _assemble(dim: int, dual: str, volume, center, diam, area, normal, K, L,
+              centroid, dist_k, dist_l, **geometry) -> Mesh:
+    """Mesh from per-cell and per-face arrays plus the anchor-to-face
+    distances that the cone dual policy needs.  On boundary faces L is -1
+    and dist_l is ignored: the dual piece on the L side is 0 there.
     """
-    faces = []
-    for fid, (area, normal, K, L, centroid, dist_k, dist_l) in enumerate(raw):
-        dk = _dual_split(policy, area, dist_k, dim, cells_vol[K], cells_nf[K])
-        if L >= 0:
-            dl = _dual_split(policy, area, dist_l, dim, cells_vol[L], cells_nf[L])
-        else:
-            dl = 0.0
-        faces.append(
-            Face(
-                id=fid,
-                area=float(area),
-                normal=np.asarray(normal, dtype=float),
-                K=int(K),
-                L=int(L),
-                d_sigma=dk + dl,
-                dk=dk,
-                dl=dl,
-                centroid=np.asarray(centroid, dtype=float),
-            )
-        )
-    return faces
+    inner = L >= 0
+    if dual == "cone":
+        dk = area * dist_k / dim
+        dl = area * dist_l / dim
+    elif dual == "equal":
+        nf = _face_counts(K, L, volume.size)
+        Ls = np.where(inner, L, K)
+        dk = volume[K] / nf[K]
+        dl = volume[Ls] / nf[Ls]
+    else:
+        raise ValueError(f"unknown dual policy {dual!r}")
+    dl = np.where(inner, dl, 0.0)
+    return Mesh(
+        dim=dim, cell_volume=volume, cell_center=center, cell_diam=diam,
+        face_area=area, face_normal=normal, face_K=K, face_L=L,
+        face_dsig=dk + dl, face_dk=dk, face_dl=dl, face_centroid=centroid,
+        dual_policy=dual, **geometry,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,52 +200,19 @@ def _build_1d(edges: np.ndarray, dual: str, family: str) -> Mesh:
         raise GeometryError("cell widths must be positive")
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    nf_per_cell = np.full(n, 2)
-    raw = []
     # one face per edge point; K = left cell, L = right cell (-1 outside)
-    for i, x in enumerate(edges):
-        if i == 0:
-            K, L = 0, -1
-            normal = np.array([-1.0])
-            dist_k = centers[0] - x
-            dist_l = 0.0
-        elif i == n:
-            K, L = n - 1, -1
-            normal = np.array([1.0])
-            dist_k = x - centers[n - 1]
-            dist_l = 0.0
-        else:
-            K, L = i - 1, i
-            normal = np.array([1.0])
-            dist_k = x - centers[K]
-            dist_l = centers[L] - x
-        raw.append((1.0, normal, K, L, np.array([x]), dist_k, dist_l))
-
-    faces = _finish_faces(raw, dual, 1, widths, nf_per_cell)
-    cells = []
-    for i in range(n):
-        fids = tuple(
-            f.id for f in faces if f.K == i or f.L == i
-        )
-        cells.append(
-            Cell(
-                id=i,
-                volume=float(widths[i]),
-                diameter=float(widths[i]),
-                center=np.array([centers[i]]),
-                face_ids=fids,
-            )
-        )
-    verts = [np.array([[edges[i]], [edges[i + 1]]]) for i in range(n)]
-    return Mesh(
-        dim=1,
-        cells=cells,
-        faces=faces,
+    i = np.arange(n + 1)
+    K = np.maximum(i - 1, 0)
+    L = np.where((i > 0) & (i < n), i, -1)
+    return _assemble(
+        1, dual, widths, centers[:, None], widths.copy(),
+        area=np.ones(n + 1), normal=np.where(i == 0, -1.0, 1.0)[:, None],
+        K=K, L=L, centroid=edges[:, None].copy(),
+        dist_k=np.abs(edges - centers[K]), dist_l=np.abs(centers[L] - edges),
         domain_measure=float(edges[-1] - edges[0]),
         h_max=float(widths.max()),
-        dual_policy=dual,
         box=(edges[:1].copy(), edges[-1:].copy()),
-        cell_vertices=verts,
+        cell_vertices=np.stack([edges[:-1], edges[1:]], axis=1)[:, :, None],
         family=family,
     )
 
@@ -314,7 +238,7 @@ def build_nonuniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
     if ratio <= 0:
         raise GeometryError("ratio must be positive")
     a, b = interval
-    pattern = np.array([1.0 if i % 2 == 0 else ratio for i in range(n)])
+    pattern = np.where(np.arange(n) % 2 == 0, 1.0, ratio)
     widths = pattern * (b - a) / pattern.sum()
     edges = np.concatenate([[a], a + np.cumsum(widths)])
     edges[-1] = b  # keep the right endpoint exact
@@ -323,7 +247,8 @@ def build_nonuniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
 
 def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0)),
                        dual: str = "cone") -> Mesh:
-    """Axis-aligned rectangle grid with nx * ny cells."""
+    """Axis-aligned rectangle grid with nx * ny cells, numbered row by row
+    (cell j * nx + i is column i of row j)."""
     if nx < 1 or ny < 1:
         raise GeometryError("need at least one cell per axis")
     (x0, y0), (x1, y1) = box
@@ -333,75 +258,41 @@ def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0)),
     hy = (y1 - y0) / ny
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
+    mx = 0.5 * (xs[:-1] + xs[1:])
+    my = 0.5 * (ys[:-1] + ys[1:])
+    ci, cj = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny)))
+    centers = np.stack([mx[ci], my[cj]], axis=1)
 
-    def cid(i: int, j: int) -> int:
-        return j * nx + i
+    # vertical faces (normal +x) row by row, then horizontal faces (normal +y)
+    vi, vj = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny)))
+    hi, hj = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny + 1)))
+    vK = vj * nx + np.maximum(vi - 1, 0)
+    vL = np.where((vi > 0) & (vi < nx), vj * nx + vi, -1)
+    hK = np.maximum(hj - 1, 0) * nx + hi
+    hL = np.where((hj > 0) & (hj < ny), hj * nx + hi, -1)
+    K = np.concatenate([vK, hK])
+    L = np.concatenate([vL, hL])
+    # the face coordinate across the face, and the axis it is taken on
+    across = np.concatenate([xs[vi], ys[hj]])
+    axis = np.repeat([0, 1], [vK.size, hK.size])
+    low = np.concatenate([vi == 0, hj == 0])
+    normal = np.zeros((K.size, 2))
+    normal[np.arange(K.size), axis] = np.where(low, -1.0, 1.0)
+    centroid = np.concatenate([np.stack([xs[vi], my[vj]], axis=1),
+                               np.stack([mx[hi], ys[hj]], axis=1)])
 
-    vol = np.full(nx * ny, hx * hy)
-    nf = np.full(nx * ny, 4)
-    centers = np.array(
-        [[0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])]
-         for j in range(ny) for i in range(nx)]
-    )
-
-    raw = []
-    # vertical faces (normal +x), column-major over i then j
-    for j in range(ny):
-        for i in range(nx + 1):
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            if i == 0:
-                K, L, normal = cid(0, j), -1, np.array([-1.0, 0.0])
-                dist_k, dist_l = centers[K][0] - xs[0], 0.0
-            elif i == nx:
-                K, L, normal = cid(nx - 1, j), -1, np.array([1.0, 0.0])
-                dist_k, dist_l = xs[nx] - centers[K][0], 0.0
-            else:
-                K, L, normal = cid(i - 1, j), cid(i, j), np.array([1.0, 0.0])
-                dist_k = xs[i] - centers[K][0]
-                dist_l = centers[L][0] - xs[i]
-            raw.append((hy, normal, K, L, np.array([xs[i], cy]), dist_k, dist_l))
-    # horizontal faces (normal +y)
-    for j in range(ny + 1):
-        for i in range(nx):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            if j == 0:
-                K, L, normal = cid(i, 0), -1, np.array([0.0, -1.0])
-                dist_k, dist_l = centers[K][1] - ys[0], 0.0
-            elif j == ny:
-                K, L, normal = cid(i, ny - 1), -1, np.array([0.0, 1.0])
-                dist_k, dist_l = ys[ny] - centers[K][1], 0.0
-            else:
-                K, L, normal = cid(i, j - 1), cid(i, j), np.array([0.0, 1.0])
-                dist_k = ys[j] - centers[K][1]
-                dist_l = centers[L][1] - ys[j]
-            raw.append((hx, normal, K, L, np.array([cx, ys[j]]), dist_k, dist_l))
-
-    faces = _finish_faces(raw, dual, 2, vol, nf)
-    by_cell: dict[int, list[int]] = {c: [] for c in range(nx * ny)}
-    for f in faces:
-        by_cell[f.K].append(f.id)
-        if f.L >= 0:
-            by_cell[f.L].append(f.id)
+    di = np.array([0, 1, 1, 0])
+    dj = np.array([0, 0, 1, 1])
+    verts = np.stack([xs[ci[:, None] + di], ys[cj[:, None] + dj]], axis=-1)
     diam = math.hypot(hx, hy)
-    cells = [
-        Cell(id=c, volume=float(vol[c]), diameter=diam, center=centers[c],
-             face_ids=tuple(sorted(by_cell[c])))
-        for c in range(nx * ny)
-    ]
-    verts = []
-    for j in range(ny):
-        for i in range(nx):
-            verts.append(np.array(
-                [[xs[i], ys[j]], [xs[i + 1], ys[j]],
-                 [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]]
-            ))
-    return Mesh(
-        dim=2,
-        cells=cells,
-        faces=faces,
+    return _assemble(
+        2, dual, np.full(nx * ny, hx * hy), centers, np.full(nx * ny, diam),
+        area=np.repeat([hy, hx], [vK.size, hK.size]), normal=normal,
+        K=K, L=L, centroid=centroid,
+        dist_k=np.abs(across - centers[K, axis]),
+        dist_l=np.abs(centers[L, axis] - across),
         domain_measure=float((x1 - x0) * (y1 - y0)),
         h_max=diam,
-        dual_policy=dual,
         box=(np.array([x0, y0]), np.array([x1, y1])),
         cell_vertices=verts,
         family=f"cartesian_2d(nx={nx},ny={ny})",
@@ -448,102 +339,69 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
         offs[:, 0, :] = 0.0
         offs[:, -1, :] = 0.0
         pts = pts + offs
-
-    def vidx(i: int, j: int) -> int:
-        return i * (n + 1) + j
-
     flat = pts.reshape(-1, 2)
-    tris: list[tuple[int, int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            v00 = vidx(i, j)
-            v10 = vidx(i + 1, j)
-            v11 = vidx(i + 1, j + 1)
-            v01 = vidx(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
 
-    def signed_area(t):
-        a, b, c = flat[t[0]], flat[t[1]], flat[t[2]]
-        return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
+    # grid square (i, j), i-major, has lower-left vertex i * (n+1) + j and
+    # splits into two counter-clockwise triangles
+    si, sj = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n),
+                                             indexing="ij"))
+    v00 = si * (n + 1) + sj
+    v10 = v00 + n + 1
+    v11 = v10 + 1
+    v01 = v00 + 1
+    even = ((si + sj) % 2 == 0)[:, None]
+    tri_a = np.where(even, np.stack([v00, v10, v11], 1), np.stack([v00, v10, v01], 1))
+    tri_b = np.where(even, np.stack([v00, v11, v01], 1), np.stack([v10, v11, v01], 1))
+    tris = np.stack([tri_a, tri_b], axis=1).reshape(-1, 3)
 
-    areas = np.array([signed_area(t) for t in tris])
+    verts = flat[tris]  # (n_cells, 3, 2)
+    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+    areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                   - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
         raise GeometryError(
             f"jitter {jitter} produced an inverted triangle (cell {bad}, "
             f"signed area {areas[bad]:.3e})"
         )
+    centers = (a + b + c) / 3.0
+    sides = np.roll(verts, -1, axis=1) - verts
+    diam = np.max(np.hypot(sides[..., 0], sides[..., 1]), axis=1)
 
-    centers = np.array([(flat[a] + flat[b] + flat[c]) / 3.0 for a, b, c in tris])
-    nf = np.full(len(tris), 3)
+    # directed edges p -> q of every triangle, in triangle order; a face is
+    # numbered by the first occurrence of its undirected edge, K is the
+    # triangle of that occurrence and L the triangle of the other one
+    p = tris.ravel()
+    q = np.roll(tris, -1, axis=1).ravel()
+    key = np.minimum(p, q) * flat.shape[0] + np.maximum(p, q)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.r_[True, key[order][1:] != key[order][:-1]])
+    counts = np.diff(np.r_[starts, key.size])
+    first = order[starts]
+    second = np.where(counts == 2, order[np.minimum(starts + 1, key.size - 1)], -1)
+    by_id = np.argsort(first)
+    first, second = first[by_id], second[by_id]
+    K = first // 3
+    L = np.where(second >= 0, second // 3, -1)
 
-    # collect edges in first-encounter order for deterministic face ids
-    edge_owner: dict[tuple[int, int], list] = {}
-    order: list[tuple[int, int]] = []
-    for t_id, t in enumerate(tris):
-        for e in range(3):
-            p, q = t[e], t[(e + 1) % 3]
-            key = (p, q) if p < q else (q, p)
-            if key not in edge_owner:
-                edge_owner[key] = []
-                order.append(key)
-            edge_owner[key].append((t_id, p, q))
+    start = flat[p[first]]
+    edge = flat[q[first]] - start
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    if np.any(length <= 0):
+        raise GeometryError("zero-length edge")
 
-    raw = []
-    for key in order:
-        owners = edge_owner[key]
-        t_id, p, q = owners[0]
-        a, b = flat[p], flat[q]
-        edge = b - a
-        length = float(np.hypot(edge[0], edge[1]))
-        if length <= 0:
-            raise GeometryError("zero-length edge")
-        # CCW triangle: outward normal of directed edge p->q is (dy, -dx)
-        normal = np.array([edge[1], -edge[0]]) / length
-        centroid = 0.5 * (a + b)
-        K = t_id
-        L = owners[1][0] if len(owners) > 1 else -1
+    def dist(point):
+        v = point - start
+        return np.abs(edge[:, 0] * v[:, 1] - edge[:, 1] * v[:, 0]) / length
 
-        def _dist(point):
-            v = point - a
-            return abs(edge[0] * v[1] - edge[1] * v[0]) / length
-
-        dist_k = _dist(centers[K])
-        dist_l = _dist(centers[L]) if L >= 0 else 0.0
-        raw.append((length, normal, K, L, centroid, dist_k, dist_l))
-
-    faces = _finish_faces(raw, dual, 2, areas, nf)
-    by_cell: dict[int, list[int]] = {c: [] for c in range(len(tris))}
-    for f in faces:
-        by_cell[f.K].append(f.id)
-        if f.L >= 0:
-            by_cell[f.L].append(f.id)
-    cells = []
-    verts = []
-    for c, t in enumerate(tris):
-        vv = flat[list(t)]
-        verts.append(vv)
-        diam = max(
-            np.hypot(*(vv[1] - vv[0])),
-            np.hypot(*(vv[2] - vv[1])),
-            np.hypot(*(vv[0] - vv[2])),
-        )
-        cells.append(
-            Cell(id=c, volume=float(areas[c]), diameter=float(diam),
-                 center=centers[c], face_ids=tuple(sorted(by_cell[c])))
-        )
-    return Mesh(
-        dim=2,
-        cells=cells,
-        faces=faces,
+    # CCW triangle: outward normal of directed edge p->q is (dy, -dx)
+    normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
+    return _assemble(
+        2, dual, areas, centers, diam, area=length, normal=normal, K=K, L=L,
+        centroid=0.5 * (start + flat[q[first]]),
+        dist_k=dist(centers[K]), dist_l=dist(centers[L]),
         domain_measure=float((x1 - x0) * (y1 - y0)),
-        h_max=float(max(c.diameter for c in cells)),
-        dual_policy=dual,
+        h_max=float(diam.max()),
         box=(np.array([x0, y0]), np.array([x1, y1])),
         cell_vertices=verts,
         family=f"perturbed_triangular_2d(n={n},jitter={jitter},seed={seed})",
@@ -590,39 +448,63 @@ def perturbed_triangular_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0)),
 
 
 # ---------------------------------------------------------------------------
-# quality, refinement, validation
+# neighbours, quality, refinement, validation
 # ---------------------------------------------------------------------------
+
+
+def far_neighbors(mesh: Mesh, K: np.ndarray, L: np.ndarray, periodic: bool):
+    """Second upwind cells of three-point stencils (1d only).
+
+    For an edge K|L the far cell behind K is K's neighbor away from L along
+    the axis, and likewise for L.  Directions come from the sorted cell
+    positions, not from coordinates, so the periodic wrap edge (from the
+    right-end cell to the left-end one) counts as going right.  Missing
+    neighbors (outflow ends) fall back to the near cell, which degrades the
+    reconstruction to first order there.
+    """
+    if mesh.dim != 1:
+        raise MeshError("three-point stencils are only wired up on 1d meshes")
+    order = np.argsort(mesh.cell_center[:, 0])
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    n = order.size
+    if periodic:
+        left = order[(pos - 1) % n]
+        right = order[(pos + 1) % n]
+        went_right = pos[L] == (pos[K] + 1) % n
+    else:
+        left = order[np.maximum(pos - 1, 0)]
+        right = order[np.minimum(pos + 1, n - 1)]
+        went_right = pos[L] == pos[K] + 1
+    KK = np.where(went_right, left[K], right[K])
+    LL = np.where(went_right, right[L], left[L])
+    return KK, LL
+
+
+def _theta_grad_ratios(mesh: Mesh, ids: np.ndarray) -> np.ndarray:
+    dx = np.linalg.norm(
+        mesh.cell_center[mesh.face_L[ids]] - mesh.cell_center[mesh.face_K[ids]],
+        axis=1,
+    )
+    return mesh.face_area[ids] * dx / mesh.face_dsig[ids]
 
 
 def compute_quality(mesh: Mesh) -> MeshQuality:
     """Regularity parameters, computed directly from the stored measures."""
-    int_mask = mesh.interior
-    theta_grad = 0.0
-    if int_mask.any():
-        dx = np.linalg.norm(
-            mesh.cell_center[mesh.face_L[int_mask]]
-            - mesh.cell_center[mesh.face_K[int_mask]],
-            axis=1,
-        )
-        theta_grad = float(
-            np.max(mesh.face_area[int_mask] * dx / mesh.face_dsig[int_mask])
-        )
-
-    theta = 0.0
-    tau = 0.0
-    for c in mesh.cells:
-        for fid in c.face_ids:
-            f = mesh.faces[fid]
-            theta = max(theta, f.d_sigma / c.volume)
-            dk = f.dk if f.K == c.id else f.dl
-            if dk > 0:
-                tau = max(tau, c.volume / dk)
-    n_faces_max = max(c.n_faces for c in mesh.cells)
+    ints = np.flatnonzero(mesh.interior)
+    theta_grad = float(np.max(_theta_grad_ratios(mesh, ints), initial=0.0))
+    # every (cell, face of the cell) pair: the K side of each face, then the
+    # L side of each interior face
+    cells = np.concatenate([mesh.face_K, mesh.face_L[ints]])
+    dsig = np.concatenate([mesh.face_dsig, mesh.face_dsig[ints]])
+    part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
+    vol = mesh.cell_volume[cells]
+    pos = part > 0
     return MeshQuality(
         theta_grad=theta_grad,
-        theta=theta,
-        tau=tau,
-        n_faces_max=n_faces_max,
+        theta=float(np.max(dsig / vol, initial=0.0)),
+        tau=float(np.max(vol[pos] / part[pos], initial=0.0)),
+        n_faces_max=int(mesh.face_counts().max()),
         h_max=mesh.h_max,
     )
 
@@ -651,14 +533,8 @@ def refine(family: MeshFamily, levels: int) -> list[Mesh]:
             if val > REGULARITY_GUARD * cap:
                 detail = ""
                 if name == "theta_grad":
-                    mesh = meshes[lvl]
-                    ints = np.flatnonzero(mesh.interior)
-                    dx = np.linalg.norm(
-                        mesh.cell_center[mesh.face_L[ints]]
-                        - mesh.cell_center[mesh.face_K[ints]],
-                        axis=1,
-                    )
-                    ratios = mesh.face_area[ints] * dx / mesh.face_dsig[ints]
+                    ints = np.flatnonzero(meshes[lvl].interior)
+                    ratios = _theta_grad_ratios(meshes[lvl], ints)
                     detail = f", worst face {int(ints[np.argmax(ratios)])}"
                 raise RegularityError(
                     f"family {family.name}: {name} = {val:.6g} at level {lvl} "
@@ -688,6 +564,8 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     """
     checks: list[tuple[str, bool, str]] = []
     omega = mesh.domain_measure
+    inner = mesh.interior
+    K, L = mesh.face_K, mesh.face_L
 
     vol_sum = float(mesh.cell_volume.sum())
     checks.append(
@@ -700,56 +578,53 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
          f"sum |D_sigma| = {dual_sum!r} vs |Omega| = {omega!r}")
     )
 
-    split_ok = all(f.d_sigma == f.dk + f.dl for f in mesh.faces)
+    split_ok = bool(np.all(mesh.face_dsig == mesh.face_dk + mesh.face_dl))
     checks.append(("dual_split_sum", split_ok, "d_sigma == dk + dl exactly"))
 
     pos_ok = (
         np.all(mesh.cell_volume > 0)
         and np.all(mesh.face_area > 0)
-        and all(f.dk > 0 and (f.dl > 0 or f.is_boundary) for f in mesh.faces)
+        and np.all(mesh.face_dk > 0)
+        and np.all((mesh.face_dl > 0) | ~inner)
     )
     checks.append(("positive_measures", bool(pos_ok), "volumes, areas, duals > 0"))
 
     norm_err = float(np.max(np.abs(np.linalg.norm(mesh.face_normal, axis=1) - 1.0)))
     checks.append(("unit_normals", norm_err <= 1e-12, f"max | |n|-1 | = {norm_err:.2e}"))
 
-    worst = 0.0
-    worst_cell = -1
-    for c in mesh.cells:
-        net = np.zeros(mesh.dim)
-        area_sum = 0.0
-        for fid in c.face_ids:
-            f = mesh.faces[fid]
-            sign = 1.0 if f.K == c.id else -1.0
-            net += sign * f.area * f.normal
-            area_sum += f.area
-        r = float(np.linalg.norm(net)) / area_sum
-        if r > worst:
-            worst, worst_cell = r, c.id
+    flow = mesh.face_area[:, None] * mesh.face_normal
+    net = np.zeros((mesh.n_cells, mesh.dim))
+    np.add.at(net, K, flow)
+    np.add.at(net, L[inner], -flow[inner])
+    size = np.abs(mesh.face_area)
+    area_sum = (np.bincount(K, size, mesh.n_cells)
+                + np.bincount(L[inner], size[inner], mesh.n_cells))
+    ratio = np.linalg.norm(net, axis=1) / area_sum
+    worst = float(ratio.max())
+    worst_cell = int(np.argmax(ratio)) if worst > 0 else -1
     checks.append(
         ("face_closure", worst <= REL_TOL,
          f"max |sum area*n| / sum area = {worst:.2e} (cell {worst_cell})")
     )
 
     if mesh.cell_vertices is not None:
-        inside = all(
-            _point_in_cell(mesh.cell_vertices[c.id], c.center) for c in mesh.cells
-        )
+        inside = _anchors_inside(mesh.cell_vertices, mesh.cell_center)
         checks.append(("anchor_inside", inside, "x_K inside its cell"))
     if mesh.dual_policy == "cone":
-        worst_cone = 0.0
-        for f in mesh.faces:
-            for cid, part in ((f.K, f.dk), (f.L, f.dl)):
-                if cid < 0:
-                    continue
-                dist = abs(
-                    float(np.dot(mesh.cells[cid].center - f.centroid, f.normal))
-                )
-                expect = f.area * dist / mesh.dim
-                scale = max(abs(expect), 1e-300)
-                worst_cone = max(worst_cone, abs(part - expect) / scale)
+        ints = np.flatnonzero(inner)
+        faces = np.concatenate([np.arange(mesh.n_faces), ints])
+        cells = np.concatenate([K, L[ints]])
+        part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
+        dist = np.abs(np.einsum(
+            "fd,fd->f", mesh.cell_center[cells] - mesh.face_centroid[faces],
+            mesh.face_normal[faces],
+        ))
+        expect = mesh.face_area[faces] * dist / mesh.dim
+        worst_cone = float(np.max(
+            np.abs(part - expect) / np.maximum(np.abs(expect), 1e-300)
+        ))
         checks.append(
-            ("cone_identity", worst_cone <= 1e-12,
+            ("cone_identity", bool(worst_cone <= 1e-12),
              f"max rel deviation {worst_cone:.2e}")
         )
 
@@ -760,23 +635,21 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     return report
 
 
-def _point_in_cell(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
-    if verts.shape[1] == 1:
-        lo, hi = float(verts.min()), float(verts.max())
-        return lo - tol <= p[0] <= hi + tol
-    if verts.shape[0] == 4:
-        lo = verts.min(axis=0)
-        hi = verts.max(axis=0)
-        return bool(np.all(p >= lo - tol) and np.all(p <= hi + tol))
-    a, b, c = verts
+def _anchors_inside(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every anchor p[i] lies in the cell with vertex rows verts[i]."""
+    if verts.shape[2] == 1 or verts.shape[1] == 4:
+        lo = verts.min(axis=1)
+        hi = verts.max(axis=1)
+        return bool(np.all((p >= lo - tol) & (p <= hi + tol)))
+    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+
     # barycentric sign test
     def cross(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
+        return (v[:, 0] - u[:, 0]) * (w[:, 1] - u[:, 1]) - (w[:, 0] - u[:, 0]) * (v[:, 1] - u[:, 1])
 
-    s1, s2, s3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-    area2 = abs(cross(a, b, c))
-    eps = tol * max(area2, 1.0)
-    return s1 >= -eps and s2 >= -eps and s3 >= -eps
+    eps = tol * np.maximum(np.abs(cross(a, b, c)), 1.0)
+    return bool(np.all((cross(a, b, p) >= -eps) & (cross(b, c, p) >= -eps)
+                       & (cross(c, a, p) >= -eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +661,10 @@ _FMT = "{:.17g}"
 
 def _fmt(x: float) -> str:
     return _FMT.format(float(x))
+
+
+def _fmt_row(xs) -> str:
+    return " ".join(_FMT.format(x) for x in xs)
 
 
 def write_mesh(mesh: Mesh, path_or_buf) -> None:
@@ -809,106 +686,130 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
         fh.write(f"# policy {mesh.dual_policy}\n")
         if mesh.box is not None:
             lo, hi = mesh.box
-            coords = " ".join(_fmt(v) for v in np.concatenate([lo, hi]))
-            fh.write(f"# box {coords}\n")
-        for c in mesh.cells:
-            xs = " ".join(_fmt(v) for v in c.center)
-            fh.write(f"cell {c.id} {_fmt(c.volume)} {_fmt(c.diameter)} {xs} {c.n_faces}\n")
-        for f in mesh.faces:
-            ns = " ".join(_fmt(v) for v in f.normal)
-            cs = " ".join(_fmt(v) for v in f.centroid)
+            fh.write(f"# box {_fmt_row(np.concatenate([lo, hi]).tolist())}\n")
+        cells = zip(mesh.cell_volume.tolist(), mesh.cell_diam.tolist(),
+                    mesh.cell_center.tolist(), mesh.face_counts().tolist())
+        for c, (vol, diam, x, nf) in enumerate(cells):
+            fh.write(f"cell {c} {_fmt(vol)} {_fmt(diam)} {_fmt_row(x)} {nf}\n")
+        faces = zip(mesh.face_area.tolist(), mesh.face_normal.tolist(),
+                    mesh.face_K.tolist(), mesh.face_L.tolist(),
+                    mesh.face_dsig.tolist(), mesh.face_dk.tolist(),
+                    mesh.face_dl.tolist(), mesh.face_centroid.tolist())
+        for f, (area, nrm, K, L, dsig, dk, dl, cen) in enumerate(faces):
             fh.write(
-                f"face {f.id} {_fmt(f.area)} {ns} {f.K} {f.L} "
-                f"{_fmt(f.d_sigma)} {_fmt(f.dk)} {_fmt(f.dl)} {cs}\n"
+                f"face {f} {_fmt(area)} {_fmt_row(nrm)} {K} {L} "
+                f"{_fmt(dsig)} {_fmt(dk)} {_fmt(dl)} {_fmt_row(cen)}\n"
             )
     finally:
         if own:
             fh.close()
 
 
-def mesh_to_text(mesh: Mesh) -> str:
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    return buf.getvalue()
+def _ordered(rows: dict[int, list], kind: str) -> list:
+    """Rows by id, after checking the ids are exactly 0..n-1."""
+    if sorted(rows) != list(range(len(rows))):
+        missing = sorted(set(range(len(rows))) - set(rows))
+        raise MeshError(
+            f"{kind} ids must be 0..{len(rows) - 1}; missing {missing[:5]}"
+        )
+    return [rows[i] for i in range(len(rows))]
 
 
 def read_mesh(path_or_buf) -> Mesh:
-    """Load a mesh written by :func:`write_mesh`."""
+    """Load a mesh written by :func:`write_mesh`.
+
+    Raises MeshError on a malformed file: a line with the wrong field count
+    or a non-numeric field, cell or face ids that are not exactly 0..n-1,
+    a face naming a cell that does not exist, or a cell whose declared face
+    count differs from the faces that name it.
+    """
     own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
     fh = open(path_or_buf) if own else path_or_buf
     try:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "lwfv-mesh" or header[1] != "v1":
             raise MeshError(f"not a lwfv-mesh v1 file: header {' '.join(header)!r}")
-        dim = int(header[2].removeprefix("dim="))
+        try:
+            dim = int(header[2].removeprefix("dim="))
+        except ValueError:
+            raise MeshError(f"bad dimension in header {' '.join(header)!r}") from None
+        if dim < 1:
+            raise MeshError(f"bad dimension {dim}")
         policy = "cone"
         box = None
-        cell_rows = {}
-        face_rows = {}
-        cell_faces: dict[int, list[int]] = {}
-        for line in fh:
+        # field count and integer columns (n_faces; K and L) of each line kind
+        width = {"cell": 5 + dim, "face": 8 + 2 * dim}
+        int_cols = {"cell": (4 + dim,), "face": (3 + dim, 4 + dim)}
+        rows: dict[str, dict[int, list]] = {"cell": {}, "face": {}}
+        for lineno, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "#":
                 if len(parts) >= 3 and parts[1] == "policy":
                     policy = parts[2]
-                elif parts[1] == "box":
+                elif len(parts) >= 2 and parts[1] == "box":
                     vals = np.array([float(v) for v in parts[2:]])
                     box = (vals[:dim], vals[dim:])
                 continue
-            if parts[0] == "cell":
-                cid = int(parts[1])
-                vol = float(parts[2])
-                h = float(parts[3])
-                x = np.array([float(v) for v in parts[4 : 4 + dim]])
-                nf = int(parts[4 + dim])
-                cell_rows[cid] = (vol, h, x, nf)
-                cell_faces[cid] = []
-            elif parts[0] == "face":
-                fid = int(parts[1])
-                area = float(parts[2])
-                normal = np.array([float(v) for v in parts[3 : 3 + dim]])
-                K = int(parts[3 + dim])
-                L = int(parts[4 + dim])
-                dsig = float(parts[5 + dim])
-                dk = float(parts[6 + dim])
-                dl = float(parts[7 + dim])
-                centroid = np.array([float(v) for v in parts[8 + dim : 8 + 2 * dim]])
-                face_rows[fid] = (area, normal, K, L, dsig, dk, dl, centroid)
-            else:
-                raise MeshError(f"unrecognised line kind {parts[0]!r}")
-        faces = []
-        for fid in sorted(face_rows):
-            area, normal, K, L, dsig, dk, dl, centroid = face_rows[fid]
-            faces.append(
-                Face(id=fid, area=area, normal=normal, K=K, L=L,
-                     d_sigma=dsig, dk=dk, dl=dl, centroid=centroid)
-            )
-            cell_faces[K].append(fid)
-            if L >= 0:
-                cell_faces[L].append(fid)
-        cells = []
-        for cid in sorted(cell_rows):
-            vol, h, x, nf = cell_rows[cid]
-            fids = tuple(sorted(cell_faces[cid]))
-            if len(fids) != nf:
+            kind = parts[0]
+            if kind not in width:
+                raise MeshError(f"line {lineno}: unrecognised line kind {kind!r}")
+            if len(parts) != width[kind]:
                 raise MeshError(
-                    f"cell {cid}: header says {nf} faces, found {len(fids)}"
+                    f"line {lineno}: {kind} line has {len(parts)} fields, "
+                    f"expected {width[kind]}"
                 )
-            cells.append(Cell(id=cid, volume=vol, diameter=h, center=x, face_ids=fids))
-        vol_total = float(sum(c.volume for c in cells))
-        return Mesh(
-            dim=dim,
-            cells=cells,
-            faces=faces,
-            domain_measure=vol_total,
-            h_max=float(max(c.diameter for c in cells)),
-            dual_policy=policy,
-            box=box,
-            cell_vertices=None,
-            family="(loaded)",
-        )
+            try:
+                ident = int(parts[1])
+                vals = [int(v) if i in int_cols[kind] else float(v)
+                        for i, v in enumerate(parts[2:], 2)]
+            except ValueError as e:
+                raise MeshError(f"line {lineno}: {e}") from None
+            if ident in rows[kind]:
+                raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
+            rows[kind][ident] = vals
     finally:
         if own:
             fh.close()
+
+    cells = np.array(_ordered(rows["cell"], "cell"), dtype=float).reshape(-1, 3 + dim)
+    faces = np.array(_ordered(rows["face"], "face"), dtype=float).reshape(-1, 6 + 2 * dim)
+    n_cells = cells.shape[0]
+    if n_cells == 0 or faces.shape[0] == 0:
+        raise MeshError("mesh file has no cells or no faces")
+    # columns: cell = volume h x... n_faces; face = area n... K L Dsigma DK DL c...
+    K = faces[:, 1 + dim].astype(np.int64)
+    L = faces[:, 2 + dim].astype(np.int64)
+    bad = (K < 0) | (K >= n_cells) | (L < -1) | (L >= n_cells)
+    if np.any(bad):
+        f = int(np.argmax(bad))
+        raise MeshError(
+            f"face {f}: incident cells ({K[f]}, {L[f]}) outside "
+            f"0..{n_cells - 1} (L may be -1)"
+        )
+    declared = cells[:, 2 + dim].astype(np.int64)
+    found = _face_counts(K, L, n_cells)
+    if np.any(declared != found):
+        c = int(np.argmax(declared != found))
+        raise MeshError(f"cell {c}: header says {declared[c]} faces, found {found[c]}")
+    return Mesh(
+        dim=dim,
+        cell_volume=cells[:, 0].copy(),
+        cell_center=cells[:, 2 : 2 + dim].copy(),
+        cell_diam=cells[:, 1].copy(),
+        face_area=faces[:, 0].copy(),
+        face_normal=faces[:, 1 : 1 + dim].copy(),
+        face_K=K,
+        face_L=L,
+        face_dsig=faces[:, 3 + dim].copy(),
+        face_dk=faces[:, 4 + dim].copy(),
+        face_dl=faces[:, 5 + dim].copy(),
+        face_centroid=faces[:, 6 + dim :].copy(),
+        domain_measure=float(sum(cells[:, 0].tolist())),
+        h_max=float(cells[:, 1].max()),
+        dual_policy=policy,
+        box=box,
+        cell_vertices=None,
+        family="(loaded)",
+    )

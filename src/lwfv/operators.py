@@ -149,10 +149,6 @@ class FaceVectorField:
     values: np.ndarray  # (n_faces, d) or (n_steps, n_faces, d)
     label: str = ""
 
-    @property
-    def time_indexed(self) -> bool:
-        return self.values.ndim == 3
-
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=-1)))
 
@@ -535,11 +531,6 @@ class GradStudyResult:
     family: str
     phi_name: str
     rows: list[GradStudyRow]
-
-    def gaps(self, psi_name: str) -> tuple[np.ndarray, np.ndarray]:
-        hs = np.array([r.h for r in self.rows if r.psi_name == psi_name])
-        gs = np.array([r.gap for r in self.rows if r.psi_name == psi_name])
-        return hs, gs
 
 
 def _composite_axis(a: float, b: float, n: int, npts: int):

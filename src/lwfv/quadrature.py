@@ -37,98 +37,114 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(npts)
 
 
-def interval_rule(a: float, b: float, npts: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    x, w = gauss_legendre(npts)
-    half = 0.5 * (b - a)
-    pts = a + half * (x + 1.0)
-    return pts.reshape(-1, 1), w * half
+def rowdot(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per-cell sums w[i] . vals[i] of a batched rule's weights (n_cells,
+    n_points) against values at its points; each row is one BLAS dot, the
+    same as a dot over that cell alone."""
+    return (w[:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
-def rectangle_rule(lo, hi, npts: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss rule on an axis-aligned rectangle given by corner arrays."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _interval_rule(a: np.ndarray, b: np.ndarray, npts: int):
+    """Gauss rule on every interval [a[i], b[i]]."""
     x, w = gauss_legendre(npts)
-    axes_pts = []
-    axes_w = []
-    for d in range(lo.size):
-        half = 0.5 * (hi[d] - lo[d])
-        axes_pts.append(lo[d] + half * (x + 1.0))
-        axes_w.append(w * half)
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrid = axes_w[0]
-    for d in range(1, lo.size):
-        wgrid = np.multiply.outer(wgrid, axes_w[d])
-    return pts, wgrid.ravel()
+    half = 0.5 * (b - a)[:, None]
+    pts = a[:, None] + half * (x + 1.0)
+    return pts[:, :, None], w * half
+
+
+def _rectangle_rule(lo: np.ndarray, hi: np.ndarray, npts: int):
+    """Tensor Gauss rule on every axis-aligned rectangle [lo[i], hi[i]]."""
+    x, w = gauss_legendre(npts)
+    half = 0.5 * (hi - lo)  # (n, 2)
+    ax = lo[:, :, None] + half[:, :, None] * (x + 1.0)  # (n, 2, npts)
+    aw = w * half[:, :, None]
+    n = lo.shape[0]
+    pts = np.stack([np.repeat(ax[:, 0], npts, axis=1),
+                    np.tile(ax[:, 1], npts)], axis=-1)
+    wts = (aw[:, 0, :, None] * aw[:, 1, None, :]).reshape(n, npts * npts)
+    return pts, wts
+
+
+def _triangle_areas(verts: np.ndarray) -> np.ndarray:
+    v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+    return 0.5 * np.abs(
+        (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
+        - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
+    )
 
 
 def triangle_rule(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-5 rule on the triangle with vertex rows ``verts`` (3, 2)."""
-    pts = _TRI_BARY @ verts
-    v0, v1, v2 = verts
-    area = 0.5 * abs(
-        (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    )
-    return pts, _TRI_WEIGHTS * area
+    """Degree-5 rule on every triangle of ``verts`` (n, 3, 2)."""
+    verts = np.asarray(verts, dtype=float)
+    return _TRI_BARY @ verts, _TRI_WEIGHTS * _triangle_areas(verts)[:, None]
+
+
+def _subtriangles(n: int) -> np.ndarray:
+    """Rows (i, j, down) naming the n^2 pieces of the uniform refinement of
+    a triangle: at base = v0 + i e1 + j e2 the upward piece (base, base+e1,
+    base+e2), and the downward piece (base+e1, base+e1+e2, base+e2)."""
+    rows = []
+    for i in range(n):
+        for j in range(n - i):
+            rows.append((i, j, 0))
+            if j < n - i - 1:
+                rows.append((i, j, 1))
+    return np.array(rows)
 
 
 def subdivision_rule(verts: np.ndarray, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule on n^2 congruent pieces; for rough (indicator) integrands.
+    """Midpoint rule on n^2 congruent pieces of every cell; for rough
+    (indicator) integrands.
 
-    Works on intervals (2 vertex rows, 1d), axis-aligned rectangles (4 rows),
-    and triangles (3 rows).  64 subsamples per cell at the default n = 8.
+    ``verts`` is a batch (n_cells, n_vertices, d) of intervals (2 vertex
+    rows, 1d), axis-aligned rectangles (4 rows) or triangles (3 rows).
+    Returns points (n_cells, n^2, d) and weights (n_cells, n^2): 64
+    subsamples per cell at the default n = 8.
     """
     verts = np.asarray(verts, dtype=float)
-    if verts.shape[1] == 1:
-        a, b = float(verts.min()), float(verts.max())
-        edges = np.linspace(a, b, n * n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        w = np.full(n * n, (b - a) / (n * n))
-        return mids.reshape(-1, 1), w
-    if verts.shape[0] == 4:
-        lo = verts.min(axis=0)
-        hi = verts.max(axis=0)
-        xs = np.linspace(lo[0], hi[0], n + 1)
-        ys = np.linspace(lo[1], hi[1], n + 1)
-        mx = 0.5 * (xs[:-1] + xs[1:])
-        my = 0.5 * (ys[:-1] + ys[1:])
-        gx, gy = np.meshgrid(mx, my, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        w = np.full(n * n, (hi[0] - lo[0]) * (hi[1] - lo[1]) / (n * n))
-        return pts, w
+    m = n * n
+    if verts.shape[2] == 1:
+        a, b = verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0]
+        edges = np.ascontiguousarray(np.linspace(a, b, m + 1, axis=1))
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        w = np.repeat(((b - a) / m)[:, None], m, axis=1)
+        return mids[:, :, None], w
+    if verts.shape[1] == 4:
+        lo = verts.min(axis=1)
+        hi = verts.max(axis=1)
+        xs = np.linspace(lo[:, 0], hi[:, 0], n + 1, axis=1)
+        ys = np.linspace(lo[:, 1], hi[:, 1], n + 1, axis=1)
+        mx = 0.5 * (xs[:, :-1] + xs[:, 1:])
+        my = 0.5 * (ys[:, :-1] + ys[:, 1:])
+        pts = np.stack([np.repeat(mx, n, axis=1), np.tile(my, n)], axis=-1)
+        w = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1]) / m
+        return pts, np.repeat(w[:, None], m, axis=1)
     # Triangle: uniform refinement into n^2 congruent subtriangles, centroid rule.
-    v0, v1, v2 = verts
+    v0, v1, v2 = verts[:, None, 0], verts[:, None, 1], verts[:, None, 2]
     e1 = (v1 - v0) / n
     e2 = (v2 - v0) / n
-    area = 0.5 * abs(
-        (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    )
-    cents = []
-    for i in range(n):
-        for j in range(n - i):
-            base = v0 + i * e1 + j * e2
-            # upward subtriangle (base, base+e1, base+e2)
-            cents.append(base + (e1 + e2) / 3.0)
-            if j < n - i - 1:
-                # downward subtriangle (base+e1, base+e1+e2, base+e2)
-                cents.append(base + (2.0 * e1 + 2.0 * e2) / 3.0)
-    pts = np.array(cents)
-    w = np.full(len(cents), area / (n * n))
-    return pts, w
+    i, j, down = _subtriangles(n).T
+    base = v0 + i[:, None] * e1 + j[:, None] * e2
+    up = (e1 + e2) / 3.0
+    dn = (2.0 * e1 + 2.0 * e2) / 3.0
+    pts = base + np.where(down[:, None] == 1, dn, up)
+    w = _triangle_areas(verts) / m
+    return pts, np.repeat(w[:, None], pts.shape[1], axis=1)
 
 
 def cell_rule(verts: np.ndarray, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature over one mesh cell given its vertex array.
+    """Quadrature over every cell of a batch of vertex arrays.
 
-    Intervals and axis-aligned rectangles get tensor Gauss rules exact at
-    least to degree 2*order - 1; triangles get the degree-5 rule.
+    ``verts`` is (n_cells, n_vertices, d); the result is points (n_cells,
+    n_points, d) and weights (n_cells, n_points).  Intervals and
+    axis-aligned rectangles get tensor Gauss rules exact at least to degree
+    2*order - 1; triangles get the degree-5 rule.
     """
     verts = np.asarray(verts, dtype=float)
-    if verts.shape[1] == 1:
-        return interval_rule(float(verts.min()), float(verts.max()), order)
-    if verts.shape[0] == 3:
+    if verts.shape[2] == 1:
+        return _interval_rule(verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0], order)
+    if verts.shape[1] == 3:
         return triangle_rule(verts)
-    if verts.shape[0] == 4:
-        return rectangle_rule(verts.min(axis=0), verts.max(axis=0), order)
-    raise ValueError(f"unsupported cell geometry with {verts.shape[0]} vertices")
+    if verts.shape[1] == 4:
+        return _rectangle_rule(verts.min(axis=1), verts.max(axis=1), order)
+    raise ValueError(f"unsupported cell geometry with {verts.shape[1]} vertices")

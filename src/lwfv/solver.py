@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flux import NumericalFlux
-from .mesh import Mesh, MeshError
+from .mesh import Mesh, MeshError, far_neighbors
 from .operators import TimeGrid
 from .translations import CellField, IntegrableFunction, project_l1
 
@@ -92,80 +92,50 @@ class SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _pair_periodic_faces(mesh: Mesh) -> list[tuple[int, int]]:
-    """Match boundary faces across the box by translated centroids."""
+def _pair_periodic_faces(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Match boundary faces across the box by translated centroids.
+
+    Returns (low, high): every boundary face whose normal points down its
+    dominant axis, in face order, and the face its centroid lands on when
+    shifted by one period along that axis.  Centroids match after rounding
+    to a grid of 1e-9 times the box size.
+    """
     if mesh.box is None:
         raise MeshError("periodic boundaries need the mesh bounding box")
     lo, hi = mesh.box
     period = hi - lo
     quant = max(float(np.max(period)), 1.0) * 1e-9
 
-    def key(point: np.ndarray) -> tuple:
-        return tuple(np.round(point / quant).astype(np.int64).tolist())
-
-    bdry = [f for f in mesh.faces if f.is_boundary]
-    lookup: dict[tuple, int] = {}
-    for f in bdry:
-        lookup[key(f.centroid)] = f.id
-    pairs = []
-    seen = set()
-    for f in bdry:
-        if f.id in seen:
-            continue
-        axis = int(np.argmax(np.abs(f.normal)))
-        if f.normal[axis] > 0:
-            continue  # pair from the low side only
-        target = f.centroid.copy()
-        target[axis] += period[axis]
-        partner = lookup.get(key(target))
-        if partner is None:
-            raise MeshError(
-                f"no periodic partner for boundary face {f.id} "
-                f"at {f.centroid}"
-            )
-        g = mesh.faces[partner]
-        if abs(g.area - f.area) > 1e-12 * max(f.area, g.area):
-            raise MeshError(
-                f"periodic faces {f.id} and {g.id} have mismatched areas"
-            )
-        pairs.append((f.id, g.id))
-        seen.add(f.id)
-        seen.add(g.id)
-    unpaired = [f.id for f in bdry if f.id not in seen]
-    if unpaired:
-        raise MeshError(f"unpaired boundary faces: {unpaired[:5]}")
-    return pairs
-
-
-def _far_neighbors(mesh: Mesh, edge_K, edge_L, periodic: bool):
-    """Second upwind states for three-point stencils (1d only).
-
-    For an edge K|L the far cell behind K is K's neighbor away from L along
-    the axis; missing neighbors (outflow ends) fall back to the near cell,
-    which degrades the reconstruction to first order there.
-    """
-    if mesh.dim != 1:
-        raise MeshError("three-point fluxes are only wired up on 1d meshes")
-    order = np.argsort(mesh.cell_center[:, 0])
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    n = order.size
-    if periodic:
-        left = order[(pos - 1) % n]
-        right = order[(pos + 1) % n]
-    else:
-        left = order[np.maximum(pos - 1, 0)]
-        right = order[np.minimum(pos + 1, n - 1)]
-    # direction by coordinate misclassifies the periodic wrap edge (the
-    # right-end cell's centre is larger than the left-end cell's even though
-    # crossing the seam goes right), so classify by sorted position instead
-    if periodic:
-        went_right = pos[edge_L] == (pos[edge_K] + 1) % n
-    else:
-        went_right = pos[edge_L] == pos[edge_K] + 1
-    KK = np.where(went_right, left[edge_K], right[edge_K])
-    LL = np.where(went_right, right[edge_L], left[edge_L])
-    return KK, LL
+    bdry = np.flatnonzero(~mesh.interior)
+    normal = mesh.face_normal[bdry]
+    axis = np.argmax(np.abs(normal), axis=1)
+    is_low = normal[np.arange(bdry.size), axis] <= 0  # pair from the low side only
+    low = bdry[is_low]
+    target = mesh.face_centroid[low].copy()
+    target[np.arange(low.size), axis[is_low]] += period[axis[is_low]]
+    keys = np.round(np.concatenate([mesh.face_centroid[bdry], target]) / quant)
+    _, code = np.unique(keys.astype(np.int64), axis=0, return_inverse=True)
+    code = code.ravel()
+    face_of = np.full(code.size, -1)
+    face_of[code[: bdry.size]] = bdry
+    high = face_of[code[bdry.size :]]
+    if np.any(high < 0):
+        f = int(low[np.argmax(high < 0)])
+        raise MeshError(
+            f"no periodic partner for boundary face {f} "
+            f"at {mesh.face_centroid[f]}"
+        )
+    a, b = mesh.face_area[low], mesh.face_area[high]
+    bad = np.abs(b - a) > 1e-12 * np.maximum(a, b)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise MeshError(
+            f"periodic faces {low[i]} and {high[i]} have mismatched areas"
+        )
+    unpaired = np.setdiff1d(bdry, np.concatenate([low, high]))
+    if unpaired.size:
+        raise MeshError(f"unpaired boundary faces: {unpaired[:5].tolist()}")
+    return low, high
 
 
 class Stepper:
@@ -181,22 +151,17 @@ class Stepper:
         self.boundary = boundary
 
         int_ids = np.flatnonzero(mesh.interior)
-        eK = list(mesh.face_K[int_ids])
-        eL = list(mesh.face_L[int_ids])
-        areas = list(mesh.face_area[int_ids])
-        normals = list(mesh.face_normal[int_ids])
+        edge_faces = int_ids
         self.interior_face_ids = int_ids
-
         self.n_interior = int_ids.size
+        self.edge_L = mesh.face_L[int_ids]
         if boundary == "periodic":
-            for fa, fb in _pair_periodic_faces(mesh):
-                a, b = mesh.faces[fa], mesh.faces[fb]
-                # flux from a.K through the identified face towards b.K,
-                # oriented by a's outward normal
-                eK.append(a.K)
-                eL.append(b.K)
-                areas.append(a.area)
-                normals.append(a.normal)
+            # flux from the low face's cell through the identified face
+            # towards the high face's cell, oriented by the low face's
+            # outward normal
+            low, high = _pair_periodic_faces(mesh)
+            edge_faces = np.concatenate([int_ids, low])
+            self.edge_L = np.concatenate([self.edge_L, mesh.face_K[high]])
             self.outflow_K = np.array([], dtype=int)
             self.outflow_area = np.array([])
             self.outflow_normal = np.zeros((0, mesh.dim))
@@ -207,14 +172,12 @@ class Stepper:
             self.outflow_normal = mesh.face_normal[bmask]
         else:
             raise ValueError(f"unknown boundary policy {boundary!r}")
-
-        self.edge_K = np.array(eK, dtype=int)
-        self.edge_L = np.array(eL, dtype=int)
-        self.edge_area = np.array(areas)
-        self.edge_normal = np.array(normals).reshape(-1, mesh.dim)
+        self.edge_K = mesh.face_K[edge_faces]
+        self.edge_area = mesh.face_area[edge_faces]
+        self.edge_normal = mesh.face_normal[edge_faces]
 
         if flux.stencil == 3:
-            self.edge_KK, self.edge_LL = _far_neighbors(
+            self.edge_KK, self.edge_LL = far_neighbors(
                 mesh, self.edge_K, self.edge_L, boundary == "periodic"
             )
         else:

@@ -233,8 +233,8 @@ def test_lw_study_shape_and_determinism():
     fam = uniform_1d_family(10)
     pr = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
     phis = bump_corpus_spacetime(1, 0.5)[:2]
-    rep1 = lw_study(fam, pr, phis, levels=3, cfl=0.5, workers=1)
-    rep2 = lw_study(fam, pr, phis, levels=3, cfl=0.5, workers=2)
+    rep1 = lw_study(fam, pr, phis, levels=3, cfl=0.5)
+    rep2 = lw_study(fam, pr, phis, levels=3, cfl=0.5)
     rows1, rows2 = rep1.rows(), rep2.rows()
     assert len(rows1) == 3 * 2
     assert rows1 == rows2

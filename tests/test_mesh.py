@@ -25,7 +25,12 @@ from lwfv import (
     validate,
     write_mesh,
 )
-from lwfv.mesh import build_nonuniform_1d, build_uniform_1d, compute_quality
+from lwfv.mesh import (
+    build_cartesian_2d,
+    build_nonuniform_1d,
+    build_uniform_1d,
+    compute_quality,
+)
 
 from oracles import (
     brute_cell_partition_defect,
@@ -54,8 +59,8 @@ def test_dual_split_is_exact_sum(families):
     # d_sigma must equal dk + dl as stored, not merely approximately
     for fam in families.values():
         m = fam.build(1)
-        for f in m.faces:
-            assert f.d_sigma == f.dk + f.dl
+        for f in range(m.n_faces):
+            assert m.face_dsig[f] == m.face_dk[f] + m.face_dl[f]
 
 
 def test_validate_passes_and_reports(families):
@@ -75,6 +80,17 @@ def test_validate_catches_corruption():
     assert "positive_measures" in failed
     with pytest.raises(MeshError):
         validate(m, raise_on_failure=True)
+
+
+def test_validate_reads_the_arrays_the_operators_use():
+    # a flipped normal breaks the closure of both cells next to the face
+    m = build_uniform_1d(6)
+    m.face_normal[3] = -m.face_normal[3]
+    assert "face_closure" in validate(m).failing()
+    # a doubled dual piece no longer adds up to the stored dual measure
+    m = build_cartesian_2d(3, 3)
+    m.face_dk[5] *= 2.0
+    assert "dual_split_sum" in validate(m).failing()
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +222,55 @@ def test_mesh_file_round_trip_bit_exact(tmp_path, families):
 def test_mesh_file_rejects_unknown_header():
     with pytest.raises(MeshError):
         read_mesh(io.StringIO("bogus-header v9 dim=1\n"))
+
+
+def _mesh_text(n: int = 3) -> str:
+    buf = io.StringIO()
+    write_mesh(build_uniform_1d(n), buf)
+    return buf.getvalue()
+
+
+def _replace_line(text: str, prefix: str, new: str) -> str:
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = new
+    return "".join(lines)
+
+
+def test_mesh_file_rejects_face_naming_missing_cell():
+    text = _mesh_text(3)  # face 1 joins cells 0 and 1
+    for bad in ("face 1 1 1 0 7 0.33 0.16 0.16 0.33\n",
+                "face 1 1 1 -2 1 0.33 0.16 0.16 0.33\n",
+                "face 1 1 1 0 -3 0.33 0.16 0.16 0.33\n"):
+        with pytest.raises(MeshError, match="outside"):
+            read_mesh(io.StringIO(_replace_line(text, "face 1 ", bad)))
+
+
+def test_mesh_file_rejects_truncated_line():
+    text = _mesh_text(3)
+    with pytest.raises(MeshError, match="fields"):
+        read_mesh(io.StringIO(_replace_line(text, "cell 2 ", "cell 2 0.33\n")))
+    with pytest.raises(MeshError, match="fields"):
+        read_mesh(io.StringIO(_replace_line(text, "face 3 ", "face 3 1 1 2\n")))
+
+
+def test_mesh_file_rejects_bad_ids():
+    text = _mesh_text(3)
+    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
+    with pytest.raises(MeshError, match="duplicate cell id 0"):
+        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 0" + line[6:] + "\n")))
+    with pytest.raises(MeshError, match="cell ids must be"):
+        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 5" + line[6:] + "\n")))
+    face = next(x for x in text.splitlines() if x.startswith("face 2 "))
+    with pytest.raises(MeshError, match="face ids must be"):
+        read_mesh(io.StringIO(_replace_line(text, "face 2 ", "face 9" + face[6:] + "\n")))
+
+
+def test_mesh_file_rejects_wrong_face_count():
+    text = _mesh_text(3)
+    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
+    with pytest.raises(MeshError, match="header says 3 faces, found 2"):
+        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", line[:-1] + "3\n")))
 
 
 def test_loaded_mesh_validates(tmp_path):

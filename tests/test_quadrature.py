@@ -10,15 +10,16 @@ from lwfv.quadrature import cell_rule, subdivision_rule, triangle_rule
 
 
 def _apply(rule, fn):
+    """Integral over the single cell of a one-cell batch."""
     pts, w = rule
-    return float(w @ fn(pts))
+    return float(w[0] @ fn(pts[0]))
 
 
 def test_interval_rule_polynomial_exactness():
     verts = np.array([[0.25], [0.75]])
     # int_{1/4}^{3/4} x^5 dx = (0.75^6 - 0.25^6)/6
     exact = (0.75**6 - 0.25**6) / 6.0
-    got = _apply(cell_rule(verts, order=4), lambda p: p[:, 0] ** 5)
+    got = _apply(cell_rule(verts[None], order=4), lambda p: p[:, 0] ** 5)
     assert got == pytest.approx(exact, rel=1e-14)
 
 
@@ -26,7 +27,7 @@ def test_rectangle_rule_tensor_exactness():
     verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]])
     # int x^3 y^2 over [0,1/2]x[0,1/4] = (1/64)(1/192) / ... = (0.5^4/4)(0.25^3/3)
     exact = (0.5**4 / 4.0) * (0.25**3 / 3.0)
-    got = _apply(cell_rule(verts, order=4), lambda p: p[:, 0] ** 3 * p[:, 1] ** 2)
+    got = _apply(cell_rule(verts[None], order=4), lambda p: p[:, 0] ** 3 * p[:, 1] ** 2)
     assert got == pytest.approx(exact, rel=1e-14)
 
 
@@ -37,7 +38,7 @@ def test_triangle_rule_degree_five():
 
     for a, b in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 0), (2, 3)]:
         exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-        got = _apply(triangle_rule(verts), lambda p: p[:, 0] ** a * p[:, 1] ** b)
+        got = _apply(triangle_rule(verts[None]), lambda p: p[:, 0] ** a * p[:, 1] ** b)
         assert got == pytest.approx(exact, rel=1e-13), (a, b)
 
 
@@ -45,7 +46,7 @@ def test_triangle_rule_affine_invariance():
     # same polynomial integrated over a mapped triangle must match the
     # change-of-variables value
     verts = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
-    pts, w = triangle_rule(verts)
+    pts, w = triangle_rule(verts[None])
     area = float(np.sum(w))
     v0, v1, v2 = verts
     exact_area = 0.5 * abs(
@@ -62,7 +63,7 @@ def test_subdivision_rule_weights_sum_to_measure():
     box = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
     seg = np.array([[0.25], [0.75]])
     for verts, measure in [(tri, 0.5), (box, 0.25), (seg, 0.5)]:
-        _, w = subdivision_rule(verts, 8)
+        _, w = subdivision_rule(verts[None], 8)
         assert float(np.sum(w)) == pytest.approx(measure, rel=1e-12)
 
 
@@ -76,6 +77,22 @@ def test_subdivision_rule_converges_on_indicator():
 
     errs = []
     for n in (8, 16, 32):
-        got = _apply(subdivision_rule(box, n), jump)
+        got = _apply(subdivision_rule(box[None], n), jump)
         errs.append(abs(got - 0.5 * 0.9**2))
     assert errs[0] < 0.05 and errs[-1] <= errs[0]
+
+
+@pytest.mark.parametrize("verts", [
+    np.array([[[0.0], [0.3]], [[0.3], [0.45]], [[0.45], [1.0]]]),
+    np.array([[[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]],
+              [[0.5, 0.25], [1.0, 0.25], [1.0, 1.0], [0.5, 1.0]]]),
+    np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+              [[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]]]),
+])
+def test_batched_rules_treat_every_cell_alone(verts):
+    # row i of a batch is exactly the rule of cell i on its own
+    for rule in (lambda v: cell_rule(v, order=4), lambda v: subdivision_rule(v, 4)):
+        pts, w = rule(verts)
+        for i in range(len(verts)):
+            p1, w1 = rule(verts[i : i + 1])
+            assert np.array_equal(pts[i], p1[0]) and np.array_equal(w[i], w1[0])
