@@ -38,12 +38,13 @@ from .flux import NumericalFlux, check_hypothesis_iii
 from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
-from .solver import Problem, SpaceTimeField, Stepper, solve
-from .translations import (
-    IntegrableFunction,
-    SpacetimeSeminorm,
-    spacetime_translation_seminorm,
-)
+from .solver import Problem, SpaceTimeField, march, plan, replay
+from .translations import IntegrableFunction, SeminormSums, SpacetimeSeminorm
+
+# not called here; kept importable from this module, where callers look
+# them up
+from .solver import solve  # noqa: F401
+from .translations import spacetime_translation_seminorm  # noqa: F401
 
 __all__ = [
     "ResidualDecomposition",
@@ -147,80 +148,233 @@ class ResidualDecomposition:
         return abs(self.total) / s if s > 0 else 0.0
 
 
-def _pairing_core(field: SpaceTimeField, phis: list[SmoothTestFunction],
-                  num_flux: NumericalFlux) -> list[ResidualDecomposition]:
-    """One pass over the slabs, accumulating every phi's terms at once."""
-    mesh = field.mesh
-    grid = field.grid
-    vals = field.values
-    stp = Stepper(mesh, num_flux, field.boundary)
-    ids = stp.interior_face_ids
-    K = mesh.face_K[ids]
-    L = mesh.face_L[ids]
-    area = mesh.face_area[ids]
-    normal = mesh.face_normal[ids]
-    wK = (mesh.face_dk[ids] / mesh.face_dsig[ids])[:, None]
-    wL = (mesh.face_dl[ids] / mesh.face_dsig[ids])[:, None]
-    vol = mesh.cell_volume
-    dts = grid.deltas
+# ---------------------------------------------------------------------------
+# test functions as matrix columns
+# ---------------------------------------------------------------------------
 
-    n_phi = len(phis)
-    phi_nodes = [
-        np.stack([np.asarray(p.value(mesh.cell_center, float(t)), dtype=float)
-                  for t in grid.nodes])
-        for p in phis
-    ]
-    t1 = np.zeros(n_phi)
-    t11 = np.zeros(n_phi)
-    t12 = np.zeros(n_phi)
-    r1 = np.zeros(n_phi)
-    t2 = np.zeros(n_phi)
-    t2t = np.zeros(n_phi)
-    rr = np.zeros(n_phi)
-    r1_abs = np.zeros(n_phi)
-    r_abs = np.zeros(n_phi)
-    for i in range(n_phi):
-        t12[i] = -float(np.dot(vol * vals[0], phi_nodes[i][0]))
 
-    for n in range(grid.n_steps):
-        u = vals[n]
-        du = vals[n + 1] - u
-        f_sig = stp.interior_fluxes(u)
-        phys = np.asarray(num_flux.flux.value(u), dtype=float)
-        comb = np.einsum("fd,fd->f", wK * phys[K] + wL * phys[L], normal)
-        dt_n = dts[n]
-        for i in range(n_phi):
-            pc = phi_nodes[i][n]
-            dphi = phi_nodes[i][n + 1] - pc
-            t1[i] += float(np.dot(vol * du, pc))
-            t11[i] -= float(np.dot(vol * u, dphi))
-            r1[i] -= float(np.dot(vol * du, dphi))
-            r1_abs[i] += float(np.dot(vol * np.abs(du), np.abs(dphi)))
-            jump = pc[K] - pc[L]
-            t2[i] += dt_n * float(np.dot(area * f_sig, jump))
-            t2t[i] += dt_n * float(np.dot(area * comb, jump))
-            rr[i] += dt_n * float(np.dot(area * (f_sig - comb), jump))
-            r_abs[i] += dt_n * float(
-                np.dot(area * np.abs(jump), np.abs(f_sig) + np.abs(comb))
-            )
+class _Separable:
+    """Test functions phi(x, t) = w(x) g(t) as constant spatial columns.
 
+    Every per-step quantity is a spatial column computed once times a time
+    weight: phi^n_K = w_K g(t_n) and phi^{n+1}_K - phi^n_K = w_K (g(t_{n+1})
+    - g(t_n)) at the anchors (given the interior faces K, L), and with a
+    quadrature rule the cell integrals W_K of w and grad W_K of grad w,
+    against g(t_{n+1}) - g(t_n) and the slab mean of g.
+    """
+
+    def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
+        parts = [p.separable for p in phis]
+        g_nodes = np.column_stack([np.asarray(g(grid.nodes), dtype=float)
+                                   for _, _, g, _ in parts])
+        self.node_weight = g_nodes[:-1]
+        self.step_weight = np.diff(g_nodes, axis=0)
+        if faces is not None:
+            K, L = faces
+            wc = np.column_stack([np.asarray(w(mesh.cell_center), dtype=float)
+                                  for w, _, _, _ in parts])
+            jump = wc[K] - wc[L]
+            self._pairing = (wc, wc, jump, np.abs(wc), np.abs(jump))
+        if quad is not None:
+            pts, wq = quad
+            W = np.column_stack([quadrature.rowdot(wq, np.asarray(w(pts), dtype=float))
+                                 for w, _, _, _ in parts])
+            GW = np.stack([(wq[:, None, :] @ np.asarray(gw(pts), dtype=float))[:, 0]
+                           for _, gw, _, _ in parts], axis=-1)
+            self._gap = (W, GW.reshape(-1, len(phis)))
+            self.slab_weight = np.column_stack([_slab_means(g, grid.nodes)
+                                                for _, _, g, _ in parts])
+
+    def pairing(self, n: int):
+        return self._pairing
+
+    def gap(self, n: int):
+        return self._gap
+
+
+class _Generic:
+    """Test functions without a separable form, evaluated afresh at every
+    step (the slow reference path); all their time weights are 1."""
+
+    def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
+        self.phis = phis
+        self.centers = mesh.cell_center
+        self.faces = faces
+        self.nodes = grid.nodes
+        self.quad = quad
+        self.node_weight = self.step_weight = self.slab_weight = np.ones(
+            (grid.n_steps, len(phis)))
+
+    def _columns(self, what: str, x, t: float) -> np.ndarray:
+        """phi.value or phi.grad of every test function, stacked last."""
+        return np.stack([np.asarray(getattr(p, what)(x, t), dtype=float)
+                         for p in self.phis], axis=-1)
+
+    def pairing(self, n: int):
+        pc = self._columns("value", self.centers, float(self.nodes[n]))
+        dphi = self._columns("value", self.centers, float(self.nodes[n + 1])) - pc
+        K, L = self.faces
+        jump = pc[K] - pc[L]
+        return pc, dphi, jump, np.abs(dphi), np.abs(jump)
+
+    def gap(self, n: int):
+        pts, wq = self.quad
+        t0, t1 = float(self.nodes[n]), float(self.nodes[n + 1])
+        change = np.einsum("kq,kqm->km", wq, self._columns("value", pts, t1)
+                           - self._columns("value", pts, t0))
+        xg, wg = quadrature.gauss_legendre(4)
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        grads = 0.0
+        for x, w in zip(xg, wg):
+            grads = grads + half * w * np.einsum(
+                "kq,kqdm->kdm", wq, self._columns("grad", pts, mid + half * x))
+        return change, grads.reshape(-1, len(self.phis))
+
+
+def _groups(phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
+    """(indices into phis, columns) for the separable test functions and
+    for the others; ``faces`` (K, L) for the pairing, ``quad`` for the gap."""
     out = []
-    for i, phi in enumerate(phis):
-        dec = ResidualDecomposition(
-            phi_id=phi.name, t1_1=float(t11[i]), t1_2=float(t12[i]),
-            r1=float(r1[i]), t2_tilde=float(t2t[i]), r=float(rr[i]),
-            t1=float(t1[i]), t2=float(t2[i]),
-            r1_abs=float(r1_abs[i]), r_abs=float(r_abs[i]),
-        )
-        if abs(dec.total) > MASTER_TOL * max(dec.scale, 1e-300):
-            raise InvariantViolation(
-                f"master identity broken for {phi.name!r}: "
-                f"sum={dec.total:.3e} vs scale={dec.scale:.3e} "
-                f"(terms {dec.t1_1:.6e}, {dec.t1_2:.6e}, {dec.r1:.6e}, "
-                f"{dec.t2_tilde:.6e}, {dec.r:.6e})"
-            )
-        out.append(dec)
+    for kind, picked in ((_Separable, lambda p: p.separable is not None),
+                         (_Generic, lambda p: p.separable is None)):
+        idx = [i for i, p in enumerate(phis) if picked(p)]
+        if idx:
+            out.append((idx, kind([phis[i] for i in idx], mesh, grid, faces, quad)))
     return out
+
+
+def _weighted(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_n weight[n] * rows[n], per test function."""
+    return np.einsum("nm,nm->m", weight, rows)
+
+
+# ---------------------------------------------------------------------------
+# streamed sums: one step at a time, no stored history
+# ---------------------------------------------------------------------------
+
+
+class _PairingSums:
+    """The residual decomposition of a history against a set of test
+    functions, fed one step at a time.
+
+    Built from the initial state u^0, then ``step(n, u^n, du, F, f)`` for
+    n = 0..N-1, with
+    du = u^{n+1} - u^n, F the normal numerical fluxes on the interior faces
+    in face order, and f the physical flux of u^n per cell.  Each step
+    stores one row per term and test function; ``decompositions()`` applies
+    the time weights.  T1, T2 and the five terms each have their own row,
+    so the master identity checks them against each other.
+    """
+
+    def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray):
+        ids = np.flatnonzero(mesh.interior)
+        self.K = mesh.face_K[ids]
+        self.L = mesh.face_L[ids]
+        self.area = mesh.face_area[ids]
+        self.normal_t = np.ascontiguousarray(mesh.face_normal[ids].T)  # (d, faces)
+        self.wK = mesh.face_dk[ids] / mesh.face_dsig[ids]
+        self.wL = mesh.face_dl[ids] / mesh.face_dsig[ids]
+        self.vol = mesh.cell_volume
+        self._cells = np.empty((2, mesh.n_cells))  # per-step scratch rows
+        self._faces = np.empty((3, ids.size))
+        self.dts = grid.deltas
+        self.phis = phis
+        self.groups = [(idx, cols, np.zeros((grid.n_steps, 8, len(idx))))
+                       for idx, cols in _groups(phis, mesh, grid, faces=(self.K, self.L))]
+        self.t1_2 = np.zeros(len(phis))
+        for idx, cols, _ in self.groups:
+            pc = cols.pairing(0)[0]
+            self.t1_2[idx] = -((self.vol * u0) @ pc) * cols.node_weight[0]
+
+    def step(self, n: int, u: np.ndarray, du: np.ndarray, f_sig: np.ndarray,
+             phys: np.ndarray) -> None:
+        # take() on the (d, cells) view gathers far faster than phys[K]
+        pt = phys.T
+        comb = np.einsum("df,df->f", self.wK * pt.take(self.K, axis=1)
+                         + self.wL * pt.take(self.L, axis=1), self.normal_t)
+        cells, faces = self._cells, self._faces
+        vdu = np.multiply(self.vol, du, out=cells[0])
+        np.multiply(self.vol, u, out=cells[1])
+        vol_abs = self.vol * np.abs(du)
+        np.multiply(self.area, f_sig, out=faces[0])
+        np.multiply(self.area, comb, out=faces[1])
+        np.multiply(self.area, f_sig - comb, out=faces[2])
+        face_abs = self.area * (np.abs(f_sig) + np.abs(comb))
+        for _, cols, rows in self.groups:
+            pc, dphi, jump, dphi_abs, jump_abs = cols.pairing(n)
+            r = rows[n]
+            r[2], r[1] = cells @ dphi                 # R1, T1_1
+            r[0] = r[2] if pc is dphi else vdu @ pc   # T1
+            r[3] = vol_abs @ dphi_abs                 # |R1| mass
+            r[4:7] = faces @ jump                     # T2, T2_tilde, R
+            r[7] = face_abs @ jump_abs                # |R| mass
+
+    def decompositions(self) -> list[ResidualDecomposition]:
+        terms = np.zeros((8, len(self.phis)))
+        for idx, cols, rows in self.groups:
+            per_slab = self.dts[:, None] * cols.node_weight
+            terms[0, idx] = _weighted(cols.node_weight, rows[:, 0])
+            terms[1, idx] = -_weighted(cols.step_weight, rows[:, 1])
+            terms[2, idx] = -_weighted(cols.step_weight, rows[:, 2])
+            terms[3, idx] = _weighted(np.abs(cols.step_weight), rows[:, 3])
+            for k in (4, 5, 6):
+                terms[k, idx] = _weighted(per_slab, rows[:, k])
+            terms[7, idx] = _weighted(np.abs(per_slab), rows[:, 7])
+        t1, t11, r1, r1_abs, t2, t2t, rr, r_abs = terms
+        out = []
+        for i, phi in enumerate(self.phis):
+            dec = ResidualDecomposition(
+                phi_id=phi.name, t1_1=float(t11[i]), t1_2=float(self.t1_2[i]),
+                r1=float(r1[i]), t2_tilde=float(t2t[i]), r=float(rr[i]),
+                t1=float(t1[i]), t2=float(t2[i]),
+                r1_abs=float(r1_abs[i]), r_abs=float(r_abs[i]),
+            )
+            if abs(dec.total) > MASTER_TOL * max(dec.scale, 1e-300):
+                raise InvariantViolation(
+                    f"master identity broken for {phi.name!r}: "
+                    f"sum={dec.total:.3e} vs scale={dec.scale:.3e} "
+                    f"(terms {dec.t1_1:.6e}, {dec.t1_2:.6e}, {dec.r1:.6e}, "
+                    f"{dec.t2_tilde:.6e}, {dec.r:.6e})"
+                )
+            out.append(dec)
+        return out
+
+
+class _GapSums:
+    """The weak gaps of a history against a set of test functions, fed one
+    step at a time: built from the datum u0 (None: the cell means u0_cells
+    stand in for it), then ``step(n, u^n, f)`` for n = 0..N-1 with f the
+    physical flux of u^n per cell, then ``gaps()``."""
+
+    def __init__(self, mesh: Mesh, grid: TimeGrid, phis,
+                 u0: IntegrableFunction | None, u0_cells: np.ndarray,
+                 space_order: int = 4):
+        if mesh.cell_vertices is None:
+            raise ValueError("weak gap needs cell geometry for quadrature")
+        quad = quadrature.cell_rule(mesh.cell_vertices, space_order)
+        self.groups = [(idx, cols, np.zeros((grid.n_steps, 2, len(idx))))
+                       for idx, cols in _groups(phis, mesh, grid, quad=quad)]
+        self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi, space_order)
+                                for phi in phis])
+
+    def step(self, n: int, u: np.ndarray, phys: np.ndarray) -> None:
+        flat = phys.reshape(-1)
+        for _, cols, rows in self.groups:
+            change, grads = cols.gap(n)
+            rows[n, 0] = u @ change    # a-term: u^n against phi^{n+1} - phi^n
+            rows[n, 1] = flat @ grads  # b-term: f(u^n) against grad phi on the slab
+
+    def gaps(self) -> list[float]:
+        total = self.c_term.copy()
+        for idx, cols, rows in self.groups:
+            total[idx] += (_weighted(cols.step_weight, rows[:, 0])
+                           + _weighted(cols.slab_weight, rows[:, 1]))
+        return [abs(float(x)) for x in total]
+
+
+def _physical(flux: NumericalFlux, u: np.ndarray) -> np.ndarray:
+    """The physical flux f(u) per cell, shape (n_cells, d)."""
+    return np.asarray(flux.flux.value(u), dtype=float)
 
 
 def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
@@ -229,13 +383,18 @@ def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
 
     The numerical flux defaults to the one stored on the field by the
     solver; it must be the flux the history was actually produced with,
-    otherwise T1 + T2 = 0 fails and the master identity check fires.
+    otherwise T1 + T2 = 0 fails and the master identity check fires.  The
+    face fluxes are recomputed from it on the stored states.
     """
     flux = num_flux if num_flux is not None else field.flux
     if flux is None:
         raise ValueError("field carries no flux; pass num_flux explicitly")
     check_support_margin(field.mesh, field.grid, phi)
-    return _pairing_core(field, [phi], flux)[0]
+    sums = _PairingSums(field.mesh, field.grid, [phi], field.values[0])
+    n_int = sums.K.size
+    replay(field, lambda n, u, u_next, fv: sums.step(
+        n, u, u_next - u, fv[:n_int], _physical(flux, u)), flux)
+    return sums.decompositions()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,51 +462,11 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     """
     if field.flux is None:
         raise ValueError("field carries no flux; weak gap needs f = flux.flux")
-    mesh = field.mesh
-    grid = field.grid
-    vals = field.values
-    check_support_margin(mesh, grid, phi)
-    if mesh.cell_vertices is None:
-        raise ValueError("weak gap needs cell geometry for quadrature")
-    flux_fn = field.flux.flux
-    n_steps = grid.n_steps
-    pts, wq = quadrature.cell_rule(mesh.cell_vertices, space_order)
-
-    if phi.separable is not None:
-        w_fn, gw_fn, g_fn, _ = phi.separable
-        n_cells = mesh.n_cells
-        W = quadrature.rowdot(wq, np.asarray(w_fn(pts), dtype=float))
-        GW = (wq[:, None, :] @ np.asarray(gw_fn(pts), dtype=float))[:, 0]
-        g_nodes = np.asarray(g_fn(grid.nodes), dtype=float)
-        a_term = float(np.dot(np.diff(g_nodes), vals[:-1] @ W))
-        g_slab = _slab_means(g_fn, grid.nodes)
-        phys = np.asarray(
-            flux_fn.value(vals[:-1].ravel()), dtype=float
-        ).reshape(n_steps, n_cells, mesh.dim)
-        b_term = float(np.dot(g_slab, np.einsum("nkd,kd->n", phys, GW)))
-    else:
-        Q = pts.reshape(-1, mesh.dim)
-        WQ = wq.ravel()
-        CQ = np.repeat(np.arange(mesh.n_cells), wq.shape[1])
-        xg, wg = quadrature.gauss_legendre(4)
-        a_term = 0.0
-        b_term = 0.0
-        prev = np.asarray(phi.value(Q, float(grid.nodes[0])), dtype=float)
-        for n in range(n_steps):
-            nxt = np.asarray(phi.value(Q, float(grid.nodes[n + 1])), dtype=float)
-            a_term += float(np.dot(WQ * (nxt - prev), vals[n][CQ]))
-            prev = nxt
-            phys_q = np.asarray(flux_fn.value(vals[n]), dtype=float)[CQ]
-            mid = 0.5 * (grid.nodes[n] + grid.nodes[n + 1])
-            half = 0.5 * (grid.nodes[n + 1] - grid.nodes[n])
-            for j in range(len(xg)):
-                gp = np.asarray(phi.grad(Q, float(mid + half * xg[j])), dtype=float)
-                b_term += half * wg[j] * float(
-                    np.einsum("md,md,m->", gp, phys_q, WQ)
-                )
-
-    c_term = _initial_pairing(mesh, u0, vals[0], phi, space_order)
-    return abs(a_term + b_term + c_term)
+    check_support_margin(field.mesh, field.grid, phi)
+    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0], space_order)
+    replay(field, lambda n, u, u_next, fv: sums.step(
+        n, u, _physical(field.flux, u)))
+    return sums.gaps()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +594,13 @@ def lw_study(family: MeshFamily, problem: Problem,
              cfl: float = 0.45, check_flux: bool = True) -> ConsistencyReport:
     """Refinement study of the full residual decomposition.
 
-    Per level: solve, compute the space-time seminorm, and for every test
-    function the decomposition (master identity asserted), the weak gap,
-    and both residual envelopes (asserted).  Decay slopes are fitted for
-    the per-level maxima of weak_gap, |R| and |R1|.
+    Per level, one pass over time with no stored history: the march feeds
+    every step's states and face fluxes to the space-time seminorm, the
+    decomposition and the weak gap of every test function at once.  Then
+    it asserts that the history stayed in the state range on which the
+    flux's c_f holds, the master identity, and both residual envelopes; an
+    InvariantViolation names the family and the level.  Decay slopes are
+    fitted for the per-level maxima of weak_gap, |R| and |R1|.
     """
     if check_flux:
         rep = check_hypothesis_iii(problem.flux)
@@ -488,35 +610,13 @@ def lw_study(family: MeshFamily, problem: Problem,
                 f"bound: ratio {rep.max_ratio:.6g} at witness {rep.witness}"
             )
     meshes = refine(family, levels)
-    stencil_factor = 1.0 if problem.flux.stencil <= 2 else 2.0
-
     records = []
     for lvl, mesh in enumerate(meshes):
-        field = solve(mesh, problem, cfl=cfl)
-        quality = compute_quality(mesh)
-        for phi in phi_set:
-            check_support_margin(mesh, field.grid, phi)
-        sem = spacetime_translation_seminorm(mesh, field.grid, field.values)
-        decomps = _pairing_core(field, phi_set, problem.flux)
-        rows = []
-        for phi, dec in zip(phi_set, decomps):
-            gap = weak_gap(field, phi, u0=problem.u0)
-            c_phi = effective_c_phi(phi, quality)
-            env = residual_envelope_check(
-                dec, sem, problem.flux.c_f, c_phi,
-                stencil_factor=stencil_factor,
-            )
-            rows.append(ConsistencyRow(
-                level=lvl, h=mesh.h_max, dt=float(field.grid.deltas[0]),
-                phi_id=phi.name, t1_1=dec.t1_1, t1_2=dec.t1_2, r1=dec.r1,
-                t2_tilde=dec.t2_tilde, r=dec.r,
-                master_residual=dec.master_residual, weak_gap=gap,
-                r1_envelope=float(env.r1_bound), r_envelope=float(env.r_bound),
-            ))
-        records.append(LevelRecord(
-            level=lvl, h=mesh.h_max, dt=float(field.grid.deltas[0]),
-            quality=quality, seminorms=sem, rows=rows, decompositions=decomps,
-        ))
+        try:
+            records.append(_study_level(lvl, mesh, problem, phi_set, cfl))
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"family {family.name!r}, level {lvl}: {exc}") from exc
 
     hs = np.array([rec.h for rec in records])
     slopes = {
@@ -531,4 +631,55 @@ def lw_study(family: MeshFamily, problem: Problem,
     return ConsistencyReport(
         family=family.name, flux_name=problem.flux.name,
         u0_name=problem.u0.name, levels=records, slopes=slopes,
+    )
+
+
+def _study_level(lvl: int, mesh: Mesh, problem: Problem,
+                 phi_set: list[SmoothTestFunction], cfl: float) -> LevelRecord:
+    """One level of ``lw_study``: one march feeding all the sums."""
+    stp, grid, u0 = plan(mesh, problem, cfl)
+    quality = compute_quality(mesh)
+    for phi in phi_set:
+        check_support_margin(mesh, grid, phi)
+    seminorm = SeminormSums(mesh, grid)
+    pairing = _PairingSums(mesh, grid, phi_set, u0)
+    gap = _GapSums(mesh, grid, phi_set, problem.u0, u0)
+    n_int = stp.n_interior
+
+    def on_step(n, u, u_next, fv):
+        du = u_next - u
+        phys = _physical(problem.flux, u)  # shared by T2_tilde and the gap
+        seminorm.step(n, u, du)
+        pairing.step(n, u, du, fv[:n_int], phys)
+        gap.step(n, u, phys)
+
+    lo, hi = march(stp, grid, u0, on_step)
+    flux = problem.flux
+    if lo < flux.u_range[0] or hi > flux.u_range[1]:
+        raise InvariantViolation(
+            f"history reaches [{lo:.6g}, {hi:.6g}], outside the state range "
+            f"[{flux.u_range[0]:g}, {flux.u_range[1]:g}] on which c_f="
+            f"{flux.c_f:.6g} of {flux.name!r} holds, so the R envelopes of "
+            + ", ".join(repr(p.name) for p in phi_set) + " are not sound"
+        )
+    sem = seminorm.result()
+    decomps = pairing.decompositions()
+    stencil_factor = 1.0 if flux.stencil <= 2 else 2.0
+    dt = float(grid.deltas[0])
+    rows = []
+    for phi, dec, g in zip(phi_set, decomps, gap.gaps()):
+        env = residual_envelope_check(
+            dec, sem, flux.c_f, effective_c_phi(phi, quality),
+            stencil_factor=stencil_factor,
+        )
+        rows.append(ConsistencyRow(
+            level=lvl, h=mesh.h_max, dt=dt,
+            phi_id=phi.name, t1_1=dec.t1_1, t1_2=dec.t1_2, r1=dec.r1,
+            t2_tilde=dec.t2_tilde, r=dec.r,
+            master_residual=dec.master_residual, weak_gap=g,
+            r1_envelope=float(env.r1_bound), r_envelope=float(env.r_bound),
+        ))
+    return LevelRecord(
+        level=lvl, h=mesh.h_max, dt=dt, quality=quality, seminorms=sem,
+        rows=rows, decompositions=decomps,
     )

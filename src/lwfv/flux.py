@@ -105,7 +105,9 @@ class NumericalFlux:
     extra states are consumed only by three-point stencils (uKK is the cell
     behind K across its other face, uLL the cell behind L).
     ``wave_speed`` bounds the normal signal speed between two states and
-    feeds the time-step selection.
+    feeds the time-step selection.  ``u_range`` is the state interval on
+    which ``c_f`` holds; fluxes whose constant holds for any state declare
+    (-inf, inf).
     """
 
     name: str
@@ -114,6 +116,7 @@ class NumericalFlux:
     c_f: float
     evaluate: Callable
     wave_speed: Callable
+    u_range: tuple[float, float] = (-math.inf, math.inf)
 
     @property
     def dim(self) -> int:
@@ -158,7 +161,8 @@ def rusanov(F: FluxFunction, wave_speed_bound: Callable | None = None,
 
     The default speed bound is the flux derivative bound on [min(a,b),
     max(a,b)], which is valid for any unit normal.  The declared jump-bound
-    constant is the crude max |F'| + lambda_max / 2 over ``u_range``.
+    constant is the crude max |F'| + lambda_max / 2 over ``u_range``, and
+    holds only there, so the flux records that range.
     """
     if wave_speed_bound is None:
         def wave_speed_bound(a, b, n):
@@ -191,6 +195,7 @@ def rusanov(F: FluxFunction, wave_speed_bound: Callable | None = None,
         c_f=c_f,
         evaluate=evaluate,
         wave_speed=lambda a, b, n: np.asarray(wave_speed_bound(a, b, n), dtype=float),
+        u_range=(float(lo), float(hi)),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,9 @@ __all__ = [
     "project_initial",
     "select_dt",
     "step",
+    "plan",
+    "march",
+    "replay",
     "solve",
     "write_history",
     "read_history",
@@ -139,7 +143,12 @@ def _pair_periodic_faces(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Stepper:
-    """Precomputed flux topology for one mesh / flux / boundary triple."""
+    """Precomputed flux topology for one mesh / flux / boundary triple.
+
+    The edges are the mesh-interior faces in face order (the first
+    ``n_interior``), then on periodic meshes one edge per identified pair of
+    boundary faces.
+    """
 
     def __init__(self, mesh: Mesh, flux: NumericalFlux, boundary: str = "periodic"):
         if flux.dim != mesh.dim:
@@ -152,7 +161,6 @@ class Stepper:
 
         int_ids = np.flatnonzero(mesh.interior)
         edge_faces = int_ids
-        self.interior_face_ids = int_ids
         self.n_interior = int_ids.size
         self.edge_L = mesh.face_L[int_ids]
         if boundary == "periodic":
@@ -194,14 +202,11 @@ class Stepper:
             dtype=float,
         )
 
-    def interior_fluxes(self, u: np.ndarray) -> np.ndarray:
-        """Normal fluxes on mesh-interior faces, aligned with
-        ``interior_face_ids``."""
-        return self.edge_fluxes(u)[: self.n_interior]
-
-    def divergence(self, u: np.ndarray) -> np.ndarray:
-        """Per-cell net outward flux sum_{sigma} |sigma| F_sigma . n_K."""
-        fv = self.edge_fluxes(u)
+    def divergence(self, u: np.ndarray, fv: np.ndarray | None = None) -> np.ndarray:
+        """Per-cell net outward flux sum_{sigma} |sigma| F_sigma . n_K, from
+        the edge fluxes ``fv`` of ``u`` (computed when not given)."""
+        if fv is None:
+            fv = self.edge_fluxes(u)
         div = np.zeros(self.mesh.n_cells)
         np.add.at(div, self.edge_K, self.edge_area * fv)
         np.add.at(div, self.edge_L, -self.edge_area * fv)
@@ -211,8 +216,9 @@ class Stepper:
             np.add.at(div, self.outflow_K, self.outflow_area * bf)
         return div
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        return u - dt * self.divergence(u) / self.mesh.cell_volume
+    def step(self, u: np.ndarray, dt: float,
+             fv: np.ndarray | None = None) -> np.ndarray:
+        return u - dt * self.divergence(u, fv) / self.mesh.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -265,36 +271,81 @@ def step(mesh: Mesh, field: CellField, flux: NumericalFlux, dt: float,
     return CellField(mesh=mesh, values=new_vals, label=field.label)
 
 
-def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
-    """March the scheme to exactly t = t_final on a uniform time grid.
+def plan(mesh: Mesh, problem: Problem,
+         cfl: float = 0.45) -> tuple[Stepper, TimeGrid, np.ndarray]:
+    """The stepper, the uniform time grid and the initial cell means of a run.
 
     The CFL step from the initial data is shrunk to an integer divider of
     the horizon, so every step is identical and the final node lands on
-    t_final exactly.  Raises BlowUpError if any cell value exceeds 1e6
-    times the initial sup bound.
+    t_final exactly.
     """
     u0 = project_initial(mesh, problem.u0)
     dt0 = select_dt(mesh, u0, problem.flux, cfl, problem.t_final)
     n_steps = max(1, int(math.ceil(problem.t_final / dt0 - 1e-12)))
     grid = TimeGrid.uniform(problem.t_final, n_steps)
-    dt = problem.t_final / n_steps
+    return Stepper(mesh, problem.flux, problem.boundary), grid, u0.values
 
-    stp = Stepper(mesh, problem.flux, problem.boundary)
-    sup0 = float(np.max(np.abs(u0.values)))
+
+def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
+          on_step: Callable) -> tuple[float, float]:
+    """The time loop: step ``u0`` over every slab of ``grid``.
+
+    After step n it calls ``on_step(n, u^n, u^{n+1}, fv)`` with ``fv`` the
+    edge fluxes the step used (aligned with the stepper's edges, interior
+    faces first).  Returns the min and max of u over every time node.
+    Raises BlowUpError if any cell value exceeds 1e6 times the initial sup
+    bound.
+    """
+    dt = grid.t_final / grid.n_steps
+    lo, hi = float(np.min(u0)), float(np.max(u0))
+    sup0 = max(-lo, hi)
     guard = BLOWUP_FACTOR * (sup0 if sup0 > 0 else 1.0)
-
-    history = np.empty((n_steps + 1, mesh.n_cells))
-    history[0] = u0.values
-    u = u0.values
-    for n in range(n_steps):
-        u = stp.step(u, dt)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > guard:
-            bad = int(np.argmax(np.abs(np.where(np.isfinite(u), u, np.inf))))
+    u = u0
+    for n in range(grid.n_steps):
+        fv = stp.edge_fluxes(u)
+        u_next = stp.step(u, dt, fv)
+        # min and max catch NaN (comparisons with it are false) and inf
+        lo_n, hi_n = float(np.min(u_next)), float(np.max(u_next))
+        if not (-guard <= lo_n and hi_n <= guard):
+            bad = int(np.argmax(np.abs(np.where(np.isfinite(u_next), u_next, np.inf))))
             raise BlowUpError(
                 f"solution escaped the guard {guard:.3e} at step {n + 1} "
                 f"(cell {bad})"
             )
-        history[n + 1] = u
+        lo, hi = min(lo, lo_n), max(hi, hi_n)
+        on_step(n, u, u_next, fv)
+        u = u_next
+    return lo, hi
+
+
+def replay(field: SpaceTimeField, on_step: Callable,
+           flux: NumericalFlux | None = None) -> None:
+    """Feed a stored history to ``on_step`` as ``march`` would have.
+
+    The edge fluxes are recomputed from ``flux`` on the stored states (None
+    is passed when no flux is given), so a flux other than the one that
+    produced the history shows up in whatever ``on_step`` checks.
+    """
+    stp = None if flux is None else Stepper(field.mesh, flux, field.boundary)
+    vals = field.values
+    for n in range(field.grid.n_steps):
+        fv = None if stp is None else stp.edge_fluxes(vals[n])
+        on_step(n, vals[n], vals[n + 1], fv)
+
+
+def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
+    """March the scheme to exactly t = t_final and keep the full history.
+
+    ``plan`` picks the time grid and ``march`` runs the steps; see both.
+    """
+    stp, grid, u0 = plan(mesh, problem, cfl)
+    history = np.empty((grid.n_steps + 1, mesh.n_cells))
+    history[0] = u0
+
+    def record(n, u, u_next, fv):
+        history[n + 1] = u_next
+
+    march(stp, grid, u0, record)
     return SpaceTimeField(
         mesh=mesh, grid=grid, values=history, boundary=problem.boundary,
         label=f"{problem.flux.name}|{problem.u0.name}", flux=problem.flux,
@@ -336,7 +387,11 @@ def write_history(field: SpaceTimeField, path_or_buf) -> None:
 
 def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
     """Inverse of write_history; the mesh itself is not persisted, so the
-    result is (grid, values, metadata) rather than a SpaceTimeField."""
+    result is (grid, values, metadata) rather than a SpaceTimeField.
+
+    Raises ValueError unless every node 0..n_steps has exactly one ``t``
+    record (3 fields) and one ``u`` record (n_cells values).
+    """
     own = isinstance(path_or_buf, str)
     fh = open(path_or_buf, encoding="utf-8") if own else path_or_buf
     try:
@@ -349,24 +404,39 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
         meta = {"dim": int(info["dim"])}
         nodes = np.empty(n_steps + 1)
         values = np.empty((n_steps + 1, n_cells))
+        width = {"t": 3, "u": n_cells + 2}
+        seen = {"t": np.zeros(n_steps + 1, dtype=bool),
+                "u": np.zeros(n_steps + 1, dtype=bool)}
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "#":
+            kind = parts[0]
+            if kind == "#":
                 if len(parts) >= 3:
                     meta[parts[1]] = " ".join(parts[2:])
                 continue
-            if parts[0] == "t":
-                nodes[int(parts[1])] = float(parts[2])
-            elif parts[0] == "u":
-                i = int(parts[1])
-                if len(parts) != n_cells + 2:
-                    raise ValueError(f"history row {i} has wrong length")
-                values[i] = [float(x) for x in parts[2:]]
+            if kind not in width:
+                raise ValueError(f"unknown history record {kind!r}")
+            i = int(parts[1]) if len(parts) > 1 else -1
+            if not 0 <= i <= n_steps:
+                raise ValueError(f"history {kind} record index {parts[1:2]} "
+                                 f"outside 0..{n_steps}")
+            if len(parts) != width[kind]:
+                raise ValueError(f"history {kind} record {i} has wrong length")
+            if seen[kind][i]:
+                raise ValueError(f"history {kind} record {i} appears twice")
+            seen[kind][i] = True
+            if kind == "t":
+                nodes[i] = float(parts[2])
             else:
-                raise ValueError(f"unknown history record {parts[0]!r}")
+                values[i] = [float(x) for x in parts[2:]]
     finally:
         if own:
             fh.close()
+    for kind, got in seen.items():
+        if not got.all():
+            missing = np.flatnonzero(~got)
+            raise ValueError(f"history lacks {kind} records "
+                             f"{missing[:5].tolist()} of 0..{n_steps}")
     return TimeGrid(nodes=nodes), values, meta

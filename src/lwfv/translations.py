@@ -28,6 +28,7 @@ __all__ = [
     "project_l1",
     "translation_seminorm",
     "SpacetimeSeminorm",
+    "SeminormSums",
     "spacetime_translation_seminorm",
     "translation_decay_study",
     "DecayRow",
@@ -171,6 +172,36 @@ class SpacetimeSeminorm:
         return self.space_part + self.time_part
 
 
+class SeminormSums:
+    """The space-time translation seminorm of a history, one step at a time.
+
+    Feed ``step(n, u^n, u^{n+1} - u^n)`` for n = 0..N-1; ``result()`` then
+    applies the slab widths.  Memory is O(faces + N), not O(N * cells).
+    """
+
+    def __init__(self, mesh: Mesh, grid: TimeGrid):
+        mask = mesh.interior
+        self.K = mesh.face_K[mask]
+        self.L = mesh.face_L[mask]
+        self.dsig = mesh.face_dsig[mask]
+        self.vol = mesh.cell_volume
+        self.dts = grid.deltas
+        self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
+        self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
+
+    def step(self, n: int, u: np.ndarray, du: np.ndarray) -> None:
+        self.space[n] = np.dot(self.dsig, np.abs(u[self.K] - u[self.L]))
+        self.time[n] = np.dot(self.vol, np.abs(du))
+
+    def result(self) -> SpacetimeSeminorm:
+        # the jump after step n separates slabs n and n + 1; the one after
+        # the last step lies outside (0, T)
+        return SpacetimeSeminorm(
+            space_part=float(np.dot(self.dts, self.space)),
+            time_part=float(np.dot(self.dts[1:], self.time[:-1])),
+        )
+
+
 def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
                                    values: np.ndarray) -> SpacetimeSeminorm:
     """Space and time jump sums of a scheme history ``values`` (N+1, n_cells).
@@ -184,27 +215,17 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
 
     Both sums use only slabs inside (0, T); the time sum compares adjacent
     slab means, which in scheme indexing are the states before and after
-    step n.
+    step n.  The stored history is fed through ``SeminormSums``.
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1, mesh.n_cells):
         raise ValueError(
             f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
         )
-    dts = grid.deltas
-    mask = mesh.interior
-    K = mesh.face_K[mask]
-    L = mesh.face_L[mask]
-    dsig = mesh.face_dsig[mask]
-    space = 0.0
+    sums = SeminormSums(mesh, grid)
     for n in range(grid.n_steps):
-        space += dts[n] * float(np.dot(dsig, np.abs(vals[n, K] - vals[n, L])))
-    time = 0.0
-    for n in range(1, grid.n_steps):
-        time += dts[n] * float(
-            np.dot(mesh.cell_volume, np.abs(vals[n] - vals[n - 1]))
-        )
-    return SpacetimeSeminorm(space_part=space, time_part=time)
+        sums.step(n, vals[n], vals[n + 1] - vals[n])
+    return sums.result()
 
 
 # ---------------------------------------------------------------------------

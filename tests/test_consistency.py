@@ -3,14 +3,20 @@
 The constant-state gap values are pure quadrature residue (the flux term
 integrates a gradient over the whole domain); they were produced once and
 frozen, and must reproduce bit-for-bit on reruns of the same build.
+
+``lw_study`` streams each level in one pass over time; the stored-history
+drivers (``scheme_pairing``, ``weak_gap``, ``spacetime_translation_seminorm``
+on a ``solve`` result) are its references.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lwfv import (
     Problem,
+    interval_indicator,
     polynomial_bump,
     project_l1,
     smooth_function,
@@ -26,10 +32,10 @@ from lwfv.consistency import (
     scheme_pairing,
     weak_gap,
 )
-from lwfv.flux import burgers, rusanov
+from lwfv.flux import burgers, muscl_three_point, rusanov
 from lwfv.mesh import compute_quality, perturbed_triangular_2d_family
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
-from lwfv.solver import SpaceTimeField
+from lwfv.solver import SpaceTimeField, plan
 from lwfv.translations import spacetime_translation_seminorm
 from lwfv.reports import fit_decay_slope
 
@@ -254,3 +260,127 @@ def test_lw_study_rows_carry_envelope_bounds():
         assert abs(row.r1) <= row.r1_envelope * (1.0 + 1e-9) + 1e-11
         assert abs(row.r) <= row.r_envelope * (1.0 + 1e-9) + 1e-11
         assert isinstance(row.r1_envelope, float)
+
+
+def test_lw_study_rejects_history_outside_c_f_range():
+    # Rusanov derives c_f on [-2, 2]; data reaching 2.5 leaves it, so the R
+    # envelope would rest on an unsound constant
+    hot = smooth_function(lambda x: 2.0 + 0.5 * np.sin(2.0 * np.pi * x[..., 0]),
+                          lipschitz=np.pi, name="hot")
+    problem = Problem(flux=rusanov(burgers((1.0,))), u0=hot, t_final=0.5)
+    phis = bump_corpus_spacetime(1, 0.5)
+    with pytest.raises(InvariantViolation, match="outside the state range") as exc:
+        lw_study(uniform_1d_family(10), problem, phis, levels=2, cfl=0.45)
+    msg = str(exc.value)
+    assert "uniform_1d(n0=10)" in msg and "level 0" in msg
+    assert all(phi.name in msg for phi in phis)
+
+
+def test_lw_study_errors_name_family_level_and_phi():
+    fam = uniform_1d_family(10)
+    pr = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
+    phi = bump_corpus_spacetime(1, 0.5)[0]
+    # understated derivative sups make the envelopes too tight
+    liar = dataclasses.replace(phi, dt_sup=1e-6 * phi.dt_sup,
+                               grad_sup=1e-6 * phi.grad_sup, name="liar")
+    with pytest.raises(InvariantViolation, match="envelope breached") as exc:
+        lw_study(fam, pr, [phi, liar], levels=2, cfl=0.5)
+    msg = str(exc.value)
+    assert "uniform_1d(n0=10)" in msg and "level 0" in msg and "'liar'" in msg
+
+
+# ---------------------------------------------------------------------------
+# the streamed study against the stored-history drivers
+# ---------------------------------------------------------------------------
+
+
+def _sine_2d():
+    return smooth_function(
+        lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[..., 0])
+        * np.sin(2.0 * np.pi * x[..., 1]),
+        lipschitz=0.5 * np.pi * np.sqrt(2.0), name="sine-2d")
+
+
+STREAM_CASES = {
+    "1d-periodic-rusanov": lambda: (
+        uniform_1d_family(16),
+        Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
+                t_final=0.5),
+        0.45),
+    "1d-outflow-upwind": lambda: (
+        uniform_1d_family(10),
+        Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5,
+                boundary="outflow"),
+        0.5),
+    "2d-triangulated-rusanov": lambda: (
+        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
+        Problem(flux=rusanov(burgers((0.6, 0.8))), u0=_sine_2d(), t_final=0.4),
+        0.45),
+    "1d-three-point-muscl": lambda: (
+        uniform_1d_family(10),
+        Problem(flux=muscl_three_point([1.0]), u0=_bump_datum(), t_final=0.5),
+        0.5),
+}
+TERMS = ("t1_1", "t1_2", "r1", "t2_tilde", "r", "t1", "t2", "r1_abs", "r_abs")
+
+
+def _check_against_drivers(rep, family, problem, phis, cfl):
+    """The streamed numbers against the stored-history drivers on the same
+    solve.  The study multiplies all test functions at once and a driver
+    one, so BLAS may round the two differently; a gap is the cancellation
+    |a + b + c|, so its relative rounding is larger than that of a term."""
+    for rec in rep.levels:
+        field = solve(family.build(rec.level), problem, cfl=cfl)
+        assert rec.seminorms == spacetime_translation_seminorm(
+            field.mesh, field.grid, field.values)
+        for phi, dec, row in zip(phis, rec.decompositions, rec.rows):
+            ref = scheme_pairing(field, phi)
+            for t in TERMS:
+                assert getattr(dec, t) == pytest.approx(getattr(ref, t), rel=1e-12), \
+                    (rec.level, phi.name, t)
+            assert row.weak_gap == pytest.approx(
+                weak_gap(field, phi, u0=problem.u0), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_terms_match_stored_history_drivers(case):
+    family, problem, cfl = STREAM_CASES[case]()
+    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
+    rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    _check_against_drivers(rep, family, problem, phis, cfl)
+
+
+def test_streamed_generic_phi_matches_separable_and_drivers():
+    family, problem, cfl = STREAM_CASES["1d-periodic-rusanov"]()
+    sep = bump_corpus_spacetime(1, 0.5)
+    generic = [dataclasses.replace(p, separable=None, name=p.name + "-generic")
+               for p in sep]
+    phis = [sep[0], generic[0], sep[3], generic[3]]  # both paths in one set
+    rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    _check_against_drivers(rep, family, problem, phis, cfl)
+    for rec in rep.levels:
+        by_name = {d.phi_id: d for d in rec.decompositions}
+        gaps = {r.phi_id: r.weak_gap for r in rec.rows}
+        for p in (sep[0], sep[3]):
+            fast, slow = by_name[p.name], by_name[p.name + "-generic"]
+            for t in TERMS:
+                assert getattr(slow, t) == pytest.approx(getattr(fast, t), rel=1e-12)
+            assert gaps[p.name + "-generic"] == pytest.approx(gaps[p.name], rel=1e-10)
+
+
+def test_lw_study_level_allocates_less_than_its_history():
+    family = uniform_1d_family(200)
+    problem = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
+    phis = bump_corpus_spacetime(1, 0.5)
+    _, grid, u0 = plan(family.build(0), problem, 0.45)
+    history_bytes = (grid.n_steps + 1) * u0.size * u0.itemsize
+    tracemalloc.start()
+    try:
+        # check_flux=False: the flux check samples 20000 state pairs, which
+        # is work of the flux, not of the level
+        lw_study(family, problem, phis, levels=1, cfl=0.45, check_flux=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.n_steps > 200
+    assert peak < history_bytes, (peak, history_bytes)

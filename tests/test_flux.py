@@ -66,6 +66,15 @@ def test_jump_bound_all_fluxes():
         assert rep.max_ratio <= fl.c_f * (1.0 + 1e-9)
 
 
+def test_fluxes_declare_where_c_f_holds():
+    # rusanov derives c_f on its u_range; |b| bounds a linear flux's jumps
+    # for any states
+    assert rusanov(burgers((1.0,))).u_range == (-2.0, 2.0)
+    assert rusanov(burgers((1.0,)), u_range=(-1.0, 3.0)).u_range == (-1.0, 3.0)
+    assert upwind_linear([1.0]).u_range == (-np.inf, np.inf)
+    assert muscl_three_point([1.0]).u_range == (-np.inf, np.inf)
+
+
 def test_jump_bound_checker_catches_understated_constant():
     honest = upwind_linear([1.0])
     lying = NumericalFlux(

@@ -29,6 +29,8 @@ from lwfv.solver import (
     Problem,
     SpaceTimeField,
     Stepper,
+    march,
+    plan,
     read_history,
     select_dt,
     solve,
@@ -255,6 +257,59 @@ def test_history_round_trip_bit_exact(tmp_path):
                         label=meta["label"])
     write_history(f2, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _written_history(tmp_path):
+    m = uniform_1d_family(8).build(0)
+    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
+              cfl=0.5)
+    p = tmp_path / "h.txt"
+    write_history(f, str(p))
+    return p, p.read_text().splitlines(keepends=True), f.grid.n_steps
+
+
+def test_history_reader_rejects_truncated_file(tmp_path):
+    p, lines, _ = _written_history(tmp_path)
+    assert lines[-2].startswith("t ") and lines[-1].startswith("u ")
+    p.write_text("".join(lines[:-2]))  # drop the last t and u records
+    with pytest.raises(ValueError, match="lacks t records"):
+        read_history(str(p))
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only"])
+def test_history_reader_rejects_malformed_records(tmp_path, edit):
+    p, lines, n = _written_history(tmp_path)
+    body = lines[3:]  # after the header and the two comment lines
+    t_last, u_last = body[-2], body[-1]
+    if edit == "duplicate":
+        lines = lines[:-2] + [body[0], body[1]]
+    elif edit == "index_range":
+        lines = lines[:-2] + [t_last.replace(f"t {n} ", f"t {n + 1} "),
+                              u_last.replace(f"u {n} ", f"u {n + 1} ")]
+    elif edit == "t_width":
+        lines = lines[:-2] + [t_last.rstrip("\n") + " 0.5\n", u_last]
+    else:
+        lines = lines[:-2] + [u_last]
+    p.write_text("".join(lines))
+    with pytest.raises(ValueError):
+        read_history(str(p))
+
+
+def test_march_feeds_every_step_and_reports_the_range():
+    m = uniform_1d_family(10).build(1)
+    pr = Problem(flux=rusanov(burgers((1.0,))), u0=_sine_datum(), t_final=0.3)
+    stp, grid, u0 = plan(m, pr, 0.45)
+    states = [u0]
+
+    def on_step(n, u, u_next, fv):
+        assert n == len(states) - 1 and u is states[-1]
+        assert np.array_equal(fv, stp.edge_fluxes(u))
+        states.append(u_next)
+
+    lo, hi = march(stp, grid, u0, on_step)
+    history = solve(m, pr, cfl=0.45).values
+    assert np.array_equal(np.array(states), history)
+    assert (lo, hi) == (history.min(), history.max())
 
 
 def test_problem_validation():
