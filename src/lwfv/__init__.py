@@ -57,10 +57,8 @@ from .operators import (
     bump_corpus_spacetime,
     bump_corpus_spatial,
     discrete_gradient,
-    discrete_time_derivative,
     gradient_weakstar_study,
     polynomial_bump,
-    spacetime_gradient,
     sup_bound_check,
     vector_corpus,
     weak_pairing,
@@ -70,15 +68,12 @@ from .solver import (
     Problem,
     SpaceTimeField,
     Stepper,
-    project_initial,
     select_dt,
     solve,
-    step,
 )
 from .translations import (
     CellField,
     IntegrableFunction,
-    halfplane_indicator,
     interval_indicator,
     project_l1,
     smooth_function,

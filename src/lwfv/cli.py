@@ -18,6 +18,7 @@ comment, so outputs are traceable to their inputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -371,12 +372,10 @@ def cmd_translate_study(cfg: dict[str, str]) -> int:
 
 
 def _bump_l1(dim: int, halfwidth, k: int) -> float:
-    # integral of prod_i (1 - s_i^2)^k over the support box
-    from math import prod
-    from scipy.special import beta
-
-    one_axis = 2.0 ** (2 * k + 1) * beta(k + 1, k + 1)  # int_{-1}^{1}(1-s^2)^k ds
-    return prod(2.0 * float(w) for w in halfwidth) * (one_axis / 2.0) ** dim
+    # integral of prod_i (1 - s_i^2)^k over the support box, where
+    # int_{-1}^{1} (1 - s^2)^k ds = 2^(2k+1) (k!)^2 / (2k+1)!
+    one_axis = 2 ** (2 * k + 1) * math.factorial(k) ** 2 / math.factorial(2 * k + 1)
+    return math.prod(2.0 * float(w) for w in halfwidth) * (one_axis / 2.0) ** dim
 
 
 def _perturbed_datum(u: IntegrableFunction, bump, p: int) -> IntegrableFunction:

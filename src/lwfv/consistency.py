@@ -39,7 +39,13 @@ from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
 from .solver import Problem, SpaceTimeField, march, plan, replay
-from .translations import IntegrableFunction, SeminormSums, SpacetimeSeminorm
+from .translations import (
+    GAUSS_ORDER,
+    IntegrableFunction,
+    SeminormSums,
+    SpacetimeSeminorm,
+    _cell_integrals,
+)
 
 # not called here; kept importable from this module, where callers look
 # them up
@@ -347,14 +353,13 @@ class _GapSums:
     physical flux of u^n per cell, then ``gaps()``."""
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis,
-                 u0: IntegrableFunction | None, u0_cells: np.ndarray,
-                 space_order: int = 4):
+                 u0: IntegrableFunction | None, u0_cells: np.ndarray):
         if mesh.cell_vertices is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
-        quad = quadrature.cell_rule(mesh.cell_vertices, space_order)
+        quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
         self.groups = [(idx, cols, np.zeros((grid.n_steps, 2, len(idx))))
                        for idx, cols in _groups(phis, mesh, grid, quad=quad)]
-        self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi, space_order)
+        self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi)
                                 for phi in phis])
 
     def step(self, n: int, u: np.ndarray, phys: np.ndarray) -> None:
@@ -403,37 +408,20 @@ def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
 
 
 def _initial_pairing(mesh: Mesh, u0: IntegrableFunction | None,
-                     u0_cells: np.ndarray, phi: SmoothTestFunction,
-                     order: int) -> float:
-    """integral of u0(x) phi(x, 0) over the domain.
+                     u0_cells: np.ndarray, phi: SmoothTestFunction) -> float:
+    """integral of u0(x) phi(x, 0) over the domain, by the cell-integral
+    policy of the projections.
 
     Falls back to the projected cell means when the continuum datum is not
     supplied (adds an O(h^2) projection error to the gap).
     """
-    if mesh.cell_vertices is None:
-        raise ValueError("weak gap needs cell geometry for quadrature")
     verts = mesh.cell_vertices
+    phi0 = lambda x: phi.value(x, 0.0)  # noqa: E731
     if u0 is None:
-        pts, w = quadrature.cell_rule(verts, order)
-        per_cell = u0_cells * quadrature.rowdot(w, phi.value(pts, 0.0))
-    elif u0.kind == "indicator" and u0.geometry is not None \
-            and u0.geometry[0] == "interval":
-        # integrate phi over the part of each cell inside [a, b]
-        _, a, b = u0.geometry
-        lo = np.maximum(verts.min(axis=1)[:, 0], a)
-        hi = np.minimum(verts.max(axis=1)[:, 0], b)
-        hit = hi > lo
-        pts, w = quadrature.cell_rule(np.stack([lo[hit], hi[hit]], axis=1)[:, :, None],
-                                      order)
-        per_cell = np.zeros(mesh.n_cells)
-        per_cell[hit] = quadrature.rowdot(w, phi.value(pts, 0.0))
+        pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
+        per_cell = u0_cells * quadrature.rowdot(w, phi0(pts))
     else:
-        if u0.kind == "indicator":
-            pts, w = quadrature.subdivision_rule(verts, 8)
-        else:
-            pts, w = quadrature.cell_rule(verts, order)
-        vals = np.asarray(u0.fn(pts), dtype=float)
-        per_cell = quadrature.rowdot(w * vals, phi.value(pts, 0.0))
+        per_cell = _cell_integrals(verts, u0, phi0)
     # a running sum in cell order; np.sum adds pairwise, in another order
     return float(np.cumsum(per_cell)[-1])
 
@@ -449,21 +437,20 @@ def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:
 
 
 def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
-             u0: IntegrableFunction | None = None,
-             space_order: int = 4) -> float:
+             u0: IntegrableFunction | None = None) -> float:
     """Distance of the history from the weak formulation against phi:
 
         | II(u d_t phi) + II(f(u) . grad phi) + I(u0 phi(., 0)) |
 
     with the piecewise-constant embedding u = u^n on (t_n, t_{n+1}].  The
     time integral of the d_t phi term telescopes exactly; space uses
-    per-cell Gauss quadrature of the given order.  This must vanish under
-    refinement whenever the histories converge in L1.
+    per-cell Gauss quadrature with GAUSS_ORDER points per axis.  This must
+    vanish under refinement whenever the histories converge in L1.
     """
     if field.flux is None:
         raise ValueError("field carries no flux; weak gap needs f = flux.flux")
     check_support_margin(field.mesh, field.grid, phi)
-    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0], space_order)
+    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0])
     replay(field, lambda n, u, u_next, fv: sums.step(
         n, u, _physical(field.flux, u)))
     return sums.gaps()[0]

@@ -11,6 +11,8 @@ relies on, and that the checkers in this module sample:
 * a jump bound: both |evaluate(a, b, n) - F(a) . n| and
   |evaluate(a, b, n) - F(b) . n| are at most c_f * |a - b|, where c_f is a
   constant the flux declares.
+
+The checkers sample states in the range on which the flux declares c_f.
 """
 from __future__ import annotations
 
@@ -155,22 +157,21 @@ def _unit_normals(dim: int, count: int = 16) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
-def rusanov(F: FluxFunction, wave_speed_bound: Callable | None = None,
+def rusanov(F: FluxFunction,
             u_range: tuple[float, float] = (-2.0, 2.0)) -> NumericalFlux:
     """Central flux with local dissipation lambda = wave_speed_bound(a, b, n).
 
-    The default speed bound is the flux derivative bound on [min(a,b),
-    max(a,b)], which is valid for any unit normal.  The declared jump-bound
-    constant is the crude max |F'| + lambda_max / 2 over ``u_range``, and
-    holds only there, so the flux records that range.
+    The speed bound is the flux derivative bound on [min(a,b), max(a,b)],
+    which is valid for any unit normal.  The declared jump-bound constant is
+    the crude max |F'| + lambda_max / 2 over ``u_range``, and holds only
+    there, so the flux records that range.
     """
-    if wave_speed_bound is None:
-        def wave_speed_bound(a, b, n):
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            return F.deriv_bound(
-                float(np.min(np.minimum(a, b))), float(np.max(np.maximum(a, b)))
-            ) * np.ones(np.broadcast(a, b).shape)
+    def wave_speed_bound(a, b, n):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        return F.deriv_bound(
+            float(np.min(np.minimum(a, b))), float(np.max(np.maximum(a, b)))
+        ) * np.ones(np.broadcast(a, b).shape)
 
     def evaluate(uK, uL, n, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
@@ -204,16 +205,14 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(same, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def muscl_three_point(b, limiter: str = "minmod") -> NumericalFlux:
-    """Second-order upwind flux for linear advection with a limited
+def muscl_three_point(b) -> NumericalFlux:
+    """Second-order upwind flux for linear advection with a minmod-limited
     reconstruction at the face.
 
     The face state is u_up + theta * (u_down - u_up) with theta in [0, 1/2]
     by the minmod limiter, so it stays a convex combination of the adjacent
     states and the two-point jump bound holds with c_f = |b|.
     """
-    if limiter != "minmod":
-        raise ValueError(f"unknown limiter {limiter!r}")
     F = linear_advection(b)
     bv = np.atleast_1d(np.asarray(b, dtype=float))
     speed = float(np.linalg.norm(bv))
@@ -263,6 +262,13 @@ class FluxCheckReport:
         return self.ok
 
 
+def _sampled_range(flux: NumericalFlux) -> tuple[float, float]:
+    """Where the checkers sample states: the flux's ``u_range``, or (-2, 2)
+    for a flux whose c_f holds for any state."""
+    lo, hi = flux.u_range
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else (-2.0, 2.0)
+
+
 def _halton_states(u_range, n_samples: int, dims: int) -> np.ndarray:
     lo, hi = u_range
     eng = qmc.Halton(d=dims, scramble=False)
@@ -270,16 +276,18 @@ def _halton_states(u_range, n_samples: int, dims: int) -> np.ndarray:
     return lo + (hi - lo) * pts
 
 
-def check_hypothesis_iii(flux: NumericalFlux, u_range=(-2.0, 2.0),
+def check_hypothesis_iii(flux: NumericalFlux,
                          n_samples: int = 20000) -> FluxCheckReport:
     """Sample the two-sided jump bound over a deterministic low-discrepancy
-    set of state pairs (and stencil extensions) and unit normals.
+    set of state pairs (and stencil extensions) in the flux's state range
+    and unit normals.
 
     Returns the worst ratio |flux - F(state) . n| / |a - b| against the
     declared constant; a report with ok = False carries the witness tuple
     (a, b, n, ratio).
     """
     dims = 2 if flux.stencil == 2 else 4
+    u_range = _sampled_range(flux)
     states = _halton_states(u_range, n_samples, dims)
     a = states[:, 0]
     b = states[:, 1]
@@ -311,11 +319,11 @@ def check_hypothesis_iii(flux: NumericalFlux, u_range=(-2.0, 2.0),
     )
 
 
-def conservativity_check(flux: NumericalFlux, u_range=(-2.0, 2.0),
+def conservativity_check(flux: NumericalFlux,
                          n_samples: int = 5000) -> FluxCheckReport:
     """Exact equality evaluate(a,b,n) == -evaluate(b,a,-n) on sampled states."""
     dims = 2 if flux.stencil == 2 else 4
-    states = _halton_states(u_range, n_samples, dims)
+    states = _halton_states(_sampled_range(flux), n_samples, dims)
     a, b = states[:, 0], states[:, 1]
     uKK = states[:, 2] if dims == 4 else None
     uLL = states[:, 3] if dims == 4 else None
@@ -338,10 +346,10 @@ def conservativity_check(flux: NumericalFlux, u_range=(-2.0, 2.0),
     )
 
 
-def consistency_check(flux: NumericalFlux, u_range=(-2.0, 2.0),
+def consistency_check(flux: NumericalFlux,
                       n_samples: int = 5000) -> FluxCheckReport:
     """evaluate(u, u, n) must reproduce F(u) . n within 1e-14 relative."""
-    states = _halton_states(u_range, n_samples, 1)[:, 0]
+    states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
     worst = 0.0
     witness = None
     for n in _unit_normals(flux.dim):

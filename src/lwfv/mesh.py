@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import open_text
+
 __all__ = [
     "MeshError",
     "GeometryError",
@@ -679,9 +681,7 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
     geometry is not persisted, so loaded meshes support the measure-based
     operators but not cell quadrature.
     """
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w") if own else path_or_buf
-    try:
+    with open_text(path_or_buf, "w") as fh:
         fh.write(f"lwfv-mesh v1 dim={mesh.dim}\n")
         fh.write(f"# policy {mesh.dual_policy}\n")
         if mesh.box is not None:
@@ -700,9 +700,6 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
                 f"face {f} {_fmt(area)} {_fmt_row(nrm)} {K} {L} "
                 f"{_fmt(dsig)} {_fmt(dk)} {_fmt(dl)} {_fmt_row(cen)}\n"
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def _ordered(rows: dict[int, list], kind: str) -> list:
@@ -723,9 +720,7 @@ def read_mesh(path_or_buf) -> Mesh:
     a face naming a cell that does not exist, or a cell whose declared face
     count differs from the faces that name it.
     """
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf) if own else path_or_buf
-    try:
+    with open_text(path_or_buf) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "lwfv-mesh" or header[1] != "v1":
             raise MeshError(f"not a lwfv-mesh v1 file: header {' '.join(header)!r}")
@@ -769,9 +764,6 @@ def read_mesh(path_or_buf) -> Mesh:
             if ident in rows[kind]:
                 raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
             rows[kind][ident] = vals
-    finally:
-        if own:
-            fh.close()
 
     cells = np.array(_ordered(rows["cell"], "cell"), dtype=float).reshape(-1, 3 + dim)
     faces = np.array(_ordered(rows["face"], "face"), dtype=float).reshape(-1, 6 + 2 * dim)

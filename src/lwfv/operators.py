@@ -33,14 +33,16 @@ __all__ = [
     "discrete_gradient",
     "sup_bound_check",
     "weak_pairing",
-    "spacetime_gradient",
-    "discrete_time_derivative",
     "gradient_weakstar_study",
     "GradStudyRow",
     "GradStudyResult",
 ]
 
 SUP_BOUND_TOL = 1e-12
+# the space-time corpus vanishes for t >= (1 - SPACETIME_MARGIN) * t_final
+SPACETIME_MARGIN = 0.2
+# the weak-star reference grid is this many times finer than the finest level
+REFERENCE_FACTOR = 4
 
 
 class InvariantViolation(Exception):
@@ -109,11 +111,6 @@ class SmoothTestFunction:
     def __call__(self, x, t=0.0):
         return self.value(x, t)
 
-    @property
-    def lipschitz(self) -> float:
-        """Space-time Lipschitz bound: covers both |grad| and |d/dt|."""
-        return max(self.grad_sup, self.dt_sup)
-
 
 @dataclass(frozen=True)
 class VectorTestFunction:
@@ -143,10 +140,10 @@ class VectorTestFunction:
 
 @dataclass(frozen=True)
 class FaceVectorField:
-    """One vector per face (or per time slab and face when time indexed)."""
+    """One vector per face."""
 
     mesh: Mesh
-    values: np.ndarray  # (n_faces, d) or (n_steps, n_faces, d)
+    values: np.ndarray  # (n_faces, d)
     label: str = ""
 
     def sup_norm(self) -> float:
@@ -363,15 +360,14 @@ def vector_corpus(dim: int) -> list[VectorTestFunction]:
     raise ValueError(f"no corpus for dim {dim}")
 
 
-def bump_corpus_spacetime(dim: int, t_final: float,
-                          margin_frac: float = 0.2) -> list[SmoothTestFunction]:
+def bump_corpus_spacetime(dim: int, t_final: float) -> list[SmoothTestFunction]:
     """Four space-time test functions: three decaying bumps at different
     centers and scales plus one with a sign-changing time modulation.
 
-    All vanish for t >= (1 - margin_frac) * t_final so the final jump terms
-    of the residual decomposition drop out on any admissible time grid.
+    All vanish for t >= (1 - SPACETIME_MARGIN) * t_final so the final jump
+    terms of the residual decomposition drop out on any admissible time grid.
     """
-    t_cut = (1.0 - margin_frac) * t_final
+    t_cut = (1.0 - SPACETIME_MARGIN) * t_final
     if dim == 1:
         specs = [
             ([0.5], [0.3], 4, 1.0, "decay"),
@@ -402,10 +398,6 @@ def bump_corpus_spacetime(dim: int, t_final: float,
 # ---------------------------------------------------------------------------
 
 
-def _anchor_values(mesh: Mesh, phi: SmoothTestFunction, t: float) -> np.ndarray:
-    return np.asarray(phi.value(mesh.cell_center, t), dtype=float)
-
-
 def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction, t: float = 0.0,
                       ) -> FaceVectorField:
     """Face-indexed gradient of phi sampled at cell anchors at time t.
@@ -415,7 +407,7 @@ def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction, t: float = 0.0,
     """
     vals = np.zeros((mesh.n_faces, mesh.dim))
     mask = mesh.interior
-    pk = _anchor_values(mesh, phi, t)
+    pk = np.asarray(phi.value(mesh.cell_center, t), dtype=float)
     jump = pk[mesh.face_L[mask]] - pk[mesh.face_K[mask]]
     coeff = mesh.face_area[mask] / mesh.face_dsig[mask] * jump
     vals[mask] = coeff[:, None] * mesh.face_normal[mask]
@@ -445,22 +437,15 @@ def sup_bound_check(field: FaceVectorField, quality: MeshQuality,
     return ratio
 
 
-def _dual_mean_points(mesh: Mesh, order: int):
+def _dual_mean_points(mesh: Mesh):
     """Quadrature points and weights approximating means over dual volumes.
 
-    Order 1 samples the face centroid.  Order 2 combines, for each side,
-    the anchor and the face centroid with the cone centroid weights
-    (1, dim) / (dim + 1), weighted by the dual split measures; the rule is
-    exact for affine integrands on cone dual volumes.
+    For each side, the rule combines the anchor and the face centroid with
+    the cone centroid weights (1, dim) / (dim + 1), weighted by the dual
+    split measures; it is exact for affine integrands on cone dual volumes.
     """
-    if order not in (1, 2):
-        raise ValueError(f"unsupported quadrature order {order}")
     m = mesh.n_faces
     d = mesh.dim
-    if order == 1:
-        pts = mesh.face_centroid[:, None, :]
-        wts = np.ones((m, 1))
-        return pts, wts
     xk = mesh.cell_center[mesh.face_K]
     xl = np.where(
         (mesh.face_L >= 0)[:, None],
@@ -476,36 +461,17 @@ def _dual_mean_points(mesh: Mesh, order: int):
     return pts, wts
 
 
-def weak_pairing(field: FaceVectorField, psi: VectorTestFunction,
-                 quadrature_order: int = 2) -> float:
+def weak_pairing(field: FaceVectorField, psi: VectorTestFunction) -> float:
     """Sum over faces of |D_sigma| * field_sigma . (mean of psi over D_sigma).
 
-    The dual-volume mean of psi is approximated by the order-1 or order-2
-    point rule of :func:`_dual_mean_points`.
+    The dual-volume mean of psi is approximated by the point rule of
+    :func:`_dual_mean_points`.
     """
     mesh = field.mesh
-    pts, wts = _dual_mean_points(mesh, quadrature_order)
+    pts, wts = _dual_mean_points(mesh)
     psi_vals = psi.value(pts.reshape(-1, mesh.dim)).reshape(pts.shape)
     psi_bar = np.einsum("fq,fqd->fd", wts, psi_vals)
     return float(np.einsum("f,fd,fd->", mesh.face_dsig, field.values, psi_bar))
-
-
-def spacetime_gradient(mesh: Mesh, grid: TimeGrid, phi: SmoothTestFunction,
-                       ) -> FaceVectorField:
-    """Time-indexed discrete gradient: slab n samples phi at t_n."""
-    vals = np.zeros((grid.n_steps, mesh.n_faces, mesh.dim))
-    for n in range(grid.n_steps):
-        vals[n] = discrete_gradient(mesh, phi, float(grid.nodes[n])).values
-    return FaceVectorField(mesh=mesh, values=vals, label=f"grad_t[{phi.name}]")
-
-
-def discrete_time_derivative(grid: TimeGrid, mesh: Mesh,
-                             phi: SmoothTestFunction) -> np.ndarray:
-    """Forward differences (phi_K^{n+1} - phi_K^n) / dt_n, shape (N, n_cells)."""
-    node_vals = np.stack(
-        [_anchor_values(mesh, phi, float(t)) for t in grid.nodes]
-    )
-    return np.diff(node_vals, axis=0) / grid.deltas[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +529,10 @@ def _reference_pairing(phi: SmoothTestFunction, psi: VectorTestFunction,
 
 
 def _l1_gradient_distance(mesh: Mesh, field: FaceVectorField,
-                          phi: SmoothTestFunction, order: int) -> float:
+                          phi: SmoothTestFunction) -> float:
     """L1 distance between the face-constant gradient (spread over dual
     volumes) and the true gradient, by the dual point rule (diagnostic)."""
-    pts, wts = _dual_mean_points(mesh, order)
+    pts, wts = _dual_mean_points(mesh)
     gp = phi.grad(pts.reshape(-1, mesh.dim), 0.0).reshape(pts.shape)
     diff = np.linalg.norm(gp - field.values[:, None, :], axis=-1)
     per_face = np.einsum("fq,fq->f", wts, diff)
@@ -578,24 +544,22 @@ def gradient_weakstar_study(
     phi: SmoothTestFunction,
     psi_list: Sequence[VectorTestFunction],
     levels: int,
-    quadrature_order: int = 2,
-    reference_factor: int = 4,
 ) -> GradStudyResult:
     """Measure the dual pairing of the discrete gradient against reference
     integrals under refinement, asserting the a-priori gap bound per level.
 
     The reference integral is computed once per psi by composite Gauss
-    quadrature on a grid ``reference_factor`` times finer than the finest
+    quadrature on a grid ``REFERENCE_FACTOR`` times finer than the finest
     study level.
     """
     meshes = refine(family, levels)
     dim = meshes[0].dim
     box = meshes[0].box
-    # panels per axis of the reference grid: reference_factor times the
+    # panels per axis of the reference grid: REFERENCE_FACTOR times the
     # effective per-axis resolution of the finest study mesh
     extent = float(np.max(box[1] - box[0]))
     axis_h = meshes[-1].h_max / math.sqrt(dim)
-    n_ref = reference_factor * int(math.ceil(extent / axis_h))
+    n_ref = REFERENCE_FACTOR * int(math.ceil(extent / axis_h))
     refs = {
         psi.name: _reference_pairing(phi, psi, box, n_ref, dim) for psi in psi_list
     }
@@ -607,7 +571,7 @@ def gradient_weakstar_study(
         field = discrete_gradient(mesh, phi, 0.0)
         sup_bound_check(field, qual, phi)
         for psi in psi_list:
-            pairing = weak_pairing(field, psi, quadrature_order)
+            pairing = weak_pairing(field, psi)
             ref = refs[psi.name]
             gap = abs(pairing - ref)
             bound = (
@@ -632,8 +596,7 @@ def gradient_weakstar_study(
                     reference=ref,
                     gap=gap,
                     apriori_bound=bound,
-                    l1_distance=_l1_gradient_distance(mesh, field, phi,
-                                                      quadrature_order),
+                    l1_distance=_l1_gradient_distance(mesh, field, phi),
                 )
             )
     return GradStudyResult(family=family.name, phi_name=phi.name, rows=rows)

@@ -1,11 +1,12 @@
-"""CSV emission and slope fitting shared by the studies and the CLI.
+"""File output and slope fitting shared by the studies and the CLI.
 
 All floats are written with repr-exact %.17g so reruns produce
-byte-identical files; writes go through a temporary file and os.replace
-so readers never observe a partial CSV.
+byte-identical files; CSV and summary writes go through a temporary file
+and os.replace so readers never observe a partial file.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
@@ -16,7 +17,9 @@ import numpy as np
 __all__ = [
     "format_value",
     "config_digest",
+    "open_text",
     "write_csv",
+    "write_text",
     "fit_decay_slope",
 ]
 
@@ -39,6 +42,19 @@ def config_digest(pairs: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+@contextlib.contextmanager
+def open_text(path_or_buf, mode: str = "r"):
+    """A UTF-8 text stream for a path (str, bytes or os.PathLike), closed on
+    exit; any other argument is taken as an open stream and passed through
+    unclosed."""
+    if not isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        yield path_or_buf
+        return
+    newline = "\n" if "w" in mode else None
+    with open(path_or_buf, mode, encoding="utf-8", newline=newline) as fh:
+        yield fh
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
               comments: Sequence[str] = ()) -> None:
     """Write comment lines, a header line, and data rows atomically."""
@@ -46,23 +62,13 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    body = "\n".join(lines) + "\n"
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-csv-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_text(path: str, text: str) -> None:
-    """Atomic plain-text write, same discipline as write_csv."""
+    """Write text atomically: to a temporary file, then os.replace."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-txt-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -22,6 +22,7 @@ import numpy as np
 from .flux import NumericalFlux
 from .mesh import Mesh, MeshError, far_neighbors
 from .operators import TimeGrid
+from .reports import open_text
 from .translations import CellField, IntegrableFunction, project_l1
 
 __all__ = [
@@ -29,9 +30,7 @@ __all__ = [
     "SpaceTimeField",
     "Stepper",
     "BlowUpError",
-    "project_initial",
     "select_dt",
-    "step",
     "plan",
     "march",
     "replay",
@@ -81,9 +80,6 @@ class SpaceTimeField:
         if v.shape != expected:
             raise ValueError(f"expected history shape {expected}, got {v.shape}")
         object.__setattr__(self, "values", v)
-
-    def at(self, n: int) -> CellField:
-        return CellField(mesh=self.mesh, values=self.values[n])
 
     def l1_norm(self) -> float:
         """L1 norm of the piecewise-constant embedding over space-time."""
@@ -226,11 +222,6 @@ class Stepper:
 # ---------------------------------------------------------------------------
 
 
-def project_initial(mesh: Mesh, u0: IntegrableFunction) -> CellField:
-    """Initial cell means, by the same quadrature policy as the projections."""
-    return project_l1(mesh, u0, label=f"u0[{u0.name}]")
-
-
 def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
               t_final: float | None = None) -> float:
     """CFL time step: cfl * min_K |K| / sum_{faces of K} |sigma| lambda_sigma.
@@ -260,17 +251,6 @@ def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
     return dt
 
 
-def step(mesh: Mesh, field: CellField, flux: NumericalFlux, dt: float,
-         boundary: str = "periodic") -> CellField:
-    """One explicit update of a cell field (conservative by construction)."""
-    stp = Stepper(mesh, flux, boundary)
-    new_vals = stp.step(field.values, dt)
-    if not np.all(np.isfinite(new_vals)):
-        bad = int(np.argmax(~np.isfinite(new_vals)))
-        raise BlowUpError(f"non-finite value in cell {bad} after one step")
-    return CellField(mesh=mesh, values=new_vals, label=field.label)
-
-
 def plan(mesh: Mesh, problem: Problem,
          cfl: float = 0.45) -> tuple[Stepper, TimeGrid, np.ndarray]:
     """The stepper, the uniform time grid and the initial cell means of a run.
@@ -279,7 +259,7 @@ def plan(mesh: Mesh, problem: Problem,
     the horizon, so every step is identical and the final node lands on
     t_final exactly.
     """
-    u0 = project_initial(mesh, problem.u0)
+    u0 = project_l1(mesh, problem.u0)
     dt0 = select_dt(mesh, u0, problem.flux, cfl, problem.t_final)
     n_steps = max(1, int(math.ceil(problem.t_final / dt0 - 1e-12)))
     grid = TimeGrid.uniform(problem.t_final, n_steps)
@@ -368,9 +348,7 @@ def write_history(field: SpaceTimeField, path_or_buf) -> None:
     followed by ``u <i> <v_0> ... <v_{n-1}>``.  All reals %.17g so the file
     round-trips bit-exactly.
     """
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", encoding="utf-8", newline="\n") if own else path_or_buf
-    try:
+    with open_text(path_or_buf, "w") as fh:
         fh.write(f"{_HISTORY_MAGIC} {_HISTORY_VERSION} dim={field.mesh.dim} "
                  f"n_cells={field.mesh.n_cells} n_steps={field.grid.n_steps}\n")
         fh.write(f"# boundary {field.boundary}\n")
@@ -380,9 +358,6 @@ def write_history(field: SpaceTimeField, path_or_buf) -> None:
             fh.write(f"t {i} {t:.17g}\n")
             row = " ".join(f"{v:.17g}" for v in field.values[i])
             fh.write(f"u {i} {row}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
@@ -392,9 +367,7 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
     Raises ValueError unless every node 0..n_steps has exactly one ``t``
     record (3 fields) and one ``u`` record (n_cells values).
     """
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, encoding="utf-8") if own else path_or_buf
-    try:
+    with open_text(path_or_buf) as fh:
         head = fh.readline().split()
         if head[:2] != [_HISTORY_MAGIC, _HISTORY_VERSION]:
             raise ValueError(f"not a {_HISTORY_MAGIC} {_HISTORY_VERSION} file")
@@ -431,9 +404,6 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
                 nodes[i] = float(parts[2])
             else:
                 values[i] = [float(x) for x in parts[2:]]
-    finally:
-        if own:
-            fh.close()
     for kind, got in seen.items():
         if not got.all():
             missing = np.flatnonzero(~got)

@@ -22,7 +22,6 @@ from .operators import InvariantViolation, TimeGrid
 __all__ = [
     "IntegrableFunction",
     "interval_indicator",
-    "halfplane_indicator",
     "smooth_function",
     "CellField",
     "project_l1",
@@ -82,21 +81,6 @@ def interval_indicator(a: float, b: float, name: str = "") -> IntegrableFunction
     )
 
 
-def halfplane_indicator(normal: Sequence[float], offset: float,
-                        name: str = "") -> IntegrableFunction:
-    """Indicator of the half-plane {x : normal . x <= offset} in 2d."""
-    nv = np.asarray(normal, dtype=float)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return (x @ nv <= offset).astype(float)
-
-    return IntegrableFunction(
-        fn=fn, kind="indicator",
-        name=name or "halfplane", geometry=("halfplane", nv, offset),
-    )
-
-
 @dataclass(frozen=True)
 class CellField:
     """One value per cell: the piecewise-constant embedding over the mesh."""
@@ -116,21 +100,32 @@ class CellField:
     def l1_norm(self) -> float:
         return float(np.dot(self.mesh.cell_volume, np.abs(self.values)))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
-
-def _cell_integrals(verts: np.ndarray, u: IntegrableFunction) -> np.ndarray:
-    """Integral of u over every cell of a vertex batch (n_cells, n_vertices, d)."""
+def _cell_integrals(verts: np.ndarray, u: IntegrableFunction,
+                    weight: Callable | None = None) -> np.ndarray:
+    """Integral of u, times ``weight`` (points (..., d) -> values) when one
+    is given, over every cell of a vertex batch (n_cells, n_vertices, d)."""
     if u.kind == "indicator":
         if u.geometry is not None and u.geometry[0] == "interval":
+            # u is 1 on the part [lo, hi] of each cell inside [a, b]
             _, a, b = u.geometry
-            lo, hi = verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0]
-            return np.maximum(0.0, np.minimum(hi, b) - np.maximum(lo, a))
+            lo = np.maximum(verts.min(axis=1)[:, 0], a)
+            hi = np.minimum(verts.max(axis=1)[:, 0], b)
+            if weight is None:
+                return np.maximum(0.0, hi - lo)
+            hit = hi > lo
+            pts, w = quadrature.cell_rule(
+                np.stack([lo[hit], hi[hit]], axis=1)[:, :, None], GAUSS_ORDER)
+            out = np.zeros(verts.shape[0])
+            out[hit] = quadrature.rowdot(w, weight(pts))
+            return out
         pts, w = quadrature.subdivision_rule(verts, SUBSAMPLES)
     else:
         pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
-    return quadrature.rowdot(w, np.asarray(u.fn(pts), dtype=float))
+    vals = np.asarray(u.fn(pts), dtype=float)
+    if weight is None:
+        return quadrature.rowdot(w, vals)
+    return quadrature.rowdot(w * vals, weight(pts))
 
 
 def project_l1(mesh: Mesh, u: IntegrableFunction, label: str = "") -> CellField:

@@ -4,6 +4,9 @@ Every subcommand is exercised through main() with real directories; the
 determinism tests compare output bytes across reruns, including reruns
 that only change the output directory or the worker count.
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,20 @@ from lwfv.solver import read_history
 
 from oracles import dense_cell_means_1d
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(args):
     return cli.main(list(args))
+
+
+def test_readme_command_line_section_matches_cli():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"Subcommands:(.*?)\.\s", section, re.S).group(1)
+    assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(cli.COMMANDS)
+    keys = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert sorted(keys) == sorted(cli.DEFAULTS)
 
 
 # ---------------------------------------------------------------------------

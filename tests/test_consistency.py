@@ -276,6 +276,16 @@ def test_lw_study_rejects_history_outside_c_f_range():
     assert all(phi.name in msg for phi in phis)
 
 
+def test_lw_study_flux_check_stays_in_declared_range():
+    # c_f = 1.5 holds on [0, 1], where these data stay; a check that samples
+    # states outside that range rejects a sound flux
+    problem = Problem(flux=rusanov(burgers((1.0,)), u_range=(0.0, 1.0)),
+                      u0=interval_indicator(0.1, 0.45), t_final=0.5)
+    report = lw_study(uniform_1d_family(16), problem,
+                      bump_corpus_spacetime(1, 0.5), levels=2, cfl=0.45)
+    assert len(report.levels) == 2
+
+
 def test_lw_study_errors_name_family_level_and_phi():
     fam = uniform_1d_family(10)
     pr = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)

@@ -75,6 +75,27 @@ def test_fluxes_declare_where_c_f_holds():
     assert muscl_three_point([1.0]).u_range == (-np.inf, np.inf)
 
 
+@pytest.mark.parametrize("check", [check_hypothesis_iii, conservativity_check,
+                                   consistency_check])
+@pytest.mark.parametrize("fl, lo, hi", [
+    (rusanov(burgers((1.0,)), u_range=(0.0, 1.0)), 0.0, 1.0),
+    (upwind_linear([1.0]), -2.0, 2.0),  # c_f holds for any state
+])
+def test_checkers_sample_the_declared_state_range(check, fl, lo, hi):
+    seen = []
+
+    def evaluate(uK, uL, n, uKK=None, uLL=None):
+        seen.extend(np.ravel(x) for x in (uK, uL, uKK, uLL) if x is not None)
+        return fl.evaluate(uK, uL, n, uKK=uKK, uLL=uLL)
+
+    check(NumericalFlux(name=fl.name, flux=fl.flux, stencil=fl.stencil,
+                        c_f=fl.c_f, evaluate=evaluate, wave_speed=fl.wave_speed,
+                        u_range=fl.u_range), n_samples=500)
+    states = np.concatenate(seen)
+    assert lo <= states.min() and states.max() <= hi
+    assert states.min() < lo + 0.1 and states.max() > hi - 0.1
+
+
 def test_jump_bound_checker_catches_understated_constant():
     honest = upwind_linear([1.0])
     lying = NumericalFlux(

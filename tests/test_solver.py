@@ -259,6 +259,20 @@ def test_history_round_trip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_history_round_trip_through_path(tmp_path):
+    # str, os.PathLike and open streams all name a history file
+    m = uniform_1d_family(5).build(0)
+    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
+              cfl=0.5)
+    p = tmp_path / "h.txt"
+    write_history(f, p)
+    grid, vals, _ = read_history(p)
+    assert np.array_equal(vals, f.values)
+    assert np.array_equal(grid.nodes, f.grid.nodes)
+    with open(p, encoding="utf-8") as fh:
+        assert np.array_equal(read_history(fh)[1], f.values)
+
+
 def _written_history(tmp_path):
     m = uniform_1d_family(8).build(0)
     f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
