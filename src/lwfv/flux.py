@@ -2,7 +2,7 @@
 
 Every numerical flux returns the scalar normal component through a face
 given the adjacent states.  The contracts that the consistency analysis
-relies on, and that the checkers in this module sample:
+relies on (the checkers in this module sample the first three):
 
 * conservativity: evaluate(a, b, n) == -evaluate(b, a, -n) exactly (the
   implementations are arranged so floating point negates bit for bit; the
@@ -10,7 +10,9 @@ relies on, and that the checkers in this module sample:
 * consistency: evaluate(u, u, n) equals F(u) . n,
 * a jump bound: both |evaluate(a, b, n) - F(a) . n| and
   |evaluate(a, b, n) - F(b) . n| are at most c_f * |a - b|, where c_f is a
-  constant the flux declares.
+  constant the flux declares,
+* locality: a face's flux depends only on the states of its own stencil,
+  never on the other faces evaluated in the same call.
 
 The checkers sample states in the range on which the flux declares c_f.
 """
@@ -46,32 +48,45 @@ def _vec_label(v) -> str:
     return ",".join("%g" % float(x) for x in np.atleast_1d(v))
 
 
-def _normal_dot(vec, n):
-    """Contraction along the last axis via elementwise multiply + pairwise sum.
+def _normal_dot(n, b):
+    """n . b for normals n of shape (..., d): the column products summed
+    left to right, n[..., 0] * b[0] + n[..., 1] * b[1] + ...
 
-    ``vec @ n`` is unusable here: numpy dispatches matmul to different kernels
-    depending on operand memory layout (a broadcast view of n and a
-    materialised -n take different paths), and the kernels round differently.
-    The elementwise form always multiplies into a fresh contiguous array and
-    reduces it with one fixed tree, so the result is bit-exactly antisymmetric
-    under n -> -n.  Conservativity is checked with ==, hence the fuss.
+    Every product and every sum negates exactly under n -> -n, so the result
+    is bit-exactly antisymmetric in n.  ``n @ b`` is not: numpy dispatches
+    matmul to different kernels depending on operand memory layout (a
+    broadcast view of n and a materialised -n take different paths), and the
+    kernels round differently.  Conservativity is checked with ==, hence the
+    fuss.
     """
-    return np.multiply(np.asarray(vec, dtype=float),
-                       np.asarray(n, dtype=float)).sum(axis=-1)
+    n = np.asarray(n, dtype=float)
+    out = n[..., 0] * b[0]
+    for i in range(1, len(b)):
+        out = out + n[..., i] * b[i]
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxFunction:
-    """A scalar conservation-law flux u -> F(u) in R^d.
+    """A scalar conservation-law flux F(u) = g(u) b in R^d: a scalar
+    ``profile`` g along a fixed ``direction`` b.
 
     ``value`` is vectorised: u of shape (...) maps to (..., d).
-    ``deriv_bound(lo, hi)`` returns a sup bound for |F'(u)|_2 on [lo, hi].
+    ``deriv_bound(lo, hi)`` is elementwise and returns a sup bound for
+    |F'(u)|_2 = |g'(u)| |b| on [lo, hi].
     """
 
     name: str
-    dim: int
-    value: Callable
+    direction: np.ndarray
+    profile: Callable
     deriv_bound: Callable
+
+    @property
+    def dim(self) -> int:
+        return self.direction.size
+
+    def value(self, u):
+        return self.profile(np.asarray(u, dtype=float))[..., None] * self.direction
 
     def __call__(self, u):
         return self.value(u)
@@ -82,8 +97,8 @@ def linear_advection(b) -> FluxFunction:
     speed = float(np.linalg.norm(bv))
     return FluxFunction(
         name=f"linear({_vec_label(bv)})",
-        dim=bv.size,
-        value=lambda u: np.asarray(u, dtype=float)[..., None] * bv,
+        direction=bv,
+        profile=lambda u: u,
         deriv_bound=lambda lo, hi: speed,
     )
 
@@ -93,9 +108,9 @@ def burgers(direction=(1.0,)) -> FluxFunction:
     dnorm = float(np.linalg.norm(dv))
     return FluxFunction(
         name=f"burgers({_vec_label(dv)})",
-        dim=dv.size,
-        value=lambda u: 0.5 * np.asarray(u, dtype=float)[..., None] ** 2 * dv,
-        deriv_bound=lambda lo, hi: max(abs(lo), abs(hi)) * dnorm,
+        direction=dv,
+        profile=lambda u: 0.5 * u ** 2,
+        deriv_bound=lambda lo, hi: np.maximum(np.abs(lo), np.abs(hi)) * dnorm,
     )
 
 
@@ -109,7 +124,10 @@ class NumericalFlux:
     ``wave_speed`` bounds the normal signal speed between two states and
     feeds the time-step selection.  ``u_range`` is the state interval on
     which ``c_f`` holds; fluxes whose constant holds for any state declare
-    (-inf, inf).
+    (-inf, inf).  ``monotone`` declares a two-point flux nondecreasing in
+    its first state and nonincreasing in its second, so that under the CFL
+    condition of ``wave_speed`` every update is a convex combination of
+    old states and the solver can enforce the maximum principle.
     """
 
     name: str
@@ -119,6 +137,7 @@ class NumericalFlux:
     evaluate: Callable
     wave_speed: Callable
     u_range: tuple[float, float] = (-math.inf, math.inf)
+    monotone: bool = False
 
     @property
     def dim(self) -> int:
@@ -128,8 +147,7 @@ class NumericalFlux:
 def upwind_linear(b) -> NumericalFlux:
     """Donor-cell upwind flux for linear advection with velocity b."""
     F = linear_advection(b)
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    speed = float(np.linalg.norm(bv))
+    bv = F.direction
 
     def evaluate(uK, uL, n, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
@@ -144,59 +162,63 @@ def upwind_linear(b) -> NumericalFlux:
         name=f"upwind({_vec_label(bv)})",
         flux=F,
         stencil=2,
-        c_f=speed,
+        c_f=float(np.linalg.norm(bv)),
         evaluate=evaluate,
         wave_speed=wave_speed,
+        monotone=True,
     )
-
-
-def _unit_normals(dim: int, count: int = 16) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    ang = 2.0 * math.pi * np.arange(count) / count
-    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def rusanov(F: FluxFunction,
             u_range: tuple[float, float] = (-2.0, 2.0)) -> NumericalFlux:
-    """Central flux with local dissipation lambda = wave_speed_bound(a, b, n).
+    """Central flux with local dissipation (Rusanov 1961):
 
-    The speed bound is the flux derivative bound on [min(a,b), max(a,b)],
-    which is valid for any unit normal.  The declared jump-bound constant is
-    the crude max |F'| + lambda_max / 2 over ``u_range``, and holds only
-    there, so the flux records that range.
+        F_sigma = (g(u_K) + g(u_L)) / 2 (b . n) - lambda_sigma (u_L - u_K) / 2
+
+    for F(u) = g(u) b, with lambda_sigma = deriv_bound(min(u_K, u_L),
+    max(u_K, u_L)) taken on each face alone; it bounds |F'(u) . n| for any
+    unit normal.  One face's flux therefore depends on its own two states
+    only.
+
+    ``wave_speed``, which feeds the time step, is global instead: the
+    derivative bound over the whole range of the states it is given.  Taken
+    on the initial data it is valid for the whole run: under the CFL
+    condition it sets, each update is a convex combination of old states,
+    so every later state stays inside the initial range, where the bound
+    holds.  Local speeds at t = 0 carry no such guarantee.
+
+    The declared jump-bound constant is the crude max |F'| + lambda_max / 2
+    over ``u_range``, with lambda_max = deriv_bound(u_range) bounding every
+    face's lambda_sigma there; it holds only on that range, so the flux
+    records it.
     """
-    def wave_speed_bound(a, b, n):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return F.deriv_bound(
-            float(np.min(np.minimum(a, b))), float(np.max(np.maximum(a, b)))
-        ) * np.ones(np.broadcast(a, b).shape)
+    g, bv = F.profile, F.direction
 
     def evaluate(uK, uL, n, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
-        n = np.asarray(n, dtype=float)
-        central = 0.5 * (F.value(uK) + F.value(uL))
-        lam = np.asarray(wave_speed_bound(uK, uL, n), dtype=float)
-        return _normal_dot(central, n) - 0.5 * lam * (uL - uK) + 0.0
+        lam = F.deriv_bound(np.minimum(uK, uL), np.maximum(uK, uL))
+        central = 0.5 * (g(uK) + g(uL)) * _normal_dot(n, bv)
+        return central - 0.5 * lam * (uL - uK) + 0.0
+
+    def wave_speed(a, b, n):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        lam = F.deriv_bound(float(np.min(np.minimum(a, b))),
+                            float(np.max(np.maximum(a, b))))
+        return lam * np.ones(np.broadcast(a, b).shape)
 
     lo, hi = u_range
-    lam_max = 0.0
-    for a in (lo, hi, 0.5 * (lo + hi)):
-        for b in (lo, hi, 0.5 * (lo + hi)):
-            for n in _unit_normals(F.dim):
-                lam_max = max(lam_max, float(wave_speed_bound(a, b, n)))
-    c_f = F.deriv_bound(lo, hi) + 0.5 * lam_max
-
+    lam_max = float(F.deriv_bound(lo, hi))
     return NumericalFlux(
         name=f"rusanov[{F.name}]",
         flux=F,
         stencil=2,
-        c_f=c_f,
+        c_f=lam_max + 0.5 * lam_max,
         evaluate=evaluate,
-        wave_speed=lambda a, b, n: np.asarray(wave_speed_bound(a, b, n), dtype=float),
+        wave_speed=wave_speed,
         u_range=(float(lo), float(hi)),
+        monotone=True,
     )
 
 
@@ -214,8 +236,7 @@ def muscl_three_point(b) -> NumericalFlux:
     states and the two-point jump bound holds with c_f = |b|.
     """
     F = linear_advection(b)
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    speed = float(np.linalg.norm(bv))
+    bv = F.direction
 
     def evaluate(uK, uL, n, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
@@ -238,7 +259,7 @@ def muscl_three_point(b) -> NumericalFlux:
         name=f"muscl({_vec_label(bv)})",
         flux=F,
         stencil=3,
-        c_f=speed,
+        c_f=float(np.linalg.norm(bv)),
         evaluate=evaluate,
         wave_speed=wave_speed,
     )
@@ -267,6 +288,13 @@ def _sampled_range(flux: NumericalFlux) -> tuple[float, float]:
     for a flux whose c_f holds for any state."""
     lo, hi = flux.u_range
     return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else (-2.0, 2.0)
+
+
+def _unit_normals(dim: int, count: int = 16) -> np.ndarray:
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    ang = 2.0 * math.pi * np.arange(count) / count
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def _halton_states(u_range, n_samples: int, dims: int) -> np.ndarray:

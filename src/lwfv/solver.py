@@ -21,7 +21,7 @@ import numpy as np
 
 from .flux import NumericalFlux
 from .mesh import Mesh, MeshError, far_neighbors
-from .operators import TimeGrid
+from .operators import InvariantViolation, TimeGrid
 from .reports import open_text
 from .translations import CellField, IntegrableFunction, project_l1
 
@@ -41,6 +41,8 @@ __all__ = [
 
 N_MIN_STEPS = 4  # fallback step count when nothing moves
 BLOWUP_FACTOR = 1e6
+# rounding slack of the maximum principle, relative to max |u^0|
+MAX_PRINCIPLE_SLACK = 1e-12
 
 
 class BlowUpError(RuntimeError):
@@ -274,12 +276,19 @@ def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
     edge fluxes the step used (aligned with the stepper's edges, interior
     faces first).  Returns the min and max of u over every time node.
     Raises BlowUpError if any cell value exceeds 1e6 times the initial sup
-    bound.
+    bound.  For a monotone flux it raises InvariantViolation, naming the
+    step and the cell, when a state leaves [min u^0, max u^0] by more than
+    MAX_PRINCIPLE_SLACK times max |u^0|: under the CFL condition every
+    update is then a convex combination of old states, so a state outside
+    the initial range means the step was too long.
     """
     dt = grid.t_final / grid.n_steps
     lo, hi = float(np.min(u0)), float(np.max(u0))
     sup0 = max(-lo, hi)
     guard = BLOWUP_FACTOR * (sup0 if sup0 > 0 else 1.0)
+    monotone = stp.flux.monotone
+    slack = MAX_PRINCIPLE_SLACK * sup0
+    floor, ceil = lo - slack, hi + slack
     u = u0
     for n in range(grid.n_steps):
         fv = stp.edge_fluxes(u)
@@ -291,6 +300,14 @@ def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
             raise BlowUpError(
                 f"solution escaped the guard {guard:.3e} at step {n + 1} "
                 f"(cell {bad})"
+            )
+        if monotone and not (floor <= lo_n and hi_n <= ceil):
+            bad = int(np.argmin(u_next) if lo_n < floor else np.argmax(u_next))
+            raise InvariantViolation(
+                f"maximum principle broken at step {n + 1} (cell {bad}): "
+                f"u = {u_next[bad]:.17g} outside the initial range "
+                f"[{np.min(u0):.17g}, {np.max(u0):.17g}] of the monotone flux "
+                f"{stp.flux.name!r}, so the step breaks the CFL condition"
             )
         lo, hi = min(lo, lo_n), max(hi, hi_n)
         on_step(n, u, u_next, fv)

@@ -157,3 +157,52 @@ def cell_edges_1d(mesh):
     lo = mesh.cell_center[:, 0] - 0.5 * mesh.cell_volume
     hi = mesh.cell_center[:, 0] + 0.5 * mesh.cell_volume
     return lo, hi
+
+
+def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
+    """T2, T2_tilde and R of a stored history against each test function,
+    as one {name: (value, mass)} per phi.
+
+    Straight from the formulas of the decomposition, one interior face and
+    one time slab at a time:
+
+        T2       = sum_n dt_n sum_s |s| F_s (phi^n_K - phi^n_L)
+        T2_tilde = sum_n dt_n sum_s |s| (phi^n_K - phi^n_L)
+                   (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|
+        R        = sum_n dt_n sum_s |s| (phi^n_K - phi^n_L)
+                   [F_s - (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|]
+
+    with u = u^n, F_s the two-point numerical flux of the face evaluated
+    alone, and phi^n_K phi at the anchor of K at time t_n.  ``mass`` is the
+    sum of the magnitudes of the summands, the scale of the rounding.
+    """
+    assert num_flux.stencil == 2
+    out = [{"t2": [0.0, 0.0], "t2_tilde": [0.0, 0.0], "r": [0.0, 0.0]}
+           for _ in phis]
+    for n in range(len(deltas)):
+        phi_n = [phi.value(mesh.cell_center, float(nodes[n])) for phi in phis]
+        u = values[n]
+        for f in range(mesh.n_faces):
+            K, L = int(mesh.face_K[f]), int(mesh.face_L[f])
+            if L < 0:
+                continue
+            normal = mesh.face_normal[f]
+            flux = float(num_flux.evaluate(np.array([u[K]]), np.array([u[L]]),
+                                           normal[None, :])[0])
+            fK = num_flux.flux.value(np.array([u[K]]))[0]
+            fL = num_flux.flux.value(np.array([u[L]]))[0]
+            convex = 0.0
+            for axis in range(mesh.dim):
+                convex += (float(mesh.face_dk[f]) * float(fK[axis])
+                           + float(mesh.face_dl[f]) * float(fL[axis])) \
+                    * float(normal[axis])
+            convex /= float(mesh.face_dsig[f])
+            for terms, phi_vals in zip(out, phi_n):
+                weight = deltas[n] * float(mesh.face_area[f]) \
+                    * (float(phi_vals[K]) - float(phi_vals[L]))
+                for name, term in (("t2", weight * flux),
+                                   ("t2_tilde", weight * convex),
+                                   ("r", weight * (flux - convex))):
+                    terms[name][0] += term
+                    terms[name][1] += abs(term)
+    return [{name: tuple(v) for name, v in terms.items()} for terms in out]

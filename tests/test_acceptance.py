@@ -294,19 +294,45 @@ def test_criterion_6_master_identity(all_study_rows):
            f"worst relative residual {worst:.2e} <= 1e-10")
 
 
-def test_criterion_7_residual_envelopes(all_study_rows):
+def test_criterion_7_residual_envelopes(study_linear_smooth, study_burgers_2d,
+                                       study_burgers_riemann):
+    # the bounds recomputed from their ingredients, not read from the
+    # report: |R1| <= c_phi * time part and |R| <= c_f * c_phi * s * space
+    # part, with c_phi = max(sup |d_t phi|, theta_grad * sup |grad phi|) and
+    # the stencil factor s = 1 for two-point fluxes (2 for three-point)
+    d = 1.0 / math.sqrt(2.0)
+    studies = [
+        (study_linear_smooth, upwind_linear([1.0]), bump_corpus_spacetime(1, 0.5)),
+        (study_burgers_2d, rusanov(burgers((d, d))), bump_corpus_spacetime(2, 0.4)),
+        (study_burgers_riemann, rusanov(burgers((1.0,))),
+         bump_corpus_spacetime(1, 0.5)),
+    ]
+    runs = 0
     worst_r1 = 0.0
     worst_r = 0.0
-    for row in all_study_rows:
-        assert math.isfinite(row.r1_envelope) and row.r1_envelope >= 0.0
-        assert math.isfinite(row.r_envelope) and row.r_envelope >= 0.0
-        assert abs(row.r1) <= row.r1_envelope * (1.0 + 1e-9), row
-        assert abs(row.r) <= row.r_envelope * (1.0 + 1e-9), row
-        if row.r1_envelope > 0:
-            worst_r1 = max(worst_r1, abs(row.r1) / row.r1_envelope)
-        if row.r_envelope > 0:
-            worst_r = max(worst_r, abs(row.r) / row.r_envelope)
-    report(f"[criterion 7] PASS residual envelopes: {len(all_study_rows)} "
+    for (rep, _), flux, phis in studies:
+        assert rep.flux_name == flux.name
+        stencil_factor = 1.0 if flux.stencil == 2 else 2.0
+        for rec in rep.levels:
+            sem = rec.seminorms
+            assert [row.phi_id for row in rec.rows] == [phi.name for phi in phis]
+            for phi, row in zip(phis, rec.rows):
+                c_phi = max(phi.dt_sup, rec.quality.theta_grad * phi.grad_sup)
+                r1_bound = c_phi * sem.time_part
+                r_bound = flux.c_f * c_phi * stencil_factor * sem.space_part
+                assert math.isfinite(r1_bound) and r1_bound >= 0.0
+                assert math.isfinite(r_bound) and r_bound >= 0.0
+                # the report must carry the same bounds it checked against
+                assert row.r1_envelope == pytest.approx(r1_bound, rel=1e-12), row
+                assert row.r_envelope == pytest.approx(r_bound, rel=1e-12), row
+                assert abs(row.r1) <= r1_bound * (1.0 + 1e-9), row
+                assert abs(row.r) <= r_bound * (1.0 + 1e-9), row
+                if r1_bound > 0:
+                    worst_r1 = max(worst_r1, abs(row.r1) / r1_bound)
+                if r_bound > 0:
+                    worst_r = max(worst_r, abs(row.r) / r_bound)
+                runs += 1
+    report(f"[criterion 7] PASS residual envelopes: {runs} "
            f"runs, worst |R1|/bound {worst_r1:.3f}, worst |R|/bound "
            f"{worst_r:.3f} (both <= 1+1e-9)")
 

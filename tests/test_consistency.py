@@ -17,6 +17,7 @@ import pytest
 from lwfv import (
     Problem,
     interval_indicator,
+    nonuniform_1d_family,
     polynomial_bump,
     project_l1,
     smooth_function,
@@ -38,6 +39,8 @@ from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
 from lwfv.solver import SpaceTimeField, plan
 from lwfv.translations import spacetime_translation_seminorm
 from lwfv.reports import fit_decay_slope
+
+from oracles import brute_flux_pairing_terms
 
 
 def _bump_datum():
@@ -286,6 +289,20 @@ def test_lw_study_flux_check_stays_in_declared_range():
     assert len(report.levels) == 2
 
 
+def test_lw_study_names_family_and_level_of_a_broken_maximum_principle():
+    # a Rusanov flux that understates its wave speed fourfold gets, at
+    # cfl = 0.9, a time step 3.6 times the one the CFL condition allows
+    fl = rusanov(burgers((1.0,)))
+    slow = dataclasses.replace(
+        fl, wave_speed=lambda a, b, n: 0.25 * fl.wave_speed(a, b, n))
+    problem = Problem(flux=slow, u0=interval_indicator(0.1, 0.45), t_final=0.5)
+    with pytest.raises(InvariantViolation, match="maximum principle broken") as exc:
+        lw_study(uniform_1d_family(64), problem, bump_corpus_spacetime(1, 0.5),
+                 levels=2, cfl=0.9)
+    msg = str(exc.value)
+    assert "uniform_1d(n0=64)" in msg and "level 0" in msg and "step" in msg
+
+
 def test_lw_study_errors_name_family_level_and_phi():
     fam = uniform_1d_family(10)
     pr = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
@@ -394,3 +411,34 @@ def test_lw_study_level_allocates_less_than_its_history():
         tracemalloc.stop()
     assert grid.n_steps > 200
     assert peak < history_bytes, (peak, history_bytes)
+
+
+ORACLE_CASES = {
+    "nonuniform-1d": lambda: (
+        nonuniform_1d_family(10, ratio=2.0),
+        Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
+                t_final=0.5)),
+    "triangulated-2d": lambda: (
+        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
+        Problem(flux=rusanov(burgers((0.6, 0.8))), u0=_sine_2d(), t_final=0.4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_flux_pairing_terms_match_scalar_oracle(case):
+    # both families have faces with |D_K,s| != |D_L,s|, so a dual weighting
+    # that drops or swaps the two sides changes T2_tilde and R
+    family, problem = ORACLE_CASES[case]()
+    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
+    rep = lw_study(family, problem, phis, levels=2, cfl=0.45)
+    for rec in rep.levels:
+        field = solve(family.build(rec.level), problem, cfl=0.45)
+        mesh = field.mesh
+        inner = mesh.interior
+        assert np.any(mesh.face_dk[inner] != mesh.face_dl[inner])
+        oracle = brute_flux_pairing_terms(mesh, field.grid.deltas, field.values,
+                                          problem.flux, phis, field.grid.nodes)
+        for phi, dec, want in zip(phis, rec.decompositions, oracle):
+            for name, (value, mass) in want.items():
+                assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
+                    (rec.level, phi.name, name, getattr(dec, name), value)

@@ -39,6 +39,53 @@ def test_rusanov_burgers_frozen_example():
     assert float(got[0]) == -1.0
 
 
+def test_rusanov_burgers_probe_is_local():
+    # the face (0.1, 0.2): central (0.005 + 0.02)/2 = 0.0125, dissipation
+    # max(0.1, 0.2)/2 * 0.1 = 0.01, so 0.0025 whatever shares the call
+    fl = rusanov(burgers((1.0,)))
+    alone = fl.evaluate(np.array([0.1]), np.array([0.2]), np.array([[1.0]]))
+    beside = fl.evaluate(np.array([0.1, 5.0]), np.array([0.2, 5.0]),
+                         np.ones((2, 1)))
+    assert float(alone[0]) == pytest.approx(0.0025, rel=1e-15)
+    assert float(beside[0]) == float(alone[0])
+
+
+@pytest.mark.parametrize("fl", ALL_FLUXES, ids=lambda fl: fl.name)
+def test_face_flux_depends_on_its_own_stencil_only(fl):
+    # even faces keep their states while the odd faces get new ones, some
+    # far outside the sampled range; the even fluxes must not move a bit,
+    # and each must equal the face evaluated alone
+    rng = np.random.default_rng(5)
+    n_faces = 64
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_faces)
+    normals = (np.sign(np.cos(ang))[:, None] if fl.dim == 1
+               else np.stack([np.cos(ang), np.sin(ang)], axis=-1))
+    states = rng.uniform(-2.0, 2.0, (4, n_faces))
+    other = states.copy()
+    odd = np.arange(1, n_faces, 2)
+    other[:, odd] = rng.uniform(-5.0, 5.0, (4, odd.size))
+    other[:, odd[::4]] = 5.0
+
+    def flux_of(s, normal):
+        extra = {"uKK": s[2], "uLL": s[3]} if fl.stencil == 3 else {}
+        return fl.evaluate(s[0], s[1], normal, **extra)
+
+    base = flux_of(states, normals)
+    moved = flux_of(other, normals)
+    even = np.arange(0, n_faces, 2)
+    assert np.array_equal(base[even].view(np.int64), moved[even].view(np.int64))
+    for f in even[:8]:
+        alone = flux_of(states[:, f:f + 1], normals[f:f + 1])
+        assert alone[0] == base[f] and np.signbit(alone[0]) == np.signbit(base[f])
+
+
+def test_monotone_declared_by_the_two_point_fluxes():
+    assert upwind_linear([1.0]).monotone
+    assert rusanov(burgers((1.0,))).monotone
+    assert rusanov(linear_advection([1.0, 0.5])).monotone
+    assert not muscl_three_point([1.0]).monotone
+
+
 def test_upwind_picks_donor_side():
     fl = upwind_linear([1.0])
     n = np.array([[1.0]])

@@ -11,9 +11,7 @@ import pytest
 
 from lwfv import (
     cartesian_2d_family,
-    nonuniform_1d_family,
     perturbed_triangular_2d_family,
-    polynomial_bump,
     uniform_1d_family,
 )
 from lwfv.mesh import compute_quality
@@ -176,6 +174,8 @@ def test_weakstar_gap_decays_on_uniform_families():
 def test_weak_pairing_order2_exact_for_affine_psi():
     # an affine vector field is integrated exactly by the dual rule;
     # here: pair against psi(x) = (x0, 0) and compare with the direct sum
+    # over the cone halves of every dual volume, the triangle with apex at
+    # the cell anchor over the face: area times g_sigma . psi(centroid)
     m = cartesian_2d_family(4).build(1)
     phi = bump_corpus_spatial(2)[0]
     g = discrete_gradient(m, phi)
@@ -183,9 +183,20 @@ def test_weak_pairing_order2_exact_for_affine_psi():
     psi = dataclasses.replace(
         vector_corpus(2)[0], components=(comp, _constant(2, 0.0)), name="affine"
     )
-    p2 = weak_pairing(g, psi)
-    p2b = weak_pairing(g, psi)
-    assert p2 == p2b
+    direct = 0.0
+    for f in range(m.n_faces):
+        nx, ny = m.face_normal[f]
+        half = 0.5 * m.face_area[f] * np.array([-ny, nx])
+        a, b = m.face_centroid[f] - half, m.face_centroid[f] + half
+        for c in (m.face_K[f], m.face_L[f]):
+            if c < 0:
+                continue
+            x = m.cell_center[c]
+            area = 0.5 * abs((a[0] - x[0]) * (b[1] - x[1])
+                             - (a[1] - x[1]) * (b[0] - x[0]))
+            direct += area * g.values[f, 0] * (x[0] + a[0] + b[0]) / 3.0
+    assert abs(direct) > 1e-3
+    assert weak_pairing(g, psi) == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lwfv import (
+    TimeGrid,
     interval_indicator,
     polynomial_bump,
     project_l1,
@@ -24,6 +25,7 @@ from lwfv.flux import (
     rusanov,
     upwind_linear,
 )
+from lwfv.operators import InvariantViolation
 from lwfv.solver import (
     BlowUpError,
     Problem,
@@ -324,6 +326,20 @@ def test_march_feeds_every_step_and_reports_the_range():
     history = solve(m, pr, cfl=0.45).values
     assert np.array_equal(np.array(states), history)
     assert (lo, hi) == (history.min(), history.max())
+
+
+def test_march_enforces_the_maximum_principle_of_monotone_fluxes():
+    m = uniform_1d_family(16).build(1)
+    pr = Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
+                 t_final=0.5)
+    stp, grid, u0 = plan(m, pr, 1.0)
+    lo, hi = march(stp, grid, u0, lambda *args: None)  # at the CFL limit
+    assert u0.min() <= lo and hi <= u0.max()
+    # a third of the steps: each one three times over the CFL limit
+    over = TimeGrid.uniform(grid.t_final, grid.n_steps // 3)
+    with pytest.raises(InvariantViolation,
+                       match=r"maximum principle broken at step \d+ \(cell \d+\)"):
+        march(stp, over, u0, lambda *args: None)
 
 
 def test_problem_validation():
