@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .flux import NumericalFlux, check_hypothesis_iii
+from .flux import FluxFunction, NumericalFlux, check_hypothesis_iii
 from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
-from .solver import Problem, SpaceTimeField, march, plan, replay
+from .solver import BlowUpError, Problem, SpaceTimeField, march, plan, replay
 from .translations import (
     GAUSS_ORDER,
     IntegrableFunction,
@@ -167,7 +167,16 @@ class _Separable:
     - g(t_n)) at the anchors (given the interior faces K, L), and with a
     quadrature rule the cell integrals W_K of w and grad W_K of grad w,
     against g(t_{n+1}) - g(t_n) and the slab mean of g.
+
+    The columns keep only their support rows: ``cells`` and (for the
+    pairing) ``faces`` index the cells and interior faces where some column
+    is nonzero, plus, for the pairing, both cells of every kept face, whose
+    physical fluxes enter the face's dual-weighted combination;
+    ``face_cells`` are those two cells as positions in ``cells``.  Every
+    dropped row is exactly zero in every column.
     """
+
+    constant = True  # the same columns at every step
 
     def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
         parts = [p.separable for p in phis]
@@ -180,14 +189,23 @@ class _Separable:
             wc = np.column_stack([np.asarray(w(mesh.cell_center), dtype=float)
                                   for w, _, _, _ in parts])
             jump = wc[K] - wc[L]
+            self.faces = np.flatnonzero(np.any(jump != 0.0, axis=1))
+            self.cells = np.union1d(np.flatnonzero(np.any(wc != 0.0, axis=1)),
+                                    np.concatenate([K[self.faces], L[self.faces]]))
+            self.face_cells = (np.searchsorted(self.cells, K[self.faces]),
+                               np.searchsorted(self.cells, L[self.faces]))
+            wc, jump = wc[self.cells], jump[self.faces]
             self._pairing = (wc, wc, jump, np.abs(wc), np.abs(jump))
         if quad is not None:
             pts, wq = quad
             W = np.column_stack([quadrature.rowdot(wq, np.asarray(w(pts), dtype=float))
                                  for w, _, _, _ in parts])
             GW = np.stack([(wq[:, None, :] @ np.asarray(gw(pts), dtype=float))[:, 0]
-                           for _, gw, _, _ in parts], axis=-1)
-            self._gap = (W, GW.reshape(-1, len(phis)))
+                           for _, gw, _, _ in parts], axis=-1)  # (cells, d, phis)
+            self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
+                                        | np.any(GW != 0.0, axis=(1, 2)))
+            self._gap = (W[self.cells],
+                         np.ascontiguousarray(GW[self.cells].transpose(1, 0, 2)))
             self.slab_weight = np.column_stack([_slab_means(g, grid.nodes)
                                                 for _, _, g, _ in parts])
 
@@ -200,14 +218,20 @@ class _Separable:
 
 class _Generic:
     """Test functions without a separable form, evaluated afresh at every
-    step (the slow reference path); all their time weights are 1."""
+    step on every cell and face (the slow reference path); all their time
+    weights are 1."""
+
+    constant = False
 
     def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
         self.phis = phis
         self.centers = mesh.cell_center
-        self.faces = faces
         self.nodes = grid.nodes
         self.quad = quad
+        self.cells = np.arange(mesh.n_cells)
+        if faces is not None:
+            self.face_cells = faces
+            self.faces = np.arange(faces[0].size)
         self.node_weight = self.step_weight = self.slab_weight = np.ones(
             (grid.n_steps, len(phis)))
 
@@ -219,7 +243,7 @@ class _Generic:
     def pairing(self, n: int):
         pc = self._columns("value", self.centers, float(self.nodes[n]))
         dphi = self._columns("value", self.centers, float(self.nodes[n + 1])) - pc
-        K, L = self.faces
+        K, L = self.face_cells
         jump = pc[K] - pc[L]
         return pc, dphi, jump, np.abs(dphi), np.abs(jump)
 
@@ -233,8 +257,8 @@ class _Generic:
         grads = 0.0
         for x, w in zip(xg, wg):
             grads = grads + half * w * np.einsum(
-                "kq,kqdm->kdm", wq, self._columns("grad", pts, mid + half * x))
-        return change, grads.reshape(-1, len(self.phis))
+                "kq,kqdm->dkm", wq, self._columns("grad", pts, mid + half * x))
+        return change, grads
 
 
 def _groups(phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
@@ -249,83 +273,157 @@ def _groups(phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
     return out
 
 
+def _spans(cols, size: int):
+    """Row ranges of a block that share one set of columns: the whole block
+    for constant columns, else one step at a time."""
+    if cols.constant:
+        return [(0, size)]
+    return [(i, i + 1) for i in range(size)]
+
+
 def _weighted(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_n weight[n] * rows[n], per test function."""
     return np.einsum("nm,nm->m", weight, rows)
 
 
 # ---------------------------------------------------------------------------
-# streamed sums: one step at a time, no stored history
+# streamed sums: a block of steps at a time, no stored history
 # ---------------------------------------------------------------------------
+
+BLOCK_STEPS = 16  # steps per block handed to the sums
+
+
+class _StepBlocks:
+    """The ``march`` callback that feeds the streamed sums.
+
+    It collects u^n, u^{n+1} - u^n and the interior edge fluxes of
+    BLOCK_STEPS consecutive steps, one row per step, and hands each full
+    block to every sum as ``block(n0, U, dU, F)``, n0 being the first
+    step; ``flush()`` hands over the last, partial block.  Memory is
+    O(BLOCK_STEPS * cells).
+    """
+
+    def __init__(self, n_cells: int, n_interior: int, sums):
+        self.U = np.empty((BLOCK_STEPS, n_cells))
+        self.dU = np.empty((BLOCK_STEPS, n_cells))
+        self.F = np.empty((BLOCK_STEPS, n_interior))
+        self.sums = sums
+        self.n0 = 0
+        self.count = 0
+
+    def __call__(self, n: int, u: np.ndarray, u_next: np.ndarray, fv) -> None:
+        i = self.count
+        self.U[i] = u
+        np.subtract(u_next, u, out=self.dU[i])
+        if fv is not None:
+            self.F[i] = fv[:self.F.shape[1]]
+        self.count = i + 1
+        if self.count == len(self.U):
+            self.flush()
+
+    def flush(self) -> None:
+        size = self.count
+        if size:
+            for sums in self.sums:
+                sums.block(self.n0, self.U[:size], self.dU[:size], self.F[:size])
+        self.n0 += size
+        self.count = 0
+
+
+def _replay(field: SpaceTimeField, sums, n_interior: int = 0,
+            flux: NumericalFlux | None = None) -> None:
+    """Feed a stored history to ``sums`` in the blocks ``lw_study`` uses;
+    ``flux`` recomputes the face fluxes (see ``solver.replay``)."""
+    blocks = _StepBlocks(field.mesh.n_cells, n_interior, sums)
+    replay(field, blocks, flux)
+    blocks.flush()
+
+
+def _physical(flux: FluxFunction, U: np.ndarray) -> np.ndarray:
+    """The physical flux f(U) of a (steps, cells) block, shape (d, steps,
+    cells)."""
+    return np.moveaxis(flux.value(U), -1, 0)
 
 
 class _PairingSums:
     """The residual decomposition of a history against a set of test
-    functions, fed one step at a time.
+    functions, fed a block of steps at a time.
 
-    Built from the initial state u^0, then ``step(n, u^n, du, F, f)`` for
-    n = 0..N-1, with
-    du = u^{n+1} - u^n, F the normal numerical fluxes on the interior faces
-    in face order, and f the physical flux of u^n per cell.  Each step
-    stores one row per term and test function; ``decompositions()`` applies
-    the time weights.  T1, T2 and the five terms each have their own row,
-    so the master identity checks them against each other.
+    Built from the initial state u^0 and the physical flux f, then
+    ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands it over, with U the
+    states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
+    interior faces in face order, one row per step n.  Each step stores one
+    row per term and test function, over the support rows of the columns
+    only; ``decompositions()`` applies the time weights.  T1, T2 and the
+    five terms each have their own row, so the master identity checks them
+    against each other.
     """
 
-    def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray):
+    def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray,
+                 flux: FluxFunction):
         ids = np.flatnonzero(mesh.interior)
         self.K = mesh.face_K[ids]
         self.L = mesh.face_L[ids]
-        self.area = mesh.face_area[ids]
-        self.normal_t = np.ascontiguousarray(mesh.face_normal[ids].T)  # (d, faces)
-        self.wK = mesh.face_dk[ids] / mesh.face_dsig[ids]
-        self.wL = mesh.face_dl[ids] / mesh.face_dsig[ids]
-        self.vol = mesh.cell_volume
-        self._cells = np.empty((2, mesh.n_cells))  # per-step scratch rows
-        self._faces = np.empty((3, ids.size))
+        area = mesh.face_area[ids]
+        normal_t = mesh.face_normal[ids].T  # (d, faces)
+        wK = mesh.face_dk[ids] / mesh.face_dsig[ids]
+        wL = mesh.face_dl[ids] / mesh.face_dsig[ids]
+        self.flux = flux
         self.dts = grid.deltas
         self.phis = phis
-        self.groups = [(idx, cols, np.zeros((grid.n_steps, 8, len(idx))))
-                       for idx, cols in _groups(phis, mesh, grid, faces=(self.K, self.L))]
         self.t1_2 = np.zeros(len(phis))
-        for idx, cols, _ in self.groups:
-            pc = cols.pairing(0)[0]
-            self.t1_2[idx] = -((self.vol * u0) @ pc) * cols.node_weight[0]
+        self.groups = []
+        for idx, cols in _groups(phis, mesh, grid, faces=(self.K, self.L)):
+            c, f = cols.cells, cols.faces
+            vol = mesh.cell_volume[c]
+            self.t1_2[idx] = -((vol * u0[c]) @ cols.pairing(0)[0]) * cols.node_weight[0]
+            geometry = (vol, area[f], wK[f], wL[f], np.ascontiguousarray(normal_t[:, f]))
+            self.groups.append((idx, cols, geometry,
+                                np.zeros((8, grid.n_steps, len(idx)))))
 
-    def step(self, n: int, u: np.ndarray, du: np.ndarray, f_sig: np.ndarray,
-             phys: np.ndarray) -> None:
-        # take() on the (d, cells) view gathers far faster than phys[K]
-        pt = phys.T
-        comb = np.einsum("df,df->f", self.wK * pt.take(self.K, axis=1)
-                         + self.wL * pt.take(self.L, axis=1), self.normal_t)
-        cells, faces = self._cells, self._faces
-        vdu = np.multiply(self.vol, du, out=cells[0])
-        np.multiply(self.vol, u, out=cells[1])
-        vol_abs = self.vol * np.abs(du)
-        np.multiply(self.area, f_sig, out=faces[0])
-        np.multiply(self.area, comb, out=faces[1])
-        np.multiply(self.area, f_sig - comb, out=faces[2])
-        face_abs = self.area * (np.abs(f_sig) + np.abs(comb))
-        for _, cols, rows in self.groups:
-            pc, dphi, jump, dphi_abs, jump_abs = cols.pairing(n)
-            r = rows[n]
-            r[2], r[1] = cells @ dphi                 # R1, T1_1
-            r[0] = r[2] if pc is dphi else vdu @ pc   # T1
-            r[3] = vol_abs @ dphi_abs                 # |R1| mass
-            r[4:7] = faces @ jump                     # T2, T2_tilde, R
-            r[7] = face_abs @ jump_abs                # |R| mass
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
+        for _, cols, (vol, area, wK, wL, normal_t), rows in self.groups:
+            Uc = U.take(cols.cells, axis=1)
+            vdu = vol * dU.take(cols.cells, axis=1)
+            vu = vol * Uc
+            vdu_abs = np.abs(vdu)
+            # the dual-weighted physical flux, one axis of f at a time
+            phys = _physical(self.flux, Uc)
+            Kc, Lc = cols.face_cells
+            comb = 0.0
+            for pd, nd in zip(phys, normal_t):
+                comb = comb + (wK * pd.take(Kc, axis=1) + wL * pd.take(Lc, axis=1)) * nd
+            Ff = F.take(cols.faces, axis=1)
+            fa = area * Ff
+            ca = area * comb
+            ra = area * (Ff - comb)
+            face_abs = area * (np.abs(Ff) + np.abs(comb))
+            for i, j in _spans(cols, len(U)):
+                pc, dphi, jump, dphi_abs, jump_abs = cols.pairing(n0 + i)
+                r = rows[:, n0 + i:n0 + j]
+                np.matmul(vdu[i:j], dphi, out=r[2])           # R1
+                np.matmul(vu[i:j], dphi, out=r[1])            # T1_1
+                if pc is dphi:
+                    r[0] = r[2]
+                else:
+                    np.matmul(vdu[i:j], pc, out=r[0])         # T1
+                np.matmul(vdu_abs[i:j], dphi_abs, out=r[3])   # |R1| mass
+                np.matmul(fa[i:j], jump, out=r[4])            # T2
+                np.matmul(ca[i:j], jump, out=r[5])            # T2_tilde
+                np.matmul(ra[i:j], jump, out=r[6])            # R
+                np.matmul(face_abs[i:j], jump_abs, out=r[7])  # |R| mass
 
     def decompositions(self) -> list[ResidualDecomposition]:
         terms = np.zeros((8, len(self.phis)))
-        for idx, cols, rows in self.groups:
+        for idx, cols, _, rows in self.groups:
             per_slab = self.dts[:, None] * cols.node_weight
-            terms[0, idx] = _weighted(cols.node_weight, rows[:, 0])
-            terms[1, idx] = -_weighted(cols.step_weight, rows[:, 1])
-            terms[2, idx] = -_weighted(cols.step_weight, rows[:, 2])
-            terms[3, idx] = _weighted(np.abs(cols.step_weight), rows[:, 3])
+            terms[0, idx] = _weighted(cols.node_weight, rows[0])
+            terms[1, idx] = -_weighted(cols.step_weight, rows[1])
+            terms[2, idx] = -_weighted(cols.step_weight, rows[2])
+            terms[3, idx] = _weighted(np.abs(cols.step_weight), rows[3])
             for k in (4, 5, 6):
-                terms[k, idx] = _weighted(per_slab, rows[:, k])
-            terms[7, idx] = _weighted(np.abs(per_slab), rows[:, 7])
+                terms[k, idx] = _weighted(per_slab, rows[k])
+            terms[7, idx] = _weighted(np.abs(per_slab), rows[7])
         t1, t11, r1, r1_abs, t2, t2t, rr, r_abs = terms
         out = []
         for i, phi in enumerate(self.phis):
@@ -347,39 +445,43 @@ class _PairingSums:
 
 
 class _GapSums:
-    """The weak gaps of a history against a set of test functions, fed one
-    step at a time: built from the datum u0 (None: the cell means u0_cells
-    stand in for it), then ``step(n, u^n, f)`` for n = 0..N-1 with f the
-    physical flux of u^n per cell, then ``gaps()``."""
+    """The weak gaps of a history against a set of test functions, fed a
+    block of steps at a time: built from the datum u0 (None: the cell means
+    u0_cells stand in for it) and the physical flux f, then ``block(n0, U,
+    dU, F)`` as ``_StepBlocks`` hands it over (only the states U are read),
+    then ``gaps()``."""
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis,
-                 u0: IntegrableFunction | None, u0_cells: np.ndarray):
+                 u0: IntegrableFunction | None, u0_cells: np.ndarray,
+                 flux: FluxFunction):
         if mesh.cell_vertices is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
         quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
-        self.groups = [(idx, cols, np.zeros((grid.n_steps, 2, len(idx))))
+        self.flux = flux
+        self.groups = [(idx, cols, np.zeros((2, grid.n_steps, len(idx))))
                        for idx, cols in _groups(phis, mesh, grid, quad=quad)]
         self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi)
                                 for phi in phis])
 
-    def step(self, n: int, u: np.ndarray, phys: np.ndarray) -> None:
-        flat = phys.reshape(-1)
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
         for _, cols, rows in self.groups:
-            change, grads = cols.gap(n)
-            rows[n, 0] = u @ change    # a-term: u^n against phi^{n+1} - phi^n
-            rows[n, 1] = flat @ grads  # b-term: f(u^n) against grad phi on the slab
+            Uc = U.take(cols.cells, axis=1)
+            phys = _physical(self.flux, Uc)
+            for i, j in _spans(cols, len(U)):
+                change, grads = cols.gap(n0 + i)
+                a_term, b_term = rows[:, n0 + i:n0 + j]
+                np.matmul(Uc[i:j], change, out=a_term)  # u^n against phi^{n+1} - phi^n
+                # f(u^n) against grad phi on the slab, one axis of f at a time
+                np.matmul(phys[0, i:j], grads[0], out=b_term)
+                for pd, gd in zip(phys[1:], grads[1:]):
+                    b_term += pd[i:j] @ gd
 
     def gaps(self) -> list[float]:
         total = self.c_term.copy()
         for idx, cols, rows in self.groups:
-            total[idx] += (_weighted(cols.step_weight, rows[:, 0])
-                           + _weighted(cols.slab_weight, rows[:, 1]))
+            total[idx] += (_weighted(cols.step_weight, rows[0])
+                           + _weighted(cols.slab_weight, rows[1]))
         return [abs(float(x)) for x in total]
-
-
-def _physical(flux: NumericalFlux, u: np.ndarray) -> np.ndarray:
-    """The physical flux f(u) per cell, shape (n_cells, d)."""
-    return np.asarray(flux.flux.value(u), dtype=float)
 
 
 def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
@@ -395,10 +497,8 @@ def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
     if flux is None:
         raise ValueError("field carries no flux; pass num_flux explicitly")
     check_support_margin(field.mesh, field.grid, phi)
-    sums = _PairingSums(field.mesh, field.grid, [phi], field.values[0])
-    n_int = sums.K.size
-    replay(field, lambda n, u, u_next, fv: sums.step(
-        n, u, u_next - u, fv[:n_int], _physical(flux, u)), flux)
+    sums = _PairingSums(field.mesh, field.grid, [phi], field.values[0], flux.flux)
+    _replay(field, [sums], sums.K.size, flux)
     return sums.decompositions()[0]
 
 
@@ -450,9 +550,9 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     if field.flux is None:
         raise ValueError("field carries no flux; weak gap needs f = flux.flux")
     check_support_margin(field.mesh, field.grid, phi)
-    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0])
-    replay(field, lambda n, u, u_next, fv: sums.step(
-        n, u, _physical(field.flux, u)))
+    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0],
+                    field.flux.flux)
+    _replay(field, [sums])
     return sums.gaps()[0]
 
 
@@ -601,9 +701,8 @@ def lw_study(family: MeshFamily, problem: Problem,
     for lvl, mesh in enumerate(meshes):
         try:
             records.append(_study_level(lvl, mesh, problem, phi_set, cfl))
-        except InvariantViolation as exc:
-            raise InvariantViolation(
-                f"family {family.name!r}, level {lvl}: {exc}") from exc
+        except (InvariantViolation, BlowUpError) as exc:
+            raise type(exc)(f"family {family.name!r}, level {lvl}: {exc}") from exc
 
     hs = np.array([rec.h for rec in records])
     slopes = {
@@ -629,18 +728,11 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
     for phi in phi_set:
         check_support_margin(mesh, grid, phi)
     seminorm = SeminormSums(mesh, grid)
-    pairing = _PairingSums(mesh, grid, phi_set, u0)
-    gap = _GapSums(mesh, grid, phi_set, problem.u0, u0)
-    n_int = stp.n_interior
-
-    def on_step(n, u, u_next, fv):
-        du = u_next - u
-        phys = _physical(problem.flux, u)  # shared by T2_tilde and the gap
-        seminorm.step(n, u, du)
-        pairing.step(n, u, du, fv[:n_int], phys)
-        gap.step(n, u, phys)
-
-    lo, hi = march(stp, grid, u0, on_step)
+    pairing = _PairingSums(mesh, grid, phi_set, u0, problem.flux.flux)
+    gap = _GapSums(mesh, grid, phi_set, problem.u0, u0, problem.flux.flux)
+    blocks = _StepBlocks(mesh.n_cells, stp.n_interior, [seminorm, pairing, gap])
+    lo, hi = march(stp, grid, u0, blocks)
+    blocks.flush()
     flux = problem.flux
     if lo < flux.u_range[0] or hi > flux.u_range[1]:
         raise InvariantViolation(

@@ -71,7 +71,10 @@ class FluxFunction:
     """A scalar conservation-law flux F(u) = g(u) b in R^d: a scalar
     ``profile`` g along a fixed ``direction`` b.
 
-    ``value`` is vectorised: u of shape (...) maps to (..., d).
+    ``value`` is vectorised: u of shape (...) maps to (..., d), a view of
+    a (d, ...) array, so that numpy's inner loop runs over the states rather
+    than over the length-d axis; ``np.moveaxis(value(u), -1, 0)`` is that
+    contiguous array.
     ``deriv_bound(lo, hi)`` is elementwise and returns a sup bound for
     |F'(u)|_2 = |g'(u)| |b| on [lo, hi].
     """
@@ -86,7 +89,8 @@ class FluxFunction:
         return self.direction.size
 
     def value(self, u):
-        return self.profile(np.asarray(u, dtype=float))[..., None] * self.direction
+        g = self.profile(np.asarray(u, dtype=float))
+        return np.moveaxis(np.multiply.outer(self.direction, g), 0, -1)
 
     def __call__(self, u):
         return self.value(u)

@@ -182,6 +182,8 @@ class Stepper:
         self.edge_area = mesh.face_area[edge_faces]
         self.edge_normal = mesh.face_normal[edge_faces]
 
+        self._scatter = np.concatenate([self.edge_K, self.edge_L, self.outflow_K])
+
         if flux.stencil == 3:
             self.edge_KK, self.edge_LL = far_neighbors(
                 mesh, self.edge_K, self.edge_L, boundary == "periodic"
@@ -205,14 +207,16 @@ class Stepper:
         the edge fluxes ``fv`` of ``u`` (computed when not given)."""
         if fv is None:
             fv = self.edge_fluxes(u)
-        div = np.zeros(self.mesh.n_cells)
-        np.add.at(div, self.edge_K, self.edge_area * fv)
-        np.add.at(div, self.edge_L, -self.edge_area * fv)
+        flow = self.edge_area * fv
+        parts = [flow, -flow]
         if self.outflow_K.size:
             phys = self.flux.flux.value(u[self.outflow_K])
             bf = np.einsum("fd,fd->f", phys, self.outflow_normal)
-            np.add.at(div, self.outflow_K, self.outflow_area * bf)
-        return div
+            parts.append(self.outflow_area * bf)
+        # bincount adds in index order: each cell sums its K edges in edge
+        # order, then its L edges, then its outflow faces
+        return np.bincount(self._scatter, weights=np.concatenate(parts),
+                           minlength=self.mesh.n_cells)
 
     def step(self, u: np.ndarray, dt: float,
              fv: np.ndarray | None = None) -> np.ndarray:

@@ -168,10 +168,14 @@ class SpacetimeSeminorm:
 
 
 class SeminormSums:
-    """The space-time translation seminorm of a history, one step at a time.
+    """The space-time translation seminorm of a history, a block of steps
+    at a time.
 
-    Feed ``step(n, u^n, u^{n+1} - u^n)`` for n = 0..N-1; ``result()`` then
-    applies the slab widths.  Memory is O(faces + N), not O(N * cells).
+    Feed ``block(n0, U, dU, F)`` with one row per step n = n0, n0 + 1, ...:
+    U the states u^n and dU = u^{n+1} - u^n (F, the face fluxes, is not
+    read), covering n = 0..N-1; ``result()`` then applies the slab widths.
+    Both parts sum over every face and every cell.  Memory is
+    O(faces + N), not O(N * cells).
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid):
@@ -184,9 +188,11 @@ class SeminormSums:
         self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
         self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
 
-    def step(self, n: int, u: np.ndarray, du: np.ndarray) -> None:
-        self.space[n] = np.dot(self.dsig, np.abs(u[self.K] - u[self.L]))
-        self.time[n] = np.dot(self.vol, np.abs(du))
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
+        rows = slice(n0, n0 + len(U))
+        jumps = np.abs(U.take(self.K, axis=1) - U.take(self.L, axis=1))
+        np.matmul(jumps, self.dsig, out=self.space[rows])
+        np.matmul(np.abs(dU), self.vol, out=self.time[rows])
 
     def result(self) -> SpacetimeSeminorm:
         # the jump after step n separates slabs n and n + 1; the one after
@@ -210,16 +216,22 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
 
     Both sums use only slabs inside (0, T); the time sum compares adjacent
     slab means, which in scheme indexing are the states before and after
-    step n.  The stored history is fed through ``SeminormSums``.
+    step n.  The stored history is fed through ``SeminormSums`` in the
+    blocks that ``consistency.lw_study`` uses, so both give the same bits.
     """
+    # consistency imports this module, so its block buffer is imported here
+    from .consistency import _StepBlocks
+
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1, mesh.n_cells):
         raise ValueError(
             f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
         )
     sums = SeminormSums(mesh, grid)
+    blocks = _StepBlocks(mesh.n_cells, 0, [sums])
     for n in range(grid.n_steps):
-        sums.step(n, vals[n], vals[n + 1] - vals[n])
+        blocks(n, vals[n], vals[n + 1], None)
+    blocks.flush()
     return sums.result()
 
 

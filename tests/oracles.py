@@ -206,3 +206,38 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
                     terms[name][0] += term
                     terms[name][1] += abs(term)
     return [{name: tuple(v) for name, v in terms.items()} for terms in out]
+
+
+def brute_volume_pairing_terms(mesh, values, phis, nodes):
+    """T1, T1_1, T1_2 and R1 of a stored history against each test function,
+    as one {name: (value, mass)} per phi, with the |R1| mass under "r1_abs".
+
+    Straight from the formulas of the decomposition, one cell and one time
+    slab at a time:
+
+        T1   =  sum_n sum_K |K| (u^{n+1}_K - u^n_K) phi^n_K
+        T1_1 = -sum_n sum_K |K| u^n_K (phi^{n+1}_K - phi^n_K)
+        T1_2 = -sum_K |K| u^0_K phi^0_K
+        R1   = -sum_n sum_K |K| (u^{n+1}_K - u^n_K)(phi^{n+1}_K - phi^n_K)
+
+    with phi^n_K phi at the anchor of K at time t_n.  ``mass`` is the sum of
+    the magnitudes of the summands, the scale of the rounding.
+    """
+    names = ("t1", "t1_1", "t1_2", "r1")
+    out = [{name: [0.0, 0.0] for name in names} for _ in phis]
+    for terms, phi in zip(out, phis):
+        at = [phi.value(mesh.cell_center, float(t)) for t in nodes]
+        for K in range(mesh.n_cells):
+            vol = float(mesh.cell_volume[K])
+            summands = [("t1_2", -vol * float(values[0][K]) * float(at[0][K]))]
+            for n in range(len(nodes) - 1):
+                du = float(values[n + 1][K]) - float(values[n][K])
+                dphi = float(at[n + 1][K]) - float(at[n][K])
+                summands += [("t1", vol * du * float(at[n][K])),
+                             ("t1_1", -vol * float(values[n][K]) * dphi),
+                             ("r1", -vol * du * dphi)]
+            for name, term in summands:
+                terms[name][0] += term
+                terms[name][1] += abs(term)
+    return [{**{name: tuple(v) for name, v in terms.items()},
+             "r1_abs": (terms["r1"][1], terms["r1"][1])} for terms in out]

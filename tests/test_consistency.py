@@ -25,6 +25,7 @@ from lwfv import (
     uniform_1d_family,
     upwind_linear,
 )
+from lwfv import consistency
 from lwfv.consistency import (
     check_support_margin,
     effective_c_phi,
@@ -33,14 +34,20 @@ from lwfv.consistency import (
     scheme_pairing,
     weak_gap,
 )
-from lwfv.flux import burgers, muscl_three_point, rusanov
+from lwfv.flux import (
+    NumericalFlux,
+    burgers,
+    linear_advection,
+    muscl_three_point,
+    rusanov,
+)
 from lwfv.mesh import compute_quality, perturbed_triangular_2d_family
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
-from lwfv.solver import SpaceTimeField, plan
+from lwfv.solver import BlowUpError, SpaceTimeField, plan
 from lwfv.translations import spacetime_translation_seminorm
 from lwfv.reports import fit_decay_slope
 
-from oracles import brute_flux_pairing_terms
+from oracles import brute_flux_pairing_terms, brute_volume_pairing_terms
 
 
 def _bump_datum():
@@ -442,3 +449,63 @@ def test_flux_pairing_terms_match_scalar_oracle(case):
             for name, (value, mass) in want.items():
                 assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
                     (rec.level, phi.name, name, getattr(dec, name), value)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_volume_pairing_terms_match_scalar_oracle(case):
+    # step counts that are no multiple of the block size, so the last block
+    # of every level is a partial one
+    family, problem = ORACLE_CASES[case]()
+    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
+    rep = lw_study(family, problem, phis, levels=2, cfl=0.45)
+    for rec in rep.levels:
+        field = solve(family.build(rec.level), problem, cfl=0.45)
+        steps = field.grid.n_steps
+        assert steps > consistency.BLOCK_STEPS and steps % consistency.BLOCK_STEPS
+        oracle = brute_volume_pairing_terms(field.mesh, field.values, phis,
+                                            field.grid.nodes)
+        for phi, dec, want in zip(phis, rec.decompositions, oracle):
+            for name, (value, mass) in want.items():
+                assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
+                    (rec.level, phi.name, name, getattr(dec, name), value)
+
+
+@pytest.mark.parametrize("block_steps", [1, 7])
+def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
+    family, problem, cfl = STREAM_CASES["1d-periodic-rusanov"]()
+    sep = bump_corpus_spacetime(1, problem.t_final)
+    # a non-separable copy takes the step-by-step path inside each block
+    phis = sep + [dataclasses.replace(sep[3], separable=None, name="generic")]
+    ref = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    monkeypatch.setattr(consistency, "BLOCK_STEPS", block_steps)
+    got = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    for a, b in zip(ref.levels, got.levels):
+        for part in ("space_part", "time_part"):
+            assert getattr(b.seminorms, part) == pytest.approx(
+                getattr(a.seminorms, part), rel=1e-12)
+        for da, db, ra, rb in zip(a.decompositions, b.decompositions, a.rows, b.rows):
+            for t in TERMS:
+                assert abs(getattr(db, t) - getattr(da, t)) <= 1e-12 * da.scale, \
+                    (a.level, da.phi_id, t)
+            assert rb.weak_gap == pytest.approx(ra.weak_gap, rel=1e-12)
+
+
+def test_lw_study_names_family_and_level_of_a_blow_up():
+    # a consistent central flux with negative dissipation grows every mode
+    # until the guard of march fires
+    def antidiff(uK, uL, n, uKK=None, uLL=None):
+        uK = np.asarray(uK, float)
+        uL = np.asarray(uL, float)
+        return 0.5 * (uK + uL) * np.asarray(n, float)[..., 0] + 25.0 * (uL - uK)
+
+    bad = NumericalFlux(
+        name="antidiffusive", flux=linear_advection([1.0]), stencil=2,
+        c_f=100.0, evaluate=antidiff,
+        wave_speed=lambda a, b, n: np.abs(np.asarray(n, float)[..., 0]),
+    )
+    problem = Problem(flux=bad, u0=_bump_datum(), t_final=5.0)
+    with pytest.raises(BlowUpError, match="escaped the guard") as exc:
+        lw_study(uniform_1d_family(10), problem, bump_corpus_spacetime(1, 5.0),
+                 levels=2, cfl=0.9)
+    msg = str(exc.value)
+    assert "uniform_1d(n0=10)" in msg and "level 0" in msg and "step" in msg

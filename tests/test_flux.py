@@ -86,6 +86,18 @@ def test_monotone_declared_by_the_two_point_fluxes():
     assert not muscl_three_point([1.0]).monotone
 
 
+@pytest.mark.parametrize("F", [burgers((1.0,)), burgers((0.6, 0.8)),
+                               linear_advection([1.0, 0.5])],
+                         ids=["burgers-1d", "burgers-2d", "advection-2d"])
+@pytest.mark.parametrize("shape", [(9,), (5, 7)], ids=["cells", "steps-cells"])
+def test_flux_value_is_profile_times_direction_bit_for_bit(F, shape):
+    u = np.random.default_rng(0).uniform(-2.0, 2.0, shape)
+    got = F.value(u)
+    want = F.profile(u)[..., None] * F.direction
+    assert got.shape == shape + (F.dim,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_upwind_picks_donor_side():
     fl = upwind_linear([1.0])
     n = np.array([[1.0]])
