@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .flux import FluxFunction, NumericalFlux, check_hypothesis_iii
+from .flux import FluxFunction, check_hypothesis_iii
 from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
-from .solver import BlowUpError, Problem, SpaceTimeField, march, plan, replay
+from .solver import BlowUpError, Problem, SpaceTimeField, march, plan
 from .translations import (
     GAUSS_ORDER,
     IntegrableFunction,
@@ -47,11 +47,6 @@ from .translations import (
     _cell_integrals,
 )
 
-# not called here; kept importable from this module, where callers look
-# them up
-from .solver import solve  # noqa: F401
-from .translations import spacetime_translation_seminorm  # noqa: F401
-
 __all__ = [
     "ResidualDecomposition",
     "EnvelopeReport",
@@ -59,7 +54,6 @@ __all__ = [
     "LevelRecord",
     "ConsistencyReport",
     "check_support_margin",
-    "scheme_pairing",
     "weak_gap",
     "residual_envelope_check",
     "effective_c_phi",
@@ -315,8 +309,7 @@ class _StepBlocks:
         i = self.count
         self.U[i] = u
         np.subtract(u_next, u, out=self.dU[i])
-        if fv is not None:
-            self.F[i] = fv[:self.F.shape[1]]
+        self.F[i] = fv[:self.F.shape[1]]
         self.count = i + 1
         if self.count == len(self.U):
             self.flush()
@@ -328,15 +321,6 @@ class _StepBlocks:
                 sums.block(self.n0, self.U[:size], self.dU[:size], self.F[:size])
         self.n0 += size
         self.count = 0
-
-
-def _replay(field: SpaceTimeField, sums, n_interior: int = 0,
-            flux: NumericalFlux | None = None) -> None:
-    """Feed a stored history to ``sums`` in the blocks ``lw_study`` uses;
-    ``flux`` recomputes the face fluxes (see ``solver.replay``)."""
-    blocks = _StepBlocks(field.mesh.n_cells, n_interior, sums)
-    replay(field, blocks, flux)
-    blocks.flush()
 
 
 def _physical(flux: FluxFunction, U: np.ndarray) -> np.ndarray:
@@ -448,8 +432,9 @@ class _GapSums:
     """The weak gaps of a history against a set of test functions, fed a
     block of steps at a time: built from the datum u0 (None: the cell means
     u0_cells stand in for it) and the physical flux f, then ``block(n0, U,
-    dU, F)`` as ``_StepBlocks`` hands it over (only the states U are read),
-    then ``gaps()``."""
+    dU, F)`` as ``_StepBlocks`` hands it over (only the states U are read,
+    so ``weak_gap`` passes rows of a stored history and no dU or F), then
+    ``gaps()``."""
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis,
                  u0: IntegrableFunction | None, u0_cells: np.ndarray,
@@ -482,24 +467,6 @@ class _GapSums:
             total[idx] += (_weighted(cols.step_weight, rows[0])
                            + _weighted(cols.slab_weight, rows[1]))
         return [abs(float(x)) for x in total]
-
-
-def scheme_pairing(field: SpaceTimeField, phi: SmoothTestFunction,
-                   num_flux: NumericalFlux | None = None) -> ResidualDecomposition:
-    """Full residual decomposition of one history against one test function.
-
-    The numerical flux defaults to the one stored on the field by the
-    solver; it must be the flux the history was actually produced with,
-    otherwise T1 + T2 = 0 fails and the master identity check fires.  The
-    face fluxes are recomputed from it on the stored states.
-    """
-    flux = num_flux if num_flux is not None else field.flux
-    if flux is None:
-        raise ValueError("field carries no flux; pass num_flux explicitly")
-    check_support_margin(field.mesh, field.grid, phi)
-    sums = _PairingSums(field.mesh, field.grid, [phi], field.values[0], flux.flux)
-    _replay(field, [sums], sums.K.size, flux)
-    return sums.decompositions()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +512,18 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     with the piecewise-constant embedding u = u^n on (t_n, t_{n+1}].  The
     time integral of the d_t phi term telescopes exactly; space uses
     per-cell Gauss quadrature with GAUSS_ORDER points per axis.  This must
-    vanish under refinement whenever the histories converge in L1.
+    vanish under refinement whenever the histories converge in L1.  The
+    stored states go to the same sums as in ``lw_study``, in the same
+    blocks of steps, so both give the same bits.
     """
     if field.flux is None:
         raise ValueError("field carries no flux; weak gap needs f = flux.flux")
     check_support_margin(field.mesh, field.grid, phi)
     sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0],
                     field.flux.flux)
-    _replay(field, [sums])
+    states = field.values[:-1]
+    for n0 in range(0, len(states), BLOCK_STEPS):
+        sums.block(n0, states[n0:n0 + BLOCK_STEPS], None, None)
     return sums.gaps()[0]
 
 
@@ -571,19 +542,12 @@ class EnvelopeReport:
     c_f: float
     c_phi: float
     stencil_factor: float
-    r1_ok: bool
-    r_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.r1_ok and self.r_ok
 
 
 def residual_envelope_check(decomp: ResidualDecomposition,
                             seminorms: SpacetimeSeminorm,
                             c_f: float, c_phi: float,
-                            stencil_factor: float = 1.0,
-                            raise_on_breach: bool = True) -> EnvelopeReport:
+                            stencil_factor: float = 1.0) -> EnvelopeReport:
     """Assert the two a-priori residual bounds
 
         |R1| <= c_phi * time part,   |R| <= c_f * c_phi * space part,
@@ -593,18 +557,14 @@ def residual_envelope_check(decomp: ResidualDecomposition,
     states, have envelopes that are themselves noise).  Fluxes with stencils
     wider than two points control their face residual by neighbour jumps as
     well, hence the stencil_factor on the R bound (1 for two-point fluxes).
+    A breach raises InvariantViolation.
     """
     slack = 1.0 + ENVELOPE_SLACK
     r1_bound = c_phi * seminorms.time_part
     r_bound = c_f * c_phi * stencil_factor * seminorms.space_part
     r1_ok = abs(decomp.r1) <= r1_bound * slack + ENVELOPE_FLOOR * decomp.r1_abs
     r_ok = abs(decomp.r) <= r_bound * slack + ENVELOPE_FLOOR * decomp.r_abs
-    report = EnvelopeReport(
-        phi_id=decomp.phi_id, r1_value=abs(decomp.r1), r1_bound=r1_bound,
-        r_value=abs(decomp.r), r_bound=r_bound, c_f=c_f, c_phi=c_phi,
-        stencil_factor=stencil_factor, r1_ok=r1_ok, r_ok=r_ok,
-    )
-    if raise_on_breach and not report.ok:
+    if not (r1_ok and r_ok):
         parts = []
         if not r1_ok:
             parts.append(f"|R1|={abs(decomp.r1):.6e} > {r1_bound:.6e}")
@@ -615,7 +575,11 @@ def residual_envelope_check(decomp: ResidualDecomposition,
             + "; ".join(parts)
             + f" (c_f={c_f:.6g}, c_phi={c_phi:.6g})"
         )
-    return report
+    return EnvelopeReport(
+        phi_id=decomp.phi_id, r1_value=abs(decomp.r1), r1_bound=r1_bound,
+        r_value=abs(decomp.r), r_bound=r_bound, c_f=c_f, c_phi=c_phi,
+        stencil_factor=stencil_factor,
+    )
 
 
 # ---------------------------------------------------------------------------

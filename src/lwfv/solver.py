@@ -33,7 +33,6 @@ __all__ = [
     "select_dt",
     "plan",
     "march",
-    "replay",
     "solve",
     "write_history",
     "read_history",
@@ -229,12 +228,12 @@ class Stepper:
 
 
 def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
-              t_final: float | None = None) -> float:
+              t_final: float) -> float:
     """CFL time step: cfl * min_K |K| / sum_{faces of K} |sigma| lambda_sigma.
 
     lambda_sigma is the flux's wave-speed bound between the adjacent states
-    (the inside state alone on boundary faces).  If nothing moves anywhere
-    the step is capped at t_final / N_MIN_STEPS (raises without t_final).
+    (the inside state alone on boundary faces).  The step is capped at
+    t_final / N_MIN_STEPS, which is also the step when nothing moves.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -248,13 +247,9 @@ def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
               (mesh.face_area * lam)[mesh.interior])
     moving = per_cell > 0
     if not np.any(moving):
-        if t_final is None:
-            raise ValueError("zero wave speed everywhere and no horizon given")
         return t_final / N_MIN_STEPS
     dt = cfl * float(np.min(mesh.cell_volume[moving] / per_cell[moving]))
-    if t_final is not None:
-        dt = min(dt, t_final / N_MIN_STEPS)
-    return dt
+    return min(dt, t_final / N_MIN_STEPS)
 
 
 def plan(mesh: Mesh, problem: Problem,
@@ -317,21 +312,6 @@ def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
         on_step(n, u, u_next, fv)
         u = u_next
     return lo, hi
-
-
-def replay(field: SpaceTimeField, on_step: Callable,
-           flux: NumericalFlux | None = None) -> None:
-    """Feed a stored history to ``on_step`` as ``march`` would have.
-
-    The edge fluxes are recomputed from ``flux`` on the stored states (None
-    is passed when no flux is given), so a flux other than the one that
-    produced the history shows up in whatever ``on_step`` checks.
-    """
-    stp = None if flux is None else Stepper(field.mesh, flux, field.boundary)
-    vals = field.values
-    for n in range(field.grid.n_steps):
-        fv = None if stp is None else stp.edge_fluxes(vals[n])
-        on_step(n, vals[n], vals[n + 1], fv)
 
 
 def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:

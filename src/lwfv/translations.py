@@ -28,7 +28,6 @@ __all__ = [
     "translation_seminorm",
     "SpacetimeSeminorm",
     "SeminormSums",
-    "spacetime_translation_seminorm",
     "translation_decay_study",
     "DecayRow",
     "uniform_decay_study",
@@ -171,6 +170,12 @@ class SeminormSums:
     """The space-time translation seminorm of a history, a block of steps
     at a time.
 
+    The sums follow the slab-mean convention for the piecewise-constant
+    embedding u(., t) = u^n on (t_n, t_{n+1}], with dt_n = t_{n+1} - t_n:
+
+        space part = sum_{n=0}^{N-1} dt_n sum_sigma |D_sigma| |u^n_K - u^n_L|
+        time part  = sum_{n=1}^{N-1} dt_n sum_K |K| |u^n_K - u^{n-1}_K|
+
     Feed ``block(n0, U, dU, F)`` with one row per step n = n0, n0 + 1, ...:
     U the states u^n and dU = u^{n+1} - u^n (F, the face fluxes, is not
     read), covering n = 0..N-1; ``result()`` then applies the slab widths.
@@ -201,38 +206,6 @@ class SeminormSums:
             space_part=float(np.dot(self.dts, self.space)),
             time_part=float(np.dot(self.dts[1:], self.time[:-1])),
         )
-
-
-def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
-                                   values: np.ndarray) -> SpacetimeSeminorm:
-    """Space and time jump sums of a scheme history ``values`` (N+1, n_cells).
-
-    The sums follow the slab-mean convention for the piecewise-constant
-    embedding u(., t) = u^n on (t_n, t_{n+1}]: the mean of u over slab n is
-    the scheme value u^n, so with dt_n = t_{n+1} - t_n,
-
-        space part = sum_{n=0}^{N-1} dt_n sum_sigma |D_sigma| |u^n_K - u^n_L|
-        time part  = sum_{n=1}^{N-1} dt_n sum_K |K| |u^n_K - u^{n-1}_K|
-
-    Both sums use only slabs inside (0, T); the time sum compares adjacent
-    slab means, which in scheme indexing are the states before and after
-    step n.  The stored history is fed through ``SeminormSums`` in the
-    blocks that ``consistency.lw_study`` uses, so both give the same bits.
-    """
-    # consistency imports this module, so its block buffer is imported here
-    from .consistency import _StepBlocks
-
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n_steps + 1, mesh.n_cells):
-        raise ValueError(
-            f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
-        )
-    sums = SeminormSums(mesh, grid)
-    blocks = _StepBlocks(mesh.n_cells, 0, [sums])
-    for n in range(grid.n_steps):
-        blocks(n, vals[n], vals[n + 1], None)
-    blocks.flush()
-    return sums.result()
 
 
 # ---------------------------------------------------------------------------

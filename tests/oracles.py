@@ -161,7 +161,7 @@ def cell_edges_1d(mesh):
 
 def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
     """T2, T2_tilde and R of a stored history against each test function,
-    as one {name: (value, mass)} per phi.
+    as one {name: (value, mass)} per phi, with the |R| mass under "r_abs".
 
     Straight from the formulas of the decomposition, one interior face and
     one time slab at a time:
@@ -171,14 +171,21 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
                    (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|
         R        = sum_n dt_n sum_s |s| (phi^n_K - phi^n_L)
                    [F_s - (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|]
+        |R| mass = sum_n |dt_n| sum_s |s| |phi^n_K - phi^n_L|
+                   (|F_s| + |(|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n| / |D_s|)
 
-    with u = u^n, F_s the two-point numerical flux of the face evaluated
-    alone, and phi^n_K phi at the anchor of K at time t_n.  ``mass`` is the
-    sum of the magnitudes of the summands, the scale of the rounding.
+    with u = u^n, F_s the numerical flux of the face evaluated alone, and
+    phi^n_K phi at the anchor of K at time t_n.  A three-point flux (1d
+    only) also gets the far cells KK behind K and LL behind L, the next
+    cells in sorted order with a periodic wrap.  ``mass`` is the sum of the
+    magnitudes of the summands, the scale of the rounding.
     """
-    assert num_flux.stencil == 2
-    out = [{"t2": [0.0, 0.0], "t2_tilde": [0.0, 0.0], "r": [0.0, 0.0]}
-           for _ in phis]
+    assert num_flux.stencil in (2, 3)
+    if num_flux.stencil == 3:
+        order = [int(c) for c in sorted_cell_order(mesh)]
+        pos = {c: i for i, c in enumerate(order)}
+    out = [{"t2": [0.0, 0.0], "t2_tilde": [0.0, 0.0], "r": [0.0, 0.0],
+            "r_abs": [0.0, 0.0]} for _ in phis]
     for n in range(len(deltas)):
         phi_n = [phi.value(mesh.cell_center, float(nodes[n])) for phi in phis]
         u = values[n]
@@ -187,8 +194,14 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
             if L < 0:
                 continue
             normal = mesh.face_normal[f]
+            far = {}
+            if num_flux.stencil == 3:
+                step = pos[L] - pos[K]  # +1 or -1: interior faces never wrap
+                KK = order[(pos[K] - step) % len(order)]
+                LL = order[(pos[L] + step) % len(order)]
+                far = {"uKK": np.array([u[KK]]), "uLL": np.array([u[LL]])}
             flux = float(num_flux.evaluate(np.array([u[K]]), np.array([u[L]]),
-                                           normal[None, :])[0])
+                                           normal[None, :], **far)[0])
             fK = num_flux.flux.value(np.array([u[K]]))[0]
             fL = num_flux.flux.value(np.array([u[L]]))[0]
             convex = 0.0
@@ -202,7 +215,8 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
                     * (float(phi_vals[K]) - float(phi_vals[L]))
                 for name, term in (("t2", weight * flux),
                                    ("t2_tilde", weight * convex),
-                                   ("r", weight * (flux - convex))):
+                                   ("r", weight * (flux - convex)),
+                                   ("r_abs", abs(weight) * (abs(flux) + abs(convex)))):
                     terms[name][0] += term
                     terms[name][1] += abs(term)
     return [{name: tuple(v) for name, v in terms.items()} for terms in out]

@@ -4,11 +4,14 @@ The constant-state gap values are pure quadrature residue (the flux term
 integrates a gradient over the whole domain); they were produced once and
 frozen, and must reproduce bit-for-bit on reruns of the same build.
 
-``lw_study`` streams each level in one pass over time; the stored-history
-drivers (``scheme_pairing``, ``weak_gap``, ``spacetime_translation_seminorm``
-on a ``solve`` result) are its references.
+``lw_study`` streams each level in one pass over time, and it is the only
+path from a run to the five terms and the seminorm.  Its references are the
+scalar-loop oracles of ``oracles.py`` on the history ``solve`` stores, the
+slow per-step path of test functions without a separable form, and, for
+the weak gap, ``weak_gap``, the one entry point for a stored history.
 """
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -31,7 +34,6 @@ from lwfv.consistency import (
     effective_c_phi,
     lw_study,
     residual_envelope_check,
-    scheme_pairing,
     weak_gap,
 )
 from lwfv.flux import (
@@ -44,10 +46,13 @@ from lwfv.flux import (
 from lwfv.mesh import compute_quality, perturbed_triangular_2d_family
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
 from lwfv.solver import BlowUpError, SpaceTimeField, plan
-from lwfv.translations import spacetime_translation_seminorm
 from lwfv.reports import fit_decay_slope
 
-from oracles import brute_flux_pairing_terms, brute_volume_pairing_terms
+from oracles import (
+    brute_flux_pairing_terms,
+    brute_spacetime_seminorm,
+    brute_volume_pairing_terms,
+)
 
 
 def _bump_datum():
@@ -61,12 +66,22 @@ def _const_datum(c=0.7):
                            name="const")
 
 
+def _advection():
+    return Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
+
+
 @pytest.fixture(scope="module")
 def advection_run():
     m = uniform_1d_family(10).build(1)
-    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_bump_datum(),
-                         t_final=0.5), cfl=0.5)
-    return m, f
+    return m, solve(m, _advection(), cfl=0.5)
+
+
+@pytest.fixture(scope="module")
+def advection_record():
+    """Level 1 of the study on the mesh and run of ``advection_run``."""
+    rep = lw_study(uniform_1d_family(10), _advection(),
+                   bump_corpus_spacetime(1, 0.5), levels=2, cfl=0.5)
+    return rep.levels[1]
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +91,12 @@ def advection_run():
 
 def test_master_identity_on_mixed_runs():
     phis = bump_corpus_spacetime(1, 0.5)
-    runs = []
-    for lvl in (0, 1):
-        m = uniform_1d_family(10).build(lvl)
-        runs.append(solve(m, Problem(flux=upwind_linear([1.0]),
-                                     u0=_bump_datum(), t_final=0.5), cfl=0.5))
-        runs.append(solve(m, Problem(flux=rusanov(burgers((1.0,))),
-                                     u0=_bump_datum(), t_final=0.5), cfl=0.45))
+    burgers_run = Problem(flux=rusanov(burgers((1.0,))), u0=_bump_datum(),
+                          t_final=0.5)
     checked = 0
-    for f in runs:
-        for phi in phis:
-            d = scheme_pairing(f, phi)
+    for problem, cfl in ((_advection(), 0.5), (burgers_run, 0.45)):
+        rep = lw_study(uniform_1d_family(10), problem, phis, levels=2, cfl=cfl)
+        for d in (d for rec in rep.levels for d in rec.decompositions):
             assert abs(d.master_residual) <= 1e-10
             # the telescoping splits behind the master sum
             assert d.t1 == pytest.approx(d.t1_1 + d.t1_2 + d.r1,
@@ -101,15 +111,15 @@ def test_zero_test_function_gives_zero_terms(advection_run):
     m, f = advection_run
     zero = polynomial_bump([0.5], [0.25], k=3, amplitude=0.0,
                            time_profile="decay", t_cut=0.35)
-    d = scheme_pairing(f, zero)
+    rec = lw_study(uniform_1d_family(10), _advection(), [zero], levels=2,
+                   cfl=0.5).levels[1]
+    d = rec.decompositions[0]
     assert (d.t1_1, d.t1_2, d.r1, d.t2_tilde, d.r) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert weak_gap(f, zero, u0=_bump_datum()) == 0.0
 
 
-def test_decomposition_abs_masses_dominate_terms(advection_run):
-    m, f = advection_run
-    phi = bump_corpus_spacetime(1, 0.5)[0]
-    d = scheme_pairing(f, phi)
+def test_decomposition_abs_masses_dominate_terms(advection_record):
+    d = advection_record.decompositions[0]
     assert d.r1_abs >= abs(d.r1)
     assert d.r_abs >= abs(d.r)
 
@@ -177,31 +187,27 @@ def test_separable_and_generic_paths_agree(advection_run):
 # ---------------------------------------------------------------------------
 
 
-def test_envelopes_hold_with_effective_constant(advection_run):
+def test_envelopes_hold_with_effective_constant(advection_run, advection_record):
     m, f = advection_run
     q = compute_quality(m)
-    sn = spacetime_translation_seminorm(m, f.grid, f.values)
-    for phi in bump_corpus_spacetime(1, 0.5):
-        d = scheme_pairing(f, phi)
+    sn = advection_record.seminorms
+    for phi, d in zip(bump_corpus_spacetime(1, 0.5),
+                      advection_record.decompositions):
         rep = residual_envelope_check(
             d, sn, c_f=f.flux.c_f, c_phi=effective_c_phi(phi, q),
             stencil_factor=2.0,
         )
-        assert rep.ok and rep.r1_ok and rep.r_ok
         assert abs(d.r1) <= rep.r1_bound * (1.0 + 1e-9) + 1e-12 * d.r1_abs
         assert abs(d.r) <= rep.r_bound * (1.0 + 1e-9) + 1e-12 * d.r_abs
 
 
-def test_envelope_breach_detected(advection_run):
+def test_envelope_breach_detected(advection_run, advection_record):
     m, f = advection_run
     q = compute_quality(m)
-    sn = spacetime_translation_seminorm(m, f.grid, f.values)
+    sn = advection_record.seminorms
     phi = bump_corpus_spacetime(1, 0.5)[0]
-    d = scheme_pairing(f, phi)
+    d = advection_record.decompositions[0]
     tiny = 1e-3 * effective_c_phi(phi, q)
-    rep = residual_envelope_check(d, sn, c_f=f.flux.c_f, c_phi=tiny,
-                                  stencil_factor=2.0, raise_on_breach=False)
-    assert not rep.ok
     with pytest.raises(InvariantViolation):
         residual_envelope_check(d, sn, c_f=f.flux.c_f, c_phi=tiny,
                                 stencil_factor=2.0)
@@ -324,7 +330,7 @@ def test_lw_study_errors_name_family_level_and_phi():
 
 
 # ---------------------------------------------------------------------------
-# the streamed study against the stored-history drivers
+# the streamed study against the scalar oracles
 # ---------------------------------------------------------------------------
 
 
@@ -335,7 +341,16 @@ def _sine_2d():
         lipschitz=0.5 * np.pi * np.sqrt(2.0), name="sine-2d")
 
 
-STREAM_CASES = {
+ORACLE_CASES = {
+    "nonuniform-1d": lambda: (
+        nonuniform_1d_family(10, ratio=2.0),
+        Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
+                t_final=0.5),
+        0.45),
+    "triangulated-2d": lambda: (
+        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
+        Problem(flux=rusanov(burgers((0.6, 0.8))), u0=_sine_2d(), t_final=0.4),
+        0.45),
     "1d-periodic-rusanov": lambda: (
         uniform_1d_family(16),
         Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
@@ -346,53 +361,96 @@ STREAM_CASES = {
         Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5,
                 boundary="outflow"),
         0.5),
-    "2d-triangulated-rusanov": lambda: (
-        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
-        Problem(flux=rusanov(burgers((0.6, 0.8))), u0=_sine_2d(), t_final=0.4),
-        0.45),
     "1d-three-point-muscl": lambda: (
         uniform_1d_family(10),
         Problem(flux=muscl_three_point([1.0]), u0=_bump_datum(), t_final=0.5),
         0.5),
 }
+# families with faces where |D_K,s| != |D_L,s|, so a dual weighting that
+# drops or swaps the two sides changes T2_tilde and R
+UNEVEN_DUAL_CASES = ("nonuniform-1d", "triangulated-2d")
 TERMS = ("t1_1", "t1_2", "r1", "t2_tilde", "r", "t1", "t2", "r1_abs", "r_abs")
 
 
-def _check_against_drivers(rep, family, problem, phis, cfl):
-    """The streamed numbers against the stored-history drivers on the same
-    solve.  The study multiplies all test functions at once and a driver
-    one, so BLAS may round the two differently; a gap is the cancellation
-    |a + b + c|, so its relative rounding is larger than that of a term."""
-    for rec in rep.levels:
-        field = solve(family.build(rec.level), problem, cfl=cfl)
-        assert rec.seminorms == spacetime_translation_seminorm(
-            field.mesh, field.grid, field.values)
-        for phi, dec, row in zip(phis, rec.decompositions, rec.rows):
-            ref = scheme_pairing(field, phi)
-            for t in TERMS:
-                assert getattr(dec, t) == pytest.approx(getattr(ref, t), rel=1e-12), \
-                    (rec.level, phi.name, t)
-            assert row.weak_gap == pytest.approx(
-                weak_gap(field, phi, u0=problem.u0), rel=1e-10)
-
-
-@pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_streamed_terms_match_stored_history_drivers(case):
-    family, problem, cfl = STREAM_CASES[case]()
+@functools.cache
+def _oracle_run(case):
+    """The study of an oracle case and the stored history of each level."""
+    family, problem, cfl = ORACLE_CASES[case]()
     phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
     rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
-    _check_against_drivers(rep, family, problem, phis, cfl)
+    fields = [solve(family.build(rec.level), problem, cfl=cfl)
+              for rec in rep.levels]
+    return problem, phis, rep, fields
+
+
+def _flux_oracle(field, phis):
+    return brute_flux_pairing_terms(field.mesh, field.grid.deltas, field.values,
+                                    field.flux, phis, field.grid.nodes)
+
+
+def _volume_oracle(field, phis):
+    return brute_volume_pairing_terms(field.mesh, field.values, phis,
+                                      field.grid.nodes)
+
+
+def _assert_terms_match(rec, oracle):
+    """Every oracle term of every decomposition, within 1e-12 of the sum of
+    the magnitudes of its summands."""
+    for dec, want in zip(rec.decompositions, oracle):
+        for name, (value, mass) in want.items():
+            assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
+                (rec.level, dec.phi_id, name, getattr(dec, name), value)
+
+
+def _assert_gaps_match(rec, field, phis, u0):
+    """The streamed gaps against ``weak_gap`` on the stored history.  A gap
+    is the cancellation |a + b + c|, so its relative rounding is larger than
+    that of a term."""
+    for phi, row in zip(phis, rec.rows):
+        assert row.weak_gap == pytest.approx(weak_gap(field, phi, u0=u0),
+                                             rel=1e-10), (rec.level, phi.name)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_flux_pairing_terms_match_scalar_oracle(case):
+    problem, phis, rep, fields = _oracle_run(case)
+    for rec, field in zip(rep.levels, fields):
+        if case in UNEVEN_DUAL_CASES:
+            inner = field.mesh.interior
+            assert np.any(field.mesh.face_dk[inner] != field.mesh.face_dl[inner])
+        _assert_terms_match(rec, _flux_oracle(field, phis))
+        _assert_gaps_match(rec, field, phis, problem.u0)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_volume_pairing_terms_match_scalar_oracle(case):
+    # step counts that are no multiple of the block size, so the last block
+    # of every level is a partial one
+    problem, phis, rep, fields = _oracle_run(case)
+    for rec, field in zip(rep.levels, fields):
+        steps = field.grid.n_steps
+        assert steps > consistency.BLOCK_STEPS and steps % consistency.BLOCK_STEPS
+        _assert_terms_match(rec, _volume_oracle(field, phis))
+        space, time = brute_spacetime_seminorm(field.mesh, field.grid.deltas,
+                                               field.values)
+        assert rec.seminorms.space_part == pytest.approx(space, rel=1e-12)
+        assert rec.seminorms.time_part == pytest.approx(time, rel=1e-12)
 
 
 def test_streamed_generic_phi_matches_separable_and_drivers():
-    family, problem, cfl = STREAM_CASES["1d-periodic-rusanov"]()
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
     sep = bump_corpus_spacetime(1, 0.5)
     generic = [dataclasses.replace(p, separable=None, name=p.name + "-generic")
                for p in sep]
     phis = [sep[0], generic[0], sep[3], generic[3]]  # both paths in one set
     rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
-    _check_against_drivers(rep, family, problem, phis, cfl)
     for rec in rep.levels:
+        field = solve(family.build(rec.level), problem, cfl=cfl)
+        oracle = [{**f, **v} for f, v in zip(_flux_oracle(field, phis),
+                                             _volume_oracle(field, phis))]
+        assert all(sorted(o) == sorted(TERMS) for o in oracle)
+        _assert_terms_match(rec, oracle)
+        _assert_gaps_match(rec, field, phis, problem.u0)
         by_name = {d.phi_id: d for d in rec.decompositions}
         gaps = {r.phi_id: r.weak_gap for r in rec.rows}
         for p in (sep[0], sep[3]):
@@ -420,59 +478,9 @@ def test_lw_study_level_allocates_less_than_its_history():
     assert peak < history_bytes, (peak, history_bytes)
 
 
-ORACLE_CASES = {
-    "nonuniform-1d": lambda: (
-        nonuniform_1d_family(10, ratio=2.0),
-        Problem(flux=rusanov(burgers((1.0,))), u0=interval_indicator(0.1, 0.45),
-                t_final=0.5)),
-    "triangulated-2d": lambda: (
-        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
-        Problem(flux=rusanov(burgers((0.6, 0.8))), u0=_sine_2d(), t_final=0.4)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_flux_pairing_terms_match_scalar_oracle(case):
-    # both families have faces with |D_K,s| != |D_L,s|, so a dual weighting
-    # that drops or swaps the two sides changes T2_tilde and R
-    family, problem = ORACLE_CASES[case]()
-    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
-    rep = lw_study(family, problem, phis, levels=2, cfl=0.45)
-    for rec in rep.levels:
-        field = solve(family.build(rec.level), problem, cfl=0.45)
-        mesh = field.mesh
-        inner = mesh.interior
-        assert np.any(mesh.face_dk[inner] != mesh.face_dl[inner])
-        oracle = brute_flux_pairing_terms(mesh, field.grid.deltas, field.values,
-                                          problem.flux, phis, field.grid.nodes)
-        for phi, dec, want in zip(phis, rec.decompositions, oracle):
-            for name, (value, mass) in want.items():
-                assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
-                    (rec.level, phi.name, name, getattr(dec, name), value)
-
-
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_volume_pairing_terms_match_scalar_oracle(case):
-    # step counts that are no multiple of the block size, so the last block
-    # of every level is a partial one
-    family, problem = ORACLE_CASES[case]()
-    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
-    rep = lw_study(family, problem, phis, levels=2, cfl=0.45)
-    for rec in rep.levels:
-        field = solve(family.build(rec.level), problem, cfl=0.45)
-        steps = field.grid.n_steps
-        assert steps > consistency.BLOCK_STEPS and steps % consistency.BLOCK_STEPS
-        oracle = brute_volume_pairing_terms(field.mesh, field.values, phis,
-                                            field.grid.nodes)
-        for phi, dec, want in zip(phis, rec.decompositions, oracle):
-            for name, (value, mass) in want.items():
-                assert abs(getattr(dec, name) - value) <= 1e-12 * mass, \
-                    (rec.level, phi.name, name, getattr(dec, name), value)
-
-
 @pytest.mark.parametrize("block_steps", [1, 7])
 def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
-    family, problem, cfl = STREAM_CASES["1d-periodic-rusanov"]()
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
     sep = bump_corpus_spacetime(1, problem.t_final)
     # a non-separable copy takes the step-by-step path inside each block
     phis = sep + [dataclasses.replace(sep[3], separable=None, name="generic")]

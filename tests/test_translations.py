@@ -20,7 +20,7 @@ from lwfv import (
 from lwfv.operators import TimeGrid
 from lwfv.translations import (
     CellField,
-    spacetime_translation_seminorm,
+    SeminormSums,
     translation_decay_study,
     translation_seminorm,
     uniform_decay_study,
@@ -102,7 +102,9 @@ def test_spacetime_seminorm_hand_value():
     vals = np.empty_like(vals_sorted)
     vals[:, order] = vals_sorted
     grid = TimeGrid(nodes=np.array([0.0, 0.2, 0.5]))
-    sn = spacetime_translation_seminorm(m, grid, vals)
+    sums = SeminormSums(m, grid)
+    sums.block(0, vals[:-1], np.diff(vals, axis=0), None)
+    sn = sums.result()
     # hand: space = 0.2*(1/4)*4 + 0.3*(1/4)*... = 11/40, time = 9/40
     assert sn.space_part == pytest.approx(0.275, rel=1e-13)
     assert sn.time_part == pytest.approx(0.225, rel=1e-13)
