@@ -11,7 +11,7 @@ from .consistency import (
     effective_c_phi,
     lw_study,
     residual_envelope_check,
-    scheme_pairing,
+    spacetime_translation_seminorm,
     weak_gap,
 )
 from .flux import (
@@ -77,7 +77,6 @@ from .translations import (
     interval_indicator,
     project_l1,
     smooth_function,
-    spacetime_translation_seminorm,
     translation_decay_study,
     translation_seminorm,
     uniform_decay_study,

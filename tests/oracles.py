@@ -159,7 +159,8 @@ def cell_edges_1d(mesh):
     return lo, hi
 
 
-def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
+def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes,
+                             boundary):
     """T2, T2_tilde and R of a stored history against each test function,
     as one {name: (value, mass)} per phi, with the |R| mass under "r_abs".
 
@@ -177,13 +178,20 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
     with u = u^n, F_s the numerical flux of the face evaluated alone, and
     phi^n_K phi at the anchor of K at time t_n.  A three-point flux (1d
     only) also gets the far cells KK behind K and LL behind L, the next
-    cells in sorted order with a periodic wrap.  ``mass`` is the sum of the
-    magnitudes of the summands, the scale of the rounding.
+    cells in sorted order: with a periodic wrap, or, on an outflow
+    ``boundary``, the near cell itself past either end.  ``mass`` is the sum
+    of the magnitudes of the summands, the scale of the rounding.
     """
     assert num_flux.stencil in (2, 3)
     if num_flux.stencil == 3:
         order = [int(c) for c in sorted_cell_order(mesh)]
         pos = {c: i for i, c in enumerate(order)}
+
+        def behind(cell, step):
+            i = pos[cell] + step
+            if boundary == "periodic":
+                return order[i % len(order)]
+            return order[i] if 0 <= i < len(order) else cell
     out = [{"t2": [0.0, 0.0], "t2_tilde": [0.0, 0.0], "r": [0.0, 0.0],
             "r_abs": [0.0, 0.0]} for _ in phis]
     for n in range(len(deltas)):
@@ -197,8 +205,7 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes):
             far = {}
             if num_flux.stencil == 3:
                 step = pos[L] - pos[K]  # +1 or -1: interior faces never wrap
-                KK = order[(pos[K] - step) % len(order)]
-                LL = order[(pos[L] + step) % len(order)]
+                KK, LL = behind(K, -step), behind(L, step)
                 far = {"uKK": np.array([u[KK]]), "uLL": np.array([u[LL]])}
             flux = float(num_flux.evaluate(np.array([u[K]]), np.array([u[L]]),
                                            normal[None, :], **far)[0])

@@ -8,7 +8,8 @@ frozen, and must reproduce bit-for-bit on reruns of the same build.
 path from a run to the five terms and the seminorm.  Its references are the
 scalar-loop oracles of ``oracles.py`` on the history ``solve`` stores, the
 slow per-step path of test functions without a separable form, and, for
-the weak gap, ``weak_gap``, the one entry point for a stored history.
+the weak gap and the seminorm, ``weak_gap`` and
+``spacetime_translation_seminorm``, the entry points for a stored history.
 """
 import dataclasses
 import functools
@@ -34,6 +35,7 @@ from lwfv.consistency import (
     effective_c_phi,
     lw_study,
     residual_envelope_check,
+    spacetime_translation_seminorm,
     weak_gap,
 )
 from lwfv.flux import (
@@ -365,6 +367,11 @@ ORACLE_CASES = {
         uniform_1d_family(10),
         Problem(flux=muscl_three_point([1.0]), u0=_bump_datum(), t_final=0.5),
         0.5),
+    "1d-outflow-muscl": lambda: (
+        uniform_1d_family(10),
+        Problem(flux=muscl_three_point([1.0]), u0=_bump_datum(), t_final=0.5,
+                boundary="outflow"),
+        0.5),
 }
 # families with faces where |D_K,s| != |D_L,s|, so a dual weighting that
 # drops or swaps the two sides changes T2_tilde and R
@@ -385,7 +392,8 @@ def _oracle_run(case):
 
 def _flux_oracle(field, phis):
     return brute_flux_pairing_terms(field.mesh, field.grid.deltas, field.values,
-                                    field.flux, phis, field.grid.nodes)
+                                    field.flux, phis, field.grid.nodes,
+                                    field.boundary)
 
 
 def _volume_oracle(field, phis):
@@ -435,6 +443,8 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
                                                field.values)
         assert rec.seminorms.space_part == pytest.approx(space, rel=1e-12)
         assert rec.seminorms.time_part == pytest.approx(time, rel=1e-12)
+        assert spacetime_translation_seminorm(field.mesh, field.grid,
+                                              field.values) == rec.seminorms
 
 
 def test_streamed_generic_phi_matches_separable_and_drivers():
