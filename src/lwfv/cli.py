@@ -37,7 +37,6 @@ from .flux import (
     upwind_linear,
 )
 from .mesh import (
-    Mesh,
     MeshError,
     MeshFamily,
     cartesian_2d_family,

@@ -158,14 +158,14 @@ class ResidualDecomposition:
 # ---------------------------------------------------------------------------
 
 
-class _Separable:
+class _Columns:
     """Test functions phi(x, t) = w(x) g(t) as constant spatial columns.
 
     Every per-step quantity is a spatial column computed once times a time
     weight: phi^n_K = w_K g(t_n) and phi^{n+1}_K - phi^n_K = w_K (g(t_{n+1})
-    - g(t_n)) at the anchors (given the interior faces K, L), and with a
-    quadrature rule the cell integrals W_K of w and grad W_K of grad w,
-    against g(t_{n+1}) - g(t_n) and the slab mean of g.
+    - g(t_n)) at the anchors (``w_cells``, face jumps ``w_jump``), and with a
+    quadrature rule the cell integrals of w and grad w (``w_integral``,
+    ``grad_w_integral``) against g(t_{n+1}) - g(t_n) and the slab integral of g.
 
     The columns keep only their support rows: ``cells`` and (for the
     pairing) ``faces`` index the cells and interior faces where some column
@@ -175,109 +175,36 @@ class _Separable:
     dropped row is exactly zero in every column.
     """
 
-    constant = True  # the same columns at every step
-
     def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
-        parts = [p.separable for p in phis]
-        g_nodes = np.column_stack([np.asarray(g(grid.nodes), dtype=float)
-                                   for _, _, g, _ in parts])
+        g_nodes = np.column_stack([np.asarray(p.g(grid.nodes), dtype=float)
+                                   for p in phis])
         self.node_weight = g_nodes[:-1]
         self.step_weight = np.diff(g_nodes, axis=0)
         if faces is not None:
             K, L = faces
-            wc = np.column_stack([np.asarray(w(mesh.cell_center), dtype=float)
-                                  for w, _, _, _ in parts])
+            wc = np.column_stack([np.asarray(p.w(mesh.cell_center), dtype=float)
+                                  for p in phis])
             jump = wc[K] - wc[L]
             self.faces = np.flatnonzero(np.any(jump != 0.0, axis=1))
             self.cells = np.union1d(np.flatnonzero(np.any(wc != 0.0, axis=1)),
                                     np.concatenate([K[self.faces], L[self.faces]]))
             self.face_cells = (np.searchsorted(self.cells, K[self.faces]),
                                np.searchsorted(self.cells, L[self.faces]))
-            wc, jump = wc[self.cells], jump[self.faces]
-            self._pairing = (wc, wc, jump, np.abs(wc), np.abs(jump))
+            self.w_cells, self.w_jump = wc[self.cells], jump[self.faces]
         if quad is not None:
             pts, wq = quad
-            W = np.column_stack([quadrature.rowdot(wq, np.asarray(w(pts), dtype=float))
-                                 for w, _, _, _ in parts])
-            GW = np.stack([(wq[:, None, :] @ np.asarray(gw(pts), dtype=float))[:, 0]
-                           for _, gw, _, _ in parts], axis=-1)  # (cells, d, phis)
+            W = np.column_stack([
+                quadrature.rowdot(wq, np.asarray(p.w(pts), dtype=float)) for p in phis])
+            GW = np.stack([
+                (wq[:, None, :] @ np.asarray(p.grad_w(pts), dtype=float))[:, 0]
+                for p in phis], axis=-1)  # (cells, d, phis)
             self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
                                         | np.any(GW != 0.0, axis=(1, 2)))
-            self._gap = (W[self.cells],
-                         np.ascontiguousarray(GW[self.cells].transpose(1, 0, 2)))
-            self.slab_weight = np.column_stack([_slab_means(g, grid.nodes)
-                                                for _, _, g, _ in parts])
-
-    def pairing(self, n: int):
-        return self._pairing
-
-    def gap(self, n: int):
-        return self._gap
-
-
-class _Generic:
-    """Test functions without a separable form, evaluated afresh at every
-    step on every cell and face (the slow reference path); all their time
-    weights are 1."""
-
-    constant = False
-
-    def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
-        self.phis = phis
-        self.centers = mesh.cell_center
-        self.nodes = grid.nodes
-        self.quad = quad
-        self.cells = np.arange(mesh.n_cells)
-        if faces is not None:
-            self.face_cells = faces
-            self.faces = np.arange(faces[0].size)
-        self.node_weight = self.step_weight = self.slab_weight = np.ones(
-            (grid.n_steps, len(phis)))
-
-    def _columns(self, what: str, x, t: float) -> np.ndarray:
-        """phi.value or phi.grad of every test function, stacked last."""
-        return np.stack([np.asarray(getattr(p, what)(x, t), dtype=float)
-                         for p in self.phis], axis=-1)
-
-    def pairing(self, n: int):
-        pc = self._columns("value", self.centers, float(self.nodes[n]))
-        dphi = self._columns("value", self.centers, float(self.nodes[n + 1])) - pc
-        K, L = self.face_cells
-        jump = pc[K] - pc[L]
-        return pc, dphi, jump, np.abs(dphi), np.abs(jump)
-
-    def gap(self, n: int):
-        pts, wq = self.quad
-        t0, t1 = float(self.nodes[n]), float(self.nodes[n + 1])
-        change = np.einsum("kq,kqm->km", wq, self._columns("value", pts, t1)
-                           - self._columns("value", pts, t0))
-        xg, wg = quadrature.gauss_legendre(4)
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        grads = 0.0
-        for x, w in zip(xg, wg):
-            grads = grads + half * w * np.einsum(
-                "kq,kqdm->dkm", wq, self._columns("grad", pts, mid + half * x))
-        return change, grads
-
-
-def _groups(phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
-    """(indices into phis, columns) for the separable test functions and
-    for the others; ``faces`` (K, L) for the pairing, ``quad`` for the gap."""
-    out = []
-    for kind, picked in ((_Separable, lambda p: p.separable is not None),
-                         (_Generic, lambda p: p.separable is None)):
-        idx = [i for i, p in enumerate(phis) if picked(p)]
-        if idx:
-            out.append((idx, kind([phis[i] for i in idx], mesh, grid, faces, quad)))
-    return out
-
-
-def _spans(cols, size: int):
-    """Row ranges of a block that share one set of columns: the whole block
-    for constant columns, else one step at a time."""
-    if cols.constant:
-        return [(0, size)]
-    return [(i, i + 1) for i in range(size)]
+            self.w_integral = W[self.cells]  # (cells, phis)
+            self.grad_w_integral = np.ascontiguousarray(
+                GW[self.cells].transpose(1, 0, 2))  # (d, cells, phis)
+            self.slab_weight = np.column_stack([_slab_means(p.g, grid.nodes)
+                                                for p in phis])
 
 
 def _weighted(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -351,69 +278,54 @@ class _PairingSums:
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray,
                  flux: FluxFunction):
         ids = np.flatnonzero(mesh.interior)
-        self.K = mesh.face_K[ids]
-        self.L = mesh.face_L[ids]
-        area = mesh.face_area[ids]
-        normal_t = mesh.face_normal[ids].T  # (d, faces)
-        wK = mesh.face_dk[ids] / mesh.face_dsig[ids]
-        wL = mesh.face_dl[ids] / mesh.face_dsig[ids]
+        self.cols = cols = _Columns(phis, mesh, grid,
+                                    faces=(mesh.face_K[ids], mesh.face_L[ids]))
+        f = ids[cols.faces]
+        self.vol = mesh.cell_volume[cols.cells]
+        self.area = mesh.face_area[f]
+        self.wK = mesh.face_dk[f] / mesh.face_dsig[f]
+        self.wL = mesh.face_dl[f] / mesh.face_dsig[f]
+        self.normal_t = np.ascontiguousarray(mesh.face_normal[f].T)  # (d, faces)
         self.flux = flux
         self.dts = grid.deltas
         self.phis = phis
-        self.t1_2 = np.zeros(len(phis))
-        self.groups = []
-        for idx, cols in _groups(phis, mesh, grid, faces=(self.K, self.L)):
-            c, f = cols.cells, cols.faces
-            vol = mesh.cell_volume[c]
-            self.t1_2[idx] = -((vol * u0[c]) @ cols.pairing(0)[0]) * cols.node_weight[0]
-            geometry = (vol, area[f], wK[f], wL[f], np.ascontiguousarray(normal_t[:, f]))
-            self.groups.append((idx, cols, geometry,
-                                np.zeros((8, grid.n_steps, len(idx)))))
+        self.t1_2 = -((self.vol * u0[cols.cells]) @ cols.w_cells) * cols.node_weight[0]
+        self.rows = np.zeros((8, grid.n_steps, len(phis)))
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        for _, cols, (vol, area, wK, wL, normal_t), rows in self.groups:
-            Uc = U.take(cols.cells, axis=1)
-            vdu = vol * dU.take(cols.cells, axis=1)
-            vu = vol * Uc
-            vdu_abs = np.abs(vdu)
-            # the dual-weighted physical flux, one axis of f at a time
-            phys = _physical(self.flux, Uc)
-            Kc, Lc = cols.face_cells
-            comb = 0.0
-            for pd, nd in zip(phys, normal_t):
-                comb = comb + (wK * pd.take(Kc, axis=1) + wL * pd.take(Lc, axis=1)) * nd
-            Ff = F.take(cols.faces, axis=1)
-            fa = area * Ff
-            ca = area * comb
-            ra = area * (Ff - comb)
-            face_abs = area * (np.abs(Ff) + np.abs(comb))
-            for i, j in _spans(cols, len(U)):
-                pc, dphi, jump, dphi_abs, jump_abs = cols.pairing(n0 + i)
-                r = rows[:, n0 + i:n0 + j]
-                np.matmul(vdu[i:j], dphi, out=r[2])           # R1
-                np.matmul(vu[i:j], dphi, out=r[1])            # T1_1
-                if pc is dphi:
-                    r[0] = r[2]
-                else:
-                    np.matmul(vdu[i:j], pc, out=r[0])         # T1
-                np.matmul(vdu_abs[i:j], dphi_abs, out=r[3])   # |R1| mass
-                np.matmul(fa[i:j], jump, out=r[4])            # T2
-                np.matmul(ca[i:j], jump, out=r[5])            # T2_tilde
-                np.matmul(ra[i:j], jump, out=r[6])            # R
-                np.matmul(face_abs[i:j], jump_abs, out=r[7])  # |R| mass
+        cols, area = self.cols, self.area
+        Uc = U.take(cols.cells, axis=1)
+        vdu = self.vol * dU.take(cols.cells, axis=1)
+        vu = self.vol * Uc
+        # the dual-weighted physical flux, one axis of f at a time
+        phys = _physical(self.flux, Uc)
+        Kc, Lc = cols.face_cells
+        comb = 0.0
+        for pd, nd in zip(phys, self.normal_t):
+            comb = comb + (self.wK * pd.take(Kc, axis=1)
+                           + self.wL * pd.take(Lc, axis=1)) * nd
+        Ff = F.take(cols.faces, axis=1)
+        wc, jump = cols.w_cells, cols.w_jump
+        r = self.rows[:, n0:n0 + len(U)]
+        np.matmul(vdu, wc, out=r[2])                       # R1
+        np.matmul(vu, wc, out=r[1])                        # T1_1
+        r[0] = r[2]  # T1: the spatial row of R1, under other time weights
+        np.matmul(np.abs(vdu), np.abs(wc), out=r[3])       # |R1| mass
+        np.matmul(area * Ff, jump, out=r[4])               # T2
+        np.matmul(area * comb, jump, out=r[5])             # T2_tilde
+        np.matmul(area * (Ff - comb), jump, out=r[6])      # R
+        np.matmul(area * (np.abs(Ff) + np.abs(comb)), np.abs(jump),
+                  out=r[7])                                # |R| mass
 
     def decompositions(self) -> list[ResidualDecomposition]:
-        terms = np.zeros((8, len(self.phis)))
-        for idx, cols, _, rows in self.groups:
-            per_slab = self.dts[:, None] * cols.node_weight
-            terms[0, idx] = _weighted(cols.node_weight, rows[0])
-            terms[1, idx] = -_weighted(cols.step_weight, rows[1])
-            terms[2, idx] = -_weighted(cols.step_weight, rows[2])
-            terms[3, idx] = _weighted(np.abs(cols.step_weight), rows[3])
-            for k in (4, 5, 6):
-                terms[k, idx] = _weighted(per_slab, rows[k])
-            terms[7, idx] = _weighted(np.abs(per_slab), rows[7])
-        t1, t11, r1, r1_abs, t2, t2t, rr, r_abs = terms
+        cols, rows = self.cols, self.rows
+        per_slab = self.dts[:, None] * cols.node_weight
+        t1 = _weighted(cols.node_weight, rows[0])
+        t11 = -_weighted(cols.step_weight, rows[1])
+        r1 = -_weighted(cols.step_weight, rows[2])
+        r1_abs = _weighted(np.abs(cols.step_weight), rows[3])
+        t2, t2t, rr = (_weighted(per_slab, rows[k]) for k in (4, 5, 6))
+        r_abs = _weighted(np.abs(per_slab), rows[7])
         out = []
         for i, phi in enumerate(self.phis):
             dec = ResidualDecomposition(
@@ -448,29 +360,27 @@ class _GapSums:
             raise ValueError("weak gap needs cell geometry for quadrature")
         quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
         self.flux = flux
-        self.groups = [(idx, cols, np.zeros((2, grid.n_steps, len(idx))))
-                       for idx, cols in _groups(phis, mesh, grid, quad=quad)]
+        self.cols = _Columns(phis, mesh, grid, quad=quad)
+        self.rows = np.zeros((2, grid.n_steps, len(phis)))
         self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi)
                                 for phi in phis])
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        for _, cols, rows in self.groups:
-            Uc = U.take(cols.cells, axis=1)
-            phys = _physical(self.flux, Uc)
-            for i, j in _spans(cols, len(U)):
-                change, grads = cols.gap(n0 + i)
-                a_term, b_term = rows[:, n0 + i:n0 + j]
-                np.matmul(Uc[i:j], change, out=a_term)  # u^n against phi^{n+1} - phi^n
-                # f(u^n) against grad phi on the slab, one axis of f at a time
-                np.matmul(phys[0, i:j], grads[0], out=b_term)
-                for pd, gd in zip(phys[1:], grads[1:]):
-                    b_term += pd[i:j] @ gd
+        cols = self.cols
+        Uc = U.take(cols.cells, axis=1)
+        phys = _physical(self.flux, Uc)
+        a_term, b_term = self.rows[:, n0:n0 + len(U)]
+        np.matmul(Uc, cols.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
+        # f(u^n) against grad phi on the slab, one axis of f at a time
+        grads = cols.grad_w_integral
+        np.matmul(phys[0], grads[0], out=b_term)
+        for pd, gd in zip(phys[1:], grads[1:]):
+            b_term += pd @ gd
 
     def gaps(self) -> list[float]:
-        total = self.c_term.copy()
-        for idx, cols, rows in self.groups:
-            total[idx] += (_weighted(cols.step_weight, rows[0])
-                           + _weighted(cols.slab_weight, rows[1]))
+        cols, rows = self.cols, self.rows
+        total = self.c_term + (_weighted(cols.step_weight, rows[0])
+                               + _weighted(cols.slab_weight, rows[1]))
         return [abs(float(x)) for x in total]
 
 

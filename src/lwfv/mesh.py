@@ -716,9 +716,10 @@ def read_mesh(path_or_buf) -> Mesh:
     """Load a mesh written by :func:`write_mesh`.
 
     Raises MeshError on a malformed file: a line with the wrong field count
-    or a non-numeric field, cell or face ids that are not exactly 0..n-1,
-    a face naming a cell that does not exist, or a cell whose declared face
-    count differs from the faces that name it.
+    or a non-numeric field, a box comment without 2 * dim numbers, cell or
+    face ids that are not exactly 0..n-1, a face naming a cell that does
+    not exist, or a cell whose declared face count differs from the faces
+    that name it.
     """
     with open_text(path_or_buf) as fh:
         header = fh.readline().split()
@@ -744,7 +745,13 @@ def read_mesh(path_or_buf) -> Mesh:
                 if len(parts) >= 3 and parts[1] == "policy":
                     policy = parts[2]
                 elif len(parts) >= 2 and parts[1] == "box":
-                    vals = np.array([float(v) for v in parts[2:]])
+                    try:
+                        vals = np.array([float(v) for v in parts[2:]])
+                    except ValueError as e:
+                        raise MeshError(f"line {lineno}: box: {e}") from None
+                    if vals.size != 2 * dim:
+                        raise MeshError(f"line {lineno}: box line has {vals.size} "
+                                        f"values, expected {2 * dim}")
                     box = (vals[:dim], vals[dim:])
                 continue
             kind = parts[0]

@@ -88,25 +88,38 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SmoothTestFunction:
-    """A compactly supported smooth scalar function of space and time.
+    """A compactly supported smooth scalar function phi(x, t) = w(x) g(t).
 
-    ``value``, ``grad`` and ``dt`` are vectorised over the leading axes of
-    x (shape (..., d)).  ``support`` is the spatial box outside which the
-    function vanishes; the function also vanishes for t >= t_cut (t_cut may
-    be +inf for time-constant functions).  The declared sups are upper
-    bounds verified by sampling in the test suite.
+    Sums of such products are dense in the smooth compactly supported
+    functions of space and time, and the pairing and the weak gap are
+    linear in phi, so this one form covers the weak formulation.  ``w`` and
+    ``grad_w`` are vectorised over the leading axes of x (shape (..., d)),
+    ``g`` and ``dg`` over t.  w vanishes outside the box ``support``, and g
+    from t_cut on (t_cut may be +inf for time-constant functions).  The
+    declared sups are upper bounds verified by sampling in the test suite.
     """
 
     name: str
     dim: int
-    value: Callable
-    grad: Callable
-    dt: Callable
+    w: Callable
+    grad_w: Callable
+    g: Callable
+    dg: Callable
     support: tuple[np.ndarray, np.ndarray]
     t_cut: float
     grad_sup: float
     dt_sup: float
-    separable: tuple | None = None  # (w, grad_w, g, dg) for phi(x,t) = w(x) g(t)
+
+    def value(self, x, t=0.0):
+        return self.w(x) * self.g(t)
+
+    def grad(self, x, t=0.0):
+        gw = self.grad_w(x)
+        gt = np.asarray(self.g(t), dtype=float)
+        return gw * gt[..., None] if gt.ndim else gw * gt
+
+    def dt(self, x, t=0.0):
+        return self.w(x) * self.dg(t)
 
     def __call__(self, x, t=0.0):
         return self.value(x, t)
@@ -127,12 +140,6 @@ class VectorTestFunction:
 
     def value(self, x):
         return np.stack([c.value(x, 0.0) for c in self.components], axis=-1)
-
-    def div(self, x):
-        out = 0.0
-        for i, c in enumerate(self.components):
-            out = out + c.grad(x, 0.0)[..., i]
-        return out
 
     def __call__(self, x):
         return self.value(x)
@@ -269,17 +276,6 @@ def polynomial_bump(
         g_abs_max = float(np.max(np.abs(g(ts))))
         dg_abs_max = float(np.max(np.abs(dg(ts)))) * (1.0 + 1e-9)
 
-    def value(x, t=0.0):
-        return wfun(x) * g(t)
-
-    def grad(x, t=0.0):
-        gw = grad_wfun(x)
-        gt = np.asarray(g(t), dtype=float)
-        return gw * gt[..., None] if gt.ndim else gw * gt
-
-    def dt(x, t=0.0):
-        return wfun(x) * dg(t)
-
     lo = c - w
     hi = c + w
     grad_norm = lambda x: np.linalg.norm(grad_wfun(x), axis=-1)
@@ -289,14 +285,14 @@ def polynomial_bump(
     return SmoothTestFunction(
         name=name or f"bump(k={k})",
         dim=d,
-        value=value,
-        grad=grad,
-        dt=dt,
+        w=wfun,
+        grad_w=grad_wfun,
+        g=g,
+        dg=dg,
         support=(lo, hi),
         t_cut=t_cut_eff,
         grad_sup=spatial_grad_sup * g_abs_max,
         dt_sup=w_abs_sup * dg_abs_max,
-        separable=(wfun, grad_wfun, g, dg),
     )
 
 

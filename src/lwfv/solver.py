@@ -365,14 +365,20 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
     """Inverse of write_history; the mesh itself is not persisted, so the
     result is (grid, values, metadata) rather than a SpaceTimeField.
 
-    Raises ValueError unless every node 0..n_steps has exactly one ``t``
-    record (3 fields) and one ``u`` record (n_cells values).
+    Raises ValueError unless the header gives ``dim``, ``n_cells`` and
+    ``n_steps`` as non-negative integers and every node 0..n_steps has
+    exactly one ``t`` record (3 fields) and one ``u`` record (n_cells
+    values).
     """
     with open_text(path_or_buf) as fh:
         head = fh.readline().split()
         if head[:2] != [_HISTORY_MAGIC, _HISTORY_VERSION]:
             raise ValueError(f"not a {_HISTORY_MAGIC} {_HISTORY_VERSION} file")
         info = dict(kv.split("=") for kv in head[2:])
+        for key in ("dim", "n_cells", "n_steps"):
+            if not info.get(key, "").isdecimal():
+                raise ValueError(f"history header needs {key}=<non-negative "
+                                 f"integer>, got {info.get(key)!r}")
         n_cells = int(info["n_cells"])
         n_steps = int(info["n_steps"])
         meta = {"dim": int(info["dim"])}

@@ -11,6 +11,24 @@ from fractions import Fraction
 
 import numpy as np
 
+from lwfv.translations import GAUSS_ORDER
+
+# Radon's 7-point degree-5 rule on a triangle (1948): the centroid and two
+# three-point orbits of barycentric points, with weights as fractions of
+# the triangle's area.
+_R15 = 15.0 ** 0.5
+
+
+def _orbit(a):
+    return [(a, a, 1.0 - 2.0 * a), (a, 1.0 - 2.0 * a, a), (1.0 - 2.0 * a, a, a)]
+
+
+TRIANGLE_RULE = ([((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 9.0 / 40.0)]
+                 + [(b, (155.0 - _R15) / 1200.0) for b in _orbit((6.0 - _R15) / 21.0)]
+                 + [(b, (155.0 + _R15) / 1200.0) for b in _orbit((6.0 + _R15) / 21.0)])
+# Gauss points per time slab of the weak gap's flux term
+TIME_POINTS = 6
+
 
 def brute_cell_partition_defect(mesh) -> float:
     """|sum of cell volumes - domain measure| summed the dumb way."""
@@ -262,3 +280,99 @@ def brute_volume_pairing_terms(mesh, values, phis, nodes):
                 terms[name][1] += abs(term)
     return [{**{name: tuple(v) for name, v in terms.items()},
              "r1_abs": (terms["r1"][1], terms["r1"][1])} for terms in out]
+
+
+def _gauss(a, b, npts):
+    """Gauss-Legendre points and weights on [a, b], as lists."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    half = 0.5 * (b - a)
+    return ([a + half * (float(xi) + 1.0) for xi in x],
+            [half * float(wi) for wi in w])
+
+
+def _cell_quadrature(verts):
+    """Points (n, d) and weights (n,) of one cell's rule: Gauss with
+    GAUSS_ORDER points per axis on an interval (2 vertices, 1d) or an
+    axis-aligned rectangle (4 vertices), the 7-point rule on a triangle."""
+    verts = [[float(c) for c in v] for v in verts]
+    if len(verts[0]) == 1:
+        xs, ws = _gauss(min(v[0] for v in verts), max(v[0] for v in verts),
+                        GAUSS_ORDER)
+        return np.array([[x] for x in xs]), np.array(ws)
+    if len(verts) == 4:
+        xs, wx = _gauss(min(v[0] for v in verts), max(v[0] for v in verts),
+                        GAUSS_ORDER)
+        ys, wy = _gauss(min(v[1] for v in verts), max(v[1] for v in verts),
+                        GAUSS_ORDER)
+        pts, wts = [], []
+        for x, a in zip(xs, wx):
+            for y, b in zip(ys, wy):
+                pts.append([x, y])
+                wts.append(a * b)
+        return np.array(pts), np.array(wts)
+    assert len(verts) == 3
+    (x0, y0), (x1, y1), (x2, y2) = verts
+    area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    pts = [[b0 * x0 + b1 * x1 + b2 * x2, b0 * y0 + b1 * y1 + b2 * y2]
+           for (b0, b1, b2), _ in TRIANGLE_RULE]
+    return np.array(pts), np.array([w * area for _, w in TRIANGLE_RULE])
+
+
+def brute_weak_gap(mesh, nodes, values, flux, phi, u0):
+    """The weak gap of a stored history (N+1, n_cells) against phi, as
+    (gap, mass), straight from the definition in ``weak_gap``:
+
+        | II(u d_t phi) + II(f(u) . grad phi) + I(u0 phi(., 0)) |
+
+    with u = u^n on the slab (t_n, t_{n+1}], one cell and one slab at a
+    time.  On a slab the d_t phi integral telescopes to u^n_K times
+    int_K phi(t_{n+1}) - int_K phi(t_n); the grad phi integral takes
+    TIME_POINTS Gauss points in time.  ``flux`` is the physical flux f.
+    Space uses the rule of ``_cell_quadrature``; the initial term integrates
+    u0 phi(., 0) by it for smooth data, and phi(., 0) over the part of each
+    cell inside [a, b] for a 1d interval indicator.  phi and grad phi are
+    evaluated once per cell at all its space-time points.  ``mass`` is the
+    sum of the magnitudes of the summands, the scale of the rounding.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    xg, wg = np.polynomial.legendre.leggauss(TIME_POINTS)
+    half = 0.5 * np.diff(nodes)
+    t_gauss = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + half[:, None] * xg
+    t_weight = half[:, None] * wg  # (N, TIME_POINTS)
+    u = np.asarray(values, dtype=float)
+    f_vals = np.asarray(flux.value(u[:-1]), dtype=float).tolist()  # (N, cells, d)
+    u = u.tolist()
+    is_interval = u0.kind == "indicator" and u0.geometry is not None \
+        and u0.geometry[0] == "interval"
+    if u0.kind != "smooth" and not is_interval:
+        raise ValueError(f"no initial term for {u0.kind} data {u0.name!r}")
+    gap = mass = 0.0
+    for K in range(mesh.n_cells):
+        pts, wq = _cell_quadrature(mesh.cell_vertices[K])
+        # int_K phi(t_n) at every node, and int_K grad phi integrated over
+        # every slab by the Gauss points in time
+        at_nodes = (phi.value(pts, nodes[:, None]) @ wq).tolist()
+        grads = phi.grad(pts, t_gauss.reshape(-1, 1))  # (N * TIME_POINTS, q, d)
+        per_time = np.einsum("q,tqd->td", wq, grads).reshape(
+            len(half), TIME_POINTS, -1)
+        per_slab = np.einsum("nj,njd->nd", t_weight, per_time).tolist()
+        if is_interval:
+            _, a, b = u0.geometry
+            lo = max(min(float(v[0]) for v in mesh.cell_vertices[K]), a)
+            hi = min(max(float(v[0]) for v in mesh.cell_vertices[K]), b)
+            summands = []
+            if hi > lo:
+                xs, ws = _gauss(lo, hi, GAUSS_ORDER)
+                summands.append(float(phi.value(np.array([[x] for x in xs]), 0.0)
+                                      @ np.array(ws)))
+        else:
+            summands = [float((np.asarray(u0.fn(pts), dtype=float) * wq)
+                              @ phi.value(pts, 0.0))]
+        for n in range(len(half)):
+            uK = u[n][K]
+            summands += [uK * at_nodes[n + 1], -uK * at_nodes[n]]
+            summands += [fi * gi for fi, gi in zip(f_vals[n][K], per_slab[n])]
+        for term in summands:
+            gap += term
+            mass += abs(term)
+    return abs(gap), mass

@@ -136,7 +136,12 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     missing_cell[face] = " ".join(parts) + "\n"
     truncated = lines.copy()
     truncated[cell] = "cell 2 0.1\n"
-    for name, text in (("missing", missing_cell), ("truncated", truncated)):
+    box = next(i for i, x in enumerate(lines) if x.startswith("# box "))
+    short_box, bad_box = lines.copy(), lines.copy()
+    short_box[box] = "# box 0\n"  # a 1d box needs two values
+    bad_box[box] = "# box 0 one\n"
+    for name, text in (("missing", missing_cell), ("truncated", truncated),
+                       ("short_box", short_box), ("bad_box", bad_box)):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"

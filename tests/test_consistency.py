@@ -5,11 +5,11 @@ integrates a gradient over the whole domain); they were produced once and
 frozen, and must reproduce bit-for-bit on reruns of the same build.
 
 ``lw_study`` streams each level in one pass over time, and it is the only
-path from a run to the five terms and the seminorm.  Its references are the
-scalar-loop oracles of ``oracles.py`` on the history ``solve`` stores, the
-slow per-step path of test functions without a separable form, and, for
-the weak gap and the seminorm, ``weak_gap`` and
-``spacetime_translation_seminorm``, the entry points for a stored history.
+path from a run to the five terms, the seminorm and the weak gap.  Its
+references are the three scalar-loop oracles of ``oracles.py``, run on the
+history ``solve`` stores: the five terms, the seminorm and the weak gap.
+``weak_gap`` and ``spacetime_translation_seminorm``, the entry points for a
+stored history, are checked against the same oracles.
 """
 import dataclasses
 import functools
@@ -54,6 +54,7 @@ from oracles import (
     brute_flux_pairing_terms,
     brute_spacetime_seminorm,
     brute_volume_pairing_terms,
+    brute_weak_gap,
 )
 
 
@@ -172,16 +173,6 @@ def test_injected_exact_solution_gap_decays():
         hs.append(m.h_max)
         gaps.append(max(weak_gap(fld, p, u0=u0) for p in phis))
     assert fit_decay_slope(hs, gaps) >= 0.9
-
-
-def test_separable_and_generic_paths_agree(advection_run):
-    m, f = advection_run
-    phi = bump_corpus_spacetime(1, 0.5)[0]
-    assert phi.separable is not None
-    g_fast = weak_gap(f, phi, u0=_bump_datum())
-    g_slow = weak_gap(f, dataclasses.replace(phi, separable=None),
-                      u0=_bump_datum())
-    assert g_slow == pytest.approx(g_fast, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +417,9 @@ def test_flux_pairing_terms_match_scalar_oracle(case):
         if case in UNEVEN_DUAL_CASES:
             inner = field.mesh.interior
             assert np.any(field.mesh.face_dk[inner] != field.mesh.face_dl[inner])
-        _assert_terms_match(rec, _flux_oracle(field, phis))
+        oracle = _flux_oracle(field, phis)
+        assert {*oracle[0]} == {"t2", "t2_tilde", "r", "r_abs"}
+        _assert_terms_match(rec, oracle)
         _assert_gaps_match(rec, field, phis, problem.u0)
 
 
@@ -438,7 +431,9 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
     for rec, field in zip(rep.levels, fields):
         steps = field.grid.n_steps
         assert steps > consistency.BLOCK_STEPS and steps % consistency.BLOCK_STEPS
-        _assert_terms_match(rec, _volume_oracle(field, phis))
+        oracle = _volume_oracle(field, phis)
+        assert {*oracle[0]} == set(TERMS) - {"t2", "t2_tilde", "r", "r_abs"}
+        _assert_terms_match(rec, oracle)
         space, time = brute_spacetime_seminorm(field.mesh, field.grid.deltas,
                                                field.values)
         assert rec.seminorms.space_part == pytest.approx(space, rel=1e-12)
@@ -447,27 +442,17 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
                                               field.values) == rec.seminorms
 
 
-def test_streamed_generic_phi_matches_separable_and_drivers():
-    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
-    sep = bump_corpus_spacetime(1, 0.5)
-    generic = [dataclasses.replace(p, separable=None, name=p.name + "-generic")
-               for p in sep]
-    phis = [sep[0], generic[0], sep[3], generic[3]]  # both paths in one set
-    rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
-    for rec in rep.levels:
-        field = solve(family.build(rec.level), problem, cfl=cfl)
-        oracle = [{**f, **v} for f, v in zip(_flux_oracle(field, phis),
-                                             _volume_oracle(field, phis))]
-        assert all(sorted(o) == sorted(TERMS) for o in oracle)
-        _assert_terms_match(rec, oracle)
-        _assert_gaps_match(rec, field, phis, problem.u0)
-        by_name = {d.phi_id: d for d in rec.decompositions}
-        gaps = {r.phi_id: r.weak_gap for r in rec.rows}
-        for p in (sep[0], sep[3]):
-            fast, slow = by_name[p.name], by_name[p.name + "-generic"]
-            for t in TERMS:
-                assert getattr(slow, t) == pytest.approx(getattr(fast, t), rel=1e-12)
-            assert gaps[p.name + "-generic"] == pytest.approx(gaps[p.name], rel=1e-10)
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_weak_gap_matches_scalar_oracle(case):
+    problem, phis, rep, fields = _oracle_run(case)
+    for rec, field in zip(rep.levels, fields):
+        for phi, row in zip(phis, rec.rows):
+            want, mass = brute_weak_gap(field.mesh, field.grid.nodes, field.values,
+                                        problem.flux.flux, phi, problem.u0)
+            stored = weak_gap(field, phi, u0=problem.u0)
+            for got in (row.weak_gap, stored):
+                assert abs(got - want) <= 1e-12 * mass, \
+                    (rec.level, phi.name, got, want, mass)
 
 
 def test_lw_study_level_allocates_less_than_its_history():
@@ -491,9 +476,7 @@ def test_lw_study_level_allocates_less_than_its_history():
 @pytest.mark.parametrize("block_steps", [1, 7])
 def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
     family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
-    sep = bump_corpus_spacetime(1, problem.t_final)
-    # a non-separable copy takes the step-by-step path inside each block
-    phis = sep + [dataclasses.replace(sep[3], separable=None, name="generic")]
+    phis = bump_corpus_spacetime(1, problem.t_final)
     ref = lw_study(family, problem, phis, levels=2, cfl=cfl)
     monkeypatch.setattr(consistency, "BLOCK_STEPS", block_steps)
     got = lw_study(family, problem, phis, levels=2, cfl=cfl)

@@ -31,39 +31,39 @@ from lwfv.operators import (
 from lwfv.reports import fit_decay_slope
 
 
-def _affine_x(dim):
+def _time_constant(name, dim, w, grad_w, grad_sup):
     # support technicality waived: the affine exactness check needs a
     # function that is linear across the whole domain
     big = (np.full(dim, -10.0), np.full(dim, 10.0))
     return SmoothTestFunction(
-        name="affine-x",
+        name=name,
         dim=dim,
-        value=lambda x, t: np.asarray(x)[..., 0],
-        grad=lambda x, t: np.broadcast_to(
-            np.eye(dim)[0], np.asarray(x).shape
-        ).copy(),
-        dt=lambda x, t: np.zeros(np.asarray(x).shape[:-1]),
+        w=w,
+        grad_w=grad_w,
+        g=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        dg=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         support=big,
         t_cut=np.inf,
-        grad_sup=1.0,
+        grad_sup=grad_sup,
         dt_sup=0.0,
-        separable=None,
+    )
+
+
+def _affine_x(dim):
+    return _time_constant(
+        "affine-x", dim,
+        w=lambda x: np.asarray(x)[..., 0],
+        grad_w=lambda x: np.broadcast_to(np.eye(dim)[0], np.asarray(x).shape).copy(),
+        grad_sup=1.0,
     )
 
 
 def _constant(dim, c=3.5):
-    big = (np.full(dim, -10.0), np.full(dim, 10.0))
-    return SmoothTestFunction(
-        name="const",
-        dim=dim,
-        value=lambda x, t: np.full(np.asarray(x).shape[:-1], c),
-        grad=lambda x, t: np.zeros(np.asarray(x).shape),
-        dt=lambda x, t: np.zeros(np.asarray(x).shape[:-1]),
-        support=big,
-        t_cut=np.inf,
+    return _time_constant(
+        "const", dim,
+        w=lambda x: np.full(np.asarray(x).shape[:-1], c),
+        grad_w=lambda x: np.zeros(np.asarray(x).shape),
         grad_sup=0.0,
-        dt_sup=0.0,
-        separable=None,
     )
 
 

@@ -4,6 +4,8 @@ The single-step example is hand arithmetic at CFL number 1/2; the stencil
 wiring of the three-point flux is checked against a roll-based update on
 the sorted cell order, written independently in oracles.py.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -323,12 +325,17 @@ def test_history_reader_rejects_truncated_file(tmp_path):
         read_history(str(p))
 
 
-@pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only"])
+@pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only",
+                                  "no_n_cells"])
 def test_history_reader_rejects_malformed_records(tmp_path, edit):
     p, lines, n = _written_history(tmp_path)
     body = lines[3:]  # after the header and the two comment lines
     t_last, u_last = body[-2], body[-1]
-    if edit == "duplicate":
+    match = None
+    if edit == "no_n_cells":
+        lines[0] = re.sub(r" n_cells=\d+", "", lines[0])
+        match = "n_cells"
+    elif edit == "duplicate":
         lines = lines[:-2] + [body[0], body[1]]
     elif edit == "index_range":
         lines = lines[:-2] + [t_last.replace(f"t {n} ", f"t {n + 1} "),
@@ -338,7 +345,7 @@ def test_history_reader_rejects_malformed_records(tmp_path, edit):
     else:
         lines = lines[:-2] + [u_last]
     p.write_text("".join(lines))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         read_history(str(p))
 
 
