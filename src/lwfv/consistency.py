@@ -44,7 +44,7 @@ from .translations import (
     IntegrableFunction,
     SeminormSums,
     SpacetimeSeminorm,
-    _cell_integrals,
+    _datum_rule,
 )
 
 # not called here: the benchmark's tracer (perfbench/tracer.py) times the
@@ -201,8 +201,7 @@ class _Columns:
             self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
                                         | np.any(GW != 0.0, axis=(1, 2)))
             self.w_integral = W[self.cells]  # (cells, phis)
-            self.grad_w_integral = np.ascontiguousarray(
-                GW[self.cells].transpose(1, 0, 2))  # (d, cells, phis)
+            self.grad_w_integral = GW[self.cells]  # (cells, d, phis)
             self.slab_weight = np.column_stack([_slab_means(p.g, grid.nodes)
                                                 for p in phis])
 
@@ -222,16 +221,16 @@ BLOCK_STEPS = 16  # steps per block handed to the sums
 class _StepBlocks:
     """The ``march`` callback that feeds the streamed sums.
 
-    It collects u^n, u^{n+1} - u^n and the interior edge fluxes of
-    BLOCK_STEPS consecutive steps, one row per step, and hands each full
-    block to every sum as ``block(n0, U, dU, F)``, n0 being the first
-    step; ``flush()`` hands over the last, partial block.  Memory is
+    It collects the states u^n, ..., u^{n+b} and the interior edge fluxes
+    of b = BLOCK_STEPS consecutive steps, one row per step, and hands each
+    full block to every sum as ``block(n0, U, dU, F)``, n0 being the first
+    step and dU = u^{n+1} - u^n formed by one subtraction per block;
+    ``flush()`` hands over the last, partial block.  Memory is
     O(BLOCK_STEPS * cells).
     """
 
     def __init__(self, n_cells: int, n_interior: int, sums):
-        self.U = np.empty((BLOCK_STEPS, n_cells))
-        self.dU = np.empty((BLOCK_STEPS, n_cells))
+        self.U = np.empty((BLOCK_STEPS + 1, n_cells))
         self.F = np.empty((BLOCK_STEPS, n_interior))
         self.sums = sums
         self.n0 = 0
@@ -239,33 +238,30 @@ class _StepBlocks:
 
     def __call__(self, n: int, u: np.ndarray, u_next: np.ndarray, fv) -> None:
         i = self.count
-        self.U[i] = u
-        np.subtract(u_next, u, out=self.dU[i])
+        if i == 0:
+            self.U[0] = u
+        self.U[i + 1] = u_next
         self.F[i] = fv[:self.F.shape[1]]
         self.count = i + 1
-        if self.count == len(self.U):
+        if self.count == len(self.F):
             self.flush()
 
     def flush(self) -> None:
         size = self.count
         if size:
+            U = self.U[:size + 1]
+            dU = U[1:] - U[:-1]
             for sums in self.sums:
-                sums.block(self.n0, self.U[:size], self.dU[:size], self.F[:size])
+                sums.block(self.n0, U[:-1], dU, self.F[:size])
         self.n0 += size
         self.count = 0
-
-
-def _physical(flux: FluxFunction, U: np.ndarray) -> np.ndarray:
-    """The physical flux f(U) of a (steps, cells) block, shape (d, steps,
-    cells)."""
-    return np.moveaxis(flux.value(U), -1, 0)
 
 
 class _PairingSums:
     """The residual decomposition of a history against a set of test
     functions, fed a block of steps at a time.
 
-    Built from the initial state u^0 and the physical flux f, then
+    Built from the initial state u^0 and the physical flux f = g(u) b, then
     ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands it over, with U the
     states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
     interior faces in face order, one row per step n.  Each step stores one
@@ -273,6 +269,12 @@ class _PairingSums:
     only; ``decompositions()`` applies the time weights.  T1, T2 and the
     five terms each have their own row, so the master identity checks them
     against each other.
+
+    The factors that do not change from step to step sit in the columns and
+    face weights: |K| in the cell columns, and |s| |D_Ks| / |D_s| (b . n)
+    and |s| |D_Ls| / |D_s| (b . n) in the two weights that turn g(u_K) and
+    g(u_L) into |s| times the dual-weighted physical flux
+    (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|.
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray,
@@ -281,40 +283,38 @@ class _PairingSums:
         self.cols = cols = _Columns(phis, mesh, grid,
                                     faces=(mesh.face_K[ids], mesh.face_L[ids]))
         f = ids[cols.faces]
-        self.vol = mesh.cell_volume[cols.cells]
+        vol = mesh.cell_volume[cols.cells]
+        self.vol_w = vol[:, None] * cols.w_cells
+        self.vol_w_abs = np.abs(self.vol_w)
+        self.jump_abs = np.abs(cols.w_jump)
         self.area = mesh.face_area[f]
-        self.wK = mesh.face_dk[f] / mesh.face_dsig[f]
-        self.wL = mesh.face_dl[f] / mesh.face_dsig[f]
-        self.normal_t = np.ascontiguousarray(mesh.face_normal[f].T)  # (d, faces)
-        self.flux = flux
+        area_bn = self.area * flux.normal_speed(mesh.face_normal[f])
+        self.weight_K = area_bn * (mesh.face_dk[f] / mesh.face_dsig[f])
+        self.weight_L = area_bn * (mesh.face_dl[f] / mesh.face_dsig[f])
+        self.profile = flux.profile
         self.dts = grid.deltas
         self.phis = phis
-        self.t1_2 = -((self.vol * u0[cols.cells]) @ cols.w_cells) * cols.node_weight[0]
+        self.t1_2 = -((vol * u0[cols.cells]) @ cols.w_cells) * cols.node_weight[0]
         self.rows = np.zeros((8, grid.n_steps, len(phis)))
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        cols, area = self.cols, self.area
+        cols = self.cols
         Uc = U.take(cols.cells, axis=1)
-        vdu = self.vol * dU.take(cols.cells, axis=1)
-        vu = self.vol * Uc
-        # the dual-weighted physical flux, one axis of f at a time
-        phys = _physical(self.flux, Uc)
+        dUc = dU.take(cols.cells, axis=1)
+        gc = self.profile(Uc)
         Kc, Lc = cols.face_cells
-        comb = 0.0
-        for pd, nd in zip(phys, self.normal_t):
-            comb = comb + (self.wK * pd.take(Kc, axis=1)
-                           + self.wL * pd.take(Lc, axis=1)) * nd
-        Ff = F.take(cols.faces, axis=1)
-        wc, jump = cols.w_cells, cols.w_jump
+        comb = self.weight_K * gc.take(Kc, axis=1) + self.weight_L * gc.take(Lc, axis=1)
+        aF = self.area * F.take(cols.faces, axis=1)
+        jump = cols.w_jump
         r = self.rows[:, n0:n0 + len(U)]
-        np.matmul(vdu, wc, out=r[2])                       # R1
-        np.matmul(vu, wc, out=r[1])                        # T1_1
+        np.matmul(dUc, self.vol_w, out=r[2])               # R1
+        np.matmul(Uc, self.vol_w, out=r[1])                # T1_1
         r[0] = r[2]  # T1: the spatial row of R1, under other time weights
-        np.matmul(np.abs(vdu), np.abs(wc), out=r[3])       # |R1| mass
-        np.matmul(area * Ff, jump, out=r[4])               # T2
-        np.matmul(area * comb, jump, out=r[5])             # T2_tilde
-        np.matmul(area * (Ff - comb), jump, out=r[6])      # R
-        np.matmul(area * (np.abs(Ff) + np.abs(comb)), np.abs(jump),
+        np.matmul(np.abs(dUc), self.vol_w_abs, out=r[3])   # |R1| mass
+        np.matmul(aF, jump, out=r[4])                      # T2
+        np.matmul(comb, jump, out=r[5])                    # T2_tilde
+        np.matmul(aF - comb, jump, out=r[6])               # R
+        np.matmul(np.abs(aF) + np.abs(comb), self.jump_abs,
                   out=r[7])                                # |R| mass
 
     def decompositions(self) -> list[ResidualDecomposition]:
@@ -359,23 +359,19 @@ class _GapSums:
         if mesh.cell_vertices is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
         quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
-        self.flux = flux
-        self.cols = _Columns(phis, mesh, grid, quad=quad)
+        self.profile = flux.profile
+        self.cols = cols = _Columns(phis, mesh, grid, quad=quad)
+        # f(u) . grad w = g(u) (b . grad w): b goes into the column once
+        self.b_grad_w = np.einsum("d,cdp->cp", flux.direction, cols.grad_w_integral)
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
-        self.c_term = np.array([_initial_pairing(mesh, u0, u0_cells, phi)
-                                for phi in phis])
+        self.c_term = _initial_pairings(mesh, u0, u0_cells, phis, quad)
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
         cols = self.cols
         Uc = U.take(cols.cells, axis=1)
-        phys = _physical(self.flux, Uc)
         a_term, b_term = self.rows[:, n0:n0 + len(U)]
         np.matmul(Uc, cols.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
-        # f(u^n) against grad phi on the slab, one axis of f at a time
-        grads = cols.grad_w_integral
-        np.matmul(phys[0], grads[0], out=b_term)
-        for pd, gd in zip(phys[1:], grads[1:]):
-            b_term += pd @ gd
+        np.matmul(self.profile(Uc), self.b_grad_w, out=b_term)  # f(u^n) . grad phi
 
     def gaps(self) -> list[float]:
         cols, rows = self.cols, self.rows
@@ -389,23 +385,29 @@ class _GapSums:
 # ---------------------------------------------------------------------------
 
 
-def _initial_pairing(mesh: Mesh, u0: IntegrableFunction | None,
-                     u0_cells: np.ndarray, phi: SmoothTestFunction) -> float:
-    """integral of u0(x) phi(x, 0) over the domain, by the cell-integral
-    policy of the projections.
+def _initial_pairings(mesh: Mesh, u0: IntegrableFunction | None,
+                      u0_cells: np.ndarray, phis, quad) -> np.ndarray:
+    """integral of u0(x) phi(x, 0) over the domain for every phi, by the
+    cell-integral policy of the projections, with one rule and one
+    evaluation of u0 for all of them; ``quad`` is the mesh's cell rule of
+    order GAUSS_ORDER.
 
     Falls back to the projected cell means when the continuum datum is not
     supplied (adds an O(h^2) projection error to the gap).
     """
-    verts = mesh.cell_vertices
-    phi0 = lambda x: phi.value(x, 0.0)  # noqa: E731
     if u0 is None:
-        pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
-        per_cell = u0_cells * quadrature.rowdot(w, phi0(pts))
+        rows, (pts, w) = slice(None), quad
     else:
-        per_cell = _cell_integrals(verts, u0, phi0)
-    # a running sum in cell order; np.sum adds pairwise, in another order
-    return float(np.cumsum(per_cell)[-1])
+        rows, pts, w = _datum_rule(mesh.cell_vertices, u0, quad)
+    out = []
+    for phi in phis:
+        per_cell = np.zeros(mesh.n_cells)
+        per_cell[rows] = quadrature.rowdot(w, phi.value(pts, 0.0))
+        if u0 is None:
+            per_cell *= u0_cells
+        # a running sum in cell order; np.sum adds pairwise, in another order
+        out.append(float(np.cumsum(per_cell)[-1]))
+    return np.array(out)
 
 
 def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:

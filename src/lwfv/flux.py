@@ -1,15 +1,20 @@
 """Physical flux functions and two- or three-point numerical fluxes.
 
-Every numerical flux returns the scalar normal component through a face
-given the adjacent states.  The contracts that the consistency analysis
-relies on (the checkers in this module sample the first three):
+Every physical flux is F(u) = g(u) b, so a face with unit normal n sees F
+only through its normal speed b . n (``FluxFunction.normal_speed``), and
+every numerical flux takes that speed rather than the normal:
+``evaluate(uK, uL, bn)`` returns the scalar normal component through faces
+whose normal speeds are ``bn``.  A caller whose normals never change (the
+solver's edges) computes bn once.  The contracts that the consistency
+analysis relies on (the checkers in this module sample the first three),
+with bn = normal_speed(n):
 
-* conservativity: evaluate(a, b, n) == -evaluate(b, a, -n) exactly (the
-  implementations are arranged so floating point negates bit for bit; the
+* conservativity: evaluate(a, b, bn) == -evaluate(b, a, normal_speed(-n))
+  exactly (normal_speed negates bit for bit, and so does every flux; the
   only slack is the sign of zero),
-* consistency: evaluate(u, u, n) equals F(u) . n,
-* a jump bound: both |evaluate(a, b, n) - F(a) . n| and
-  |evaluate(a, b, n) - F(b) . n| are at most c_f * |a - b|, where c_f is a
+* consistency: evaluate(u, u, bn) equals F(u) . n,
+* a jump bound: both |evaluate(a, b, bn) - F(a) . n| and
+  |evaluate(a, b, bn) - F(b) . n| are at most c_f * |a - b|, where c_f is a
   constant the flux declares,
 * locality: a face's flux depends only on the states of its own stencil,
   never on the other faces evaluated in the same call.
@@ -48,33 +53,12 @@ def _vec_label(v) -> str:
     return ",".join("%g" % float(x) for x in np.atleast_1d(v))
 
 
-def _normal_dot(n, b):
-    """n . b for normals n of shape (..., d): the column products summed
-    left to right, n[..., 0] * b[0] + n[..., 1] * b[1] + ...
-
-    Every product and every sum negates exactly under n -> -n, so the result
-    is bit-exactly antisymmetric in n.  ``n @ b`` is not: numpy dispatches
-    matmul to different kernels depending on operand memory layout (a
-    broadcast view of n and a materialised -n take different paths), and the
-    kernels round differently.  Conservativity is checked with ==, hence the
-    fuss.
-    """
-    n = np.asarray(n, dtype=float)
-    out = n[..., 0] * b[0]
-    for i in range(1, len(b)):
-        out = out + n[..., i] * b[i]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FluxFunction:
     """A scalar conservation-law flux F(u) = g(u) b in R^d: a scalar
     ``profile`` g along a fixed ``direction`` b.
 
-    ``value`` is vectorised: u of shape (...) maps to (..., d), a view of
-    a (d, ...) array, so that numpy's inner loop runs over the states rather
-    than over the length-d axis; ``np.moveaxis(value(u), -1, 0)`` is that
-    contiguous array.
+    ``value`` is vectorised: u of shape (...) maps to (..., d).
     ``deriv_bound(lo, hi)`` is elementwise and returns a sup bound for
     |F'(u)|_2 = |g'(u)| |b| on [lo, hi].
     """
@@ -89,8 +73,25 @@ class FluxFunction:
         return self.direction.size
 
     def value(self, u):
-        g = self.profile(np.asarray(u, dtype=float))
-        return np.moveaxis(np.multiply.outer(self.direction, g), 0, -1)
+        return self.profile(np.asarray(u, dtype=float))[..., None] * self.direction
+
+    def normal_speed(self, n):
+        """b . n for normals n of shape (..., d): the column products summed
+        left to right, n[..., 0] * b[0] + n[..., 1] * b[1] + ...
+
+        Every product and every sum negates exactly under n -> -n, so the
+        result is bit-exactly antisymmetric in n.  ``n @ b`` is not: numpy
+        dispatches matmul to different kernels depending on operand memory
+        layout (a broadcast view of n and a materialised -n take different
+        paths), and the kernels round differently.  Conservativity is
+        checked with ==, hence the fuss.
+        """
+        n = np.asarray(n, dtype=float)
+        b = self.direction
+        out = n[..., 0] * b[0]
+        for i in range(1, b.size):
+            out = out + n[..., i] * b[i]
+        return out
 
     def __call__(self, u):
         return self.value(u)
@@ -122,9 +123,11 @@ def burgers(direction=(1.0,)) -> FluxFunction:
 class NumericalFlux:
     """A face flux with declared stencil width and jump-bound constant.
 
-    ``evaluate(uK, uL, n, uKK=..., uLL=...)`` is vectorised over faces; the
-    extra states are consumed only by three-point stencils (uKK is the cell
-    behind K across its other face, uLL the cell behind L).
+    ``evaluate(uK, uL, bn, uKK=..., uLL=...)`` is vectorised over faces,
+    with ``bn = flux.normal_speed(n)`` the normal speed of each face (or
+    one speed, broadcast, when all faces share a normal); the extra states
+    are consumed only by three-point stencils (uKK is the cell behind K
+    across its other face, uLL the cell behind L).
     ``wave_speed`` bounds the normal signal speed between two states and
     feeds the time-step selection.  ``u_range`` is the state interval on
     which ``c_f`` holds; fluxes whose constant holds for any state declare
@@ -153,14 +156,13 @@ def upwind_linear(b) -> NumericalFlux:
     F = linear_advection(b)
     bv = F.direction
 
-    def evaluate(uK, uL, n, uKK=None, uLL=None):
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
-        bn = _normal_dot(n, bv)
         return np.where(bn >= 0.0, bn * uK, bn * uL) + 0.0
 
     def wave_speed(a, b_, n):
-        return np.abs(_normal_dot(n, bv))
+        return np.abs(F.normal_speed(n))
 
     return NumericalFlux(
         name=f"upwind({_vec_label(bv)})",
@@ -196,13 +198,13 @@ def rusanov(F: FluxFunction,
     face's lambda_sigma there; it holds only on that range, so the flux
     records it.
     """
-    g, bv = F.profile, F.direction
+    g = F.profile
 
-    def evaluate(uK, uL, n, uKK=None, uLL=None):
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
         lam = F.deriv_bound(np.minimum(uK, uL), np.maximum(uK, uL))
-        central = 0.5 * (g(uK) + g(uL)) * _normal_dot(n, bv)
+        central = 0.5 * (g(uK) + g(uL)) * bn
         return central - 0.5 * lam * (uL - uK) + 0.0
 
     def wave_speed(a, b, n):
@@ -242,7 +244,7 @@ def muscl_three_point(b) -> NumericalFlux:
     F = linear_advection(b)
     bv = F.direction
 
-    def evaluate(uK, uL, n, uKK=None, uLL=None):
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
         if uKK is None:
@@ -251,13 +253,12 @@ def muscl_three_point(b) -> NumericalFlux:
             uLL = uL
         uKK = np.asarray(uKK, dtype=float)
         uLL = np.asarray(uLL, dtype=float)
-        bn = _normal_dot(n, bv)
         face_up_k = uK + 0.5 * _minmod(uK - uKK, uL - uK)
         face_up_l = uL + 0.5 * _minmod(uL - uLL, uK - uL)
         return np.where(bn >= 0.0, bn * face_up_k, bn * face_up_l) + 0.0
 
     def wave_speed(a, b_, n):
-        return np.abs(_normal_dot(n, bv))
+        return np.abs(F.normal_speed(n))
 
     return NumericalFlux(
         name=f"muscl({_vec_label(bv)})",
@@ -334,8 +335,7 @@ def check_hypothesis_iii(flux: NumericalFlux,
     worst = -1.0
     witness = None
     for n in _unit_normals(flux.dim):
-        nb = np.broadcast_to(n, (a.size, flux.dim))
-        fval = flux.evaluate(a, b, nb, uKK=uKK, uLL=uLL)
+        fval = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
         fa = flux.flux.value(a) @ n
         fb = flux.flux.value(b) @ n
         jumps = np.abs(a - b)
@@ -353,7 +353,9 @@ def check_hypothesis_iii(flux: NumericalFlux,
 
 def conservativity_check(flux: NumericalFlux,
                          n_samples: int = 5000) -> FluxCheckReport:
-    """Exact equality evaluate(a,b,n) == -evaluate(b,a,-n) on sampled states."""
+    """Exact equality evaluate(a, b, bn) == -evaluate(b, a, bn') on sampled
+    states, with the normal speeds bn of n and bn' of -n each computed by
+    ``normal_speed``, so the check covers their antisymmetry too."""
     dims = 2 if flux.stencil == 2 else 4
     states = _halton_states(_sampled_range(flux), n_samples, dims)
     a, b = states[:, 0], states[:, 1]
@@ -362,9 +364,8 @@ def conservativity_check(flux: NumericalFlux,
     witness = None
     ok = True
     for n in _unit_normals(flux.dim):
-        nb = np.broadcast_to(n, (a.size, flux.dim))
-        fwd = flux.evaluate(a, b, nb, uKK=uKK, uLL=uLL)
-        bwd = flux.evaluate(b, a, -nb, uKK=uLL, uLL=uKK)
+        fwd = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
+        bwd = flux.evaluate(b, a, flux.flux.normal_speed(-n), uKK=uLL, uLL=uKK)
         bad = ~(fwd == -bwd)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -380,13 +381,14 @@ def conservativity_check(flux: NumericalFlux,
 
 def consistency_check(flux: NumericalFlux,
                       n_samples: int = 5000) -> FluxCheckReport:
-    """evaluate(u, u, n) must reproduce F(u) . n within 1e-14 relative."""
+    """evaluate(u, u, normal_speed(n)) must reproduce F(u) . n within 1e-14
+    relative."""
     states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
     worst = 0.0
     witness = None
     for n in _unit_normals(flux.dim):
-        nb = np.broadcast_to(n, (states.size, flux.dim))
-        fval = flux.evaluate(states, states, nb, uKK=states, uLL=states)
+        fval = flux.evaluate(states, states, flux.flux.normal_speed(n),
+                             uKK=states, uLL=states)
         exact = flux.flux.value(states) @ n
         scale = np.maximum(np.abs(exact), 1.0)
         r = np.abs(fval - exact) / scale
@@ -414,7 +416,8 @@ def multipoint_jump_bound_check(flux: NumericalFlux, field: CellField,
     L = mesh.face_L[mask]
     n = mesh.face_normal[mask]
     KK, LL = far_neighbors(mesh, K, L, periodic=True)
-    fval = flux.evaluate(u[K], u[L], n, uKK=u[KK], uLL=u[LL])
+    fval = flux.evaluate(u[K], u[L], flux.flux.normal_speed(n),
+                         uKK=u[KK], uLL=u[LL])
     fK = np.einsum("fd,fd->f", flux.flux.value(u[K]), n)
     # strict variant: take the smaller of the two candidate far-cell jumps,
     # so passing here implies the bound for whichever cell the flux used

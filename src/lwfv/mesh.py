@@ -716,7 +716,8 @@ def read_mesh(path_or_buf) -> Mesh:
     """Load a mesh written by :func:`write_mesh`.
 
     Raises MeshError on a malformed file: a line with the wrong field count
-    or a non-numeric field, a box comment without 2 * dim numbers, cell or
+    or a non-numeric field, a policy comment naming neither ``cone`` nor
+    ``equal``, a box comment without 2 * dim numbers, cell or
     face ids that are not exactly 0..n-1, a face naming a cell that does
     not exist, or a cell whose declared face count differs from the faces
     that name it.
@@ -742,7 +743,12 @@ def read_mesh(path_or_buf) -> Mesh:
             if not parts:
                 continue
             if parts[0] == "#":
-                if len(parts) >= 3 and parts[1] == "policy":
+                if len(parts) >= 2 and parts[1] == "policy":
+                    # validate checks the cone identity only under "cone",
+                    # so an unknown word must not pass for another policy
+                    if len(parts) != 3 or parts[2] not in ("cone", "equal"):
+                        raise MeshError(f"line {lineno}: policy must be 'cone' "
+                                        f"or 'equal', got {' '.join(parts[2:])!r}")
                     policy = parts[2]
                 elif len(parts) >= 2 and parts[1] == "box":
                     try:

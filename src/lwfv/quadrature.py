@@ -6,9 +6,13 @@ integration domain, so ``weights @ f(points)`` approximates the integral and
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+# numpy imports numpy.polynomial lazily; here it loads with this module
+# rather than inside the first call that needs a rule
+from numpy.polynomial import legendre
 
 # Degree-5 rule on the reference triangle (7 points: centroid plus two
 # three-point orbits).  Barycentric coordinates and weights as fractions of
@@ -32,9 +36,15 @@ _TRI_BARY = np.array(
 _TRI_WEIGHTS = np.array([9 / 40, _TRI_WA, _TRI_WA, _TRI_WA, _TRI_WB, _TRI_WB, _TRI_WB])
 
 
+@functools.cache
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(npts)
+    """Nodes and weights on [-1, 1], computed once per ``npts`` (each rule
+    is an eigenvalue solve).  Every caller shares the cached arrays, so they
+    are read-only."""
+    x, w = legendre.leggauss(npts)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def rowdot(w: np.ndarray, vals: np.ndarray) -> np.ndarray:

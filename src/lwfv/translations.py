@@ -100,31 +100,50 @@ class CellField:
         return float(np.dot(self.mesh.cell_volume, np.abs(self.values)))
 
 
-def _cell_integrals(verts: np.ndarray, u: IntegrableFunction,
-                    weight: Callable | None = None) -> np.ndarray:
-    """Integral of u, times ``weight`` (points (..., d) -> values) when one
-    is given, over every cell of a vertex batch (n_cells, n_vertices, d)."""
+def _interval_part(verts: np.ndarray, u: IntegrableFunction):
+    """For a 1d interval indicator u = 1 on [a, b]: the part [lo, hi] of
+    each cell of the batch inside [a, b] (empty where lo >= hi); None for
+    any other u."""
+    if u.kind != "indicator" or u.geometry is None or u.geometry[0] != "interval":
+        return None
+    _, a, b = u.geometry
+    return (np.maximum(verts.min(axis=1)[:, 0], a),
+            np.minimum(verts.max(axis=1)[:, 0], b))
+
+
+def _cell_integrals(verts: np.ndarray, u: IntegrableFunction) -> np.ndarray:
+    """Integral of u over every cell of a vertex batch (n_cells, n_vertices,
+    d)."""
+    part = _interval_part(verts, u)
+    if part is not None:
+        return np.maximum(0.0, part[1] - part[0])
     if u.kind == "indicator":
-        if u.geometry is not None and u.geometry[0] == "interval":
-            # u is 1 on the part [lo, hi] of each cell inside [a, b]
-            _, a, b = u.geometry
-            lo = np.maximum(verts.min(axis=1)[:, 0], a)
-            hi = np.minimum(verts.max(axis=1)[:, 0], b)
-            if weight is None:
-                return np.maximum(0.0, hi - lo)
-            hit = hi > lo
-            pts, w = quadrature.cell_rule(
-                np.stack([lo[hit], hi[hit]], axis=1)[:, :, None], GAUSS_ORDER)
-            out = np.zeros(verts.shape[0])
-            out[hit] = quadrature.rowdot(w, weight(pts))
-            return out
         pts, w = quadrature.subdivision_rule(verts, SUBSAMPLES)
     else:
         pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
-    vals = np.asarray(u.fn(pts), dtype=float)
-    if weight is None:
-        return quadrature.rowdot(w, vals)
-    return quadrature.rowdot(w * vals, weight(pts))
+    return quadrature.rowdot(w, np.asarray(u.fn(pts), dtype=float))
+
+
+def _datum_rule(verts: np.ndarray, u: IntegrableFunction, quad):
+    """The rule of ``_cell_integrals`` with u folded into its weights, for
+    integrals of u times many smooth weight functions: ``(rows, pts, wu)``
+    such that the integral of u * weight over cell rows[i] is
+    ``rowdot(wu, weight(pts))[i]`` and over every other cell is 0.
+    ``quad`` is the GAUSS_ORDER cell rule of ``verts``, reused for smooth
+    u; an interval indicator gets a Gauss rule on each cell's part inside
+    its interval."""
+    part = _interval_part(verts, u)
+    if part is not None:
+        lo, hi = part
+        rows = np.flatnonzero(hi > lo)
+        pts, w = quadrature.cell_rule(
+            np.stack([lo[rows], hi[rows]], axis=1)[:, :, None], GAUSS_ORDER)
+        return rows, pts, w
+    if u.kind == "indicator":
+        pts, w = quadrature.subdivision_rule(verts, SUBSAMPLES)
+    else:
+        pts, w = quad
+    return slice(None), pts, w * np.asarray(u.fn(pts), dtype=float)
 
 
 def project_l1(mesh: Mesh, u: IntegrableFunction, label: str = "") -> CellField:
@@ -192,12 +211,22 @@ class SeminormSums:
         self.dts = grid.deltas
         self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
         self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
+        self._buf = None  # (states at K, states at L, |dU|), reused per block
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        rows = slice(n0, n0 + len(U))
-        jumps = np.abs(U.take(self.K, axis=1) - U.take(self.L, axis=1))
+        b = len(U)
+        if self._buf is None or len(self._buf[0]) < b:
+            self._buf = (np.empty((b, self.K.size)), np.empty((b, self.K.size)),
+                         np.empty((b, self.vol.size)))
+        at_K, at_L, abs_du = (x[:b] for x in self._buf)
+        # K and L are cell ids of the mesh, so "clip" never clips; with an
+        # output buffer, the default "raise" would copy through a temporary
+        U.take(self.K, axis=1, out=at_K, mode="clip")
+        U.take(self.L, axis=1, out=at_L, mode="clip")
+        jumps = np.abs(np.subtract(at_K, at_L, out=at_K), out=at_K)
+        rows = slice(n0, n0 + b)
         np.matmul(jumps, self.dsig, out=self.space[rows])
-        np.matmul(np.abs(dU), self.vol, out=self.time[rows])
+        np.matmul(np.abs(dU, out=abs_du), self.vol, out=self.time[rows])
 
     def result(self) -> SpacetimeSeminorm:
         # the jump after step n separates slabs n and n + 1; the one after

@@ -193,7 +193,8 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes,
         |R| mass = sum_n |dt_n| sum_s |s| |phi^n_K - phi^n_L|
                    (|F_s| + |(|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n| / |D_s|)
 
-    with u = u^n, F_s the numerical flux of the face evaluated alone, and
+    with u = u^n, F_s the numerical flux of the face evaluated alone at the
+    face's normal speed b . n (summed here axis by axis), and
     phi^n_K phi at the anchor of K at time t_n.  A three-point flux (1d
     only) also gets the far cells KK behind K and LL behind L, the next
     cells in sorted order: with a periodic wrap, or, on an outflow
@@ -225,8 +226,11 @@ def brute_flux_pairing_terms(mesh, deltas, values, num_flux, phis, nodes,
                 step = pos[L] - pos[K]  # +1 or -1: interior faces never wrap
                 KK, LL = behind(K, -step), behind(L, step)
                 far = {"uKK": np.array([u[KK]]), "uLL": np.array([u[LL]])}
+            bn = 0.0
+            for axis in range(mesh.dim):
+                bn += float(normal[axis]) * float(num_flux.flux.direction[axis])
             flux = float(num_flux.evaluate(np.array([u[K]]), np.array([u[L]]),
-                                           normal[None, :], **far)[0])
+                                           np.array([bn]), **far)[0])
             fK = num_flux.flux.value(np.array([u[K]]))[0]
             fL = num_flux.flux.value(np.array([u[L]]))[0]
             convex = 0.0

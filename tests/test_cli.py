@@ -140,8 +140,12 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     short_box, bad_box = lines.copy(), lines.copy()
     short_box[box] = "# box 0\n"  # a 1d box needs two values
     bad_box[box] = "# box 0 one\n"
+    policy = next(i for i, x in enumerate(lines) if x.startswith("# policy "))
+    bogus_policy = lines.copy()
+    bogus_policy[policy] = "# policy bogus\n"  # would skip the cone check
     for name, text in (("missing", missing_cell), ("truncated", truncated),
-                       ("short_box", short_box), ("bad_box", bad_box)):
+                       ("short_box", short_box), ("bad_box", bad_box),
+                       ("bogus_policy", bogus_policy)):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"

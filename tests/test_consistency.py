@@ -494,10 +494,10 @@ def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
 def test_lw_study_names_family_and_level_of_a_blow_up():
     # a consistent central flux with negative dissipation grows every mode
     # until the guard of march fires
-    def antidiff(uK, uL, n, uKK=None, uLL=None):
+    def antidiff(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, float)
         uL = np.asarray(uL, float)
-        return 0.5 * (uK + uL) * np.asarray(n, float)[..., 0] + 25.0 * (uL - uK)
+        return 0.5 * (uK + uL) * bn + 25.0 * (uL - uK)
 
     bad = NumericalFlux(
         name="antidiffusive", flux=linear_advection([1.0]), stencil=2,

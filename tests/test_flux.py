@@ -35,7 +35,7 @@ ALL_FLUXES = [
 
 def test_rusanov_burgers_frozen_example():
     fl = rusanov(burgers((1.0,)))
-    got = fl.evaluate(np.array([0.0]), np.array([2.0]), np.array([[1.0]]))
+    got = fl.evaluate(np.array([0.0]), np.array([2.0]), np.array([1.0]))
     assert float(got[0]) == -1.0
 
 
@@ -43,9 +43,8 @@ def test_rusanov_burgers_probe_is_local():
     # the face (0.1, 0.2): central (0.005 + 0.02)/2 = 0.0125, dissipation
     # max(0.1, 0.2)/2 * 0.1 = 0.01, so 0.0025 whatever shares the call
     fl = rusanov(burgers((1.0,)))
-    alone = fl.evaluate(np.array([0.1]), np.array([0.2]), np.array([[1.0]]))
-    beside = fl.evaluate(np.array([0.1, 5.0]), np.array([0.2, 5.0]),
-                         np.ones((2, 1)))
+    alone = fl.evaluate(np.array([0.1]), np.array([0.2]), np.array([1.0]))
+    beside = fl.evaluate(np.array([0.1, 5.0]), np.array([0.2, 5.0]), np.ones(2))
     assert float(alone[0]) == pytest.approx(0.0025, rel=1e-15)
     assert float(beside[0]) == float(alone[0])
 
@@ -68,7 +67,7 @@ def test_face_flux_depends_on_its_own_stencil_only(fl):
 
     def flux_of(s, normal):
         extra = {"uKK": s[2], "uLL": s[3]} if fl.stencil == 3 else {}
-        return fl.evaluate(s[0], s[1], normal, **extra)
+        return fl.evaluate(s[0], s[1], fl.flux.normal_speed(normal), **extra)
 
     base = flux_of(states, normals)
     moved = flux_of(other, normals)
@@ -100,15 +99,23 @@ def test_flux_value_is_profile_times_direction_bit_for_bit(F, shape):
 
 def test_upwind_picks_donor_side():
     fl = upwind_linear([1.0])
-    n = np.array([[1.0]])
-    assert float(fl.evaluate(np.array([3.0]), np.array([-7.0]), n)[0]) == 3.0
-    assert float(fl.evaluate(np.array([3.0]), np.array([-7.0]), -n)[0]) == 7.0
+    bn = np.array([1.0])
+    assert float(fl.evaluate(np.array([3.0]), np.array([-7.0]), bn)[0]) == 3.0
+    assert float(fl.evaluate(np.array([3.0]), np.array([-7.0]), -bn)[0]) == 7.0
 
 
 def test_conservativity_bit_exact_all_fluxes():
+    rng = np.random.default_rng(2)
     for fl in ALL_FLUXES:
         rep = conservativity_check(fl, n_samples=5000)
         assert rep.ok, (fl.name, rep.witness)
+        # evaluate takes b . n, so the flip n -> -n reaches it only through
+        # normal_speed, which must negate bit for bit on its own
+        n = rng.normal(size=(500, fl.dim))
+        n = np.concatenate([n / np.linalg.norm(n, axis=1)[:, None],
+                            np.eye(fl.dim)])
+        speed = fl.flux.normal_speed
+        assert speed(-n).tobytes() == (-speed(n)).tobytes(), fl.name
 
 
 def test_consistency_all_fluxes():
@@ -143,9 +150,9 @@ def test_fluxes_declare_where_c_f_holds():
 def test_checkers_sample_the_declared_state_range(check, fl, lo, hi):
     seen = []
 
-    def evaluate(uK, uL, n, uKK=None, uLL=None):
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
         seen.extend(np.ravel(x) for x in (uK, uL, uKK, uLL) if x is not None)
-        return fl.evaluate(uK, uL, n, uKK=uKK, uLL=uLL)
+        return fl.evaluate(uK, uL, bn, uKK=uKK, uLL=uLL)
 
     check(NumericalFlux(name=fl.name, flux=fl.flux, stencil=fl.stencil,
                         c_f=fl.c_f, evaluate=evaluate, wave_speed=fl.wave_speed,
@@ -175,9 +182,9 @@ def test_jump_bound_checker_catches_understated_constant():
 def test_conservativity_checker_catches_one_sided_flux():
     F = linear_advection([1.0])
 
-    def one_sided(uK, uL, n, uKK=None, uLL=None):
+    def one_sided(uK, uL, bn, uKK=None, uLL=None):
         # deliberately not antisymmetric: always bills the K side
-        return np.multiply(F.value(np.asarray(uK, float)), np.asarray(n)).sum(-1)
+        return F.profile(np.asarray(uK, float)) * bn
 
     bad = NumericalFlux(name="one-sided", flux=F, stencil=2, c_f=1.0,
                         evaluate=one_sided, wave_speed=lambda a, b, n: 1.0)
@@ -200,8 +207,7 @@ def test_muscl_face_state_stays_in_convex_hull():
     fl = muscl_three_point([1.0])
     rng = np.random.default_rng(9)
     a, b, kk, ll = rng.uniform(-2.0, 2.0, (4, 4000))
-    n = np.ones((4000, 1))
-    vals = fl.evaluate(a, b, n, uKK=kk, uLL=ll)
+    vals = fl.evaluate(a, b, np.ones(4000), uKK=kk, uLL=ll)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
@@ -225,8 +231,8 @@ def test_wave_speed_bounds_reported_speeds():
 def test_upwind_conservativity_property(a, b, speed):
     fl = upwind_linear([speed])
     n = np.array([[1.0]])
-    fwd = float(fl.evaluate(np.array([a]), np.array([b]), n)[0])
-    bwd = float(fl.evaluate(np.array([b]), np.array([a]), -n)[0])
+    fwd = float(fl.evaluate(np.array([a]), np.array([b]), fl.flux.normal_speed(n))[0])
+    bwd = float(fl.evaluate(np.array([b]), np.array([a]), fl.flux.normal_speed(-n))[0])
     assert fwd == -bwd
 
 
@@ -237,8 +243,7 @@ def test_upwind_conservativity_property(a, b, speed):
 )
 def test_rusanov_burgers_jump_bound_property(a, b):
     fl = rusanov(burgers((1.0,)))
-    n = np.array([[1.0]])
-    val = float(fl.evaluate(np.array([a]), np.array([b]), n)[0])
+    val = float(fl.evaluate(np.array([a]), np.array([b]), np.array([1.0]))[0])
     fa = 0.5 * a * a
     fb = 0.5 * b * b
     bound = fl.c_f * abs(a - b)

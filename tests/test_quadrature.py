@@ -5,14 +5,26 @@ fractions in the asserts.
 """
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from lwfv.quadrature import cell_rule, subdivision_rule, triangle_rule
+from lwfv.quadrature import cell_rule, gauss_legendre, subdivision_rule, triangle_rule
 
 
 def _apply(rule, fn):
     """Integral over the single cell of a one-cell batch."""
     pts, w = rule
     return float(w[0] @ fn(pts[0]))
+
+
+@pytest.mark.parametrize("npts", [4, 6])
+def test_gauss_legendre_is_leggauss_computed_once_and_read_only(npts):
+    x, w = gauss_legendre(npts)
+    want_x, want_w = leggauss(npts)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert gauss_legendre(npts)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_interval_rule_polynomial_exactness():

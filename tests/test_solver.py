@@ -4,6 +4,7 @@ The single-step example is hand arithmetic at CFL number 1/2; the stencil
 wiring of the three-point flux is checked against a roll-based update on
 the sorted cell order, written independently in oracles.py.
 """
+import hashlib
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from lwfv import (
     TimeGrid,
+    cartesian_2d_family,
     interval_indicator,
     polynomial_bump,
     project_l1,
@@ -132,6 +134,48 @@ def test_divergence_matches_scalar_scatter_bit_for_bit(case):
     assert got.tobytes() == _scalar_divergence(st, u, fv).tobytes()
 
 
+def _sine_2d():
+    return smooth_function(
+        lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x[..., 0])
+        * np.sin(2 * np.pi * x[..., 1]),
+        name="sine-2d",
+    )
+
+
+# sha256 of solve(...).values.tobytes(), recorded before the fluxes took the
+# normal speed b . n in place of the normal: the histories must not move a bit
+PINNED_SOLVES = {
+    "1d-rusanov-riemann": (
+        lambda: (uniform_1d_family(10).build(2), rusanov(burgers((1.0,))),
+                 interval_indicator(0.1, 0.45), 0.3, "periodic"),
+        "4fb6bc27fbe1c321aeb69fb89e4ea8dc51789fa9ceedfb62991926d88d63c08a"),
+    "2d-triangulated-rusanov": (
+        lambda: (perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1),
+                 rusanov(burgers((0.6, 0.8))), _sine_2d(), 0.1, "periodic"),
+        "5e598ae3c5400055a76f222d008dcde166b60232d03d5b6e2c0d4e3421e76911"),
+    "1d-muscl-periodic": (
+        lambda: (uniform_1d_family(10).build(2), muscl_three_point([1.0]),
+                 _sine_datum(), 0.25, "periodic"),
+        "c1d4bc94e322ccc5dd83f4211ed65b53cdb6af5690e11a8b76f8919295185f3b"),
+    "1d-muscl-outflow": (
+        lambda: (uniform_1d_family(10).build(2), muscl_three_point([1.0]),
+                 _bump_datum(), 0.25, "outflow"),
+        "bd667d2a86f56b369fe941f34916c45b066f9ad9db36e51915bb206124ee7e7d"),
+    "2d-cartesian-upwind": (
+        lambda: (cartesian_2d_family(4).build(1), upwind_linear([1.0, 0.5]),
+                 _sine_2d(), 0.3, "periodic"),
+        "f110c33dc368df8d9458c43c99203d7634c2508b55ea6f57435d6b02e07111ed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
+def test_solve_history_bits_are_pinned(case):
+    build, digest = PINNED_SOLVES[case]
+    m, fl, u0, t_final, boundary = build()
+    field = solve(m, Problem(flux=fl, u0=u0, t_final=t_final, boundary=boundary))
+    assert hashlib.sha256(field.values.tobytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # time-step selection
 # ---------------------------------------------------------------------------
@@ -223,10 +267,9 @@ def test_blow_up_guard_raises():
     # the guard must catch the escape and name the step
     F = linear_advection([1.0])
 
-    def antidiff(uK, uL, n, uKK=None, uLL=None):
+    def antidiff(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, float)
         uL = np.asarray(uL, float)
-        bn = np.multiply(np.asarray(n, float), np.array([1.0])).sum(-1)
         return 0.5 * (uK + uL) * bn + 25.0 * (uL - uK)
 
     bad = NumericalFlux(
