@@ -80,7 +80,6 @@ DEFAULTS = {
     "seed": "0",
     "jitter": "0.3",
     "ratio": "2.0",
-    "dual": "cone",
     "flux": "upwind(1.0)",
     "u0": "bump",
     "t_final": "0.5",
@@ -147,20 +146,16 @@ def resolve_family(cfg: dict[str, str]) -> tuple[MeshFamily, int]:
     """Mesh family plus its spatial dimension."""
     name = cfg["family"]
     n0 = _get_int(cfg, "n0", minimum=2)
-    dual = cfg["dual"]
-    if dual not in ("cone", "equal"):
-        raise ConfigError(f"dual must be 'cone' or 'equal', got {dual!r}")
     if name == "uniform-1d":
-        return uniform_1d_family(n0=n0, dual=dual), 1
+        return uniform_1d_family(n0=n0), 1
     if name == "nonuniform-1d":
-        return nonuniform_1d_family(n0=n0, ratio=_get_float(cfg, "ratio"),
-                                    dual=dual), 1
+        return nonuniform_1d_family(n0=n0, ratio=_get_float(cfg, "ratio")), 1
     if name == "cartesian-2d":
-        return cartesian_2d_family(n0=n0, dual=dual), 2
+        return cartesian_2d_family(n0=n0), 2
     if name == "triangular-2d":
         return perturbed_triangular_2d_family(
             n0=n0, jitter=_get_float(cfg, "jitter"),
-            seed=_get_int(cfg, "seed"), dual=dual), 2
+            seed=_get_int(cfg, "seed")), 2
     raise ConfigError(f"unknown family {name!r}")
 
 

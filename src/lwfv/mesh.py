@@ -28,13 +28,15 @@ There is no cell-to-face map: every per-cell quantity is a scatter over
 
 The dual volume of an interior face sigma shared by cells K and L is the
 union of one piece inside K and one inside L; only the measures matter to
-the operators.  Two constructions are shipped:
-
-* ``cone`` (default): the piece in K is the cone with apex at the cell
-  anchor x_K and base sigma, with measure |sigma| * dist(x_K, plane) / d.
-  Cones over all faces of a cell tile the cell exactly, so the dual volumes
-  partition the domain.
-* ``equal``: the piece in K has measure |K| / (number of faces of K).
+the operators.  The piece in K is the cone ("diamond" half) with apex at
+the cell anchor x_K and base sigma, with measure
+|sigma| * dist(x_K, plane of sigma) / d (Eymard, Gallouet and Herbin 2000).
+Cones over all faces of a cell tile the cell exactly, so the dual volumes
+partition the domain.  Every shipped builder anchors a cell at its
+barycenter, whose distance to each face is 1/(d+1) of the simplex height
+over that face, or half the box width across it, so every cone of K has
+measure |K| / (number of faces of K); a second construction is worth
+having only with a family whose anchors are not barycenters.
 
 Meshes are immutable after construction and safe to share between studies.
 """
@@ -104,7 +106,6 @@ class Mesh:
     face_centroid: np.ndarray
     domain_measure: float
     h_max: float
-    dual_policy: str = "cone"
     box: tuple[np.ndarray, np.ndarray] | None = None
     cell_vertices: np.ndarray | None = None
     family: str = ""
@@ -163,29 +164,19 @@ def _face_counts(K: np.ndarray, L: np.ndarray, n_cells: int) -> np.ndarray:
             + np.bincount(L[L >= 0], minlength=n_cells))
 
 
-def _assemble(dim: int, dual: str, volume, center, diam, area, normal, K, L,
+def _assemble(dim: int, volume, center, diam, area, normal, K, L,
               centroid, dist_k, dist_l, **geometry) -> Mesh:
     """Mesh from per-cell and per-face arrays plus the anchor-to-face
-    distances that the cone dual policy needs.  On boundary faces L is -1
-    and dist_l is ignored: the dual piece on the L side is 0 there.
+    distances that give the cone heights.  On boundary faces L is -1 and
+    dist_l is ignored: the dual piece on the L side is 0 there.
     """
-    inner = L >= 0
-    if dual == "cone":
-        dk = area * dist_k / dim
-        dl = area * dist_l / dim
-    elif dual == "equal":
-        nf = _face_counts(K, L, volume.size)
-        Ls = np.where(inner, L, K)
-        dk = volume[K] / nf[K]
-        dl = volume[Ls] / nf[Ls]
-    else:
-        raise ValueError(f"unknown dual policy {dual!r}")
-    dl = np.where(inner, dl, 0.0)
+    dk = area * dist_k / dim
+    dl = np.where(L >= 0, area * dist_l / dim, 0.0)
     return Mesh(
         dim=dim, cell_volume=volume, cell_center=center, cell_diam=diam,
         face_area=area, face_normal=normal, face_K=K, face_L=L,
         face_dsig=dk + dl, face_dk=dk, face_dl=dl, face_centroid=centroid,
-        dual_policy=dual, **geometry,
+        **geometry,
     )
 
 
@@ -194,7 +185,7 @@ def _assemble(dim: int, dual: str, volume, center, diam, area, normal, K, L,
 # ---------------------------------------------------------------------------
 
 
-def _build_1d(edges: np.ndarray, dual: str, family: str) -> Mesh:
+def _build_1d(edges: np.ndarray, family: str) -> Mesh:
     edges = np.asarray(edges, dtype=float)
     n = edges.size - 1
     widths = np.diff(edges)
@@ -207,7 +198,7 @@ def _build_1d(edges: np.ndarray, dual: str, family: str) -> Mesh:
     K = np.maximum(i - 1, 0)
     L = np.where((i > 0) & (i < n), i, -1)
     return _assemble(
-        1, dual, widths, centers[:, None], widths.copy(),
+        1, widths, centers[:, None], widths.copy(),
         area=np.ones(n + 1), normal=np.where(i == 0, -1.0, 1.0)[:, None],
         K=K, L=L, centroid=edges[:, None].copy(),
         dist_k=np.abs(edges - centers[K]), dist_l=np.abs(centers[L] - edges),
@@ -219,8 +210,7 @@ def _build_1d(edges: np.ndarray, dual: str, family: str) -> Mesh:
     )
 
 
-def build_uniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
-                     dual: str = "cone") -> Mesh:
+def build_uniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0)) -> Mesh:
     """Uniform partition of an interval into n cells."""
     if n < 1:
         raise GeometryError("need at least one cell")
@@ -228,11 +218,11 @@ def build_uniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
     if not b > a:
         raise GeometryError("empty interval")
     edges = np.linspace(a, b, n + 1)
-    return _build_1d(edges, dual, f"uniform_1d(n={n})")
+    return _build_1d(edges, f"uniform_1d(n={n})")
 
 
 def build_nonuniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
-                        ratio: float = 2.0, dual: str = "cone") -> Mesh:
+                        ratio: float = 2.0) -> Mesh:
     """Interval partition with cell widths alternating 1 : ratio, normalised
     to fill the interval."""
     if n < 1:
@@ -244,11 +234,10 @@ def build_nonuniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
     widths = pattern * (b - a) / pattern.sum()
     edges = np.concatenate([[a], a + np.cumsum(widths)])
     edges[-1] = b  # keep the right endpoint exact
-    return _build_1d(edges, dual, f"nonuniform_1d(n={n},ratio={ratio})")
+    return _build_1d(edges, f"nonuniform_1d(n={n},ratio={ratio})")
 
 
-def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0)),
-                       dual: str = "cone") -> Mesh:
+def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0))) -> Mesh:
     """Axis-aligned rectangle grid with nx * ny cells, numbered row by row
     (cell j * nx + i is column i of row j)."""
     if nx < 1 or ny < 1:
@@ -288,7 +277,7 @@ def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0)),
     verts = np.stack([xs[ci[:, None] + di], ys[cj[:, None] + dj]], axis=-1)
     diam = math.hypot(hx, hy)
     return _assemble(
-        2, dual, np.full(nx * ny, hx * hy), centers, np.full(nx * ny, diam),
+        2, np.full(nx * ny, hx * hy), centers, np.full(nx * ny, diam),
         area=np.repeat([hy, hx], [vK.size, hK.size]), normal=normal,
         K=K, L=L, centroid=centroid,
         dist_k=np.abs(across - centers[K, axis]),
@@ -302,8 +291,7 @@ def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0)),
 
 
 def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
-                                  jitter: float = 0.3, seed: int = 0,
-                                  dual: str = "cone") -> Mesh:
+                                  jitter: float = 0.3, seed: int = 0) -> Mesh:
     """Structured triangulation of a box with jittered interior vertices.
 
     An (n+1) x (n+1) vertex grid is perturbed (interior vertices only, by
@@ -399,7 +387,7 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
     # CCW triangle: outward normal of directed edge p->q is (dy, -dx)
     normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
     return _assemble(
-        2, dual, areas, centers, diam, area=length, normal=normal, K=K, L=L,
+        2, areas, centers, diam, area=length, normal=normal, K=K, L=L,
         centroid=0.5 * (start + flat[q[first]]),
         dist_k=dist(centers[K]), dist_l=dist(centers[L]),
         domain_measure=float((x1 - x0) * (y1 - y0)),
@@ -415,36 +403,34 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
 # ---------------------------------------------------------------------------
 
 
-def uniform_1d_family(n0: int = 10, interval=(0.0, 1.0), dual="cone") -> MeshFamily:
+def uniform_1d_family(n0: int = 10, interval=(0.0, 1.0)) -> MeshFamily:
     return MeshFamily(
         name=f"uniform_1d(n0={n0})",
-        build=lambda m: build_uniform_1d(n0 * 2**m, interval, dual=dual),
+        build=lambda m: build_uniform_1d(n0 * 2**m, interval),
     )
 
 
-def nonuniform_1d_family(n0: int = 10, interval=(0.0, 1.0), ratio: float = 2.0,
-                         dual="cone") -> MeshFamily:
+def nonuniform_1d_family(n0: int = 10, interval=(0.0, 1.0),
+                         ratio: float = 2.0) -> MeshFamily:
     return MeshFamily(
         name=f"nonuniform_1d(n0={n0},ratio={ratio})",
-        build=lambda m: build_nonuniform_1d(n0 * 2**m, interval, ratio, dual=dual),
+        build=lambda m: build_nonuniform_1d(n0 * 2**m, interval, ratio),
     )
 
 
-def cartesian_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0)),
-                        dual="cone") -> MeshFamily:
+def cartesian_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0))) -> MeshFamily:
     return MeshFamily(
         name=f"cartesian_2d(n0={n0})",
-        build=lambda m: build_cartesian_2d(n0 * 2**m, n0 * 2**m, box, dual=dual),
+        build=lambda m: build_cartesian_2d(n0 * 2**m, n0 * 2**m, box),
     )
 
 
 def perturbed_triangular_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0)),
-                                   jitter: float = 0.3, seed: int = 0,
-                                   dual="cone") -> MeshFamily:
+                                   jitter: float = 0.3, seed: int = 0) -> MeshFamily:
     return MeshFamily(
         name=f"perturbed_triangular_2d(n0={n0},jitter={jitter},seed={seed})",
         build=lambda m: build_perturbed_triangular_2d(
-            n0 * 2**m, box, jitter=jitter, seed=seed, dual=dual
+            n0 * 2**m, box, jitter=jitter, seed=seed
         ),
     )
 
@@ -561,8 +547,9 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     """Structural and measure-theoretic checks on a mesh.
 
     Covers the partition identities for cells and dual volumes, per-cell
-    face closure, unit normals, dual-measure bookkeeping, and (when cell
-    geometry is available) anchor containment and the cone identity.
+    face closure, unit normals, dual-measure bookkeeping, the cone identity
+    of every dual piece, and (when cell geometry is available) anchor
+    containment.
     """
     checks: list[tuple[str, bool, str]] = []
     omega = mesh.domain_measure
@@ -612,23 +599,34 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     if mesh.cell_vertices is not None:
         inside = _anchors_inside(mesh.cell_vertices, mesh.cell_center)
         checks.append(("anchor_inside", inside, "x_K inside its cell"))
-    if mesh.dual_policy == "cone":
-        ints = np.flatnonzero(inner)
-        faces = np.concatenate([np.arange(mesh.n_faces), ints])
-        cells = np.concatenate([K, L[ints]])
-        part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
-        dist = np.abs(np.einsum(
-            "fd,fd->f", mesh.cell_center[cells] - mesh.face_centroid[faces],
-            mesh.face_normal[faces],
-        ))
-        expect = mesh.face_area[faces] * dist / mesh.dim
-        worst_cone = float(np.max(
-            np.abs(part - expect) / np.maximum(np.abs(expect), 1e-300)
-        ))
-        checks.append(
-            ("cone_identity", bool(worst_cone <= 1e-12),
-             f"max rel deviation {worst_cone:.2e}")
-        )
+    # every dual piece against its cone, recomputed from the face data
+    ints = np.flatnonzero(inner)
+    faces = np.concatenate([np.arange(mesh.n_faces), ints])
+    cells = np.concatenate([K, L[ints]])
+    part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
+    area = mesh.face_area[faces]
+    height = np.abs(np.einsum(
+        "fd,fd->f", mesh.cell_center[cells] - mesh.face_centroid[faces],
+        mesh.face_normal[faces],
+    ))
+    # Both the stored piece and this recomputation are |sigma| / d times a
+    # height built from coordinates no larger than M = |x_K|_inf + h_K: per
+    # coordinate at most d + 3 roundings of size eps M (the operands' own,
+    # a difference, a product with a unit vector, a sum).  So the two differ
+    # by at most 2 d (d + 3) eps |sigma| M / d.  The cone's own measure is
+    # no unit for this: a flat cone's height is far smaller than M.
+    reach = np.abs(mesh.cell_center).max(axis=1) + mesh.cell_diam
+    scale = np.abs(area) * reach[cells] / mesh.dim
+    tol = 2 * mesh.dim * (mesh.dim + 3) * np.finfo(float).eps
+    worst_cone = float(np.max(
+        np.abs(part - area * height / mesh.dim)
+        / np.maximum(scale, np.finfo(float).tiny)
+    ))
+    checks.append(
+        ("cone_identity", bool(worst_cone <= tol),
+         f"max deviation {worst_cone:.2e} x |sigma| (|x_K| + h_K) / d, "
+         f"tolerance {tol:.2e}")
+    )
 
     report = ValidationReport(checks)
     if raise_on_failure and not report.ok:
@@ -677,13 +675,13 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
     face lines: ``face <id> <area> <nx...> <K> <L|-1> <Dsigma> <DK> <DL> <cx...>``
 
     Reals carry 17 significant digits so a written file reloads bit-exactly.
-    Comment lines (``#``) record the dual policy and domain box; cell vertex
-    geometry is not persisted, so loaded meshes support the measure-based
-    operators but not cell quadrature.
+    Comment lines (``#``) record the dual construction and the domain box;
+    cell vertex geometry is not persisted, so loaded meshes support the
+    measure-based operators but not cell quadrature.
     """
     with open_text(path_or_buf, "w") as fh:
         fh.write(f"lwfv-mesh v1 dim={mesh.dim}\n")
-        fh.write(f"# policy {mesh.dual_policy}\n")
+        fh.write("# policy cone\n")
         if mesh.box is not None:
             lo, hi = mesh.box
             fh.write(f"# box {_fmt_row(np.concatenate([lo, hi]).tolist())}\n")
@@ -715,9 +713,13 @@ def _ordered(rows: dict[int, list], kind: str) -> list:
 def read_mesh(path_or_buf) -> Mesh:
     """Load a mesh written by :func:`write_mesh`.
 
+    The ``# policy`` comment may be absent; when present it must name
+    ``cone``, the one dual construction, since the dual pieces are read as
+    stored and :func:`validate` checks them against their cones.
+
     Raises MeshError on a malformed file: a line with the wrong field count
-    or a non-numeric field, a policy comment naming neither ``cone`` nor
-    ``equal``, a box comment without 2 * dim numbers, cell or
+    or a non-numeric field, a policy comment naming anything but ``cone``,
+    a box comment without 2 * dim numbers, cell or
     face ids that are not exactly 0..n-1, a face naming a cell that does
     not exist, or a cell whose declared face count differs from the faces
     that name it.
@@ -732,7 +734,6 @@ def read_mesh(path_or_buf) -> Mesh:
             raise MeshError(f"bad dimension in header {' '.join(header)!r}") from None
         if dim < 1:
             raise MeshError(f"bad dimension {dim}")
-        policy = "cone"
         box = None
         # field count and integer columns (n_faces; K and L) of each line kind
         width = {"cell": 5 + dim, "face": 8 + 2 * dim}
@@ -744,12 +745,9 @@ def read_mesh(path_or_buf) -> Mesh:
                 continue
             if parts[0] == "#":
                 if len(parts) >= 2 and parts[1] == "policy":
-                    # validate checks the cone identity only under "cone",
-                    # so an unknown word must not pass for another policy
-                    if len(parts) != 3 or parts[2] not in ("cone", "equal"):
-                        raise MeshError(f"line {lineno}: policy must be 'cone' "
-                                        f"or 'equal', got {' '.join(parts[2:])!r}")
-                    policy = parts[2]
+                    if parts[2:] != ["cone"]:
+                        raise MeshError(f"line {lineno}: policy must be 'cone', "
+                                        f"got {' '.join(parts[2:])!r}")
                 elif len(parts) >= 2 and parts[1] == "box":
                     try:
                         vals = np.array([float(v) for v in parts[2:]])
@@ -813,7 +811,6 @@ def read_mesh(path_or_buf) -> Mesh:
         face_centroid=faces[:, 6 + dim :].copy(),
         domain_measure=float(sum(cells[:, 0].tolist())),
         h_max=float(cells[:, 1].max()),
-        dual_policy=policy,
         box=box,
         cell_vertices=None,
         family="(loaded)",

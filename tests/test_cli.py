@@ -45,10 +45,12 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
-    p = tmp_path / "c.cfg"
-    p.write_text("bogus_key = 3\n")
-    assert run(["mesh-gen", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    assert "bogus_key" in capsys.readouterr().err
+    # dual named the one dual construction there is, so it is no key
+    for key in ("bogus_key", "dual"):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = cone\n")
+        assert run(["mesh-gen", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_config_missing_file_is_usage_error(tmp_path, capsys):
@@ -141,11 +143,13 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     short_box[box] = "# box 0\n"  # a 1d box needs two values
     bad_box[box] = "# box 0 one\n"
     policy = next(i for i, x in enumerate(lines) if x.startswith("# policy "))
-    bogus_policy = lines.copy()
-    bogus_policy[policy] = "# policy bogus\n"  # would skip the cone check
+    bogus_policy, equal_policy = lines.copy(), lines.copy()
+    bogus_policy[policy] = "# policy bogus\n"
+    equal_policy[policy] = "# policy equal\n"  # a construction no longer built
     for name, text in (("missing", missing_cell), ("truncated", truncated),
                        ("short_box", short_box), ("bad_box", bad_box),
-                       ("bogus_policy", bogus_policy)):
+                       ("bogus_policy", bogus_policy),
+                       ("equal_policy", equal_policy)):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"

@@ -4,11 +4,12 @@ Frozen metric values below were computed first from the defining formulas
 (uniform/cartesian cases by hand, the perturbed family by an independent
 run pinned once) and the builders are required to reproduce them.
 """
+import hashlib
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lwfv import (
@@ -91,6 +92,28 @@ def test_validate_reads_the_arrays_the_operators_use():
     m = build_cartesian_2d(3, 3)
     m.face_dk[5] *= 2.0
     assert "dual_split_sum" in validate(m).failing()
+    # a piece 1.5x its cone, with the excess taken from the other piece of
+    # the same face so every sum still holds: only the cone check sees it,
+    # on a built mesh and on one loaded with or without its policy line
+    m = build_cartesian_2d(3, 3)
+    m.face_dk[5] *= 1.5
+    m.face_dl[5] -= m.face_dk[5] / 3
+    m.face_dsig[5] = m.face_dk[5] + m.face_dl[5]
+    assert validate(m).failing() == ["cone_identity"]
+    buf = io.StringIO()
+    write_mesh(m, buf)
+    text = buf.getvalue()
+    no_policy = _replace_line(text, "# policy ", "")
+    for loaded in (read_mesh(io.StringIO(text)), read_mesh(io.StringIO(no_policy))):
+        assert validate(loaded).failing() == ["cone_identity"]
+
+
+def test_cone_check_holds_as_the_triangulation_refines():
+    # the check is scaled by the rounding of its operands, not by the cone's
+    # own measure, so finer (flatter-cone) levels do not drift toward it
+    fam = perturbed_triangular_2d_family(4, jitter=0.3, seed=0)
+    for lvl in range(7):
+        assert validate(fam.build(lvl)).ok, lvl
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +242,28 @@ def test_mesh_file_round_trip_bit_exact(tmp_path, families):
         assert q1.theta_grad == q2.theta_grad and q1.theta == q2.theta
 
 
+# sha256 of write_mesh output, recorded while a second dual construction
+# could still be selected: the cone pieces must not move a byte
+PINNED_MESH_BYTES = {
+    ("uniform-1d", 0): "8c5483baa976ba2177727ba849f44245fe860c25353b686c5586a6c14076b6ef",
+    ("uniform-1d", 1): "919f726d4024d9f38a7be2226384b71a9b14ce139171e4aab7af7aba7b9f0d63",
+    ("nonuniform-1d", 0): "04ecd6af2e8d3fb0401e6b2c3c42f8f0e4d640478f83e3f1c10166dc229bc2d8",
+    ("nonuniform-1d", 1): "7d8609d06ed705e9515171c70dcfe44406ba51551c3949476eb1ce8e89abf809",
+    ("cartesian-2d", 0): "8a36d18b9f58d8b04e1d776c08a7f299e88837dde2d29d3f657d00c1e9351beb",
+    ("cartesian-2d", 1): "72589c792f7b5cd244313afb9472c03422a298fbce57a90977ef37c8195763a0",
+    ("triangular-2d", 0): "b9df29cd602348fcbfee1defa77f216795466291140c5b1c90c70fc9b6a6e2ea",
+    ("triangular-2d", 1): "d468f67efe5865df20abf0474ee451137d8107679028d47718994f6062f12e71",
+}
+
+
+@pytest.mark.parametrize("name,level", sorted(PINNED_MESH_BYTES))
+def test_written_mesh_bytes_are_pinned(families, name, level):
+    buf = io.StringIO()
+    write_mesh(families[name].build(level), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == PINNED_MESH_BYTES[name, level]
+
+
 def test_mesh_file_rejects_unknown_header():
     with pytest.raises(MeshError):
         read_mesh(io.StringIO("bogus-header v9 dim=1\n"))
@@ -321,6 +366,8 @@ def test_triangular_validates_in_safe_band(n, seed, jitter):
     seed=st.integers(min_value=0, max_value=50),
     jitter=st.floats(min_value=0.0, max_value=0.45),
 )
+# a flat cone whose deviation, relative to its own measure, read 2.24e-12
+@example(n=7, seed=34, jitter=0.4067458887108136)
 def test_triangular_never_builds_silently_invalid(n, seed, jitter):
     # an aggressive draw may invert a triangle; the only acceptable
     # outcomes are a valid mesh or a loud refusal
