@@ -13,7 +13,8 @@ Config files are ``key = value`` lines ('#' comments allowed); the flags
 --levels/--seed/--out override the matching keys.  Every CSV
 written embeds the digest of the fully resolved configuration in a header
 comment, so outputs are traceable to their inputs.  Exit codes: 0 success,
-1 internal error, 2 validation or invariant breach.
+1 internal error, 2 configuration error, 3 failed verification (an
+InvariantViolation or a BlowUpError).
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .operators import (
     polynomial_bump,
     vector_corpus,
 )
-from .solver import Problem, solve, write_history
+from .solver import BlowUpError, Problem, solve, write_history
 from .translations import (
     IntegrableFunction,
     interval_indicator,
@@ -472,7 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.subcommand](cfg)
-    except (ConfigError, MeshError, InvariantViolation, ValueError) as e:
+    except (InvariantViolation, BlowUpError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+    except (ConfigError, MeshError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -99,7 +99,8 @@ def check_support_margin(mesh: Mesh, grid: TimeGrid,
             f"spatial support [{slo}, {shi}] of {phi.name!r} is not strictly "
             f"inside the domain [{lo}, {hi}]"
         )
-    bcells = np.unique(mesh.face_K[~mesh.interior])
+    bcells = np.flatnonzero(
+        np.bincount(mesh.face_K[~mesh.interior], minlength=mesh.n_cells))
     if bcells.size:
         centers = mesh.cell_center[bcells]
         inside = np.all((centers > slo) & (centers < shi), axis=1)
@@ -186,8 +187,9 @@ class _Columns:
                                   for p in phis])
             jump = wc[K] - wc[L]
             self.faces = np.flatnonzero(np.any(jump != 0.0, axis=1))
-            self.cells = np.union1d(np.flatnonzero(np.any(wc != 0.0, axis=1)),
-                                    np.concatenate([K[self.faces], L[self.faces]]))
+            touched = np.any(wc != 0.0, axis=1)
+            touched[K[self.faces]] = touched[L[self.faces]] = True
+            self.cells = np.flatnonzero(touched)
             self.face_cells = (np.searchsorted(self.cells, K[self.faces]),
                                np.searchsorted(self.cells, L[self.faces]))
             self.w_cells, self.w_jump = wc[self.cells], jump[self.faces]
@@ -296,26 +298,36 @@ class _PairingSums:
         self.phis = phis
         self.t1_2 = -((vol * u0[cols.cells]) @ cols.w_cells) * cols.node_weight[0]
         self.rows = np.zeros((8, grid.n_steps, len(phis)))
+        self._buf = None  # two cell and three face buffers, reused per block
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
         cols = self.cols
-        Uc = U.take(cols.cells, axis=1)
-        dUc = dU.take(cols.cells, axis=1)
+        b = len(U)
+        if self._buf is None or len(self._buf[0]) < b:
+            nc, nf = cols.cells.size, cols.faces.size
+            self._buf = tuple(np.empty((b, n)) for n in (nc, nc, nf, nf, nf))
+        Uc, dUc, fa, fb, fc = (x[:b] for x in self._buf)
+        # the ids index U, dU, F and gc, so "clip" never clips; with an
+        # output buffer, the default "raise" would copy through a temporary
+        U.take(cols.cells, axis=1, out=Uc, mode="clip")
+        dU.take(cols.cells, axis=1, out=dUc, mode="clip")
         gc = self.profile(Uc)
         Kc, Lc = cols.face_cells
-        comb = self.weight_K * gc.take(Kc, axis=1) + self.weight_L * gc.take(Lc, axis=1)
-        aF = self.area * F.take(cols.faces, axis=1)
+        gK = np.multiply(self.weight_K, gc.take(Kc, axis=1, out=fa, mode="clip"), out=fa)
+        gL = np.multiply(self.weight_L, gc.take(Lc, axis=1, out=fb, mode="clip"), out=fb)
+        comb = np.add(gK, gL, out=fa)
+        aF = np.multiply(self.area, F.take(cols.faces, axis=1, out=fc, mode="clip"), out=fc)
         jump = cols.w_jump
-        r = self.rows[:, n0:n0 + len(U)]
+        r = self.rows[:, n0:n0 + b]
         np.matmul(dUc, self.vol_w, out=r[2])               # R1
         np.matmul(Uc, self.vol_w, out=r[1])                # T1_1
         r[0] = r[2]  # T1: the spatial row of R1, under other time weights
-        np.matmul(np.abs(dUc), self.vol_w_abs, out=r[3])   # |R1| mass
+        np.matmul(np.abs(dUc, out=dUc), self.vol_w_abs, out=r[3])  # |R1| mass
         np.matmul(aF, jump, out=r[4])                      # T2
         np.matmul(comb, jump, out=r[5])                    # T2_tilde
-        np.matmul(aF - comb, jump, out=r[6])               # R
-        np.matmul(np.abs(aF) + np.abs(comb), self.jump_abs,
-                  out=r[7])                                # |R| mass
+        np.matmul(np.subtract(aF, comb, out=fb), jump, out=r[6])  # R
+        np.matmul(np.add(np.abs(aF, out=fc), np.abs(comb, out=fa), out=fc),
+                  self.jump_abs, out=r[7])                 # |R| mass
 
     def decompositions(self) -> list[ResidualDecomposition]:
         cols, rows = self.cols, self.rows

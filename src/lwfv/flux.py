@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .mesh import far_neighbors
 from .translations import CellField
@@ -302,10 +301,29 @@ def _unit_normals(dim: int, count: int = 16) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
+_HALTON_BASES = (2, 3, 5, 7)
+
+
+def _radical_inverse(base: int, n: int) -> np.ndarray:
+    """The first n points of the van der Corput sequence in ``base``.
+
+    Point i is sum_k d_k(i) base^-(k+1) over the base-``base`` digits d_k of
+    i, summed from the lowest digit up, as scipy's unscrambled Halton sums
+    them, so the points agree bit for bit.  Each pass appends one digit.
+    """
+    seq = np.zeros(1)
+    b2r = 1.0 / base
+    while seq.size < n:
+        seq = (seq[None, :] + (np.arange(base) * b2r)[:, None]).ravel()
+        b2r /= base
+    return seq[:n]
+
+
 def _halton_states(u_range, n_samples: int, dims: int) -> np.ndarray:
+    """n_samples unscrambled Halton points (Halton 1960) in [lo, hi)^dims."""
     lo, hi = u_range
-    eng = qmc.Halton(d=dims, scramble=False)
-    pts = eng.random(n_samples)
+    pts = np.stack([_radical_inverse(b, n_samples)
+                    for b in _HALTON_BASES[:dims]], axis=1)
     return lo + (hi - lo) * pts
 
 

@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded here, not inside a timed build
 
 from .reports import open_text
 
@@ -318,7 +319,7 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)  # (n+1, n+1, 2)
     if jitter > 0:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         table = rng.uniform(-jitter, jitter, size=(4, 4, 2))
         idx = np.arange(n + 1) % 4
         offs = table[idx[:, None], idx[None, :]].copy()  # (n+1, n+1, 2)

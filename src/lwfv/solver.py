@@ -133,7 +133,9 @@ def _pair_periodic_faces(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
         raise MeshError(
             f"periodic faces {low[i]} and {high[i]} have mismatched areas"
         )
-    unpaired = np.setdiff1d(bdry, np.concatenate([low, high]))
+    covered = np.zeros(mesh.n_faces, dtype=bool)
+    covered[low] = covered[high] = True
+    unpaired = bdry[~covered[bdry]]
     if unpaired.size:
         raise MeshError(f"unpaired boundary faces: {unpaired[:5].tolist()}")
     return low, high

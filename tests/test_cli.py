@@ -4,6 +4,7 @@ Every subcommand is exercised through main() with real directories; the
 determinism tests compare output bytes across reruns, including reruns
 that only change the output directory or the worker count.
 """
+import dataclasses
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from lwfv import cli, read_mesh
 from lwfv.cli import ConfigError, resolve_flux, resolve_u0
+from lwfv.flux import upwind_linear
 from lwfv.solver import read_history
 
 from oracles import dense_cell_means_1d
@@ -228,6 +230,34 @@ def test_lw_verify_csv_schema_and_summary(tmp_path):
     summary = (out / "lw_summary.txt").read_text()
     assert "fitted slopes" in summary
     assert "master identity" in summary
+
+
+def _downwind(monotone):
+    """Upwind transport at speed 1 with the donor cell swapped: a planted
+    defect that the solver's checks must catch at run time."""
+    honest = upwind_linear([1.0])
+    return dataclasses.replace(
+        honest, name="downwind", monotone=monotone,
+        evaluate=lambda uK, uL, bn, uKK=None, uLL=None: honest.evaluate(uL, uK, bn))
+
+
+@pytest.mark.parametrize("monotone, failure", [
+    (True, "maximum principle broken"),  # an InvariantViolation
+    (False, "escaped the guard"),  # a BlowUpError
+])
+def test_exit_code_3_for_failed_verification_2_for_bad_config(
+        tmp_path, capsys, monkeypatch, monotone, failure):
+    out = str(tmp_path / "o")
+    monkeypatch.setattr(cli, "resolve_flux", lambda spec, dim: _downwind(monotone))
+    cfgp = tmp_path / "s.cfg"
+    cfgp.write_text("u0 = sine\nt_final = soon\nlevel = 2\n")
+    assert run(["solve", "--config", str(cfgp), "--out", out]) == 2
+    assert "t_final must be a number" in capsys.readouterr().err
+    cfgp.write_text("u0 = sine\nt_final = 20\nlevel = 2\n")
+    assert run(["solve", "--config", str(cfgp), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and failure in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

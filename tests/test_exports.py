@@ -1,5 +1,6 @@
-"""Every name a module of the package exports must exist on it, and every
-name a module imports must be used.
+"""Every name a module of the package exports must exist on it, every
+name a module imports must be used, and importing the package must not
+load ``scipy.stats``.
 
 A stale ``__all__`` entry left behind by a deletion otherwise fails only
 under ``from lwfv.<module> import *``; an import left behind by one fails
@@ -7,7 +8,10 @@ nowhere.  No linter is a dependency, so the import scan uses ``ast``.
 """
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,17 @@ def test_no_unused_imports():
     unused = {path.relative_to(ROOT).as_posix(): _unused_imports(path)
               for path in SOURCES if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs about a second of import; the Halton points the
+    # flux checkers sample are computed with numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lwfv; print(sorted(m for m in sys.modules"
+         " if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lwfv import uniform_1d_family
 from lwfv.flux import (
     NumericalFlux,
+    _halton_states,
     burgers,
     check_hypothesis_iii,
     consistency_check,
@@ -31,6 +32,19 @@ ALL_FLUXES = [
     rusanov(burgers((0.6, 0.8))),
     rusanov(linear_advection([1.0, 0.5])),
 ]
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_halton_states_match_scipy_bit_for_bit(dims):
+    # the reference only: the package itself does not import scipy.stats
+    from scipy.stats import qmc
+
+    for n in (1, 2, 7, 5000, 20000, 65537):
+        ref = qmc.Halton(d=dims, scramble=False).random(n)
+        got = _halton_states((0.0, 1.0), n, dims)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref), n
+        assert np.array_equal(_halton_states((-2.0, 3.0), n, dims), -2.0 + 5.0 * ref), n
 
 
 def test_rusanov_burgers_frozen_example():

@@ -4,6 +4,7 @@ The single-step example is hand arithmetic at CFL number 1/2; the stencil
 wiring of the three-point flux is checked against a roll-based update on
 the sorted cell order, written independently in oracles.py.
 """
+import dataclasses
 import hashlib
 import re
 
@@ -29,6 +30,7 @@ from lwfv.flux import (
     rusanov,
     upwind_linear,
 )
+from lwfv.mesh import MeshError
 from lwfv.operators import InvariantViolation
 from lwfv.solver import (
     BlowUpError,
@@ -210,6 +212,60 @@ def test_solve_rejects_bad_cfl():
     pr = Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.5)
     with pytest.raises(ValueError):
         solve(m, pr, cfl=2.5)
+
+
+# ---------------------------------------------------------------------------
+# periodic face pairing
+# ---------------------------------------------------------------------------
+
+
+def _periodic_mesh():
+    """A 4 x 4 Cartesian mesh of the unit square and its boundary faces on
+    x = 0 and on x = 1, each ordered by y, so left[i] and right[i] are
+    periodic partners."""
+    m = cartesian_2d_family(4).build(0)
+    c = m.face_centroid
+    left, right = (np.flatnonzero(~m.interior & np.isclose(c[:, 0], x))
+                   for x in (0.0, 1.0))
+    return m, left[np.argsort(c[left, 1])], right[np.argsort(c[right, 1])]
+
+
+_PERIODIC_FLUX = rusanov(burgers((0.6, 0.8)))
+
+
+def test_periodic_pairing_needs_the_box():
+    m, _, _ = _periodic_mesh()
+    Stepper(m, _PERIODIC_FLUX, "periodic")
+    with pytest.raises(MeshError, match="need the mesh bounding box"):
+        Stepper(dataclasses.replace(m, box=None), _PERIODIC_FLUX, "periodic")
+
+
+def test_periodic_pairing_rejects_a_face_without_partner():
+    m, left, right = _periodic_mesh()
+    c = m.face_centroid.copy()
+    c[right[1], 1] += 0.1  # 0.4 of a cell off the image of left[1]
+    with pytest.raises(MeshError,
+                       match=rf"no periodic partner for boundary face {left[1]} "):
+        Stepper(dataclasses.replace(m, face_centroid=c), _PERIODIC_FLUX, "periodic")
+
+
+def test_periodic_pairing_rejects_mismatched_areas():
+    m, left, right = _periodic_mesh()
+    area = m.face_area.copy()
+    area[right[2]] *= 1.5
+    with pytest.raises(MeshError, match=rf"periodic faces {left[2]} and "
+                                        rf"{right[2]} have mismatched areas"):
+        Stepper(dataclasses.replace(m, face_area=area), _PERIODIC_FLUX, "periodic")
+
+
+def test_periodic_pairing_rejects_unpaired_faces():
+    # left[0] and left[1] both land on right[1], so right[0] is nobody's partner
+    m, left, right = _periodic_mesh()
+    c = m.face_centroid.copy()
+    c[left[0]] = c[left[1]]
+    with pytest.raises(MeshError,
+                       match=rf"unpaired boundary faces: \[{right[0]}\]"):
+        Stepper(dataclasses.replace(m, face_centroid=c), _PERIODIC_FLUX, "periodic")
 
 
 # ---------------------------------------------------------------------------
