@@ -268,7 +268,7 @@ def cmd_mesh_gen(cfg: dict[str, str]) -> int:
     family, _ = resolve_family(cfg)
     levels = _get_int(cfg, "levels", minimum=1)
     out = _out_dir(cfg)
-    meshes = refine(family, levels) if levels >= 2 else [family.build(0)]
+    meshes = refine(family, levels)
     rows = []
     for lvl, mesh in enumerate(meshes):
         validate(mesh, raise_on_failure=True)

@@ -155,57 +155,18 @@ class ResidualDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# test functions as matrix columns
+# test functions phi = w(x) g(t): time weights
 # ---------------------------------------------------------------------------
 
 
-class _Columns:
-    """Test functions phi(x, t) = w(x) g(t) as constant spatial columns.
-
-    Every per-step quantity is a spatial column computed once times a time
-    weight: phi^n_K = w_K g(t_n) and phi^{n+1}_K - phi^n_K = w_K (g(t_{n+1})
-    - g(t_n)) at the anchors (``w_cells``, face jumps ``w_jump``), and with a
-    quadrature rule the cell integrals of w and grad w (``w_integral``,
-    ``grad_w_integral``) against g(t_{n+1}) - g(t_n) and the slab integral of g.
-
-    The columns keep only their support rows: ``cells`` and (for the
-    pairing) ``faces`` index the cells and interior faces where some column
-    is nonzero, plus, for the pairing, both cells of every kept face, whose
-    physical fluxes enter the face's dual-weighted combination;
-    ``face_cells`` are those two cells as positions in ``cells``.  Every
-    dropped row is exactly zero in every column.
-    """
-
-    def __init__(self, phis, mesh: Mesh, grid: TimeGrid, faces=None, quad=None):
-        g_nodes = np.column_stack([np.asarray(p.g(grid.nodes), dtype=float)
-                                   for p in phis])
-        self.node_weight = g_nodes[:-1]
-        self.step_weight = np.diff(g_nodes, axis=0)
-        if faces is not None:
-            K, L = faces
-            wc = np.column_stack([np.asarray(p.w(mesh.cell_center), dtype=float)
-                                  for p in phis])
-            jump = wc[K] - wc[L]
-            self.faces = np.flatnonzero(np.any(jump != 0.0, axis=1))
-            touched = np.any(wc != 0.0, axis=1)
-            touched[K[self.faces]] = touched[L[self.faces]] = True
-            self.cells = np.flatnonzero(touched)
-            self.face_cells = (np.searchsorted(self.cells, K[self.faces]),
-                               np.searchsorted(self.cells, L[self.faces]))
-            self.w_cells, self.w_jump = wc[self.cells], jump[self.faces]
-        if quad is not None:
-            pts, wq = quad
-            W = np.column_stack([
-                quadrature.rowdot(wq, np.asarray(p.w(pts), dtype=float)) for p in phis])
-            GW = np.stack([
-                (wq[:, None, :] @ np.asarray(p.grad_w(pts), dtype=float))[:, 0]
-                for p in phis], axis=-1)  # (cells, d, phis)
-            self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
-                                        | np.any(GW != 0.0, axis=(1, 2)))
-            self.w_integral = W[self.cells]  # (cells, phis)
-            self.grad_w_integral = GW[self.cells]  # (cells, d, phis)
-            self.slab_weight = np.column_stack([_slab_means(p.g, grid.nodes)
-                                                for p in phis])
+def _time_weights(phis, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """g(t_n) and g(t_{n+1}) - g(t_n) per step (rows) and test function
+    (columns): phi^n = w g(t_n) and phi^{n+1} - phi^n = w (g(t_{n+1}) -
+    g(t_n)), so every per-step quantity is a constant spatial column times
+    one of these time weights."""
+    g_nodes = np.column_stack([np.asarray(p.g(grid.nodes), dtype=float)
+                               for p in phis])
+    return g_nodes[:-1], np.diff(g_nodes, axis=0)
 
 
 def _weighted(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -267,28 +228,40 @@ class _PairingSums:
     ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands it over, with U the
     states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
     interior faces in face order, one row per step n.  Each step stores one
-    row per term and test function, over the support rows of the columns
-    only; ``decompositions()`` applies the time weights.  T1, T2 and the
-    five terms each have their own row, so the master identity checks them
-    against each other.
+    row per term and test function; ``decompositions()`` applies the time
+    weights.  T1, T2 and the five terms each have their own row, so the
+    master identity checks them against each other.
 
-    The factors that do not change from step to step sit in the columns and
-    face weights: |K| in the cell columns, and |s| |D_Ks| / |D_s| (b . n)
-    and |s| |D_Ls| / |D_s| (b . n) in the two weights that turn g(u_K) and
-    g(u_L) into |s| times the dual-weighted physical flux
+    Its columns are the anchor samples |K| w(x_K) and the face jumps
+    w(x_K) - w(x_L), kept on their support rows: ``faces``, the interior
+    faces with a nonzero jump, and ``cells``, the cells with a nonzero
+    sample plus both cells of every kept face (``face_cells``, as positions
+    in ``cells``).  Every dropped row is zero in every column.  The face
+    weights |s| |D_Ks| / |D_s| (b . n) and |s| |D_Ls| / |D_s| (b . n) turn
+    g(u_K) and g(u_L) into |s| times the dual-weighted physical flux
     (|D_Ks| f(u_K) + |D_Ls| f(u_L)) . n / |D_s|.
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: np.ndarray,
                  flux: FluxFunction):
         ids = np.flatnonzero(mesh.interior)
-        self.cols = cols = _Columns(phis, mesh, grid,
-                                    faces=(mesh.face_K[ids], mesh.face_L[ids]))
-        f = ids[cols.faces]
-        vol = mesh.cell_volume[cols.cells]
-        self.vol_w = vol[:, None] * cols.w_cells
+        K, L = mesh.face_K[ids], mesh.face_L[ids]
+        wc = np.column_stack([np.asarray(p.w(mesh.cell_center), dtype=float)
+                              for p in phis])
+        jump = wc[K] - wc[L]
+        self.faces = np.flatnonzero(np.any(jump != 0.0, axis=1))
+        touched = np.any(wc != 0.0, axis=1)
+        touched[K[self.faces]] = touched[L[self.faces]] = True
+        self.cells = np.flatnonzero(touched)
+        self.face_cells = (np.searchsorted(self.cells, K[self.faces]),
+                           np.searchsorted(self.cells, L[self.faces]))
+        w_cells, self.w_jump = wc[self.cells], jump[self.faces]
+        self.node_weight, self.step_weight = _time_weights(phis, grid)
+        f = ids[self.faces]
+        vol = mesh.cell_volume[self.cells]
+        self.vol_w = vol[:, None] * w_cells
         self.vol_w_abs = np.abs(self.vol_w)
-        self.jump_abs = np.abs(cols.w_jump)
+        self.jump_abs = np.abs(self.w_jump)
         self.area = mesh.face_area[f]
         area_bn = self.area * flux.normal_speed(mesh.face_normal[f])
         self.weight_K = area_bn * (mesh.face_dk[f] / mesh.face_dsig[f])
@@ -296,28 +269,27 @@ class _PairingSums:
         self.profile = flux.profile
         self.dts = grid.deltas
         self.phis = phis
-        self.t1_2 = -((vol * u0[cols.cells]) @ cols.w_cells) * cols.node_weight[0]
+        self.t1_2 = -((vol * u0[self.cells]) @ w_cells) * self.node_weight[0]
         self.rows = np.zeros((8, grid.n_steps, len(phis)))
         self._buf = None  # two cell and three face buffers, reused per block
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        cols = self.cols
         b = len(U)
         if self._buf is None or len(self._buf[0]) < b:
-            nc, nf = cols.cells.size, cols.faces.size
+            nc, nf = self.cells.size, self.faces.size
             self._buf = tuple(np.empty((b, n)) for n in (nc, nc, nf, nf, nf))
         Uc, dUc, fa, fb, fc = (x[:b] for x in self._buf)
         # the ids index U, dU, F and gc, so "clip" never clips; with an
         # output buffer, the default "raise" would copy through a temporary
-        U.take(cols.cells, axis=1, out=Uc, mode="clip")
-        dU.take(cols.cells, axis=1, out=dUc, mode="clip")
+        U.take(self.cells, axis=1, out=Uc, mode="clip")
+        dU.take(self.cells, axis=1, out=dUc, mode="clip")
         gc = self.profile(Uc)
-        Kc, Lc = cols.face_cells
+        Kc, Lc = self.face_cells
         gK = np.multiply(self.weight_K, gc.take(Kc, axis=1, out=fa, mode="clip"), out=fa)
         gL = np.multiply(self.weight_L, gc.take(Lc, axis=1, out=fb, mode="clip"), out=fb)
         comb = np.add(gK, gL, out=fa)
-        aF = np.multiply(self.area, F.take(cols.faces, axis=1, out=fc, mode="clip"), out=fc)
-        jump = cols.w_jump
+        aF = np.multiply(self.area, F.take(self.faces, axis=1, out=fc, mode="clip"), out=fc)
+        jump = self.w_jump
         r = self.rows[:, n0:n0 + b]
         np.matmul(dUc, self.vol_w, out=r[2])               # R1
         np.matmul(Uc, self.vol_w, out=r[1])                # T1_1
@@ -330,12 +302,12 @@ class _PairingSums:
                   self.jump_abs, out=r[7])                 # |R| mass
 
     def decompositions(self) -> list[ResidualDecomposition]:
-        cols, rows = self.cols, self.rows
-        per_slab = self.dts[:, None] * cols.node_weight
-        t1 = _weighted(cols.node_weight, rows[0])
-        t11 = -_weighted(cols.step_weight, rows[1])
-        r1 = -_weighted(cols.step_weight, rows[2])
-        r1_abs = _weighted(np.abs(cols.step_weight), rows[3])
+        rows = self.rows
+        per_slab = self.dts[:, None] * self.node_weight
+        t1 = _weighted(self.node_weight, rows[0])
+        t11 = -_weighted(self.step_weight, rows[1])
+        r1 = -_weighted(self.step_weight, rows[2])
+        r1_abs = _weighted(np.abs(self.step_weight), rows[3])
         t2, t2t, rr = (_weighted(per_slab, rows[k]) for k in (4, 5, 6))
         r_abs = _weighted(np.abs(per_slab), rows[7])
         out = []
@@ -359,67 +331,62 @@ class _PairingSums:
 
 class _GapSums:
     """The weak gaps of a history against a set of test functions, fed a
-    block of steps at a time: built from the datum u0 (None: the cell means
-    u0_cells stand in for it) and the physical flux f, then ``block(n0, U,
-    dU, F)`` as ``_StepBlocks`` hands it over (only the states U are read,
-    so ``weak_gap`` passes rows of a stored history and no dU or F), then
-    ``gaps()``."""
+    block of steps at a time: built from the continuum datum u0 and the
+    physical flux f, then ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands
+    it over (only the states U are read, so ``weak_gap`` passes rows of a
+    stored history and no dU or F), then ``gaps()``.
 
-    def __init__(self, mesh: Mesh, grid: TimeGrid, phis,
-                 u0: IntegrableFunction | None, u0_cells: np.ndarray,
+    Its columns are exact integrals by the cell quadrature rule: int_K w
+    and b . int_K grad w, kept on the cells where some column is nonzero,
+    against the time weights g(t_{n+1}) - g(t_n) and the slab integrals of
+    g.
+    """
+
+    def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: IntegrableFunction,
                  flux: FluxFunction):
         if mesh.cell_vertices is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
         quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
-        self.profile = flux.profile
-        self.cols = cols = _Columns(phis, mesh, grid, quad=quad)
+        pts, wq = quad
+        W = np.column_stack([
+            quadrature.rowdot(wq, np.asarray(p.w(pts), dtype=float)) for p in phis])
+        GW = np.stack([
+            (wq[:, None, :] @ np.asarray(p.grad_w(pts), dtype=float))[:, 0]
+            for p in phis], axis=-1)  # (cells, d, phis)
+        self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
+                                    | np.any(GW != 0.0, axis=(1, 2)))
+        self.w_integral = W[self.cells]  # (cells, phis)
         # f(u) . grad w = g(u) (b . grad w): b goes into the column once
-        self.b_grad_w = np.einsum("d,cdp->cp", flux.direction, cols.grad_w_integral)
+        self.b_grad_w = np.einsum("d,cdp->cp", flux.direction, GW[self.cells])
+        self.step_weight = _time_weights(phis, grid)[1]
+        self.slab_weight = np.column_stack([_slab_means(p.g, grid.nodes)
+                                            for p in phis])
+        self.profile = flux.profile
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
-        self.c_term = _initial_pairings(mesh, u0, u0_cells, phis, quad)
+        # int u0(x) phi(x, 0) dx by the cell-integral policy of the
+        # projections, one evaluation of u0 for all phis, summed in cell
+        # order (np.sum adds pairwise, in another order)
+        datum_cells, pts0, wu = _datum_rule(mesh.cell_vertices, u0, quad)
+        per_cell = np.zeros((mesh.n_cells, len(phis)))
+        per_cell[datum_cells] = np.column_stack(
+            [quadrature.rowdot(wu, p.value(pts0, 0.0)) for p in phis])
+        self.c_term = np.cumsum(per_cell, axis=0)[-1]
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        cols = self.cols
-        Uc = U.take(cols.cells, axis=1)
+        Uc = U.take(self.cells, axis=1)
         a_term, b_term = self.rows[:, n0:n0 + len(U)]
-        np.matmul(Uc, cols.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
+        np.matmul(Uc, self.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
         np.matmul(self.profile(Uc), self.b_grad_w, out=b_term)  # f(u^n) . grad phi
 
     def gaps(self) -> list[float]:
-        cols, rows = self.cols, self.rows
-        total = self.c_term + (_weighted(cols.step_weight, rows[0])
-                               + _weighted(cols.slab_weight, rows[1]))
+        total = self.c_term + (_weighted(self.step_weight, self.rows[0])
+                               + _weighted(self.slab_weight, self.rows[1]))
         return [abs(float(x)) for x in total]
 
 
 # ---------------------------------------------------------------------------
 # weak gap
 # ---------------------------------------------------------------------------
-
-
-def _initial_pairings(mesh: Mesh, u0: IntegrableFunction | None,
-                      u0_cells: np.ndarray, phis, quad) -> np.ndarray:
-    """integral of u0(x) phi(x, 0) over the domain for every phi, by the
-    cell-integral policy of the projections, with one rule and one
-    evaluation of u0 for all of them; ``quad`` is the mesh's cell rule of
-    order GAUSS_ORDER.
-
-    Falls back to the projected cell means when the continuum datum is not
-    supplied (adds an O(h^2) projection error to the gap).
-    """
-    if u0 is None:
-        rows, (pts, w) = slice(None), quad
-    else:
-        rows, pts, w = _datum_rule(mesh.cell_vertices, u0, quad)
-    out = []
-    for phi in phis:
-        per_cell = np.zeros(mesh.n_cells)
-        per_cell[rows] = quadrature.rowdot(w, phi.value(pts, 0.0))
-        if u0 is None:
-            per_cell *= u0_cells
-        # a running sum in cell order; np.sum adds pairwise, in another order
-        out.append(float(np.cumsum(per_cell)[-1]))
-    return np.array(out)
 
 
 def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:
@@ -433,7 +400,7 @@ def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:
 
 
 def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
-             u0: IntegrableFunction | None = None) -> float:
+             u0: IntegrableFunction) -> float:
     """Distance of the history from the weak formulation against phi:
 
         | II(u d_t phi) + II(f(u) . grad phi) + I(u0 phi(., 0)) |
@@ -441,15 +408,15 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     with the piecewise-constant embedding u = u^n on (t_n, t_{n+1}].  The
     time integral of the d_t phi term telescopes exactly; space uses
     per-cell Gauss quadrature with GAUSS_ORDER points per axis.  This must
-    vanish under refinement whenever the histories converge in L1.  The
-    stored states go to the same sums as in ``lw_study``, in the same
+    vanish under refinement whenever the histories converge in L1.  ``u0``
+    is the continuum datum of the run, whose integral against phi(., 0)
+    forms the last term.  The stored states go to the same sums as in ``lw_study``, in the same
     blocks of steps, so both give the same bits.
     """
     if field.flux is None:
         raise ValueError("field carries no flux; weak gap needs f = flux.flux")
     check_support_margin(field.mesh, field.grid, phi)
-    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.values[0],
-                    field.flux.flux)
+    sums = _GapSums(field.mesh, field.grid, [phi], u0, field.flux.flux)
     states = field.values[:-1]
     for n0 in range(0, len(states), BLOCK_STEPS):
         sums.block(n0, states[n0:n0 + BLOCK_STEPS], None, None)
@@ -639,7 +606,7 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
         check_support_margin(mesh, grid, phi)
     seminorm = SeminormSums(mesh, grid)
     pairing = _PairingSums(mesh, grid, phi_set, u0, problem.flux.flux)
-    gap = _GapSums(mesh, grid, phi_set, problem.u0, u0, problem.flux.flux)
+    gap = _GapSums(mesh, grid, phi_set, problem.u0, problem.flux.flux)
     blocks = _StepBlocks(mesh.n_cells, stp.n_interior, [seminorm, pairing, gap])
     lo, hi = march(stp, grid, u0, blocks)
     blocks.flush()

@@ -92,9 +92,6 @@ class FluxFunction:
             out = out + n[..., i] * b[i]
         return out
 
-    def __call__(self, u):
-        return self.value(u)
-
 
 def linear_advection(b) -> FluxFunction:
     bv = np.atleast_1d(np.asarray(b, dtype=float))

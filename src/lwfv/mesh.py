@@ -151,9 +151,6 @@ class MeshFamily:
     name: str
     build: object  # Callable[[int], Mesh]
 
-    def __call__(self, level: int) -> Mesh:
-        return self.build(level)
-
 
 # ---------------------------------------------------------------------------
 # internal construction helpers

@@ -121,9 +121,6 @@ class SmoothTestFunction:
     def dt(self, x, t=0.0):
         return self.w(x) * self.dg(t)
 
-    def __call__(self, x, t=0.0):
-        return self.value(x, t)
-
 
 @dataclass(frozen=True)
 class VectorTestFunction:
@@ -140,9 +137,6 @@ class VectorTestFunction:
 
     def value(self, x):
         return np.stack([c.value(x, 0.0) for c in self.components], axis=-1)
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ physical flux of the inside state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -273,17 +274,25 @@ def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
           on_step: Callable) -> tuple[float, float]:
     """The time loop: step ``u0`` over every slab of ``grid``.
 
-    After step n it calls ``on_step(n, u^n, u^{n+1}, fv)`` with ``fv`` the
-    edge fluxes the step used (aligned with the stepper's edges, interior
-    faces first).  Returns the min and max of u over every time node.
-    Raises BlowUpError if any cell value exceeds 1e6 times the initial sup
-    bound.  For a monotone flux it raises InvariantViolation, naming the
+    Every step has the length t_final / n_steps, so ``grid`` must be
+    ``TimeGrid.uniform(t_final, n_steps)`` node for node; any other grid
+    raises ValueError.  After step n it calls ``on_step(n, u^n, u^{n+1},
+    fv)`` with ``fv`` the edge fluxes the step used (aligned with the
+    stepper's edges, interior faces first).  Returns the min and max of u
+    over every time node.  Raises BlowUpError if any cell value exceeds 1e6
+    times the initial sup bound.  For a monotone flux it raises InvariantViolation, naming the
     step and the cell, when a state leaves [min u^0, max u^0] by more than
     MAX_PRINCIPLE_SLACK times max |u^0|: under the CFL condition every
     update is then a convex combination of old states, so a state outside
     the initial range means the step was too long.
     """
     dt = grid.t_final / grid.n_steps
+    if not np.array_equal(grid.nodes,
+                          TimeGrid.uniform(grid.t_final, grid.n_steps).nodes):
+        raise ValueError(
+            f"march takes uniform time grids only: every step is t_final / "
+            f"n_steps = {dt:.6g}, but the slabs of this grid range from "
+            f"{grid.deltas.min():.6g} to {grid.dt_max:.6g}")
     lo, hi = float(np.min(u0)), float(np.max(u0))
     sup0 = max(-lo, hi)
     guard = BLOWUP_FACTOR * (sup0 if sup0 > 0 else 1.0)
@@ -385,11 +394,10 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
         n_cells = int(info["n_cells"])
         n_steps = int(info["n_steps"])
         meta = {"dim": int(info["dim"])}
-        nodes = np.empty(n_steps + 1)
-        values = np.empty((n_steps + 1, n_cells))
         width = {"t": 3, "u": n_cells + 2}
-        seen = {"t": np.zeros(n_steps + 1, dtype=bool),
-                "u": np.zeros(n_steps + 1, dtype=bool)}
+        # nothing is sized from the header before the records are counted,
+        # so a header claiming more nodes than the file holds fails below
+        records = {"t": {}, "u": {}}
         for line in fh:
             parts = line.split()
             if not parts:
@@ -407,16 +415,18 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
                                  f"outside 0..{n_steps}")
             if len(parts) != width[kind]:
                 raise ValueError(f"history {kind} record {i} has wrong length")
-            if seen[kind][i]:
+            if i in records[kind]:
                 raise ValueError(f"history {kind} record {i} appears twice")
-            seen[kind][i] = True
             if kind == "t":
-                nodes[i] = float(parts[2])
+                records[kind][i] = float(parts[2])
             else:
-                values[i] = [float(x) for x in parts[2:]]
-    for kind, got in seen.items():
-        if not got.all():
-            missing = np.flatnonzero(~got)
+                records[kind][i] = np.array([float(x) for x in parts[2:]])
+    for kind, got in records.items():
+        if len(got) != n_steps + 1:
+            missing = itertools.islice(
+                (i for i in range(n_steps + 1) if i not in got), 5)
             raise ValueError(f"history lacks {kind} records "
-                             f"{missing[:5].tolist()} of 0..{n_steps}")
+                             f"{list(missing)} of 0..{n_steps}")
+    nodes = np.array([records["t"][i] for i in range(n_steps + 1)])
+    values = np.array([records["u"][i] for i in range(n_steps + 1)])
     return TimeGrid(nodes=nodes), values, meta

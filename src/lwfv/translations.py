@@ -55,9 +55,6 @@ class IntegrableFunction:
     name: str = ""
     geometry: tuple | None = None
 
-    def __call__(self, x):
-        return self.fn(x)
-
 
 def smooth_function(fn: Callable, lipschitz: float | None = None,
                     l1_norm: float | None = None, name: str = "") -> IntegrableFunction:

@@ -1,6 +1,7 @@
 """Every name a module of the package exports must exist on it, every
-name a module imports must be used, and importing the package must not
-load ``scipy.stats``.
+name a module imports must be used, every private helper of the package
+must be used by another statement of it, and importing the package must
+not load ``scipy.stats``.
 
 A stale ``__all__`` entry left behind by a deletion otherwise fails only
 under ``from lwfv.<module> import *``; an import left behind by one fails
@@ -62,6 +63,46 @@ def test_no_unused_imports():
     unused = {path.relative_to(ROOT).as_posix(): _unused_imports(path)
               for path in SOURCES if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _defined_private_names(node) -> list[str]:
+    """The private (``_x``, not ``__x__``) names a module-level statement
+    defines as a function, a class or a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced_names(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_no_dead_private_helpers():
+    # a private helper that only its own definition mentions is left over
+    # from a deletion; references from the tests do not keep it alive
+    statements = [(path, node)
+                  for path in sorted((ROOT / "src" / "lwfv").glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    refs = [_referenced_names(node) for _, node in statements]
+    dead = [f"{path.name}:{name}"
+            for i, (path, node) in enumerate(statements)
+            for name in _defined_private_names(node)
+            if not any(name in r for j, r in enumerate(refs) if j != i)]
+    assert dead == []
 
 
 def test_import_loads_no_scipy_stats():

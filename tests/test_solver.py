@@ -448,6 +448,28 @@ def test_history_reader_rejects_malformed_records(tmp_path, edit):
         read_history(str(p))
 
 
+def test_history_reader_counts_records_before_allocating(tmp_path):
+    # a header claiming 10^15 steps over one node fails as missing records,
+    # not as an attempt to allocate petabytes for them
+    p = tmp_path / "h.txt"
+    p.write_text("lwfv-history v1 dim=1 n_cells=1 n_steps=1000000000000000\n"
+                 "t 0 0\nu 0 0.5\n")
+    with pytest.raises(ValueError, match=r"lacks t records \[1, 2, 3, 4, 5\] "
+                                         r"of 0\.\.1000000000000000"):
+        read_history(str(p))
+
+
+def test_march_rejects_a_nonuniform_grid():
+    # every step is t_final / n_steps long, so the slabs 0.01, 0.01, 0.07
+    # would be stepped as three of 0.03 each
+    m = uniform_1d_family(10).build(0)
+    pr = Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.09)
+    stp, _, u0 = plan(m, pr, 0.5)
+    grid = TimeGrid(nodes=np.array([0.0, 0.01, 0.02, 0.09]))
+    with pytest.raises(ValueError, match="uniform time grids only"):
+        march(stp, grid, u0, lambda *args: None)
+
+
 def test_march_feeds_every_step_and_reports_the_range():
     m = uniform_1d_family(10).build(1)
     pr = Problem(flux=rusanov(burgers((1.0,))), u0=_sine_datum(), t_final=0.3)
