@@ -1,7 +1,7 @@
 """Every name a module of the package exports must exist on it, every
 name a module imports must be used, every private helper of the package
-must be used by another statement of it, and importing the package must
-not load ``scipy.stats``.
+must be used by another statement of it, and the package must import and
+run without scipy.
 
 A stale ``__all__`` entry left behind by a deletion otherwise fails only
 under ``from lwfv.<module> import *``; an import left behind by one fails
@@ -117,3 +117,55 @@ def test_import_loads_no_scipy_stats():
          " if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests only
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lwfv; print(sorted(m for m in sys.modules"
+         " if m == 'scipy' or m.startswith('scipy.')))"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# Runs the CLI with argv[2:], after installing a finder that makes every
+# import of scipy fail when argv[1] is "block".
+_CLI_MAYBE_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from lwfv.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_lw_verify_runs_with_scipy_blocked(tmp_path):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("family = uniform-1d\nn0 = 10\nflux = rusanov(burgers)\n"
+                   "u0 = bump\nt_final = 0.5\ncfl = 0.45\nlevels = 2\n")
+    reports = {}
+    for mode in ("block", "allow"):
+        out = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_MAYBE_WITHOUT_SCIPY, mode, "lw-verify",
+             "--config", str(cfg), "--out", str(out)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports[mode] = (out / "lw_report.csv").read_bytes()
+    assert reports["block"] == reports["allow"]

@@ -1,10 +1,12 @@
-"""Discrete gradients on dual volumes, their sup bound, and weak pairings.
+"""Discrete gradients on dual volumes, their sup bound, weak pairings, and
+the declared sups of the test functions.
 
 The affine-gradient values below are hand evaluations of the defining
 face formula area/dual * (value jump) * normal; the study gaps were
 produced once by the reference-quadrature oracle and frozen.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lwfv import (
     perturbed_triangular_2d_family,
     uniform_1d_family,
 )
+from lwfv.cli import resolve_u0
 from lwfv.mesh import compute_quality
 from lwfv.operators import (
     FaceVectorField,
@@ -24,6 +27,7 @@ from lwfv.operators import (
     bump_corpus_spatial,
     discrete_gradient,
     gradient_weakstar_study,
+    polynomial_bump,
     sup_bound_check,
     vector_corpus,
     weak_pairing,
@@ -226,6 +230,115 @@ def test_corpus_declared_sups_hold_by_sampling():
             gn = np.linalg.norm(phi.grad(x, t), axis=-1)
             assert np.max(gn) <= phi.grad_sup * (1.0 + 1e-9)
             assert np.max(np.abs(phi.dt(x, t))) <= phi.dt_sup * (1.0 + 1e-9)
+
+
+SUP_FACTOR = 1.0 + 1e-9  # the margin every declared sup carries
+ROUNDING = 4 * np.finfo(float).eps
+
+
+def _nelder_mead_max(f, lo, hi, n=61):
+    """Max of f over a box by the best of an n^d grid polished with scipy's
+    Nelder-Mead: an optimiser the package does not use, as the reference."""
+    from scipy import optimize
+
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(lo.size)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    vals = f(pts)
+    best = int(np.argmax(vals))
+    res = optimize.minimize(lambda x: -float(f(x.reshape(1, -1))[0]), pts[best],
+                            method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
+    return max(float(vals[best]), -float(res.fun))
+
+
+def _grad_norm(phi):
+    return lambda x: np.linalg.norm(phi.grad_w(x), axis=-1)
+
+
+def _time_max(fun, phi):
+    """Reference max of |fun(t)| over [0, t_cut]."""
+    return _nelder_mead_max(lambda t: np.abs(fun(t[:, 0])), 0.0, phi.t_cut)
+
+
+def _jacobian_norm(psi):
+    # max of the spectral norm and |div|, as vector_corpus declares it
+    def f(x):
+        rows = [c.grad(x, 0.0) for c in psi.components]
+        spec = np.linalg.norm(np.stack(rows, axis=-2), ord=2, axis=(-2, -1))
+        div = np.abs(sum(rows[i][..., i] for i in range(psi.dim)))
+        return np.maximum(spec, div)
+    return f
+
+
+def _declared_and_reference_sups(dim):
+    pairs = {}
+    for phi in bump_corpus_spatial(dim):
+        pairs[f"{phi.name}/grad"] = (
+            phi.grad_sup, _nelder_mead_max(_grad_norm(phi), *phi.support) * SUP_FACTOR)
+    for phi in bump_corpus_spacetime(dim, 0.5):
+        w_max = _nelder_mead_max(lambda x: np.abs(phi.w(x)), *phi.support)
+        pairs[f"{phi.name}/grad"] = (
+            phi.grad_sup, _nelder_mead_max(_grad_norm(phi), *phi.support)
+            * SUP_FACTOR * _time_max(phi.g, phi))
+        pairs[f"{phi.name}/dt"] = (phi.dt_sup, w_max * _time_max(phi.dg, phi) * SUP_FACTOR)
+    for psi in vector_corpus(dim):
+        lo = np.min([c.support[0] for c in psi.components], axis=0)
+        hi = np.max([c.support[1] for c in psi.components], axis=0)
+        pairs[f"{psi.name}/jacobian"] = (
+            psi.jacobian_sup, _nelder_mead_max(_jacobian_norm(psi), lo, hi) * SUP_FACTOR)
+    # the CLI's `bump` datum: its Lipschitz constant is the bump's grad_sup
+    halfwidth = 0.3 if dim == 1 else 0.26
+    bump = polynomial_bump([0.45] * dim, [halfwidth] * dim, k=3, amplitude=0.5)
+    assert resolve_u0("bump", dim).lipschitz == bump.grad_sup
+    pairs["cli-bump/grad"] = (
+        bump.grad_sup, _nelder_mead_max(_grad_norm(bump), *bump.support) * SUP_FACTOR)
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_declared_sups_match_nelder_mead(dim):
+    pairs = _declared_and_reference_sups(dim)
+    assert len(pairs) == 3 + 8 + 2 + 1
+    for name, (declared, ref) in pairs.items():
+        assert abs(declared / ref - 1.0) <= 1e-12, (name, declared, ref)
+        assert declared >= ref * (1.0 - ROUNDING), (name, declared, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dt_sup_bounds_the_polished_time_derivative(dim):
+    # a max of |g'| over 20 001 samples, even times 1 + 1e-9, falls
+    # 1.2e-9 to 4.9e-9 short of max |g'| on every phi here
+    for phi in bump_corpus_spacetime(dim, 0.5):
+        center = 0.5 * (phi.support[0] + phi.support[1])
+        amplitude = abs(float(phi.w(center[None, :])[0]))
+        assert phi.dt_sup >= amplitude * _time_max(phi.dg, phi), phi.name
+
+
+def _profile_slope_max(k):
+    """max over s of |d/ds (1 - s^2)^k|, attained at s^2 = 1 / (2k - 1)."""
+    s2 = 1.0 / (2 * k - 1)
+    return 2 * k * math.sqrt(s2) * (1.0 - s2) ** (k - 1)
+
+
+@pytest.mark.parametrize("halfwidth, k, amplitude", [
+    # the 1d bumps of the spatial, space-time and vector corpora and the
+    # CLI's bump datum and translation bump
+    (0.32, 4, 1.0), (0.22, 3, 1.5), (0.28, 5, 0.8), (0.3, 4, 1.0),
+    (0.24, 3, 1.4), (0.22, 5, 0.9), (0.28, 4, 1.0), (0.25, 3, 1.2),
+    (0.3, 3, 0.5), (0.24, 3, 1.0), (0.3, 2, -2.0),
+])
+def test_1d_bump_sups_match_closed_form(halfwidth, k, amplitude):
+    slope = abs(amplitude) * _profile_slope_max(k)
+    bump = polynomial_bump([0.5], [halfwidth], k=k, amplitude=amplitude)
+    exact = slope / halfwidth
+    assert exact <= bump.grad_sup <= exact * SUP_FACTOR * (1.0 + ROUNDING)
+    t_cut = 0.4
+    decaying = polynomial_bump([0.5], [halfwidth], k=k, amplitude=amplitude,
+                               time_profile="decay", t_cut=t_cut)
+    assert exact <= decaying.grad_sup <= exact * SUP_FACTOR * (1.0 + ROUNDING)
+    exact_dt = slope / t_cut
+    assert exact_dt <= decaying.dt_sup <= exact_dt * SUP_FACTOR * (1.0 + ROUNDING)
 
 
 def test_spacetime_corpus_time_cut():
