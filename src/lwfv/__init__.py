@@ -23,7 +23,6 @@ from .flux import (
     consistency_check,
     linear_advection,
     muscl_three_point,
-    multipoint_jump_bound_check,
     rusanov,
     upwind_linear,
 )

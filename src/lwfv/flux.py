@@ -29,9 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import far_neighbors
-from .translations import CellField
-
 __all__ = [
     "FluxFunction",
     "NumericalFlux",
@@ -44,7 +41,6 @@ __all__ = [
     "check_hypothesis_iii",
     "conservativity_check",
     "consistency_check",
-    "multipoint_jump_bound_check",
 ]
 
 
@@ -349,11 +345,13 @@ def check_hypothesis_iii(flux: NumericalFlux,
     tol = flux.c_f * (1.0 + 1e-9)
     worst = -1.0
     witness = None
+    Fa = flux.flux.value(a)
+    Fb = flux.flux.value(b)
+    jumps = np.abs(a - b)
     for n in _unit_normals(flux.dim):
         fval = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
-        fa = flux.flux.value(a) @ n
-        fb = flux.flux.value(b) @ n
-        jumps = np.abs(a - b)
+        fa = Fa @ n
+        fb = Fb @ n
         r = np.maximum(np.abs(fval - fa), np.abs(fval - fb)) / jumps
         i = int(np.argmax(r))
         if r[i] > worst:
@@ -401,10 +399,11 @@ def consistency_check(flux: NumericalFlux,
     states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
     worst = 0.0
     witness = None
+    F = flux.flux.value(states)
     for n in _unit_normals(flux.dim):
         fval = flux.evaluate(states, states, flux.flux.normal_speed(n),
                              uKK=states, uLL=states)
-        exact = flux.flux.value(states) @ n
+        exact = F @ n
         scale = np.maximum(np.abs(exact), 1.0)
         r = np.abs(fval - exact) / scale
         i = int(np.argmax(r))
@@ -415,45 +414,4 @@ def consistency_check(flux: NumericalFlux,
     return FluxCheckReport(
         name=flux.name, ok=ok, max_ratio=worst, tolerance=1e-14,
         witness=None if ok else witness, n_samples=int(states.size),
-    )
-
-
-def multipoint_jump_bound_check(flux: NumericalFlux, field: CellField,
-                                ) -> FluxCheckReport:
-    """On actual 1d data, verify the three-point jump bound
-    |F_sigma - F(u_K) . n| <= c_f * (|u_K - u_L| + |u_K - u_M|)
-    with M the extra stencil cell the flux consulted for that face.
-    """
-    mesh = field.mesh
-    u = field.values
-    mask = mesh.interior
-    K = mesh.face_K[mask]
-    L = mesh.face_L[mask]
-    n = mesh.face_normal[mask]
-    KK, LL = far_neighbors(mesh, K, L, periodic=True)
-    fval = flux.evaluate(u[K], u[L], flux.flux.normal_speed(n),
-                         uKK=u[KK], uLL=u[LL])
-    fK = np.einsum("fd,fd->f", flux.flux.value(u[K]), n)
-    # strict variant: take the smaller of the two candidate far-cell jumps,
-    # so passing here implies the bound for whichever cell the flux used
-    denom = np.abs(u[K] - u[L]) + np.minimum(
-        np.abs(u[K] - u[KK]), np.abs(u[K] - u[LL])
-    )
-    num = np.abs(fval - fK)
-    keep = denom > 0
-    worst = 0.0
-    witness = None
-    if np.any(keep):
-        r = num[keep] / (flux.c_f * denom[keep])
-        i = int(np.argmax(r))
-        worst = float(r[i])
-        if worst > 1.0 + 1e-9:
-            idx = np.flatnonzero(mask)[np.flatnonzero(keep)[i]]
-            witness = (int(idx), float(u[K[keep][i]]), float(u[L[keep][i]]),
-                       worst)
-    zero_bad = np.any(~keep & (num > 1e-14))
-    ok = worst <= 1.0 + 1e-9 and not zero_bad
-    return FluxCheckReport(
-        name=flux.name, ok=ok, max_ratio=worst, tolerance=1.0 + 1e-9,
-        witness=witness, n_samples=int(K.size),
     )

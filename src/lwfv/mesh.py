@@ -38,12 +38,19 @@ over that face, or half the box width across it, so every cone of K has
 measure |K| / (number of faces of K); a second construction is worth
 having only with a family whose anchors are not barycenters.
 
-Meshes are immutable after construction and safe to share between studies.
+Meshes are read-only: a :class:`Mesh` is a frozen dataclass and every array
+it holds is marked non-writeable when it is made, so a mesh is safe to
+share between studies and its regularity parameters (:func:`compute_quality`)
+are computed on first use and kept on it.  A :class:`MeshFamily` memoises
+the levels it has built and keeps them for its own lifetime, so
+``family.build(m)`` returns the same mesh on every call.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.random import default_rng  # loaded here, not inside a timed build
@@ -89,9 +96,14 @@ class RegularityError(MeshError):
     """A refinement sequence drifted out of its regularity band."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
-    """Cells and faces as flat arrays; the module docstring lists them."""
+    """Cells and faces as flat arrays; the module docstring lists them.
+
+    Read-only: the fields cannot be reassigned and the arrays cannot be
+    written to.  A changed copy is ``dataclasses.replace(mesh, face_area=...)``
+    with a fresh array.
+    """
 
     dim: int
     cell_volume: np.ndarray
@@ -110,6 +122,17 @@ class Mesh:
     box: tuple[np.ndarray, np.ndarray] | None = None
     cell_vertices: np.ndarray | None = None
     family: str = ""
+
+    def __post_init__(self):
+        # the cached quality and a family's shared levels rely on this
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+
+    @functools.cached_property
+    def _quality(self) -> MeshQuality:
+        return _measure_quality(self)
 
     @property
     def n_cells(self) -> int:
@@ -146,10 +169,30 @@ class MeshQuality:
 
 @dataclass(frozen=True)
 class MeshFamily:
-    """A level-indexed generator of meshes refining the same geometry."""
+    """A level-indexed generator of meshes refining the same geometry.
+
+    ``build(level)`` builds a level the first time it is asked for and
+    returns that same read-only mesh on every later call: the family keeps
+    each mesh it has built for its own lifetime.  So the callable given as
+    ``build`` must be a function of the level alone.
+    """
 
     name: str
-    build: object  # Callable[[int], Mesh]
+    build: Callable[[int], Mesh]
+    _meshes: dict[int, Mesh] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+
+    def __post_init__(self):
+        make, meshes = self.build, self._meshes
+
+        @functools.wraps(make)
+        def build(level: int) -> Mesh:
+            mesh = meshes.get(level)
+            if mesh is None:
+                mesh = meshes[level] = make(level)
+            return mesh
+
+        object.__setattr__(self, "build", build)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +519,12 @@ def _theta_grad_ratios(mesh: Mesh, ids: np.ndarray) -> np.ndarray:
 
 
 def compute_quality(mesh: Mesh) -> MeshQuality:
-    """Regularity parameters, computed directly from the stored measures."""
+    """Regularity parameters, computed directly from the stored measures on
+    the first call for a mesh and kept on it for the later ones."""
+    return mesh._quality
+
+
+def _measure_quality(mesh: Mesh) -> MeshQuality:
     ints = np.flatnonzero(mesh.interior)
     theta_grad = float(np.max(_theta_grad_ratios(mesh, ints), initial=0.0))
     # every (cell, face of the cell) pair: the K side of each face, then the
@@ -500,7 +548,8 @@ def refine(family: MeshFamily, levels: int) -> list[Mesh]:
 
     Every regularity parameter of every level must stay within 1.05 times
     the maximum of that parameter over the first two levels (first level
-    alone when only one is requested).
+    alone when only one is requested).  The band is checked on every call;
+    a level the family has built before is not built or rated again.
     """
     if levels < 1:
         raise ValueError("need at least one level")

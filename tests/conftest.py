@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lwfv import mesh as mesh_module
 from lwfv import (
     cartesian_2d_family,
     nonuniform_1d_family,
@@ -20,6 +21,21 @@ def families():
         "cartesian-2d": cartesian_2d_family(4),
         "triangular-2d": perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
     }
+
+
+@pytest.fixture
+def rated_cells(monkeypatch):
+    """The cell counts of the meshes whose quality is computed while the
+    test runs, in order: a counting wrapper around the one computation."""
+    rated = []
+    measure = mesh_module._measure_quality
+
+    def counting(mesh):
+        rated.append(mesh.n_cells)
+        return measure(mesh)
+
+    monkeypatch.setattr(mesh_module, "_measure_quality", counting)
+    return rated
 
 
 @pytest.fixture(scope="session")

@@ -110,6 +110,11 @@ def test_mesh_gen_outputs_and_quality_columns(tmp_path):
     assert m.n_cells == 20
 
 
+def test_mesh_gen_rates_each_level_once(tmp_path, rated_cells):
+    assert run(["mesh-gen", "--out", str(tmp_path / "m"), "--levels", "3"]) == 0
+    assert rated_cells == [10, 20, 40]
+
+
 def test_mesh_gen_rejects_bad_jitter(tmp_path, capsys):
     p = tmp_path / "c.cfg"
     p.write_text("family = triangular-2d\njitter = 0.6\n")

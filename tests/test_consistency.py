@@ -285,6 +285,17 @@ def test_lw_study_rejects_history_outside_c_f_range():
     assert all(phi.name in msg for phi in phis)
 
 
+def test_lw_study_rates_each_level_once(rated_cells):
+    # refine rates every level for its regularity band and the study reads
+    # the same qualities again; the mesh keeps them, so each is computed once
+    problem = Problem(flux=rusanov(burgers((1.0,))),
+                      u0=interval_indicator(0.1, 0.45), t_final=0.5)
+    report = lw_study(uniform_1d_family(16), problem,
+                      bump_corpus_spacetime(1, 0.5), levels=4, cfl=0.45)
+    assert rated_cells == [16, 32, 64, 128]
+    assert [rec.quality.n_faces_max for rec in report.levels] == [2] * 4
+
+
 def test_lw_study_flux_check_stays_in_declared_range():
     # c_f = 1.5 holds on [0, 1], where these data stay; a check that samples
     # states outside that range rejects a sound flux

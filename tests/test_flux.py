@@ -3,26 +3,27 @@
 The frozen example value is hand arithmetic: central Burgers flux between
 0 and 2 is (0 + 2)/2 = 1 with dissipation (2/2)*(2-0) = 2, so -1.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwfv import uniform_1d_family
 from lwfv.flux import (
     NumericalFlux,
     _halton_states,
+    _sampled_range,
+    _unit_normals,
     burgers,
     check_hypothesis_iii,
     consistency_check,
     conservativity_check,
     linear_advection,
-    multipoint_jump_bound_check,
     muscl_three_point,
     rusanov,
     upwind_linear,
 )
-from lwfv.translations import CellField
 
 ALL_FLUXES = [
     upwind_linear([1.0]),
@@ -146,6 +147,84 @@ def test_jump_bound_all_fluxes():
         assert rep.max_ratio <= fl.c_f * (1.0 + 1e-9)
 
 
+def _per_normal_hypothesis_iii(flux, n_samples):
+    """check_hypothesis_iii with F(a), F(b) and |a - b| recomputed for
+    every normal, as a loop over normals would naively do."""
+    dims = 2 if flux.stencil == 2 else 4
+    u_range = _sampled_range(flux)
+    states = _halton_states(u_range, n_samples, dims)
+    scale = max(abs(u_range[0]), abs(u_range[1]), 1.0)
+    keep = np.abs(states[:, 0] - states[:, 1]) > 1e-12 * scale
+    a, b = states[keep, 0], states[keep, 1]
+    uKK = states[keep, 2] if dims == 4 else None
+    uLL = states[keep, 3] if dims == 4 else None
+    tol = flux.c_f * (1.0 + 1e-9)
+    worst, witness = -1.0, None
+    for n in _unit_normals(flux.dim):
+        fval = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
+        r = np.maximum(np.abs(fval - flux.flux.value(a) @ n),
+                       np.abs(fval - flux.flux.value(b) @ n)) / np.abs(a - b)
+        i = int(np.argmax(r))
+        if r[i] > worst:
+            worst = float(r[i])
+            witness = (float(a[i]), float(b[i]), n.copy(), float(r[i]))
+    return worst, tol, witness if worst > tol else None, int(a.size)
+
+
+def _per_normal_consistency(flux, n_samples):
+    """consistency_check with F(u) recomputed for every normal."""
+    states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
+    worst, witness = 0.0, None
+    for n in _unit_normals(flux.dim):
+        fval = flux.evaluate(states, states, flux.flux.normal_speed(n),
+                             uKK=states, uLL=states)
+        exact = flux.flux.value(states) @ n
+        r = np.abs(fval - exact) / np.maximum(np.abs(exact), 1.0)
+        i = int(np.argmax(r))
+        if r[i] > worst:
+            worst = float(r[i])
+            witness = (float(states[i]), n.copy(), float(r[i]))
+    return worst, 1e-14, witness if worst > 1e-14 else None, int(states.size)
+
+
+def _report_fields(rep):
+    return rep.max_ratio, rep.tolerance, rep.witness, rep.n_samples
+
+
+def _same(x, y):
+    if isinstance(x, tuple):
+        return (isinstance(y, tuple) and len(x) == len(y)
+                and all(_same(p, q) for p, q in zip(x, y)))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+def _skewed(fl):
+    """fl with its face fluxes off by one part in 1e12: inconsistent, and
+    with its jump-bound constant understated 4x."""
+    def evaluate(*args, **kwargs):
+        return fl.evaluate(*args, **kwargs) * (1.0 + 1e-12)
+
+    return dataclasses.replace(fl, name=f"skewed[{fl.name}]", c_f=0.25 * fl.c_f,
+                               evaluate=evaluate)
+
+
+@pytest.mark.parametrize("fl", ALL_FLUXES + [_skewed(ALL_FLUXES[0]),
+                                             _skewed(ALL_FLUXES[4])],
+                         ids=lambda fl: fl.name)
+def test_checkers_match_a_per_normal_recomputation(fl):
+    # the checkers evaluate the physical flux once and project it on each
+    # normal; every report field must equal the per-normal loop's bit for bit
+    for check, reference, n in [(check_hypothesis_iii, _per_normal_hypothesis_iii, 4000),
+                                (consistency_check, _per_normal_consistency, 2000)]:
+        rep = check(fl, n_samples=n)
+        ref = reference(fl, n)
+        assert rep.name == fl.name and rep.ok == (ref[2] is None)
+        assert _same(_report_fields(rep), ref), (check.__name__, fl.name)
+        assert rep.ok == (not fl.name.startswith("skewed")), check.__name__
+
+
 def test_fluxes_declare_where_c_f_holds():
     # rusanov derives c_f on its u_range; |b| bounds a linear flux's jumps
     # for any states
@@ -204,15 +283,6 @@ def test_conservativity_checker_catches_one_sided_flux():
                         evaluate=one_sided, wave_speed=lambda a, b, n: 1.0)
     rep = conservativity_check(bad)
     assert not rep.ok and rep.witness is not None
-
-
-def test_multipoint_jump_bound_on_mesh_data():
-    m = uniform_1d_family(16).build(1)
-    rng = np.random.default_rng(3)
-    f = CellField(mesh=m, values=rng.uniform(-1.0, 1.0, m.n_cells), label="rand")
-    rep = multipoint_jump_bound_check(muscl_three_point([1.0]), f)
-    assert rep.ok
-    assert rep.max_ratio <= 1.0 + 1e-12
 
 
 def test_muscl_face_state_stays_in_convex_hull():

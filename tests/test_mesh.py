@@ -4,6 +4,7 @@ Frozen metric values below were computed first from the defining formulas
 (uniform/cartesian cases by hand, the perturbed family by an independent
 run pinned once) and the builders are required to reproduce them.
 """
+import dataclasses
 import hashlib
 import io
 
@@ -29,6 +30,7 @@ from lwfv import (
 from lwfv.mesh import (
     build_cartesian_2d,
     build_nonuniform_1d,
+    build_perturbed_triangular_2d,
     build_uniform_1d,
     compute_quality,
 )
@@ -72,9 +74,20 @@ def test_validate_passes_and_reports(families):
         assert "cell_partition" in names and "face_closure" in names
 
 
+def _corrupt(mesh, **edits):
+    """A copy of a read-only mesh with some entries of its arrays changed:
+    ``name=(index, value)`` sets ``copy.name[index] = value``."""
+    arrays = {}
+    for name, (index, value) in edits.items():
+        arr = getattr(mesh, name).copy()
+        arr[index] = value
+        arrays[name] = arr
+    return dataclasses.replace(mesh, **arrays)
+
+
 def test_validate_catches_corruption():
     m = uniform_1d_family(6).build(0)
-    m.face_area[2] = -m.face_area[2]
+    m = _corrupt(m, face_area=(2, -m.face_area[2]))
     rep = validate(m)
     assert not rep.ok
     failed = [n for n, ok, _ in rep.checks if not ok]
@@ -86,19 +99,19 @@ def test_validate_catches_corruption():
 def test_validate_reads_the_arrays_the_operators_use():
     # a flipped normal breaks the closure of both cells next to the face
     m = build_uniform_1d(6)
-    m.face_normal[3] = -m.face_normal[3]
+    m = _corrupt(m, face_normal=(3, -m.face_normal[3]))
     assert "face_closure" in validate(m).failing()
     # a doubled dual piece no longer adds up to the stored dual measure
     m = build_cartesian_2d(3, 3)
-    m.face_dk[5] *= 2.0
+    m = _corrupt(m, face_dk=(5, m.face_dk[5] * 2.0))
     assert "dual_split_sum" in validate(m).failing()
     # a piece 1.5x its cone, with the excess taken from the other piece of
     # the same face so every sum still holds: only the cone check sees it,
     # on a built mesh and on one loaded with or without its policy line
     m = build_cartesian_2d(3, 3)
-    m.face_dk[5] *= 1.5
-    m.face_dl[5] -= m.face_dk[5] / 3
-    m.face_dsig[5] = m.face_dk[5] + m.face_dl[5]
+    dk = m.face_dk[5] * 1.5
+    dl = m.face_dl[5] - dk / 3
+    m = _corrupt(m, face_dk=(5, dk), face_dl=(5, dl), face_dsig=(5, dk + dl))
     assert validate(m).failing() == ["cone_identity"]
     buf = io.StringIO()
     write_mesh(m, buf)
@@ -218,6 +231,79 @@ def test_refine_guard_wording_uses_first_two_levels():
     # metrics never move must pass arbitrarily deep
     meshes = refine(uniform_1d_family(4), 5)
     assert [m.n_cells for m in meshes] == [4, 8, 16, 32, 64]
+
+
+# ---------------------------------------------------------------------------
+# read-only meshes, memoised levels, quality computed once
+# ---------------------------------------------------------------------------
+
+
+def _array_fields(mesh):
+    """(name, array) for every array a mesh holds, the box pair included."""
+    out = []
+    for f in dataclasses.fields(mesh):
+        value = getattr(mesh, f.name)
+        if isinstance(value, tuple):
+            out += [(f"{f.name}[{i}]", v) for i, v in enumerate(value)]
+        elif isinstance(value, np.ndarray):
+            out.append((f.name, value))
+    return out
+
+
+def test_mesh_arrays_are_read_only():
+    # fresh meshes, not the shared families': a failing write must not leak
+    for built in (build_uniform_1d(8), build_nonuniform_1d(8), build_cartesian_2d(3, 2),
+                  build_perturbed_triangular_2d(4)):
+        name = built.family
+        buf = io.StringIO()
+        write_mesh(built, buf)
+        loaded = read_mesh(io.StringIO(buf.getvalue()))
+        for mesh in (built, loaded):
+            arrays = _array_fields(mesh)
+            assert len(arrays) >= 13, name
+            for field_name, arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    arr += 0  # in place
+                assert not arr.flags.writeable, (name, field_name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                mesh.face_area = mesh.face_area.copy()
+
+
+def test_corrupted_copy_leaves_the_mesh_alone():
+    m = build_uniform_1d(6)
+    bad = _corrupt(m, face_area=(2, -1.0))
+    assert not validate(bad).ok and validate(m).ok
+    assert m.face_area[2] == 1.0 and not bad.face_area.flags.writeable
+
+
+def test_family_builds_each_level_once():
+    calls = []
+
+    def build(level):
+        calls.append(level)
+        return build_uniform_1d(4 * 2**level)
+
+    fam = MeshFamily(name="counted", build=build)
+    first = refine(fam, 3)
+    second = refine(fam, 3)
+    assert calls == [0, 1, 2]
+    assert all(a is b for a, b in zip(first, second))
+    assert fam.build(1) is fam.build(1) is first[1]
+    assert fam.build(3).n_cells == 32 and calls == [0, 1, 2, 3]
+    # the memo (a dict of meshes) is no part of the family's eq, hash or repr
+    assert fam == fam and isinstance(hash(fam), int)
+    assert "_meshes" not in repr(fam)
+
+
+def test_quality_is_computed_once_per_mesh(rated_cells):
+    fam = uniform_1d_family(4)
+    meshes = refine(fam, 3)
+    qs = [compute_quality(m) for m in meshes]
+    refine(fam, 3)
+    assert rated_cells == [4, 8, 16]
+    assert all(compute_quality(m) is q for m, q in zip(meshes, qs))
 
 
 # ---------------------------------------------------------------------------
