@@ -427,9 +427,11 @@ def cmd_lw_verify(cfg: dict[str, str]) -> int:
         os.path.join(out, "lw_report.csv"),
         ["level", "h", "dt", "phi_id", "T11", "T12", "R1", "T2t", "R",
          "master_residual", "weak_gap", "R1_envelope", "R_envelope"],
-        [(r.level, r.h, r.dt, r.phi_id, r.t1_1, r.t1_2, r.r1, r.t2_tilde,
-          r.r, r.master_residual, r.weak_gap, r.r1_envelope, r.r_envelope)
-         for r in report.rows()],
+        [(rec.level, rec.h, rec.dt, d.phi_id, d.t1_1, d.t1_2, d.r1,
+          d.t2_tilde, d.r, d.master_residual, gap, r1_bound, r_bound)
+         for rec in report.levels
+         for d, gap, (r1_bound, r_bound) in zip(
+             rec.decompositions, rec.weak_gaps, rec.envelopes)],
         comments=_comments(cfg, "lw-verify"))
     lines = [
         f"family {report.family}  flux {report.flux_name}  u0 {report.u0_name}",

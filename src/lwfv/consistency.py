@@ -53,8 +53,6 @@ from .solver import solve  # noqa: F401
 
 __all__ = [
     "ResidualDecomposition",
-    "EnvelopeReport",
-    "ConsistencyRow",
     "LevelRecord",
     "ConsistencyReport",
     "check_support_margin",
@@ -445,36 +443,25 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    phi_id: str
-    r1_value: float
-    r1_bound: float
-    r_value: float
-    r_bound: float
-    c_f: float
-    c_phi: float
-    stencil_factor: float
-
-
 def residual_envelope_check(decomp: ResidualDecomposition,
                             seminorms: SpacetimeSeminorm,
-                            c_f: float, c_phi: float,
-                            stencil_factor: float = 1.0) -> EnvelopeReport:
+                            c_f: float, c_phi: float) -> tuple[float, float]:
     """Assert the two a-priori residual bounds
 
         |R1| <= c_phi * time part,   |R| <= c_f * c_phi * space part,
 
-    with slack factor (1 + 1e-9) plus an absolute floor of 1e-12 times the
-    corresponding term-magnitude sum (pure-rounding regimes, e.g. constant
-    states, have envelopes that are themselves noise).  Fluxes with stencils
-    wider than two points control their face residual by neighbour jumps as
-    well, hence the stencil_factor on the R bound (1 for two-point fluxes).
-    A breach raises InvariantViolation.
+    and return them as ``(r1_bound, r_bound)``.  The R bound holds for
+    every stencil: the two-point jump bound c_f |u_K - u_L| of hypothesis
+    (iii), which ``check_hypothesis_iii`` samples for three-point fluxes
+    with their stencil extensions, times the discrete gradient of phi.
+    Each check has slack factor (1 + 1e-9) plus an absolute floor of 1e-12
+    times the corresponding term-magnitude sum (pure-rounding regimes, e.g.
+    constant states, have envelopes that are themselves noise).  A breach
+    raises InvariantViolation.
     """
     slack = 1.0 + ENVELOPE_SLACK
     r1_bound = c_phi * seminorms.time_part
-    r_bound = c_f * c_phi * stencil_factor * seminorms.space_part
+    r_bound = c_f * c_phi * seminorms.space_part
     r1_ok = abs(decomp.r1) <= r1_bound * slack + ENVELOPE_FLOOR * decomp.r1_abs
     r_ok = abs(decomp.r) <= r_bound * slack + ENVELOPE_FLOOR * decomp.r_abs
     if not (r1_ok and r_ok):
@@ -488,11 +475,7 @@ def residual_envelope_check(decomp: ResidualDecomposition,
             + "; ".join(parts)
             + f" (c_f={c_f:.6g}, c_phi={c_phi:.6g})"
         )
-    return EnvelopeReport(
-        phi_id=decomp.phi_id, r1_value=abs(decomp.r1), r1_bound=r1_bound,
-        r_value=abs(decomp.r), r_bound=r_bound, c_f=c_f, c_phi=c_phi,
-        stencil_factor=stencil_factor,
-    )
+    return r1_bound, r_bound
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +484,19 @@ def residual_envelope_check(decomp: ResidualDecomposition,
 
 
 @dataclass(frozen=True)
-class ConsistencyRow:
-    level: int
-    h: float
-    dt: float
-    phi_id: str
-    t1_1: float
-    t1_2: float
-    r1: float
-    t2_tilde: float
-    r: float
-    master_residual: float
-    weak_gap: float
-    r1_envelope: float
-    r_envelope: float
-
-
-@dataclass(frozen=True)
 class LevelRecord:
+    """One level of ``lw_study``.  The last three fields are in the order
+    of the test functions; each envelope is the ``(r1_bound, r_bound)``
+    pair of ``residual_envelope_check``."""
+
     level: int
     h: float
     dt: float
     quality: MeshQuality
     seminorms: SpacetimeSeminorm
-    rows: list[ConsistencyRow]
     decompositions: list[ResidualDecomposition]
-
-    def max_weak_gap(self) -> float:
-        return max(r.weak_gap for r in self.rows)
+    weak_gaps: list[float]
+    envelopes: list[tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -539,11 +507,9 @@ class ConsistencyReport:
     levels: list[LevelRecord]
     slopes: dict[str, float]
 
-    def rows(self) -> list[ConsistencyRow]:
-        return [r for rec in self.levels for r in rec.rows]
-
     def gap_profile(self) -> list[float]:
-        return [rec.max_weak_gap() for rec in self.levels]
+        """The largest weak gap of each level."""
+        return [max(rec.weak_gaps) for rec in self.levels]
 
 
 def effective_c_phi(phi: SmoothTestFunction, quality: MeshQuality) -> float:
@@ -583,7 +549,7 @@ def lw_study(family: MeshFamily, problem: Problem,
 
     hs = np.array([rec.h for rec in records])
     slopes = {
-        "weak_gap": fit_decay_slope(hs, [rec.max_weak_gap() for rec in records]),
+        "weak_gap": fit_decay_slope(hs, [max(rec.weak_gaps) for rec in records]),
         "R1": fit_decay_slope(
             hs, [max(abs(d.r1) for d in rec.decompositions) for rec in records]
         ),
@@ -620,22 +586,12 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
         )
     sem = seminorm.result()
     decomps = pairing.decompositions()
-    stencil_factor = 1.0 if flux.stencil <= 2 else 2.0
-    dt = float(grid.deltas[0])
-    rows = []
-    for phi, dec, g in zip(phi_set, decomps, gap.gaps()):
-        env = residual_envelope_check(
-            dec, sem, flux.c_f, effective_c_phi(phi, quality),
-            stencil_factor=stencil_factor,
-        )
-        rows.append(ConsistencyRow(
-            level=lvl, h=mesh.h_max, dt=dt,
-            phi_id=phi.name, t1_1=dec.t1_1, t1_2=dec.t1_2, r1=dec.r1,
-            t2_tilde=dec.t2_tilde, r=dec.r,
-            master_residual=dec.master_residual, weak_gap=g,
-            r1_envelope=float(env.r1_bound), r_envelope=float(env.r_bound),
-        ))
+    envelopes = [
+        residual_envelope_check(dec, sem, flux.c_f, effective_c_phi(phi, quality))
+        for phi, dec in zip(phi_set, decomps)
+    ]
     return LevelRecord(
-        level=lvl, h=mesh.h_max, dt=dt, quality=quality, seminorms=sem,
-        rows=rows, decompositions=decomps,
+        level=lvl, h=mesh.h_max, dt=float(grid.deltas[0]), quality=quality,
+        seminorms=sem, decompositions=decomps, weak_gaps=gap.gaps(),
+        envelopes=envelopes,
     )

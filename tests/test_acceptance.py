@@ -25,7 +25,12 @@ from lwfv.flux import (
     rusanov,
     upwind_linear,
 )
-from lwfv.mesh import compute_quality, perturbed_triangular_2d_family, uniform_1d_family
+from lwfv.mesh import (
+    compute_quality,
+    nonuniform_1d_family,
+    perturbed_triangular_2d_family,
+    uniform_1d_family,
+)
 from lwfv.operators import (
     bump_corpus_spacetime,
     bump_corpus_spatial,
@@ -94,7 +99,7 @@ def study_burgers_riemann():
 def all_study_rows(study_linear_smooth, study_burgers_2d, study_burgers_riemann):
     rows = []
     for rep, _ in (study_linear_smooth, study_burgers_2d, study_burgers_riemann):
-        rows.extend(rep.rows())
+        rows.extend(d for rec in rep.levels for d in rec.decompositions)
     return rows
 
 
@@ -297,40 +302,49 @@ def test_criterion_6_master_identity(all_study_rows):
 def test_criterion_7_residual_envelopes(study_linear_smooth, study_burgers_2d,
                                        study_burgers_riemann):
     # the bounds recomputed from their ingredients, not read from the
-    # report: |R1| <= c_phi * time part and |R| <= c_f * c_phi * s * space
-    # part, with c_phi = max(sup |d_t phi|, theta_grad * sup |grad phi|) and
-    # the stencil factor s = 1 for two-point fluxes (2 for three-point)
+    # report: |R1| <= c_phi * time part and |R| <= c_f * c_phi * space part,
+    # with c_phi = max(sup |d_t phi|, theta_grad * sup |grad phi|), for
+    # every stencil width.  The MUSCL study (indicator datum, outflow,
+    # nonuniform cells) has the smallest measured margin of a three-point
+    # flux under the R bound.
     d = 1.0 / math.sqrt(2.0)
+    muscl = muscl_three_point([1.0])
+    muscl_problem = Problem(flux=muscl, u0=interval_indicator(0.2, 0.55),
+                            t_final=0.5, boundary="outflow")
+    study_muscl = lw_study(nonuniform_1d_family(10), muscl_problem,
+                           bump_corpus_spacetime(1, 0.5), levels=4, cfl=0.45)
     studies = [
-        (study_linear_smooth, upwind_linear([1.0]), bump_corpus_spacetime(1, 0.5)),
-        (study_burgers_2d, rusanov(burgers((d, d))), bump_corpus_spacetime(2, 0.4)),
-        (study_burgers_riemann, rusanov(burgers((1.0,))),
+        (study_linear_smooth[0], upwind_linear([1.0]), bump_corpus_spacetime(1, 0.5)),
+        (study_burgers_2d[0], rusanov(burgers((d, d))), bump_corpus_spacetime(2, 0.4)),
+        (study_burgers_riemann[0], rusanov(burgers((1.0,))),
          bump_corpus_spacetime(1, 0.5)),
+        (study_muscl, muscl, bump_corpus_spacetime(1, 0.5)),
     ]
     runs = 0
     worst_r1 = 0.0
     worst_r = 0.0
-    for (rep, _), flux, phis in studies:
+    for rep, flux, phis in studies:
         assert rep.flux_name == flux.name
-        stencil_factor = 1.0 if flux.stencil == 2 else 2.0
         for rec in rep.levels:
             sem = rec.seminorms
-            assert [row.phi_id for row in rec.rows] == [phi.name for phi in phis]
-            for phi, row in zip(phis, rec.rows):
+            assert [dec.phi_id for dec in rec.decompositions] == [p.name for p in phis]
+            assert len(rec.envelopes) == len(phis)
+            for phi, dec, envelope in zip(phis, rec.decompositions, rec.envelopes):
                 c_phi = max(phi.dt_sup, rec.quality.theta_grad * phi.grad_sup)
                 r1_bound = c_phi * sem.time_part
-                r_bound = flux.c_f * c_phi * stencil_factor * sem.space_part
+                r_bound = flux.c_f * c_phi * sem.space_part
                 assert math.isfinite(r1_bound) and r1_bound >= 0.0
                 assert math.isfinite(r_bound) and r_bound >= 0.0
                 # the report must carry the same bounds it checked against
-                assert row.r1_envelope == pytest.approx(r1_bound, rel=1e-12), row
-                assert row.r_envelope == pytest.approx(r_bound, rel=1e-12), row
-                assert abs(row.r1) <= r1_bound * (1.0 + 1e-9), row
-                assert abs(row.r) <= r_bound * (1.0 + 1e-9), row
+                r1_envelope, r_envelope = envelope
+                assert r1_envelope == pytest.approx(r1_bound, rel=1e-12), dec
+                assert r_envelope == pytest.approx(r_bound, rel=1e-12), dec
+                assert abs(dec.r1) <= r1_bound * (1.0 + 1e-9), dec
+                assert abs(dec.r) <= r_bound * (1.0 + 1e-9), dec
                 if r1_bound > 0:
-                    worst_r1 = max(worst_r1, abs(row.r1) / r1_bound)
+                    worst_r1 = max(worst_r1, abs(dec.r1) / r1_bound)
                 if r_bound > 0:
-                    worst_r = max(worst_r, abs(row.r) / r_bound)
+                    worst_r = max(worst_r, abs(dec.r) / r_bound)
                 runs += 1
     report(f"[criterion 7] PASS residual envelopes: {runs} "
            f"runs, worst |R1|/bound {worst_r1:.3f}, worst |R|/bound "

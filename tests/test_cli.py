@@ -2,8 +2,9 @@
 
 Every subcommand is exercised through main() with real directories; the
 determinism tests compare output bytes across reruns, including reruns
-that only change the output directory or the worker count.
+that only change the output directory.
 """
+import csv
 import dataclasses
 import re
 from pathlib import Path
@@ -13,8 +14,11 @@ import pytest
 
 from lwfv import cli, read_mesh
 from lwfv.cli import ConfigError, resolve_flux, resolve_u0
+from lwfv.consistency import lw_study
 from lwfv.flux import upwind_linear
-from lwfv.solver import read_history
+from lwfv.mesh import uniform_1d_family
+from lwfv.operators import bump_corpus_spacetime
+from lwfv.solver import Problem, read_history
 
 from oracles import dense_cell_means_1d
 
@@ -220,21 +224,46 @@ def test_solve_outputs_and_snapshots(tmp_path):
     assert np.array_equal(got_first, vals[0])
 
 
+def _lw_report_rows(flux_spec):
+    """The rows ``lw-verify`` writes for the config of the schema test, built
+    from ``lw_study`` by column name, every number as %.17g text."""
+    problem = Problem(flux=resolve_flux(flux_spec, 1), u0=resolve_u0("bump", 1),
+                      t_final=0.5)
+    report = lw_study(uniform_1d_family(10), problem,
+                      bump_corpus_spacetime(1, 0.5)[:2], levels=2, cfl=0.5)
+    rows = []
+    for rec in report.levels:
+        for d, gap, (r1_bound, r_bound) in zip(
+                rec.decompositions, rec.weak_gaps, rec.envelopes):
+            row = {"level": rec.level, "h": rec.h, "dt": rec.dt,
+                   "T11": d.t1_1, "T12": d.t1_2, "R1": d.r1, "T2t": d.t2_tilde,
+                   "R": d.r, "master_residual": d.master_residual,
+                   "weak_gap": gap, "R1_envelope": r1_bound, "R_envelope": r_bound}
+            rows.append({"phi_id": d.phi_id,
+                         **{k: "%.17g" % v for k, v in row.items()}})
+    return rows
+
+
 def test_lw_verify_csv_schema_and_summary(tmp_path):
-    cfgp = tmp_path / "v.cfg"
-    cfgp.write_text(
-        "family = uniform-1d\nn0 = 10\nflux = upwind(1.0)\nu0 = bump\n"
-        "t_final = 0.5\ncfl = 0.5\nlevels = 2\nphi_count = 2\n"
-    )
-    out = tmp_path / "v"
-    assert run(["lw-verify", "--config", str(cfgp), "--out", str(out)]) == 0
-    lines = (out / "lw_report.csv").read_text().splitlines()
-    assert lines[2] == ("level,h,dt,phi_id,T11,T12,R1,T2t,R,"
-                        "master_residual,weak_gap,R1_envelope,R_envelope")
-    assert len(lines) == 3 + 2 * 2
-    summary = (out / "lw_summary.txt").read_text()
-    assert "fitted slopes" in summary
-    assert "master identity" in summary
+    # every column by name against the study, so a swapped column fails;
+    # MUSCL is the one three-point flux
+    for flux in ("upwind(1.0)", "muscl(1.0)"):
+        cfgp = tmp_path / "v.cfg"
+        cfgp.write_text(
+            f"family = uniform-1d\nn0 = 10\nflux = {flux}\nu0 = bump\n"
+            "t_final = 0.5\ncfl = 0.5\nlevels = 2\nphi_count = 2\n"
+        )
+        out = tmp_path / flux
+        assert run(["lw-verify", "--config", str(cfgp), "--out", str(out)]) == 0
+        lines = (out / "lw_report.csv").read_text().splitlines()
+        assert lines[2] == ("level,h,dt,phi_id,T11,T12,R1,T2t,R,"
+                            "master_residual,weak_gap,R1_envelope,R_envelope")
+        assert len(lines) == 3 + 2 * 2
+        got = list(csv.DictReader(lines[2:]))
+        assert got == _lw_report_rows(flux)
+        summary = (out / "lw_summary.txt").read_text()
+        assert "fitted slopes" in summary
+        assert "master identity" in summary
 
 
 def _downwind(monotone):

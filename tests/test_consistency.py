@@ -186,12 +186,10 @@ def test_envelopes_hold_with_effective_constant(advection_run, advection_record)
     sn = advection_record.seminorms
     for phi, d in zip(bump_corpus_spacetime(1, 0.5),
                       advection_record.decompositions):
-        rep = residual_envelope_check(
-            d, sn, c_f=f.flux.c_f, c_phi=effective_c_phi(phi, q),
-            stencil_factor=2.0,
-        )
-        assert abs(d.r1) <= rep.r1_bound * (1.0 + 1e-9) + 1e-12 * d.r1_abs
-        assert abs(d.r) <= rep.r_bound * (1.0 + 1e-9) + 1e-12 * d.r_abs
+        r1_bound, r_bound = residual_envelope_check(
+            d, sn, c_f=f.flux.c_f, c_phi=effective_c_phi(phi, q))
+        assert abs(d.r1) <= r1_bound * (1.0 + 1e-9) + 1e-12 * d.r1_abs
+        assert abs(d.r) <= r_bound * (1.0 + 1e-9) + 1e-12 * d.r_abs
 
 
 def test_envelope_breach_detected(advection_run, advection_record):
@@ -202,8 +200,7 @@ def test_envelope_breach_detected(advection_run, advection_record):
     d = advection_record.decompositions[0]
     tiny = 1e-3 * effective_c_phi(phi, q)
     with pytest.raises(InvariantViolation):
-        residual_envelope_check(d, sn, c_f=f.flux.c_f, c_phi=tiny,
-                                stencil_factor=2.0)
+        residual_envelope_check(d, sn, c_f=f.flux.c_f, c_phi=tiny)
 
 
 def test_effective_constant_formula():
@@ -250,9 +247,10 @@ def test_lw_study_shape_and_determinism():
     phis = bump_corpus_spacetime(1, 0.5)[:2]
     rep1 = lw_study(fam, pr, phis, levels=3, cfl=0.5)
     rep2 = lw_study(fam, pr, phis, levels=3, cfl=0.5)
-    rows1, rows2 = rep1.rows(), rep2.rows()
-    assert len(rows1) == 3 * 2
-    assert rows1 == rows2
+    assert len(rep1.levels) == 3
+    for rec in rep1.levels:
+        assert len(rec.decompositions) == len(rec.weak_gaps) == len(rec.envelopes) == 2
+    assert rep1.levels == rep2.levels
     assert set(rep1.slopes) == {"weak_gap", "R1", "R"}
     gaps = rep1.gap_profile()
     assert len(gaps) == 3
@@ -264,11 +262,12 @@ def test_lw_study_rows_carry_envelope_bounds():
     pr = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5)
     phis = bump_corpus_spacetime(1, 0.5)[:2]
     rep = lw_study(fam, pr, phis, levels=2, cfl=0.5)
-    for row in rep.rows():
-        assert abs(row.master_residual) <= 1e-10
-        assert abs(row.r1) <= row.r1_envelope * (1.0 + 1e-9) + 1e-11
-        assert abs(row.r) <= row.r_envelope * (1.0 + 1e-9) + 1e-11
-        assert isinstance(row.r1_envelope, float)
+    for rec in rep.levels:
+        for d, (r1_envelope, r_envelope) in zip(rec.decompositions, rec.envelopes):
+            assert abs(d.master_residual) <= 1e-10
+            assert abs(d.r1) <= r1_envelope * (1.0 + 1e-9) + 1e-11
+            assert abs(d.r) <= r_envelope * (1.0 + 1e-9) + 1e-11
+            assert isinstance(r1_envelope, float)
 
 
 def test_lw_study_rejects_history_outside_c_f_range():
@@ -416,9 +415,9 @@ def _assert_gaps_match(rec, field, phis, u0):
     """The streamed gaps against ``weak_gap`` on the stored history.  A gap
     is the cancellation |a + b + c|, so its relative rounding is larger than
     that of a term."""
-    for phi, row in zip(phis, rec.rows):
-        assert row.weak_gap == pytest.approx(weak_gap(field, phi, u0=u0),
-                                             rel=1e-10), (rec.level, phi.name)
+    for phi, gap in zip(phis, rec.weak_gaps):
+        assert gap == pytest.approx(weak_gap(field, phi, u0=u0),
+                                    rel=1e-10), (rec.level, phi.name)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -457,11 +456,11 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
 def test_weak_gap_matches_scalar_oracle(case):
     problem, phis, rep, fields = _oracle_run(case)
     for rec, field in zip(rep.levels, fields):
-        for phi, row in zip(phis, rec.rows):
+        for phi, gap in zip(phis, rec.weak_gaps):
             want, mass = brute_weak_gap(field.mesh, field.grid.nodes, field.values,
                                         problem.flux.flux, phi, problem.u0)
             stored = weak_gap(field, phi, u0=problem.u0)
-            for got in (row.weak_gap, stored):
+            for got in (gap, stored):
                 assert abs(got - want) <= 1e-12 * mass, \
                     (rec.level, phi.name, got, want, mass)
 
@@ -495,11 +494,12 @@ def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
         for part in ("space_part", "time_part"):
             assert getattr(b.seminorms, part) == pytest.approx(
                 getattr(a.seminorms, part), rel=1e-12)
-        for da, db, ra, rb in zip(a.decompositions, b.decompositions, a.rows, b.rows):
+        for da, db, ga, gb in zip(a.decompositions, b.decompositions,
+                                  a.weak_gaps, b.weak_gaps):
             for t in TERMS:
                 assert abs(getattr(db, t) - getattr(da, t)) <= 1e-12 * da.scale, \
                     (a.level, da.phi_id, t)
-            assert rb.weak_gap == pytest.approx(ra.weak_gap, rel=1e-12)
+            assert gb == pytest.approx(ga, rel=1e-12)
 
 
 def test_lw_study_names_family_and_level_of_a_blow_up():

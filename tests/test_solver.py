@@ -309,8 +309,7 @@ def test_constant_states_are_fixed_points():
     cases = [
         (uniform_1d_family(10).build(0), upwind_linear([1.0]), 0.5),
         (uniform_1d_family(10).build(0), muscl_three_point([1.0]), 0.5),
-        (perturbed_triangular_2d_family(4, 0.3, 0).build(1)
-         if False else perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1),
+        (perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1),
          rusanov(burgers((0.6, 0.8))), 0.4),
     ]
     for mesh, fl, T in cases:
