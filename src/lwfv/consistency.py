@@ -29,6 +29,9 @@ enforces.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +73,8 @@ ENVELOPE_SLACK = 1e-9
 # sums whose terms we track as *_abs masses; without the floor the check
 # would compare one noise quantity against another of the same magnitude.
 ENVELOPE_FLOOR = 1e-12
+# SIGKILL, which POSIX fixes at 9; ``import lwfv`` does not load ``signal``
+_SIGKILL = 9
 
 
 def check_support_margin(mesh: Mesh, grid: TimeGrid,
@@ -337,20 +342,42 @@ class _GapSums:
     Its columns are exact integrals by the cell quadrature rule: int_K w
     and b . int_K grad w, kept on the cells where some column is nonzero,
     against the time weights g(t_{n+1}) - g(t_n) and the slab integrals of
-    g.
+    g.  Each test function is evaluated only on the cells whose vertex box
+    meets its support box: every quadrature point of another cell lies
+    outside the support, where w and grad w are exactly 0.
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: IntegrableFunction,
                  flux: FluxFunction):
-        if mesh.cell_vertices is None:
+        verts = mesh.cell_vertices
+        if verts is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
-        quad = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
+        quad = quadrature.cell_rule(verts, GAUSS_ORDER)
         pts, wq = quad
-        W = np.column_stack([
-            quadrature.rowdot(wq, np.asarray(p.w(pts), dtype=float)) for p in phis])
-        GW = np.stack([
-            (wq[:, None, :] @ np.asarray(p.grad_w(pts), dtype=float))[:, 0]
-            for p in phis], axis=-1)  # (cells, d, phis)
+        # int u0(x) phi(x, 0) dx by the cell-integral policy of the
+        # projections, one evaluation of u0 for all phis, summed in cell
+        # order (np.sum adds pairwise, in another order)
+        datum_cells, pts0, wu = _datum_rule(verts, u0, quad)
+        datum_cells = np.arange(mesh.n_cells)[datum_cells]
+        vmin, vmax = verts.min(axis=1), verts.max(axis=1)
+        W = np.zeros((mesh.n_cells, len(phis)))
+        GW = np.zeros((mesh.n_cells, mesh.dim, len(phis)))
+        per_cell = np.zeros((mesh.n_cells, len(phis)))
+        for i, p in enumerate(phis):
+            slo, shi = p.support
+            meets = np.all((vmax >= slo) & (vmin <= shi), axis=1)
+            rows = np.flatnonzero(meets)
+            w = np.asarray(p.w(pts[rows]), dtype=float)
+            W[rows, i] = quadrature.rowdot(wq[rows], w)
+            GW[rows, :, i] = (wq[rows, None, :]
+                              @ np.asarray(p.grad_w(pts[rows]), dtype=float))[:, 0]
+            if pts0 is pts:  # the datum rule is the cell rule: phi(., 0) = w g(0)
+                per_cell[rows, i] = quadrature.rowdot(wu[rows], w * p.g(0.0))
+            else:
+                keep = meets[datum_cells]
+                per_cell[datum_cells[keep], i] = quadrature.rowdot(
+                    wu[keep], p.value(pts0[keep], 0.0))
+        self.c_term = np.cumsum(per_cell, axis=0)[-1]
         self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
                                     | np.any(GW != 0.0, axis=(1, 2)))
         self.w_integral = W[self.cells]  # (cells, phis)
@@ -361,14 +388,6 @@ class _GapSums:
                                             for p in phis])
         self.profile = flux.profile
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
-        # int u0(x) phi(x, 0) dx by the cell-integral policy of the
-        # projections, one evaluation of u0 for all phis, summed in cell
-        # order (np.sum adds pairwise, in another order)
-        datum_cells, pts0, wu = _datum_rule(mesh.cell_vertices, u0, quad)
-        per_cell = np.zeros((mesh.n_cells, len(phis)))
-        per_cell[datum_cells] = np.column_stack(
-            [quadrature.rowdot(wu, p.value(pts0, 0.0)) for p in phis])
-        self.c_term = np.cumsum(per_cell, axis=0)[-1]
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
         Uc = U.take(self.cells, axis=1)
@@ -531,6 +550,18 @@ def lw_study(family: MeshFamily, problem: Problem,
     flux's c_f holds, the master identity, and both residual envelopes; an
     InvariantViolation names the family and the level.  Decay slopes are
     fitted for the per-level maxima of weak_gap, |R| and |R1|.
+
+    The levels are independent, so on a host that allows it they run in
+    two processes: a forked child runs levels 0 ... n-2 and this process
+    runs level n-1, the largest, then reads the child's records back
+    through a pipe.  The split is skipped, and the levels run one after
+    the other here, when there is one level, when the platform has no
+    ``os.fork``, when this process may use only one CPU, or when it has a
+    second live thread (forking a threaded process is unsafe).  Both
+    paths run the same per-level code on the same meshes, so the report
+    is bit-identical either way, and so is the error: the failure of the
+    lowest failing level, with the type and message the sequential loop
+    raises.
     """
     if check_flux:
         rep = check_hypothesis_iii(problem.flux)
@@ -540,12 +571,17 @@ def lw_study(family: MeshFamily, problem: Problem,
                 f"bound: ratio {rep.max_ratio:.6g} at witness {rep.witness}"
             )
     meshes = refine(family, levels)
-    records = []
-    for lvl, mesh in enumerate(meshes):
+
+    def run(lvl: int) -> LevelRecord:
         try:
-            records.append(_study_level(lvl, mesh, problem, phi_set, cfl))
+            return _study_level(lvl, meshes[lvl], problem, phi_set, cfl)
         except (InvariantViolation, BlowUpError) as exc:
             raise type(exc)(f"family {family.name!r}, level {lvl}: {exc}") from exc
+
+    if _can_split(len(meshes)):
+        records = _split_levels(run, len(meshes))
+    else:
+        records = [run(lvl) for lvl in range(len(meshes))]
 
     hs = np.array([rec.h for rec in records])
     slopes = {
@@ -561,6 +597,81 @@ def lw_study(family: MeshFamily, problem: Problem,
         family=family.name, flux_name=problem.flux.name,
         u0_name=problem.u0.name, levels=records, slopes=slopes,
     )
+
+
+def _can_split(n_levels: int) -> bool:
+    """Whether ``lw_study`` runs its levels in two processes."""
+    return (n_levels >= 2 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _split_levels(run, n: int) -> list[LevelRecord]:
+    """``[run(0), ..., run(n - 1)]`` with levels 0 ... n-2 in a forked child
+    and level n-1 here.  The child sends one pickled ``(kind, value)``:
+    ``("ok", records)``, ``("raised", exception)`` or, for an exception
+    that does not survive pickling, ``("unpicklable", "Type: text")``."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        os.close(rfd)
+        _child_levels(run, n - 1, wfd)
+    os.close(wfd)
+    with os.fdopen(rfd, "rb") as pipe:
+        try:
+            try:
+                last, failure = run(n - 1), None
+            except Exception as exc:
+                # a lower level's failure in the child comes first
+                last, failure = None, exc
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, _SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise RuntimeError(
+            f"the process running levels 0-{n - 2} ended with exit status "
+            f"{os.waitstatus_to_exitcode(status)} and sent no result")
+    kind, value = pickle.loads(data)
+    if kind == "raised":
+        raise value
+    if kind == "unpicklable":
+        raise RuntimeError(f"levels 0-{n - 2} raised {value}, which cannot "
+                           f"be pickled")
+    if failure is not None:
+        raise failure
+    return [*value, last]
+
+
+def _child_levels(run, n: int, wfd: int) -> None:
+    """The forked child of ``_split_levels``: run levels 0 ... n-1, send the
+    result through ``wfd`` and end the process with ``os._exit``, so that it
+    runs no atexit handler and flushes no stdio buffer it inherited."""
+    code = 1
+    try:
+        try:
+            payload = ("ok", [run(lvl) for lvl in range(n)])
+        except Exception as exc:
+            payload = ("raised", exc)
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)  # an exception may pickle and fail to load
+        except Exception as exc:
+            bad = payload[1] if payload[0] == "raised" else exc
+            data = pickle.dumps(("unpicklable", f"{type(bad).__name__}: {bad}"))
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _study_level(lvl: int, mesh: Mesh, problem: Problem,

@@ -6,7 +6,10 @@ that only change the output directory.
 """
 import csv
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,8 @@ from lwfv.solver import Problem, read_history
 
 from oracles import dense_cell_means_1d
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(args):
@@ -311,6 +315,42 @@ def test_outputs_byte_identical_across_out_dir(tmp_path):
     assert run(["lw-verify", "--config", str(cfgp), "--out", str(b)]) == 0
     assert (a / "lw_report.csv").read_bytes() == (b / "lw_report.csv").read_bytes()
     assert (a / "lw_summary.txt").read_bytes() == (b / "lw_summary.txt").read_bytes()
+
+
+# the three scenarios of the README
+SCENARIO_CONFIGS = {
+    "advection-1d": "family = uniform-1d\nn0 = 10\nflux = upwind(1.0)\n"
+                    "u0 = bump\nt_final = 0.5\ncfl = 0.5\n",
+    "burgers-riemann-1d": "family = uniform-1d\nn0 = 16\nflux = rusanov(burgers)\n"
+                          "u0 = square(0.1,0.45)\nt_final = 0.5\ncfl = 0.45\n",
+    "burgers-2d": "family = triangular-2d\nn0 = 4\njitter = 0.3\nseed = 0\n"
+                  "flux = rusanov(burgers)\nu0 = sine\nt_final = 0.4\ncfl = 0.45\n",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to pin a run to one")
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_CONFIGS))
+def test_lw_verify_outputs_do_not_depend_on_the_cpus(tmp_path, scenario):
+    # with two CPUs lw_study runs its coarser levels in a forked child; a
+    # run pinned to one CPU runs them all in one process
+    cfgp = tmp_path / "v.cfg"
+    cfgp.write_text(SCENARIO_CONFIGS[scenario] + "levels = 3\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    outputs = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {0})):
+        out = tmp_path / ("one-cpu" if pin else "two-cpus")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lwfv.cli", "lw-verify", "--config", str(cfgp),
+             "--out", str(out)],
+            env=env, preexec_fn=pin, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("lw_report.csv", "lw_summary.txt")])
+    assert outputs[0] == outputs[1]
 
 
 def test_mesh_gen_deterministic(tmp_path):

@@ -10,9 +10,17 @@ references are the three scalar-loop oracles of ``oracles.py``, run on the
 history ``solve`` stores: the five terms, the seminorm and the weak gap.
 ``weak_gap`` and ``spacetime_translation_seminorm``, the entry points for a
 stored history, are checked against the same oracles.
+
+Where the host allows it, ``lw_study`` runs its coarser levels in a forked
+child; the split tests compare that path with the sequential loop bit for
+bit, in results and in errors, and check that no child is left behind.
 """
+import atexit
 import dataclasses
 import functools
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,7 +37,7 @@ from lwfv import (
     uniform_1d_family,
     upwind_linear,
 )
-from lwfv import consistency
+from lwfv import consistency, quadrature
 from lwfv.consistency import (
     check_support_margin,
     effective_c_phi,
@@ -48,6 +56,7 @@ from lwfv.flux import (
 from lwfv.mesh import compute_quality, perturbed_triangular_2d_family
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
 from lwfv.solver import BlowUpError, SpaceTimeField, plan
+from lwfv.translations import GAUSS_ORDER, _datum_rule
 from lwfv.reports import fit_decay_slope
 
 from oracles import (
@@ -56,6 +65,7 @@ from oracles import (
     brute_volume_pairing_terms,
     brute_weak_gap,
 )
+from test_operators import _affine_x
 
 
 def _bump_datum():
@@ -521,3 +531,287 @@ def test_lw_study_names_family_and_level_of_a_blow_up():
                  levels=2, cfl=0.9)
     msg = str(exc.value)
     assert "uniform_1d(n0=10)" in msg and "level 0" in msg and "step" in msg
+
+
+# ---------------------------------------------------------------------------
+# the weak gap's columns on the support boxes only
+# ---------------------------------------------------------------------------
+
+
+def _all_cells_gap_columns(mesh, phis, u0, flux):
+    """The weak gap's columns with every test function evaluated on every
+    cell: ``(cells, w_integral, b_grad_w, c_term)`` of ``_GapSums``."""
+    pts, wq = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
+    W = np.column_stack([quadrature.rowdot(wq, p.w(pts)) for p in phis])
+    GW = np.stack([(wq[:, None, :] @ p.grad_w(pts))[:, 0] for p in phis], axis=-1)
+    cells = np.flatnonzero(np.any(W != 0.0, axis=1) | np.any(GW != 0.0, axis=(1, 2)))
+    rows, pts0, wu = _datum_rule(mesh.cell_vertices, u0, (pts, wq))
+    per_cell = np.zeros((mesh.n_cells, len(phis)))
+    per_cell[rows] = np.column_stack(
+        [quadrature.rowdot(wu, p.value(pts0, 0.0)) for p in phis])
+    return (cells, W[cells], np.einsum("d,cdp->cp", flux.direction, GW[cells]),
+            np.cumsum(per_cell, axis=0)[-1])
+
+
+@pytest.mark.parametrize("case", ["2d-smooth-datum", "1d-indicator-datum",
+                                  "whole-box-phi"])
+def test_gap_columns_equal_an_all_cells_evaluation(case):
+    if case == "2d-smooth-datum":
+        family, problem, cfl = ORACLE_CASES["triangulated-2d"]()
+        phis = bump_corpus_spacetime(2, problem.t_final)
+    elif case == "1d-indicator-datum":
+        family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+        phis = bump_corpus_spacetime(1, problem.t_final)
+    else:
+        family, problem, cfl = ORACLE_CASES["triangulated-2d"]()
+        phis = [_affine_x(2), *bump_corpus_spacetime(2, problem.t_final)]
+    for level in range(3):
+        mesh = family.build(level)
+        grid = plan(mesh, problem, cfl)[1]
+        sums = consistency._GapSums(mesh, grid, phis, problem.u0, problem.flux.flux)
+        want = _all_cells_gap_columns(mesh, phis, problem.u0, problem.flux.flux)
+        got = (sums.cells, sums.w_integral, sums.b_grad_w, sums.c_term)
+        for name, a, b in zip(("cells", "w_integral", "b_grad_w", "c_term"), got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (level, name)
+
+
+# ---------------------------------------------------------------------------
+# two processes per study
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+SPLIT_SCENARIOS = {
+    "advection-1d": (lambda: (
+        uniform_1d_family(10),
+        Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.5),
+        0.5), 4),
+    "burgers-riemann-1d": (lambda: ORACLE_CASES["1d-periodic-rusanov"](), 4),
+    "burgers-2d": (lambda: (
+        perturbed_triangular_2d_family(4, jitter=0.3, seed=0),
+        Problem(flux=rusanov(burgers((1.0 / np.sqrt(2.0),) * 2)), u0=_sine_2d(),
+                t_final=0.4),
+        0.45), 3),
+}
+
+
+def _bits(obj):
+    """Every leaf of a report as (type, bytes), so that -0.0 differs from 0.0
+    and a float from a numpy scalar."""
+    if dataclasses.is_dataclass(obj):
+        return [_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(x) for x in obj]
+    if isinstance(obj, dict):
+        return [(k, _bits(v)) for k, v in obj.items()]
+    if isinstance(obj, (float, np.floating)):
+        return type(obj), np.float64(obj).tobytes()
+    return type(obj), obj
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the host has, and the number of forks so
+    far (a spy on ``os.fork``)."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _sequential(monkeypatch, study):
+    """``study()`` on the sequential path: one usable CPU, no fork."""
+    def no_fork():
+        raise AssertionError("os.fork called on one CPU")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        m.setattr(os, "fork", no_fork)
+        return study()
+
+
+def _outcome(study):
+    """The report of ``study()``, or the type and message it raises."""
+    try:
+        return study()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@needs_fork
+@pytest.mark.parametrize("scenario", sorted(SPLIT_SCENARIOS))
+def test_lw_study_split_is_bit_identical_to_the_sequential_loop(
+        monkeypatch, forks, scenario):
+    make, levels = SPLIT_SCENARIOS[scenario]
+    family, problem, cfl = make()
+    phis = bump_corpus_spacetime(family.build(0).dim, problem.t_final)
+
+    def study():
+        return lw_study(family, problem, phis, levels=levels, cfl=cfl)
+
+    split = study()
+    assert len(forks) == 1
+    sequential = _sequential(monkeypatch, study)
+    assert len(split.levels) == levels
+    assert _bits(split) == _bits(sequential)
+    _assert_no_child()
+
+
+def _late_cut_phi():
+    # t_cut 0.48 of a t_final 0.5 run: the support margin wants t_cut <=
+    # 0.5 - 2 dt, which fails at levels 0 and 1 of uniform_1d(16) only
+    return polynomial_bump([0.5], [0.2], k=3, time_profile="decay", t_cut=0.48,
+                           name="late-cut")
+
+
+def _liar_phi():
+    # understated derivative sups breach the envelopes on every level
+    phi = bump_corpus_spacetime(1, 0.5)[0]
+    return dataclasses.replace(phi, dt_sup=1e-6 * phi.dt_sup,
+                               grad_sup=1e-6 * phi.grad_sup, name="liar")
+
+
+@needs_fork
+@pytest.mark.parametrize("planted", ["support-margin", "envelope-breach",
+                                     "levels-1-and-3", "finest-only"])
+def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, planted):
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    phis = bump_corpus_spacetime(1, problem.t_final)
+    if planted == "support-margin":
+        phis = [*phis, _late_cut_phi()]
+    elif planted == "envelope-breach":
+        phis = [*phis, _liar_phi()]
+    else:
+        failing = {"levels-1-and-3": {1, 3}, "finest-only": {3}}[planted]
+        level = consistency._study_level
+
+        def planted_failure(lvl, *args):
+            if lvl in failing:
+                raise InvariantViolation(f"planted at {lvl}")
+            return level(lvl, *args)
+
+        monkeypatch.setattr(consistency, "_study_level", planted_failure)
+
+    def study():
+        return _outcome(lambda: lw_study(family, problem, phis, levels=4, cfl=cfl))
+
+    split = study()
+    assert len(forks) == 1
+    assert split == _sequential(monkeypatch, study)
+    kind, message = split
+    assert kind is (ValueError if planted == "support-margin" else InvariantViolation)
+    assert {"support-margin": "'late-cut' must vanish",
+            "envelope-breach": "level 0: residual envelope breached for 'liar'",
+            "levels-1-and-3": "level 1: planted at 1",
+            "finest-only": "level 3: planted at 3"}[planted] in message
+    _assert_no_child()
+
+
+class TwoArgs(Exception):
+    """Pickles, but loading calls TwoArgs(message) and fails."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@needs_fork
+@pytest.mark.parametrize("planted", ["unpicklable", "unloadable", "dies",
+                                     "interrupted"])
+def test_lw_study_split_reports_a_lost_child_and_leaves_none(
+        monkeypatch, forks, planted):
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    phis = bump_corpus_spacetime(1, problem.t_final)
+    caller = os.getpid()
+    level = consistency._study_level
+
+    class Local(Exception):
+        """Defined in a function, so pickle cannot find it by name."""
+
+    def planted_failure(lvl, *args):
+        in_child = os.getpid() != caller
+        if planted == "unpicklable" and lvl == 0:
+            raise Local("no way back")
+        if planted == "unloadable" and lvl == 0:
+            raise TwoArgs("no way", "back")
+        if planted == "dies" and in_child:
+            os._exit(7)
+        if planted == "interrupted":
+            if in_child:
+                time.sleep(60)
+            raise KeyboardInterrupt
+        return level(lvl, *args)
+
+    monkeypatch.setattr(consistency, "_study_level", planted_failure)
+    want = {"unpicklable": (RuntimeError, r"raised .*Local: no way back"),
+            "unloadable": (RuntimeError, "raised TwoArgs: no way: back"),
+            "dies": (RuntimeError, "exit status 7"),
+            "interrupted": (KeyboardInterrupt, None)}[planted]
+    t0 = time.monotonic()
+    with pytest.raises(want[0], match=want[1]):
+        lw_study(family, problem, phis, levels=3, cfl=cfl)
+    assert len(forks) == 1
+    assert time.monotonic() - t0 < 30.0  # the interrupted caller kills its child
+    _assert_no_child()
+
+
+@needs_fork
+def test_lw_study_child_flushes_nothing_and_runs_no_exit_handler(tmp_path, forks):
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    caller = os.getpid()
+    marker = tmp_path / "exit-handler-ran"
+
+    def handler():
+        if os.getpid() != caller:
+            marker.write_text("child")
+
+    atexit.register(handler)
+    log = open(tmp_path / "log", "w", encoding="utf-8")
+    log.write("once\n")  # still in the buffer when the child is forked
+    try:
+        lw_study(family, problem, bump_corpus_spacetime(1, problem.t_final),
+                 levels=2, cfl=cfl)
+    finally:
+        atexit.unregister(handler)
+        log.close()
+    assert len(forks) == 1
+    assert (tmp_path / "log").read_text(encoding="utf-8") == "once\n"
+    assert not marker.exists()
+
+
+@needs_fork
+@pytest.mark.parametrize("blocker", ["one-level", "one-cpu", "live-thread", "no-fork"])
+def test_lw_study_does_not_fork_unless_the_split_conditions_hold(monkeypatch, blocker):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    if blocker == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif blocker == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    phis = bump_corpus_spacetime(1, problem.t_final)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if blocker == "live-thread":
+        thread.start()
+    try:
+        report = lw_study(family, problem, phis, cfl=cfl,
+                          levels=1 if blocker == "one-level" else 2)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert len(report.levels) == (1 if blocker == "one-level" else 2)

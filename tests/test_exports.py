@@ -137,6 +137,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # lw_study forks with os alone; multiprocessing and concurrent.futures
+    # would lengthen the import and grow the heap the benchmark's
+    # calibration kernel runs on
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lwfv; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # Runs the CLI with argv[2:], after installing a finder that makes every
 # import of scipy fail when argv[1] is "block".
 _CLI_MAYBE_WITHOUT_SCIPY = """
