@@ -192,11 +192,15 @@ class _StepBlocks:
     full block to every sum as ``block(n0, U, dU, F)``, n0 being the first
     step and dU = u^{n+1} - u^n formed by one subtraction per block;
     ``flush()`` hands over the last, partial block.  Memory is
-    O(BLOCK_STEPS * cells).
+    O(BLOCK_STEPS * cells), in buffers allocated once: a fresh dU per block
+    made glibc's malloc trim and refault its heap top on every block of a
+    process that had not yet grown its heap (about 5 700 page faults at
+    level 3 of the 2d Burgers scenario).
     """
 
     def __init__(self, n_cells: int, n_interior: int, sums):
         self.U = np.empty((BLOCK_STEPS + 1, n_cells))
+        self.dU = np.empty((BLOCK_STEPS, n_cells))
         self.F = np.empty((BLOCK_STEPS, n_interior))
         self.sums = sums
         self.n0 = 0
@@ -216,7 +220,7 @@ class _StepBlocks:
         size = self.count
         if size:
             U = self.U[:size + 1]
-            dU = U[1:] - U[:-1]
+            dU = np.subtract(U[1:], U[:-1], out=self.dU[:size])
             for sums in self.sums:
                 sums.block(self.n0, U[:-1], dU, self.F[:size])
         self.n0 += size
@@ -551,37 +555,46 @@ def lw_study(family: MeshFamily, problem: Problem,
     InvariantViolation names the family and the level.  Decay slopes are
     fitted for the per-level maxima of weak_gap, |R| and |R1|.
 
-    The levels are independent, so on a host that allows it they run in
-    two processes: a forked child runs levels 0 ... n-2 and this process
-    runs level n-1, the largest, then reads the child's records back
-    through a pipe.  The split is skipped, and the levels run one after
-    the other here, when there is one level, when the platform has no
-    ``os.fork``, when this process may use only one CPU, or when it has a
-    second live thread (forking a threaded process is unsafe).  Both
-    paths run the same per-level code on the same meshes, so the report
-    is bit-identical either way, and so is the error: the failure of the
-    lowest failing level, with the type and message the sequential loop
-    raises.
+    The levels are independent, so on a host that allows it the study runs
+    in two processes.  It forks before it does anything else: the child
+    checks the flux (``check_hypothesis_iii``, when ``check_flux``), builds
+    and rates every level with ``refine``, whose regularity band covers
+    them all, and runs levels 0 ... n-2; this process builds level n-1,
+    the largest, runs it, then reads the child's records back through a
+    pipe.  The split is skipped, and the check, the refinement and the
+    levels run one after the other here, when there is one level, when the
+    platform has no ``os.fork``, when this process may use only one CPU, or
+    when it has a second live thread (forking a threaded process is
+    unsafe).  Both paths run the same code on the same meshes, so the
+    report is bit-identical either way, and so is the error: a failure of
+    the flux check or of the regularity band comes before any level's, and
+    then the failure of the lowest failing level, with the type and
+    message the sequential loop raises.
     """
-    if check_flux:
-        rep = check_hypothesis_iii(problem.flux)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"flux {problem.flux.name!r} fails its Lipschitz-diagonal "
-                f"bound: ratio {rep.max_ratio:.6g} at witness {rep.witness}"
-            )
-    meshes = refine(family, levels)
-
-    def run(lvl: int) -> LevelRecord:
+    def run(lvl: int, mesh: Mesh) -> LevelRecord:
         try:
-            return _study_level(lvl, meshes[lvl], problem, phi_set, cfl)
+            return _study_level(lvl, mesh, problem, phi_set, cfl)
         except (InvariantViolation, BlowUpError) as exc:
             raise type(exc)(f"family {family.name!r}, level {lvl}: {exc}") from exc
 
-    if _can_split(len(meshes)):
-        records = _split_levels(run, len(meshes))
+    def lower(n: int) -> list[LevelRecord]:
+        """The flux check, the refinement and levels 0 ... n-1."""
+        if check_flux:
+            rep = check_hypothesis_iii(problem.flux)
+            if not rep.ok:
+                raise InvariantViolation(
+                    f"flux {problem.flux.name!r} fails its Lipschitz-diagonal "
+                    f"bound: ratio {rep.max_ratio:.6g} at witness {rep.witness}"
+                )
+        meshes = refine(family, levels)
+        return [run(lvl, meshes[lvl]) for lvl in range(n)]
+
+    if _can_split(levels):
+        records = _split_levels(
+            lambda: lower(levels - 1),
+            lambda: run(levels - 1, family.build(levels - 1)))
     else:
-        records = [run(lvl) for lvl in range(len(meshes))]
+        records = lower(levels)
 
     hs = np.array([rec.h for rec in records])
     slopes = {
@@ -607,11 +620,13 @@ def _can_split(n_levels: int) -> bool:
             and threading.active_count() == 1)
 
 
-def _split_levels(run, n: int) -> list[LevelRecord]:
-    """``[run(0), ..., run(n - 1)]`` with levels 0 ... n-2 in a forked child
-    and level n-1 here.  The child sends one pickled ``(kind, value)``:
-    ``("ok", records)``, ``("raised", exception)`` or, for an exception
-    that does not survive pickling, ``("unpicklable", "Type: text")``."""
+def _split_levels(lower, last) -> list[LevelRecord]:
+    """``[*lower(), last()]`` with ``lower`` in a forked child and ``last``
+    here.  The child sends one pickled ``(kind, value)``: ``("ok",
+    records)``, ``("raised", exception)`` or, for an exception that does
+    not survive pickling, ``("unpicklable", "Type: text")``.  A failure in
+    the child comes first, since it belongs to the prologue or to a lower
+    level."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -621,15 +636,14 @@ def _split_levels(run, n: int) -> list[LevelRecord]:
         raise
     if pid == 0:
         os.close(rfd)
-        _child_levels(run, n - 1, wfd)
+        _child_levels(lower, wfd)
     os.close(wfd)
     with os.fdopen(rfd, "rb") as pipe:
         try:
             try:
-                last, failure = run(n - 1), None
+                record, failure = last(), None
             except Exception as exc:
-                # a lower level's failure in the child comes first
-                last, failure = None, exc
+                record, failure = None, exc
             data = pipe.read()
         except BaseException:
             os.kill(pid, _SIGKILL)
@@ -638,27 +652,27 @@ def _split_levels(run, n: int) -> list[LevelRecord]:
             status = os.waitpid(pid, 0)[1]
     if not data:
         raise RuntimeError(
-            f"the process running levels 0-{n - 2} ended with exit status "
+            f"the child process of lw_study ended with exit status "
             f"{os.waitstatus_to_exitcode(status)} and sent no result")
     kind, value = pickle.loads(data)
     if kind == "raised":
         raise value
     if kind == "unpicklable":
-        raise RuntimeError(f"levels 0-{n - 2} raised {value}, which cannot "
-                           f"be pickled")
+        raise RuntimeError(f"the child process of lw_study raised {value}, "
+                           f"which cannot be pickled")
     if failure is not None:
         raise failure
-    return [*value, last]
+    return [*value, record]
 
 
-def _child_levels(run, n: int, wfd: int) -> None:
-    """The forked child of ``_split_levels``: run levels 0 ... n-1, send the
+def _child_levels(lower, wfd: int) -> None:
+    """The forked child of ``_split_levels``: call ``lower``, send the
     result through ``wfd`` and end the process with ``os._exit``, so that it
     runs no atexit handler and flushes no stdio buffer it inherited."""
     code = 1
     try:
         try:
-            payload = ("ok", [run(lvl) for lvl in range(n)])
+            payload = ("ok", lower())
         except Exception as exc:
             payload = ("raised", exc)
         try:

@@ -54,8 +54,11 @@ class FluxFunction:
     ``profile`` g along a fixed ``direction`` b.
 
     ``value`` is vectorised: u of shape (...) maps to (..., d).
-    ``deriv_bound(lo, hi)`` is elementwise and returns a sup bound for
-    |F'(u)|_2 = |g'(u)| |b| on [lo, hi].
+    ``deriv_bound(a, b)`` is elementwise and returns a sup bound for
+    |F'(u)|_2 = |g'(u)| |b| on the interval between a and b, in either
+    order: it must be symmetric bit for bit, deriv_bound(a, b) ==
+    deriv_bound(b, a), so that a face's bound does not depend on its
+    orientation (``conservativity_check`` tests this through the flux).
     """
 
     name: str
@@ -96,7 +99,7 @@ def linear_advection(b) -> FluxFunction:
         name=f"linear({_vec_label(bv)})",
         direction=bv,
         profile=lambda u: u,
-        deriv_bound=lambda lo, hi: speed,
+        deriv_bound=lambda a, b: speed,
     )
 
 
@@ -107,7 +110,7 @@ def burgers(direction=(1.0,)) -> FluxFunction:
         name=f"burgers({_vec_label(dv)})",
         direction=dv,
         profile=lambda u: 0.5 * u ** 2,
-        deriv_bound=lambda lo, hi: np.maximum(np.abs(lo), np.abs(hi)) * dnorm,
+        deriv_bound=lambda a, b: np.maximum(np.abs(a), np.abs(b)) * dnorm,
     )
 
 
@@ -173,9 +176,10 @@ def rusanov(F: FluxFunction,
 
         F_sigma = (g(u_K) + g(u_L)) / 2 (b . n) - lambda_sigma (u_L - u_K) / 2
 
-    for F(u) = g(u) b, with lambda_sigma = deriv_bound(min(u_K, u_L),
-    max(u_K, u_L)) taken on each face alone; it bounds |F'(u) . n| for any
-    unit normal.  One face's flux therefore depends on its own two states
+    for F(u) = g(u) b, with lambda_sigma = deriv_bound(u_K, u_L) taken on
+    each face alone; it bounds |F'(u) . n| between the two states for any
+    unit normal, and it is symmetric in them, so the face's two states need
+    no sorting.  One face's flux therefore depends on its own two states
     only.
 
     ``wave_speed``, which feeds the time step, is global instead: the
@@ -195,7 +199,7 @@ def rusanov(F: FluxFunction,
     def evaluate(uK, uL, bn, uKK=None, uLL=None):
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
-        lam = F.deriv_bound(np.minimum(uK, uL), np.maximum(uK, uL))
+        lam = F.deriv_bound(uK, uL)
         central = 0.5 * (g(uK) + g(uL)) * bn
         return central - 0.5 * lam * (uL - uK) + 0.0
 

@@ -629,9 +629,12 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     checks.append(("unit_normals", norm_err <= 1e-12, f"max | |n|-1 | = {norm_err:.2e}"))
 
     flow = mesh.face_area[:, None] * mesh.face_normal
-    net = np.zeros((mesh.n_cells, mesh.dim))
-    np.add.at(net, K, flow)
-    np.add.at(net, L[inner], -flow[inner])
+    # each face's cells, K sides then L sides; one bincount per column adds
+    # in that order, as two sequential np.add.at calls would
+    cells = np.concatenate([K, L[inner]])
+    signed = np.concatenate([flow, -flow[inner]])
+    net = np.stack([np.bincount(cells, signed[:, j], mesh.n_cells)
+                    for j in range(mesh.dim)], axis=1)
     size = np.abs(mesh.face_area)
     area_sum = (np.bincount(K, size, mesh.n_cells)
                 + np.bincount(L[inner], size[inner], mesh.n_cells))
@@ -649,7 +652,6 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     # every dual piece against its cone, recomputed from the face data
     ints = np.flatnonzero(inner)
     faces = np.concatenate([np.arange(mesh.n_faces), ints])
-    cells = np.concatenate([K, L[ints]])
     part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
     area = mesh.face_area[faces]
     height = np.abs(np.einsum(

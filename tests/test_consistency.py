@@ -53,7 +53,14 @@ from lwfv.flux import (
     muscl_three_point,
     rusanov,
 )
-from lwfv.mesh import compute_quality, perturbed_triangular_2d_family
+from lwfv.mesh import (
+    MeshFamily,
+    RegularityError,
+    build_nonuniform_1d,
+    build_uniform_1d,
+    compute_quality,
+    perturbed_triangular_2d_family,
+)
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
 from lwfv.solver import BlowUpError, SpaceTimeField, plan
 from lwfv.translations import GAUSS_ORDER, _datum_rule
@@ -294,13 +301,18 @@ def test_lw_study_rejects_history_outside_c_f_range():
     assert all(phi.name in msg for phi in phis)
 
 
-def test_lw_study_rates_each_level_once(rated_cells):
-    # refine rates every level for its regularity band and the study reads
-    # the same qualities again; the mesh keeps them, so each is computed once
+def _riemann_study():
     problem = Problem(flux=rusanov(burgers((1.0,))),
                       u0=interval_indicator(0.1, 0.45), t_final=0.5)
-    report = lw_study(uniform_1d_family(16), problem,
-                      bump_corpus_spacetime(1, 0.5), levels=4, cfl=0.45)
+    return lw_study(uniform_1d_family(16), problem,
+                    bump_corpus_spacetime(1, 0.5), levels=4, cfl=0.45)
+
+
+def test_lw_study_rates_each_level_once(monkeypatch, rated_cells):
+    # on the sequential path refine rates every level for its regularity
+    # band and the study reads the same qualities again; the mesh keeps
+    # them, so each is computed once
+    report = _sequential(monkeypatch, _riemann_study)
     assert rated_cells == [16, 32, 64, 128]
     assert [rec.quality.n_faces_max for rec in report.levels] == [2] * 4
 
@@ -682,9 +694,17 @@ def _liar_phi():
                                grad_sup=1e-6 * phi.grad_sup, name="liar")
 
 
+def _kinked_family():
+    # uniform cells except at level 2, whose cells alternate 1 : 3 and
+    # break the regularity band of levels 0 and 1
+    return MeshFamily("kinked", lambda m: build_nonuniform_1d(16 * 2**m, ratio=3.0)
+                      if m == 2 else build_uniform_1d(16 * 2**m))
+
+
 @needs_fork
 @pytest.mark.parametrize("planted", ["support-margin", "envelope-breach",
-                                     "levels-1-and-3", "finest-only"])
+                                     "levels-1-and-3", "finest-only",
+                                     "flux-check", "regularity-band"])
 def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, planted):
     family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
     phis = bump_corpus_spacetime(1, problem.t_final)
@@ -692,6 +712,14 @@ def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, plan
         phis = [*phis, _late_cut_phi()]
     elif planted == "envelope-breach":
         phis = [*phis, _liar_phi()]
+    elif planted == "flux-check":
+        # a c_f understated a hundredfold fails the check in the child and
+        # breaches the R envelope of the caller's finest level: the check
+        # comes first
+        problem = dataclasses.replace(problem, flux=dataclasses.replace(
+            problem.flux, c_f=0.01 * problem.flux.c_f))
+    elif planted == "regularity-band":
+        family = _kinked_family()
     else:
         failing = {"levels-1-and-3": {1, 3}, "finest-only": {3}}[planted]
         level = consistency._study_level
@@ -710,11 +738,63 @@ def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, plan
     assert len(forks) == 1
     assert split == _sequential(monkeypatch, study)
     kind, message = split
-    assert kind is (ValueError if planted == "support-margin" else InvariantViolation)
+    assert kind is {"support-margin": ValueError,
+                    "regularity-band": RegularityError}.get(planted, InvariantViolation)
     assert {"support-margin": "'late-cut' must vanish",
             "envelope-breach": "level 0: residual envelope breached for 'liar'",
             "levels-1-and-3": "level 1: planted at 1",
-            "finest-only": "level 3: planted at 3"}[planted] in message
+            "finest-only": "level 3: planted at 3",
+            "flux-check": "fails its Lipschitz-diagonal bound",
+            "regularity-band": "at level 2"}[planted] in message
+    _assert_no_child()
+
+
+@needs_fork
+def test_lw_study_split_caller_runs_only_the_finest_level(forks, rated_cells):
+    # the child checks the flux, refines and runs levels 0-2; the caller
+    # builds and rates level 3 alone
+    report = _riemann_study()
+    assert len(forks) == 1
+    assert rated_cells == [128]
+    assert [rec.quality.n_faces_max for rec in report.levels] == [2] * 4
+
+
+@needs_fork
+def test_lw_study_split_leaves_the_prologue_to_the_child(monkeypatch, forks,
+                                                         tmp_path):
+    # both processes log their calls to one file, tagged with their pid
+    fd = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def log(what):
+        os.write(fd, f"{os.getpid()} {what}\n".encode())
+
+    def spy(name):
+        real = getattr(consistency, name)
+
+        def spied(*args):
+            log(name)
+            return real(*args)
+
+        monkeypatch.setattr(consistency, name, spied)
+
+    spy("check_hypothesis_iii")
+    spy("refine")
+    family = MeshFamily("logged", lambda m: log(f"build {m}")
+                        or build_uniform_1d(16 * 2**m))
+    _, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    caller = os.getpid()
+    try:
+        report = lw_study(family, problem, bump_corpus_spacetime(1, 0.5),
+                          levels=4, cfl=cfl)
+    finally:
+        os.close(fd)
+    assert len(forks) == 1 and len(report.levels) == 4
+    calls = [line.split(" ", 1) for line in
+             (tmp_path / "calls").read_text(encoding="utf-8").splitlines()]
+    assert [what for pid, what in calls if int(pid) == caller] == ["build 3"]
+    assert [what for pid, what in calls if int(pid) != caller] == [
+        "check_hypothesis_iii", "refine", "build 0", "build 1", "build 2",
+        "build 3"]
     _assert_no_child()
 
 

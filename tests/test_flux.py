@@ -64,6 +64,30 @@ def test_rusanov_burgers_probe_is_local():
     assert float(beside[0]) == float(alone[0])
 
 
+@pytest.mark.parametrize("F", [linear_advection([1.0, 0.5]), burgers((1.0,)),
+                               burgers((0.6, 0.8))], ids=lambda F: F.name)
+def test_deriv_bound_is_symmetric_bit_for_bit(F):
+    # Rusanov passes a face's two states unsorted, so deriv_bound(a, b) must
+    # equal the bound on the sorted pair to the bit, signed zeros included
+    states = _halton_states((-2.0, 2.0), 2000, 2)
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-0.0, 1.5],
+                      [0.0, -1.5]])
+    a, b = np.concatenate([states, -states, zeros]).T
+    assert np.any(np.signbit(a) & (a == 0.0))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    sorted_bound = np.broadcast_to(F.deriv_bound(lo, hi), a.shape)
+    for x, y in ((a, b), (b, a)):
+        got = np.broadcast_to(F.deriv_bound(x, y), a.shape)
+        assert got.tobytes() == sorted_bound.tobytes()
+    # and the flux equals the formula on the sorted pair
+    g = F.profile
+    fl = rusanov(F)
+    for n in _unit_normals(F.dim):
+        bn = F.normal_speed(n)
+        old = 0.5 * (g(a) + g(b)) * bn - 0.5 * sorted_bound * (b - a) + 0.0
+        assert fl.evaluate(a, b, bn).tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("fl", ALL_FLUXES, ids=lambda fl: fl.name)
 def test_face_flux_depends_on_its_own_stencil_only(fl):
     # even faces keep their states while the odd faces get new ones, some
