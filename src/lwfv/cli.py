@@ -138,9 +138,12 @@ def _get_int(cfg, key, minimum=None) -> int:
 
 def _get_float(cfg, key) -> float:
     try:
-        return float(cfg[key])
+        v = float(cfg[key])
     except ValueError as e:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from e
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    return v
 
 
 def resolve_family(cfg: dict[str, str]) -> tuple[MeshFamily, int]:
@@ -175,9 +178,12 @@ def _parse_floats(text: str, what: str) -> list[float]:
     if not text:
         raise ConfigError(f"{what} needs numeric arguments")
     try:
-        return [float(p) for p in text.split(",")]
+        values = [float(p) for p in text.split(",")]
     except ValueError as e:
         raise ConfigError(f"bad numbers in {what}: {text!r}") from e
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite numbers, got {text!r}")
+    return values
 
 
 def resolve_flux(spec: str, dim: int) -> NumericalFlux:
@@ -186,13 +192,13 @@ def resolve_flux(spec: str, dim: int) -> NumericalFlux:
     ``rusanov(advection:1.0,0.5)``."""
     name, inner = _parse_call(spec)
     if name == "upwind":
-        b = _parse_floats(inner, "upwind velocity")
+        b = _parse_floats(inner, "flux upwind velocity")
         if len(b) != dim:
             raise ConfigError(f"upwind velocity has {len(b)} components, "
                               f"mesh is {dim}d")
         return upwind_linear(b)
     if name == "muscl":
-        b = _parse_floats(inner, "muscl velocity")
+        b = _parse_floats(inner, "flux muscl velocity")
         if dim != 1 or len(b) != 1:
             raise ConfigError("muscl flux is wired up for 1d only")
         return muscl_three_point(b[0])
@@ -200,13 +206,13 @@ def resolve_flux(spec: str, dim: int) -> NumericalFlux:
         fname, fargs = (inner.split(":", 1) + [""])[:2]
         fname = fname.strip()
         if fname == "burgers":
-            direction = (_parse_floats(fargs, "burgers direction") if fargs
+            direction = (_parse_floats(fargs, "flux burgers direction") if fargs
                          else list(np.ones(dim) / np.sqrt(dim)))
             if len(direction) != dim:
                 raise ConfigError("burgers direction dimension mismatch")
             return rusanov(burgers(direction))
         if fname == "advection":
-            b = _parse_floats(fargs, "advection velocity")
+            b = _parse_floats(fargs, "flux advection velocity")
             if len(b) != dim:
                 raise ConfigError("advection velocity dimension mismatch")
             return rusanov(linear_advection(b))
@@ -233,11 +239,11 @@ def resolve_u0(spec: str, dim: int) -> IntegrableFunction:
             lip = 0.5 * np.pi
         return smooth_function(fn, lipschitz=float(lip), name="sine")
     if name == "constant":
-        c = _parse_floats(inner, "constant value")[0]
+        c = _parse_floats(inner, "u0 constant value")[0]
         return smooth_function(lambda x: np.full(x.shape[:-1], c),
                                lipschitz=0.0, name=f"constant({c:g})")
     if name == "square":
-        a, b = _parse_floats(inner, "square interval")
+        a, b = _parse_floats(inner, "u0 square interval")
         if dim != 1:
             raise ConfigError("square datum is 1d only")
         if not a < b:
@@ -313,10 +319,10 @@ def cmd_grad_study(cfg: dict[str, str]) -> int:
     out = _out_dir(cfg)
     phi = bump_corpus_spatial(dim)[0]
     psis = vector_corpus(dim)
-    result = gradient_weakstar_study(family, phi, psis, levels)
+    study = gradient_weakstar_study(family, phi, psis, levels)
     lines = [f"family {family.name}  phi {phi.name}"]
     for psi in psis:
-        rows = [r for r in result.rows if r.psi_name == psi.name]
+        rows = [r for r in study if r.psi_name == psi.name]
         reports.write_csv(
             os.path.join(out, f"grad_study_{psi.name}.csv"),
             ["level", "h", "theta_grad", "pairing", "reference", "gap",
@@ -420,7 +426,10 @@ def cmd_lw_verify(cfg: dict[str, str]) -> int:
     out = _out_dir(cfg)
     problem = _resolve_problem(cfg, dim)
     phi_count = _get_int(cfg, "phi_count", minimum=1)
-    phis = bump_corpus_spacetime(dim, problem.t_final)[:phi_count]
+    corpus = bump_corpus_spacetime(dim, problem.t_final)
+    if phi_count > len(corpus):
+        raise ConfigError(f"phi_count must be <= {len(corpus)}, got {phi_count}")
+    phis = corpus[:phi_count]
     report = lw_study(family, problem, phis, levels,
                       cfl=_get_float(cfg, "cfl"))
     reports.write_csv(

@@ -50,17 +50,12 @@ from .translations import (
     _datum_rule,
 )
 
-# not called here: the benchmark's tracer (perfbench/tracer.py) times the
-# solver under this module's name
-from .solver import solve  # noqa: F401
-
 __all__ = [
     "ResidualDecomposition",
     "LevelRecord",
     "ConsistencyReport",
     "check_support_margin",
     "weak_gap",
-    "spacetime_translation_seminorm",
     "residual_envelope_check",
     "effective_c_phi",
     "lw_study",
@@ -444,23 +439,6 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     return sums.gaps()[0]
 
 
-def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
-                                   values: np.ndarray) -> SpacetimeSeminorm:
-    """The space-time translation seminorm of a stored history ``values``
-    (N+1, n_cells), by the sums of ``lw_study`` (``SeminormSums``) fed the
-    same blocks of steps, so both give the same bits."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n_steps + 1, mesh.n_cells):
-        raise ValueError(
-            f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
-        )
-    sums = SeminormSums(mesh, grid)
-    for n0 in range(0, grid.n_steps, BLOCK_STEPS):
-        n1 = min(n0 + BLOCK_STEPS, grid.n_steps)
-        sums.block(n0, vals[n0:n1], vals[n0 + 1:n1 + 1] - vals[n0:n1], None)
-    return sums.result()
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
@@ -622,11 +600,9 @@ def _can_split(n_levels: int) -> bool:
 
 def _split_levels(lower, last) -> list[LevelRecord]:
     """``[*lower(), last()]`` with ``lower`` in a forked child and ``last``
-    here.  The child sends one pickled ``(kind, value)``: ``("ok",
-    records)``, ``("raised", exception)`` or, for an exception that does
-    not survive pickling, ``("unpicklable", "Type: text")``.  A failure in
-    the child comes first, since it belongs to the prologue or to a lower
-    level."""
+    here.  The child sends one pickled object: the records or the exception
+    it raised (see ``_child_levels``).  A failure in the child comes first,
+    since it belongs to the prologue or to a lower level."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -654,33 +630,34 @@ def _split_levels(lower, last) -> list[LevelRecord]:
         raise RuntimeError(
             f"the child process of lw_study ended with exit status "
             f"{os.waitstatus_to_exitcode(status)} and sent no result")
-    kind, value = pickle.loads(data)
-    if kind == "raised":
+    value = pickle.loads(data)
+    if isinstance(value, Exception):
         raise value
-    if kind == "unpicklable":
-        raise RuntimeError(f"the child process of lw_study raised {value}, "
-                           f"which cannot be pickled")
     if failure is not None:
         raise failure
     return [*value, record]
 
 
 def _child_levels(lower, wfd: int) -> None:
-    """The forked child of ``_split_levels``: call ``lower``, send the
-    result through ``wfd`` and end the process with ``os._exit``, so that it
-    runs no atexit handler and flushes no stdio buffer it inherited."""
+    """The forked child of ``_split_levels``: call ``lower``, send its
+    records or the exception it raised through ``wfd``, and end the process
+    with ``os._exit``, so that it runs no atexit handler and flushes no
+    stdio buffer it inherited.  What does not survive the pickle round trip
+    is sent as a RuntimeError naming it."""
     code = 1
     try:
         try:
-            payload = ("ok", lower())
+            result = lower()
         except Exception as exc:
-            payload = ("raised", exc)
+            result = exc
         try:
-            data = pickle.dumps(payload)
+            data = pickle.dumps(result)
             pickle.loads(data)  # an exception may pickle and fail to load
         except Exception as exc:
-            bad = payload[1] if payload[0] == "raised" else exc
-            data = pickle.dumps(("unpicklable", f"{type(bad).__name__}: {bad}"))
+            bad = result if isinstance(result, Exception) else exc
+            data = pickle.dumps(RuntimeError(
+                f"the child process of lw_study raised "
+                f"{type(bad).__name__}: {bad}, which cannot be pickled"))
         with os.fdopen(wfd, "wb") as pipe:
             pipe.write(data)
         code = 0

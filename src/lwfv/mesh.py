@@ -44,12 +44,14 @@ share between studies and its regularity parameters (:func:`compute_quality`)
 are computed on first use and kept on it.  A :class:`MeshFamily` memoises
 the levels it has built and keeps them for its own lifetime, so
 ``family.build(m)`` returns the same mesh on every call.
+
+Every builder partitions the unit interval or the unit square.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -121,7 +123,6 @@ class Mesh:
     h_max: float
     box: tuple[np.ndarray, np.ndarray] | None = None
     cell_vertices: np.ndarray | None = None
-    family: str = ""
 
     def __post_init__(self):
         # the cached quality and a family's shared levels rely on this
@@ -164,7 +165,6 @@ class MeshQuality:
     theta: float
     tau: float
     n_faces_max: int
-    h_max: float
 
 
 @dataclass(frozen=True)
@@ -179,20 +179,9 @@ class MeshFamily:
 
     name: str
     build: Callable[[int], Mesh]
-    _meshes: dict[int, Mesh] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
 
     def __post_init__(self):
-        make, meshes = self.build, self._meshes
-
-        @functools.wraps(make)
-        def build(level: int) -> Mesh:
-            mesh = meshes.get(level)
-            if mesh is None:
-                mesh = meshes[level] = make(level)
-            return mesh
-
-        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "build", functools.cache(self.build))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +215,7 @@ def _assemble(dim: int, volume, center, diam, area, normal, K, L,
 # ---------------------------------------------------------------------------
 
 
-def _build_1d(edges: np.ndarray, family: str) -> Mesh:
+def _build_1d(edges: np.ndarray) -> Mesh:
     edges = np.asarray(edges, dtype=float)
     n = edges.size - 1
     widths = np.diff(edges)
@@ -247,49 +236,38 @@ def _build_1d(edges: np.ndarray, family: str) -> Mesh:
         h_max=float(widths.max()),
         box=(edges[:1].copy(), edges[-1:].copy()),
         cell_vertices=np.stack([edges[:-1], edges[1:]], axis=1)[:, :, None],
-        family=family,
     )
 
 
-def build_uniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0)) -> Mesh:
-    """Uniform partition of an interval into n cells."""
+def build_uniform_1d(n: int) -> Mesh:
+    """Uniform partition of the unit interval into n cells."""
     if n < 1:
         raise GeometryError("need at least one cell")
-    a, b = interval
-    if not b > a:
-        raise GeometryError("empty interval")
-    edges = np.linspace(a, b, n + 1)
-    return _build_1d(edges, f"uniform_1d(n={n})")
+    return _build_1d(np.linspace(0.0, 1.0, n + 1))
 
 
-def build_nonuniform_1d(n: int, interval: tuple[float, float] = (0.0, 1.0),
-                        ratio: float = 2.0) -> Mesh:
-    """Interval partition with cell widths alternating 1 : ratio, normalised
-    to fill the interval."""
+def build_nonuniform_1d(n: int, ratio: float = 2.0) -> Mesh:
+    """Unit-interval partition with cell widths alternating 1 : ratio,
+    normalised to fill the interval."""
     if n < 1:
         raise GeometryError("need at least one cell")
     if ratio <= 0:
         raise GeometryError("ratio must be positive")
-    a, b = interval
     pattern = np.where(np.arange(n) % 2 == 0, 1.0, ratio)
-    widths = pattern * (b - a) / pattern.sum()
-    edges = np.concatenate([[a], a + np.cumsum(widths)])
-    edges[-1] = b  # keep the right endpoint exact
-    return _build_1d(edges, f"nonuniform_1d(n={n},ratio={ratio})")
+    edges = np.concatenate([[0.0], np.cumsum(pattern / pattern.sum())])
+    edges[-1] = 1.0  # keep the right endpoint exact
+    return _build_1d(edges)
 
 
-def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0))) -> Mesh:
-    """Axis-aligned rectangle grid with nx * ny cells, numbered row by row
-    (cell j * nx + i is column i of row j)."""
+def build_cartesian_2d(nx: int, ny: int) -> Mesh:
+    """Axis-aligned rectangle grid of the unit square with nx * ny cells,
+    numbered row by row (cell j * nx + i is column i of row j)."""
     if nx < 1 or ny < 1:
         raise GeometryError("need at least one cell per axis")
-    (x0, y0), (x1, y1) = box
-    if not (x1 > x0 and y1 > y0):
-        raise GeometryError("empty box")
-    hx = (x1 - x0) / nx
-    hy = (y1 - y0) / ny
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
+    hx = 1.0 / nx
+    hy = 1.0 / ny
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     mx = 0.5 * (xs[:-1] + xs[1:])
     my = 0.5 * (ys[:-1] + ys[1:])
     ci, cj = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny)))
@@ -323,17 +301,15 @@ def build_cartesian_2d(nx: int, ny: int, box=((0.0, 0.0), (1.0, 1.0))) -> Mesh:
         K=K, L=L, centroid=centroid,
         dist_k=np.abs(across - centers[K, axis]),
         dist_l=np.abs(centers[L, axis] - across),
-        domain_measure=float((x1 - x0) * (y1 - y0)),
-        h_max=diam,
-        box=(np.array([x0, y0]), np.array([x1, y1])),
+        domain_measure=1.0, h_max=diam, box=(np.zeros(2), np.ones(2)),
         cell_vertices=verts,
-        family=f"cartesian_2d(nx={nx},ny={ny})",
     )
 
 
-def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
-                                  jitter: float = 0.3, seed: int = 0) -> Mesh:
-    """Structured triangulation of a box with jittered interior vertices.
+def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
+                                  seed: int = 0) -> Mesh:
+    """Structured triangulation of the unit square with jittered interior
+    vertices.
 
     An (n+1) x (n+1) vertex grid is perturbed (interior vertices only, by
     an offset up to ``jitter`` times the grid spacing per coordinate), then
@@ -351,20 +327,16 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
         raise GeometryError("need at least one cell per axis")
     if not 0.0 <= jitter < 0.5:
         raise GeometryError(f"jitter must lie in [0, 0.5), got {jitter}")
-    (x0, y0), (x1, y1) = box
-    hx = (x1 - x0) / n
-    hy = (y1 - y0) / n
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    h = 1.0 / n
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)  # (n+1, n+1, 2)
     if jitter > 0:
         rng = default_rng(seed)
         table = rng.uniform(-jitter, jitter, size=(4, 4, 2))
         idx = np.arange(n + 1) % 4
         offs = table[idx[:, None], idx[None, :]].copy()  # (n+1, n+1, 2)
-        offs[:, :, 0] *= hx
-        offs[:, :, 1] *= hy
+        offs *= h
         offs[0, :, :] = 0.0
         offs[-1, :, :] = 0.0
         offs[:, 0, :] = 0.0
@@ -431,11 +403,8 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
         2, areas, centers, diam, area=length, normal=normal, K=K, L=L,
         centroid=0.5 * (start + flat[q[first]]),
         dist_k=dist(centers[K]), dist_l=dist(centers[L]),
-        domain_measure=float((x1 - x0) * (y1 - y0)),
-        h_max=float(diam.max()),
-        box=(np.array([x0, y0]), np.array([x1, y1])),
-        cell_vertices=verts,
-        family=f"perturbed_triangular_2d(n={n},jitter={jitter},seed={seed})",
+        domain_measure=1.0, h_max=float(diam.max()),
+        box=(np.zeros(2), np.ones(2)), cell_vertices=verts,
     )
 
 
@@ -444,34 +413,33 @@ def build_perturbed_triangular_2d(n: int, box=((0.0, 0.0), (1.0, 1.0)),
 # ---------------------------------------------------------------------------
 
 
-def uniform_1d_family(n0: int = 10, interval=(0.0, 1.0)) -> MeshFamily:
+def uniform_1d_family(n0: int = 10) -> MeshFamily:
     return MeshFamily(
         name=f"uniform_1d(n0={n0})",
-        build=lambda m: build_uniform_1d(n0 * 2**m, interval),
+        build=lambda m: build_uniform_1d(n0 * 2**m),
     )
 
 
-def nonuniform_1d_family(n0: int = 10, interval=(0.0, 1.0),
-                         ratio: float = 2.0) -> MeshFamily:
+def nonuniform_1d_family(n0: int = 10, ratio: float = 2.0) -> MeshFamily:
     return MeshFamily(
         name=f"nonuniform_1d(n0={n0},ratio={ratio})",
-        build=lambda m: build_nonuniform_1d(n0 * 2**m, interval, ratio),
+        build=lambda m: build_nonuniform_1d(n0 * 2**m, ratio),
     )
 
 
-def cartesian_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0))) -> MeshFamily:
+def cartesian_2d_family(n0: int = 4) -> MeshFamily:
     return MeshFamily(
         name=f"cartesian_2d(n0={n0})",
-        build=lambda m: build_cartesian_2d(n0 * 2**m, n0 * 2**m, box),
+        build=lambda m: build_cartesian_2d(n0 * 2**m, n0 * 2**m),
     )
 
 
-def perturbed_triangular_2d_family(n0: int = 4, box=((0.0, 0.0), (1.0, 1.0)),
-                                   jitter: float = 0.3, seed: int = 0) -> MeshFamily:
+def perturbed_triangular_2d_family(n0: int = 4, jitter: float = 0.3,
+                                   seed: int = 0) -> MeshFamily:
     return MeshFamily(
         name=f"perturbed_triangular_2d(n0={n0},jitter={jitter},seed={seed})",
         build=lambda m: build_perturbed_triangular_2d(
-            n0 * 2**m, box, jitter=jitter, seed=seed
+            n0 * 2**m, jitter=jitter, seed=seed
         ),
     )
 
@@ -539,7 +507,6 @@ def _measure_quality(mesh: Mesh) -> MeshQuality:
         theta=float(np.max(dsig / vol, initial=0.0)),
         tau=float(np.max(vol[pos] / part[pos], initial=0.0)),
         n_faces_max=int(mesh.face_counts().max()),
-        h_max=mesh.h_max,
     )
 
 
@@ -862,5 +829,4 @@ def read_mesh(path_or_buf) -> Mesh:
         h_max=float(cells[:, 1].max()),
         box=box,
         cell_vertices=None,
-        family="(loaded)",
     )

@@ -34,7 +34,6 @@ __all__ = [
     "weak_pairing",
     "gradient_weakstar_study",
     "GradStudyRow",
-    "GradStudyResult",
 ]
 
 SUP_BOUND_TOL = 1e-12
@@ -54,7 +53,7 @@ class InvariantViolation(Exception):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time nodes t_0 = 0 < ... < t_N = T."""
+    """Finite, strictly increasing time nodes t_0 = 0 < ... < t_N = T."""
 
     nodes: np.ndarray
 
@@ -62,6 +61,8 @@ class TimeGrid:
         t = np.asarray(self.nodes, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two time nodes")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("time nodes must be finite")
         if t[0] != 0.0:
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(t) <= 0):
@@ -149,7 +150,6 @@ class FaceVectorField:
 
     mesh: Mesh
     values: np.ndarray  # (n_faces, d)
-    label: str = ""
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=-1)))
@@ -414,20 +414,19 @@ def bump_corpus_spacetime(dim: int, t_final: float) -> list[SmoothTestFunction]:
 # ---------------------------------------------------------------------------
 
 
-def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction, t: float = 0.0,
-                      ) -> FaceVectorField:
-    """Face-indexed gradient of phi sampled at cell anchors at time t.
+def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction) -> FaceVectorField:
+    """Face-indexed gradient of phi sampled at cell anchors at time 0.
 
     Interior faces carry (|sigma| / |D_sigma|) (phi_L - phi_K) n; boundary
     faces carry the zero vector.
     """
     vals = np.zeros((mesh.n_faces, mesh.dim))
     mask = mesh.interior
-    pk = np.asarray(phi.value(mesh.cell_center, t), dtype=float)
+    pk = np.asarray(phi.value(mesh.cell_center), dtype=float)
     jump = pk[mesh.face_L[mask]] - pk[mesh.face_K[mask]]
     coeff = mesh.face_area[mask] / mesh.face_dsig[mask] * jump
     vals[mask] = coeff[:, None] * mesh.face_normal[mask]
-    return FaceVectorField(mesh=mesh, values=vals, label=f"grad[{phi.name}]")
+    return FaceVectorField(mesh=mesh, values=vals)
 
 
 def sup_bound_check(field: FaceVectorField, quality: MeshQuality,
@@ -508,13 +507,6 @@ class GradStudyRow:
     l1_distance: float
 
 
-@dataclass(frozen=True)
-class GradStudyResult:
-    family: str
-    phi_name: str
-    rows: list[GradStudyRow]
-
-
 def _composite_axis(a: float, b: float, n: int, npts: int):
     """Composite Gauss nodes and weights on [a, b] split into n panels."""
     x, w = quadrature.gauss_legendre(npts)
@@ -560,9 +552,10 @@ def gradient_weakstar_study(
     phi: SmoothTestFunction,
     psi_list: Sequence[VectorTestFunction],
     levels: int,
-) -> GradStudyResult:
+) -> list[GradStudyRow]:
     """Measure the dual pairing of the discrete gradient against reference
-    integrals under refinement, asserting the a-priori gap bound per level.
+    integrals under refinement, asserting the a-priori gap bound per level;
+    one row per level and psi.
 
     The reference integral is computed once per psi by composite Gauss
     quadrature on a grid ``REFERENCE_FACTOR`` times finer than the finest
@@ -584,8 +577,9 @@ def gradient_weakstar_study(
     rows: list[GradStudyRow] = []
     for lvl, mesh in enumerate(meshes):
         qual = compute_quality(mesh)
-        field = discrete_gradient(mesh, phi, 0.0)
+        field = discrete_gradient(mesh, phi)
         sup_bound_check(field, qual, phi)
+        l1_distance = _l1_gradient_distance(mesh, field, phi)
         for psi in psi_list:
             pairing = weak_pairing(field, psi)
             ref = refs[psi.name]
@@ -612,7 +606,7 @@ def gradient_weakstar_study(
                     reference=ref,
                     gap=gap,
                     apriori_bound=bound,
-                    l1_distance=_l1_gradient_distance(mesh, field, phi),
+                    l1_distance=l1_distance,
                 )
             )
-    return GradStudyResult(family=family.name, phi_name=phi.name, rows=rows)
+    return rows

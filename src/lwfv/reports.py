@@ -79,10 +79,10 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
-def fit_decay_slope(hs, values, drop_below: float = SLOPE_FLOOR) -> float:
+def fit_decay_slope(hs, values) -> float:
     """Least-squares slope of log2(value) against log2(h).
 
-    Values at or below drop_below are treated as converged-to-rounding and
+    Values at or below SLOPE_FLOOR are treated as converged-to-rounding and
     excluded; with fewer than two surviving points the slope is nan.
     A positive result means decay under refinement.
     """
@@ -90,7 +90,7 @@ def fit_decay_slope(hs, values, drop_below: float = SLOPE_FLOOR) -> float:
     v = np.asarray(values, dtype=float)
     if h.shape != v.shape:
         raise ValueError("h and value arrays must have matching shapes")
-    mask = v > drop_below
+    mask = v > SLOPE_FLOOR
     if int(mask.sum()) < 2:
         return float("nan")
     slope = np.polyfit(np.log2(h[mask]), np.log2(v[mask]), 1)[0]

@@ -59,8 +59,9 @@ class Problem:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if not (self.t_final > 0 and math.isfinite(self.t_final)):
+            raise ValueError(f"t_final must be positive and finite, "
+                             f"got {self.t_final!r}")
         if self.boundary not in ("periodic", "outflow"):
             raise ValueError(f"unknown boundary policy {self.boundary!r}")
 
@@ -82,11 +83,6 @@ class SpaceTimeField:
         if v.shape != expected:
             raise ValueError(f"expected history shape {expected}, got {v.shape}")
         object.__setattr__(self, "values", v)
-
-    def l1_norm(self) -> float:
-        """L1 norm of the piecewise-constant embedding over space-time."""
-        per_slab = np.abs(self.values[:-1]) @ self.mesh.cell_volume
-        return float(np.dot(self.grid.deltas, per_slab))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +240,8 @@ def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
     lambda_sigma is the flux's wave-speed bound between the adjacent states
     (the inside state alone on boundary faces).  The step is capped at
     t_final / N_MIN_STEPS, which is also the step when nothing moves.
+    Raises ValueError when a wave speed is not finite, or when a cell's sum
+    overflows so that the step is not positive.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -251,6 +249,10 @@ def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
     K = mesh.face_K
     L = np.where(mesh.face_L >= 0, mesh.face_L, mesh.face_K)
     lam = np.asarray(flux.wave_speed(u[K], u[L], mesh.face_normal), dtype=float)
+    if not np.all(np.isfinite(lam)):
+        f = int(np.argmax(~np.isfinite(lam)))
+        raise ValueError(f"wave speed {lam[f]:g} of {flux.name!r} on face {f} "
+                         f"is not finite")
     flow = mesh.face_area * lam
     # bincount adds in index order, K faces then L faces, as two
     # sequential np.add.at calls would
@@ -262,6 +264,10 @@ def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
     if not np.any(moving):
         return t_final / N_MIN_STEPS
     dt = cfl * float(np.min(mesh.cell_volume[moving] / per_cell[moving]))
+    if not dt > 0:
+        k = int(np.argmax(per_cell))
+        raise ValueError(f"CFL step {dt!r} of {flux.name!r} is not positive: "
+                         f"the wave-speed sum of cell {k} is {per_cell[k]:g}")
     return min(dt, t_final / N_MIN_STEPS)
 
 

@@ -83,7 +83,6 @@ class CellField:
 
     mesh: Mesh
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -143,7 +142,7 @@ def _datum_rule(verts: np.ndarray, u: IntegrableFunction, quad):
     return slice(None), pts, w * np.asarray(u.fn(pts), dtype=float)
 
 
-def project_l1(mesh: Mesh, u: IntegrableFunction, label: str = "") -> CellField:
+def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     """Cell means of u over every cell.
 
     Smooth data uses Gauss quadrature exact to degree 2 * GAUSS_ORDER - 1 on
@@ -158,7 +157,7 @@ def project_l1(mesh: Mesh, u: IntegrableFunction, label: str = "") -> CellField:
             "projection needs the generating builder"
         )
     vals = _cell_integrals(mesh.cell_vertices, u) / mesh.cell_volume
-    return CellField(mesh=mesh, values=vals, label=label or u.name)
+    return CellField(mesh=mesh, values=vals)
 
 
 def translation_seminorm(mesh: Mesh, field: CellField) -> float:
@@ -176,10 +175,6 @@ def translation_seminorm(mesh: Mesh, field: CellField) -> float:
 class SpacetimeSeminorm:
     space_part: float
     time_part: float
-
-    @property
-    def total(self) -> float:
-        return self.space_part + self.time_part
 
 
 class SeminormSums:
@@ -287,13 +282,12 @@ def translation_decay_study(family: MeshFamily, u: IntegrableFunction,
 @dataclass(frozen=True)
 class UniformDecayResult:
     """Seminorm matrix of a converging sequence: rows by level, columns by
-    sequence index, plus the limit column and the per-row uniform bound."""
+    sequence index, plus the limit column."""
 
     levels: list[int]
     hs: list[float]
     matrix: np.ndarray  # (levels, len(sequence))
     limit_column: np.ndarray  # (levels,)
-    row_sup: np.ndarray  # (levels,)
 
 
 def uniform_decay_study(
@@ -301,11 +295,11 @@ def uniform_decay_study(
     sequence: Sequence[IntegrableFunction],
     limit: IntegrableFunction,
     levels: int,
-    deltas_l1: Sequence[float] | None = None,
+    deltas_l1: Sequence[float],
 ) -> UniformDecayResult:
     """Translation seminorms of a whole converging sequence under refinement.
 
-    When ``deltas_l1`` supplies the L1 distances |u_p - limit|, the uniform
+    ``deltas_l1`` gives the L1 distances |u_p - limit|, and the uniform
     bound T(u_p) <= N_E * theta * |u_p - limit|_L1 + T(limit) is asserted
     for every level and index (with 1e-9 relative slack).
     """
@@ -320,20 +314,16 @@ def uniform_decay_study(
         for p, u_p in enumerate(sequence):
             f = project_l1(mesh, u_p)
             mat[lvl, p] = translation_seminorm(mesh, f)
-            if deltas_l1 is not None:
-                bound = (
-                    qual.n_faces_max * qual.theta * deltas_l1[p] + lim_col[lvl]
+            bound = qual.n_faces_max * qual.theta * deltas_l1[p] + lim_col[lvl]
+            if mat[lvl, p] > bound * (1.0 + 1e-9):
+                raise InvariantViolation(
+                    f"T[{lvl}][{p}] = {mat[lvl, p]:.6e} exceeds uniform "
+                    f"bound {bound:.6e}"
                 )
-                if mat[lvl, p] > bound * (1.0 + 1e-9):
-                    raise InvariantViolation(
-                        f"T[{lvl}][{p}] = {mat[lvl, p]:.6e} exceeds uniform "
-                        f"bound {bound:.6e}"
-                    )
         hs.append(mesh.h_max)
     return UniformDecayResult(
         levels=list(range(levels)),
         hs=hs,
         matrix=mat,
         limit_column=lim_col,
-        row_sup=mat.max(axis=1),
     )

@@ -139,16 +139,16 @@ def test_criterion_2_weakstar_gradient_convergence(families):
         phi = bump_corpus_spatial(dim)[0]
         psis = vector_corpus(dim)
         sup_by_name = {p.name: p.jacobian_sup for p in psis}
-        result = gradient_weakstar_study(fam, phi, psis, levels=4)
+        study = gradient_weakstar_study(fam, phi, psis, levels=4)
         omega = fam.build(0).domain_measure
-        for row in result.rows:
+        for row in study:
             bound = ((1.0 + row.theta_grad) * phi.grad_sup
                      * sup_by_name[row.psi_name] * omega * row.h)
             assert row.gap <= bound * (1.0 + 1e-12), (name, row)
             checked += 1
         if name in uniform_names:
             for psi in psis:
-                rows = [r for r in result.rows if r.psi_name == psi.name]
+                rows = [r for r in study if r.psi_name == psi.name]
                 s = fitted_slope([r.h for r in rows], [r.gap for r in rows])
                 slopes[f"{name}/{psi.name}"] = s
                 assert s >= 0.9, (name, psi.name, s)

@@ -298,6 +298,29 @@ def test_exit_code_3_for_failed_verification_2_for_bad_config(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand, config, named", [
+    pytest.param("solve", "t_final = inf", "t_final", id="t_final-inf"),
+    pytest.param("solve", "family = cartesian-2d\nflux = rusanov(burgers:inf,0)",
+                 "flux", id="burgers-direction-inf"),
+    pytest.param("solve", "flux = upwind(nan)", "flux", id="upwind-nan"),
+    pytest.param("solve", "family = nonuniform-1d\nratio = nan", "ratio",
+                 id="ratio-nan"),
+    # finite, but the per-cell wave-speed sum overflows and the step is 0
+    pytest.param("solve", "flux = upwind(1e308)", "CFL step", id="cfl-step-zero"),
+    # the corpus has four test functions
+    pytest.param("lw-verify", "phi_count = 5\nlevels = 2", "phi_count",
+                 id="phi_count-5"),
+])
+def test_bad_numbers_exit_2_with_one_error_line(tmp_path, capsys, subcommand,
+                                                config, named):
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"u0 = sine\n{config}\n")
+    assert run([subcommand, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_uniform_1d_metrics():
     assert q.theta == pytest.approx(1.0, rel=REL)
     assert q.tau == pytest.approx(2.0, rel=REL)
     assert q.n_faces_max == 2
-    assert q.h_max == pytest.approx(0.1, rel=REL)
+    assert m.h_max == pytest.approx(0.1, rel=REL)
 
 
 def test_nonuniform_1d_metrics():
@@ -252,9 +252,10 @@ def _array_fields(mesh):
 
 def test_mesh_arrays_are_read_only():
     # fresh meshes, not the shared families': a failing write must not leak
-    for built in (build_uniform_1d(8), build_nonuniform_1d(8), build_cartesian_2d(3, 2),
-                  build_perturbed_triangular_2d(4)):
-        name = built.family
+    for name, built in (("uniform", build_uniform_1d(8)),
+                        ("nonuniform", build_nonuniform_1d(8)),
+                        ("cartesian", build_cartesian_2d(3, 2)),
+                        ("triangular", build_perturbed_triangular_2d(4))):
         buf = io.StringIO()
         write_mesh(built, buf)
         loaded = read_mesh(io.StringIO(buf.getvalue()))
@@ -292,7 +293,8 @@ def test_family_builds_each_level_once():
     assert all(a is b for a, b in zip(first, second))
     assert fam.build(1) is fam.build(1) is first[1]
     assert fam.build(3).n_cells == 32 and calls == [0, 1, 2, 3]
-    # the memo (a dict of meshes) is no part of the family's eq, hash or repr
+    # the memo lives in the cache of ``build``, so the family's eq, hash
+    # and repr see no meshes
     assert fam == fam and isinstance(hash(fam), int)
     assert "_meshes" not in repr(fam)
 

@@ -144,7 +144,7 @@ def test_sup_bound_check_raises_on_inflated_field():
     m = uniform_1d_family(10).build(0)
     phi = bump_corpus_spatial(1)[0]
     g = discrete_gradient(m, phi)
-    lying = FaceVectorField(mesh=m, values=10.0 * g.values, label="inflated")
+    lying = FaceVectorField(mesh=m, values=10.0 * g.values)
     with pytest.raises(InvariantViolation):
         sup_bound_check(lying, compute_quality(m), phi)
 
@@ -157,11 +157,11 @@ def test_sup_bound_check_raises_on_inflated_field():
 def test_weakstar_study_frozen_gaps_triangular():
     fam = perturbed_triangular_2d_family(4, jitter=0.3, seed=0)
     phi = bump_corpus_spatial(2)[0]
-    res = gradient_weakstar_study(fam, phi, vector_corpus(2), levels=3)
-    gaps = [r.gap for r in res.rows if r.psi_name == "psi-a"]
+    rows = gradient_weakstar_study(fam, phi, vector_corpus(2), levels=3)
+    gaps = [r.gap for r in rows if r.psi_name == "psi-a"]
     frozen = [0.088670141925638268, 0.013418944994773543, 0.0029948944483927653]
     assert np.allclose(gaps, frozen, rtol=1e-9)
-    for r in res.rows:
+    for r in rows:
         assert r.gap <= r.apriori_bound * (1.0 + 1e-9)
 
 
@@ -169,9 +169,9 @@ def test_weakstar_gap_decays_on_uniform_families():
     for fam in (uniform_1d_family(10), cartesian_2d_family(4)):
         dim = fam.build(0).dim
         phi = bump_corpus_spatial(dim)[0]
-        res = gradient_weakstar_study(fam, phi, vector_corpus(dim)[:1], levels=4)
-        hs = [r.h for r in res.rows]
-        gaps = [r.gap for r in res.rows]
+        rows = gradient_weakstar_study(fam, phi, vector_corpus(dim)[:1], levels=4)
+        hs = [r.h for r in rows]
+        gaps = [r.gap for r in rows]
         assert fit_decay_slope(hs, gaps) >= 0.9
 
 
@@ -365,3 +365,10 @@ def test_time_grid_uniform_hits_t_final_exactly():
 def test_time_grid_rejects_non_monotone():
     with pytest.raises(ValueError):
         TimeGrid(nodes=np.array([0.0, 0.5, 0.3]))
+
+
+def test_time_grid_rejects_non_finite_nodes():
+    # nan <= 0 is False, so a NaN slab passes a check for non-positive ones
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(nodes=np.array([0.0, 0.5, bad]))

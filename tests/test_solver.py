@@ -200,6 +200,17 @@ def test_select_dt_zero_speed_fallback():
     assert select_dt(m, f, still, cfl=0.45, t_final=0.8) == pytest.approx(0.2)
 
 
+def test_select_dt_rejects_non_finite_speeds_and_a_zero_step():
+    m = uniform_1d_family(10).build(0)
+    f = project_l1(m, _sine_datum())
+    # finite speeds whose per-cell sum overflows to inf, so the step is 0
+    with pytest.raises(ValueError, match="CFL step 0.0 .* not positive"):
+        select_dt(m, f, upwind_linear([1e308]), cfl=0.45, t_final=0.5)
+    for speed in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="wave speed .* not finite"):
+            select_dt(m, f, upwind_linear([speed]), cfl=0.45, t_final=0.5)
+
+
 def test_select_dt_capped_by_horizon():
     m = uniform_1d_family(2).build(0)  # huge cells, dt would exceed T/4
     f = project_l1(m, _sine_datum())
@@ -362,19 +373,6 @@ def test_solve_history_shape_and_grid():
                        rtol=1e-12)
 
 
-def test_l1_norm_matches_brute_sum():
-    m = uniform_1d_family(10).build(0)
-    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_bump_datum(), t_final=0.3),
-              cfl=0.5)
-    vol = m.cell_volume
-    deltas = np.diff(f.grid.nodes)
-    brute = sum(
-        float(deltas[n] * (np.abs(f.values[n]) @ vol))
-        for n in range(f.grid.n_steps)
-    )
-    assert f.l1_norm() == pytest.approx(brute, rel=1e-14)
-
-
 def test_history_round_trip_bit_exact(tmp_path):
     m = nonuniform_1d_family(6, ratio=2.0).build(0)
     f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
@@ -424,7 +422,7 @@ def test_history_reader_rejects_truncated_file(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only",
-                                  "no_n_cells"])
+                                  "no_n_cells", "nan_node"])
 def test_history_reader_rejects_malformed_records(tmp_path, edit):
     p, lines, n = _written_history(tmp_path)
     body = lines[3:]  # after the header and the two comment lines
@@ -440,6 +438,9 @@ def test_history_reader_rejects_malformed_records(tmp_path, edit):
                               u_last.replace(f"u {n} ", f"u {n + 1} ")]
     elif edit == "t_width":
         lines = lines[:-2] + [t_last.rstrip("\n") + " 0.5\n", u_last]
+    elif edit == "nan_node":
+        lines = lines[:-2] + [f"t {n} nan\n", u_last]
+        match = "finite"
     else:
         lines = lines[:-2] + [u_last]
     p.write_text("".join(lines))
@@ -503,6 +504,9 @@ def test_march_enforces_the_maximum_principle_of_monotone_fluxes():
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=-1.0)
+    for t_final in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=t_final)
     with pytest.raises(ValueError):
         Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.5,
                 boundary="reflecting")

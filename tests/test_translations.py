@@ -64,10 +64,9 @@ def test_smooth_projection_matches_dense_midpoint_means():
     assert np.max(np.abs(f.values - dense)) <= 1e-8
 
 
-def test_projection_l1_norm_finite_and_labelled():
+def test_projection_of_indicator_on_triangles_is_finite():
     m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(0)
-    f = project_l1(m, interval_indicator(0.2, 0.7), label="ind")
-    assert f.label == "ind"
+    f = project_l1(m, interval_indicator(0.2, 0.7))
     assert np.isfinite(f.values).all()
 
 
@@ -89,7 +88,7 @@ def test_translation_seminorm_indicator_hand_value():
 def test_translation_seminorm_matches_brute_on_2d():
     m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1)
     rng = np.random.default_rng(5)
-    f = CellField(mesh=m, values=rng.uniform(-1.0, 1.0, m.n_cells), label="rand")
+    f = CellField(mesh=m, values=rng.uniform(-1.0, 1.0, m.n_cells))
     assert translation_seminorm(m, f) == pytest.approx(
         brute_jump_seminorm(m, f.values), rel=1e-13
     )
@@ -162,7 +161,7 @@ def test_uniform_decay_study_rows():
     assert mat.shape == (3, len(ps))
     # perturbation shrinks with p, so each row decreases toward the limit
     assert np.all(mat[:, -1] <= mat[:, 0] + 1e-12)
-    assert np.all(np.asarray(res.row_sup) >= np.asarray(res.limit_column) - 1e-12)
+    assert np.all(mat.max(axis=1) >= np.asarray(res.limit_column) - 1e-12)
 
 
 def test_uniform_decay_constant_sequence_equals_limit():
@@ -190,8 +189,8 @@ def test_seminorm_scaling_property(scale, seed):
     m = uniform_1d_family(8).build(0)
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, m.n_cells)
-    base = translation_seminorm(m, CellField(mesh=m, values=v, label="v"))
-    scaled = translation_seminorm(m, CellField(mesh=m, values=scale * v, label="sv"))
+    base = translation_seminorm(m, CellField(mesh=m, values=v))
+    scaled = translation_seminorm(m, CellField(mesh=m, values=scale * v))
     assert scaled == pytest.approx(abs(scale) * base, rel=1e-12, abs=1e-15)
 
 
@@ -202,9 +201,9 @@ def test_seminorm_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, m.n_cells)
     b = rng.uniform(-1.0, 1.0, m.n_cells)
-    Ta = translation_seminorm(m, CellField(mesh=m, values=a, label="a"))
-    Tb = translation_seminorm(m, CellField(mesh=m, values=b, label="b"))
-    Tab = translation_seminorm(m, CellField(mesh=m, values=a + b, label="ab"))
+    Ta = translation_seminorm(m, CellField(mesh=m, values=a))
+    Tb = translation_seminorm(m, CellField(mesh=m, values=b))
+    Tab = translation_seminorm(m, CellField(mesh=m, values=a + b))
     assert Tab <= Ta + Tb + 1e-12
 
 
@@ -212,5 +211,5 @@ def test_seminorm_triangle_inequality(seed):
 @given(c=st.floats(min_value=-5.0, max_value=5.0))
 def test_seminorm_vanishes_on_constants(c):
     m = uniform_1d_family(12).build(0)
-    f = CellField(mesh=m, values=np.full(m.n_cells, c), label="c")
+    f = CellField(mesh=m, values=np.full(m.n_cells, c))
     assert translation_seminorm(m, f) == 0.0
