@@ -11,6 +11,7 @@ from .consistency import (
     effective_c_phi,
     lw_study,
     residual_envelope_check,
+    spacetime_translation_seminorm,
     weak_gap,
 )
 from .flux import (

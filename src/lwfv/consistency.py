@@ -50,12 +50,17 @@ from .translations import (
     _datum_rule,
 )
 
+# not called here: the benchmark's tracer (perfbench/tracer.py) times the
+# solver under this module's name
+from .solver import solve  # noqa: F401
+
 __all__ = [
     "ResidualDecomposition",
     "LevelRecord",
     "ConsistencyReport",
     "check_support_margin",
     "weak_gap",
+    "spacetime_translation_seminorm",
     "residual_envelope_check",
     "effective_c_phi",
     "lw_study",
@@ -437,6 +442,23 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     for n0 in range(0, len(states), BLOCK_STEPS):
         sums.block(n0, states[n0:n0 + BLOCK_STEPS], None, None)
     return sums.gaps()[0]
+
+
+def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
+                                   values: np.ndarray) -> SpacetimeSeminorm:
+    """The space-time translation seminorm of a stored history ``values``
+    (N+1, n_cells), by the sums of ``lw_study`` (``SeminormSums``) fed the
+    same blocks of steps, so both give the same bits."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (grid.n_steps + 1, mesh.n_cells):
+        raise ValueError(
+            f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
+        )
+    sums = SeminormSums(mesh, grid)
+    for n0 in range(0, grid.n_steps, BLOCK_STEPS):
+        n1 = min(n0 + BLOCK_STEPS, grid.n_steps)
+        sums.block(n0, vals[n0:n1], vals[n0 + 1:n1 + 1] - vals[n0:n1], None)
+    return sums.result()
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,8 @@ def build_nonuniform_1d(n: int, ratio: float = 2.0) -> Mesh:
     normalised to fill the interval."""
     if n < 1:
         raise GeometryError("need at least one cell")
-    if ratio <= 0:
-        raise GeometryError("ratio must be positive")
+    if not 0 < ratio < math.inf:
+        raise GeometryError(f"ratio must be positive and finite, got {ratio}")
     pattern = np.where(np.arange(n) % 2 == 0, 1.0, ratio)
     edges = np.concatenate([[0.0], np.cumsum(pattern / pattern.sum())])
     edges[-1] = 1.0  # keep the right endpoint exact

@@ -8,8 +8,8 @@ frozen, and must reproduce bit-for-bit on reruns of the same build.
 path from a run to the five terms, the seminorm and the weak gap.  Its
 references are the three scalar-loop oracles of ``oracles.py``, run on the
 history ``solve`` stores: the five terms, the seminorm and the weak gap.
-``weak_gap``, the entry point for a stored history, is checked against the
-same oracle.
+``weak_gap`` and ``spacetime_translation_seminorm``, the entry points for a
+stored history, are checked against the same oracles.
 
 Where the host allows it, ``lw_study`` runs its coarser levels in a forked
 child; the split tests compare that path with the sequential loop bit for
@@ -43,6 +43,7 @@ from lwfv.consistency import (
     effective_c_phi,
     lw_study,
     residual_envelope_check,
+    spacetime_translation_seminorm,
     weak_gap,
 )
 from lwfv.flux import (
@@ -469,6 +470,8 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
                                                field.values)
         assert rec.seminorms.space_part == pytest.approx(space, rel=1e-12)
         assert rec.seminorms.time_part == pytest.approx(time, rel=1e-12)
+        assert spacetime_translation_seminorm(field.mesh, field.grid,
+                                              field.values) == rec.seminorms
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

@@ -35,8 +35,11 @@ SOURCES = sorted([*(ROOT / "src" / "lwfv").glob("*.py"), *(ROOT / "tests").glob(
 
 def _unused_imports(path: Path) -> list[str]:
     """Names ``path`` imports and never references.  Skipped: the names in
-    its ``__all__`` and ``from __future__`` imports."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    its ``__all__``, ``from __future__`` imports and imports marked
+    ``noqa: F401`` on their line."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -49,7 +52,8 @@ def _unused_imports(path: Path) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         for alias in node.names:
-            imported.add(alias.asname or alias.name.split(".")[0])
+            if "noqa: F401" not in lines[alias.lineno - 1]:
+                imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used - exported)
 

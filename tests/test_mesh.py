@@ -200,6 +200,13 @@ def test_jitter_out_of_range_rejected():
         perturbed_triangular_2d_family(4, jitter=0.6).build(0)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonuniform_ratio_must_be_positive_and_finite(ratio):
+    # NaN passes a plain ``ratio <= 0`` test and gave all-NaN cell volumes
+    with pytest.raises(GeometryError, match="ratio"):
+        build_nonuniform_1d(4, ratio=ratio)
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -296,7 +303,7 @@ def test_family_builds_each_level_once():
     # the memo lives in the cache of ``build``, so the family's eq, hash
     # and repr see no meshes
     assert fam == fam and isinstance(hash(fam), int)
-    assert "_meshes" not in repr(fam)
+    assert "Mesh(" not in repr(fam)
 
 
 def test_quality_is_computed_once_per_mesh(rated_cells):
