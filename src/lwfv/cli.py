@@ -159,7 +159,7 @@ def resolve_family(cfg: dict[str, str]) -> tuple[MeshFamily, int]:
     if name == "triangular-2d":
         return perturbed_triangular_2d_family(
             n0=n0, jitter=_get_float(cfg, "jitter"),
-            seed=_get_int(cfg, "seed")), 2
+            seed=_get_int(cfg, "seed", minimum=0)), 2
     raise ConfigError(f"unknown family {name!r}")
 
 

@@ -538,8 +538,15 @@ class ConsistencyReport:
 def effective_c_phi(phi: SmoothTestFunction, quality: MeshQuality) -> float:
     """Lipschitz-type constant making both residual envelopes theorems:
     the R1 bound needs sup|d_t phi|, the R bound needs theta_grad times
-    sup|grad phi| (the face-jump/dual-volume conversion factor)."""
-    return max(phi.dt_sup, quality.theta_grad * phi.grad_sup)
+    sup|grad phi| (the face-jump/dual-volume conversion factor).  Raises
+    InvariantViolation when an operand is not finite (``max`` would drop a
+    NaN and return a bound that holds nothing)."""
+    dt_part, grad_part = phi.dt_sup, quality.theta_grad * phi.grad_sup
+    if not (math.isfinite(dt_part) and math.isfinite(grad_part)):
+        raise InvariantViolation(
+            f"c_phi operands are not finite: sup|d_t phi| = {dt_part!r}, "
+            f"theta_grad * sup|grad phi| = {grad_part!r}")
+    return max(dt_part, grad_part)
 
 
 def lw_study(family: MeshFamily, problem: Problem,

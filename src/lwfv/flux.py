@@ -94,7 +94,7 @@ class FluxFunction:
 
 def linear_advection(b) -> FluxFunction:
     bv = np.atleast_1d(np.asarray(b, dtype=float))
-    speed = float(np.linalg.norm(bv))
+    speed = math.hypot(*bv)
     return FluxFunction(
         name=f"linear({_vec_label(bv)})",
         direction=bv,
@@ -105,7 +105,7 @@ def linear_advection(b) -> FluxFunction:
 
 def burgers(direction=(1.0,)) -> FluxFunction:
     dv = np.atleast_1d(np.asarray(direction, dtype=float))
-    dnorm = float(np.linalg.norm(dv))
+    dnorm = math.hypot(*dv)
     return FluxFunction(
         name=f"burgers({_vec_label(dv)})",
         direction=dv,
@@ -141,6 +141,11 @@ class NumericalFlux:
     u_range: tuple[float, float] = (-math.inf, math.inf)
     monotone: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.c_f):
+            raise ValueError(f"jump-bound constant c_f = {self.c_f!r} of "
+                             f"{self.name!r} is not finite")
+
     @property
     def dim(self) -> int:
         return self.flux.dim
@@ -163,7 +168,7 @@ def upwind_linear(b) -> NumericalFlux:
         name=f"upwind({_vec_label(bv)})",
         flux=F,
         stencil=2,
-        c_f=float(np.linalg.norm(bv)),
+        c_f=math.hypot(*bv),
         evaluate=evaluate,
         wave_speed=wave_speed,
         monotone=True,
@@ -211,7 +216,8 @@ def rusanov(F: FluxFunction,
         return lam * np.ones(np.broadcast(a, b).shape)
 
     lo, hi = u_range
-    lam_max = float(F.deriv_bound(lo, hi))
+    with np.errstate(over="ignore"):  # an overflow is rejected as c_f = inf
+        lam_max = float(F.deriv_bound(lo, hi))
     return NumericalFlux(
         name=f"rusanov[{F.name}]",
         flux=F,
@@ -260,7 +266,7 @@ def muscl_three_point(b) -> NumericalFlux:
         name=f"muscl({_vec_label(bv)})",
         flux=F,
         stencil=3,
-        c_f=float(np.linalg.norm(bv)),
+        c_f=math.hypot(*bv),
         evaluate=evaluate,
         wave_speed=wave_speed,
     )

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.random import default_rng  # loaded here, not inside a timed build
 
 from .reports import open_text
 
@@ -306,6 +306,83 @@ def build_cartesian_2d(nx: int, ny: int) -> Mesh:
     )
 
 
+# NumPy's SeedSequence (4-word pool) and PCG64 (O'Neill 2014) constants
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_draws(seed, low: float, high: float, count: int) -> list[float]:
+    """The first ``count`` values of
+    ``numpy.random.default_rng(seed).uniform(low, high, count)``, bit for bit.
+
+    A pure-Python port, so that the jittered meshes depend on lwfv's own
+    code rather than on numpy's ``Generator.uniform``, which NEP 19 does not
+    keep stable across releases, and so that ``import lwfv`` loads neither
+    ``numpy.random`` nor the ``hashlib`` it pulls in.  It reproduces
+    ``SeedSequence(seed)``: the seed's little-endian 32-bit words hashed into
+    a 4-word pool and cross-mixed, then ``generate_state(4, uint64)``.
+    Those words seed PCG64 (128-bit LCG state and increment, XSL-RR
+    output), and each double is (x >> 11) * 2**-53, mapped to
+    low + (high - low) * d.  ``seed`` must be a non-negative integer.
+    """
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    entropy = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        entropy.append(n & _MASK32)
+
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+
+    # PCG64 seeding: state 0, one step, add the seed, one more step
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128
+    span = high - low
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = (x >> rot | x << (-rot & 63)) & _MASK64
+        out.append(low + span * ((x >> 11) * 2.0 ** -53))
+    return out
+
+
 def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
                                   seed: int = 0) -> Mesh:
     """Structured triangulation of the unit square with jittered interior
@@ -332,8 +409,7 @@ def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)  # (n+1, n+1, 2)
     if jitter > 0:
-        rng = default_rng(seed)
-        table = rng.uniform(-jitter, jitter, size=(4, 4, 2))
+        table = np.array(_uniform_draws(seed, -jitter, jitter, 32)).reshape(4, 4, 2)
         idx = np.arange(n + 1) % 4
         offs = table[idx[:, None], idx[None, :]].copy()  # (n+1, n+1, 2)
         offs *= h

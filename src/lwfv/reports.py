@@ -7,7 +7,6 @@ and os.replace so readers never observe a partial file.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import tempfile
 from collections.abc import Iterable, Sequence
@@ -38,6 +37,8 @@ def format_value(v) -> str:
 
 def config_digest(pairs: dict) -> str:
     """Short stable digest of a resolved key-value configuration."""
+    import hashlib  # here, so that ``import lwfv`` does not load OpenSSL
+
     canon = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 

@@ -307,6 +307,11 @@ def test_exit_code_3_for_failed_verification_2_for_bad_config(
                  id="ratio-nan"),
     # finite, but the per-cell wave-speed sum overflows and the step is 0
     pytest.param("solve", "flux = upwind(1e308)", "CFL step", id="cfl-step-zero"),
+    # finite, but max|F'| on the flux's state range overflows
+    pytest.param("solve", "flux = rusanov(burgers:1e308)", "c_f",
+                 id="rusanov-c_f-inf"),
+    pytest.param("mesh-gen", "family = triangular-2d\nseed = -1", "seed",
+                 id="seed-negative"),
     # the corpus has four test functions
     pytest.param("lw-verify", "phi_count = 5\nlevels = 2", "phi_count",
                  id="phi_count-5"),

@@ -228,6 +228,14 @@ def test_effective_constant_formula():
                                           q.theta_grad * phi.grad_sup)
 
 
+def test_effective_constant_rejects_nan():
+    # max(1.0, nan) is 1.0, so a NaN regularity parameter would vanish
+    q = compute_quality(uniform_1d_family(10).build(0))
+    phi = bump_corpus_spacetime(1, 0.5)[0]
+    with pytest.raises(InvariantViolation, match="not finite"):
+        effective_c_phi(phi, dataclasses.replace(q, theta_grad=float("nan")))
+
+
 # ---------------------------------------------------------------------------
 # support margins
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random_or_hashlib():
+    # the mesh jitter is drawn by lwfv's own port of numpy's default_rng,
+    # and the config digest imports hashlib when it is called; together
+    # they cost about 6 MB of resident memory per process
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lwfv; print(sorted(m for m in sys.modules"
+         " if m.startswith('numpy.random') or m in ('hashlib', '_hashlib')))"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_loads_no_process_pool():
     # lw_study forks with os alone; multiprocessing and concurrent.futures
     # would lengthen the import and grow the heap the benchmark's

@@ -258,6 +258,25 @@ def test_fluxes_declare_where_c_f_holds():
     assert muscl_three_point([1.0]).u_range == (-np.inf, np.inf)
 
 
+def test_c_f_of_a_huge_finite_velocity_is_finite():
+    # |b| squared overflows for |b| above about 1.3e154, but |b| does not
+    assert upwind_linear([1e200]).c_f == 1e200
+    assert muscl_three_point([-1e200]).c_f == 1e200
+    assert upwind_linear([3 * 2.0**600, 4 * 2.0**600]).c_f == 5 * 2.0**600
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: upwind_linear([np.nan]), id="upwind-nan"),
+    pytest.param(lambda: upwind_linear([np.inf, 0.0]), id="upwind-inf"),
+    pytest.param(lambda: muscl_three_point([np.nan]), id="muscl-nan"),
+    # finite direction, but max|F'| on u_range = (-2, 2) overflows
+    pytest.param(lambda: rusanov(burgers((1e308,))), id="rusanov-burgers-1e308"),
+])
+def test_non_finite_c_f_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="c_f .* not finite"):
+        make()
+
+
 @pytest.mark.parametrize("check", [check_hypothesis_iii, conservativity_check,
                                    consistency_check])
 @pytest.mark.parametrize("fl, lo, hi", [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from lwfv import (
     GeometryError,
@@ -33,6 +34,7 @@ from lwfv.mesh import (
     build_perturbed_triangular_2d,
     build_uniform_1d,
     compute_quality,
+    _uniform_draws,
 )
 
 from oracles import (
@@ -198,6 +200,25 @@ def test_triangular_other_seeds_stay_regular():
 def test_jitter_out_of_range_rejected():
     with pytest.raises(GeometryError):
         perturbed_triangular_2d_family(4, jitter=0.6).build(0)
+
+
+def test_jitter_draw_matches_numpy_default_rng_bit_for_bit():
+    # the port reproduces SeedSequence, PCG64 and Generator.uniform; seeds
+    # of one to four 32-bit words, and one more than the 4-word pool
+    for seed in [*range(2001), 2**32 - 1, 2**32, 2**40 + 7, 2**63 + 5,
+                 2**100 + 3, 2**160 + 9]:
+        for jitter in (0.1, 0.3, 0.49):
+            ref = default_rng(seed).uniform(-jitter, jitter, size=32)
+            got = np.array(_uniform_draws(seed, -jitter, jitter, 32))
+            assert got.tobytes() == ref.tobytes(), (seed, jitter)
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (None, TypeError), (1.5, TypeError)])
+def test_triangular_seed_must_be_a_non_negative_integer(seed, error):
+    # numpy takes None as a request for OS entropy: a mesh no rerun reproduces
+    with pytest.raises(error):
+        build_perturbed_triangular_2d(4, jitter=0.3, seed=seed)
 
 
 @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])

@@ -206,9 +206,14 @@ def test_select_dt_rejects_non_finite_speeds_and_a_zero_step():
     # finite speeds whose per-cell sum overflows to inf, so the step is 0
     with pytest.raises(ValueError, match="CFL step 0.0 .* not positive"):
         select_dt(m, f, upwind_linear([1e308]), cfl=0.45, t_final=0.5)
-    for speed in (np.nan, np.inf):
+    # a state that is not finite gives Rusanov a speed that is not finite
+    # (a flux with a velocity that is not finite cannot be built)
+    for state in (np.nan, np.inf):
+        values = f.values.copy()
+        values[3] = state
+        bad = dataclasses.replace(f, values=values)
         with pytest.raises(ValueError, match="wave speed .* not finite"):
-            select_dt(m, f, upwind_linear([speed]), cfl=0.45, t_final=0.5)
+            select_dt(m, bad, rusanov(burgers()), cfl=0.45, t_final=0.5)
 
 
 def test_select_dt_capped_by_horizon():
