@@ -93,8 +93,6 @@ def check_support_margin(mesh: Mesh, grid: TimeGrid,
     demanding it verbatim on coarse levels would reject every admissible
     test function, so the check verifies the exact zeros instead.
     """
-    if mesh.box is None:
-        raise ValueError("support margin check needs the mesh bounding box")
     lo, hi = mesh.box
     slo, shi = phi.support
     if np.any(slo <= lo) or np.any(shi >= hi):

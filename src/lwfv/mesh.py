@@ -21,7 +21,10 @@ A :class:`Mesh` is flat arrays and nothing else.  Cells are numbered
   points outward;
 * ``face_dk``, ``face_dl`` and ``face_dsig`` (n_faces,): the dual pieces
   |D_K,sigma| and |D_L,sigma| (0 on boundary faces) and |D_sigma|, stored
-  as exactly dk + dl.
+  as exactly dk + dl;
+* ``box`` (lo, hi), two (d,) arrays: the domain, prod [lo_i, hi_i].  Its
+  measure |Omega| (``domain_measure``) and the mesh size h (``h_max``, the
+  largest ``cell_diam``) are derived, not stored.
 
 There is no cell-to-face map: every per-cell quantity is a scatter over
 ``face_K`` and ``face_L``.
@@ -119,9 +122,7 @@ class Mesh:
     face_dk: np.ndarray
     face_dl: np.ndarray
     face_centroid: np.ndarray
-    domain_measure: float
-    h_max: float
-    box: tuple[np.ndarray, np.ndarray] | None = None
+    box: tuple[np.ndarray, np.ndarray]
     cell_vertices: np.ndarray | None = None
 
     def __post_init__(self):
@@ -134,6 +135,17 @@ class Mesh:
     @functools.cached_property
     def _quality(self) -> MeshQuality:
         return _measure_quality(self)
+
+    @property
+    def domain_measure(self) -> float:
+        """|Omega|, the measure of the box."""
+        lo, hi = self.box
+        return float(np.prod(hi - lo))
+
+    @property
+    def h_max(self) -> float:
+        """The mesh size h: the largest cell diameter."""
+        return float(self.cell_diam.max())
 
     @property
     def n_cells(self) -> int:
@@ -232,8 +244,6 @@ def _build_1d(edges: np.ndarray) -> Mesh:
         area=np.ones(n + 1), normal=np.where(i == 0, -1.0, 1.0)[:, None],
         K=K, L=L, centroid=edges[:, None].copy(),
         dist_k=np.abs(edges - centers[K]), dist_l=np.abs(centers[L] - edges),
-        domain_measure=float(edges[-1] - edges[0]),
-        h_max=float(widths.max()),
         box=(edges[:1].copy(), edges[-1:].copy()),
         cell_vertices=np.stack([edges[:-1], edges[1:]], axis=1)[:, :, None],
     )
@@ -301,8 +311,7 @@ def build_cartesian_2d(nx: int, ny: int) -> Mesh:
         K=K, L=L, centroid=centroid,
         dist_k=np.abs(across - centers[K, axis]),
         dist_l=np.abs(centers[L, axis] - across),
-        domain_measure=1.0, h_max=diam, box=(np.zeros(2), np.ones(2)),
-        cell_vertices=verts,
+        box=(np.zeros(2), np.ones(2)), cell_vertices=verts,
     )
 
 
@@ -399,6 +408,12 @@ def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
     metrics of the family level-independent; a fresh random draw per level
     would instead push the worst-case metrics upward as more samples
     appear, and no uniform-regularity guard could hold.
+
+    ``jitter`` may lie in [0, 0.5), but an inverted triangle raises
+    GeometryError.  Below 1/4 none can invert: the least doubled area over
+    all offsets is (1 - 4 jitter) h^2, at a corner of the offset box.  At
+    n = 8, of seeds 0-199, none inverts one at jitter 0.3, 9 do at 0.35
+    (seed 0 among them) and 38 at 0.4.
     """
     if n < 1:
         raise GeometryError("need at least one cell per axis")
@@ -479,7 +494,6 @@ def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
         2, areas, centers, diam, area=length, normal=normal, K=K, L=L,
         centroid=0.5 * (start + flat[q[first]]),
         dist_k=dist(centers[K]), dist_l=dist(centers[L]),
-        domain_measure=1.0, h_max=float(diam.max()),
         box=(np.zeros(2), np.ones(2)), cell_vertices=verts,
     )
 
@@ -646,16 +660,11 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     inner = mesh.interior
     K, L = mesh.face_K, mesh.face_L
 
-    vol_sum = float(mesh.cell_volume.sum())
-    checks.append(
-        ("cell_partition", abs(vol_sum - omega) <= REL_TOL * omega,
-         f"sum |K| = {vol_sum!r} vs |Omega| = {omega!r}")
-    )
-    dual_sum = float(mesh.face_dsig.sum())
-    checks.append(
-        ("dual_partition", abs(dual_sum - omega) <= REL_TOL * omega,
-         f"sum |D_sigma| = {dual_sum!r} vs |Omega| = {omega!r}")
-    )
+    for name, label, parts in (("cell_partition", "|K|", mesh.cell_volume),
+                               ("dual_partition", "|D_sigma|", mesh.face_dsig)):
+        total = float(parts.sum())
+        checks.append((name, abs(total - omega) <= REL_TOL * omega,
+                       f"sum {label} = {total!r} vs |Omega| = {omega!r}"))
 
     split_ok = bool(np.all(mesh.face_dsig == mesh.face_dk + mesh.face_dl))
     checks.append(("dual_split_sum", split_ok, "d_sigma == dk + dl exactly"))
@@ -766,7 +775,7 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
     cell lines: ``cell <id> <volume> <h> <x...> <n_faces>``
     face lines: ``face <id> <area> <nx...> <K> <L|-1> <Dsigma> <DK> <DL> <cx...>``
 
-    Reals carry 17 significant digits so a written file reloads bit-exactly.
+    Reals carry 17 significant digits so a file reloads bit-exactly, box too.
     Comment lines (``#``) record the dual construction and the domain box;
     cell vertex geometry is not persisted, so loaded meshes support the
     measure-based operators but not cell quadrature.
@@ -774,9 +783,7 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
     with open_text(path_or_buf, "w") as fh:
         fh.write(f"lwfv-mesh v1 dim={mesh.dim}\n")
         fh.write("# policy cone\n")
-        if mesh.box is not None:
-            lo, hi = mesh.box
-            fh.write(f"# box {_fmt_row(np.concatenate([lo, hi]).tolist())}\n")
+        fh.write(f"# box {_fmt_row(np.concatenate(mesh.box).tolist())}\n")
         cells = zip(mesh.cell_volume.tolist(), mesh.cell_diam.tolist(),
                     mesh.cell_center.tolist(), mesh.face_counts().tolist())
         for c, (vol, diam, x, nf) in enumerate(cells):
@@ -811,10 +818,10 @@ def read_mesh(path_or_buf) -> Mesh:
 
     Raises MeshError on a malformed file: a line with the wrong field count
     or a non-numeric field, a policy comment naming anything but ``cone``,
-    a box comment without 2 * dim numbers, cell or
-    face ids that are not exactly 0..n-1, a face naming a cell that does
-    not exist, or a cell whose declared face count differs from the faces
-    that name it.
+    a missing box comment or one without 2 * dim finite numbers with
+    lo < hi on every axis, cell or face ids that are not exactly 0..n-1, a
+    face naming a cell that does not exist, or a cell whose declared face
+    count differs from the faces that name it.
     """
     with open_text(path_or_buf) as fh:
         header = fh.readline().split()
@@ -826,7 +833,7 @@ def read_mesh(path_or_buf) -> Mesh:
             raise MeshError(f"bad dimension in header {' '.join(header)!r}") from None
         if dim < 1:
             raise MeshError(f"bad dimension {dim}")
-        box = None
+        box = ()
         # field count and integer columns (n_faces; K and L) of each line kind
         width = {"cell": 5 + dim, "face": 8 + 2 * dim}
         int_cols = {"cell": (4 + dim,), "face": (3 + dim, 4 + dim)}
@@ -849,6 +856,9 @@ def read_mesh(path_or_buf) -> Mesh:
                         raise MeshError(f"line {lineno}: box line has {vals.size} "
                                         f"values, expected {2 * dim}")
                     box = (vals[:dim], vals[dim:])
+                    if not (np.all(np.isfinite(vals)) and np.all(box[0] < box[1])):
+                        raise MeshError(f"line {lineno}: box needs finite values "
+                                        f"with lo < hi, got {' '.join(parts[2:])}")
                 continue
             kind = parts[0]
             if kind not in width:
@@ -867,6 +877,8 @@ def read_mesh(path_or_buf) -> Mesh:
             if ident in rows[kind]:
                 raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
             rows[kind][ident] = vals
+    if not box:
+        raise MeshError("mesh file has no '# box' line")
 
     cells = np.array(_ordered(rows["cell"], "cell"), dtype=float).reshape(-1, 3 + dim)
     faces = np.array(_ordered(rows["face"], "face"), dtype=float).reshape(-1, 6 + 2 * dim)
@@ -901,8 +913,5 @@ def read_mesh(path_or_buf) -> Mesh:
         face_dk=faces[:, 4 + dim].copy(),
         face_dl=faces[:, 5 + dim].copy(),
         face_centroid=faces[:, 6 + dim :].copy(),
-        domain_measure=float(sum(cells[:, 0].tolist())),
-        h_max=float(cells[:, 1].max()),
         box=box,
-        cell_vertices=None,
     )

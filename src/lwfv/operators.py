@@ -10,6 +10,7 @@ that gap under refinement.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -262,35 +263,27 @@ def polynomial_bump(
     else:
         if not (t_cut > 0 and math.isfinite(t_cut)):
             raise ValueError("time profiles need a finite positive t_cut")
-        t_cut_eff = t_cut
-
-        if time_profile == "decay":
-            def g(t):
-                s = np.asarray(t, dtype=float) / t_cut
-                return np.where((s >= 0) & (s < 1), (1.0 - np.clip(s, 0, 1) ** 2) ** k, 0.0)
-
-            def dg(t):
-                s = np.asarray(t, dtype=float) / t_cut
-                sc = np.clip(s, 0, 1)
-                val = -2.0 * k * sc * (1.0 - sc**2) ** (k - 1) / t_cut
-                return np.where((s >= 0) & (s < 1), val, 0.0)
-
-        elif time_profile == "modulated":
-            def g(t):
-                s = np.asarray(t, dtype=float) / t_cut
-                base = (1.0 - np.clip(s, 0, 1) ** 2) ** k
-                return np.where((s >= 0) & (s < 1), base * (1.0 - 2.0 * np.clip(s, 0, 1)), 0.0)
-
-            def dg(t):
-                s = np.asarray(t, dtype=float) / t_cut
-                sc = np.clip(s, 0, 1)
-                base = (1.0 - sc**2) ** k
-                dbase = -2.0 * k * sc * (1.0 - sc**2) ** (k - 1)
-                val = (dbase * (1.0 - 2.0 * sc) - 2.0 * base) / t_cut
-                return np.where((s >= 0) & (s < 1), val, 0.0)
-
-        else:
+        if time_profile not in ("decay", "modulated"):
             raise ValueError(f"unknown time profile {time_profile!r}")
+        t_cut_eff = t_cut
+        modulated = time_profile == "modulated"
+
+        # the spatial profile of s = t / t_cut, kept on [0, t_cut) only
+        def g(t):
+            s = np.asarray(t, dtype=float) / t_cut
+            sc = np.clip(s, 0, 1)
+            val = _poly_profile(sc, k)
+            if modulated:
+                val = val * (1.0 - 2.0 * sc)
+            return np.where((s >= 0) & (s < 1), val, 0.0)
+
+        def dg(t):
+            s = np.asarray(t, dtype=float) / t_cut
+            sc = np.clip(s, 0, 1)
+            val = _poly_profile_deriv(sc, k)
+            if modulated:
+                val = val * (1.0 - 2.0 * sc) - 2.0 * _poly_profile(sc, k)
+            return np.where((s >= 0) & (s < 1), val / t_cut, 0.0)
 
         span = (np.zeros(1), np.full(1, t_cut))
         g_abs_max = _numeric_sup(lambda t: np.abs(g(t[:, 0])), *span)
@@ -507,30 +500,20 @@ class GradStudyRow:
     l1_distance: float
 
 
-def _composite_axis(a: float, b: float, n: int, npts: int):
-    """Composite Gauss nodes and weights on [a, b] split into n panels."""
-    x, w = quadrature.gauss_legendre(npts)
-    edges = np.linspace(a, b, n + 1)
-    half = 0.5 * np.diff(edges)
-    pts = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
 def _reference_pairing(phi: SmoothTestFunction, psi: VectorTestFunction,
                        box, n_ref: int, dim: int) -> float:
-    """High-order quadrature of integral grad(phi) . psi over the domain box."""
-    lo, hi = box
-    if dim == 1:
-        pts, w = _composite_axis(float(lo[0]), float(hi[0]), n_ref, 6)
-        gp = phi.grad(pts.reshape(-1, 1), 0.0)
-        pv = psi.value(pts.reshape(-1, 1))
-        return float(np.einsum("q,qd,qd->", w, gp, pv))
-    px, wx = _composite_axis(float(lo[0]), float(hi[0]), n_ref, 4)
-    py, wy = _composite_axis(float(lo[1]), float(hi[1]), n_ref, 4)
-    gx, gy = np.meshgrid(px, py, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    w = np.multiply.outer(wx, wy).ravel()
+    """High-order quadrature of integral grad(phi) . psi over the domain box:
+    the tensor product of one composite Gauss rule per axis, n_ref panels
+    of 6 points (1d) or 4 points (2d) each."""
+    npts = 6 if dim == 1 else 4
+    axes = []
+    for a, b in zip(*box):
+        edges = np.linspace(a, b, n_ref + 1)
+        px, wx = quadrature.interval_rule(edges[:-1], edges[1:], npts)
+        axes.append((px.ravel(), wx.ravel()))
+    grids = np.meshgrid(*(px for px, _ in axes), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = functools.reduce(np.multiply.outer, (wx for _, wx in axes)).ravel()
     gp = phi.grad(pts, 0.0)
     pv = psi.value(pts)
     return float(np.einsum("q,qd,qd->", w, gp, pv))

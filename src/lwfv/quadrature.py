@@ -54,7 +54,7 @@ def rowdot(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
-def _interval_rule(a: np.ndarray, b: np.ndarray, npts: int):
+def interval_rule(a: np.ndarray, b: np.ndarray, npts: int):
     """Gauss rule on every interval [a[i], b[i]]."""
     x, w = gauss_legendre(npts)
     half = 0.5 * (b - a)[:, None]
@@ -75,71 +75,32 @@ def _rectangle_rule(lo: np.ndarray, hi: np.ndarray, npts: int):
     return pts, wts
 
 
-def _triangle_areas(verts: np.ndarray) -> np.ndarray:
-    v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
-    return 0.5 * np.abs(
-        (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-        - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
-    )
-
-
 def triangle_rule(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree-5 rule on every triangle of ``verts`` (n, 3, 2)."""
     verts = np.asarray(verts, dtype=float)
-    return _TRI_BARY @ verts, _TRI_WEIGHTS * _triangle_areas(verts)[:, None]
-
-
-def _subtriangles(n: int) -> np.ndarray:
-    """Rows (i, j, down) naming the n^2 pieces of the uniform refinement of
-    a triangle: at base = v0 + i e1 + j e2 the upward piece (base, base+e1,
-    base+e2), and the downward piece (base+e1, base+e1+e2, base+e2)."""
-    rows = []
-    for i in range(n):
-        for j in range(n - i):
-            rows.append((i, j, 0))
-            if j < n - i - 1:
-                rows.append((i, j, 1))
-    return np.array(rows)
+    v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+    area = 0.5 * np.abs((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
+                        - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1]))
+    return _TRI_BARY @ verts, _TRI_WEIGHTS * area[:, None]
 
 
 def subdivision_rule(verts: np.ndarray, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule on n^2 congruent pieces of every cell; for rough
-    (indicator) integrands.
+    """Midpoint rule on n^2 equal pieces of every interval; for rough
+    (indicator) integrands, which are 1d only.
 
-    ``verts`` is a batch (n_cells, n_vertices, d) of intervals (2 vertex
-    rows, 1d), axis-aligned rectangles (4 rows) or triangles (3 rows).
-    Returns points (n_cells, n^2, d) and weights (n_cells, n^2): 64
-    subsamples per cell at the default n = 8.
+    ``verts`` is a batch (n_cells, 2, 1) of intervals.  Returns points
+    (n_cells, n^2, 1) and weights (n_cells, n^2): 64 subsamples per cell at
+    the default n = 8.  Raises ValueError on cells that are not intervals.
     """
     verts = np.asarray(verts, dtype=float)
+    if verts.shape[2] != 1:
+        raise ValueError(f"subdivision rule takes intervals, got {verts.shape[2]}d cells")
     m = n * n
-    if verts.shape[2] == 1:
-        a, b = verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0]
-        edges = np.ascontiguousarray(np.linspace(a, b, m + 1, axis=1))
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        w = np.repeat(((b - a) / m)[:, None], m, axis=1)
-        return mids[:, :, None], w
-    if verts.shape[1] == 4:
-        lo = verts.min(axis=1)
-        hi = verts.max(axis=1)
-        xs = np.linspace(lo[:, 0], hi[:, 0], n + 1, axis=1)
-        ys = np.linspace(lo[:, 1], hi[:, 1], n + 1, axis=1)
-        mx = 0.5 * (xs[:, :-1] + xs[:, 1:])
-        my = 0.5 * (ys[:, :-1] + ys[:, 1:])
-        pts = np.stack([np.repeat(mx, n, axis=1), np.tile(my, n)], axis=-1)
-        w = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1]) / m
-        return pts, np.repeat(w[:, None], m, axis=1)
-    # Triangle: uniform refinement into n^2 congruent subtriangles, centroid rule.
-    v0, v1, v2 = verts[:, None, 0], verts[:, None, 1], verts[:, None, 2]
-    e1 = (v1 - v0) / n
-    e2 = (v2 - v0) / n
-    i, j, down = _subtriangles(n).T
-    base = v0 + i[:, None] * e1 + j[:, None] * e2
-    up = (e1 + e2) / 3.0
-    dn = (2.0 * e1 + 2.0 * e2) / 3.0
-    pts = base + np.where(down[:, None] == 1, dn, up)
-    w = _triangle_areas(verts) / m
-    return pts, np.repeat(w[:, None], pts.shape[1], axis=1)
+    a, b = verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0]
+    edges = np.ascontiguousarray(np.linspace(a, b, m + 1, axis=1))
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    w = np.repeat(((b - a) / m)[:, None], m, axis=1)
+    return mids[:, :, None], w
 
 
 def cell_rule(verts: np.ndarray, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +113,7 @@ def cell_rule(verts: np.ndarray, order: int = 4) -> tuple[np.ndarray, np.ndarray
     """
     verts = np.asarray(verts, dtype=float)
     if verts.shape[2] == 1:
-        return _interval_rule(verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0], order)
+        return interval_rule(verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0], order)
     if verts.shape[1] == 3:
         return triangle_rule(verts)
     if verts.shape[1] == 4:

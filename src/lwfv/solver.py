@@ -98,8 +98,6 @@ def _pair_periodic_faces(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     shifted by one period along that axis.  Centroids match after rounding
     to a grid of 1e-9 times the box size.
     """
-    if mesh.box is None:
-        raise MeshError("periodic boundaries need the mesh bounding box")
     lo, hi = mesh.box
     period = hi - lo
     quant = max(float(np.max(period)), 1.0) * 1e-9
@@ -396,7 +394,7 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
     Raises ValueError unless the header gives ``dim``, ``n_cells`` and
     ``n_steps`` as non-negative integers and every node 0..n_steps has
     exactly one ``t`` record (3 fields) and one ``u`` record (n_cells
-    values).
+    values), and every time and state is finite.
     """
     with open_text(path_or_buf) as fh:
         head = fh.readline().split()
@@ -445,4 +443,7 @@ def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
                              f"{list(missing)} of 0..{n_steps}")
     nodes = np.array([records["t"][i] for i in range(n_steps + 1)])
     values = np.array([records["u"][i] for i in range(n_steps + 1)])
+    bad = ~np.isfinite(values).all(axis=1)
+    if np.any(bad):
+        raise ValueError(f"history u record {int(np.argmax(bad))} is not finite")
     return TimeGrid(nodes=nodes), values, meta

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 4  # points per axis for smooth cell means
-SUBSAMPLES = 8  # per-axis subdivision for indicator cell means (8^2 = 64)
+SUBSAMPLES = 8  # indicator cell means without an interval: 8^2 = 64 pieces
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,10 @@ class IntegrableFunction:
     """A scalar function of space with projection metadata.
 
     ``kind`` selects the cell-mean quadrature: "smooth" uses Gauss rules,
-    "indicator" uses exact interval intersection in 1d and a 64-point
-    subdivision rule in 2d.  ``lipschitz`` and ``l1_norm`` are optional
-    declared constants consumed by the seminorm bounds.
+    "indicator" (1d only) uses exact interval intersection when
+    ``geometry`` names the interval and a 64-point subdivision rule
+    otherwise.  ``lipschitz`` and ``l1_norm`` are optional declared
+    constants consumed by the seminorm bounds.
     """
 
     fn: Callable
@@ -57,9 +58,8 @@ class IntegrableFunction:
 
 
 def smooth_function(fn: Callable, lipschitz: float | None = None,
-                    l1_norm: float | None = None, name: str = "") -> IntegrableFunction:
-    return IntegrableFunction(fn=fn, kind="smooth", lipschitz=lipschitz,
-                              l1_norm=l1_norm, name=name)
+                    name: str = "") -> IntegrableFunction:
+    return IntegrableFunction(fn=fn, kind="smooth", lipschitz=lipschitz, name=name)
 
 
 def interval_indicator(a: float, b: float, name: str = "") -> IntegrableFunction:
@@ -99,8 +99,14 @@ class CellField:
 def _interval_part(verts: np.ndarray, u: IntegrableFunction):
     """For a 1d interval indicator u = 1 on [a, b]: the part [lo, hi] of
     each cell of the batch inside [a, b] (empty where lo >= hi); None for
-    any other u."""
-    if u.kind != "indicator" or u.geometry is None or u.geometry[0] != "interval":
+    any other u.  Raises ValueError when indicator data meets cells that are
+    not intervals: indicator data are 1d only."""
+    if u.kind != "indicator":
+        return None
+    if verts.shape[2] != 1:
+        raise ValueError(f"indicator datum {u.name!r} is 1d only, "
+                         f"the cells are {verts.shape[2]}d")
+    if u.geometry is None or u.geometry[0] != "interval":
         return None
     _, a, b = u.geometry
     return (np.maximum(verts.min(axis=1)[:, 0], a),
@@ -146,9 +152,10 @@ def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     """Cell means of u over every cell.
 
     Smooth data uses Gauss quadrature exact to degree 2 * GAUSS_ORDER - 1 on
-    intervals and rectangles (degree 5 on triangles); indicator data uses
-    exact interval intersection in 1d and 64 midpoint subsamples per cell
-    in 2d.  Requires cell geometry, so meshes loaded from the text format
+    intervals and rectangles (degree 5 on triangles); indicator data, which
+    is 1d only, uses exact interval intersection (64 midpoint subsamples per
+    cell when it carries no interval) and raises ValueError on a 2d mesh.
+    Requires cell geometry, so meshes loaded from the text format
     (which does not persist vertices) cannot be projected onto.
     """
     if mesh.cell_vertices is None:

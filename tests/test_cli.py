@@ -141,6 +141,30 @@ def test_mesh_stats_exit_codes(tmp_path, capsys):
     assert "[ok]" in text and "theta_grad" in text
 
 
+def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys):
+    # a loaded mesh takes |Omega| from its box, so every line but the source
+    # reads as on the built level, the partition checks' |Omega| = 1.0 too
+    family = "family = triangular-2d\nn0 = 4\n"
+    gen = tmp_path / "gen.cfg"
+    gen.write_text(family)
+    assert run(["mesh-gen", "--config", str(gen), "--out", str(tmp_path / "m"),
+                "--levels", "3"]) == 0
+    built = tmp_path / "built.cfg"
+    built.write_text(family + "level = 2\n")
+    loaded = tmp_path / "loaded.cfg"
+    loaded.write_text(f"mesh_file = {tmp_path / 'm' / 'mesh_2.txt'}\n")
+    capsys.readouterr()
+    stats = []
+    for cfgp in (built, loaded):
+        assert run(["mesh-stats", "--config", str(cfgp)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("mesh: ")
+        stats.append(lines[1:])
+    # a file keeps no vertices, so the anchor check runs on the built mesh only
+    assert [x for x in stats[0] if "anchor_inside" not in x] == stats[1]
+    assert stats[1][2].endswith("vs |Omega| = 1.0")
+
+
 def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])

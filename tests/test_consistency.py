@@ -362,6 +362,17 @@ def test_lw_study_errors_name_family_level_and_phi():
     assert "uniform_1d(n0=10)" in msg and "level 0" in msg and "'liar'" in msg
 
 
+def test_study_of_indicator_data_on_a_2d_family_raises():
+    # indicator data are 1d only: on 2d cells the interval's exact
+    # intersection gives wrong cell means that no runtime check of the
+    # study catches
+    problem = Problem(flux=upwind_linear([1.0, 0.5]),
+                      u0=interval_indicator(0.2, 0.7), t_final=0.4)
+    with pytest.raises(ValueError, match="1d only"):
+        lw_study(perturbed_triangular_2d_family(4), problem,
+                 bump_corpus_spacetime(2, 0.4), levels=2)
+
+
 # ---------------------------------------------------------------------------
 # the streamed study against the scalar oracles
 # ---------------------------------------------------------------------------

@@ -202,6 +202,16 @@ def test_jitter_out_of_range_rejected():
         perturbed_triangular_2d_family(4, jitter=0.6).build(0)
 
 
+def test_jitter_above_0_3_can_invert_a_triangle():
+    # the builder takes jitter in [0, 0.5), but the band where every seed
+    # builds ends near 0.3: at n = 8, 9 of seeds 0-199 invert a triangle at
+    # jitter 0.35, seed 0 among them, and 38 at 0.4
+    for seed in range(200):
+        build_perturbed_triangular_2d(8, jitter=0.3, seed=seed)
+    with pytest.raises(GeometryError, match="inverted"):
+        build_perturbed_triangular_2d(8, jitter=0.35, seed=0)
+
+
 def test_jitter_draw_matches_numpy_default_rng_bit_for_bit():
     # the port reproduces SeedSequence, PCG64 and Generator.uniform; seeds
     # of one to four 32-bit words, and one more than the 4-word pool
@@ -432,6 +442,43 @@ def test_mesh_file_rejects_wrong_face_count():
     line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
     with pytest.raises(MeshError, match="header says 3 faces, found 2"):
         read_mesh(io.StringIO(_replace_line(text, "cell 1 ", line[:-1] + "3\n")))
+
+
+@pytest.mark.parametrize("mesh, box", [
+    (build_uniform_1d(3), None), (build_uniform_1d(3), "0 inf"),
+    (build_uniform_1d(3), "nan 1"), (build_uniform_1d(3), "1 1"),
+    (build_uniform_1d(3), "1 0"), (build_cartesian_2d(2, 2), "0 0 inf 1"),
+    (build_cartesian_2d(2, 2), "0 0.5 1 0.5"),
+], ids=["missing", "inf", "nan", "lo=hi", "lo>hi", "2d-inf", "2d-lo=hi"])
+def test_mesh_file_needs_a_finite_box(mesh, box):
+    # |Omega| is the measure of the box: with an infinite one both
+    # partition checks would pass as inf <= inf
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    text = _replace_line(buf.getvalue(), "# box ", "" if box is None else f"# box {box}\n")
+    with pytest.raises(MeshError, match="box"):
+        read_mesh(io.StringIO(text))
+
+
+def test_reloaded_mesh_keeps_its_measures_bit_for_bit():
+    # |Omega| comes from the box, not from the file's cell volumes, which
+    # add up to 0.9999999999999988 on this level
+    m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(2)
+    buf = io.StringIO()
+    write_mesh(m, buf)
+    loaded = read_mesh(io.StringIO(buf.getvalue()))
+    assert loaded.domain_measure == m.domain_measure == 1.0
+    assert loaded.h_max == m.h_max == float(m.cell_diam.max())
+
+
+def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
+    # measured against the box, not against the volumes themselves
+    m = build_cartesian_2d(4, 4)
+    m = _corrupt(m, cell_volume=(3, m.cell_volume[3] * 1.5))
+    buf = io.StringIO()
+    write_mesh(m, buf)
+    for mesh in (m, read_mesh(io.StringIO(buf.getvalue()))):
+        assert "cell_partition" in validate(mesh).failing()
 
 
 def test_loaded_mesh_validates(tmp_path):

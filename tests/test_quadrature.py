@@ -71,27 +71,32 @@ def test_triangle_rule_affine_invariance():
 
 
 def test_subdivision_rule_weights_sum_to_measure():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    box = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
     seg = np.array([[0.25], [0.75]])
-    for verts, measure in [(tri, 0.5), (box, 0.25), (seg, 0.5)]:
-        _, w = subdivision_rule(verts[None], 8)
-        assert float(np.sum(w)) == pytest.approx(measure, rel=1e-12)
+    _, w = subdivision_rule(seg[None], 8)
+    assert float(np.sum(w)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_subdivision_rule_converges_on_indicator():
-    # midpoint subdivision must integrate a half-plane indicator over the
-    # unit square to first order in 1/n
-    box = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    # midpoint subdivision integrates an interval indicator over a cell to
+    # within one piece width 1/n^2: half a piece at each end of the interval
+    seg = np.array([[0.0], [1.0]])
+    a, b = np.sqrt(0.05), np.sqrt(0.5)
 
     def jump(p):
-        return (p[:, 0] + p[:, 1] < 0.9).astype(float)
+        return ((p[:, 0] >= a) & (p[:, 0] <= b)).astype(float)
 
     errs = []
     for n in (8, 16, 32):
-        got = _apply(subdivision_rule(box[None], n), jump)
-        errs.append(abs(got - 0.5 * 0.9**2))
-    assert errs[0] < 0.05 and errs[-1] <= errs[0]
+        got = _apply(subdivision_rule(seg[None], n), jump)
+        errs.append(abs(got - (b - a)))
+        assert errs[-1] <= 1.0 / n**2, n
+    assert errs[-1] < errs[0]
+
+
+def test_subdivision_rule_takes_intervals_only():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="intervals"):
+        subdivision_rule(tri[None], 8)
 
 
 @pytest.mark.parametrize("verts", [
@@ -102,8 +107,12 @@ def test_subdivision_rule_converges_on_indicator():
               [[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]]]),
 ])
 def test_batched_rules_treat_every_cell_alone(verts):
-    # row i of a batch is exactly the rule of cell i on its own
-    for rule in (lambda v: cell_rule(v, order=4), lambda v: subdivision_rule(v, 4)):
+    # row i of a batch is exactly the rule of cell i on its own; the
+    # subdivision rule takes intervals only
+    rules = [lambda v: cell_rule(v, order=4)]
+    if verts.shape[2] == 1:
+        rules.append(lambda v: subdivision_rule(v, 4))
+    for rule in rules:
         pts, w = rule(verts)
         for i in range(len(verts)):
             p1, w1 = rule(verts[i : i + 1])

@@ -249,13 +249,6 @@ def _periodic_mesh():
 _PERIODIC_FLUX = rusanov(burgers((0.6, 0.8)))
 
 
-def test_periodic_pairing_needs_the_box():
-    m, _, _ = _periodic_mesh()
-    Stepper(m, _PERIODIC_FLUX, "periodic")
-    with pytest.raises(MeshError, match="need the mesh bounding box"):
-        Stepper(dataclasses.replace(m, box=None), _PERIODIC_FLUX, "periodic")
-
-
 def test_periodic_pairing_rejects_a_face_without_partner():
     m, left, right = _periodic_mesh()
     c = m.face_centroid.copy()
@@ -427,7 +420,7 @@ def test_history_reader_rejects_truncated_file(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only",
-                                  "no_n_cells", "nan_node"])
+                                  "no_n_cells", "nan_node", "nan_state"])
 def test_history_reader_rejects_malformed_records(tmp_path, edit):
     p, lines, n = _written_history(tmp_path)
     body = lines[3:]  # after the header and the two comment lines
@@ -446,6 +439,14 @@ def test_history_reader_rejects_malformed_records(tmp_path, edit):
     elif edit == "nan_node":
         lines = lines[:-2] + [f"t {n} nan\n", u_last]
         match = "finite"
+    elif edit == "nan_state":
+        # a NaN state at node 0 and an infinite one at node N
+        def last_value(u_line, value):
+            return u_line.rsplit(" ", 1)[0] + f" {value}\n"
+
+        lines = (lines[:3] + [body[0], last_value(body[1], "nan")] + body[2:-1]
+                 + [last_value(u_last, "inf")])
+        match = "u record 0 is not finite"
     else:
         lines = lines[:-2] + [u_last]
     p.write_text("".join(lines))

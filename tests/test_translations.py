@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwfv import (
+    cartesian_2d_family,
     interval_indicator,
     nonuniform_1d_family,
     perturbed_triangular_2d_family,
@@ -64,10 +65,15 @@ def test_smooth_projection_matches_dense_midpoint_means():
     assert np.max(np.abs(f.values - dense)) <= 1e-8
 
 
-def test_projection_of_indicator_on_triangles_is_finite():
-    m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(0)
-    f = project_l1(m, interval_indicator(0.2, 0.7))
-    assert np.isfinite(f.values).all()
+@pytest.mark.parametrize("family", [cartesian_2d_family(4),
+                                    perturbed_triangular_2d_family(4)],
+                         ids=["cartesian", "triangular"])
+def test_projection_of_indicator_on_2d_meshes_raises(family):
+    # indicator data are 1d only: the exact intersection reads a cell's x
+    # extent alone, which on level 0 of the triangulation means cell means
+    # up to 11.4 and a mass of 4.3 where the true mass is 0.5
+    with pytest.raises(ValueError, match="1d only"):
+        project_l1(family.build(0), interval_indicator(0.2, 0.7))
 
 
 # ---------------------------------------------------------------------------
