@@ -386,8 +386,8 @@ def _perturbed_datum(u: IntegrableFunction, bump, p: int) -> IntegrableFunction:
     lip = None
     if u.lipschitz is not None:
         lip = u.lipschitz + bump.grad_sup / p
-    return IntegrableFunction(fn=fn, kind=u.kind, lipschitz=lip,
-                              name=f"{u.name}+bump/{p}", geometry=None)
+    return IntegrableFunction(fn=fn, lipschitz=lip, name=f"{u.name}+bump/{p}",
+                              interval=u.interval)
 
 
 def _resolve_problem(cfg: dict[str, str], dim: int) -> Problem:

@@ -47,7 +47,8 @@ from .translations import (
     IntegrableFunction,
     SeminormSums,
     SpacetimeSeminorm,
-    _datum_rule,
+    _part_rule,
+    _remainder,
 )
 
 # not called here: the benchmark's tracer (perfbench/tracer.py) times the
@@ -235,7 +236,8 @@ class _PairingSums:
     interior faces in face order, one row per step n.  Each step stores one
     row per term and test function; ``decompositions()`` applies the time
     weights.  T1, T2 and the five terms each have their own row, so the
-    master identity checks them against each other.
+    two splits T1 = T1_1 + T1_2 + R1 and T2 = T2_tilde + R and the master
+    identity check them against each other.
 
     Its columns are the anchor samples |K| w(x_K) and the face jumps
     w(x_K) - w(x_L), kept on their support rows: ``faces``, the interior
@@ -323,7 +325,17 @@ class _PairingSums:
                 t1=float(t1[i]), t2=float(t2[i]),
                 r1_abs=float(r1_abs[i]), r_abs=float(r_abs[i]),
             )
-            if abs(dec.total) > MASTER_TOL * max(dec.scale, 1e-300):
+            tol = MASTER_TOL * max(dec.scale, 1e-300)
+            # each half of the identity on its own first, so that a failure
+            # names the half that broke
+            for half, lhs, rhs in (
+                    ("T1 = T1_1 + T1_2 + R1", dec.t1, dec.t1_1 + dec.t1_2 + dec.r1),
+                    ("T2 = T2_tilde + R", dec.t2, dec.t2_tilde + dec.r)):
+                if abs(lhs - rhs) > tol:
+                    raise InvariantViolation(
+                        f"split {half} broken for {phi.name!r}: "
+                        f"{lhs:.6e} vs {rhs:.6e}, scale={dec.scale:.3e}")
+            if abs(dec.total) > tol:
                 raise InvariantViolation(
                     f"master identity broken for {phi.name!r}: "
                     f"sum={dec.total:.3e} vs scale={dec.scale:.3e} "
@@ -354,13 +366,15 @@ class _GapSums:
         verts = mesh.cell_vertices
         if verts is None:
             raise ValueError("weak gap needs cell geometry for quadrature")
-        quad = quadrature.cell_rule(verts, GAUSS_ORDER)
-        pts, wq = quad
+        pts, wq = quadrature.cell_rule(verts, GAUSS_ORDER)
         # int u0(x) phi(x, 0) dx by the cell-integral policy of the
         # projections, one evaluation of u0 for all phis, summed in cell
-        # order (np.sum adds pairwise, in another order)
-        datum_cells, pts0, wu = _datum_rule(verts, u0, quad)
-        datum_cells = np.arange(mesh.n_cells)[datum_cells]
+        # order (np.sum adds pairwise, in another order): the cell rule on
+        # the remainder of u0, plus a Gauss rule on each cell's part inside
+        # the interval of interval data
+        wu = wq * _remainder(u0, pts)
+        if u0.interval is not None:
+            part_cells, pts0, w0 = _part_rule(verts, u0)
         vmin, vmax = verts.min(axis=1), verts.max(axis=1)
         W = np.zeros((mesh.n_cells, len(phis)))
         GW = np.zeros((mesh.n_cells, mesh.dim, len(phis)))
@@ -373,12 +387,12 @@ class _GapSums:
             W[rows, i] = quadrature.rowdot(wq[rows], w)
             GW[rows, :, i] = (wq[rows, None, :]
                               @ np.asarray(p.grad_w(pts[rows]), dtype=float))[:, 0]
-            if pts0 is pts:  # the datum rule is the cell rule: phi(., 0) = w g(0)
-                per_cell[rows, i] = quadrature.rowdot(wu[rows], w * p.g(0.0))
-            else:
-                keep = meets[datum_cells]
-                per_cell[datum_cells[keep], i] = quadrature.rowdot(
-                    wu[keep], p.value(pts0[keep], 0.0))
+            # on the cell rule's points, phi(., 0) = w g(0)
+            per_cell[rows, i] = quadrature.rowdot(wu[rows], w * p.g(0.0))
+            if u0.interval is not None:
+                keep = meets[part_cells]
+                per_cell[part_cells[keep], i] += quadrature.rowdot(
+                    w0[keep], p.value(pts0[keep], 0.0))
         self.c_term = np.cumsum(per_cell, axis=0)[-1]
         self.cells = np.flatnonzero(np.any(W != 0.0, axis=1)
                                     | np.any(GW != 0.0, axis=(1, 2)))
@@ -556,7 +570,8 @@ def lw_study(family: MeshFamily, problem: Problem,
     every step's states and face fluxes to the space-time seminorm, the
     decomposition and the weak gap of every test function at once.  Then
     it asserts that the history stayed in the state range on which the
-    flux's c_f holds, the master identity, and both residual envelopes; an
+    flux's c_f holds, the two splits T1 = T1_1 + T1_2 + R1 and
+    T2 = T2_tilde + R, the master identity, and both residual envelopes; an
     InvariantViolation names the family and the level.  Decay slopes are
     fitted for the per-level maxima of weak_gap, |R| and |R1|.
 

@@ -652,8 +652,9 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
 
     Covers the partition identities for cells and dual volumes, per-cell
     face closure, unit normals, dual-measure bookkeeping, the cone identity
-    of every dual piece, and (when cell geometry is available) anchor
-    containment.
+    of every dual piece, that every anchor and face centroid lies in the
+    box, and (when cell geometry is available) anchor containment in its
+    cell.
     """
     checks: list[tuple[str, bool, str]] = []
     omega = mesh.domain_measure
@@ -697,6 +698,19 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
         ("face_closure", worst <= REL_TOL,
          f"max |sum area*n| / sum area = {worst:.2e} (cell {worst_cell})")
     )
+
+    # _pair_periodic_faces and check_support_margin take the box as the
+    # domain.  An anchor or face centroid is the mean of at most three
+    # vertex coordinates (a triangle's centroid), which may lie one rounding
+    # u M outside the box, M = max(|lo|, |hi|) per axis and u = eps / 2:
+    # the two sums and the division add at most (2 u M + 3 u M) / 3 + u M,
+    # so the overshoot stays under 2 eps M, and 4 eps M is the tolerance
+    lo, hi = mesh.box
+    slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    pts = np.concatenate([mesh.cell_center, mesh.face_centroid])
+    in_box = bool(np.all((pts >= lo - slack) & (pts <= hi + slack)))
+    box = " x ".join(f"[{a:.17g}, {b:.17g}]" for a, b in zip(lo, hi))
+    checks.append(("inside_box", in_box, f"x_K and face centroids in {box}"))
 
     if mesh.cell_vertices is not None:
         inside = _anchors_inside(mesh.cell_vertices, mesh.cell_center)

@@ -84,25 +84,6 @@ def triangle_rule(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _TRI_BARY @ verts, _TRI_WEIGHTS * area[:, None]
 
 
-def subdivision_rule(verts: np.ndarray, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule on n^2 equal pieces of every interval; for rough
-    (indicator) integrands, which are 1d only.
-
-    ``verts`` is a batch (n_cells, 2, 1) of intervals.  Returns points
-    (n_cells, n^2, 1) and weights (n_cells, n^2): 64 subsamples per cell at
-    the default n = 8.  Raises ValueError on cells that are not intervals.
-    """
-    verts = np.asarray(verts, dtype=float)
-    if verts.shape[2] != 1:
-        raise ValueError(f"subdivision rule takes intervals, got {verts.shape[2]}d cells")
-    m = n * n
-    a, b = verts.min(axis=1)[:, 0], verts.max(axis=1)[:, 0]
-    edges = np.ascontiguousarray(np.linspace(a, b, m + 1, axis=1))
-    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    w = np.repeat(((b - a) / m)[:, None], m, axis=1)
-    return mids[:, :, None], w
-
-
 def cell_rule(verts: np.ndarray, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature over every cell of a batch of vertex arrays.
 

@@ -35,45 +35,46 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 4  # points per axis for smooth cell means
-SUBSAMPLES = 8  # indicator cell means without an interval: 8^2 = 64 pieces
 
 
 @dataclass(frozen=True)
 class IntegrableFunction:
     """A scalar function of space with projection metadata.
 
-    ``kind`` selects the cell-mean quadrature: "smooth" uses Gauss rules,
-    "indicator" (1d only) uses exact interval intersection when
-    ``geometry`` names the interval and a 64-point subdivision rule
-    otherwise.  ``lipschitz`` and ``l1_norm`` are optional declared
-    constants consumed by the seminorm bounds.
+    ``fn`` is the whole function.  Data with an ``interval`` [a, b] (1d
+    only) are the indicator of [a, b] plus a smooth remainder fn - 1_[a,b]:
+    cell means take the indicator's part exactly and the remainder, like
+    all of data without an interval, by the Gauss cell rule.  ``lipschitz``
+    and ``l1_norm`` are optional declared constants consumed by the
+    seminorm bounds.
     """
 
     fn: Callable
-    kind: str = "smooth"
     lipschitz: float | None = None
     l1_norm: float | None = None
     name: str = ""
-    geometry: tuple | None = None
+    interval: tuple[float, float] | None = None
 
 
 def smooth_function(fn: Callable, lipschitz: float | None = None,
                     name: str = "") -> IntegrableFunction:
-    return IntegrableFunction(fn=fn, kind="smooth", lipschitz=lipschitz, name=name)
+    return IntegrableFunction(fn=fn, lipschitz=lipschitz, name=name)
+
+
+def _indicator(x, interval: tuple[float, float]) -> np.ndarray:
+    """1_[a,b] at the points x (..., 1)."""
+    a, b = interval
+    x = np.asarray(x, dtype=float)[..., 0]
+    return ((x >= a) & (x <= b)).astype(float)
 
 
 def interval_indicator(a: float, b: float, name: str = "") -> IntegrableFunction:
     """Indicator of [a, b] on a 1d domain; projected by exact intersection."""
     if not b > a:
         raise ValueError("empty interval")
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)[..., 0]
-        return ((x >= a) & (x <= b)).astype(float)
-
     return IntegrableFunction(
-        fn=fn, kind="indicator", l1_norm=b - a,
-        name=name or f"indicator[{a},{b}]", geometry=("interval", a, b),
+        fn=lambda x: _indicator(x, (a, b)), l1_norm=b - a,
+        name=name or f"indicator[{a},{b}]", interval=(a, b),
     )
 
 
@@ -97,64 +98,55 @@ class CellField:
 
 
 def _interval_part(verts: np.ndarray, u: IntegrableFunction):
-    """For a 1d interval indicator u = 1 on [a, b]: the part [lo, hi] of
-    each cell of the batch inside [a, b] (empty where lo >= hi); None for
-    any other u.  Raises ValueError when indicator data meets cells that are
-    not intervals: indicator data are 1d only."""
-    if u.kind != "indicator":
-        return None
+    """The part [lo, hi] of each cell of the batch inside the interval of u
+    (empty where lo >= hi).  Raises ValueError on cells that are not
+    intervals: interval data are 1d only."""
     if verts.shape[2] != 1:
-        raise ValueError(f"indicator datum {u.name!r} is 1d only, "
+        raise ValueError(f"interval datum {u.name!r} is 1d only, "
                          f"the cells are {verts.shape[2]}d")
-    if u.geometry is None or u.geometry[0] != "interval":
-        return None
-    _, a, b = u.geometry
+    a, b = u.interval
     return (np.maximum(verts.min(axis=1)[:, 0], a),
             np.minimum(verts.max(axis=1)[:, 0], b))
 
 
+def _remainder(u: IntegrableFunction, pts: np.ndarray) -> np.ndarray:
+    """u less the indicator of its interval at the points: all of u for data
+    without one, exactly 0.0 for a plain ``interval_indicator``."""
+    vals = np.asarray(u.fn(pts), dtype=float)
+    if u.interval is None:
+        return vals
+    return vals - _indicator(pts, u.interval)
+
+
+def _part_rule(verts: np.ndarray, u: IntegrableFunction):
+    """A Gauss rule on each cell's part inside the interval of u:
+    ``(rows, pts, w)``, with the cells that meet it as ``rows``."""
+    lo, hi = _interval_part(verts, u)
+    rows = np.flatnonzero(hi > lo)
+    pts, w = quadrature.interval_rule(lo[rows], hi[rows], GAUSS_ORDER)
+    return rows, pts, w
+
+
 def _cell_integrals(verts: np.ndarray, u: IntegrableFunction) -> np.ndarray:
     """Integral of u over every cell of a vertex batch (n_cells, n_vertices,
-    d)."""
-    part = _interval_part(verts, u)
-    if part is not None:
-        return np.maximum(0.0, part[1] - part[0])
-    if u.kind == "indicator":
-        pts, w = quadrature.subdivision_rule(verts, SUBSAMPLES)
-    else:
-        pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
-    return quadrature.rowdot(w, np.asarray(u.fn(pts), dtype=float))
-
-
-def _datum_rule(verts: np.ndarray, u: IntegrableFunction, quad):
-    """The rule of ``_cell_integrals`` with u folded into its weights, for
-    integrals of u times many smooth weight functions: ``(rows, pts, wu)``
-    such that the integral of u * weight over cell rows[i] is
-    ``rowdot(wu, weight(pts))[i]`` and over every other cell is 0.
-    ``quad`` is the GAUSS_ORDER cell rule of ``verts``, reused for smooth
-    u; an interval indicator gets a Gauss rule on each cell's part inside
-    its interval."""
-    part = _interval_part(verts, u)
-    if part is not None:
-        lo, hi = part
-        rows = np.flatnonzero(hi > lo)
-        pts, w = quadrature.cell_rule(
-            np.stack([lo[rows], hi[rows]], axis=1)[:, :, None], GAUSS_ORDER)
-        return rows, pts, w
-    if u.kind == "indicator":
-        pts, w = quadrature.subdivision_rule(verts, SUBSAMPLES)
-    else:
-        pts, w = quad
-    return slice(None), pts, w * np.asarray(u.fn(pts), dtype=float)
+    d): the Gauss cell rule on the remainder of u, plus the length of
+    K ∩ [a, b] for the indicator of its interval."""
+    pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
+    rest = quadrature.rowdot(w, _remainder(u, pts))
+    if u.interval is None:
+        return rest
+    lo, hi = _interval_part(verts, u)
+    return np.maximum(0.0, hi - lo) + rest
 
 
 def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     """Cell means of u over every cell.
 
-    Smooth data uses Gauss quadrature exact to degree 2 * GAUSS_ORDER - 1 on
-    intervals and rectangles (degree 5 on triangles); indicator data, which
-    is 1d only, uses exact interval intersection (64 midpoint subsamples per
-    cell when it carries no interval) and raises ValueError on a 2d mesh.
+    Smooth data, and the smooth remainder of interval data, use Gauss
+    quadrature exact to degree 2 * GAUSS_ORDER - 1 on intervals and
+    rectangles (degree 5 on triangles); the indicator part of interval data,
+    which are 1d only, is the exact length of each cell's intersection with
+    the interval, and interval data raise ValueError on a 2d mesh.
     Requires cell geometry, so meshes loaded from the text format
     (which does not persist vertices) cannot be projected onto.
     """

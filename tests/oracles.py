@@ -333,8 +333,9 @@ def brute_weak_gap(mesh, nodes, values, flux, phi, u0):
     int_K phi(t_{n+1}) - int_K phi(t_n); the grad phi integral takes
     TIME_POINTS Gauss points in time.  ``flux`` is the physical flux f.
     Space uses the rule of ``_cell_quadrature``; the initial term integrates
-    u0 phi(., 0) by it for smooth data, and phi(., 0) over the part of each
-    cell inside [a, b] for a 1d interval indicator.  phi and grad phi are
+    u0 phi(., 0) by it, less phi(., 0) on the indicator of [a, b] for 1d
+    interval data, which get phi(., 0) over the part of each cell inside
+    [a, b] by a Gauss rule instead.  phi and grad phi are
     evaluated once per cell at all its space-time points.  ``mass`` is the
     sum of the magnitudes of the summands, the scale of the rounding.
     """
@@ -346,10 +347,6 @@ def brute_weak_gap(mesh, nodes, values, flux, phi, u0):
     u = np.asarray(values, dtype=float)
     f_vals = np.asarray(flux.value(u[:-1]), dtype=float).tolist()  # (N, cells, d)
     u = u.tolist()
-    is_interval = u0.kind == "indicator" and u0.geometry is not None \
-        and u0.geometry[0] == "interval"
-    if u0.kind != "smooth" and not is_interval:
-        raise ValueError(f"no initial term for {u0.kind} data {u0.name!r}")
     gap = mass = 0.0
     for K in range(mesh.n_cells):
         pts, wq = _cell_quadrature(mesh.cell_vertices[K])
@@ -360,18 +357,18 @@ def brute_weak_gap(mesh, nodes, values, flux, phi, u0):
         per_time = np.einsum("q,tqd->td", wq, grads).reshape(
             len(half), TIME_POINTS, -1)
         per_slab = np.einsum("nj,njd->nd", t_weight, per_time).tolist()
-        if is_interval:
-            _, a, b = u0.geometry
+        rest = np.asarray(u0.fn(pts), dtype=float)
+        summands = []
+        if u0.interval is not None:
+            a, b = u0.interval
+            rest = rest - np.array([1.0 if a <= p[0] <= b else 0.0 for p in pts])
             lo = max(min(float(v[0]) for v in mesh.cell_vertices[K]), a)
             hi = min(max(float(v[0]) for v in mesh.cell_vertices[K]), b)
-            summands = []
             if hi > lo:
                 xs, ws = _gauss(lo, hi, GAUSS_ORDER)
                 summands.append(float(phi.value(np.array([[x] for x in xs]), 0.0)
                                       @ np.array(ws)))
-        else:
-            summands = [float((np.asarray(u0.fn(pts), dtype=float) * wq)
-                              @ phi.value(pts, 0.0))]
+        summands.append(float((rest * wq) @ phi.value(pts, 0.0)))
         for n in range(len(half)):
             uK = u[n][K]
             summands += [uK * at_nodes[n + 1], -uK * at_nodes[n]]

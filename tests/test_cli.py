@@ -19,11 +19,11 @@ from lwfv import cli, read_mesh
 from lwfv.cli import ConfigError, resolve_flux, resolve_u0
 from lwfv.consistency import lw_study
 from lwfv.flux import upwind_linear
-from lwfv.mesh import uniform_1d_family
-from lwfv.operators import bump_corpus_spacetime
+from lwfv.mesh import nonuniform_1d_family, uniform_1d_family
+from lwfv.operators import bump_corpus_spacetime, polynomial_bump
 from lwfv.solver import Problem, read_history
 
-from oracles import dense_cell_means_1d
+from oracles import brute_jump_seminorm, cell_edges_1d, dense_cell_means_1d
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -92,7 +92,8 @@ def test_u0_grammar():
     assert resolve_u0("bump", 1).name
     assert resolve_u0("sine", 2).name
     assert resolve_u0("constant(0.3)", 1).fn(np.array([[0.5]]))[0] == 0.3
-    assert resolve_u0("square(0.2,0.6)", 1).kind == "indicator"
+    assert resolve_u0("square(0.2,0.6)", 1).interval == (0.2, 0.6)
+    assert resolve_u0("bump", 1).interval is None
     with pytest.raises(ConfigError):
         resolve_u0("square(0.2,0.6)", 2)
     with pytest.raises(ConfigError):
@@ -163,6 +164,23 @@ def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys)
     # a file keeps no vertices, so the anchor check runs on the built mesh only
     assert [x for x in stats[0] if "anchor_inside" not in x] == stats[1]
     assert stats[1][2].endswith("vs |Omega| = 1.0")
+
+
+def test_mesh_stats_of_a_mesh_outside_its_box_exits_2(tmp_path, capsys):
+    out = tmp_path / "m"
+    run(["mesh-gen", "--out", str(out), "--levels", "1"])
+    path = out / "mesh_0.txt"
+    text = path.read_text()
+    assert "# box 0 1\n" in text
+    path.write_text(text.replace("# box 0 1\n", "# box 5 6\n"))
+    cfgp = tmp_path / "s.cfg"
+    cfgp.write_text(f"mesh_file = {path}\n")
+    capsys.readouterr()
+    assert run(["mesh-stats", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert [x for x in captured.out.splitlines() if "FAIL" in x] == [
+        "  [FAIL] inside_box: x_K and face centroids in [5, 6]"]
+    assert "validation FAILED" in captured.err
 
 
 def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
@@ -403,6 +421,80 @@ def test_lw_verify_outputs_do_not_depend_on_the_cpus(tmp_path, scenario):
         outputs.append([(out / name).read_bytes()
                         for name in ("lw_report.csv", "lw_summary.txt")])
     assert outputs[0] == outputs[1]
+
+
+def _readme_scenarios():
+    """(subcommand, config) of every config block of the README's Scenarios
+    section; a block belongs to the last `lwfv <subcommand>` named above it."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Scenarios\n", 1)[1].split("\n### ", 1)[0]
+    parts = section.split("```")
+    scenarios, command = [], None
+    for prose, block in zip(parts[0::2], parts[1::2]):
+        command = [command, *re.findall(r"`lwfv\s+([a-z-]+)", prose)][-1]
+        scenarios.append((command, block.strip("\n") + "\n"))
+    return scenarios
+
+
+def _readme_files(command, levels):
+    """The files the README's "Files written" section names for a
+    subcommand, ``<level>`` spelled out for every level."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Files written\n", 1)[1].split("\n### ", 1)[0]
+    item = re.search(rf"^- `{command}`:(.*?)(?=^- |\Z)", section, re.M | re.S)
+    names = re.findall(r"`([\w<>]+\.(?:csv|txt))`", item.group(1))
+    return sorted({n.replace("<level>", str(lvl)) for n in names
+                   for lvl in range(levels)})
+
+
+README_SCENARIOS = _readme_scenarios()
+
+
+def test_readme_scenarios_section_has_its_five_blocks():
+    assert [c for c, _ in README_SCENARIOS] == [
+        "lw-verify", "lw-verify", "lw-verify", "translate-study", "mesh-gen"]
+
+
+@pytest.mark.parametrize("command, config", README_SCENARIOS,
+                         ids=[f"{i}-{c}" for i, (c, _) in enumerate(README_SCENARIOS)])
+def test_readme_scenario_runs_and_writes_its_files(tmp_path, command, config):
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(config)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfgp), "--out", str(out),
+                "--levels", "2"]) == 0
+    files = _readme_files(command, 2)
+    assert files and sorted(p.name for p in out.iterdir()) == files
+
+
+def test_square_sequence_matches_a_dense_midpoint_reference(tmp_path):
+    # translate-study's sequence square(a, b) + bump / p keeps the interval
+    # of the square, so its cell means take the square exactly.  The
+    # reference is a composite midpoint rule whose pieces meet the jumps,
+    # 2^15 per piece, within 1.1e-11 of the exact projection here (at p = 1)
+    cfgp = tmp_path / "t.cfg"
+    cfgp.write_text("family = nonuniform-1d\nn0 = 10\nu0 = square(0.25,0.65)\n")
+    out = tmp_path / "t"
+    assert run(["translate-study", "--config", str(cfgp), "--out", str(out),
+                "--levels", "2"]) == 0
+    rows = list(csv.reader((out / "translate_matrix.csv").read_text().splitlines()[2:]))
+    header, level0 = rows[0], [float(x) for x in rows[1]]
+    mesh = nonuniform_1d_family(10, ratio=2.0).build(0)
+    lo, hi = cell_edges_1d(mesh)
+    bump = polynomial_bump([0.5], [0.24], k=3)
+    for p in range(1, 9):
+        def fn(x, p=p):
+            return (((x >= 0.25) & (x <= 0.65)).astype(float)
+                    + bump.value(x[:, None], 0.0) / p)
+
+        means = np.empty(mesh.n_cells)
+        for c in range(mesh.n_cells):
+            edges = np.unique(np.clip([lo[c], 0.25, 0.65, hi[c]], lo[c], hi[c]))
+            pieces = dense_cell_means_1d(edges, fn, nsub=1 << 15)
+            means[c] = np.dot(np.diff(edges), pieces) / (hi[c] - lo[c])
+        want = brute_jump_seminorm(mesh, means)
+        got = level0[header.index(f"T_p{p}")]
+        assert abs(got - want) <= 1e-10, (p, got, want)
 
 
 def test_mesh_gen_deterministic(tmp_path):

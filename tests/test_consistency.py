@@ -38,6 +38,7 @@ from lwfv import (
     upwind_linear,
 )
 from lwfv import consistency, quadrature
+from lwfv.cli import _perturbed_datum
 from lwfv.consistency import (
     check_support_margin,
     effective_c_phi,
@@ -62,8 +63,8 @@ from lwfv.mesh import (
     perturbed_triangular_2d_family,
 )
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
-from lwfv.solver import BlowUpError, SpaceTimeField, plan
-from lwfv.translations import GAUSS_ORDER, _datum_rule
+from lwfv.solver import BlowUpError, SpaceTimeField, march, plan
+from lwfv.translations import GAUSS_ORDER, _part_rule, _remainder
 from lwfv.reports import fit_decay_slope
 
 from oracles import (
@@ -125,6 +126,56 @@ def test_master_identity_on_mixed_runs():
                                          rel=1e-10, abs=1e-13 * d.scale)
             checked += 1
     assert checked >= 6
+
+
+def _plant(monkeypatch, name):
+    """Hand every sum of ``lw_study`` its blocks with one array of
+    ``_StepBlocks``, the state changes "dU" or the fluxes "F", scaled by
+    1 + 1e-6."""
+    real = consistency._StepBlocks
+
+    class Scaled:
+        def __init__(self, sums):
+            self.sums = sums
+
+        def block(self, n0, U, dU, F):
+            arrays = {"dU": dU, "F": F}
+            arrays[name] = arrays[name] * (1.0 + 1e-6)
+            self.sums.block(n0, U, arrays["dU"], arrays["F"])
+
+    monkeypatch.setattr(consistency, "_StepBlocks", lambda n_cells, n_interior, sums:
+                        real(n_cells, n_interior, [Scaled(s) for s in sums]))
+
+
+@pytest.mark.parametrize("planted, broken", [
+    ("dU", "split T1 = T1_1 + T1_2 + R1 broken"),
+    ("F", "master identity broken"),
+])
+def test_a_planted_defect_breaks_its_identity(monkeypatch, planted, broken):
+    # state changes that are not the differences of the states no longer
+    # telescope, which breaks the T1 split; scaled fluxes keep both splits,
+    # since T2 and R read the same fluxes, but no longer balance T1
+    _plant(monkeypatch, planted)
+    family, phis = uniform_1d_family(10), bump_corpus_spacetime(1, 0.5)
+    with pytest.raises(InvariantViolation) as exc:
+        lw_study(family, _advection(), phis, levels=1, cfl=0.5)
+    assert str(exc.value).startswith(
+        f"family {family.name!r}, level 0: {broken} for {phis[0].name!r}: ")
+
+
+def test_a_tampered_flux_row_breaks_the_t2_split():
+    mesh = uniform_1d_family(10).build(0)
+    problem, phis = _advection(), bump_corpus_spacetime(1, 0.5)
+    stp, grid, u0 = plan(mesh, problem, 0.5)
+    pairing = consistency._PairingSums(mesh, grid, phis, u0, problem.flux.flux)
+    blocks = consistency._StepBlocks(mesh.n_cells, stp.n_interior, [pairing])
+    march(stp, grid, u0, blocks)
+    blocks.flush()
+    assert len(pairing.decompositions()) == len(phis)
+    pairing.rows[4] *= 1.0 + 1e-6  # the T2 row alone
+    with pytest.raises(InvariantViolation,
+                       match=r"^split T2 = T2_tilde \+ R broken for "):
+        pairing.decompositions()
 
 
 def test_zero_test_function_gives_zero_terms(advection_run):
@@ -493,9 +544,10 @@ def test_volume_pairing_terms_match_scalar_oracle(case):
                                               field.values) == rec.seminorms
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_weak_gap_matches_scalar_oracle(case):
-    problem, phis, rep, fields = _oracle_run(case)
+def _assert_gaps_match_oracle(problem, phis, rep, fields):
+    """The streamed gaps and ``weak_gap`` on the stored history against the
+    scalar oracle, within 1e-12 of the sum of the magnitudes of its
+    summands."""
     for rec, field in zip(rep.levels, fields):
         for phi, gap in zip(phis, rec.weak_gaps):
             want, mass = brute_weak_gap(field.mesh, field.grid.nodes, field.values,
@@ -504,6 +556,27 @@ def test_weak_gap_matches_scalar_oracle(case):
             for got in (gap, stored):
                 assert abs(got - want) <= 1e-12 * mass, \
                     (rec.level, phi.name, got, want, mass)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_weak_gap_matches_scalar_oracle(case):
+    _assert_gaps_match_oracle(*_oracle_run(case))
+
+
+def test_weak_gap_of_interval_data_with_a_remainder_matches_the_oracle():
+    # square(0.1, 0.45) + bump / 2, as translate-study builds its sequence:
+    # the exact part of the initial term plus the cell rule on the bump
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    bump = polynomial_bump([0.5], [0.24], k=3)
+    u0 = _perturbed_datum(problem.u0, bump, 2)
+    assert u0.interval == (0.1, 0.45)
+    problem = dataclasses.replace(problem, u0=u0)
+    phis = bump_corpus_spacetime(1, problem.t_final)
+    rep = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    fields = [solve(family.build(rec.level), problem, cfl=cfl)
+              for rec in rep.levels]
+    assert fields[0].values[0].max() > 1.0  # the bump sits on the square
+    _assert_gaps_match_oracle(problem, phis, rep, fields)
 
 
 def test_lw_study_level_allocates_less_than_its_history():
@@ -576,10 +649,13 @@ def _all_cells_gap_columns(mesh, phis, u0, flux):
     W = np.column_stack([quadrature.rowdot(wq, p.w(pts)) for p in phis])
     GW = np.stack([(wq[:, None, :] @ p.grad_w(pts))[:, 0] for p in phis], axis=-1)
     cells = np.flatnonzero(np.any(W != 0.0, axis=1) | np.any(GW != 0.0, axis=(1, 2)))
-    rows, pts0, wu = _datum_rule(mesh.cell_vertices, u0, (pts, wq))
-    per_cell = np.zeros((mesh.n_cells, len(phis)))
-    per_cell[rows] = np.column_stack(
-        [quadrature.rowdot(wu, p.value(pts0, 0.0)) for p in phis])
+    wu = wq * _remainder(u0, pts)
+    per_cell = np.column_stack(
+        [quadrature.rowdot(wu, p.value(pts, 0.0)) for p in phis])
+    if u0.interval is not None:
+        rows, pts0, w0 = _part_rule(mesh.cell_vertices, u0)
+        per_cell[rows] += np.column_stack(
+            [quadrature.rowdot(w0, p.value(pts0, 0.0)) for p in phis])
     return (cells, W[cells], np.einsum("d,cdp->cp", flux.direction, GW[cells]),
             np.cumsum(per_cell, axis=0)[-1])
 
@@ -814,6 +890,35 @@ def test_lw_study_split_leaves_the_prologue_to_the_child(monkeypatch, forks,
     assert [what for pid, what in calls if int(pid) != caller] == [
         "check_hypothesis_iii", "refine", "build 0", "build 1", "build 2",
         "build 3"]
+    _assert_no_child()
+
+
+@needs_fork
+def test_lw_study_without_the_flux_check_never_calls_it(monkeypatch, forks,
+                                                        tmp_path):
+    # both processes log the check's calls to one file
+    calls = tmp_path / "calls"
+    real = consistency.check_hypothesis_iii
+
+    def spied(*args):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(consistency, "check_hypothesis_iii", spied)
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    phis = bump_corpus_spacetime(1, problem.t_final)
+
+    def study(check_flux):
+        return lambda: lw_study(family, problem, phis, levels=3, cfl=cfl,
+                                check_flux=check_flux)
+
+    unchecked = [study(False)(), _sequential(monkeypatch, study(False))]
+    assert len(forks) == 1 and not calls.exists()
+    checked = study(True)()
+    assert len(forks) == 2 and len(calls.read_text().splitlines()) == 1
+    for rep in unchecked:
+        assert _bits(rep) == _bits(checked)
     _assert_no_child()
 
 

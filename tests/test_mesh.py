@@ -481,6 +481,27 @@ def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
         assert "cell_partition" in validate(mesh).failing()
 
 
+def _with_box(mesh, box_line):
+    """The text of ``mesh`` as written, with its box line replaced."""
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    i = next(i for i, x in enumerate(lines) if x.startswith("# box "))
+    lines[i] = box_line + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mesh, box_line", [
+    (build_uniform_1d(4), "# box 5 6"),
+    (build_cartesian_2d(4, 4), "# box 0.5 0.5 1.5 1.5"),
+], ids=["1d", "2d"])
+def test_mesh_outside_its_box_fails_validation(mesh, box_line):
+    # the measure of the box is still 1, so only the new check can tell
+    assert validate(mesh).ok
+    loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
+    assert validate(loaded).failing() == ["inside_box"]
+
+
 def test_loaded_mesh_validates(tmp_path):
     p = tmp_path / "m.txt"
     write_mesh(perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1), str(p))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from lwfv.quadrature import cell_rule, gauss_legendre, subdivision_rule, triangle_rule
+from lwfv.quadrature import cell_rule, gauss_legendre, triangle_rule
 
 
 def _apply(rule, fn):
@@ -70,35 +70,6 @@ def test_triangle_rule_affine_invariance():
     assert got == pytest.approx(exact_area * (centroid[0] + 2.0 * centroid[1]), rel=1e-13)
 
 
-def test_subdivision_rule_weights_sum_to_measure():
-    seg = np.array([[0.25], [0.75]])
-    _, w = subdivision_rule(seg[None], 8)
-    assert float(np.sum(w)) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_subdivision_rule_converges_on_indicator():
-    # midpoint subdivision integrates an interval indicator over a cell to
-    # within one piece width 1/n^2: half a piece at each end of the interval
-    seg = np.array([[0.0], [1.0]])
-    a, b = np.sqrt(0.05), np.sqrt(0.5)
-
-    def jump(p):
-        return ((p[:, 0] >= a) & (p[:, 0] <= b)).astype(float)
-
-    errs = []
-    for n in (8, 16, 32):
-        got = _apply(subdivision_rule(seg[None], n), jump)
-        errs.append(abs(got - (b - a)))
-        assert errs[-1] <= 1.0 / n**2, n
-    assert errs[-1] < errs[0]
-
-
-def test_subdivision_rule_takes_intervals_only():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="intervals"):
-        subdivision_rule(tri[None], 8)
-
-
 @pytest.mark.parametrize("verts", [
     np.array([[[0.0], [0.3]], [[0.3], [0.45]], [[0.45], [1.0]]]),
     np.array([[[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]],
@@ -107,13 +78,8 @@ def test_subdivision_rule_takes_intervals_only():
               [[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]]]),
 ])
 def test_batched_rules_treat_every_cell_alone(verts):
-    # row i of a batch is exactly the rule of cell i on its own; the
-    # subdivision rule takes intervals only
-    rules = [lambda v: cell_rule(v, order=4)]
-    if verts.shape[2] == 1:
-        rules.append(lambda v: subdivision_rule(v, 4))
-    for rule in rules:
-        pts, w = rule(verts)
-        for i in range(len(verts)):
-            p1, w1 = rule(verts[i : i + 1])
-            assert np.array_equal(pts[i], p1[0]) and np.array_equal(w[i], w1[0])
+    # row i of a batch is exactly the rule of cell i on its own
+    pts, w = cell_rule(verts, order=4)
+    for i in range(len(verts)):
+        p1, w1 = cell_rule(verts[i : i + 1], order=4)
+        assert np.array_equal(pts[i], p1[0]) and np.array_equal(w[i], w1[0])
