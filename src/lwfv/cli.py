@@ -97,7 +97,11 @@ def parse_config_file(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"config {path!r} cannot be read: {e.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -174,13 +178,15 @@ def _parse_call(spec: str) -> tuple[str, str]:
     return spec, ""
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
-    if not text:
-        raise ConfigError(f"{what} needs numeric arguments")
+def _parse_floats(text: str, what: str, count: int) -> list[float]:
+    """The ``count`` comma-separated finite numbers of ``text``."""
     try:
-        values = [float(p) for p in text.split(",")]
+        values = [float(p) for p in text.split(",")] if text else []
     except ValueError as e:
         raise ConfigError(f"bad numbers in {what}: {text!r}") from e
+    if len(values) != count:
+        raise ConfigError(f"{what} takes {count} number{'s' * (count != 1)}, "
+                          f"got {text!r}")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{what} must be finite numbers, got {text!r}")
     return values
@@ -192,36 +198,31 @@ def resolve_flux(spec: str, dim: int) -> NumericalFlux:
     ``rusanov(advection:1.0,0.5)``."""
     name, inner = _parse_call(spec)
     if name == "upwind":
-        b = _parse_floats(inner, "flux upwind velocity")
-        if len(b) != dim:
-            raise ConfigError(f"upwind velocity has {len(b)} components, "
-                              f"mesh is {dim}d")
-        return upwind_linear(b)
+        return upwind_linear(_parse_floats(
+            inner, f"flux upwind velocity on a {dim}d mesh", dim))
     if name == "muscl":
-        b = _parse_floats(inner, "flux muscl velocity")
-        if dim != 1 or len(b) != 1:
-            raise ConfigError("muscl flux is wired up for 1d only")
-        return muscl_three_point(b[0])
+        if dim != 1:
+            raise ConfigError("flux muscl is wired up for 1d only")
+        return muscl_three_point(_parse_floats(inner, "flux muscl velocity", 1)[0])
     if name == "rusanov":
-        fname, fargs = (inner.split(":", 1) + [""])[:2]
+        fname, colon, fargs = inner.partition(":")
         fname = fname.strip()
         if fname == "burgers":
-            direction = (_parse_floats(fargs, "flux burgers direction") if fargs
-                         else list(np.ones(dim) / np.sqrt(dim)))
-            if len(direction) != dim:
-                raise ConfigError("burgers direction dimension mismatch")
-            return rusanov(burgers(direction))
+            if not colon:
+                return rusanov(burgers(list(np.ones(dim) / np.sqrt(dim))))
+            return rusanov(burgers(_parse_floats(
+                fargs, f"flux burgers direction on a {dim}d mesh", dim)))
         if fname == "advection":
-            b = _parse_floats(fargs, "flux advection velocity")
-            if len(b) != dim:
-                raise ConfigError("advection velocity dimension mismatch")
-            return rusanov(linear_advection(b))
+            return rusanov(linear_advection(_parse_floats(
+                fargs, f"flux advection velocity on a {dim}d mesh", dim)))
         raise ConfigError(f"unknown physical flux {fname!r} inside rusanov")
     raise ConfigError(f"unknown flux {name!r}")
 
 
 def resolve_u0(spec: str, dim: int) -> IntegrableFunction:
     name, inner = _parse_call(spec)
+    if name in ("bump", "sine") and inner:
+        raise ConfigError(f"u0 {name} takes no numbers, got {inner!r}")
     if name == "bump":
         center = [0.45] * dim
         halfwidth = [0.3] * dim if dim == 1 else [0.26] * dim
@@ -232,18 +233,16 @@ def resolve_u0(spec: str, dim: int) -> IntegrableFunction:
     if name == "sine":
         if dim == 1:
             fn = lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x[..., 0])  # noqa: E731
-            lip = 0.5 * np.pi
         else:
             fn = lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x[..., 0]) * np.sin(  # noqa: E731
                 2 * np.pi * x[..., 1])
-            lip = 0.5 * np.pi
-        return smooth_function(fn, lipschitz=float(lip), name="sine")
+        return smooth_function(fn, lipschitz=0.5 * np.pi, name="sine")
     if name == "constant":
-        c = _parse_floats(inner, "u0 constant value")[0]
+        c = _parse_floats(inner, "u0 constant value", 1)[0]
         return smooth_function(lambda x: np.full(x.shape[:-1], c),
                                lipschitz=0.0, name=f"constant({c:g})")
     if name == "square":
-        a, b = _parse_floats(inner, "u0 square interval")
+        a, b = _parse_floats(inner, "u0 square interval", 2)
         if dim != 1:
             raise ConfigError("square datum is 1d only")
         if not a < b:
@@ -254,7 +253,10 @@ def resolve_u0(spec: str, dim: int) -> IntegrableFunction:
 
 def _out_dir(cfg: dict[str, str]) -> str:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out {out!r} cannot be made a directory: {e.strerror}") from None
     return out
 
 
@@ -292,8 +294,11 @@ def cmd_mesh_gen(cfg: dict[str, str]) -> int:
 
 def cmd_mesh_stats(cfg: dict[str, str]) -> int:
     if cfg["mesh_file"]:
-        mesh = read_mesh(cfg["mesh_file"])
         source = cfg["mesh_file"]
+        try:
+            mesh = read_mesh(source)
+        except OSError as e:
+            raise ConfigError(f"mesh_file {source!r} cannot be read: {e.strerror}") from None
     else:
         family, _ = resolve_family(cfg)
         mesh = family.build(_get_int(cfg, "level", minimum=0))
@@ -393,9 +398,7 @@ def _perturbed_datum(u: IntegrableFunction, bump, p: int) -> IntegrableFunction:
 def _resolve_problem(cfg: dict[str, str], dim: int) -> Problem:
     flux = resolve_flux(cfg["flux"], dim)
     u0 = resolve_u0(cfg["u0"], dim)
-    boundary = "periodic"
-    return Problem(flux=flux, u0=u0, t_final=_get_float(cfg, "t_final"),
-                   boundary=boundary)
+    return Problem(flux=flux, u0=u0, t_final=_get_float(cfg, "t_final"))
 
 
 def cmd_solve(cfg: dict[str, str]) -> int:

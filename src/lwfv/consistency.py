@@ -364,10 +364,8 @@ class _GapSums:
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: IntegrableFunction,
                  flux: FluxFunction):
         verts = mesh.cell_vertices
-        if verts is None:
-            raise ValueError("weak gap needs cell geometry for quadrature")
         pts, wq = quadrature.cell_rule(verts, GAUSS_ORDER)
-        # int u0(x) phi(x, 0) dx by the cell-integral policy of the
+        # int u0(x) phi(x, 0) dx by the cell-integral rule of the
         # projections, one evaluation of u0 for all phis, summed in cell
         # order (np.sum adds pairwise, in another order): the cell rule on
         # the remainder of u0, plus a Gauss rule on each cell's part inside
@@ -422,9 +420,12 @@ class _GapSums:
 # ---------------------------------------------------------------------------
 
 
-def _slab_means(fn, nodes: np.ndarray, npts: int = 6) -> np.ndarray:
+SLAB_POINTS = 6  # Gauss points per time slab
+
+
+def _slab_means(fn, nodes: np.ndarray) -> np.ndarray:
     """integral of fn over every slab [t_n, t_{n+1}] by Gauss quadrature."""
-    xg, wg = quadrature.gauss_legendre(npts)
+    xg, wg = quadrature.gauss_legendre(SLAB_POINTS)
     mid = 0.5 * (nodes[1:] + nodes[:-1])
     half = 0.5 * (nodes[1:] - nodes[:-1])
     pts = mid[:, None] + half[:, None] * xg[None, :]

@@ -297,10 +297,13 @@ def _sampled_range(flux: NumericalFlux) -> tuple[float, float]:
     return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else (-2.0, 2.0)
 
 
-def _unit_normals(dim: int, count: int = 16) -> np.ndarray:
+NORMAL_COUNT = 16  # evenly spaced unit normals the 2d checks sample
+
+
+def _unit_normals(dim: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    ang = 2.0 * math.pi * np.arange(count) / count
+    ang = 2.0 * math.pi * np.arange(NORMAL_COUNT) / NORMAL_COUNT
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 

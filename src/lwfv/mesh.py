@@ -12,16 +12,16 @@ A :class:`Mesh` is flat arrays and nothing else.  Cells are numbered
   (n_cells,): the measure |K|, the anchor x_K (the barycenter for the
   shipped builders, always inside the cell) and the diameter of each cell;
 * ``cell_vertices`` (n_cells, n_vertices, d): the vertex rows of each cell
-  (every family has a single cell shape), or None for meshes loaded from
-  the text format;
+  (every family has a single cell shape: intervals, axis-aligned
+  rectangles or counter-clockwise triangles);
 * ``face_area`` (n_faces,), ``face_normal`` (n_faces, d) and
   ``face_centroid`` (n_faces, d);
 * ``face_K`` and ``face_L`` (n_faces,): the two incident cells, with the
   normal pointing from K to L; L is -1 on boundary faces, where the normal
   points outward;
-* ``face_dk``, ``face_dl`` and ``face_dsig`` (n_faces,): the dual pieces
-  |D_K,sigma| and |D_L,sigma| (0 on boundary faces) and |D_sigma|, stored
-  as exactly dk + dl;
+* ``face_dk`` and ``face_dl`` (n_faces,): the dual pieces |D_K,sigma| and
+  |D_L,sigma| (0 on boundary faces); their sum |D_sigma| (``face_dsig``) is
+  derived, not stored;
 * ``box`` (lo, hi), two (d,) arrays: the domain, prod [lo_i, hi_i].  Its
   measure |Omega| (``domain_measure``) and the mesh size h (``h_max``, the
   largest ``cell_diam``) are derived, not stored.
@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,16 +115,15 @@ class Mesh:
     cell_volume: np.ndarray
     cell_center: np.ndarray
     cell_diam: np.ndarray
+    cell_vertices: np.ndarray
     face_area: np.ndarray
     face_normal: np.ndarray
     face_K: np.ndarray
     face_L: np.ndarray
-    face_dsig: np.ndarray
     face_dk: np.ndarray
     face_dl: np.ndarray
     face_centroid: np.ndarray
     box: tuple[np.ndarray, np.ndarray]
-    cell_vertices: np.ndarray | None = None
 
     def __post_init__(self):
         # the cached quality and a family's shared levels rely on this
@@ -135,6 +135,11 @@ class Mesh:
     @functools.cached_property
     def _quality(self) -> MeshQuality:
         return _measure_quality(self)
+
+    @property
+    def face_dsig(self) -> np.ndarray:
+        """|D_sigma| = |D_K,sigma| + |D_L,sigma| of every face."""
+        return self.face_dk + self.face_dl
 
     @property
     def domain_measure(self) -> float:
@@ -217,7 +222,7 @@ def _assemble(dim: int, volume, center, diam, area, normal, K, L,
     return Mesh(
         dim=dim, cell_volume=volume, cell_center=center, cell_diam=diam,
         face_area=area, face_normal=normal, face_K=K, face_L=L,
-        face_dsig=dk + dl, face_dk=dk, face_dl=dl, face_centroid=centroid,
+        face_dk=dk, face_dl=dl, face_centroid=centroid,
         **geometry,
     )
 
@@ -651,10 +656,10 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     """Structural and measure-theoretic checks on a mesh.
 
     Covers the partition identities for cells and dual volumes, per-cell
-    face closure, unit normals, dual-measure bookkeeping, the cone identity
-    of every dual piece, that every anchor and face centroid lies in the
-    box, and (when cell geometry is available) anchor containment in its
-    cell.
+    face closure, unit normals, the cone identity of every dual piece, that
+    every anchor and face centroid lies in the box, and against the cell
+    vertices, which a file supplies as outside input: that every anchor lies
+    in its cell and every |K| is the measure of its vertices.
     """
     checks: list[tuple[str, bool, str]] = []
     omega = mesh.domain_measure
@@ -666,9 +671,6 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
         total = float(parts.sum())
         checks.append((name, abs(total - omega) <= REL_TOL * omega,
                        f"sum {label} = {total!r} vs |Omega| = {omega!r}"))
-
-    split_ok = bool(np.all(mesh.face_dsig == mesh.face_dk + mesh.face_dl))
-    checks.append(("dual_split_sum", split_ok, "d_sigma == dk + dl exactly"))
 
     pos_ok = (
         np.all(mesh.cell_volume > 0)
@@ -712,9 +714,19 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     box = " x ".join(f"[{a:.17g}, {b:.17g}]" for a, b in zip(lo, hi))
     checks.append(("inside_box", in_box, f"x_K and face centroids in {box}"))
 
-    if mesh.cell_vertices is not None:
-        inside = _anchors_inside(mesh.cell_vertices, mesh.cell_center)
-        checks.append(("anchor_inside", inside, "x_K inside its cell"))
+    inside, measure = _vertex_geometry(mesh.cell_vertices, mesh.cell_center)
+    checks.append(("anchor_inside", inside, "x_K inside its cell"))
+    # |K| and the vertex measure are products of differences of coordinates
+    # up to M = max |vertex coordinate| (a triangle's: half the difference
+    # of two), so each errs by at most 2 d eps (M + h_K) h_K^(d-1)
+    M = max(-mesh.cell_vertices.min(), mesh.cell_vertices.max())
+    scale = (M + mesh.cell_diam) * mesh.cell_diam ** (mesh.dim - 1)
+    worst_measure = float(np.max(np.abs(mesh.cell_volume - measure)
+                                 / np.maximum(scale, np.finfo(float).tiny)))
+    tol = 4 * mesh.dim * np.finfo(float).eps
+    checks.append(("vertex_measure", bool(worst_measure <= tol),
+                   f"max | |K| - vertex measure | = {worst_measure:.2e} "
+                   f"x (M + h_K) h_K^(d-1), tolerance {tol:.2e}"))
     # every dual piece against its cone, recomputed from the face data
     ints = np.flatnonzero(inner)
     faces = np.concatenate([np.arange(mesh.n_faces), ints])
@@ -750,21 +762,24 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     return report
 
 
-def _anchors_inside(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether every anchor p[i] lies in the cell with vertex rows verts[i]."""
+def _vertex_geometry(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12):
+    """Whether every anchor p[i] lies in the cell with vertex rows verts[i],
+    and each cell's vertex measure: its bounding box's, or for a triangle
+    half the cross product (negative when clockwise)."""
     if verts.shape[2] == 1 or verts.shape[1] == 4:
         lo = verts.min(axis=1)
         hi = verts.max(axis=1)
-        return bool(np.all((p >= lo - tol) & (p <= hi + tol)))
+        return bool(np.all((p >= lo - tol) & (p <= hi + tol))), np.prod(hi - lo, axis=1)
     a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
 
     # barycentric sign test
     def cross(u, v, w):
         return (v[:, 0] - u[:, 0]) * (w[:, 1] - u[:, 1]) - (w[:, 0] - u[:, 0]) * (v[:, 1] - u[:, 1])
 
-    eps = tol * np.maximum(np.abs(cross(a, b, c)), 1.0)
+    doubled = cross(a, b, c)
+    eps = tol * np.maximum(np.abs(doubled), 1.0)
     return bool(np.all((cross(a, b, p) >= -eps) & (cross(b, c, p) >= -eps)
-                       & (cross(c, a, p) >= -eps)))
+                       & (cross(c, a, p) >= -eps))), 0.5 * doubled
 
 
 # ---------------------------------------------------------------------------
@@ -785,31 +800,29 @@ def _fmt_row(xs) -> str:
 def write_mesh(mesh: Mesh, path_or_buf) -> None:
     """Write the line-oriented text format.
 
-    header: ``lwfv-mesh v1 dim=<d>``
-    cell lines: ``cell <id> <volume> <h> <x...> <n_faces>``
-    face lines: ``face <id> <area> <nx...> <K> <L|-1> <Dsigma> <DK> <DL> <cx...>``
+    header: ``lwfv-mesh v2 dim=<d> nv=<vertices per cell>``, then ``# box``
+    cell lines: ``cell <id> <volume> <h> <x...> <n_faces> <vertex rows...>``
+    face lines: ``face <id> <area> <nx...> <K> <L|-1> <DK> <DL> <cx...>``
 
-    Reals carry 17 significant digits so a file reloads bit-exactly, box too.
-    Comment lines (``#``) record the dual construction and the domain box;
-    cell vertex geometry is not persisted, so loaded meshes support the
-    measure-based operators but not cell quadrature.
+    Reals carry 17 significant digits so a file reloads bit-exactly, box and
+    vertices too.  |D_sigma| = DK + DL is not written.
     """
     with open_text(path_or_buf, "w") as fh:
-        fh.write(f"lwfv-mesh v1 dim={mesh.dim}\n")
-        fh.write("# policy cone\n")
+        fh.write(f"lwfv-mesh v2 dim={mesh.dim} nv={mesh.cell_vertices.shape[1]}\n")
         fh.write(f"# box {_fmt_row(np.concatenate(mesh.box).tolist())}\n")
         cells = zip(mesh.cell_volume.tolist(), mesh.cell_diam.tolist(),
-                    mesh.cell_center.tolist(), mesh.face_counts().tolist())
-        for c, (vol, diam, x, nf) in enumerate(cells):
-            fh.write(f"cell {c} {_fmt(vol)} {_fmt(diam)} {_fmt_row(x)} {nf}\n")
+                    mesh.cell_center.tolist(), mesh.face_counts().tolist(),
+                    mesh.cell_vertices.reshape(mesh.n_cells, -1).tolist())
+        for c, (vol, diam, x, nf, v) in enumerate(cells):
+            fh.write(f"cell {c} {_fmt(vol)} {_fmt(diam)} {_fmt_row(x)} {nf} {_fmt_row(v)}\n")
         faces = zip(mesh.face_area.tolist(), mesh.face_normal.tolist(),
                     mesh.face_K.tolist(), mesh.face_L.tolist(),
-                    mesh.face_dsig.tolist(), mesh.face_dk.tolist(),
-                    mesh.face_dl.tolist(), mesh.face_centroid.tolist())
-        for f, (area, nrm, K, L, dsig, dk, dl, cen) in enumerate(faces):
+                    mesh.face_dk.tolist(), mesh.face_dl.tolist(),
+                    mesh.face_centroid.tolist())
+        for f, (area, nrm, K, L, dk, dl, cen) in enumerate(faces):
             fh.write(
                 f"face {f} {_fmt(area)} {_fmt_row(nrm)} {K} {L} "
-                f"{_fmt(dsig)} {_fmt(dk)} {_fmt(dl)} {_fmt_row(cen)}\n"
+                f"{_fmt(dk)} {_fmt(dl)} {_fmt_row(cen)}\n"
             )
 
 
@@ -826,30 +839,29 @@ def _ordered(rows: dict[int, list], kind: str) -> list:
 def read_mesh(path_or_buf) -> Mesh:
     """Load a mesh written by :func:`write_mesh`.
 
-    The ``# policy`` comment may be absent; when present it must name
-    ``cone``, the one dual construction, since the dual pieces are read as
-    stored and :func:`validate` checks them against their cones.
-
-    Raises MeshError on a malformed file: a line with the wrong field count
-    or a non-numeric field, a policy comment naming anything but ``cone``,
-    a missing box comment or one without 2 * dim finite numbers with
-    lo < hi on every axis, cell or face ids that are not exactly 0..n-1, a
-    face naming a cell that does not exist, or a cell whose declared face
-    count differs from the faces that name it.
+    Raises MeshError on a v1 file, which stores no vertices (``lwfv
+    mesh-gen`` rewrites it from the config that made it), and on a
+    malformed file: a header without nv = 2 in 1d or nv = 3 or 4 in 2d
+    (the cells :func:`quadrature.cell_rule` integrates), a line with the
+    wrong field count (a missing vertex coordinate among them) or a
+    non-numeric field, no box comment or one without 2 * dim finite numbers
+    with lo < hi on every axis, cell or face ids other than 0..n-1, a face
+    naming a missing cell, or a cell whose declared face count differs from
+    the faces that name it.  :func:`validate` checks the vertices.
     """
     with open_text(path_or_buf) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "lwfv-mesh" or header[1] != "v1":
-            raise MeshError(f"not a lwfv-mesh v1 file: header {' '.join(header)!r}")
-        try:
-            dim = int(header[2].removeprefix("dim="))
-        except ValueError:
-            raise MeshError(f"bad dimension in header {' '.join(header)!r}") from None
-        if dim < 1:
-            raise MeshError(f"bad dimension {dim}")
+        header = " ".join(fh.readline().split())
+        if header.startswith("lwfv-mesh v1 "):
+            raise MeshError("lwfv-mesh v1 files store no cell vertices and are "
+                            "no longer read; rerun mesh-gen to rewrite them")
+        match = re.fullmatch(r"lwfv-mesh v2 dim=(\d+) nv=(\d+)", header)
+        dim, nv = (int(g) for g in match.groups()) if match else (0, 0)
+        if (dim, nv) not in ((1, 2), (2, 3), (2, 4)):
+            raise MeshError(f"not a lwfv-mesh v2 file of intervals (dim=1 nv=2), "
+                            f"triangles or rectangles (dim=2 nv=3 or 4): {header!r}")
         box = ()
         # field count and integer columns (n_faces; K and L) of each line kind
-        width = {"cell": 5 + dim, "face": 8 + 2 * dim}
+        width = {"cell": 5 + dim + nv * dim, "face": 7 + 2 * dim}
         int_cols = {"cell": (4 + dim,), "face": (3 + dim, 4 + dim)}
         rows: dict[str, dict[int, list]] = {"cell": {}, "face": {}}
         for lineno, line in enumerate(fh, 2):
@@ -857,11 +869,7 @@ def read_mesh(path_or_buf) -> Mesh:
             if not parts:
                 continue
             if parts[0] == "#":
-                if len(parts) >= 2 and parts[1] == "policy":
-                    if parts[2:] != ["cone"]:
-                        raise MeshError(f"line {lineno}: policy must be 'cone', "
-                                        f"got {' '.join(parts[2:])!r}")
-                elif len(parts) >= 2 and parts[1] == "box":
+                if len(parts) >= 2 and parts[1] == "box":
                     try:
                         vals = np.array([float(v) for v in parts[2:]])
                     except ValueError as e:
@@ -894,12 +902,12 @@ def read_mesh(path_or_buf) -> Mesh:
     if not box:
         raise MeshError("mesh file has no '# box' line")
 
-    cells = np.array(_ordered(rows["cell"], "cell"), dtype=float).reshape(-1, 3 + dim)
-    faces = np.array(_ordered(rows["face"], "face"), dtype=float).reshape(-1, 6 + 2 * dim)
+    cells, faces = (np.array(_ordered(rows[k], k), dtype=float).reshape(-1, width[k] - 2)
+                    for k in ("cell", "face"))
     n_cells = cells.shape[0]
     if n_cells == 0 or faces.shape[0] == 0:
         raise MeshError("mesh file has no cells or no faces")
-    # columns: cell = volume h x... n_faces; face = area n... K L Dsigma DK DL c...
+    # columns: cell = volume h x... n_faces vertices...; face = area n... K L DK DL c...
     K = faces[:, 1 + dim].astype(np.int64)
     L = faces[:, 2 + dim].astype(np.int64)
     bad = (K < 0) | (K >= n_cells) | (L < -1) | (L >= n_cells)
@@ -919,13 +927,13 @@ def read_mesh(path_or_buf) -> Mesh:
         cell_volume=cells[:, 0].copy(),
         cell_center=cells[:, 2 : 2 + dim].copy(),
         cell_diam=cells[:, 1].copy(),
+        cell_vertices=cells[:, 3 + dim :].reshape(n_cells, nv, dim).copy(),
         face_area=faces[:, 0].copy(),
         face_normal=faces[:, 1 : 1 + dim].copy(),
         face_K=K,
         face_L=L,
-        face_dsig=faces[:, 3 + dim].copy(),
-        face_dk=faces[:, 4 + dim].copy(),
-        face_dl=faces[:, 5 + dim].copy(),
-        face_centroid=faces[:, 6 + dim :].copy(),
+        face_dk=faces[:, 3 + dim].copy(),
+        face_dl=faces[:, 4 + dim].copy(),
+        face_centroid=faces[:, 5 + dim :].copy(),
         box=box,
     )

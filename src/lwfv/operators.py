@@ -46,6 +46,8 @@ REFERENCE_FACTOR = 4
 # spacing shrinks by POLISH_SHRINK per round
 POLISH_HALF = 4
 POLISH_SHRINK = 4.0
+# the polish starts from the best point of a SUP_GRID^d grid over the box
+SUP_GRID = 61
 
 
 class InvariantViolation(Exception):
@@ -173,10 +175,10 @@ def _poly_profile_deriv(s: np.ndarray, k: int) -> np.ndarray:
     return np.where(inside, -2.0 * k * sc * (1.0 - sc**2) ** (k - 1), 0.0)
 
 
-def _numeric_sup(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 61) -> float:
+def _numeric_sup(f: Callable, lo: np.ndarray, hi: np.ndarray) -> float:
     """Max of a nonnegative function over a box: dense grid plus a stencil polish.
 
-    ``f`` maps points of shape (m, d) to m values.  The best of an n^d grid
+    ``f`` maps points of shape (m, d) to m values.  The best of a SUP_GRID^d grid
     seeds a (2 POLISH_HALF + 1)^d stencil clipped to the box; each round
     moves to the best value seen so far and shrinks the spacing by
     POLISH_SHRINK, until the spacing falls to the rounding of the box's
@@ -185,7 +187,7 @@ def _numeric_sup(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 61) -> fl
     stays inside every later stencil.  Callers multiply the result by
     (1 + 1e-9) to make it a sup.
     """
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(lo.size)]
+    axes = [np.linspace(lo[i], hi[i], SUP_GRID) for i in range(lo.size)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = f(pts)
@@ -194,7 +196,7 @@ def _numeric_sup(f: Callable, lo: np.ndarray, hi: np.ndarray, n: int = 61) -> fl
     ticks = np.arange(-POLISH_HALF, POLISH_HALF + 1, dtype=float)
     offsets = np.stack([g.ravel() for g in np.meshgrid(*[ticks] * lo.size,
                                                        indexing="ij")], axis=-1)
-    step = (hi - lo) / (n - 1)
+    step = (hi - lo) / (SUP_GRID - 1)
     rounding = np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
     while np.any(step > rounding):
         cand = np.clip(x + offsets * step, lo, hi)

@@ -7,7 +7,7 @@ through its faces:
 
 Face fluxes are computed once per face and accumulated with opposite signs
 into the two adjacent cells, so the update conserves mass on periodic
-domains by construction.  Boundary handling is a policy: ``periodic``
+domains by construction.  Of the two boundary conditions, ``periodic``
 identifies opposite box faces, ``outflow`` closes boundary faces with the
 physical flux of the inside state.
 """
@@ -63,7 +63,7 @@ class Problem:
             raise ValueError(f"t_final must be positive and finite, "
                              f"got {self.t_final!r}")
         if self.boundary not in ("periodic", "outflow"):
-            raise ValueError(f"unknown boundary policy {self.boundary!r}")
+            raise ValueError(f"unknown boundary condition {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class Stepper:
             self.outflow_area = mesh.face_area[bmask]
             self.outflow_normal = mesh.face_normal[bmask]
         else:
-            raise ValueError(f"unknown boundary policy {boundary!r}")
+            raise ValueError(f"unknown boundary condition {boundary!r}")
         self.edge_K = mesh.face_K[edge_faces]
         self.edge_area = mesh.face_area[edge_faces]
         self.edge_bn = flux.flux.normal_speed(mesh.face_normal[edge_faces])
@@ -371,7 +371,7 @@ def write_history(field: SpaceTimeField, path_or_buf) -> None:
     """Plain-text dump of a full history.
 
     Line 1: ``lwfv-history v1 dim=<d> n_cells=<n> n_steps=<N>``; comment
-    lines carry boundary policy and label; then per node ``t <i> <t_i>``
+    lines carry the boundary condition and label; then per node ``t <i> <t_i>``
     followed by ``u <i> <v_0> ... <v_{n-1}>``.  All reals %.17g so the file
     round-trips bit-exactly.
     """

@@ -147,14 +147,7 @@ def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     rectangles (degree 5 on triangles); the indicator part of interval data,
     which are 1d only, is the exact length of each cell's intersection with
     the interval, and interval data raise ValueError on a 2d mesh.
-    Requires cell geometry, so meshes loaded from the text format
-    (which does not persist vertices) cannot be projected onto.
     """
-    if mesh.cell_vertices is None:
-        raise ValueError(
-            "mesh has no cell geometry (loaded from file?); "
-            "projection needs the generating builder"
-        )
     vals = _cell_integrals(mesh.cell_vertices, u) / mesh.cell_volume
     return CellField(mesh=mesh, values=vals)
 

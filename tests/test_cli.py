@@ -17,11 +17,11 @@ import pytest
 
 from lwfv import cli, read_mesh
 from lwfv.cli import ConfigError, resolve_flux, resolve_u0
-from lwfv.consistency import lw_study
+from lwfv.consistency import lw_study, weak_gap
 from lwfv.flux import upwind_linear
 from lwfv.mesh import nonuniform_1d_family, uniform_1d_family
 from lwfv.operators import bump_corpus_spacetime, polynomial_bump
-from lwfv.solver import Problem, read_history
+from lwfv.solver import Problem, SpaceTimeField, read_history, solve
 
 from oracles import brute_jump_seminorm, cell_edges_1d, dense_cell_means_1d
 
@@ -100,6 +100,30 @@ def test_u0_grammar():
         resolve_u0("mystery", 1)
 
 
+@pytest.mark.parametrize("resolve, spec, dim, message", [
+    (resolve_u0, "constant(1,2)", 1, "u0 constant value takes 1 number"),
+    (resolve_u0, "constant()", 1, "u0 constant value takes 1 number"),
+    (resolve_u0, "square(0.1,0.2,0.3)", 1, "u0 square interval takes 2 numbers"),
+    (resolve_u0, "sine(3)", 1, "u0 sine takes no numbers"),
+    (resolve_u0, "bump(0.5)", 2, "u0 bump takes no numbers"),
+    (resolve_flux, "muscl(1,2)", 1, "flux muscl velocity takes 1 number"),
+    (resolve_flux, "upwind(1,0)", 1, "flux upwind velocity on a 1d mesh takes 1 number"),
+    (resolve_flux, "upwind(1)", 2, "flux upwind velocity on a 2d mesh takes 2 numbers"),
+    (resolve_flux, "rusanov(burgers:1,0)", 1,
+     "flux burgers direction on a 1d mesh takes 1 number"),
+    # the default direction is spelled without the colon
+    (resolve_flux, "rusanov(burgers:)", 2,
+     "flux burgers direction on a 2d mesh takes 2 numbers"),
+    (resolve_flux, "rusanov(advection:1)", 2,
+     "flux advection velocity on a 2d mesh takes 2 numbers"),
+])
+def test_grammar_checks_the_argument_count(resolve, spec, dim, message):
+    # extra numbers were dropped (constant(1,2) ran with c = 1) or failed
+    # with Python's unpacking error
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve(spec, dim)
+
+
 # ---------------------------------------------------------------------------
 # subcommands end to end
 # ---------------------------------------------------------------------------
@@ -161,9 +185,11 @@ def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys)
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("mesh: ")
         stats.append(lines[1:])
-    # a file keeps no vertices, so the anchor check runs on the built mesh only
-    assert [x for x in stats[0] if "anchor_inside" not in x] == stats[1]
+    # the file keeps the vertices, so every check runs on both
+    assert stats[0] == stats[1]
     assert stats[1][2].endswith("vs |Omega| = 1.0")
+    assert any("[ok] anchor_inside" in x for x in stats[1])
+    assert any("[ok] vertex_measure" in x for x in stats[1])
 
 
 def test_mesh_stats_of_a_mesh_outside_its_box_exits_2(tmp_path, capsys):
@@ -199,20 +225,39 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     short_box, bad_box = lines.copy(), lines.copy()
     short_box[box] = "# box 0\n"  # a 1d box needs two values
     bad_box[box] = "# box 0 one\n"
-    policy = next(i for i, x in enumerate(lines) if x.startswith("# policy "))
-    bogus_policy, equal_policy = lines.copy(), lines.copy()
-    bogus_policy[policy] = "# policy bogus\n"
-    equal_policy[policy] = "# policy equal\n"  # a construction no longer built
+    v1_header, no_vertex = lines.copy(), lines.copy()
+    v1_header[0] = "lwfv-mesh v1 dim=1\n"  # a format that stored no vertices
+    no_vertex[cell] = lines[cell].rsplit(" ", 1)[0] + "\n"
     for name, text in (("missing", missing_cell), ("truncated", truncated),
                        ("short_box", short_box), ("bad_box", bad_box),
-                       ("bogus_policy", bogus_policy),
-                       ("equal_policy", equal_policy)):
+                       ("v1_header", v1_header), ("no_vertex", no_vertex)):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"
         cfgp.write_text(f"mesh_file = {path}\n")
         assert run(["mesh-stats", "--config", str(cfgp)]) == 2, name
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "out-is-a-file",
+                                  "config-is-a-directory"])
+def test_paths_that_cannot_be_opened_exit_2(tmp_path, capsys, case):
+    # each raised an OSError that exited 1 with a traceback
+    path = tmp_path / "target"
+    if case in ("directory", "config-is-a-directory"):
+        path.mkdir()
+    elif case == "out-is-a-file":
+        path.write_text("not a directory\n")
+    key, subcommand = ("out", "mesh-gen") if case == "out-is-a-file" else (
+        "mesh_file", "mesh-stats")
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(f"{key} = {path}\n")
+    if case == "config-is-a-directory":
+        key, cfgp = "config", path
+    assert run([subcommand, "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} '{path}' ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_grad_study_csv_schema(tmp_path):
@@ -268,6 +313,13 @@ def test_solve_outputs_and_snapshots(tmp_path):
     assert len(first) == m.n_cells and len(last) == m.n_cells
     got_first = np.array([float(r[2]) for r in first])
     assert np.array_equal(got_first, vals[0])
+    # the stored mesh and history give the weak gap of the run in memory
+    problem = Problem(flux=resolve_flux("upwind(1.0)", 1), u0=resolve_u0("bump", 1),
+                      t_final=0.5)
+    field = solve(uniform_1d_family(10).build(1), problem, cfl=0.5)
+    stored = SpaceTimeField(mesh=m, grid=grid, values=vals, flux=problem.flux)
+    for phi in bump_corpus_spacetime(1, 0.5):
+        assert weak_gap(stored, phi, problem.u0) == weak_gap(field, phi, problem.u0)
 
 
 def _lw_report_rows(flux_spec):
@@ -357,6 +409,9 @@ def test_exit_code_3_for_failed_verification_2_for_bad_config(
     # the corpus has four test functions
     pytest.param("lw-verify", "phi_count = 5\nlevels = 2", "phi_count",
                  id="phi_count-5"),
+    # ran with c = 1 while the digest recorded constant(1,2)
+    pytest.param("lw-verify", "u0 = constant(1,2)\nlevels = 2",
+                 "u0 constant value takes 1 number", id="constant-two-numbers"),
 ])
 def test_bad_numbers_exit_2_with_one_error_line(tmp_path, capsys, subcommand,
                                                 config, named):

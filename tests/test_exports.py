@@ -8,7 +8,9 @@ under ``from lwfv.<module> import *``; an import left behind by one fails
 nowhere.  No linter is a dependency, so the import scan uses ``ast``.
 """
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -195,3 +197,27 @@ def test_lw_verify_runs_with_scipy_blocked(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports[mode] = (out / "lw_report.csv").read_bytes()
     assert reports["block"] == reports["allow"]
+
+
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.is_file(), reason="no perfbench/ in this checkout")
+def test_benchmark_tracer_targets_resolve():
+    # a deleted or renamed target reads None in the benchmark and fails
+    # only its own suite; the tracer is loaded, not installed
+    spec = importlib.util.spec_from_file_location("lwfv_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for targets in [*tracer.SPAN_TARGETS.values(), *tracer.COUNT_TARGETS.values()]:
+        for target in targets:
+            module, attr = target.rsplit(".", 1)
+            if not hasattr(importlib.import_module(module), attr):
+                missing.append(target)
+    # the flux is wrapped through dataclasses.replace on its instance
+    module, cls, field = tracer.FLUX_TARGET.rsplit(".", 2)
+    flux_class = getattr(importlib.import_module(module), cls)
+    if field not in {f.name for f in dataclasses.fields(flux_class)}:
+        missing.append(tracer.FLUX_TARGET)
+    assert missing == []

@@ -18,16 +18,26 @@ from lwfv import (
     GeometryError,
     MeshError,
     MeshFamily,
+    Problem,
     RegularityError,
+    bump_corpus_spacetime,
+    burgers,
     cartesian_2d_family,
+    interval_indicator,
     nonuniform_1d_family,
     perturbed_triangular_2d_family,
+    project_l1,
     read_mesh,
     refine,
+    rusanov,
+    solve,
     uniform_1d_family,
+    upwind_linear,
     validate,
+    weak_gap,
     write_mesh,
 )
+from lwfv.consistency import spacetime_translation_seminorm
 from lwfv.mesh import (
     build_cartesian_2d,
     build_nonuniform_1d,
@@ -103,24 +113,22 @@ def test_validate_reads_the_arrays_the_operators_use():
     m = build_uniform_1d(6)
     m = _corrupt(m, face_normal=(3, -m.face_normal[3]))
     assert "face_closure" in validate(m).failing()
-    # a doubled dual piece no longer adds up to the stored dual measure
+    # a doubled dual piece breaks the partition of the domain by the duals
     m = build_cartesian_2d(3, 3)
     m = _corrupt(m, face_dk=(5, m.face_dk[5] * 2.0))
-    assert "dual_split_sum" in validate(m).failing()
+    assert "dual_partition" in validate(m).failing()
     # a piece 1.5x its cone, with the excess taken from the other piece of
     # the same face so every sum still holds: only the cone check sees it,
-    # on a built mesh and on one loaded with or without its policy line
+    # on a built mesh and on the same mesh loaded from its file
     m = build_cartesian_2d(3, 3)
     dk = m.face_dk[5] * 1.5
     dl = m.face_dl[5] - dk / 3
-    m = _corrupt(m, face_dk=(5, dk), face_dl=(5, dl), face_dsig=(5, dk + dl))
+    m = _corrupt(m, face_dk=(5, dk), face_dl=(5, dl))
     assert validate(m).failing() == ["cone_identity"]
     buf = io.StringIO()
     write_mesh(m, buf)
-    text = buf.getvalue()
-    no_policy = _replace_line(text, "# policy ", "")
-    for loaded in (read_mesh(io.StringIO(text)), read_mesh(io.StringIO(no_policy))):
-        assert validate(loaded).failing() == ["cone_identity"]
+    assert validate(read_mesh(io.StringIO(buf.getvalue()))).failing() == [
+        "cone_identity"]
 
 
 def test_cone_check_holds_as_the_triangulation_refines():
@@ -368,17 +376,17 @@ def test_mesh_file_round_trip_bit_exact(tmp_path, families):
         assert q1.theta_grad == q2.theta_grad and q1.theta == q2.theta
 
 
-# sha256 of write_mesh output, recorded while a second dual construction
-# could still be selected: the cone pieces must not move a byte
+# sha256 of write_mesh output.  Re-recorded for the v2 format after a
+# comparison with the v1 files: every number but D_sigma kept its characters
 PINNED_MESH_BYTES = {
-    ("uniform-1d", 0): "8c5483baa976ba2177727ba849f44245fe860c25353b686c5586a6c14076b6ef",
-    ("uniform-1d", 1): "919f726d4024d9f38a7be2226384b71a9b14ce139171e4aab7af7aba7b9f0d63",
-    ("nonuniform-1d", 0): "04ecd6af2e8d3fb0401e6b2c3c42f8f0e4d640478f83e3f1c10166dc229bc2d8",
-    ("nonuniform-1d", 1): "7d8609d06ed705e9515171c70dcfe44406ba51551c3949476eb1ce8e89abf809",
-    ("cartesian-2d", 0): "8a36d18b9f58d8b04e1d776c08a7f299e88837dde2d29d3f657d00c1e9351beb",
-    ("cartesian-2d", 1): "72589c792f7b5cd244313afb9472c03422a298fbce57a90977ef37c8195763a0",
-    ("triangular-2d", 0): "b9df29cd602348fcbfee1defa77f216795466291140c5b1c90c70fc9b6a6e2ea",
-    ("triangular-2d", 1): "d468f67efe5865df20abf0474ee451137d8107679028d47718994f6062f12e71",
+    ("uniform-1d", 0): "f61fe490b3c2fd699b3cab3329bafd1a953ccbaa952e4a383fd70a705b313564",
+    ("uniform-1d", 1): "df02af34a953b911201d6c85b7fad8207c476fb9a663cf0b6d5237a6997606c3",
+    ("nonuniform-1d", 0): "6c17016ba818a6ca0acac82b8f73811a8466f214510ecce48a67d263ff47d453",
+    ("nonuniform-1d", 1): "35686deb2f1d09c7e1724fc0c10723ad84690795dd5a5804d8edbc530b08e396",
+    ("cartesian-2d", 0): "a34e23685c6891b27ac49bd311725f0bbab9c280ce7c3038bdc73976348fef4d",
+    ("cartesian-2d", 1): "2ba9951079d4b30687c91dd7dcdb3e8df83caf3b3d885c4972c060350e092071",
+    ("triangular-2d", 0): "d89aed562a49e14dbbf44ab5c543fd7b320224517e449d5a8de754352bdf3ce8",
+    ("triangular-2d", 1): "95d54c20bb3508d96e3c3ab3a1c75f9ed34637eb772baaa205df13a2db620247",
 }
 
 
@@ -410,9 +418,9 @@ def _replace_line(text: str, prefix: str, new: str) -> str:
 
 def test_mesh_file_rejects_face_naming_missing_cell():
     text = _mesh_text(3)  # face 1 joins cells 0 and 1
-    for bad in ("face 1 1 1 0 7 0.33 0.16 0.16 0.33\n",
-                "face 1 1 1 -2 1 0.33 0.16 0.16 0.33\n",
-                "face 1 1 1 0 -3 0.33 0.16 0.16 0.33\n"):
+    for bad in ("face 1 1 1 0 7 0.16 0.16 0.33\n",
+                "face 1 1 1 -2 1 0.16 0.16 0.33\n",
+                "face 1 1 1 0 -3 0.16 0.16 0.33\n"):
         with pytest.raises(MeshError, match="outside"):
             read_mesh(io.StringIO(_replace_line(text, "face 1 ", bad)))
 
@@ -439,9 +447,11 @@ def test_mesh_file_rejects_bad_ids():
 
 def test_mesh_file_rejects_wrong_face_count():
     text = _mesh_text(3)
-    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
+    parts = next(x for x in text.splitlines() if x.startswith("cell 1 ")).split()
+    assert parts[5] == "2"  # <n_faces> of a 1d cell line
+    parts[5] = "3"
     with pytest.raises(MeshError, match="header says 3 faces, found 2"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", line[:-1] + "3\n")))
+        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", " ".join(parts) + "\n")))
 
 
 @pytest.mark.parametrize("mesh, box", [
@@ -500,6 +510,84 @@ def test_mesh_outside_its_box_fails_validation(mesh, box_line):
     assert validate(mesh).ok
     loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
     assert validate(loaded).failing() == ["inside_box"]
+
+
+def _reloaded(mesh):
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    return read_mesh(io.StringIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("name", ["uniform-1d", "nonuniform-1d", "cartesian-2d",
+                                  "triangular-2d"])
+def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datum_1d,
+                                                       sine_datum_2d):
+    # the file keeps the vertices, so projection, solve and weak gap run on a
+    # loaded mesh (each raised ValueError before) and give the same bits
+    for level in range(3):
+        built = families[name].build(level)
+        loaded = _reloaded(built)
+        if built.dim == 1:
+            flux, u0 = upwind_linear([1.0]), sine_datum_1d
+            data = [u0, interval_indicator(0.25, 0.65)]
+        else:
+            flux, u0 = rusanov(burgers([0.6, 0.8])), sine_datum_2d
+            data = [u0]
+        for u in data:
+            assert (project_l1(loaded, u).values.tobytes()
+                    == project_l1(built, u).values.tobytes())
+        problem = Problem(flux=flux, u0=u0, t_final=0.5)
+        fields = [solve(mesh, problem) for mesh in (built, loaded)]
+        assert fields[0].values.tobytes() == fields[1].values.tobytes()
+        assert (spacetime_translation_seminorm(loaded, fields[1].grid, fields[1].values)
+                == spacetime_translation_seminorm(built, fields[0].grid, fields[0].values))
+        for phi in bump_corpus_spacetime(built.dim, 0.5):
+            assert weak_gap(fields[1], phi, u0) == weak_gap(fields[0], phi, u0)
+
+
+def test_mesh_file_rejects_a_v1_file():
+    # v1 stored no vertices; reading it would keep a mesh that cannot
+    # integrate over its cells
+    text = _mesh_text(3).replace("lwfv-mesh v2 dim=1 nv=2\n",
+                                 "lwfv-mesh v1 dim=1\n# policy cone\n")
+    with pytest.raises(MeshError, match="v1 files store no cell vertices"):
+        read_mesh(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["lwfv-mesh v2 dim=1 nv=3", "lwfv-mesh v2 dim=1 nv=1",
+                                    "lwfv-mesh v2 dim=2 nv=2", "lwfv-mesh v2 dim=2 nv=5",
+                                    "lwfv-mesh v2 dim=3 nv=4", "lwfv-mesh v2 dim=1",
+                                    "lwfv-mesh v2 dim=1 nv=two"])
+def test_mesh_file_rejects_a_cell_shape_without_a_rule(header):
+    # nv = 2 in 1d and 3 or 4 in 2d are the cells quadrature.cell_rule takes
+    text = _replace_line(_mesh_text(3), "lwfv-mesh ", header + "\n")
+    with pytest.raises(MeshError, match="intervals"):
+        read_mesh(io.StringIO(text))
+
+
+def test_mesh_file_rejects_a_missing_vertex_coordinate():
+    text = _mesh_text(3)
+    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
+    short = line.rsplit(" ", 1)[0]
+    with pytest.raises(MeshError, match="cell line has 7 fields, expected 8"):
+        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", short + "\n")))
+
+
+@pytest.mark.parametrize("mesh", [build_cartesian_2d(4, 4), build_perturbed_triangular_2d(4)],
+                         ids=["rectangle", "triangle"])
+def test_a_moved_vertex_fails_only_the_vertex_measure(mesh):
+    # cell 5's last vertex pushed away from its anchor by a tenth of the
+    # distance: the anchor stays inside, but |K| no longer is the measure
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    text = buf.getvalue()
+    parts = next(x for x in text.splitlines() if x.startswith("cell 5 ")).split()
+    x = np.array([float(v) for v in parts[3:5]])
+    v = np.array([float(c) for c in parts[-2:]])
+    parts[-2:] = ["%.17g" % c for c in v + 0.1 * (v - x)]
+    moved = read_mesh(io.StringIO(_replace_line(text, "cell 5 ", " ".join(parts) + "\n")))
+    assert validate(mesh).ok
+    assert validate(moved).failing() == ["vertex_measure"]
 
 
 def test_loaded_mesh_validates(tmp_path):
