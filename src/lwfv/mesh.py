@@ -5,16 +5,25 @@ rectangles, or triangles) together with the face data needed by the discrete
 operators: areas, unit normals oriented from the first incident cell to the
 second, and the measures of the dual volumes attached to each face.
 
-A :class:`Mesh` is flat arrays and nothing else.  Cells are numbered
+A mesh is defined by its vertices, the vertex ids of each cell and one
+anchor x_K per cell; :func:`_assemble` derives every other array from these,
+for the builders and for :func:`read_mesh` alike.  A :class:`Mesh` is flat
+arrays and nothing else.  Vertices are numbered 0..n_vertices-1, cells
 0..n_cells-1 and faces 0..n_faces-1:
 
+* ``vertices`` (n_vertices, d): the shared vertex coordinates (d is
+  ``dim``);
+* ``cell_vertex_ids`` (n_cells, n_vertices_per_cell): each cell's vertex
+  ids, ascending in 1d and counter-clockwise in 2d; a rectangle lists
+  (lo, lo), (hi, lo), (hi, hi), (lo, hi).  Every family has a single cell
+  shape: intervals, axis-aligned rectangles or triangles;
 * ``cell_volume`` (n_cells,), ``cell_center`` (n_cells, d) and ``cell_diam``
   (n_cells,): the measure |K|, the anchor x_K (the barycenter for the
-  shipped builders, always inside the cell) and the diameter of each cell;
-* ``cell_vertices`` (n_cells, n_vertices, d): the vertex rows of each cell
-  (every family has a single cell shape: intervals, axis-aligned
-  rectangles or counter-clockwise triangles);
-* ``face_area`` (n_faces,), ``face_normal`` (n_faces, d) and
+  shipped builders) and the diameter of each cell;
+* ``cell_vertices`` (n_cells, n_vertices_per_cell, d): the vertex rows of
+  each cell, ``vertices[cell_vertex_ids]``;
+* ``face_vertex_ids`` (n_faces, d): the vertex ids of each face, and
+  ``face_area`` (n_faces,), ``face_normal`` (n_faces, d) and
   ``face_centroid`` (n_faces, d);
 * ``face_K`` and ``face_L`` (n_faces,): the two incident cells, with the
   normal pointing from K to L; L is -1 on boundary faces, where the normal
@@ -26,6 +35,10 @@ A :class:`Mesh` is flat arrays and nothing else.  Cells are numbered
   measure |Omega| (``domain_measure``) and the mesh size h (``h_max``, the
   largest ``cell_diam``) are derived, not stored.
 
+Faces are numbered by their first occurrence in cell order: facet j of a
+cell is its vertex j in 1d and its edge from vertex j to vertex j + 1 in 2d,
+K is the cell of the first occurrence and L the cell of the second.  The
+numbering fixes the order of every face sum, so it is part of the output.
 There is no cell-to-face map: every per-cell quantity is a scatter over
 ``face_K`` and ``face_L``.
 
@@ -35,11 +48,7 @@ the operators.  The piece in K is the cone ("diamond" half) with apex at
 the cell anchor x_K and base sigma, with measure
 |sigma| * dist(x_K, plane of sigma) / d (Eymard, Gallouet and Herbin 2000).
 Cones over all faces of a cell tile the cell exactly, so the dual volumes
-partition the domain.  Every shipped builder anchors a cell at its
-barycenter, whose distance to each face is 1/(d+1) of the simplex height
-over that face, or half the box width across it, so every cone of K has
-measure |K| / (number of faces of K); a second construction is worth
-having only with a family whose anchors are not barycenters.
+partition the domain.
 
 Meshes are read-only: a :class:`Mesh` is a frozen dataclass and every array
 it holds is marked non-writeable when it is made, so a mesh is safe to
@@ -53,6 +62,7 @@ Every builder partitions the unit interval or the unit square.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -111,11 +121,13 @@ class Mesh:
     with a fresh array.
     """
 
-    dim: int
+    vertices: np.ndarray
+    cell_vertex_ids: np.ndarray
     cell_volume: np.ndarray
     cell_center: np.ndarray
     cell_diam: np.ndarray
     cell_vertices: np.ndarray
+    face_vertex_ids: np.ndarray
     face_area: np.ndarray
     face_normal: np.ndarray
     face_K: np.ndarray
@@ -135,6 +147,10 @@ class Mesh:
     @functools.cached_property
     def _quality(self) -> MeshQuality:
         return _measure_quality(self)
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
 
     @property
     def face_dsig(self) -> np.ndarray:
@@ -166,7 +182,8 @@ class Mesh:
 
     def face_counts(self) -> np.ndarray:
         """Number of faces of every cell."""
-        return _face_counts(self.face_K, self.face_L, self.n_cells)
+        return (np.bincount(self.face_K, minlength=self.n_cells)
+                + np.bincount(self.face_L[self.interior], minlength=self.n_cells))
 
 
 @dataclass(frozen=True)
@@ -206,24 +223,116 @@ class MeshFamily:
 # ---------------------------------------------------------------------------
 
 
-def _face_counts(K: np.ndarray, L: np.ndarray, n_cells: int) -> np.ndarray:
-    return (np.bincount(K, minlength=n_cells)
-            + np.bincount(L[L >= 0], minlength=n_cells))
+def _length(v: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis (of size 1 or 2)."""
+    return np.abs(v[..., 0]) if v.shape[-1] == 1 else np.hypot(v[..., 0], v[..., 1])
 
 
-def _assemble(dim: int, volume, center, diam, area, normal, K, L,
-              centroid, dist_k, dist_l, **geometry) -> Mesh:
-    """Mesh from per-cell and per-face arrays plus the anchor-to-face
-    distances that give the cone heights.  On boundary faces L is -1 and
-    dist_l is ignored: the dual piece on the L side is 0 there.
+def _cross(a, b, c) -> np.ndarray:
+    """Twice the signed area of every triangle (a, b, c), positive when
+    counter-clockwise."""
+    return ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+
+
+def _cell_measure(verts: np.ndarray) -> np.ndarray:
+    """|K| of every cell from its vertex rows, after checking its shape: an
+    ascending interval, a counter-clockwise triangle, or an axis-aligned
+    rectangle listed (lo, lo), (hi, lo), (hi, hi), (lo, hi), each of
+    positive measure.  Raises GeometryError naming the first bad cell."""
+    if verts.shape[1] == 3:
+        measure = 0.5 * _cross(verts[:, 0], verts[:, 1], verts[:, 2])
+        bad = ~(measure > 0)
+        shape = "a counter-clockwise triangle (inverted or degenerate)"
+    else:
+        # an interval is (lo, hi); a rectangle's lo and hi are its vertices
+        # 0 and 2, and its vertices 1 and 3 are (hi_x, lo_y) and (lo_x, hi_y)
+        lo, hi = verts[:, 0], verts[:, verts.shape[1] // 2]
+        measure = np.prod(hi - lo, axis=1)
+        bad = ~np.all(lo < hi, axis=1)
+        shape = "an ascending interval"
+        if verts.shape[1] == 4:
+            corners = np.stack([hi[:, 0], lo[:, 1], lo[:, 0], hi[:, 1]], axis=1)
+            bad |= np.any(verts[:, 1::2].reshape(-1, 4) != corners, axis=1)
+            shape = "an axis-aligned rectangle listed (lo,lo), (hi,lo), (hi,hi), (lo,hi)"
+    if np.any(bad):
+        raise GeometryError(f"cell {int(np.argmax(bad))}: not {shape} "
+                            "of positive measure")
+    return measure
+
+
+def _assemble(vertices: np.ndarray, cells: np.ndarray, anchors: np.ndarray,
+              box: tuple[np.ndarray, np.ndarray]) -> Mesh:
+    """The mesh with these vertices (n_vertices, d), cells (n_cells, nv) of
+    vertex ids, anchors (n_cells, d) and box: every other array is derived
+    here.  Facets are matched on vertex ids and numbered by first occurrence
+    (module docstring); the cone height over a face is the anchor's distance
+    to the face's line (2d) or point (1d).  Raises MeshError on a vertex id
+    out of range and GeometryError on a bad cell shape or a facet of three
+    or more cells.
     """
-    dk = area * dist_k / dim
-    dl = np.where(L >= 0, area * dist_l / dim, 0.0)
+    nv = cells.shape[1]
+    dim = vertices.shape[1]
+    if cells.min() < 0 or cells.max() >= len(vertices):
+        c = int(np.argmax(np.any((cells < 0) | (cells >= len(vertices)), axis=1)))
+        raise MeshError(f"cell {c}: vertex id outside 0..{len(vertices) - 1}")
+    verts = vertices[cells]
+    volume = _cell_measure(verts)
+    diam = functools.reduce(np.maximum, (_length(verts[:, b] - verts[:, a])
+                                         for a, b in itertools.combinations(range(nv), 2)))
+
+    # directed facets in cell order: vertex j (1d) or the edge p -> q from
+    # vertex j to vertex j + 1 (2d)
+    p = cells.ravel()
+    key = p
+    if dim == 2:
+        q = np.roll(cells, -1, axis=1).ravel()
+        key = np.minimum(p, q) * len(vertices) + np.maximum(p, q)
+    order = np.argsort(key, kind="stable")
+    # the first facet of each run of equal keys (every key is >= 0)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    counts = np.diff(starts, append=key.size)
+    if counts.max() > 2:
+        s = int(np.argmax(counts > 2))
+        raise GeometryError(f"cell {int(order[starts[s] + 2]) // nv}: a facet "
+                            f"shared by {counts[s]} cells")
+    first = order[starts]
+    second = np.where(counts == 2, order[np.minimum(starts + 1, key.size - 1)], -1)
+    by_id = np.argsort(first)
+    first, second = first[by_id], second[by_id]
+    K = first // nv
+    L = np.where(second >= 0, second // nv, -1)
+
+    start = vertices[p[first]]
+    if dim == 1:
+        area = np.ones(first.size)
+        # facet 0 of an ascending interval faces down the axis
+        normal = np.where(first % nv == 0, -1.0, 1.0)[:, None]
+        centroid = start
+        face_ids = p[first, None]
+
+        def height(x):
+            return np.abs(start - x)[:, 0]
+    else:
+        end = vertices[q[first]]
+        edge = end - start
+        area = _length(edge)
+        # counter-clockwise cell: the outward normal of p -> q is (dy, -dx)
+        normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / area[:, None]
+        centroid = 0.5 * (start + end)
+        face_ids = np.stack([p[first], q[first]], axis=1)
+
+        def height(x):
+            v = x - start
+            return np.abs(edge[:, 0] * v[:, 1] - edge[:, 1] * v[:, 0]) / area
+
     return Mesh(
-        dim=dim, cell_volume=volume, cell_center=center, cell_diam=diam,
-        face_area=area, face_normal=normal, face_K=K, face_L=L,
-        face_dk=dk, face_dl=dl, face_centroid=centroid,
-        **geometry,
+        vertices=vertices, cell_vertex_ids=cells, cell_volume=volume,
+        cell_center=anchors, cell_diam=diam, cell_vertices=verts,
+        face_vertex_ids=face_ids, face_area=area, face_normal=normal,
+        face_K=K, face_L=L, face_dk=area * height(anchors[K]) / dim,
+        face_dl=np.where(L >= 0, area * height(anchors[L]) / dim, 0.0),
+        face_centroid=centroid, box=box,
     )
 
 
@@ -235,23 +344,9 @@ def _assemble(dim: int, volume, center, diam, area, normal, K, L,
 def _build_1d(edges: np.ndarray) -> Mesh:
     edges = np.asarray(edges, dtype=float)
     n = edges.size - 1
-    widths = np.diff(edges)
-    if np.any(widths <= 0):
-        raise GeometryError("cell widths must be positive")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    # one face per edge point; K = left cell, L = right cell (-1 outside)
-    i = np.arange(n + 1)
-    K = np.maximum(i - 1, 0)
-    L = np.where((i > 0) & (i < n), i, -1)
-    return _assemble(
-        1, widths, centers[:, None], widths.copy(),
-        area=np.ones(n + 1), normal=np.where(i == 0, -1.0, 1.0)[:, None],
-        K=K, L=L, centroid=edges[:, None].copy(),
-        dist_k=np.abs(edges - centers[K]), dist_l=np.abs(centers[L] - edges),
-        box=(edges[:1].copy(), edges[-1:].copy()),
-        cell_vertices=np.stack([edges[:-1], edges[1:]], axis=1)[:, :, None],
-    )
+    cells = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    return _assemble(edges[:, None], cells, 0.5 * (edges[:-1] + edges[1:])[:, None],
+                     (edges[:1].copy(), edges[-1:].copy()))
 
 
 def build_uniform_1d(n: int) -> Mesh:
@@ -279,45 +374,16 @@ def build_cartesian_2d(nx: int, ny: int) -> Mesh:
     numbered row by row (cell j * nx + i is column i of row j)."""
     if nx < 1 or ny < 1:
         raise GeometryError("need at least one cell per axis")
-    hx = 1.0 / nx
-    hy = 1.0 / ny
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
-    mx = 0.5 * (xs[:-1] + xs[1:])
-    my = 0.5 * (ys[:-1] + ys[1:])
+    # vertex j * (nx+1) + i is (xs[i], ys[j])
+    gx, gy = np.meshgrid(xs, ys)
+    vertices = np.stack([gx.ravel(), gy.ravel()], axis=1)
     ci, cj = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny)))
-    centers = np.stack([mx[ci], my[cj]], axis=1)
-
-    # vertical faces (normal +x) row by row, then horizontal faces (normal +y)
-    vi, vj = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny)))
-    hi, hj = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny + 1)))
-    vK = vj * nx + np.maximum(vi - 1, 0)
-    vL = np.where((vi > 0) & (vi < nx), vj * nx + vi, -1)
-    hK = np.maximum(hj - 1, 0) * nx + hi
-    hL = np.where((hj > 0) & (hj < ny), hj * nx + hi, -1)
-    K = np.concatenate([vK, hK])
-    L = np.concatenate([vL, hL])
-    # the face coordinate across the face, and the axis it is taken on
-    across = np.concatenate([xs[vi], ys[hj]])
-    axis = np.repeat([0, 1], [vK.size, hK.size])
-    low = np.concatenate([vi == 0, hj == 0])
-    normal = np.zeros((K.size, 2))
-    normal[np.arange(K.size), axis] = np.where(low, -1.0, 1.0)
-    centroid = np.concatenate([np.stack([xs[vi], my[vj]], axis=1),
-                               np.stack([mx[hi], ys[hj]], axis=1)])
-
-    di = np.array([0, 1, 1, 0])
-    dj = np.array([0, 0, 1, 1])
-    verts = np.stack([xs[ci[:, None] + di], ys[cj[:, None] + dj]], axis=-1)
-    diam = math.hypot(hx, hy)
-    return _assemble(
-        2, np.full(nx * ny, hx * hy), centers, np.full(nx * ny, diam),
-        area=np.repeat([hy, hx], [vK.size, hK.size]), normal=normal,
-        K=K, L=L, centroid=centroid,
-        dist_k=np.abs(across - centers[K, axis]),
-        dist_l=np.abs(centers[L, axis] - across),
-        box=(np.zeros(2), np.ones(2)), cell_vertices=verts,
-    )
+    v00 = cj * (nx + 1) + ci
+    cells = np.stack([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1], axis=1)
+    anchors = 0.5 * (vertices[v00] + vertices[v00 + nx + 2])
+    return _assemble(vertices, cells, anchors, (np.zeros(2), np.ones(2)))
 
 
 # NumPy's SeedSequence (4-word pool) and PCG64 (O'Neill 2014) constants
@@ -453,54 +519,8 @@ def build_perturbed_triangular_2d(n: int, jitter: float = 0.3,
     tri_b = np.where(even, np.stack([v00, v11, v01], 1), np.stack([v10, v11, v01], 1))
     tris = np.stack([tri_a, tri_b], axis=1).reshape(-1, 3)
 
-    verts = flat[tris]  # (n_cells, 3, 2)
-    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-    areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                   - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
-    if np.any(areas <= 0):
-        bad = int(np.argmin(areas))
-        raise GeometryError(
-            f"jitter {jitter} produced an inverted triangle (cell {bad}, "
-            f"signed area {areas[bad]:.3e})"
-        )
-    centers = (a + b + c) / 3.0
-    sides = np.roll(verts, -1, axis=1) - verts
-    diam = np.max(np.hypot(sides[..., 0], sides[..., 1]), axis=1)
-
-    # directed edges p -> q of every triangle, in triangle order; a face is
-    # numbered by the first occurrence of its undirected edge, K is the
-    # triangle of that occurrence and L the triangle of the other one
-    p = tris.ravel()
-    q = np.roll(tris, -1, axis=1).ravel()
-    key = np.minimum(p, q) * flat.shape[0] + np.maximum(p, q)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.r_[True, key[order][1:] != key[order][:-1]])
-    counts = np.diff(np.r_[starts, key.size])
-    first = order[starts]
-    second = np.where(counts == 2, order[np.minimum(starts + 1, key.size - 1)], -1)
-    by_id = np.argsort(first)
-    first, second = first[by_id], second[by_id]
-    K = first // 3
-    L = np.where(second >= 0, second // 3, -1)
-
-    start = flat[p[first]]
-    edge = flat[q[first]] - start
-    length = np.hypot(edge[:, 0], edge[:, 1])
-    if np.any(length <= 0):
-        raise GeometryError("zero-length edge")
-
-    def dist(point):
-        v = point - start
-        return np.abs(edge[:, 0] * v[:, 1] - edge[:, 1] * v[:, 0]) / length
-
-    # CCW triangle: outward normal of directed edge p->q is (dy, -dx)
-    normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
-    return _assemble(
-        2, areas, centers, diam, area=length, normal=normal, K=K, L=L,
-        centroid=0.5 * (start + flat[q[first]]),
-        dist_k=dist(centers[K]), dist_l=dist(centers[L]),
-        box=(np.zeros(2), np.ones(2)), cell_vertices=verts,
-    )
+    a, b, c = (flat[tris[:, k]] for k in range(3))
+    return _assemble(flat, tris, (a + b + c) / 3.0, (np.zeros(2), np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +677,9 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
 
     Covers the partition identities for cells and dual volumes, per-cell
     face closure, unit normals, the cone identity of every dual piece, that
-    every anchor and face centroid lies in the box, and against the cell
-    vertices, which a file supplies as outside input: that every anchor lies
-    in its cell and every |K| is the measure of its vertices.
+    every anchor and face centroid lies in the box, that the vertices of
+    every boundary face lie on one side of the box, and that every anchor,
+    which a file supplies as outside input, lies in its cell.
     """
     checks: list[tuple[str, bool, str]] = []
     omega = mesh.domain_measure
@@ -714,19 +734,18 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     box = " x ".join(f"[{a:.17g}, {b:.17g}]" for a, b in zip(lo, hi))
     checks.append(("inside_box", in_box, f"x_K and face centroids in {box}"))
 
-    inside, measure = _vertex_geometry(mesh.cell_vertices, mesh.cell_center)
-    checks.append(("anchor_inside", inside, "x_K inside its cell"))
-    # |K| and the vertex measure are products of differences of coordinates
-    # up to M = max |vertex coordinate| (a triangle's: half the difference
-    # of two), so each errs by at most 2 d eps (M + h_K) h_K^(d-1)
-    M = max(-mesh.cell_vertices.min(), mesh.cell_vertices.max())
-    scale = (M + mesh.cell_diam) * mesh.cell_diam ** (mesh.dim - 1)
-    worst_measure = float(np.max(np.abs(mesh.cell_volume - measure)
-                                 / np.maximum(scale, np.finfo(float).tiny)))
-    tol = 4 * mesh.dim * np.finfo(float).eps
-    checks.append(("vertex_measure", bool(worst_measure <= tol),
-                   f"max | |K| - vertex measure | = {worst_measure:.2e} "
-                   f"x (M + h_K) h_K^(d-1), tolerance {tol:.2e}"))
+    # a face is on the boundary only where the domain ends: a file whose
+    # interior facet is split between two vertex ids cuts the domain there
+    ends = mesh.vertices[mesh.face_vertex_ids[~inner]]
+    on_side = ((np.abs(ends - lo) <= slack).all(axis=1)
+               | (np.abs(ends - hi) <= slack).all(axis=1)).any(axis=1)
+    detail = f"vertices of every boundary face on one side of {box}"
+    if not np.all(on_side):
+        detail += f", not face {int(np.flatnonzero(~inner)[np.argmin(on_side)])}"
+    checks.append(("boundary_on_box", bool(np.all(on_side)), detail))
+
+    checks.append(("anchor_inside", _anchors_inside(mesh.cell_vertices, mesh.cell_center),
+                   "x_K inside its cell"))
     # every dual piece against its cone, recomputed from the face data
     ints = np.flatnonzero(inner)
     faces = np.concatenate([np.arange(mesh.n_faces), ints])
@@ -762,24 +781,18 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     return report
 
 
-def _vertex_geometry(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12):
-    """Whether every anchor p[i] lies in the cell with vertex rows verts[i],
-    and each cell's vertex measure: its bounding box's, or for a triangle
-    half the cross product (negative when clockwise)."""
-    if verts.shape[2] == 1 or verts.shape[1] == 4:
+def _anchors_inside(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every anchor p[i] lies in the cell with vertex rows verts[i]:
+    in its bounding box for an interval or rectangle, by the barycentric
+    sign test for a triangle."""
+    if verts.shape[1] != 3:
         lo = verts.min(axis=1)
         hi = verts.max(axis=1)
-        return bool(np.all((p >= lo - tol) & (p <= hi + tol))), np.prod(hi - lo, axis=1)
+        return bool(np.all((p >= lo - tol) & (p <= hi + tol)))
     a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-
-    # barycentric sign test
-    def cross(u, v, w):
-        return (v[:, 0] - u[:, 0]) * (w[:, 1] - u[:, 1]) - (w[:, 0] - u[:, 0]) * (v[:, 1] - u[:, 1])
-
-    doubled = cross(a, b, c)
-    eps = tol * np.maximum(np.abs(doubled), 1.0)
-    return bool(np.all((cross(a, b, p) >= -eps) & (cross(b, c, p) >= -eps)
-                       & (cross(c, a, p) >= -eps))), 0.5 * doubled
+    eps = tol * np.maximum(np.abs(_cross(a, b, c)), 1.0)
+    return bool(np.all((_cross(a, b, p) >= -eps) & (_cross(b, c, p) >= -eps)
+                       & (_cross(c, a, p) >= -eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +802,6 @@ def _vertex_geometry(verts: np.ndarray, p: np.ndarray, tol: float = 1e-12):
 _FMT = "{:.17g}"
 
 
-def _fmt(x: float) -> str:
-    return _FMT.format(float(x))
-
-
 def _fmt_row(xs) -> str:
     return " ".join(_FMT.format(x) for x in xs)
 
@@ -800,33 +809,25 @@ def _fmt_row(xs) -> str:
 def write_mesh(mesh: Mesh, path_or_buf) -> None:
     """Write the line-oriented text format.
 
-    header: ``lwfv-mesh v2 dim=<d> nv=<vertices per cell>``, then ``# box``
-    cell lines: ``cell <id> <volume> <h> <x...> <n_faces> <vertex rows...>``
-    face lines: ``face <id> <area> <nx...> <K> <L|-1> <DK> <DL> <cx...>``
+    header: ``lwfv-mesh v3 dim=<d> nv=<vertices per cell>``, then ``# box``
+    vertex lines: ``vertex <id> <x...>``
+    cell lines: ``cell <id> <anchor...> <vertex ids...>``
 
-    Reals carry 17 significant digits so a file reloads bit-exactly, box and
-    vertices too.  |D_sigma| = DK + DL is not written.
+    Only what defines the mesh is written: :func:`read_mesh` derives every
+    face and dual piece by the same code as the builders.  Reals carry 17
+    significant digits, so a file reloads to the same mesh bit for bit.
     """
     with open_text(path_or_buf, "w") as fh:
-        fh.write(f"lwfv-mesh v2 dim={mesh.dim} nv={mesh.cell_vertices.shape[1]}\n")
+        fh.write(f"lwfv-mesh v3 dim={mesh.dim} nv={mesh.cell_vertex_ids.shape[1]}\n")
         fh.write(f"# box {_fmt_row(np.concatenate(mesh.box).tolist())}\n")
-        cells = zip(mesh.cell_volume.tolist(), mesh.cell_diam.tolist(),
-                    mesh.cell_center.tolist(), mesh.face_counts().tolist(),
-                    mesh.cell_vertices.reshape(mesh.n_cells, -1).tolist())
-        for c, (vol, diam, x, nf, v) in enumerate(cells):
-            fh.write(f"cell {c} {_fmt(vol)} {_fmt(diam)} {_fmt_row(x)} {nf} {_fmt_row(v)}\n")
-        faces = zip(mesh.face_area.tolist(), mesh.face_normal.tolist(),
-                    mesh.face_K.tolist(), mesh.face_L.tolist(),
-                    mesh.face_dk.tolist(), mesh.face_dl.tolist(),
-                    mesh.face_centroid.tolist())
-        for f, (area, nrm, K, L, dk, dl, cen) in enumerate(faces):
-            fh.write(
-                f"face {f} {_fmt(area)} {_fmt_row(nrm)} {K} {L} "
-                f"{_fmt(dk)} {_fmt(dl)} {_fmt_row(cen)}\n"
-            )
+        for v, x in enumerate(mesh.vertices.tolist()):
+            fh.write(f"vertex {v} {_fmt_row(x)}\n")
+        cells = zip(mesh.cell_center.tolist(), mesh.cell_vertex_ids.tolist())
+        for c, (x, ids) in enumerate(cells):
+            fh.write(f"cell {c} {_fmt_row(x)} {' '.join(map(str, ids))}\n")
 
 
-def _ordered(rows: dict[int, list], kind: str) -> list:
+def _ordered(rows: dict[int, tuple], kind: str) -> list:
     """Rows by id, after checking the ids are exactly 0..n-1."""
     if sorted(rows) != list(range(len(rows))):
         missing = sorted(set(range(len(rows))) - set(rows))
@@ -837,39 +838,42 @@ def _ordered(rows: dict[int, list], kind: str) -> list:
 
 
 def read_mesh(path_or_buf) -> Mesh:
-    """Load a mesh written by :func:`write_mesh`.
+    """Load a mesh written by :func:`write_mesh`: its box, vertices, cells
+    and anchors, from which :func:`_assemble` derives the rest, so the mesh
+    equals the one that was written, bit for bit.
 
-    Raises MeshError on a v1 file, which stores no vertices (``lwfv
-    mesh-gen`` rewrites it from the config that made it), and on a
-    malformed file: a header without nv = 2 in 1d or nv = 3 or 4 in 2d
-    (the cells :func:`quadrature.cell_rule` integrates), a line with the
-    wrong field count (a missing vertex coordinate among them) or a
-    non-numeric field, no box comment or one without 2 * dim finite numbers
-    with lo < hi on every axis, cell or face ids other than 0..n-1, a face
-    naming a missing cell, or a cell whose declared face count differs from
-    the faces that name it.  :func:`validate` checks the vertices.
+    Raises MeshError on a v1 or v2 file (``lwfv mesh-gen`` rewrites it from
+    the config that made it) and on a malformed file: a header without
+    nv = 2 in 1d or nv = 3 or 4 in 2d (the cells
+    :func:`quadrature.cell_rule` integrates), a line with the wrong field
+    count or a non-numeric or non-finite field, no box comment, a second
+    one, or one without lo < hi on every axis, vertex or cell ids other
+    than 0..n-1, a cell naming a missing vertex, a cell of the wrong shape
+    or orientation, or a facet of three or more cells (the last two as
+    GeometryError).  :func:`validate` checks the rest.
     """
     with open_text(path_or_buf) as fh:
         header = " ".join(fh.readline().split())
-        if header.startswith("lwfv-mesh v1 "):
-            raise MeshError("lwfv-mesh v1 files store no cell vertices and are "
-                            "no longer read; rerun mesh-gen to rewrite them")
-        match = re.fullmatch(r"lwfv-mesh v2 dim=(\d+) nv=(\d+)", header)
+        match = re.fullmatch(r"lwfv-mesh v3 dim=(\d+) nv=(\d+)", header)
         dim, nv = (int(g) for g in match.groups()) if match else (0, 0)
         if (dim, nv) not in ((1, 2), (2, 3), (2, 4)):
-            raise MeshError(f"not a lwfv-mesh v2 file of intervals (dim=1 nv=2), "
-                            f"triangles or rectangles (dim=2 nv=3 or 4): {header!r}")
+            old = re.match(r"lwfv-mesh v[12] ", header)
+            raise MeshError(
+                f"not a lwfv-mesh v3 file of intervals (dim=1 nv=2), triangles "
+                f"or rectangles (dim=2 nv=3 or 4): {header!r}"
+                + ("; v1 and v2 files are no longer read: rerun mesh-gen to "
+                   "rewrite them" if old else ""))
         box = ()
-        # field count and integer columns (n_faces; K and L) of each line kind
-        width = {"cell": 5 + dim + nv * dim, "face": 7 + 2 * dim}
-        int_cols = {"cell": (4 + dim,), "face": (3 + dim, 4 + dim)}
-        rows: dict[str, dict[int, list]] = {"cell": {}, "face": {}}
+        width = {"vertex": 2 + dim, "cell": 2 + dim + nv}
+        rows: dict[str, dict[int, tuple]] = {"vertex": {}, "cell": {}}
         for lineno, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "#":
                 if len(parts) >= 2 and parts[1] == "box":
+                    if box:
+                        raise MeshError(f"line {lineno}: a second box line")
                     try:
                         vals = np.array([float(v) for v in parts[2:]])
                     except ValueError as e:
@@ -892,48 +896,24 @@ def read_mesh(path_or_buf) -> Mesh:
                 )
             try:
                 ident = int(parts[1])
-                vals = [int(v) if i in int_cols[kind] else float(v)
-                        for i, v in enumerate(parts[2:], 2)]
+                coords = [float(v) for v in parts[2 : 2 + dim]]
+                ids = [int(v) for v in parts[2 + dim :]]
             except ValueError as e:
                 raise MeshError(f"line {lineno}: {e}") from None
+            if not all(map(math.isfinite, coords)):
+                raise MeshError(f"line {lineno}: non-finite coordinate")
             if ident in rows[kind]:
                 raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
-            rows[kind][ident] = vals
+            rows[kind][ident] = coords, ids
     if not box:
         raise MeshError("mesh file has no '# box' line")
-
-    cells, faces = (np.array(_ordered(rows[k], k), dtype=float).reshape(-1, width[k] - 2)
-                    for k in ("cell", "face"))
-    n_cells = cells.shape[0]
-    if n_cells == 0 or faces.shape[0] == 0:
-        raise MeshError("mesh file has no cells or no faces")
-    # columns: cell = volume h x... n_faces vertices...; face = area n... K L DK DL c...
-    K = faces[:, 1 + dim].astype(np.int64)
-    L = faces[:, 2 + dim].astype(np.int64)
-    bad = (K < 0) | (K >= n_cells) | (L < -1) | (L >= n_cells)
-    if np.any(bad):
-        f = int(np.argmax(bad))
-        raise MeshError(
-            f"face {f}: incident cells ({K[f]}, {L[f]}) outside "
-            f"0..{n_cells - 1} (L may be -1)"
-        )
-    declared = cells[:, 2 + dim].astype(np.int64)
-    found = _face_counts(K, L, n_cells)
-    if np.any(declared != found):
-        c = int(np.argmax(declared != found))
-        raise MeshError(f"cell {c}: header says {declared[c]} faces, found {found[c]}")
-    return Mesh(
-        dim=dim,
-        cell_volume=cells[:, 0].copy(),
-        cell_center=cells[:, 2 : 2 + dim].copy(),
-        cell_diam=cells[:, 1].copy(),
-        cell_vertices=cells[:, 3 + dim :].reshape(n_cells, nv, dim).copy(),
-        face_area=faces[:, 0].copy(),
-        face_normal=faces[:, 1 : 1 + dim].copy(),
-        face_K=K,
-        face_L=L,
-        face_dk=faces[:, 3 + dim].copy(),
-        face_dl=faces[:, 4 + dim].copy(),
-        face_centroid=faces[:, 5 + dim :].copy(),
-        box=box,
-    )
+    vertices, cells = (_ordered(rows[k], k) for k in ("vertex", "cell"))
+    if not cells:
+        raise MeshError("mesh file has no cells")
+    try:
+        ids = np.array([i for _, i in cells], dtype=np.int64)
+    except OverflowError:
+        c = next(c for c, (_, i) in enumerate(cells) if not all(-2**63 <= v < 2**63 for v in i))
+        raise MeshError(f"cell {c}: vertex id outside 0..{len(vertices) - 1}") from None
+    return _assemble(np.array([x for x, _ in vertices]).reshape(-1, dim), ids,
+                     np.array([x for x, _ in cells]), box)

@@ -189,7 +189,7 @@ def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys)
     assert stats[0] == stats[1]
     assert stats[1][2].endswith("vs |Omega| = 1.0")
     assert any("[ok] anchor_inside" in x for x in stats[1])
-    assert any("[ok] vertex_measure" in x for x in stats[1])
+    assert any("[ok] boundary_on_box" in x for x in stats[1])
 
 
 def test_mesh_stats_of_a_mesh_outside_its_box_exits_2(tmp_path, capsys):
@@ -205,20 +205,42 @@ def test_mesh_stats_of_a_mesh_outside_its_box_exits_2(tmp_path, capsys):
     assert run(["mesh-stats", "--config", str(cfgp)]) == 2
     captured = capsys.readouterr()
     assert [x for x in captured.out.splitlines() if "FAIL" in x] == [
-        "  [FAIL] inside_box: x_K and face centroids in [5, 6]"]
+        "  [FAIL] inside_box: x_K and face centroids in [5, 6]",
+        "  [FAIL] boundary_on_box: vertices of every boundary face on one side "
+        "of [5, 6], not face 0"]
     assert "validation FAILED" in captured.err
+
+
+def test_mesh_stats_of_a_domain_cut_inside_exits_2(tmp_path, capsys):
+    # vertex 5 (x = 0.5) given a second id for cell 5: an interior facet
+    # split into two boundary faces, which no other check sees
+    out = tmp_path / "m"
+    run(["mesh-gen", "--out", str(out), "--levels", "1"])
+    path = out / "mesh_0.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    cell = next(i for i, x in enumerate(lines) if x.startswith("cell 5 "))
+    assert lines[cell].endswith(" 5 6\n")
+    lines[cell] = lines[cell][: -len(" 5 6\n")] + " 11 6\n"
+    lines.insert(cell, "vertex 11 0.5\n")
+    path.write_text("".join(lines))
+    cfgp = tmp_path / "s.cfg"
+    cfgp.write_text(f"mesh_file = {path}\n")
+    capsys.readouterr()
+    assert run(["mesh-stats", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert [x.split(":")[0] for x in captured.out.splitlines() if "FAIL" in x] == [
+        "  [FAIL] boundary_on_box"]
 
 
 def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])
     lines = (out / "mesh_0.txt").read_text().splitlines(keepends=True)
-    face = next(i for i, x in enumerate(lines) if x.startswith("face 1 "))
+    vertex = next(i for i, x in enumerate(lines) if x.startswith("vertex 1 "))
     cell = next(i for i, x in enumerate(lines) if x.startswith("cell 2 "))
-    missing_cell = lines.copy()
-    parts = missing_cell[face].split()
-    parts[5] = "70"  # L of a 1d face line
-    missing_cell[face] = " ".join(parts) + "\n"
+    missing_vertex, descending = lines.copy(), lines.copy()
+    missing_vertex[cell] = "cell 2 0.25 2 70\n"  # vertices 0..10 only
+    descending[cell] = "cell 2 0.25 3 2\n"
     truncated = lines.copy()
     truncated[cell] = "cell 2 0.1\n"
     box = next(i for i, x in enumerate(lines) if x.startswith("# box "))
@@ -227,10 +249,11 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     bad_box[box] = "# box 0 one\n"
     v1_header, no_vertex = lines.copy(), lines.copy()
     v1_header[0] = "lwfv-mesh v1 dim=1\n"  # a format that stored no vertices
-    no_vertex[cell] = lines[cell].rsplit(" ", 1)[0] + "\n"
-    for name, text in (("missing", missing_cell), ("truncated", truncated),
+    no_vertex[vertex] = "vertex 1\n"
+    for name, text in (("missing", missing_vertex), ("truncated", truncated),
                        ("short_box", short_box), ("bad_box", bad_box),
-                       ("v1_header", v1_header), ("no_vertex", no_vertex)):
+                       ("v1_header", v1_header), ("no_vertex", no_vertex),
+                       ("descending", descending)):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"

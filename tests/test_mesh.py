@@ -70,14 +70,6 @@ def test_partition_and_closure_all_families(families):
             assert brute_face_closure(m) <= 1e-12, name
 
 
-def test_dual_split_is_exact_sum(families):
-    # d_sigma must equal dk + dl as stored, not merely approximately
-    for fam in families.values():
-        m = fam.build(1)
-        for f in range(m.n_faces):
-            assert m.face_dsig[f] == m.face_dk[f] + m.face_dl[f]
-
-
 def test_validate_passes_and_reports(families):
     for fam in families.values():
         rep = validate(fam.build(0))
@@ -118,17 +110,14 @@ def test_validate_reads_the_arrays_the_operators_use():
     m = _corrupt(m, face_dk=(5, m.face_dk[5] * 2.0))
     assert "dual_partition" in validate(m).failing()
     # a piece 1.5x its cone, with the excess taken from the other piece of
-    # the same face so every sum still holds: only the cone check sees it,
-    # on a built mesh and on the same mesh loaded from its file
+    # the same face so every sum still holds: only the cone check sees it.
+    # The file stores no pieces, so the reloaded mesh derives them again
     m = build_cartesian_2d(3, 3)
     dk = m.face_dk[5] * 1.5
     dl = m.face_dl[5] - dk / 3
     m = _corrupt(m, face_dk=(5, dk), face_dl=(5, dl))
     assert validate(m).failing() == ["cone_identity"]
-    buf = io.StringIO()
-    write_mesh(m, buf)
-    assert validate(read_mesh(io.StringIO(buf.getvalue()))).failing() == [
-        "cone_identity"]
+    assert validate(_reloaded(m)).ok
 
 
 def test_cone_check_holds_as_the_triangulation_refines():
@@ -376,17 +365,18 @@ def test_mesh_file_round_trip_bit_exact(tmp_path, families):
         assert q1.theta_grad == q2.theta_grad and q1.theta == q2.theta
 
 
-# sha256 of write_mesh output.  Re-recorded for the v2 format after a
-# comparison with the v1 files: every number but D_sigma kept its characters
+# sha256 of write_mesh output.  Re-recorded for the v3 format after a
+# comparison with the v2 files: the box, every anchor and every vertex row
+# kept its characters
 PINNED_MESH_BYTES = {
-    ("uniform-1d", 0): "f61fe490b3c2fd699b3cab3329bafd1a953ccbaa952e4a383fd70a705b313564",
-    ("uniform-1d", 1): "df02af34a953b911201d6c85b7fad8207c476fb9a663cf0b6d5237a6997606c3",
-    ("nonuniform-1d", 0): "6c17016ba818a6ca0acac82b8f73811a8466f214510ecce48a67d263ff47d453",
-    ("nonuniform-1d", 1): "35686deb2f1d09c7e1724fc0c10723ad84690795dd5a5804d8edbc530b08e396",
-    ("cartesian-2d", 0): "a34e23685c6891b27ac49bd311725f0bbab9c280ce7c3038bdc73976348fef4d",
-    ("cartesian-2d", 1): "2ba9951079d4b30687c91dd7dcdb3e8df83caf3b3d885c4972c060350e092071",
-    ("triangular-2d", 0): "d89aed562a49e14dbbf44ab5c543fd7b320224517e449d5a8de754352bdf3ce8",
-    ("triangular-2d", 1): "95d54c20bb3508d96e3c3ab3a1c75f9ed34637eb772baaa205df13a2db620247",
+    ("uniform-1d", 0): "2181fb52e2158e2a5ba39476c2544608eb000f48cde27560f4661ad15b2dbdb0",
+    ("uniform-1d", 1): "5b98e5d0cb7757c5e571ed1accdc554e087ba52c292944cad50b56be8c5dd97d",
+    ("nonuniform-1d", 0): "c66ff93990ad031e978b31681da8316a816bb7ba7eb7e12f217ab9016ff7ff8b",
+    ("nonuniform-1d", 1): "216129b7de4e285d68a758f056b931c3391c54bb0a6c1abcb040219aba24dc68",
+    ("cartesian-2d", 0): "996316bacee8dbbeeb944c921ec520583e27536495fd1a35ea2e85f4db54270a",
+    ("cartesian-2d", 1): "11fc7f2901b207b021a7c8f0d2f43ae91c50f76240136cf6719ea5961d3628d8",
+    ("triangular-2d", 0): "529a62459d81b71c32ff3a52c471b322b9e4d36e23c3d3a5b00b506f8de51988",
+    ("triangular-2d", 1): "a57cf4b10e44df73e0f4f67d6cc2178220440ca92188774804f63db02f42d6bc",
 }
 
 
@@ -403,10 +393,14 @@ def test_mesh_file_rejects_unknown_header():
         read_mesh(io.StringIO("bogus-header v9 dim=1\n"))
 
 
-def _mesh_text(n: int = 3) -> str:
+def _text(mesh) -> str:
     buf = io.StringIO()
-    write_mesh(build_uniform_1d(n), buf)
+    write_mesh(mesh, buf)
     return buf.getvalue()
+
+
+def _mesh_text(n: int = 3) -> str:
+    return _text(build_uniform_1d(n))
 
 
 def _replace_line(text: str, prefix: str, new: str) -> str:
@@ -416,13 +410,12 @@ def _replace_line(text: str, prefix: str, new: str) -> str:
     return "".join(lines)
 
 
-def test_mesh_file_rejects_face_naming_missing_cell():
-    text = _mesh_text(3)  # face 1 joins cells 0 and 1
-    for bad in ("face 1 1 1 0 7 0.16 0.16 0.33\n",
-                "face 1 1 1 -2 1 0.16 0.16 0.33\n",
-                "face 1 1 1 0 -3 0.16 0.16 0.33\n"):
-        with pytest.raises(MeshError, match="outside"):
-            read_mesh(io.StringIO(_replace_line(text, "face 1 ", bad)))
+def test_mesh_file_rejects_a_vertex_id_out_of_range():
+    text = _mesh_text(3)  # vertices 0..3; cell 1 is vertices 1 and 2
+    for bad in ("cell 1 0.5 1 7\n", "cell 1 0.5 -1 2\n", "cell 1 0.5 1 4\n",
+                "cell 1 0.5 1 99999999999999999999999\n"):
+        with pytest.raises(MeshError, match="vertex id"):
+            read_mesh(io.StringIO(_replace_line(text, "cell 1 ", bad)))
 
 
 def test_mesh_file_rejects_truncated_line():
@@ -430,7 +423,7 @@ def test_mesh_file_rejects_truncated_line():
     with pytest.raises(MeshError, match="fields"):
         read_mesh(io.StringIO(_replace_line(text, "cell 2 ", "cell 2 0.33\n")))
     with pytest.raises(MeshError, match="fields"):
-        read_mesh(io.StringIO(_replace_line(text, "face 3 ", "face 3 1 1 2\n")))
+        read_mesh(io.StringIO(_replace_line(text, "vertex 3 ", "vertex 3 1 2\n")))
 
 
 def test_mesh_file_rejects_bad_ids():
@@ -440,18 +433,44 @@ def test_mesh_file_rejects_bad_ids():
         read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 0" + line[6:] + "\n")))
     with pytest.raises(MeshError, match="cell ids must be"):
         read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 5" + line[6:] + "\n")))
-    face = next(x for x in text.splitlines() if x.startswith("face 2 "))
-    with pytest.raises(MeshError, match="face ids must be"):
-        read_mesh(io.StringIO(_replace_line(text, "face 2 ", "face 9" + face[6:] + "\n")))
+    vertex = next(x for x in text.splitlines() if x.startswith("vertex 2 "))
+    with pytest.raises(MeshError, match="vertex ids must be"):
+        read_mesh(io.StringIO(_replace_line(text, "vertex 2 ", "vertex 9" + vertex[8:] + "\n")))
 
 
-def test_mesh_file_rejects_wrong_face_count():
-    text = _mesh_text(3)
-    parts = next(x for x in text.splitlines() if x.startswith("cell 1 ")).split()
-    assert parts[5] == "2"  # <n_faces> of a 1d cell line
-    parts[5] = "3"
-    with pytest.raises(MeshError, match="header says 3 faces, found 2"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", " ".join(parts) + "\n")))
+def test_mesh_file_rejects_a_facet_of_three_cells():
+    # cell 2 of four made a copy of cell 1: vertex 2 then ends three cells
+    text = _replace_line(_mesh_text(4), "cell 2 ", "cell 2 0.375 1 2\n")
+    with pytest.raises(GeometryError, match="cell 2: a facet shared by 3 cells"):
+        read_mesh(io.StringIO(text))
+
+
+def test_mesh_file_rejects_a_second_box_line():
+    # the last one used to win silently
+    text = _replace_line(_mesh_text(3), "vertex 0 ", "# box 0 2\nvertex 0 0\n")
+    with pytest.raises(MeshError, match="line 3: a second box line"):
+        read_mesh(io.StringIO(text))
+
+
+@pytest.mark.parametrize("mesh, line, bad, error", [
+    (build_uniform_1d(3), "cell 1 ", "cell 1 0.5 2 1", "cell 1: not an ascending interval"),
+    (build_perturbed_triangular_2d(2), "cell 0 ", None,
+     "cell 0: not a counter-clockwise triangle"),
+    # (0, 0.5) of cell 0 moved to (0.1, 0.5): a trapezoid, which cell_rule
+    # would integrate over its bounding box
+    (build_cartesian_2d(2, 2), "vertex 3 ", "vertex 3 0.10000000000000001 0.5",
+     "cell 0: not an axis-aligned rectangle"),
+    # a rectangle listed from another corner
+    (build_cartesian_2d(2, 2), "cell 0 ", "cell 0 0.25 0.25 1 4 3 0",
+     "cell 0: not an axis-aligned rectangle"),
+], ids=["interval-descending", "triangle-clockwise", "trapezoid", "rectangle-rotated"])
+def test_mesh_file_rejects_a_cell_of_the_wrong_shape(mesh, line, bad, error):
+    text = _text(mesh)
+    if bad is None:  # the cell's vertex ids in the other orientation
+        parts = next(x for x in text.splitlines() if x.startswith(line)).split()
+        bad = " ".join(parts[:-3] + parts[:-4:-1])
+    with pytest.raises(GeometryError, match=error):
+        read_mesh(io.StringIO(_replace_line(text, line, bad + "\n")))
 
 
 @pytest.mark.parametrize("mesh, box", [
@@ -482,12 +501,21 @@ def test_reloaded_mesh_keeps_its_measures_bit_for_bit():
 
 
 def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
-    # measured against the box, not against the volumes themselves
+    # measured against the box, not against the volumes themselves.  The
+    # file derives |K| from the vertices, so its cells shrink: the vertices
+    # at x = 1 moved to x = 0.9
     m = build_cartesian_2d(4, 4)
-    m = _corrupt(m, cell_volume=(3, m.cell_volume[3] * 1.5))
+    built = _corrupt(m, cell_volume=(3, m.cell_volume[3] * 1.5))
     buf = io.StringIO()
     write_mesh(m, buf)
-    for mesh in (m, read_mesh(io.StringIO(buf.getvalue()))):
+    lines = buf.getvalue().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "vertex" and parts[2] == "1":
+            lines[i] = f"vertex {parts[1]} 0.90000000000000002 {parts[3]}\n"
+    loaded = read_mesh(io.StringIO("".join(lines)))
+    assert loaded.cell_volume.sum() < 0.95
+    for mesh in (built, loaded):
         assert "cell_partition" in validate(mesh).failing()
 
 
@@ -506,10 +534,23 @@ def _with_box(mesh, box_line):
     (build_cartesian_2d(4, 4), "# box 0.5 0.5 1.5 1.5"),
 ], ids=["1d", "2d"])
 def test_mesh_outside_its_box_fails_validation(mesh, box_line):
-    # the measure of the box is still 1, so only the new check can tell
+    # the measure of the box is still 1, so only the two box checks can tell
     assert validate(mesh).ok
     loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
-    assert validate(loaded).failing() == ["inside_box"]
+    assert validate(loaded).failing() == ["inside_box", "boundary_on_box"]
+
+
+def test_a_domain_cut_by_a_split_facet_fails_only_boundary_on_box():
+    # the vertex at x = 0.5 given a second id for cell 2: the facet becomes
+    # two boundary faces, and an outflow run would see a wall at x = 0.5
+    text = _mesh_text(4)
+    text = _replace_line(text, "cell 0 ", "vertex 5 0.5\n" + next(
+        x for x in text.splitlines(keepends=True) if x.startswith("cell 0 ")))
+    text = _replace_line(text, "cell 2 ", "cell 2 0.625 5 3\n")
+    cut = read_mesh(io.StringIO(text))
+    assert cut.n_faces == 6 and np.sum(cut.face_L < 0) == 4
+    assert validate(cut).failing() == ["boundary_on_box"]
+    assert validate(build_uniform_1d(4)).ok
 
 
 def _reloaded(mesh):
@@ -522,8 +563,9 @@ def _reloaded(mesh):
                                   "triangular-2d"])
 def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datum_1d,
                                                        sine_datum_2d):
-    # the file keeps the vertices, so projection, solve and weak gap run on a
-    # loaded mesh (each raised ValueError before) and give the same bits
+    # the file keeps what defines the mesh and the reader derives the rest
+    # by the builders' code, so every array, projection, solve and weak gap
+    # of a loaded mesh is the built mesh's, bit for bit
     for level in range(3):
         built = families[name].build(level)
         loaded = _reloaded(built)
@@ -533,6 +575,8 @@ def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datu
         else:
             flux, u0 = rusanov(burgers([0.6, 0.8])), sine_datum_2d
             data = [u0]
+        for (field, a), (_, b) in zip(_array_fields(built), _array_fields(loaded)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype, (name, level, field)
         for u in data:
             assert (project_l1(loaded, u).values.tobytes()
                     == project_l1(built, u).values.tobytes())
@@ -546,12 +590,12 @@ def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datu
 
 
 def test_mesh_file_rejects_a_v1_file():
-    # v1 stored no vertices; reading it would keep a mesh that cannot
-    # integrate over its cells
-    text = _mesh_text(3).replace("lwfv-mesh v2 dim=1 nv=2\n",
-                                 "lwfv-mesh v1 dim=1\n# policy cone\n")
-    with pytest.raises(MeshError, match="v1 files store no cell vertices"):
-        read_mesh(io.StringIO(text))
+    # v1 stored no vertices and v2 its faces; mesh-gen rewrites either
+    for header in ("lwfv-mesh v1 dim=1\n# policy cone\n", "lwfv-mesh v2 dim=1 nv=2\n"):
+        text = _mesh_text(3).replace("lwfv-mesh v3 dim=1 nv=2\n", header)
+        with pytest.raises(MeshError, match="v1 and v2 files are no longer read: "
+                                            "rerun mesh-gen"):
+            read_mesh(io.StringIO(text))
 
 
 @pytest.mark.parametrize("header", ["lwfv-mesh v2 dim=1 nv=3", "lwfv-mesh v2 dim=1 nv=1",
@@ -559,35 +603,19 @@ def test_mesh_file_rejects_a_v1_file():
                                     "lwfv-mesh v2 dim=3 nv=4", "lwfv-mesh v2 dim=1",
                                     "lwfv-mesh v2 dim=1 nv=two"])
 def test_mesh_file_rejects_a_cell_shape_without_a_rule(header):
-    # nv = 2 in 1d and 3 or 4 in 2d are the cells quadrature.cell_rule takes
-    text = _replace_line(_mesh_text(3), "lwfv-mesh ", header + "\n")
-    with pytest.raises(MeshError, match="intervals"):
-        read_mesh(io.StringIO(text))
+    # nv = 2 in 1d and 3 or 4 in 2d are the cells quadrature.cell_rule takes;
+    # the header as given (an old version) and its v3 twin
+    for version in ("v2", "v3"):
+        text = _replace_line(_mesh_text(3), "lwfv-mesh ",
+                             header.replace("v2", version) + "\n")
+        with pytest.raises(MeshError, match="intervals"):
+            read_mesh(io.StringIO(text))
 
 
 def test_mesh_file_rejects_a_missing_vertex_coordinate():
-    text = _mesh_text(3)
-    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
-    short = line.rsplit(" ", 1)[0]
-    with pytest.raises(MeshError, match="cell line has 7 fields, expected 8"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", short + "\n")))
-
-
-@pytest.mark.parametrize("mesh", [build_cartesian_2d(4, 4), build_perturbed_triangular_2d(4)],
-                         ids=["rectangle", "triangle"])
-def test_a_moved_vertex_fails_only_the_vertex_measure(mesh):
-    # cell 5's last vertex pushed away from its anchor by a tenth of the
-    # distance: the anchor stays inside, but |K| no longer is the measure
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    text = buf.getvalue()
-    parts = next(x for x in text.splitlines() if x.startswith("cell 5 ")).split()
-    x = np.array([float(v) for v in parts[3:5]])
-    v = np.array([float(c) for c in parts[-2:]])
-    parts[-2:] = ["%.17g" % c for c in v + 0.1 * (v - x)]
-    moved = read_mesh(io.StringIO(_replace_line(text, "cell 5 ", " ".join(parts) + "\n")))
-    assert validate(mesh).ok
-    assert validate(moved).failing() == ["vertex_measure"]
+    text = _replace_line(_mesh_text(3), "vertex 1 ", "vertex 1\n")
+    with pytest.raises(MeshError, match="vertex line has 2 fields, expected 3"):
+        read_mesh(io.StringIO(text))
 
 
 def test_loaded_mesh_validates(tmp_path):
@@ -648,3 +676,30 @@ def test_triangular_never_builds_silently_invalid(n, seed, jitter):
     except GeometryError:
         return
     assert validate(m).ok
+
+
+_WRITTEN = [_text(m).splitlines() for m in (build_uniform_1d(3), build_nonuniform_1d(3),
+                                            build_cartesian_2d(2, 2),
+                                            build_perturbed_triangular_2d(2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_refuses_a_damaged_file_or_returns_a_finite_mesh(data):
+    # a file is outside input: one line deleted or one field replaced must
+    # give a MeshError (GeometryError included) or a mesh without NaN or inf
+    lines = list(data.draw(st.sampled_from(_WRITTEN)))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        del lines[i]
+    else:
+        parts = lines[i].split()
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
+            st.sampled_from(["nan", "1e999", "-1", "99999", "x"]))
+        lines[i] = " ".join(parts)
+    try:
+        mesh = read_mesh(io.StringIO("\n".join(lines) + "\n"))
+    except MeshError:
+        return
+    for name, arr in _array_fields(mesh):
+        assert np.all(np.isfinite(arr)), name

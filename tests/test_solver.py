@@ -145,7 +145,10 @@ def _sine_2d():
 
 
 # sha256 of solve(...).values.tobytes(), recorded before the fluxes took the
-# normal speed b . n in place of the normal: the histories must not move a bit
+# normal speed b . n in place of the normal: the histories must not move a bit.
+# 2d-cartesian-upwind re-recorded when the Cartesian faces took the numbering
+# by first occurrence and their measures the vertex arithmetic: its states
+# moved by at most 1.1e-16
 PINNED_SOLVES = {
     "1d-rusanov-riemann": (
         lambda: (uniform_1d_family(10).build(2), rusanov(burgers((1.0,))),
@@ -166,7 +169,7 @@ PINNED_SOLVES = {
     "2d-cartesian-upwind": (
         lambda: (cartesian_2d_family(4).build(1), upwind_linear([1.0, 0.5]),
                  _sine_2d(), 0.3, "periodic"),
-        "f110c33dc368df8d9458c43c99203d7634c2508b55ea6f57435d6b02e07111ed"),
+        "aa79775db74ede518215decbc78954af905de08db0ac76008a62fc41310b7cc0"),
 }
 
 
