@@ -41,12 +41,13 @@ from .flux import FluxFunction, check_hypothesis_iii
 from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
-from .solver import BlowUpError, Problem, SpaceTimeField, march, plan
+from .solver import BlowUpError, Problem, SpaceTimeField, Stepper, march, plan
 from .translations import (
     GAUSS_ORDER,
     IntegrableFunction,
     SeminormSums,
     SpacetimeSeminorm,
+    _interior_jumps,
     _part_rule,
     _remainder,
 )
@@ -186,21 +187,29 @@ BLOCK_STEPS = 16  # steps per block handed to the sums
 class _StepBlocks:
     """The ``march`` callback that feeds the streamed sums.
 
-    It collects the states u^n, ..., u^{n+b} and the interior edge fluxes
-    of b = BLOCK_STEPS consecutive steps, one row per step, and hands each
-    full block to every sum as ``block(n0, U, dU, F)``, n0 being the first
-    step and dU = u^{n+1} - u^n formed by one subtraction per block;
-    ``flush()`` hands over the last, partial block.  Memory is
-    O(BLOCK_STEPS * cells), in buffers allocated once: a fresh dU per block
-    made glibc's malloc trim and refault its heap top on every block of a
-    process that had not yet grown its heap (about 5 700 page faults at
-    level 3 of the 2d Burgers scenario).
+    It collects the states u^n, ..., u^{n+b}, the interior edge fluxes and
+    the interior face jumps u^n_K - u^n_L of b = BLOCK_STEPS consecutive
+    steps, one row per step, and hands each full block to every sum as
+    ``block(n0, U, dU, F, J)``, n0 being the first step and dU = u^{n+1} -
+    u^n formed by one subtraction per block; ``flush()`` hands over the
+    last, partial block.  The jumps are read from the stepper's
+    ``stencil_states``, which hold u^n's states while ``march`` calls back,
+    so no sum gathers the states again.  Memory is O(BLOCK_STEPS * cells),
+    in buffers allocated once: a fresh dU per block made glibc's malloc trim
+    and refault its heap top on every block of a process that had not yet
+    grown its heap (about 5 700 page faults at level 3 of the 2d Burgers
+    scenario).
     """
 
-    def __init__(self, n_cells: int, n_interior: int, sums):
-        self.U = np.empty((BLOCK_STEPS + 1, n_cells))
-        self.dU = np.empty((BLOCK_STEPS, n_cells))
+    def __init__(self, stp: Stepper, sums):
+        n_interior = stp.n_interior
+        self.U = np.empty((BLOCK_STEPS + 1, stp.mesh.n_cells))
+        self.dU = np.empty((BLOCK_STEPS, stp.mesh.n_cells))
         self.F = np.empty((BLOCK_STEPS, n_interior))
+        self.J = np.empty((BLOCK_STEPS, n_interior))
+        # the interior edges come first, in face order
+        self.at_K = stp.stencil_states[0, :n_interior]
+        self.at_L = stp.stencil_states[1, :n_interior]
         self.sums = sums
         self.n0 = 0
         self.count = 0
@@ -211,6 +220,7 @@ class _StepBlocks:
             self.U[0] = u
         self.U[i + 1] = u_next
         self.F[i] = fv[:self.F.shape[1]]
+        np.subtract(self.at_K, self.at_L, out=self.J[i])
         self.count = i + 1
         if self.count == len(self.F):
             self.flush()
@@ -221,7 +231,7 @@ class _StepBlocks:
             U = self.U[:size + 1]
             dU = np.subtract(U[1:], U[:-1], out=self.dU[:size])
             for sums in self.sums:
-                sums.block(self.n0, U[:-1], dU, self.F[:size])
+                sums.block(self.n0, U[:-1], dU, self.F[:size], self.J[:size])
         self.n0 += size
         self.count = 0
 
@@ -231,11 +241,11 @@ class _PairingSums:
     functions, fed a block of steps at a time.
 
     Built from the initial state u^0 and the physical flux f = g(u) b, then
-    ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands it over, with U the
+    ``block(n0, U, dU, F, J)`` as ``_StepBlocks`` hands it over, with U the
     states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
-    interior faces in face order, one row per step n.  Each step stores one
-    row per term and test function; ``decompositions()`` applies the time
-    weights.  T1, T2 and the five terms each have their own row, so the
+    interior faces in face order, one row per step n (the jumps J are not
+    read).  Each step stores one row per term and test function;
+    ``decompositions()`` applies the time weights.  T1, T2 and the five terms each have their own row, so the
     two splits T1 = T1_1 + T1_2 + R1 and T2 = T2_tilde + R and the master
     identity check them against each other.
 
@@ -280,7 +290,8 @@ class _PairingSums:
         self.rows = np.zeros((8, grid.n_steps, len(phis)))
         self._buf = None  # two cell and three face buffers, reused per block
 
-    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
+              J: np.ndarray) -> None:
         b = len(U)
         if self._buf is None or len(self._buf[0]) < b:
             nc, nf = self.cells.size, self.faces.size
@@ -349,9 +360,9 @@ class _PairingSums:
 class _GapSums:
     """The weak gaps of a history against a set of test functions, fed a
     block of steps at a time: built from the continuum datum u0 and the
-    physical flux f, then ``block(n0, U, dU, F)`` as ``_StepBlocks`` hands
-    it over (only the states U are read, so ``weak_gap`` passes rows of a
-    stored history and no dU or F), then ``gaps()``.
+    physical flux f, then ``block(n0, U, dU, F, J)`` as ``_StepBlocks``
+    hands it over (only the states U are read, so ``weak_gap`` passes rows
+    of a stored history and nothing else), then ``gaps()``.
 
     Its columns are exact integrals by the cell quadrature rule: int_K w
     and b . int_K grad w, kept on the cells where some column is nonzero,
@@ -402,10 +413,17 @@ class _GapSums:
                                             for p in phis])
         self.profile = flux.profile
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
+        self._buf = None  # the states at the cells, reused per block
 
-    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
-        Uc = U.take(self.cells, axis=1)
-        a_term, b_term = self.rows[:, n0:n0 + len(U)]
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
+              J: np.ndarray) -> None:
+        b = len(U)
+        if self._buf is None or len(self._buf) < b:
+            self._buf = np.empty((b, self.cells.size))
+        # the cells index U, so "clip" never clips; with an output buffer,
+        # the default "raise" would copy through a temporary
+        Uc = U.take(self.cells, axis=1, out=self._buf[:b], mode="clip")
+        a_term, b_term = self.rows[:, n0:n0 + b]
         np.matmul(Uc, self.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
         np.matmul(self.profile(Uc), self.b_grad_w, out=b_term)  # f(u^n) . grad phi
 
@@ -453,7 +471,7 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
     sums = _GapSums(field.mesh, field.grid, [phi], u0, field.flux.flux)
     states = field.values[:-1]
     for n0 in range(0, len(states), BLOCK_STEPS):
-        sums.block(n0, states[n0:n0 + BLOCK_STEPS], None, None)
+        sums.block(n0, states[n0:n0 + BLOCK_STEPS], None, None, None)
     return sums.gaps()[0]
 
 
@@ -461,7 +479,8 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
                                    values: np.ndarray) -> SpacetimeSeminorm:
     """The space-time translation seminorm of a stored history ``values``
     (N+1, n_cells), by the sums of ``lw_study`` (``SeminormSums``) fed the
-    same blocks of steps, so both give the same bits."""
+    same blocks of steps and the same face jumps, so both give the same
+    bits."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps + 1, mesh.n_cells):
         raise ValueError(
@@ -470,7 +489,8 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
     sums = SeminormSums(mesh, grid)
     for n0 in range(0, grid.n_steps, BLOCK_STEPS):
         n1 = min(n0 + BLOCK_STEPS, grid.n_steps)
-        sums.block(n0, vals[n0:n1], vals[n0 + 1:n1 + 1] - vals[n0:n1], None)
+        U = vals[n0:n1]
+        sums.block(n0, U, vals[n0 + 1:n1 + 1] - U, None, _interior_jumps(mesh, U))
     return sums.result()
 
 
@@ -718,7 +738,7 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
     seminorm = SeminormSums(mesh, grid)
     pairing = _PairingSums(mesh, grid, phi_set, u0, problem.flux.flux)
     gap = _GapSums(mesh, grid, phi_set, problem.u0, problem.flux.flux)
-    blocks = _StepBlocks(mesh.n_cells, stp.n_interior, [seminorm, pairing, gap])
+    blocks = _StepBlocks(stp, [seminorm, pairing, gap])
     lo, hi = march(stp, grid, u0, blocks)
     blocks.flush()
     flux = problem.flux

@@ -106,11 +106,24 @@ def linear_advection(b) -> FluxFunction:
 def burgers(direction=(1.0,)) -> FluxFunction:
     dv = np.atleast_1d(np.asarray(direction, dtype=float))
     dnorm = math.hypot(*dv)
+
+    # 0.5 * u ** 2 and max(|a|, |b|) * |d|, the last operation of each in
+    # place on the array that the first allocated (scalars rebind)
+    def profile(u):
+        g = np.square(u)
+        g *= 0.5
+        return g
+
+    def deriv_bound(a, b):
+        lam = np.maximum(np.abs(a), np.abs(b))
+        lam *= dnorm
+        return lam
+
     return FluxFunction(
         name=f"burgers({_vec_label(dv)})",
         direction=dv,
-        profile=lambda u: 0.5 * u ** 2,
-        deriv_bound=lambda a, b: np.maximum(np.abs(a), np.abs(b)) * dnorm,
+        profile=profile,
+        deriv_bound=deriv_bound,
     )
 
 
@@ -118,11 +131,14 @@ def burgers(direction=(1.0,)) -> FluxFunction:
 class NumericalFlux:
     """A face flux with declared stencil width and jump-bound constant.
 
-    ``evaluate(uK, uL, bn, uKK=..., uLL=...)`` is vectorised over faces,
-    with ``bn = flux.normal_speed(n)`` the normal speed of each face (or
+    ``evaluate(uK, uL, bn, uKK=..., uLL=...)`` is vectorised over faces:
+    the states are arrays of one shape, one entry per face, and
+    ``bn = flux.normal_speed(n)`` is the normal speed of each face (or
     one speed, broadcast, when all faces share a normal); the extra states
     are consumed only by three-point stencils (uKK is the cell behind K
-    across its other face, uLL the cell behind L).
+    across its other face, uLL the cell behind L).  It must not write into
+    the states: the solver hands it views of its ``stencil_states``, whose
+    face jumps the streamed seminorm reads after the step.
     ``wave_speed`` bounds the normal signal speed between two states and
     feeds the time-step selection.  ``u_range`` is the state interval on
     which ``c_f`` holds; fluxes whose constant holds for any state declare
@@ -157,9 +173,8 @@ def upwind_linear(b) -> NumericalFlux:
     bv = F.direction
 
     def evaluate(uK, uL, bn, uKK=None, uLL=None):
-        uK = np.asarray(uK, dtype=float)
-        uL = np.asarray(uL, dtype=float)
-        return np.where(bn >= 0.0, bn * uK, bn * uL) + 0.0
+        return _donor(bn, np.multiply(bn, uK, dtype=float),
+                      np.multiply(bn, uL, dtype=float))
 
     def wave_speed(a, b_, n):
         return np.abs(F.normal_speed(n))
@@ -202,11 +217,20 @@ def rusanov(F: FluxFunction,
     g = F.profile
 
     def evaluate(uK, uL, bn, uKK=None, uLL=None):
+        # 0.5 * (g(uK) + g(uL)) * bn - 0.5 * lam * (uL - uK) + 0.0, in that
+        # order, in place on the sum and the difference only: g and
+        # deriv_bound may return their own input (linear advection's g does)
         uK = np.asarray(uK, dtype=float)
         uL = np.asarray(uL, dtype=float)
         lam = F.deriv_bound(uK, uL)
-        central = 0.5 * (g(uK) + g(uL)) * bn
-        return central - 0.5 * lam * (uL - uK) + 0.0
+        out = np.add(g(uK), g(uL))
+        out *= 0.5
+        out *= bn
+        diss = np.subtract(uL, uK)
+        diss *= np.multiply(0.5, lam)
+        out -= diss
+        out += 0.0
+        return out
 
     def wave_speed(a, b, n):
         a = np.asarray(a, dtype=float)
@@ -230,9 +254,31 @@ def rusanov(F: FluxFunction,
     )
 
 
+def _donor(bn, up_k: np.ndarray, up_l: np.ndarray) -> np.ndarray:
+    """np.where(bn >= 0, up_k, up_l) + 0.0, written into ``up_l``, which the
+    caller allocated, as ``up_k`` was."""
+    np.copyto(up_l, up_k, where=bn >= 0.0)
+    up_l += 0.0
+    return up_l
+
+
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    same = a * b > 0.0
-    return np.where(same, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+    """np.where(a * b > 0, sign(a) * min(|a|, |b|), 0.0), written into
+    ``a``; ``a`` and ``b`` are the caller's scratch, and ``b`` is spent."""
+    prod = np.multiply(a, b)
+    differ = np.greater(prod, 0.0)
+    np.logical_not(differ, out=differ)
+    mag = np.minimum(np.abs(a, out=prod), np.abs(b, out=b), out=prod)
+    np.multiply(np.sign(a, out=a), mag, out=a)
+    np.copyto(a, 0.0, where=differ)
+    return a
+
+
+def _face_state(u: np.ndarray, behind, ahead: np.ndarray) -> np.ndarray:
+    """u + 0.5 * minmod(u - behind, ahead - u), in a fresh array."""
+    slope = _minmod(np.subtract(u, behind), np.subtract(ahead, u))
+    slope *= 0.5
+    return np.add(u, slope, out=slope)
 
 
 def muscl_three_point(b) -> NumericalFlux:
@@ -253,11 +299,10 @@ def muscl_three_point(b) -> NumericalFlux:
             uKK = uK
         if uLL is None:
             uLL = uL
-        uKK = np.asarray(uKK, dtype=float)
-        uLL = np.asarray(uLL, dtype=float)
-        face_up_k = uK + 0.5 * _minmod(uK - uKK, uL - uK)
-        face_up_l = uL + 0.5 * _minmod(uL - uLL, uK - uL)
-        return np.where(bn >= 0.0, bn * face_up_k, bn * face_up_l) + 0.0
+        face_up_k = _face_state(uK, uKK, uL)
+        face_up_l = _face_state(uL, uLL, uK)
+        return _donor(bn, np.multiply(bn, face_up_k, out=face_up_k),
+                      np.multiply(bn, face_up_l, out=face_up_l))
 
     def wave_speed(a, b_, n):
         return np.abs(F.normal_speed(n))

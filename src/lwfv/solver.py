@@ -142,6 +142,13 @@ class Stepper:
     The edges are the mesh-interior faces in face order (the first
     ``n_interior``), then on periodic meshes one edge per identified pair of
     boundary faces.  Their normal speeds b . n are computed once, here.
+
+    ``stencil_states`` is the stepper's own (2, E) buffer, (4, E) for a
+    three-point stencil: ``edge_fluxes(u)`` gathers u at ``edge_K``,
+    ``edge_L`` (then ``edge_KK``, ``edge_LL``) into its rows with one
+    ``take`` and hands the flux views of them.  So after a step of u^n the
+    buffer holds u^n's stencil states until the next step; the streamed
+    seminorm reads its face jumps there.
     """
 
     def __init__(self, mesh: Mesh, flux: NumericalFlux, boundary: str = "periodic"):
@@ -181,20 +188,35 @@ class Stepper:
         self._scatter = np.concatenate([self.edge_K, self.edge_L, self.outflow_K])
         self._weights = np.empty(self._scatter.size)  # divergence's scratch
 
+        stencil = [self.edge_K, self.edge_L]
         if flux.stencil == 3:
             self.edge_KK, self.edge_LL = far_neighbors(
                 mesh, self.edge_K, self.edge_L, boundary == "periodic"
             )
+            stencil += [self.edge_KK, self.edge_LL]
         else:
             self.edge_KK = None
             self.edge_LL = None
+        self._stencil_ids = np.concatenate(stencil)
+        # checked once, so that the per-step take may "clip", which with an
+        # output buffer copies no temporary, and never clips
+        if self._stencil_ids.size and not (
+                0 <= self._stencil_ids.min()
+                and self._stencil_ids.max() < mesh.n_cells):
+            raise MeshError(f"an edge names a cell outside 0..{mesh.n_cells - 1}")
+        self.stencil_states = np.empty((len(stencil), self.edge_K.size))
+        self._flat_states = self.stencil_states.reshape(-1)
+        self._rows = tuple(self.stencil_states)
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
-        uK, uL = u.take(self.edge_K), u.take(self.edge_L)
+        """The normal flux through every edge, from the states of u that
+        this call gathers into ``stencil_states``."""
+        u.take(self._stencil_ids, out=self._flat_states, mode="clip")
         if self.edge_KK is None:
+            uK, uL = self._rows
             return self.flux.evaluate(uK, uL, self.edge_bn)
-        return self.flux.evaluate(uK, uL, self.edge_bn,
-                                  uKK=u.take(self.edge_KK), uLL=u.take(self.edge_LL))
+        uK, uL, uKK, uLL = self._rows
+        return self.flux.evaluate(uK, uL, self.edge_bn, uKK=uKK, uLL=uLL)
 
     def divergence(self, u: np.ndarray, fv: np.ndarray | None = None) -> np.ndarray:
         """Per-cell net outward flux sum_{sigma} |sigma| F_sigma . n_K, from
@@ -292,8 +314,9 @@ def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,
     ``TimeGrid.uniform(t_final, n_steps)`` node for node; any other grid
     raises ValueError.  After step n it calls ``on_step(n, u^n, u^{n+1},
     fv)`` with ``fv`` the edge fluxes the step used (aligned with the
-    stepper's edges, interior faces first).  Returns the min and max of u
-    over every time node.  Raises BlowUpError if any cell value exceeds 1e6
+    stepper's edges, interior faces first); ``stp.stencil_states`` then
+    holds u^n's stencil states, until the next step gathers u^{n+1}'s.
+    Returns the min and max of u over every time node.  Raises BlowUpError if any cell value exceeds 1e6
     times the initial sup bound.  For a monotone flux it raises InvariantViolation, naming the
     step and the cell, when a state leaves [min u^0, max u^0] by more than
     MAX_PRINCIPLE_SLACK times max |u^0|: under the CFL condition every

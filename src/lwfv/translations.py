@@ -152,15 +152,20 @@ def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     return CellField(mesh=mesh, values=vals)
 
 
+def _interior_jumps(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """u_K - u_L on the interior faces in face order, for stored states
+    ``values`` (..., n_cells)."""
+    mask = mesh.interior
+    return np.subtract(values.take(mesh.face_K[mask], axis=-1),
+                       values.take(mesh.face_L[mask], axis=-1))
+
+
 def translation_seminorm(mesh: Mesh, field: CellField) -> float:
     """Sum over interior faces of |D_sigma| |u_K - u_L|."""
     if field.mesh is not mesh:
         raise ValueError("field does not live on this mesh")
-    mask = mesh.interior
-    jumps = np.abs(
-        field.values[mesh.face_K[mask]] - field.values[mesh.face_L[mask]]
-    )
-    return float(np.dot(mesh.face_dsig[mask], jumps))
+    jumps = np.abs(_interior_jumps(mesh, field.values))
+    return float(np.dot(mesh.face_dsig[mesh.interior], jumps))
 
 
 @dataclass(frozen=True)
@@ -179,37 +184,31 @@ class SeminormSums:
         space part = sum_{n=0}^{N-1} dt_n sum_sigma |D_sigma| |u^n_K - u^n_L|
         time part  = sum_{n=1}^{N-1} dt_n sum_K |K| |u^n_K - u^{n-1}_K|
 
-    Feed ``block(n0, U, dU, F)`` with one row per step n = n0, n0 + 1, ...:
-    U the states u^n and dU = u^{n+1} - u^n (F, the face fluxes, is not
-    read), covering n = 0..N-1; ``result()`` then applies the slab widths.
-    Both parts sum over every face and every cell.  Memory is
-    O(faces + N), not O(N * cells).
+    Feed ``block(n0, U, dU, F, J)`` with one row per step n = n0, n0 + 1,
+    ...: dU = u^{n+1} - u^n and J the jumps u^n_K - u^n_L on the interior
+    faces in face order (the states U and the face fluxes F are not read),
+    covering n = 0..N-1; ``result()`` then applies the slab widths.  The
+    streamed ``lw_study`` hands over the jumps that each step gathered, a
+    stored history those of ``_interior_jumps``.  Both parts sum over every
+    face and every cell.  Memory is O(faces + N), not O(N * cells).
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid):
-        mask = mesh.interior
-        self.K = mesh.face_K[mask]
-        self.L = mesh.face_L[mask]
-        self.dsig = mesh.face_dsig[mask]
+        self.dsig = mesh.face_dsig[mesh.interior]
         self.vol = mesh.cell_volume
         self.dts = grid.deltas
         self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
         self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
-        self._buf = None  # (states at K, states at L, |dU|), reused per block
+        self._buf = None  # (|J|, |dU|), reused per block
 
-    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray) -> None:
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
+              J: np.ndarray) -> None:
         b = len(U)
         if self._buf is None or len(self._buf[0]) < b:
-            self._buf = (np.empty((b, self.K.size)), np.empty((b, self.K.size)),
-                         np.empty((b, self.vol.size)))
-        at_K, at_L, abs_du = (x[:b] for x in self._buf)
-        # K and L are cell ids of the mesh, so "clip" never clips; with an
-        # output buffer, the default "raise" would copy through a temporary
-        U.take(self.K, axis=1, out=at_K, mode="clip")
-        U.take(self.L, axis=1, out=at_L, mode="clip")
-        jumps = np.abs(np.subtract(at_K, at_L, out=at_K), out=at_K)
+            self._buf = (np.empty((b, self.dsig.size)), np.empty((b, self.vol.size)))
+        abs_j, abs_du = (x[:b] for x in self._buf)
         rows = slice(n0, n0 + b)
-        np.matmul(jumps, self.dsig, out=self.space[rows])
+        np.matmul(np.abs(J, out=abs_j), self.dsig, out=self.space[rows])
         np.matmul(np.abs(dU, out=abs_du), self.vol, out=self.time[rows])
 
     def result(self) -> SpacetimeSeminorm:

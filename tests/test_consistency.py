@@ -138,13 +138,13 @@ def _plant(monkeypatch, name):
         def __init__(self, sums):
             self.sums = sums
 
-        def block(self, n0, U, dU, F):
+        def block(self, n0, U, dU, F, J):
             arrays = {"dU": dU, "F": F}
             arrays[name] = arrays[name] * (1.0 + 1e-6)
-            self.sums.block(n0, U, arrays["dU"], arrays["F"])
+            self.sums.block(n0, U, arrays["dU"], arrays["F"], J)
 
-    monkeypatch.setattr(consistency, "_StepBlocks", lambda n_cells, n_interior, sums:
-                        real(n_cells, n_interior, [Scaled(s) for s in sums]))
+    monkeypatch.setattr(consistency, "_StepBlocks", lambda stp, sums:
+                        real(stp, [Scaled(s) for s in sums]))
 
 
 @pytest.mark.parametrize("planted, broken", [
@@ -168,7 +168,7 @@ def test_a_tampered_flux_row_breaks_the_t2_split():
     problem, phis = _advection(), bump_corpus_spacetime(1, 0.5)
     stp, grid, u0 = plan(mesh, problem, 0.5)
     pairing = consistency._PairingSums(mesh, grid, phis, u0, problem.flux.flux)
-    blocks = consistency._StepBlocks(mesh.n_cells, stp.n_interior, [pairing])
+    blocks = consistency._StepBlocks(stp, [pairing])
     march(stp, grid, u0, blocks)
     blocks.flush()
     assert len(pairing.decompositions()) == len(phis)
@@ -176,6 +176,49 @@ def test_a_tampered_flux_row_breaks_the_t2_split():
     with pytest.raises(InvariantViolation,
                        match=r"^split T2 = T2_tilde \+ R broken for "):
         pairing.decompositions()
+
+
+class _Recorder:
+    """A sum that keeps copies of the blocks it is handed."""
+
+    def __init__(self):
+        self.U, self.J = [], []
+
+    def block(self, n0, U, dU, F, J):
+        assert n0 == sum(map(len, self.U))
+        self.U.append(U.copy())
+        self.J.append(J.copy())
+
+
+@pytest.mark.parametrize("case", ["periodic-2d-rusanov", "outflow-1d-upwind",
+                                  "periodic-1d-muscl"])
+def test_step_blocks_hand_over_the_jumps_of_the_states(case):
+    # the jumps come from the stepper's stencil buffer, not from U
+    if case == "periodic-2d-rusanov":
+        mesh = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1)
+        problem = Problem(flux=rusanov(burgers((0.6, 0.8))),
+                          u0=smooth_function(lambda x: 0.5 + 0.25 * np.sin(
+                              2 * np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1])),
+                          t_final=0.1)
+    elif case == "outflow-1d-upwind":
+        mesh = build_nonuniform_1d(20)
+        problem = Problem(flux=upwind_linear([1.0]), u0=_bump_datum(),
+                          t_final=0.5, boundary="outflow")
+    else:
+        mesh = build_uniform_1d(20)
+        problem = Problem(flux=muscl_three_point([1.0]), u0=_bump_datum(),
+                          t_final=0.5)
+    stp, grid, u0 = plan(mesh, problem, 0.45)
+    rec = _Recorder()
+    blocks = consistency._StepBlocks(stp, [rec])
+    march(stp, grid, u0, blocks)
+    blocks.flush()
+    assert grid.n_steps > consistency.BLOCK_STEPS and grid.n_steps % consistency.BLOCK_STEPS
+    U, J = np.concatenate(rec.U), np.concatenate(rec.J)
+    assert len(J) == grid.n_steps and U[0].tobytes() == u0.tobytes()
+    inner = mesh.interior
+    want = U[:, mesh.face_K[inner]] - U[:, mesh.face_L[inner]]
+    assert J.tobytes() == want.tobytes()
 
 
 def test_zero_test_function_gives_zero_terms(advection_run):

@@ -7,6 +7,7 @@ run pinned once) and the builders are required to reproduce them.
 import dataclasses
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +439,21 @@ def test_mesh_file_rejects_bad_ids():
         read_mesh(io.StringIO(_replace_line(text, "vertex 2 ", "vertex 9" + vertex[8:] + "\n")))
 
 
+@pytest.mark.parametrize("prefix, bad, error", [
+    ("vertex 2 ", "vertex 2 x", "could not convert string 'x'"),
+    ("cell 1 ", "cell 1 0.5 1 x", "could not convert string 'x'"),
+    ("vertex 2 ", "vertex 2 nan", "non-finite coordinate"),
+    ("cell 1 ", "cell 1.5 0.5 1 2", "cell id 1.5 is not an integer"),
+    ("cell 1 ", "cell 1 0.5 1 inf", "vertex id inf is not an integer"),
+    ("cell 2 ", "cell 1 0.83 2 3", "duplicate cell id 1"),
+])
+def test_mesh_file_errors_name_the_file_line(prefix, bad, error):
+    text = _replace_line(_mesh_text(3), prefix, bad + "\n")
+    lineno = 1 + text.splitlines().index(bad)
+    with pytest.raises(MeshError, match=f"^line {lineno}: {re.escape(error)}"):
+        read_mesh(io.StringIO(text))
+
+
 def test_mesh_file_rejects_a_facet_of_three_cells():
     # cell 2 of four made a copy of cell 1: vertex 2 then ends three cells
     text = _replace_line(_mesh_text(4), "cell 2 ", "cell 2 0.375 1 2\n")
@@ -616,6 +632,23 @@ def test_mesh_file_rejects_a_missing_vertex_coordinate():
     text = _replace_line(_mesh_text(3), "vertex 1 ", "vertex 1\n")
     with pytest.raises(MeshError, match="vertex line has 2 fields, expected 3"):
         read_mesh(io.StringIO(text))
+
+
+def _tiny_1d_text(anchor_1: float) -> str:
+    """Four cells of [0, 1e-9], with cell 1's anchor as given."""
+    xs = [0.0, 2.5e-10, 5e-10, 7.5e-10, 1e-9]
+    anchors = [1.25e-10, anchor_1, 6.25e-10, 8.75e-10]
+    return ("lwfv-mesh v3 dim=1 nv=2\n# box 0 1e-09\n"
+            + "".join(f"vertex {i} {x!r}\n" for i, x in enumerate(xs))
+            + "".join(f"cell {c} {x!r} {c} {c + 1}\n" for c, x in enumerate(anchors)))
+
+
+def test_anchor_inside_scales_with_the_cell():
+    # an interior anchor 5e-13 left of its cell, 0.2 % of the cell's width,
+    # passed an absolute tolerance of 1e-12: only dual_partition caught it
+    assert validate(read_mesh(io.StringIO(_tiny_1d_text(3.75e-10)))).ok
+    bad = read_mesh(io.StringIO(_tiny_1d_text(2.5e-10 - 5e-13)))
+    assert validate(bad).failing() == ["dual_partition", "anchor_inside"]
 
 
 def test_loaded_mesh_validates(tmp_path):

@@ -181,6 +181,30 @@ def test_solve_history_bits_are_pinned(case):
     assert hashlib.sha256(field.values.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case", ["periodic-2d-rusanov", "outflow-1d-upwind",
+                                  "periodic-1d-muscl"])
+def test_edge_fluxes_gathers_the_stencil_states_into_its_buffer(case):
+    if case == "periodic-2d-rusanov":
+        m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1)
+        st = Stepper(m, rusanov(burgers((0.6, 0.8))), "periodic")
+    elif case == "outflow-1d-upwind":
+        m = nonuniform_1d_family(10, ratio=2.0).build(1)
+        st = Stepper(m, upwind_linear([1.0]), "outflow")
+    else:
+        m = uniform_1d_family(10).build(1)
+        st = Stepper(m, muscl_three_point([1.0]), "periodic")
+    stencil = [st.edge_K, st.edge_L]
+    if st.edge_KK is not None:
+        stencil += [st.edge_KK, st.edge_LL]
+    rng = np.random.default_rng(4)
+    for _ in range(2):  # the second call overwrites the first's states
+        u = rng.uniform(-1.0, 1.0, m.n_cells)
+        st.edge_fluxes(u)
+        assert st.stencil_states.shape == (len(stencil), st.edge_K.size)
+        for row, ids in zip(st.stencil_states, stencil):
+            assert row.tobytes() == u[ids].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # time-step selection
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lwfv.translations import (
     translation_decay_study,
     translation_seminorm,
     uniform_decay_study,
+    _interior_jumps,
 )
 
 from oracles import (
@@ -108,7 +109,7 @@ def test_spacetime_seminorm_hand_value():
     vals[:, order] = vals_sorted
     grid = TimeGrid(nodes=np.array([0.0, 0.2, 0.5]))
     sums = SeminormSums(m, grid)
-    sums.block(0, vals[:-1], np.diff(vals, axis=0), None)
+    sums.block(0, vals[:-1], np.diff(vals, axis=0), None, _interior_jumps(m, vals[:-1]))
     sn = sums.result()
     # hand: space = 0.2*(1/4)*4 + 0.3*(1/4)*... = 11/40, time = 9/40
     assert sn.space_part == pytest.approx(0.275, rel=1e-13)
