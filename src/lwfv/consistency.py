@@ -192,13 +192,12 @@ class _StepBlocks:
     steps, one row per step, and hands each full block to every sum as
     ``block(n0, U, dU, F, J)``, n0 being the first step and dU = u^{n+1} -
     u^n formed by one subtraction per block; ``flush()`` hands over the
-    last, partial block.  The jumps are read from the stepper's
-    ``stencil_states``, which hold u^n's states while ``march`` calls back,
-    so no sum gathers the states again.  Memory is O(BLOCK_STEPS * cells),
-    in buffers allocated once: a fresh dU per block made glibc's malloc trim
-    and refault its heap top on every block of a process that had not yet
-    grown its heap (about 5 700 page faults at level 3 of the 2d Burgers
-    scenario).
+    last, partial block.  The jumps come from ``stp.interior_jumps``, which
+    reads the states of u^n that the step gathered, so no sum gathers the
+    states again.  Memory is O(BLOCK_STEPS * cells), in buffers allocated
+    once: a fresh dU per block made glibc's malloc trim and refault its
+    heap top on every block of a process that had not yet grown its heap
+    (about 5 700 page faults at level 3 of the 2d Burgers scenario).
     """
 
     def __init__(self, stp: Stepper, sums):
@@ -207,9 +206,7 @@ class _StepBlocks:
         self.dU = np.empty((BLOCK_STEPS, stp.mesh.n_cells))
         self.F = np.empty((BLOCK_STEPS, n_interior))
         self.J = np.empty((BLOCK_STEPS, n_interior))
-        # the interior edges come first, in face order
-        self.at_K = stp.stencil_states[0, :n_interior]
-        self.at_L = stp.stencil_states[1, :n_interior]
+        self.stp = stp
         self.sums = sums
         self.n0 = 0
         self.count = 0
@@ -220,7 +217,7 @@ class _StepBlocks:
             self.U[0] = u
         self.U[i + 1] = u_next
         self.F[i] = fv[:self.F.shape[1]]
-        np.subtract(self.at_K, self.at_L, out=self.J[i])
+        self.stp.interior_jumps(self.J[i])
         self.count = i + 1
         if self.count == len(self.F):
             self.flush()
@@ -245,9 +242,10 @@ class _PairingSums:
     states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
     interior faces in face order, one row per step n (the jumps J are not
     read).  Each step stores one row per term and test function;
-    ``decompositions()`` applies the time weights.  T1, T2 and the five terms each have their own row, so the
-    two splits T1 = T1_1 + T1_2 + R1 and T2 = T2_tilde + R and the master
-    identity check them against each other.
+    ``decompositions()`` applies the time weights.  T1, T2 and the five
+    terms each have their own row, so the two splits T1 = T1_1 + T1_2 + R1
+    and T2 = T2_tilde + R and the master identity check them against each
+    other.
 
     Its columns are the anchor samples |K| w(x_K) and the face jumps
     w(x_K) - w(x_L), kept on their support rows: ``faces``, the interior

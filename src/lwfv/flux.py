@@ -131,9 +131,8 @@ def burgers(direction=(1.0,)) -> FluxFunction:
 class NumericalFlux:
     """A face flux with declared stencil width and jump-bound constant.
 
-    ``evaluate(uK, uL, bn, uKK=..., uLL=...)`` is vectorised over faces:
-    the states are arrays of one shape, one entry per face, and
-    ``bn = flux.normal_speed(n)`` is the normal speed of each face (or
+    ``evaluate(uK, uL, bn, uKK=..., uLL=...)`` is vectorised over faces,
+    with ``bn = flux.normal_speed(n)`` the normal speed of each face (or
     one speed, broadcast, when all faces share a normal); the extra states
     are consumed only by three-point stencils (uKK is the cell behind K
     across its other face, uLL the cell behind L).  It must not write into
@@ -173,8 +172,9 @@ def upwind_linear(b) -> NumericalFlux:
     bv = F.direction
 
     def evaluate(uK, uL, bn, uKK=None, uLL=None):
-        return _donor(bn, np.multiply(bn, uK, dtype=float),
-                      np.multiply(bn, uL, dtype=float))
+        uK = np.asarray(uK, dtype=float)
+        uL = np.asarray(uL, dtype=float)
+        return np.where(bn >= 0.0, bn * uK, bn * uL) + 0.0
 
     def wave_speed(a, b_, n):
         return np.abs(F.normal_speed(n))
@@ -254,31 +254,9 @@ def rusanov(F: FluxFunction,
     )
 
 
-def _donor(bn, up_k: np.ndarray, up_l: np.ndarray) -> np.ndarray:
-    """np.where(bn >= 0, up_k, up_l) + 0.0, written into ``up_l``, which the
-    caller allocated, as ``up_k`` was."""
-    np.copyto(up_l, up_k, where=bn >= 0.0)
-    up_l += 0.0
-    return up_l
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.where(a * b > 0, sign(a) * min(|a|, |b|), 0.0), written into
-    ``a``; ``a`` and ``b`` are the caller's scratch, and ``b`` is spent."""
-    prod = np.multiply(a, b)
-    differ = np.greater(prod, 0.0)
-    np.logical_not(differ, out=differ)
-    mag = np.minimum(np.abs(a, out=prod), np.abs(b, out=b), out=prod)
-    np.multiply(np.sign(a, out=a), mag, out=a)
-    np.copyto(a, 0.0, where=differ)
-    return a
-
-
-def _face_state(u: np.ndarray, behind, ahead: np.ndarray) -> np.ndarray:
-    """u + 0.5 * minmod(u - behind, ahead - u), in a fresh array."""
-    slope = _minmod(np.subtract(u, behind), np.subtract(ahead, u))
-    slope *= 0.5
-    return np.add(u, slope, out=slope)
+    same = a * b > 0.0
+    return np.where(same, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
 def muscl_three_point(b) -> NumericalFlux:
@@ -299,10 +277,11 @@ def muscl_three_point(b) -> NumericalFlux:
             uKK = uK
         if uLL is None:
             uLL = uL
-        face_up_k = _face_state(uK, uKK, uL)
-        face_up_l = _face_state(uL, uLL, uK)
-        return _donor(bn, np.multiply(bn, face_up_k, out=face_up_k),
-                      np.multiply(bn, face_up_l, out=face_up_l))
+        uKK = np.asarray(uKK, dtype=float)
+        uLL = np.asarray(uLL, dtype=float)
+        face_up_k = uK + 0.5 * _minmod(uK - uKK, uL - uK)
+        face_up_l = uL + 0.5 * _minmod(uL - uLL, uK - uL)
+        return np.where(bn >= 0.0, bn * face_up_k, bn * face_up_l) + 0.0
 
     def wave_speed(a, b_, n):
         return np.abs(F.normal_speed(n))

@@ -836,50 +836,14 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
             fh.write(f"cell {c} {_fmt_row(x)} {' '.join(map(str, ids))}\n")
 
 
-def _parse(kind: str, lines: list[str], linenos: np.ndarray, ncols: int) -> np.ndarray:
-    """Fields 1..ncols of the ``kind`` lines as floats, one row per line,
-    by one ``np.loadtxt``.  Raises MeshError naming the file line of a field
-    that is not a number."""
-    if not lines:
-        return np.empty((0, ncols))
-    try:
-        return np.loadtxt(lines, usecols=range(1, 1 + ncols), ndmin=2,
-                          comments=None)
-    except ValueError as e:
-        # loadtxt names the offending field's row (from 0) in what it read
-        where = re.fullmatch(r"(.*) at row (\d+), column \d+\.?", str(e))
-        if where is None:
-            raise MeshError(f"{kind} lines: {e}") from None
-        lineno = linenos[int(where.group(2))]
-        raise MeshError(f"line {lineno}: {where.group(1)}") from None
-
-
-def _ids(kind: str, values: np.ndarray, linenos: np.ndarray) -> np.ndarray:
-    """Integer ids from parsed fields, after checking each one is an
-    integer below 2**53, which a float holds exactly."""
-    bad = ~((np.abs(values) < 2.0 ** 53) & (values == np.floor(values)))
-    if np.any(bad):
-        row, col = np.unravel_index(np.argmax(bad), bad.shape)
-        raise MeshError(f"line {linenos[row]}: {kind} {float(values[row, col])!r} "
-                        f"is not an integer below 2**53 in magnitude")
-    return values.astype(np.int64)
-
-
-def _ordered(kind: str, ids: np.ndarray, linenos: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the rows by id, after checking the ids
-    are exactly 0..n-1; a repeated id is named at its second line."""
-    order = np.argsort(ids, kind="stable")
-    ranked = ids[order]
-    again = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if again.size:
-        row = int(order[1:][again].min())
-        raise MeshError(f"line {linenos[row]}: duplicate {kind} id {ids[row]}")
-    if not np.array_equal(ranked, np.arange(ids.size)):
-        missing = np.setdiff1d(np.arange(ids.size), ids)
+def _ordered(rows: dict[int, tuple], kind: str) -> list:
+    """Rows by id, after checking the ids are exactly 0..n-1."""
+    if sorted(rows) != list(range(len(rows))):
+        missing = sorted(set(range(len(rows))) - set(rows))
         raise MeshError(
-            f"{kind} ids must be 0..{ids.size - 1}; missing {missing[:5].tolist()}"
+            f"{kind} ids must be 0..{len(rows) - 1}; missing {missing[:5]}"
         )
-    return order
+    return [rows[i] for i in range(len(rows))]
 
 
 def read_mesh(path_or_buf) -> Mesh:
@@ -887,17 +851,15 @@ def read_mesh(path_or_buf) -> Mesh:
     and anchors, from which :func:`_assemble` derives the rest, so the mesh
     equals the one that was written, bit for bit.
 
-    One pass over the lines sorts them by kind and counts their fields;
-    ``np.loadtxt`` then parses the vertex lines and the cell lines.  Raises
-    MeshError on a v1 or v2 file (``lwfv mesh-gen`` rewrites it from the
-    config that made it) and on a malformed file: a header without nv = 2
-    in 1d or nv = 3 or 4 in 2d (the cells :func:`quadrature.cell_rule`
-    integrates), a line with the wrong field count or a non-numeric or
-    non-finite field, an id that is not an integer, no box comment, a
-    second one, or one without lo < hi on every axis, vertex or cell ids
-    other than 0..n-1, a cell naming a missing vertex, a cell of the wrong
-    shape or orientation, or a facet of three or more cells (the last two
-    as GeometryError).  :func:`validate` checks the rest.
+    Raises MeshError on a v1 or v2 file (``lwfv mesh-gen`` rewrites it from
+    the config that made it) and on a malformed file: a header without
+    nv = 2 in 1d or nv = 3 or 4 in 2d (the cells
+    :func:`quadrature.cell_rule` integrates), a line with the wrong field
+    count or a non-numeric or non-finite field, no box comment, a second
+    one, or one without lo < hi on every axis, vertex or cell ids other
+    than 0..n-1, a cell naming a missing vertex, a cell of the wrong shape
+    or orientation, or a facet of three or more cells (the last two as
+    GeometryError).  :func:`validate` checks the rest.
     """
     with open_text(path_or_buf) as fh:
         header = " ".join(fh.readline().split())
@@ -910,55 +872,57 @@ def read_mesh(path_or_buf) -> Mesh:
                 f"or rectangles (dim=2 nv=3 or 4): {header!r}"
                 + ("; v1 and v2 files are no longer read: rerun mesh-gen to "
                    "rewrite them" if old else ""))
-        # numbered as iterating the file numbers them: only a newline ends a line
-        body = fh.read().split("\n")
-    box = ()
-    width = {"vertex": 2 + dim, "cell": 2 + dim + nv}
-    lines: dict[str, list[str]] = {"vertex": [], "cell": []}
-    linenos: dict[str, list[int]] = {"vertex": [], "cell": []}
-    for lineno, line in enumerate(body, 2):
-        parts = line.split()
-        if not parts:
-            continue
-        kind = parts[0]
-        if kind == "#":
-            if len(parts) >= 2 and parts[1] == "box":
-                if box:
-                    raise MeshError(f"line {lineno}: a second box line")
-                try:
-                    vals = np.array([float(v) for v in parts[2:]])
-                except ValueError as e:
-                    raise MeshError(f"line {lineno}: box: {e}") from None
-                if vals.size != 2 * dim:
-                    raise MeshError(f"line {lineno}: box line has {vals.size} "
-                                    f"values, expected {2 * dim}")
-                box = (vals[:dim], vals[dim:])
-                if not (np.all(np.isfinite(vals)) and np.all(box[0] < box[1])):
-                    raise MeshError(f"line {lineno}: box needs finite values "
-                                    f"with lo < hi, got {' '.join(parts[2:])}")
-            continue
-        if kind not in width:
-            raise MeshError(f"line {lineno}: unrecognised line kind {kind!r}")
-        if len(parts) != width[kind]:
-            raise MeshError(
-                f"line {lineno}: {kind} line has {len(parts)} fields, "
-                f"expected {width[kind]}"
-            )
-        lines[kind].append(line)
-        linenos[kind].append(lineno)
+        box = ()
+        width = {"vertex": 2 + dim, "cell": 2 + dim + nv}
+        rows: dict[str, dict[int, tuple]] = {"vertex": {}, "cell": {}}
+        for lineno, line in enumerate(fh, 2):
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "#":
+                if len(parts) >= 2 and parts[1] == "box":
+                    if box:
+                        raise MeshError(f"line {lineno}: a second box line")
+                    try:
+                        vals = np.array([float(v) for v in parts[2:]])
+                    except ValueError as e:
+                        raise MeshError(f"line {lineno}: box: {e}") from None
+                    if vals.size != 2 * dim:
+                        raise MeshError(f"line {lineno}: box line has {vals.size} "
+                                        f"values, expected {2 * dim}")
+                    box = (vals[:dim], vals[dim:])
+                    if not (np.all(np.isfinite(vals)) and np.all(box[0] < box[1])):
+                        raise MeshError(f"line {lineno}: box needs finite values "
+                                        f"with lo < hi, got {' '.join(parts[2:])}")
+                continue
+            kind = parts[0]
+            if kind not in width:
+                raise MeshError(f"line {lineno}: unrecognised line kind {kind!r}")
+            if len(parts) != width[kind]:
+                raise MeshError(
+                    f"line {lineno}: {kind} line has {len(parts)} fields, "
+                    f"expected {width[kind]}"
+                )
+            try:
+                ident = int(parts[1])
+                coords = [float(v) for v in parts[2 : 2 + dim]]
+                ids = [int(v) for v in parts[2 + dim :]]
+            except ValueError as e:
+                raise MeshError(f"line {lineno}: {e}") from None
+            if not all(map(math.isfinite, coords)):
+                raise MeshError(f"line {lineno}: non-finite coordinate")
+            if ident in rows[kind]:
+                raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
+            rows[kind][ident] = coords, ids
     if not box:
         raise MeshError("mesh file has no '# box' line")
-    if not lines["cell"]:
+    vertices, cells = (_ordered(rows[k], k) for k in ("vertex", "cell"))
+    if not cells:
         raise MeshError("mesh file has no cells")
-    rows = {}
-    for kind in ("vertex", "cell"):
-        nos = np.asarray(linenos[kind])
-        fields = _parse(kind, lines[kind], nos, width[kind] - 1)
-        bad = ~np.isfinite(fields[:, 1:1 + dim]).all(axis=1)
-        if np.any(bad):
-            raise MeshError(f"line {nos[np.argmax(bad)]}: non-finite coordinate")
-        order = _ordered(kind, _ids(f"{kind} id", fields[:, :1], nos)[:, 0], nos)
-        # fancy indexing copies each block of columns into its own array
-        rows[kind] = fields[:, 1:1 + dim][order], fields[:, 1 + dim:][order], nos[order]
-    (vertices, _, _), (anchors, vertex_ids, cell_nos) = rows["vertex"], rows["cell"]
-    return _assemble(vertices, _ids("vertex id", vertex_ids, cell_nos), anchors, box)
+    try:
+        ids = np.array([i for _, i in cells], dtype=np.int64)
+    except OverflowError:
+        c = next(c for c, (_, i) in enumerate(cells) if not all(-2**63 <= v < 2**63 for v in i))
+        raise MeshError(f"cell {c}: vertex id outside 0..{len(vertices) - 1}") from None
+    return _assemble(np.array([x for x, _ in vertices]).reshape(-1, dim), ids,
+                     np.array([x for x, _ in cells]), box)

@@ -147,8 +147,8 @@ class Stepper:
     three-point stencil: ``edge_fluxes(u)`` gathers u at ``edge_K``,
     ``edge_L`` (then ``edge_KK``, ``edge_LL``) into its rows with one
     ``take`` and hands the flux views of them.  So after a step of u^n the
-    buffer holds u^n's stencil states until the next step; the streamed
-    seminorm reads its face jumps there.
+    buffer holds u^n's stencil states until the next step, and
+    ``interior_jumps`` hands the streamed seminorm their face jumps.
     """
 
     def __init__(self, mesh: Mesh, flux: NumericalFlux, boundary: str = "periodic"):
@@ -207,6 +207,8 @@ class Stepper:
         self.stencil_states = np.empty((len(stencil), self.edge_K.size))
         self._flat_states = self.stencil_states.reshape(-1)
         self._rows = tuple(self.stencil_states)
+        # the interior edges come first, in face order
+        self._interior_rows = tuple(self.stencil_states[:2, :self.n_interior])
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """The normal flux through every edge, from the states of u that
@@ -217,6 +219,12 @@ class Stepper:
             return self.flux.evaluate(uK, uL, self.edge_bn)
         uK, uL, uKK, uLL = self._rows
         return self.flux.evaluate(uK, uL, self.edge_bn, uKK=uKK, uLL=uLL)
+
+    def interior_jumps(self, out: np.ndarray) -> np.ndarray:
+        """Write u_K - u_L on the interior edges, in face order, into
+        ``out``, from the states the last ``edge_fluxes`` call gathered."""
+        uK, uL = self._interior_rows
+        return np.subtract(uK, uL, out=out)
 
     def divergence(self, u: np.ndarray, fv: np.ndarray | None = None) -> np.ndarray:
         """Per-cell net outward flux sum_{sigma} |sigma| F_sigma . n_K, from

@@ -7,7 +7,6 @@ run pinned once) and the builders are required to reproduce them.
 import dataclasses
 import hashlib
 import io
-import re
 
 import numpy as np
 import pytest
@@ -437,21 +436,6 @@ def test_mesh_file_rejects_bad_ids():
     vertex = next(x for x in text.splitlines() if x.startswith("vertex 2 "))
     with pytest.raises(MeshError, match="vertex ids must be"):
         read_mesh(io.StringIO(_replace_line(text, "vertex 2 ", "vertex 9" + vertex[8:] + "\n")))
-
-
-@pytest.mark.parametrize("prefix, bad, error", [
-    ("vertex 2 ", "vertex 2 x", "could not convert string 'x'"),
-    ("cell 1 ", "cell 1 0.5 1 x", "could not convert string 'x'"),
-    ("vertex 2 ", "vertex 2 nan", "non-finite coordinate"),
-    ("cell 1 ", "cell 1.5 0.5 1 2", "cell id 1.5 is not an integer"),
-    ("cell 1 ", "cell 1 0.5 1 inf", "vertex id inf is not an integer"),
-    ("cell 2 ", "cell 1 0.83 2 3", "duplicate cell id 1"),
-])
-def test_mesh_file_errors_name_the_file_line(prefix, bad, error):
-    text = _replace_line(_mesh_text(3), prefix, bad + "\n")
-    lineno = 1 + text.splitlines().index(bad)
-    with pytest.raises(MeshError, match=f"^line {lineno}: {re.escape(error)}"):
-        read_mesh(io.StringIO(text))
 
 
 def test_mesh_file_rejects_a_facet_of_three_cells():

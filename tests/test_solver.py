@@ -203,6 +203,9 @@ def test_edge_fluxes_gathers_the_stencil_states_into_its_buffer(case):
         assert st.stencil_states.shape == (len(stencil), st.edge_K.size)
         for row, ids in zip(st.stencil_states, stencil):
             assert row.tobytes() == u[ids].tobytes()
+        n = st.n_interior
+        jumps = st.interior_jumps(np.empty(n))
+        assert jumps.tobytes() == (u[st.edge_K[:n]] - u[st.edge_L[:n]]).tobytes()
 
 
 # ---------------------------------------------------------------------------
