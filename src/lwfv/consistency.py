@@ -38,7 +38,8 @@ import numpy as np
 
 from . import quadrature
 from .flux import FluxFunction, check_hypothesis_iii
-from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
+from .mesh import (Mesh, MeshError, MeshFamily, MeshQuality, compute_quality,
+                   refine, validate)
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
 from .solver import BlowUpError, Problem, SpaceTimeField, Stepper, march, plan
@@ -585,14 +586,15 @@ def lw_study(family: MeshFamily, problem: Problem,
              cfl: float = 0.45, check_flux: bool = True) -> ConsistencyReport:
     """Refinement study of the full residual decomposition.
 
-    Per level, one pass over time with no stored history: the march feeds
-    every step's states and face fluxes to the space-time seminorm, the
-    decomposition and the weak gap of every test function at once.  Then
-    it asserts that the history stayed in the state range on which the
-    flux's c_f holds, the two splits T1 = T1_1 + T1_2 + R1 and
-    T2 = T2_tilde + R, the master identity, and both residual envelopes; an
-    InvariantViolation names the family and the level.  Decay slopes are
-    fitted for the per-level maxima of weak_gap, |R| and |R1|.
+    Per level, ``validate`` first, then one pass over time with no stored
+    history: the march feeds every step's states and face fluxes to the
+    space-time seminorm, the decomposition and the weak gap of every test
+    function at once.  Then it asserts that the history stayed in the state
+    range on which the flux's c_f holds, the two splits
+    T1 = T1_1 + T1_2 + R1 and T2 = T2_tilde + R, the master identity, and
+    both residual envelopes; an InvariantViolation, or the MeshError of a
+    level that fails validation, names the family and the level.  Decay
+    slopes are fitted for the per-level maxima of weak_gap, |R| and |R1|.
 
     The levels are independent, so on a host that allows it the study runs
     in two processes.  It forks before it does anything else: the child
@@ -613,7 +615,7 @@ def lw_study(family: MeshFamily, problem: Problem,
     def run(lvl: int, mesh: Mesh) -> LevelRecord:
         try:
             return _study_level(lvl, mesh, problem, phi_set, cfl)
-        except (InvariantViolation, BlowUpError) as exc:
+        except (InvariantViolation, BlowUpError, MeshError) as exc:
             raise type(exc)(f"family {family.name!r}, level {lvl}: {exc}") from exc
 
     def lower(n: int) -> list[LevelRecord]:
@@ -729,6 +731,7 @@ def _child_levels(lower, wfd: int) -> None:
 def _study_level(lvl: int, mesh: Mesh, problem: Problem,
                  phi_set: list[SmoothTestFunction], cfl: float) -> LevelRecord:
     """One level of ``lw_study``: one march feeding all the sums."""
+    validate(mesh, raise_on_failure=True)
     stp, grid, u0 = plan(mesh, problem, cfl)
     quality = compute_quality(mesh)
     for phi in phi_set:

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .mesh import Mesh, MeshFamily, MeshQuality, compute_quality, refine
+from .mesh import (Mesh, MeshError, MeshFamily, MeshQuality, compute_quality,
+                   refine, validate)
 
 __all__ = [
     "SmoothTestFunction",
@@ -540,13 +541,19 @@ def gradient_weakstar_study(
 ) -> list[GradStudyRow]:
     """Measure the dual pairing of the discrete gradient against reference
     integrals under refinement, asserting the a-priori gap bound per level;
-    one row per level and psi.
+    one row per level and psi.  A level that fails ``validate`` raises a
+    MeshError naming the family and the level.
 
     The reference integral is computed once per psi by composite Gauss
     quadrature on a grid ``REFERENCE_FACTOR`` times finer than the finest
     study level.
     """
     meshes = refine(family, levels)
+    for lvl, mesh in enumerate(meshes):
+        try:
+            validate(mesh, raise_on_failure=True)
+        except MeshError as exc:
+            raise MeshError(f"family {family.name!r}, level {lvl}: {exc}") from exc
     dim = meshes[0].dim
     box = meshes[0].box
     # panels per axis of the reference grid: REFERENCE_FACTOR times the

@@ -24,6 +24,7 @@ from lwfv.operators import bump_corpus_spacetime, polynomial_bump
 from lwfv.solver import Problem, SpaceTimeField, read_history, solve
 
 from oracles import brute_jump_seminorm, cell_edges_1d, dense_cell_means_1d
+from test_mesh import STACKED_FILES
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -253,13 +254,15 @@ def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     for name, text in (("missing", missing_vertex), ("truncated", truncated),
                        ("short_box", short_box), ("bad_box", bad_box),
                        ("v1_header", v1_header), ("no_vertex", no_vertex),
-                       ("descending", descending)):
+                       ("descending", descending), *STACKED_FILES.items()):
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(text))
         cfgp = tmp_path / f"{name}.cfg"
         cfgp.write_text(f"mesh_file = {path}\n")
         assert run(["mesh-stats", "--config", str(cfgp)]) == 2, name
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert ("cells 0 and 1 lie on the same side" in err) == name.startswith("stacked")
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "out-is-a-file",

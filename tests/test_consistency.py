@@ -55,6 +55,7 @@ from lwfv.flux import (
     rusanov,
 )
 from lwfv.mesh import (
+    MeshError,
     MeshFamily,
     RegularityError,
     build_nonuniform_1d,
@@ -73,7 +74,7 @@ from oracles import (
     brute_volume_pairing_terms,
     brute_weak_gap,
 )
-from test_operators import _affine_x
+from test_operators import _affine_x, _stray_anchor_family
 
 
 def _bump_datum():
@@ -842,7 +843,8 @@ def _kinked_family():
 @needs_fork
 @pytest.mark.parametrize("planted", ["support-margin", "envelope-breach",
                                      "levels-1-and-3", "finest-only",
-                                     "flux-check", "regularity-band"])
+                                     "flux-check", "regularity-band",
+                                     "stray-anchor"])
 def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, planted):
     family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
     phis = bump_corpus_spacetime(1, problem.t_final)
@@ -858,6 +860,8 @@ def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, plan
             problem.flux, c_f=0.01 * problem.flux.c_f))
     elif planted == "regularity-band":
         family = _kinked_family()
+    elif planted == "stray-anchor":
+        family = _stray_anchor_family()
     else:
         failing = {"levels-1-and-3": {1, 3}, "finest-only": {3}}[planted]
         level = consistency._study_level
@@ -876,14 +880,16 @@ def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, plan
     assert len(forks) == 1
     assert split == _sequential(monkeypatch, study)
     kind, message = split
-    assert kind is {"support-margin": ValueError,
-                    "regularity-band": RegularityError}.get(planted, InvariantViolation)
+    assert kind is {"support-margin": ValueError, "regularity-band": RegularityError,
+                    "stray-anchor": MeshError}.get(planted, InvariantViolation)
     assert {"support-margin": "'late-cut' must vanish",
             "envelope-breach": "level 0: residual envelope breached for 'liar'",
             "levels-1-and-3": "level 1: planted at 1",
             "finest-only": "level 3: planted at 3",
             "flux-check": "fails its Lipschitz-diagonal bound",
-            "regularity-band": "at level 2"}[planted] in message
+            "regularity-band": "at level 2",
+            "stray-anchor": "family 'stray-anchor', level 1: mesh validation "
+                            "failed: anchor_inside"}[planted] in message
     _assert_no_child()
 
 

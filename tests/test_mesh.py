@@ -16,6 +16,7 @@ from numpy.random import default_rng
 
 from lwfv import (
     GeometryError,
+    Mesh,
     MeshError,
     MeshFamily,
     Problem,
@@ -62,67 +63,61 @@ REL = 1e-12
 
 
 def test_partition_and_closure_all_families(families):
+    # validate does not derive the mesh again, so these loops are the check
+    # on the derivation, of built meshes and of meshes read from their files
     for name, fam in families.items():
         for lvl in range(3):
-            m = fam.build(lvl)
-            assert brute_cell_partition_defect(m) <= REL * m.domain_measure, name
-            assert brute_dual_partition_defect(m) <= REL * m.domain_measure, name
-            assert brute_face_closure(m) <= 1e-12, name
+            built = fam.build(lvl)
+            for m in (built, _reloaded(built)):
+                assert brute_cell_partition_defect(m) <= REL * m.domain_measure, name
+                assert brute_dual_partition_defect(m) <= REL * m.domain_measure, name
+                assert brute_face_closure(m) <= 1e-12, name
 
 
 def test_validate_passes_and_reports(families):
     for fam in families.values():
         rep = validate(fam.build(0))
         assert rep.ok
-        names = [n for n, _, _ in rep.checks]
-        assert "cell_partition" in names and "face_closure" in names
+        assert [n for n, _, _ in rep.checks] == [
+            "cell_partition", "inside_box", "boundary_on_box", "anchor_inside"]
 
 
-def _corrupt(mesh, **edits):
-    """A copy of a read-only mesh with some entries of its arrays changed:
-    ``name=(index, value)`` sets ``copy.name[index] = value``."""
-    arrays = {}
-    for name, (index, value) in edits.items():
-        arr = getattr(mesh, name).copy()
-        arr[index] = value
-        arrays[name] = arr
-    return dataclasses.replace(mesh, **arrays)
+def test_validate_catches_a_damaged_file():
+    # cell 1's anchor moved into cell 2 of a file
+    text = _replace_line(_mesh_text(4), "cell 1 ", "cell 1 0.625 1 2\n")
+    rep = validate(read_mesh(io.StringIO(text)))
+    assert rep.failing() == ["anchor_inside"]
+    assert rep.checks[3][2].endswith(", not cell 1")
+    with pytest.raises(MeshError, match="mesh validation failed: anchor_inside"):
+        validate(read_mesh(io.StringIO(text)), raise_on_failure=True)
 
 
-def test_validate_catches_corruption():
-    m = uniform_1d_family(6).build(0)
-    m = _corrupt(m, face_area=(2, -m.face_area[2]))
-    rep = validate(m)
-    assert not rep.ok
-    failed = [n for n, ok, _ in rep.checks if not ok]
-    assert "positive_measures" in failed
-    with pytest.raises(MeshError):
-        validate(m, raise_on_failure=True)
-
-
-def test_validate_reads_the_arrays_the_operators_use():
-    # a flipped normal breaks the closure of both cells next to the face
-    m = build_uniform_1d(6)
-    m = _corrupt(m, face_normal=(3, -m.face_normal[3]))
-    assert "face_closure" in validate(m).failing()
-    # a doubled dual piece breaks the partition of the domain by the duals
-    m = build_cartesian_2d(3, 3)
-    m = _corrupt(m, face_dk=(5, m.face_dk[5] * 2.0))
-    assert "dual_partition" in validate(m).failing()
-    # a piece 1.5x its cone, with the excess taken from the other piece of
-    # the same face so every sum still holds: only the cone check sees it.
-    # The file stores no pieces, so the reloaded mesh derives them again
-    m = build_cartesian_2d(3, 3)
-    dk = m.face_dk[5] * 1.5
-    dl = m.face_dl[5] - dk / 3
-    m = _corrupt(m, face_dk=(5, dk), face_dl=(5, dl))
-    assert validate(m).failing() == ["cone_identity"]
-    assert validate(_reloaded(m)).ok
+def test_mesh_is_its_four_defining_arrays():
+    # every other array is derived from these four, so a copy with other
+    # anchors has the dual pieces of those anchors, and a derived array
+    # cannot be set
+    fields = dataclasses.fields(Mesh)
+    assert [f.name for f in fields if f.init] == [
+        "vertices", "cell_vertex_ids", "cell_center", "box"]
+    m = build_perturbed_triangular_2d(4)
+    anchors = m.cell_vertices[:, 0] + 0.25 * (m.cell_vertices[:, 1] - m.cell_vertices[:, 0]
+                                              + m.cell_vertices[:, 2] - m.cell_vertices[:, 0])
+    moved = dataclasses.replace(m, cell_center=anchors)
+    fresh = Mesh(m.vertices.copy(), m.cell_vertex_ids.copy(), anchors.copy(), m.box)
+    for (field, a), (_, b) in zip(_array_fields(moved), _array_fields(fresh)):
+        assert a.tobytes() == b.tobytes(), field
+    assert not np.array_equal(moved.face_dk, m.face_dk)
+    assert brute_dual_partition_defect(moved) <= REL
+    assert validate(moved).ok
+    for name in (f.name for f in fields if not f.init):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(m, **{name: getattr(m, name).copy()})
 
 
 def test_cone_check_holds_as_the_triangulation_refines():
-    # the check is scaled by the rounding of its operands, not by the cone's
-    # own measure, so finer (flatter-cone) levels do not drift toward it
+    # the anchor test is scaled by the rounding of the cone heights, not by
+    # the cone's own measure, so finer (flatter-cone) levels do not drift
+    # toward it
     fam = perturbed_triangular_2d_family(4, jitter=0.3, seed=0)
     for lvl in range(7):
         assert validate(fam.build(lvl)).ok, lvl
@@ -307,11 +302,16 @@ def test_mesh_arrays_are_read_only():
                 mesh.face_area = mesh.face_area.copy()
 
 
-def test_corrupted_copy_leaves_the_mesh_alone():
+def test_a_copy_with_other_anchors_leaves_the_mesh_alone():
     m = build_uniform_1d(6)
-    bad = _corrupt(m, face_area=(2, -1.0))
+    anchors = m.cell_center.copy()
+    anchors[2] = 0.9
+    bad = dataclasses.replace(m, cell_center=anchors)
     assert not validate(bad).ok and validate(m).ok
-    assert m.face_area[2] == 1.0 and not bad.face_area.flags.writeable
+    again = build_uniform_1d(6)
+    for (field, a), (_, b) in zip(_array_fields(m), _array_fields(again)):
+        assert a.tobytes() == b.tobytes(), field
+    assert not bad.cell_center.flags.writeable and not bad.face_dk.flags.writeable
 
 
 def test_family_builds_each_level_once():
@@ -445,6 +445,23 @@ def test_mesh_file_rejects_a_facet_of_three_cells():
         read_mesh(io.StringIO(text))
 
 
+# two copies of one cell, which cover half the box and passed every check
+STACKED_FILES = {
+    "stacked-triangles": "lwfv-mesh v3 dim=2 nv=3\n# box 0 0 1 1\nvertex 0 0 0\n"
+                         "vertex 1 1 0\nvertex 2 0 1\ncell 0 0.25 0.25 0 1 2\n"
+                         "cell 1 0.25 0.25 0 1 2\n",
+    "stacked-intervals": "lwfv-mesh v3 dim=1 nv=2\n# box 0 1\nvertex 0 0\nvertex 1 0.5\n"
+                         "cell 0 0.25 0 1\ncell 1 0.25 0 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_FILES))
+def test_mesh_file_rejects_two_cells_on_one_side_of_a_facet(name):
+    # a facet's second occurrence must run opposite to its first
+    with pytest.raises(GeometryError, match="cells 0 and 1 lie on the same side"):
+        read_mesh(io.StringIO(STACKED_FILES[name]))
+
+
 def test_mesh_file_rejects_a_second_box_line():
     # the last one used to win silently
     text = _replace_line(_mesh_text(3), "vertex 0 ", "# box 0 2\nvertex 0 0\n")
@@ -503,9 +520,8 @@ def test_reloaded_mesh_keeps_its_measures_bit_for_bit():
 def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
     # measured against the box, not against the volumes themselves.  The
     # file derives |K| from the vertices, so its cells shrink: the vertices
-    # at x = 1 moved to x = 0.9
+    # at x = 1 moved to x = 0.9, which also takes the right side off the box
     m = build_cartesian_2d(4, 4)
-    built = _corrupt(m, cell_volume=(3, m.cell_volume[3] * 1.5))
     buf = io.StringIO()
     write_mesh(m, buf)
     lines = buf.getvalue().splitlines(keepends=True)
@@ -515,8 +531,14 @@ def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
             lines[i] = f"vertex {parts[1]} 0.90000000000000002 {parts[3]}\n"
     loaded = read_mesh(io.StringIO("".join(lines)))
     assert loaded.cell_volume.sum() < 0.95
-    for mesh in (built, loaded):
-        assert "cell_partition" in validate(mesh).failing()
+    assert validate(loaded).failing() == ["cell_partition", "boundary_on_box"]
+    # the unit interval twice over, each copy with its own vertex ids: every
+    # boundary face is on the box and every anchor inside its cell, and the
+    # cells cover the box twice
+    twice = read_mesh(io.StringIO(
+        "lwfv-mesh v3 dim=1 nv=2\n# box 0 1\nvertex 0 0\nvertex 1 1\n"
+        "vertex 2 0\nvertex 3 1\ncell 0 0.5 0 1\ncell 1 0.5 2 3\n"))
+    assert validate(twice).failing() == ["cell_partition"]
 
 
 def _with_box(mesh, box_line):
@@ -534,7 +556,10 @@ def _with_box(mesh, box_line):
     (build_cartesian_2d(4, 4), "# box 0.5 0.5 1.5 1.5"),
 ], ids=["1d", "2d"])
 def test_mesh_outside_its_box_fails_validation(mesh, box_line):
-    # the measure of the box is still 1, so only the two box checks can tell
+    # the measure of the box is still 1, so only the two box checks can tell.
+    # No file fails inside_box alone: when boundary_on_box holds, cells that
+    # are consistently oriented cover no point outside the box, and when
+    # anchor_inside holds, every anchor lies in its cell
     assert validate(mesh).ok
     loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
     assert validate(loaded).failing() == ["inside_box", "boundary_on_box"]
@@ -629,10 +654,10 @@ def _tiny_1d_text(anchor_1: float) -> str:
 
 def test_anchor_inside_scales_with_the_cell():
     # an interior anchor 5e-13 left of its cell, 0.2 % of the cell's width,
-    # passed an absolute tolerance of 1e-12: only dual_partition caught it
+    # passed an absolute tolerance of 1e-12
     assert validate(read_mesh(io.StringIO(_tiny_1d_text(3.75e-10)))).ok
     bad = read_mesh(io.StringIO(_tiny_1d_text(2.5e-10 - 5e-13)))
-    assert validate(bad).failing() == ["dual_partition", "anchor_inside"]
+    assert validate(bad).failing() == ["anchor_inside"]
 
 
 def test_loaded_mesh_validates(tmp_path):
@@ -693,6 +718,110 @@ def test_triangular_never_builds_silently_invalid(n, seed, jitter):
     except GeometryError:
         return
     assert validate(m).ok
+
+
+def _removed_checks(mesh) -> set[str]:
+    """Which of five checks on the derived arrays a mesh fails: the dual
+    pieces sum to |Omega| (``dual_partition``); volumes, areas and pieces
+    are positive (``positive_measures``); normals are unit (``unit_normals``);
+    the area-weighted normals of a cell add to 0 (``face_closure``); every
+    piece is |sigma| / d times the anchor's distance from the face's plane,
+    recomputed from the centroid and the normal (``cone_identity``); and
+    each anchor lies in its cell's bounding box (intervals, rectangles) or
+    passes the barycentric sign test (triangles), each to within a slack of
+    4 eps (|x_K|_inf + h_K) in distance (``anchor_in_cell``)."""
+    eps = np.finfo(float).eps
+    inner, K, L = mesh.interior, mesh.face_K, mesh.face_L
+    omega = mesh.domain_measure
+    failed = set()
+    if not abs(float(mesh.face_dsig.sum()) - omega) <= REL * omega:
+        failed.add("dual_partition")
+    if not (np.all(mesh.cell_volume > 0) and np.all(mesh.face_area > 0)
+            and np.all(mesh.face_dk > 0) and np.all(mesh.face_dl[inner] > 0)):
+        failed.add("positive_measures")
+    if not np.max(np.abs(np.linalg.norm(mesh.face_normal, axis=1) - 1.0)) <= 1e-12:
+        failed.add("unit_normals")
+    ints = np.flatnonzero(inner)
+    cells = np.concatenate([K, L[ints]])
+    faces = np.concatenate([np.arange(mesh.n_faces), ints])
+    flow = mesh.face_area[:, None] * mesh.face_normal
+    signed = np.concatenate([flow, -flow[ints]])
+    net = np.stack([np.bincount(cells, signed[:, j], mesh.n_cells)
+                    for j in range(mesh.dim)], axis=1)
+    perimeter = np.bincount(cells, mesh.face_area[faces], mesh.n_cells)
+    if not np.max(np.linalg.norm(net, axis=1) / perimeter) <= 1e-12:
+        failed.add("face_closure")
+    reach = np.abs(mesh.cell_center).max(axis=1) + mesh.cell_diam
+    part = np.concatenate([mesh.face_dk, mesh.face_dl[ints]])
+    area = mesh.face_area[faces]
+    height = np.abs(np.einsum("fd,fd->f", mesh.cell_center[cells] - mesh.face_centroid[faces],
+                              mesh.face_normal[faces]))
+    # both are |sigma| / d times a height of d + 3 roundings of eps M each
+    scale = area * reach[cells] / mesh.dim
+    if not np.max(np.abs(part - area * height / mesh.dim) / scale) <= (
+            2 * mesh.dim * (mesh.dim + 3) * eps):
+        failed.add("cone_identity")
+    verts, x = mesh.cell_vertices, mesh.cell_center
+    slack = 4 * eps * reach
+    if verts.shape[1] == 3:
+        # a cross product is the distance times the edge's length <= h_K
+        def cross(a, b):
+            return ((b[:, 0] - a[:, 0]) * (x[:, 1] - a[:, 1])
+                    - (x[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        inside = all(np.all(cross(verts[:, i], verts[:, (i + 1) % 3])
+                            >= -slack * mesh.cell_diam) for i in range(3))
+    else:
+        inside = np.all((x >= verts.min(axis=1) - slack[:, None])
+                        & (x <= verts.max(axis=1) + slack[:, None]))
+    if not inside:
+        failed.add("anchor_in_cell")
+    return failed
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["uniform-1d", "nonuniform-1d", "cartesian-2d", "triangular-2d"]),
+       level=st.integers(0, 1), scaled=st.booleans(),
+       kind=st.sampled_from(["dirichlet", "uniform", "gaussian"]),
+       seed=st.integers(0, 2**32 - 1))
+# an anchor that rounding leaves just outside its cell, whose cones overlap
+# by far more than 1e-12 |Omega|, and one that it puts on a face of its
+# cell, over which its cone is flat
+@example(name="uniform-1d", level=0, scaled=True, kind="dirichlet", seed=3)
+@example(name="triangular-2d", level=0, scaled=True, kind="dirichlet", seed=5)
+def test_validate_needs_no_derived_array(families, name, level, scaled, kind, seed):
+    # a family's level, or the same scaled by 10^U(-8, 8) and shifted by
+    # U(-1e3, 1e3) per axis, with anchors drawn inside every cell
+    # (Dirichlet(0.3) weights of its vertices), and then for some cells
+    # uniform in the box or Gaussian far outside it
+    base = families[name].build(level)
+    rng = default_rng(seed)
+    s, b = 1.0, np.zeros(base.dim)
+    if scaled:
+        s, b = 10.0 ** rng.uniform(-8, 8), rng.uniform(-1e3, 1e3, base.dim)
+    vertices = base.vertices * s + b
+    box = (base.box[0] * s + b, base.box[1] * s + b)
+    ids = base.cell_vertex_ids
+    weights = rng.dirichlet(np.full(ids.shape[1], 0.3), size=len(ids))
+    anchors = np.einsum("cv,cvd->cd", weights, vertices[ids])
+    if kind != "dirichlet":
+        some = rng.choice(len(ids), rng.integers(1, len(ids) + 1), replace=False)
+        width = box[1] - box[0]
+        anchors[some] = (box[0] + rng.random((some.size, base.dim)) * width
+                         if kind == "uniform" else
+                         box[0] + 0.5 * width
+                         + 10 * width * rng.standard_normal((some.size, base.dim)))
+    mesh = Mesh(vertices, ids, anchors, box)
+    removed = _removed_checks(mesh)
+    failing = validate(mesh).failing()
+    # the derivation alone makes normals unit, cells closed, pieces cones,
+    # and volumes and areas positive (a zero-length edge is a zero-area cell)
+    assert not removed & {"unit_normals", "face_closure", "cone_identity"}
+    assert np.all(mesh.cell_volume > 0) and np.all(mesh.face_area > 0)
+    assert failing in ([], ["anchor_inside"], ["inside_box", "anchor_inside"])
+    # an anchor outside its cell, cones that overlap and a piece of measure
+    # 0 fail the anchor test: one that passes it lies in its cell, and its
+    # cones have positive measure and tile the cell
+    assert not removed or "anchor_inside" in failing
 
 
 _WRITTEN = [_text(m).splitlines() for m in (build_uniform_1d(3), build_nonuniform_1d(3),

@@ -17,7 +17,7 @@ from lwfv import (
     uniform_1d_family,
 )
 from lwfv.cli import resolve_u0
-from lwfv.mesh import compute_quality
+from lwfv.mesh import MeshError, MeshFamily, build_uniform_1d, compute_quality
 from lwfv.operators import (
     FaceVectorField,
     InvariantViolation,
@@ -163,6 +163,26 @@ def test_weakstar_study_frozen_gaps_triangular():
     assert np.allclose(gaps, frozen, rtol=1e-9)
     for r in rows:
         assert r.gap <= r.apriori_bound * (1.0 + 1e-9)
+
+
+def _stray_anchor_family():
+    """uniform_1d(16), but level 1 has the anchor of cell 3 in cell 4."""
+    def build(m):
+        mesh = build_uniform_1d(16 * 2**m)
+        if m != 1:
+            return mesh
+        anchors = mesh.cell_center.copy()
+        anchors[3] = mesh.cell_center[4]
+        return dataclasses.replace(mesh, cell_center=anchors)
+
+    return MeshFamily("stray-anchor", build)
+
+
+def test_weakstar_study_validates_every_level():
+    with pytest.raises(MeshError, match=r"^family 'stray-anchor', level 1: mesh "
+                                        r"validation failed: anchor_inside$"):
+        gradient_weakstar_study(_stray_anchor_family(), bump_corpus_spatial(1)[0],
+                                vector_corpus(1)[:1], levels=3)
 
 
 def test_weakstar_gap_decays_on_uniform_families():

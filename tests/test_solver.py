@@ -6,6 +6,7 @@ the sorted cell order, written independently in oracles.py.
 """
 import dataclasses
 import hashlib
+import io
 import re
 
 import numpy as np
@@ -30,7 +31,7 @@ from lwfv.flux import (
     rusanov,
     upwind_linear,
 )
-from lwfv.mesh import MeshError
+from lwfv.mesh import MeshError, build_perturbed_triangular_2d, read_mesh, write_mesh
 from lwfv.operators import InvariantViolation
 from lwfv.solver import (
     BlowUpError,
@@ -265,14 +266,22 @@ def test_solve_rejects_bad_cfl():
 # ---------------------------------------------------------------------------
 
 
-def _periodic_mesh():
-    """A 4 x 4 Cartesian mesh of the unit square and its boundary faces on
-    x = 0 and on x = 1, each ordered by y, so left[i] and right[i] are
-    periodic partners."""
-    m = cartesian_2d_family(4).build(0)
+def _slid_triangulation(moves):
+    """The 4 x 4 triangulation's mesh file read back with each boundary
+    vertex ``(x, y)`` of ``moves`` slid along its side to ``(x, y')``, and
+    its boundary faces on x = 0 and on x = 1, each ordered by y, so left[i]
+    and right[i] are periodic partners when nothing has slid."""
+    m = build_perturbed_triangular_2d(4)
+    ids = {tuple(x): i for i, x in enumerate(m.vertices.tolist())}
+    buf = io.StringIO()
+    write_mesh(m, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for (x, y), y_new in moves.items():
+        i = ids[x, y]
+        lines[lines.index(f"vertex {i} {x:.17g} {y:.17g}\n")] = f"vertex {i} {x!r} {y_new!r}\n"
+    m = read_mesh(io.StringIO("".join(lines)))
     c = m.face_centroid
-    left, right = (np.flatnonzero(~m.interior & np.isclose(c[:, 0], x))
-                   for x in (0.0, 1.0))
+    left, right = (np.flatnonzero(~m.interior & (c[:, 0] == x)) for x in (0.0, 1.0))
     return m, left[np.argsort(c[left, 1])], right[np.argsort(c[right, 1])]
 
 
@@ -280,31 +289,34 @@ _PERIODIC_FLUX = rusanov(burgers((0.6, 0.8)))
 
 
 def test_periodic_pairing_rejects_a_face_without_partner():
-    m, left, right = _periodic_mesh()
-    c = m.face_centroid.copy()
-    c[right[1], 1] += 0.1  # 0.4 of a cell off the image of left[1]
+    # (1, 0.25) slid to (1, 0.35): right[0] is 0.1 longer than left[0], and
+    # its centroid 0.05 off the image of left[0]'s
+    m, left, right = _slid_triangulation({(1.0, 0.25): 0.35})
     with pytest.raises(MeshError,
-                       match=rf"no periodic partner for boundary face {left[1]} "):
-        Stepper(dataclasses.replace(m, face_centroid=c), _PERIODIC_FLUX, "periodic")
+                       match=rf"no periodic partner for boundary face {left[0]} "):
+        Stepper(m, _PERIODIC_FLUX, "periodic")
 
 
 def test_periodic_pairing_rejects_mismatched_areas():
-    m, left, right = _periodic_mesh()
-    area = m.face_area.copy()
-    area[right[2]] *= 1.5
-    with pytest.raises(MeshError, match=rf"periodic faces {left[2]} and "
-                                        rf"{right[2]} have mismatched areas"):
-        Stepper(dataclasses.replace(m, face_area=area), _PERIODIC_FLUX, "periodic")
+    # slid by 1e-11: the centroids still meet on the pairing's 1e-9 grid, but
+    # the lengths differ by 4e-11 of right[0]'s
+    m, left, right = _slid_triangulation({(1.0, 0.25): 0.25 + 1e-11})
+    with pytest.raises(MeshError, match=rf"periodic faces {left[0]} and "
+                                        rf"{right[0]} have mismatched areas"):
+        Stepper(m, _PERIODIC_FLUX, "periodic")
 
 
 def test_periodic_pairing_rejects_unpaired_faces():
-    # left[0] and left[1] both land on right[1], so right[0] is nobody's partner
-    m, left, right = _periodic_mesh()
-    c = m.face_centroid.copy()
-    c[left[0]] = c[left[1]]
+    # on both sides, (x, 0.25) and (x, 0.75) slid to 0.5 -+ 2^-31: two faces
+    # of length 2^-31 each whose centroids meet on the pairing's 1e-9 grid,
+    # so left[1] and left[2] both land on right[2] and right[1] is nobody's
+    # partner
+    m, left, right = _slid_triangulation({
+        (x, y): 0.5 + s * 2.0**-31 for x in (0.0, 1.0) for y, s in ((0.25, -1), (0.75, 1))})
+    assert m.face_area[left[1]] == m.face_area[right[2]] == 2.0**-31
     with pytest.raises(MeshError,
-                       match=rf"unpaired boundary faces: \[{right[0]}\]"):
-        Stepper(dataclasses.replace(m, face_centroid=c), _PERIODIC_FLUX, "periodic")
+                       match=rf"unpaired boundary faces: \[{right[1]}\]"):
+        Stepper(m, _PERIODIC_FLUX, "periodic")
 
 
 # ---------------------------------------------------------------------------
