@@ -48,7 +48,6 @@ from .mesh import (
     write_mesh,
 )
 from .operators import (
-    FaceVectorField,
     InvariantViolation,
     SmoothTestFunction,
     TimeGrid,
@@ -71,7 +70,6 @@ from .solver import (
     solve,
 )
 from .translations import (
-    CellField,
     IntegrableFunction,
     interval_indicator,
     project_l1,

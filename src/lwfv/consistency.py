@@ -46,7 +46,6 @@ from .solver import BlowUpError, Problem, SpaceTimeField, Stepper, march, plan
 from .translations import (
     GAUSS_ORDER,
     IntegrableFunction,
-    SeminormSums,
     SpacetimeSeminorm,
     _interior_jumps,
     _part_rule,
@@ -234,6 +233,47 @@ class _StepBlocks:
         self.count = 0
 
 
+class _SeminormSums:
+    """The space-time translation seminorm of a history, a block of steps
+    at a time, by the slab-mean convention for the piecewise-constant
+    embedding u(., t) = u^n on (t_n, t_{n+1}], with dt_n = t_{n+1} - t_n:
+
+        space part = sum_{n=0}^{N-1} dt_n sum_sigma |D_sigma| |u^n_K - u^n_L|
+        time part  = sum_{n=1}^{N-1} dt_n sum_K |K| |u^n_K - u^{n-1}_K|
+
+    ``block(n0, U, dU, F, J)`` reads dU = u^{n+1} - u^n and the jumps J =
+    u^n_K - u^n_L on the interior faces in face order (not U or F), for
+    n = 0..N-1; ``result()`` applies the slab widths.  ``lw_study`` hands
+    over the jumps each step gathered, ``spacetime_translation_seminorm``
+    those of ``_interior_jumps``.  Both parts sum over every face and every
+    cell, in O(faces + N) memory, not O(N * cells).
+    """
+
+    def __init__(self, mesh: Mesh, grid: TimeGrid):
+        self.dsig = mesh.face_dsig[mesh.interior]
+        self.vol = mesh.cell_volume
+        self.dts = grid.deltas
+        self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
+        self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
+        self._abs_j = np.empty((BLOCK_STEPS, self.dsig.size))
+        self._abs_du = np.empty((BLOCK_STEPS, self.vol.size))
+
+    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
+              J: np.ndarray) -> None:
+        b = len(U)
+        rows = slice(n0, n0 + b)
+        np.matmul(np.abs(J, out=self._abs_j[:b]), self.dsig, out=self.space[rows])
+        np.matmul(np.abs(dU, out=self._abs_du[:b]), self.vol, out=self.time[rows])
+
+    def result(self) -> SpacetimeSeminorm:
+        # the jump after step n separates slabs n and n + 1; the one after
+        # the last step lies outside (0, T)
+        return SpacetimeSeminorm(
+            space_part=float(np.dot(self.dts, self.space)),
+            time_part=float(np.dot(self.dts[1:], self.time[:-1])),
+        )
+
+
 class _PairingSums:
     """The residual decomposition of a history against a set of test
     functions, fed a block of steps at a time.
@@ -287,15 +327,13 @@ class _PairingSums:
         self.phis = phis
         self.t1_2 = -((vol * u0[self.cells]) @ w_cells) * self.node_weight[0]
         self.rows = np.zeros((8, grid.n_steps, len(phis)))
-        self._buf = None  # two cell and three face buffers, reused per block
+        nc, nf = self.cells.size, self.faces.size  # 2 cell, 3 face buffers
+        self._bufs = [np.empty((BLOCK_STEPS, n)) for n in (nc, nc, nf, nf, nf)]
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
               J: np.ndarray) -> None:
         b = len(U)
-        if self._buf is None or len(self._buf[0]) < b:
-            nc, nf = self.cells.size, self.faces.size
-            self._buf = tuple(np.empty((b, n)) for n in (nc, nc, nf, nf, nf))
-        Uc, dUc, fa, fb, fc = (x[:b] for x in self._buf)
+        Uc, dUc, fa, fb, fc = (x[:b] for x in self._bufs)
         # the ids index U, dU, F and gc, so "clip" never clips; with an
         # output buffer, the default "raise" would copy through a temporary
         U.take(self.cells, axis=1, out=Uc, mode="clip")
@@ -412,16 +450,14 @@ class _GapSums:
                                             for p in phis])
         self.profile = flux.profile
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
-        self._buf = None  # the states at the cells, reused per block
+        self._states = np.empty((BLOCK_STEPS, self.cells.size))  # reused per block
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
               J: np.ndarray) -> None:
         b = len(U)
-        if self._buf is None or len(self._buf) < b:
-            self._buf = np.empty((b, self.cells.size))
         # the cells index U, so "clip" never clips; with an output buffer,
         # the default "raise" would copy through a temporary
-        Uc = U.take(self.cells, axis=1, out=self._buf[:b], mode="clip")
+        Uc = U.take(self.cells, axis=1, out=self._states[:b], mode="clip")
         a_term, b_term = self.rows[:, n0:n0 + b]
         np.matmul(Uc, self.w_integral, out=a_term)  # u^n against phi^{n+1} - phi^n
         np.matmul(self.profile(Uc), self.b_grad_w, out=b_term)  # f(u^n) . grad phi
@@ -477,7 +513,7 @@ def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,
 def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
                                    values: np.ndarray) -> SpacetimeSeminorm:
     """The space-time translation seminorm of a stored history ``values``
-    (N+1, n_cells), by the sums of ``lw_study`` (``SeminormSums``) fed the
+    (N+1, n_cells), by the sums of ``lw_study`` (``_SeminormSums``) fed the
     same blocks of steps and the same face jumps, so both give the same
     bits."""
     vals = np.asarray(values, dtype=float)
@@ -485,7 +521,7 @@ def spacetime_translation_seminorm(mesh: Mesh, grid: TimeGrid,
         raise ValueError(
             f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, got {vals.shape}"
         )
-    sums = SeminormSums(mesh, grid)
+    sums = _SeminormSums(mesh, grid)
     for n0 in range(0, grid.n_steps, BLOCK_STEPS):
         n1 = min(n0 + BLOCK_STEPS, grid.n_steps)
         U = vals[n0:n1]
@@ -736,7 +772,7 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
     quality = compute_quality(mesh)
     for phi in phi_set:
         check_support_margin(mesh, grid, phi)
-    seminorm = SeminormSums(mesh, grid)
+    seminorm = _SeminormSums(mesh, grid)
     pairing = _PairingSums(mesh, grid, phi_set, u0, problem.flux.flux)
     gap = _GapSums(mesh, grid, phi_set, problem.u0, problem.flux.flux)
     blocks = _StepBlocks(stp, [seminorm, pairing, gap])

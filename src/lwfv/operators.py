@@ -24,7 +24,6 @@ from .mesh import (Mesh, MeshError, MeshFamily, MeshQuality, compute_quality,
 __all__ = [
     "SmoothTestFunction",
     "VectorTestFunction",
-    "FaceVectorField",
     "TimeGrid",
     "InvariantViolation",
     "polynomial_bump",
@@ -146,17 +145,6 @@ class VectorTestFunction:
 
     def value(self, x):
         return np.stack([c.value(x, 0.0) for c in self.components], axis=-1)
-
-
-@dataclass(frozen=True)
-class FaceVectorField:
-    """One vector per face."""
-
-    mesh: Mesh
-    values: np.ndarray  # (n_faces, d)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +398,8 @@ def bump_corpus_spacetime(dim: int, t_final: float) -> list[SmoothTestFunction]:
 # ---------------------------------------------------------------------------
 
 
-def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction) -> FaceVectorField:
-    """Face-indexed gradient of phi sampled at cell anchors at time 0.
+def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction) -> np.ndarray:
+    """The (n_faces, d) gradient of phi sampled at cell anchors at time 0.
 
     Interior faces carry (|sigma| / |D_sigma|) (phi_L - phi_K) n; boundary
     faces carry the zero vector.
@@ -422,27 +410,27 @@ def discrete_gradient(mesh: Mesh, phi: SmoothTestFunction) -> FaceVectorField:
     jump = pk[mesh.face_L[mask]] - pk[mesh.face_K[mask]]
     coeff = mesh.face_area[mask] / mesh.face_dsig[mask] * jump
     vals[mask] = coeff[:, None] * mesh.face_normal[mask]
-    return FaceVectorField(mesh=mesh, values=vals)
+    return vals
 
 
-def sup_bound_check(field: FaceVectorField, quality: MeshQuality,
+def sup_bound_check(grad: np.ndarray, quality: MeshQuality,
                     phi: SmoothTestFunction) -> float:
-    """Worst ratio of |field| to theta_grad * sup|grad phi| over faces.
+    """Worst ratio of |grad| to theta_grad * sup|grad phi| over faces.
 
     Raises InvariantViolation when the ratio exceeds 1 + 1e-12; the bound is
     a theorem for discrete gradients of Lipschitz functions, so a breach
-    means either the field is not such a gradient or the declared sup lies.
+    means either the array is not such a gradient or the declared sup lies.
     """
     bound = quality.theta_grad * phi.grad_sup
+    sup = float(np.max(np.linalg.norm(grad, axis=-1)))
     if bound == 0.0:
-        sup = field.sup_norm()
         if sup > 0.0:
             raise InvariantViolation("nonzero field against a zero bound")
         return 0.0
-    ratio = field.sup_norm() / bound
+    ratio = sup / bound
     if ratio > 1.0 + SUP_BOUND_TOL:
         raise InvariantViolation(
-            f"face gradient sup {field.sup_norm():.6e} exceeds "
+            f"face gradient sup {sup:.6e} exceeds "
             f"theta_grad * |grad phi|_inf = {bound:.6e} (ratio {ratio:.12f})"
         )
     return ratio
@@ -472,17 +460,16 @@ def _dual_mean_points(mesh: Mesh):
     return pts, wts
 
 
-def weak_pairing(field: FaceVectorField, psi: VectorTestFunction) -> float:
-    """Sum over faces of |D_sigma| * field_sigma . (mean of psi over D_sigma).
+def weak_pairing(mesh: Mesh, grad: np.ndarray, psi: VectorTestFunction) -> float:
+    """Sum over faces of |D_sigma| * grad_sigma . (mean of psi over D_sigma).
 
     The dual-volume mean of psi is approximated by the point rule of
     :func:`_dual_mean_points`.
     """
-    mesh = field.mesh
     pts, wts = _dual_mean_points(mesh)
     psi_vals = psi.value(pts.reshape(-1, mesh.dim)).reshape(pts.shape)
     psi_bar = np.einsum("fq,fqd->fd", wts, psi_vals)
-    return float(np.einsum("f,fd,fd->", mesh.face_dsig, field.values, psi_bar))
+    return float(np.einsum("f,fd,fd->", mesh.face_dsig, grad, psi_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +509,13 @@ def _reference_pairing(phi: SmoothTestFunction, psi: VectorTestFunction,
     return float(np.einsum("q,qd,qd->", w, gp, pv))
 
 
-def _l1_gradient_distance(mesh: Mesh, field: FaceVectorField,
+def _l1_gradient_distance(mesh: Mesh, grad: np.ndarray,
                           phi: SmoothTestFunction) -> float:
     """L1 distance between the face-constant gradient (spread over dual
     volumes) and the true gradient, by the dual point rule (diagnostic)."""
     pts, wts = _dual_mean_points(mesh)
     gp = phi.grad(pts.reshape(-1, mesh.dim), 0.0).reshape(pts.shape)
-    diff = np.linalg.norm(gp - field.values[:, None, :], axis=-1)
+    diff = np.linalg.norm(gp - grad[:, None, :], axis=-1)
     per_face = np.einsum("fq,fq->f", wts, diff)
     return float(np.dot(mesh.face_dsig, per_face))
 
@@ -569,11 +556,11 @@ def gradient_weakstar_study(
     rows: list[GradStudyRow] = []
     for lvl, mesh in enumerate(meshes):
         qual = compute_quality(mesh)
-        field = discrete_gradient(mesh, phi)
-        sup_bound_check(field, qual, phi)
-        l1_distance = _l1_gradient_distance(mesh, field, phi)
+        grad = discrete_gradient(mesh, phi)
+        sup_bound_check(grad, qual, phi)
+        l1_distance = _l1_gradient_distance(mesh, grad, phi)
         for psi in psi_list:
-            pairing = weak_pairing(field, psi)
+            pairing = weak_pairing(mesh, grad, psi)
             ref = refs[psi.name]
             gap = abs(pairing - ref)
             bound = (

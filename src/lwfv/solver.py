@@ -24,7 +24,7 @@ from .flux import NumericalFlux
 from .mesh import Mesh, MeshError, far_neighbors
 from .operators import InvariantViolation, TimeGrid
 from .reports import open_text
-from .translations import CellField, IntegrableFunction, project_l1
+from .translations import IntegrableFunction, _cell_values, project_l1
 
 __all__ = [
     "Problem",
@@ -226,11 +226,9 @@ class Stepper:
         uK, uL = self._interior_rows
         return np.subtract(uK, uL, out=out)
 
-    def divergence(self, u: np.ndarray, fv: np.ndarray | None = None) -> np.ndarray:
+    def divergence(self, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
         """Per-cell net outward flux sum_{sigma} |sigma| F_sigma . n_K, from
-        the edge fluxes ``fv`` of ``u`` (computed when not given)."""
-        if fv is None:
-            fv = self.edge_fluxes(u)
+        the edge fluxes ``fv = edge_fluxes(u)``."""
         ne = fv.size
         weights = self._weights
         # two 1-d calls: one broadcast multiply into a (2, E) view of the
@@ -246,10 +244,9 @@ class Stepper:
         return np.bincount(self._scatter, weights=weights,
                            minlength=self.mesh.n_cells)
 
-    def step(self, u: np.ndarray, dt: float,
-             fv: np.ndarray | None = None) -> np.ndarray:
-        """u - dt * divergence / |K|, evaluated in that order in place on
-        the fresh divergence array, which is returned."""
+    def step(self, u: np.ndarray, dt: float, fv: np.ndarray) -> np.ndarray:
+        """u - dt * divergence(u, fv) / |K|, evaluated in that order in
+        place on the fresh divergence array, which is returned."""
         out = self.divergence(u, fv)
         out *= dt
         out /= self.mesh.cell_volume
@@ -261,19 +258,20 @@ class Stepper:
 # ---------------------------------------------------------------------------
 
 
-def select_dt(mesh: Mesh, field: CellField, flux: NumericalFlux, cfl: float,
+def select_dt(mesh: Mesh, u: np.ndarray, flux: NumericalFlux, cfl: float,
               t_final: float) -> float:
     """CFL time step: cfl * min_K |K| / sum_{faces of K} |sigma| lambda_sigma.
 
     lambda_sigma is the flux's wave-speed bound between the adjacent states
     (the inside state alone on boundary faces).  The step is capped at
     t_final / N_MIN_STEPS, which is also the step when nothing moves.
-    Raises ValueError when a wave speed is not finite, or when a cell's sum
-    overflows so that the step is not positive.
+    Raises ValueError when ``u`` does not hold one value per cell, when a
+    wave speed is not finite, or when a cell's sum overflows so that the
+    step is not positive.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
-    u = field.values
+    u = _cell_values(mesh, u)
     K = mesh.face_K
     L = np.where(mesh.face_L >= 0, mesh.face_L, mesh.face_K)
     lam = np.asarray(flux.wave_speed(u[K], u[L], mesh.face_normal), dtype=float)
@@ -311,7 +309,7 @@ def plan(mesh: Mesh, problem: Problem,
     dt0 = select_dt(mesh, u0, problem.flux, cfl, problem.t_final)
     n_steps = max(1, int(math.ceil(problem.t_final / dt0 - 1e-12)))
     grid = TimeGrid.uniform(problem.t_final, n_steps)
-    return Stepper(mesh, problem.flux, problem.boundary), grid, u0.values
+    return Stepper(mesh, problem.flux, problem.boundary), grid, u0
 
 
 def march(stp: Stepper, grid: TimeGrid, u0: np.ndarray,

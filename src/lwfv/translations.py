@@ -1,11 +1,12 @@
-"""Cell fields, L1 projections, and translation seminorms.
+"""L1 projections and translation seminorms.
 
-The translation seminorm of a cell field weights each interior face jump by
-the dual-volume measure: T(u) = sum_sigma |D_sigma| |u_K - u_L|.  It is
-controlled both by the L1 norm of the field (via the mesh regularity
-parameters) and, for projections of Lipschitz data, by the mesh size, which
-is what makes families of discrete solutions translation-compact.  The
-space-time variant adds time jumps weighted by cell measures.
+A cell field is an (n_cells,) array of cell values u_K on a mesh.  Its
+translation seminorm weights each interior face jump by the dual-volume
+measure: T(u) = sum_sigma |D_sigma| |u_K - u_L|.  It is controlled both by
+the L1 norm of the field (via the mesh regularity parameters) and, for
+projections of Lipschitz data, by the mesh size, which is what makes
+families of discrete solutions translation-compact.  The space-time
+variant adds time jumps weighted by cell measures; ``consistency`` sums it.
 """
 from __future__ import annotations
 
@@ -17,17 +18,15 @@ import numpy as np
 
 from . import quadrature
 from .mesh import Mesh, MeshFamily, compute_quality, refine
-from .operators import InvariantViolation, TimeGrid
+from .operators import InvariantViolation
 
 __all__ = [
     "IntegrableFunction",
     "interval_indicator",
     "smooth_function",
-    "CellField",
     "project_l1",
     "translation_seminorm",
     "SpacetimeSeminorm",
-    "SeminormSums",
     "translation_decay_study",
     "DecayRow",
     "uniform_decay_study",
@@ -78,25 +77,6 @@ def interval_indicator(a: float, b: float, name: str = "") -> IntegrableFunction
     )
 
 
-@dataclass(frozen=True)
-class CellField:
-    """One value per cell: the piecewise-constant embedding over the mesh."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.mesh.n_cells,):
-            raise ValueError(
-                f"expected {self.mesh.n_cells} cell values, got shape {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def l1_norm(self) -> float:
-        return float(np.dot(self.mesh.cell_volume, np.abs(self.values)))
-
-
 def _interval_part(verts: np.ndarray, u: IntegrableFunction):
     """The part [lo, hi] of each cell of the batch inside the interval of u
     (empty where lo >= hi).  Raises ValueError on cells that are not
@@ -139,8 +119,8 @@ def _cell_integrals(verts: np.ndarray, u: IntegrableFunction) -> np.ndarray:
     return np.maximum(0.0, hi - lo) + rest
 
 
-def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
-    """Cell means of u over every cell.
+def project_l1(mesh: Mesh, u: IntegrableFunction) -> np.ndarray:
+    """The (n_cells,) cell means of u.
 
     Smooth data, and the smooth remainder of interval data, use Gauss
     quadrature exact to degree 2 * GAUSS_ORDER - 1 on intervals and
@@ -148,8 +128,15 @@ def project_l1(mesh: Mesh, u: IntegrableFunction) -> CellField:
     which are 1d only, is the exact length of each cell's intersection with
     the interval, and interval data raise ValueError on a 2d mesh.
     """
-    vals = _cell_integrals(mesh.cell_vertices, u) / mesh.cell_volume
-    return CellField(mesh=mesh, values=vals)
+    return _cell_integrals(mesh.cell_vertices, u) / mesh.cell_volume
+
+
+def _cell_values(mesh: Mesh, values) -> np.ndarray:
+    """``values`` as floats; a ValueError unless one per cell of ``mesh``."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (mesh.n_cells,):
+        raise ValueError(f"expected {mesh.n_cells} cell values, got shape {v.shape}")
+    return v
 
 
 def _interior_jumps(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -160,11 +147,10 @@ def _interior_jumps(mesh: Mesh, values: np.ndarray) -> np.ndarray:
                        values.take(mesh.face_L[mask], axis=-1))
 
 
-def translation_seminorm(mesh: Mesh, field: CellField) -> float:
-    """Sum over interior faces of |D_sigma| |u_K - u_L|."""
-    if field.mesh is not mesh:
-        raise ValueError("field does not live on this mesh")
-    jumps = np.abs(_interior_jumps(mesh, field.values))
+def translation_seminorm(mesh: Mesh, values: np.ndarray) -> float:
+    """Sum over interior faces of |D_sigma| |u_K - u_L|, for the
+    (n_cells,) cell values ``values``."""
+    jumps = np.abs(_interior_jumps(mesh, _cell_values(mesh, values)))
     return float(np.dot(mesh.face_dsig[mesh.interior], jumps))
 
 
@@ -172,52 +158,6 @@ def translation_seminorm(mesh: Mesh, field: CellField) -> float:
 class SpacetimeSeminorm:
     space_part: float
     time_part: float
-
-
-class SeminormSums:
-    """The space-time translation seminorm of a history, a block of steps
-    at a time.
-
-    The sums follow the slab-mean convention for the piecewise-constant
-    embedding u(., t) = u^n on (t_n, t_{n+1}], with dt_n = t_{n+1} - t_n:
-
-        space part = sum_{n=0}^{N-1} dt_n sum_sigma |D_sigma| |u^n_K - u^n_L|
-        time part  = sum_{n=1}^{N-1} dt_n sum_K |K| |u^n_K - u^{n-1}_K|
-
-    Feed ``block(n0, U, dU, F, J)`` with one row per step n = n0, n0 + 1,
-    ...: dU = u^{n+1} - u^n and J the jumps u^n_K - u^n_L on the interior
-    faces in face order (the states U and the face fluxes F are not read),
-    covering n = 0..N-1; ``result()`` then applies the slab widths.  The
-    streamed ``lw_study`` hands over the jumps that each step gathered, a
-    stored history those of ``_interior_jumps``.  Both parts sum over every
-    face and every cell.  Memory is O(faces + N), not O(N * cells).
-    """
-
-    def __init__(self, mesh: Mesh, grid: TimeGrid):
-        self.dsig = mesh.face_dsig[mesh.interior]
-        self.vol = mesh.cell_volume
-        self.dts = grid.deltas
-        self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
-        self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
-        self._buf = None  # (|J|, |dU|), reused per block
-
-    def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
-              J: np.ndarray) -> None:
-        b = len(U)
-        if self._buf is None or len(self._buf[0]) < b:
-            self._buf = (np.empty((b, self.dsig.size)), np.empty((b, self.vol.size)))
-        abs_j, abs_du = (x[:b] for x in self._buf)
-        rows = slice(n0, n0 + b)
-        np.matmul(np.abs(J, out=abs_j), self.dsig, out=self.space[rows])
-        np.matmul(np.abs(dU, out=abs_du), self.vol, out=self.time[rows])
-
-    def result(self) -> SpacetimeSeminorm:
-        # the jump after step n separates slabs n and n + 1; the one after
-        # the last step lies outside (0, T)
-        return SpacetimeSeminorm(
-            space_part=float(np.dot(self.dts, self.space)),
-            time_part=float(np.dot(self.dts[1:], self.time[:-1])),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +186,10 @@ def translation_decay_study(family: MeshFamily, u: IntegrableFunction,
     rows: list[DecayRow] = []
     for lvl, mesh in enumerate(meshes):
         qual = compute_quality(mesh)
-        field = project_l1(mesh, u)
-        t_val = translation_seminorm(mesh, field)
-        l1 = u.l1_norm if u.l1_norm is not None else field.l1_norm()
+        values = project_l1(mesh, u)
+        t_val = translation_seminorm(mesh, values)
+        l1 = (u.l1_norm if u.l1_norm is not None
+              else float(np.dot(mesh.cell_volume, np.abs(values))))
         bound_l1 = qual.n_faces_max * qual.theta * l1
         if t_val > bound_l1 * (1.0 + 1e-9):
             raise InvariantViolation(
@@ -300,11 +241,9 @@ def uniform_decay_study(
     hs = []
     for lvl, mesh in enumerate(meshes):
         qual = compute_quality(mesh)
-        lim_field = project_l1(mesh, limit)
-        lim_col[lvl] = translation_seminorm(mesh, lim_field)
+        lim_col[lvl] = translation_seminorm(mesh, project_l1(mesh, limit))
         for p, u_p in enumerate(sequence):
-            f = project_l1(mesh, u_p)
-            mat[lvl, p] = translation_seminorm(mesh, f)
+            mat[lvl, p] = translation_seminorm(mesh, project_l1(mesh, u_p))
             bound = qual.n_faces_max * qual.theta * deltas_l1[p] + lim_col[lvl]
             if mat[lvl, p] > bound * (1.0 + 1e-9):
                 raise InvariantViolation(

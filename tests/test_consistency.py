@@ -279,7 +279,7 @@ def test_injected_exact_solution_gap_decays():
             shifted = smooth_function(
                 lambda x, t=t: b.value(x - np.array([t]), 0.0), name="sh"
             )
-            vals[i] = project_l1(m, shifted).values
+            vals[i] = project_l1(m, shifted)
         fld = SpaceTimeField(mesh=m, grid=grid, values=vals,
                              boundary="periodic", flux=upwind_linear([1.0]))
         hs.append(m.h_max)

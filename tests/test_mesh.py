@@ -603,8 +603,8 @@ def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datu
         for (field, a), (_, b) in zip(_array_fields(built), _array_fields(loaded)):
             assert np.array_equal(a, b) and a.dtype == b.dtype, (name, level, field)
         for u in data:
-            assert (project_l1(loaded, u).values.tobytes()
-                    == project_l1(built, u).values.tobytes())
+            assert (project_l1(loaded, u).tobytes()
+                    == project_l1(built, u).tobytes())
         problem = Problem(flux=flux, u0=u0, t_final=0.5)
         fields = [solve(mesh, problem) for mesh in (built, loaded)]
         assert fields[0].values.tobytes() == fields[1].values.tobytes()
@@ -710,6 +710,7 @@ def test_triangular_validates_in_safe_band(n, seed, jitter):
 )
 # a flat cone whose deviation, relative to its own measure, read 2.24e-12
 @example(n=7, seed=34, jitter=0.4067458887108136)
+@settings(deadline=None)
 def test_triangular_never_builds_silently_invalid(n, seed, jitter):
     # an aggressive draw may invert a triangle; the only acceptable
     # outcomes are a valid mesh or a loud refusal

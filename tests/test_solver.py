@@ -4,7 +4,6 @@ The single-step example is hand arithmetic at CFL number 1/2; the stencil
 wiring of the three-point flux is checked against a roll-based update on
 the sorted cell order, written independently in oracles.py.
 """
-import dataclasses
 import hashlib
 import io
 import re
@@ -74,7 +73,7 @@ def test_single_upwind_step_hand_value():
     order = sorted_cell_order(m)
     u = np.zeros(3)
     u[order[1]] = 1.0
-    out = st.step(u, 0.5 / 3.0)  # nu = 1/2 up to the rounding of h = 1/3
+    out = st.step(u, 0.5 / 3.0, st.edge_fluxes(u))  # nu = 1/2 up to the rounding of h = 1/3
     assert np.allclose(out[order], np.array([0.0, 0.5, 0.5]), rtol=1e-14,
                        atol=1e-16)
 
@@ -86,7 +85,7 @@ def test_stepper_matches_roll_oracle_upwind():
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.0, 1.0, 16)
     nu = 0.4
-    got = st.step(u, nu / 16.0)[order]
+    got = st.step(u, nu / 16.0, st.edge_fluxes(u))[order]
     want = brute_upwind_step(u[order], nu)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -99,7 +98,7 @@ def test_stepper_matches_roll_oracle_muscl():
     rng = np.random.default_rng(1)
     u = rng.uniform(-1.0, 1.0, 16)
     nu = 0.4
-    got = st.step(u, nu / 16.0)[order]
+    got = st.step(u, nu / 16.0, st.edge_fluxes(u))[order]
     want = brute_muscl_step(u[order], nu)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
@@ -240,11 +239,18 @@ def test_select_dt_rejects_non_finite_speeds_and_a_zero_step():
     # a state that is not finite gives Rusanov a speed that is not finite
     # (a flux with a velocity that is not finite cannot be built)
     for state in (np.nan, np.inf):
-        values = f.values.copy()
-        values[3] = state
-        bad = dataclasses.replace(f, values=values)
+        bad = f.copy()
+        bad[3] = state
         with pytest.raises(ValueError, match="wave speed .* not finite"):
             select_dt(m, bad, rusanov(burgers()), cfl=0.45, t_final=0.5)
+
+
+@pytest.mark.parametrize("size", [9, 11])
+def test_select_dt_rejects_an_array_of_another_length(size):
+    # a longer array would be read silently, a shorter one fail on an index
+    m = uniform_1d_family(10).build(0)
+    with pytest.raises(ValueError, match=f"expected 10 cell values, got shape \\({size},\\)"):
+        select_dt(m, np.zeros(size), upwind_linear([1.0]), cfl=0.45, t_final=0.5)
 
 
 def test_select_dt_capped_by_horizon():
