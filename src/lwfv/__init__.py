@@ -18,9 +18,7 @@ from .flux import (
     FluxFunction,
     NumericalFlux,
     burgers,
-    check_hypothesis_iii,
-    conservativity_check,
-    consistency_check,
+    check_flux_contract,
     linear_advection,
     muscl_three_point,
     rusanov,

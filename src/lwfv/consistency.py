@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .flux import FluxFunction, check_hypothesis_iii
+from .flux import FluxFunction, check_flux_contract
 from .mesh import (Mesh, MeshError, MeshFamily, MeshQuality, compute_quality,
                    refine, validate)
 from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
@@ -379,11 +379,11 @@ class _PairingSums:
             for half, lhs, rhs in (
                     ("T1 = T1_1 + T1_2 + R1", dec.t1, dec.t1_1 + dec.t1_2 + dec.r1),
                     ("T2 = T2_tilde + R", dec.t2, dec.t2_tilde + dec.r)):
-                if abs(lhs - rhs) > tol:
+                if not abs(lhs - rhs) <= tol:
                     raise InvariantViolation(
                         f"split {half} broken for {phi.name!r}: "
                         f"{lhs:.6e} vs {rhs:.6e}, scale={dec.scale:.3e}")
-            if abs(dec.total) > tol:
+            if not abs(dec.total) <= tol:
                 raise InvariantViolation(
                     f"master identity broken for {phi.name!r}: "
                     f"sum={dec.total:.3e} vs scale={dec.scale:.3e} "
@@ -543,7 +543,7 @@ def residual_envelope_check(decomp: ResidualDecomposition,
 
     and return them as ``(r1_bound, r_bound)``.  The R bound holds for
     every stencil: the two-point jump bound c_f |u_K - u_L| of hypothesis
-    (iii), which ``check_hypothesis_iii`` samples for three-point fluxes
+    (iii), which ``check_flux_contract`` samples for three-point fluxes
     with their stencil extensions, times the discrete gradient of phi.
     Each check has slack factor (1 + 1e-9) plus an absolute floor of 1e-12
     times the corresponding term-magnitude sum (pure-rounding regimes, e.g.
@@ -634,7 +634,7 @@ def lw_study(family: MeshFamily, problem: Problem,
 
     The levels are independent, so on a host that allows it the study runs
     in two processes.  It forks before it does anything else: the child
-    checks the flux (``check_hypothesis_iii``, when ``check_flux``), builds
+    checks the flux (``check_flux_contract``, when ``check_flux``), builds
     and rates every level with ``refine``, whose regularity band covers
     them all, and runs levels 0 ... n-2; this process builds level n-1,
     the largest, runs it, then reads the child's records back through a
@@ -657,12 +657,12 @@ def lw_study(family: MeshFamily, problem: Problem,
     def lower(n: int) -> list[LevelRecord]:
         """The flux check, the refinement and levels 0 ... n-1."""
         if check_flux:
-            rep = check_hypothesis_iii(problem.flux)
+            rep = check_flux_contract(problem.flux)
             if not rep.ok:
                 raise InvariantViolation(
-                    f"flux {problem.flux.name!r} fails its Lipschitz-diagonal "
-                    f"bound: ratio {rep.max_ratio:.6g} at witness {rep.witness}"
-                )
+                    f"flux {problem.flux.name!r} fails its "
+                    f"{' and '.join(rep.failed)}: {rep.failed[0]} witness "
+                    f"{rep.witness}")
         meshes = refine(family, levels)
         return [run(lvl, meshes[lvl]) for lvl in range(n)]
 

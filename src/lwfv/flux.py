@@ -6,7 +6,7 @@ every numerical flux takes that speed rather than the normal:
 ``evaluate(uK, uL, bn)`` returns the scalar normal component through faces
 whose normal speeds are ``bn``.  A caller whose normals never change (the
 solver's edges) computes bn once.  The contracts that the consistency
-analysis relies on (the checkers in this module sample the first three),
+analysis relies on (``check_flux_contract`` samples the first three),
 with bn = normal_speed(n):
 
 * conservativity: evaluate(a, b, bn) == -evaluate(b, a, normal_speed(-n))
@@ -19,7 +19,7 @@ with bn = normal_speed(n):
 * locality: a face's flux depends only on the states of its own stencil,
   never on the other faces evaluated in the same call.
 
-The checkers sample states in the range on which the flux declares c_f.
+The check samples states in the range on which the flux declares c_f.
 """
 from __future__ import annotations
 
@@ -38,9 +38,7 @@ __all__ = [
     "rusanov",
     "muscl_three_point",
     "FluxCheckReport",
-    "check_hypothesis_iii",
-    "conservativity_check",
-    "consistency_check",
+    "check_flux_contract",
 ]
 
 
@@ -58,7 +56,8 @@ class FluxFunction:
     |F'(u)|_2 = |g'(u)| |b| on the interval between a and b, in either
     order: it must be symmetric bit for bit, deriv_bound(a, b) ==
     deriv_bound(b, a), so that a face's bound does not depend on its
-    orientation (``conservativity_check`` tests this through the flux).
+    orientation (``check_flux_contract`` tests this through the flux's
+    conservativity).
     """
 
     name: str
@@ -297,25 +296,38 @@ def muscl_three_point(b) -> NumericalFlux:
 
 
 # ---------------------------------------------------------------------------
-# checkers
+# the contract check
 # ---------------------------------------------------------------------------
+
+
+PROPERTIES = ("jump bound", "conservativity", "consistency")
 
 
 @dataclass(frozen=True)
 class FluxCheckReport:
+    """What ``check_flux_contract`` found.
+
+    ``failed`` names the properties that failed, in the order of
+    ``PROPERTIES``, and ``witness`` is the worst sample (a, b, n, value) of
+    the first of them: its value is the jump ratio, |forward + backward| or
+    the relative consistency error (of b = a).  ``max_ratio`` is the worst
+    jump ratio, against ``tolerance``, over ``n_samples`` state pairs.
+    """
+
     name: str
-    ok: bool
+    failed: tuple[str, ...]
     max_ratio: float
     tolerance: float
     witness: tuple | None
     n_samples: int
 
-    def __bool__(self) -> bool:
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.failed
 
 
 def _sampled_range(flux: NumericalFlux) -> tuple[float, float]:
-    """Where the checkers sample states: the flux's ``u_range``, or (-2, 2)
+    """Where the check samples states: the flux's ``u_range``, or (-2, 2)
     for a flux whose c_f holds for any state."""
     lo, hi = flux.u_range
     return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else (-2.0, 2.0)
@@ -357,98 +369,64 @@ def _halton_states(u_range, n_samples: int, dims: int) -> np.ndarray:
     return lo + (hi - lo) * pts
 
 
-def check_hypothesis_iii(flux: NumericalFlux,
-                         n_samples: int = 20000) -> FluxCheckReport:
-    """Sample the two-sided jump bound over a deterministic low-discrepancy
-    set of state pairs (and stencil extensions) in the flux's state range
-    and unit normals.
+def check_flux_contract(flux: NumericalFlux,
+                        n_samples: int = 20000) -> FluxCheckReport:
+    """Sample the jump bound, conservativity and consistency of the module
+    docstring over one deterministic low-discrepancy set of states (and
+    stencil extensions) in the flux's state range, at every sampled unit
+    normal n, with bn = normal_speed(n) and f = evaluate(a, b, bn):
 
-    Returns the worst ratio |flux - F(state) . n| / |a - b| against the
-    declared constant; a report with ok = False carries the witness tuple
-    (a, b, n, ratio).
+    * jump bound: max(|f - F(a) . n|, |f - F(b) . n|) / |a - b| is at most
+      c_f (1 + 1e-9) on the pairs with a != b;
+    * conservativity: f == -evaluate(b, a, normal_speed(-n)), with the
+      stencil extensions swapped, bit for bit on every pair, so the check
+      covers the antisymmetry of normal_speed too;
+    * consistency: evaluate(u, u, bn), with u the first state of each pair,
+      reproduces F(u) . n within 1e-14 relative.
+
+    Each property's worst sample is the first NaN if there is one (argmax
+    takes NaN for the largest value), and every comparison fails on NaN.
     """
     dims = 2 if flux.stencil == 2 else 4
     u_range = _sampled_range(flux)
     states = _halton_states(u_range, n_samples, dims)
-    a = states[:, 0]
-    b = states[:, 1]
-    extra = (states[:, 2], states[:, 3]) if dims == 4 else (None, None)
+    a, b = states[:, 0], states[:, 1]
+    uKK, uLL = (states[:, 2], states[:, 3]) if dims == 4 else (None, None)
     scale = max(abs(u_range[0]), abs(u_range[1]), 1.0)
     keep = np.abs(a - b) > 1e-12 * scale
-    a, b = a[keep], b[keep]
-    uKK = extra[0][keep] if extra[0] is not None else None
-    uLL = extra[1][keep] if extra[1] is not None else None
+    ak, bk = a[keep], b[keep]
+    jumps = np.abs(ak - bk)
+    Fa, Fb, Fu = (flux.flux.value(x) for x in (ak, bk, a))
+
+    normals = _unit_normals(flux.dim)
+    tops = {p: [] for p in PROPERTIES}  # per normal: (worst value, sample)
+    for n in normals:
+        bn = flux.flux.normal_speed(n)
+        fwd = flux.evaluate(a, b, bn, uKK=uKK, uLL=uLL)
+        f = fwd[keep]
+        bwd = flux.evaluate(b, a, flux.flux.normal_speed(-n), uKK=uLL, uLL=uKK)
+        exact = Fu @ n
+        diag = flux.evaluate(a, a, bn, uKK=a, uLL=a)
+        # a sum of two doubles rounds to 0 only when it is exactly 0, so
+        # |fwd + bwd| is 0 exactly where fwd == -bwd (and NaN for infinities)
+        for prop, x in zip(PROPERTIES, (
+                np.maximum(np.abs(f - Fa @ n), np.abs(f - Fb @ n)) / jumps,
+                np.abs(fwd + bwd),
+                np.abs(diag - exact) / np.maximum(np.abs(exact), 1.0))):
+            i = int(np.argmax(x))
+            tops[prop].append((float(x[i]), i))
 
     tol = flux.c_f * (1.0 + 1e-9)
-    worst = -1.0
-    witness = None
-    Fa = flux.flux.value(a)
-    Fb = flux.flux.value(b)
-    jumps = np.abs(a - b)
-    for n in _unit_normals(flux.dim):
-        fval = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
-        fa = Fa @ n
-        fb = Fb @ n
-        r = np.maximum(np.abs(fval - fa), np.abs(fval - fb)) / jumps
-        i = int(np.argmax(r))
-        if r[i] > worst:
-            worst = float(r[i])
-            witness = (float(a[i]), float(b[i]), n.copy(), float(r[i]))
-    ok = worst <= tol
+    worst, failed, witness = {}, [], None
+    for prop, bound, (u, v) in zip(PROPERTIES, (tol, 0.0, 1e-14),
+                                   ((ak, bk), (a, b), (a, a))):
+        k = int(np.argmax([value for value, _ in tops[prop]]))
+        worst[prop], i = tops[prop][k]
+        if not worst[prop] <= bound:
+            failed.append(prop)
+            witness = witness or (float(u[i]), float(v[i]), normals[k].copy(),
+                                  worst[prop])
     return FluxCheckReport(
-        name=flux.name, ok=ok, max_ratio=worst, tolerance=tol,
-        witness=None if ok else witness, n_samples=int(a.size),
-    )
-
-
-def conservativity_check(flux: NumericalFlux,
-                         n_samples: int = 5000) -> FluxCheckReport:
-    """Exact equality evaluate(a, b, bn) == -evaluate(b, a, bn') on sampled
-    states, with the normal speeds bn of n and bn' of -n each computed by
-    ``normal_speed``, so the check covers their antisymmetry too."""
-    dims = 2 if flux.stencil == 2 else 4
-    states = _halton_states(_sampled_range(flux), n_samples, dims)
-    a, b = states[:, 0], states[:, 1]
-    uKK = states[:, 2] if dims == 4 else None
-    uLL = states[:, 3] if dims == 4 else None
-    witness = None
-    ok = True
-    for n in _unit_normals(flux.dim):
-        fwd = flux.evaluate(a, b, flux.flux.normal_speed(n), uKK=uKK, uLL=uLL)
-        bwd = flux.evaluate(b, a, flux.flux.normal_speed(-n), uKK=uLL, uLL=uKK)
-        bad = ~(fwd == -bwd)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            ok = False
-            witness = (float(a[i]), float(b[i]), n.copy(),
-                       float(fwd[i]), float(bwd[i]))
-            break
-    return FluxCheckReport(
-        name=flux.name, ok=ok, max_ratio=0.0 if ok else math.inf,
-        tolerance=0.0, witness=witness, n_samples=int(a.size),
-    )
-
-
-def consistency_check(flux: NumericalFlux,
-                      n_samples: int = 5000) -> FluxCheckReport:
-    """evaluate(u, u, normal_speed(n)) must reproduce F(u) . n within 1e-14
-    relative."""
-    states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
-    worst = 0.0
-    witness = None
-    F = flux.flux.value(states)
-    for n in _unit_normals(flux.dim):
-        fval = flux.evaluate(states, states, flux.flux.normal_speed(n),
-                             uKK=states, uLL=states)
-        exact = F @ n
-        scale = np.maximum(np.abs(exact), 1.0)
-        r = np.abs(fval - exact) / scale
-        i = int(np.argmax(r))
-        if r[i] > worst:
-            worst = float(r[i])
-            witness = (float(states[i]), n.copy(), float(r[i]))
-    ok = worst <= 1e-14
-    return FluxCheckReport(
-        name=flux.name, ok=ok, max_ratio=worst, tolerance=1e-14,
-        witness=None if ok else witness, n_samples=int(states.size),
+        name=flux.name, failed=tuple(failed), max_ratio=worst["jump bound"],
+        tolerance=tol, witness=witness, n_samples=int(ak.size),
     )

@@ -58,8 +58,7 @@ Cones over all faces of a cell tile the cell when x_K lies inside it, so
 the dual volumes partition the domain.
 
 What a file or a caller can still get wrong, :func:`validate` checks:
-``cell_partition``, ``inside_box``, ``boundary_on_box`` and
-``anchor_inside``.
+``cell_partition``, ``boundary_on_box`` and ``anchor_inside``.
 
 Meshes are read-only: a :class:`Mesh` is a frozen dataclass and every array
 it holds is marked non-writeable when it is made, so a mesh is safe to
@@ -696,7 +695,6 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     derived from them holds by construction.
 
     * ``cell_partition``: sum |K| = |Omega|, to within REL_TOL |Omega|;
-    * ``inside_box``: every anchor and face centroid lies in the box;
     * ``boundary_on_box``: the vertices of every boundary face lie on one
       side of the box;
     * ``anchor_inside``: every anchor lies inside its cell, by more than
@@ -719,21 +717,12 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
     checks.append(("cell_partition", abs(total - omega) <= REL_TOL * omega,
                    f"sum |K| = {total!r} vs |Omega| = {omega!r}"))
 
-    # _pair_periodic_faces and check_support_margin take the box as the
-    # domain.  An anchor or face centroid is the mean of at most three
-    # vertex coordinates (a triangle's centroid), which may lie one rounding
-    # u M outside the box, M = max(|lo|, |hi|) per axis and u = eps / 2:
-    # the two sums and the division add at most (2 u M + 3 u M) / 3 + u M,
-    # so the overshoot stays under 2 eps M, and 4 eps M is the tolerance
+    # a face is on the boundary only where the domain ends: a file whose
+    # interior facet is split between two vertex ids cuts the domain there.
+    # A vertex is on a side to within 4 eps M, M = max(|lo|, |hi|) per axis
     lo, hi = mesh.box
     slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    pts = np.concatenate([mesh.cell_center, mesh.face_centroid])
-    in_box = bool(np.all((pts >= lo - slack) & (pts <= hi + slack)))
     box = " x ".join(f"[{a:.17g}, {b:.17g}]" for a, b in zip(lo, hi))
-    checks.append(("inside_box", in_box, f"x_K and face centroids in {box}"))
-
-    # a face is on the boundary only where the domain ends: a file whose
-    # interior facet is split between two vertex ids cuts the domain there
     ends = mesh.vertices[mesh.face_vertex_ids[~inner]]
     on_side = ((np.abs(ends - lo) <= slack).all(axis=1)
                | (np.abs(ends - hi) <= slack).all(axis=1)).any(axis=1)

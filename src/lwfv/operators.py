@@ -424,11 +424,11 @@ def sup_bound_check(grad: np.ndarray, quality: MeshQuality,
     bound = quality.theta_grad * phi.grad_sup
     sup = float(np.max(np.linalg.norm(grad, axis=-1)))
     if bound == 0.0:
-        if sup > 0.0:
+        if not sup <= 0.0:
             raise InvariantViolation("nonzero field against a zero bound")
         return 0.0
     ratio = sup / bound
-    if ratio > 1.0 + SUP_BOUND_TOL:
+    if not ratio <= 1.0 + SUP_BOUND_TOL:
         raise InvariantViolation(
             f"face gradient sup {sup:.6e} exceeds "
             f"theta_grad * |grad phi|_inf = {bound:.6e} (ratio {ratio:.12f})"

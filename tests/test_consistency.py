@@ -74,6 +74,7 @@ from oracles import (
     brute_volume_pairing_terms,
     brute_weak_gap,
 )
+from test_flux import BROKEN_FLUXES
 from test_operators import _affine_x, _stray_anchor_family
 
 
@@ -129,10 +130,10 @@ def test_master_identity_on_mixed_runs():
     assert checked >= 6
 
 
-def _plant(monkeypatch, name):
+def _plant(monkeypatch, name, factor):
     """Hand every sum of ``lw_study`` its blocks with one array of
     ``_StepBlocks``, the state changes "dU" or the fluxes "F", scaled by
-    1 + 1e-6."""
+    ``factor``."""
     real = consistency._StepBlocks
 
     class Scaled:
@@ -141,7 +142,7 @@ def _plant(monkeypatch, name):
 
         def block(self, n0, U, dU, F, J):
             arrays = {"dU": dU, "F": F}
-            arrays[name] = arrays[name] * (1.0 + 1e-6)
+            arrays[name] = arrays[name] * factor
             self.sums.block(n0, U, arrays["dU"], arrays["F"], J)
 
     monkeypatch.setattr(consistency, "_StepBlocks", lambda stp, sums:
@@ -151,12 +152,16 @@ def _plant(monkeypatch, name):
 @pytest.mark.parametrize("planted, broken", [
     ("dU", "split T1 = T1_1 + T1_2 + R1 broken"),
     ("F", "master identity broken"),
+    ("F NaN", "split T2 = T2_tilde + R broken"),
 ])
 def test_a_planted_defect_breaks_its_identity(monkeypatch, planted, broken):
     # state changes that are not the differences of the states no longer
     # telescope, which breaks the T1 split; scaled fluxes keep both splits,
-    # since T2 and R read the same fluxes, but no longer balance T1
-    _plant(monkeypatch, planted)
+    # since T2 and R read the same fluxes, but no longer balance T1.  NaN
+    # fluxes make the T2 and R rows NaN, which fails every check, so the
+    # first that reads them names it
+    array, _, nan = planted.partition(" ")
+    _plant(monkeypatch, array, np.nan if nan else 1.0 + 1e-6)
     family, phis = uniform_1d_family(10), bump_corpus_spacetime(1, 0.5)
     with pytest.raises(InvariantViolation) as exc:
         lw_study(family, _advection(), phis, levels=1, cfl=0.5)
@@ -886,7 +891,7 @@ def test_lw_study_split_raises_the_lowest_failing_level(monkeypatch, forks, plan
             "envelope-breach": "level 0: residual envelope breached for 'liar'",
             "levels-1-and-3": "level 1: planted at 1",
             "finest-only": "level 3: planted at 3",
-            "flux-check": "fails its Lipschitz-diagonal bound",
+            "flux-check": "fails its jump bound: jump bound witness (",
             "regularity-band": "at level 2",
             "stray-anchor": "family 'stray-anchor', level 1: mesh validation "
                             "failed: anchor_inside"}[planted] in message
@@ -921,7 +926,7 @@ def test_lw_study_split_leaves_the_prologue_to_the_child(monkeypatch, forks,
 
         monkeypatch.setattr(consistency, name, spied)
 
-    spy("check_hypothesis_iii")
+    spy("check_flux_contract")
     spy("refine")
     family = MeshFamily("logged", lambda m: log(f"build {m}")
                         or build_uniform_1d(16 * 2**m))
@@ -937,7 +942,7 @@ def test_lw_study_split_leaves_the_prologue_to_the_child(monkeypatch, forks,
              (tmp_path / "calls").read_text(encoding="utf-8").splitlines()]
     assert [what for pid, what in calls if int(pid) == caller] == ["build 3"]
     assert [what for pid, what in calls if int(pid) != caller] == [
-        "check_hypothesis_iii", "refine", "build 0", "build 1", "build 2",
+        "check_flux_contract", "refine", "build 0", "build 1", "build 2",
         "build 3"]
     _assert_no_child()
 
@@ -947,14 +952,14 @@ def test_lw_study_without_the_flux_check_never_calls_it(monkeypatch, forks,
                                                         tmp_path):
     # both processes log the check's calls to one file
     calls = tmp_path / "calls"
-    real = consistency.check_hypothesis_iii
+    real = consistency.check_flux_contract
 
     def spied(*args):
         with open(calls, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         return real(*args)
 
-    monkeypatch.setattr(consistency, "check_hypothesis_iii", spied)
+    monkeypatch.setattr(consistency, "check_flux_contract", spied)
     family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
     phis = bump_corpus_spacetime(1, problem.t_final)
 
@@ -968,6 +973,32 @@ def test_lw_study_without_the_flux_check_never_calls_it(monkeypatch, forks,
     assert len(forks) == 2 and len(calls.read_text().splitlines()) == 1
     for rep in unchecked:
         assert _bits(rep) == _bits(checked)
+    _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("broken", sorted(BROKEN_FLUXES))
+def test_lw_study_refuses_a_flux_that_breaks_its_contract(monkeypatch, forks,
+                                                          broken):
+    # the prologue names what the flux breaks, on both paths, before any
+    # level's failure (the all-NaN flux also blows up the caller's level on
+    # the split path)
+    make, failed = BROKEN_FLUXES[broken]
+    family, problem, cfl = ORACLE_CASES["1d-periodic-rusanov"]()
+    problem = dataclasses.replace(problem, flux=make())
+    phis = bump_corpus_spacetime(1, problem.t_final)
+
+    def study():
+        return _outcome(lambda: lw_study(family, problem, phis, levels=3, cfl=cfl))
+
+    split = study()
+    assert len(forks) == 1
+    assert split == _sequential(monkeypatch, study)
+    kind, message = split
+    assert kind is InvariantViolation
+    assert message.startswith(
+        f"flux {problem.flux.name!r} fails its {' and '.join(failed)}: "
+        f"{failed[0]} witness (")
     _assert_no_child()
 
 

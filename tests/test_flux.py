@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwfv.flux import (
+    PROPERTIES,
     NumericalFlux,
     _halton_states,
     _sampled_range,
     _unit_normals,
     burgers,
-    check_hypothesis_iii,
-    consistency_check,
-    conservativity_check,
+    check_flux_contract,
     linear_advection,
     muscl_three_point,
     rusanov,
@@ -184,8 +183,8 @@ def test_upwind_picks_donor_side():
 def test_conservativity_bit_exact_all_fluxes():
     rng = np.random.default_rng(2)
     for fl in ALL_FLUXES:
-        rep = conservativity_check(fl, n_samples=5000)
-        assert rep.ok, (fl.name, rep.witness)
+        rep = check_flux_contract(fl, n_samples=5000)
+        assert "conservativity" not in rep.failed, (fl.name, rep.witness)
         # evaluate takes b . n, so the flip n -> -n reaches it only through
         # normal_speed, which must negate bit for bit on its own
         n = rng.normal(size=(500, fl.dim))
@@ -197,21 +196,21 @@ def test_conservativity_bit_exact_all_fluxes():
 
 def test_consistency_all_fluxes():
     for fl in ALL_FLUXES:
-        rep = consistency_check(fl, n_samples=5000)
-        assert rep.ok and rep.max_ratio <= 1e-14, fl.name
+        rep = check_flux_contract(fl, n_samples=5000)
+        assert "consistency" not in rep.failed, fl.name
 
 
 def test_jump_bound_all_fluxes():
     for fl in ALL_FLUXES:
-        rep = check_hypothesis_iii(fl, n_samples=20000)
+        rep = check_flux_contract(fl, n_samples=20000)
         assert rep.n_samples >= 10000
-        assert rep.ok, (fl.name, rep.max_ratio, rep.witness)
+        assert rep.ok, (fl.name, rep.failed, rep.max_ratio, rep.witness)
         assert rep.max_ratio <= fl.c_f * (1.0 + 1e-9)
 
 
 def _per_normal_hypothesis_iii(flux, n_samples):
-    """check_hypothesis_iii with F(a), F(b) and |a - b| recomputed for
-    every normal, as a loop over normals would naively do."""
+    """The jump bound of check_flux_contract with F(a), F(b) and |a - b|
+    recomputed for every normal, as a loop over normals would naively do."""
     dims = 2 if flux.stencil == 2 else 4
     u_range = _sampled_range(flux)
     states = _halton_states(u_range, n_samples, dims)
@@ -234,7 +233,8 @@ def _per_normal_hypothesis_iii(flux, n_samples):
 
 
 def _per_normal_consistency(flux, n_samples):
-    """consistency_check with F(u) recomputed for every normal."""
+    """The consistency of check_flux_contract with F(u) recomputed for
+    every normal."""
     states = _halton_states(_sampled_range(flux), n_samples, 1)[:, 0]
     worst, witness = 0.0, None
     for n in _unit_normals(flux.dim):
@@ -245,12 +245,8 @@ def _per_normal_consistency(flux, n_samples):
         i = int(np.argmax(r))
         if r[i] > worst:
             worst = float(r[i])
-            witness = (float(states[i]), n.copy(), float(r[i]))
+            witness = (float(states[i]), float(states[i]), n.copy(), float(r[i]))
     return worst, 1e-14, witness if worst > 1e-14 else None, int(states.size)
-
-
-def _report_fields(rep):
-    return rep.max_ratio, rep.tolerance, rep.witness, rep.n_samples
 
 
 def _same(x, y):
@@ -272,19 +268,65 @@ def _skewed(fl):
                                evaluate=evaluate)
 
 
+def _drifting(fl):
+    """fl plus 1e-10 (b . n): conservative and within its jump bound, but
+    inconsistent."""
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
+        return fl.evaluate(uK, uL, bn, uKK=uKK, uLL=uLL) + 1e-10 * bn
+
+    return dataclasses.replace(fl, name=f"drifting[{fl.name}]", evaluate=evaluate)
+
+
+def _nan_where(fl, where):
+    """fl with NaN on the faces whose first state satisfies ``where``."""
+    def evaluate(uK, uL, bn, uKK=None, uLL=None):
+        out = fl.evaluate(uK, uL, bn, uKK=uKK, uLL=uLL)
+        return np.where(where(np.asarray(uK)), np.nan, out)
+
+    return dataclasses.replace(fl, name=f"nan[{fl.name}]", evaluate=evaluate)
+
+
+def _one_sided():
+    F = linear_advection([1.0])
+
+    def one_sided(uK, uL, bn, uKK=None, uLL=None):
+        # deliberately not antisymmetric: always bills the K side
+        return F.profile(np.asarray(uK, float)) * bn
+
+    return NumericalFlux(name="one-sided", flux=F, stencil=2, c_f=1.0,
+                         evaluate=one_sided, wave_speed=lambda a, b, n: 1.0)
+
+
+# fluxes that break the contract, each with the properties it breaks
+BROKEN_FLUXES = {
+    "one-sided": (_one_sided, ("conservativity",)),
+    "drifting": (lambda: _drifting(rusanov(burgers((1.0,)))), ("consistency",)),
+    "all-nan": (lambda: _nan_where(rusanov(burgers((1.0,))), lambda u: u == u),
+                PROPERTIES),
+    "nan-above-1.5": (lambda: _nan_where(rusanov(burgers((1.0,))),
+                                         lambda u: u > 1.5), PROPERTIES),
+}
+
+
 @pytest.mark.parametrize("fl", ALL_FLUXES + [_skewed(ALL_FLUXES[0]),
-                                             _skewed(ALL_FLUXES[4])],
+                                             _skewed(ALL_FLUXES[4]),
+                                             _drifting(ALL_FLUXES[4])],
                          ids=lambda fl: fl.name)
 def test_checkers_match_a_per_normal_recomputation(fl):
-    # the checkers evaluate the physical flux once and project it on each
-    # normal; every report field must equal the per-normal loop's bit for bit
-    for check, reference, n in [(check_hypothesis_iii, _per_normal_hypothesis_iii, 4000),
-                                (consistency_check, _per_normal_consistency, 2000)]:
-        rep = check(fl, n_samples=n)
-        ref = reference(fl, n)
-        assert rep.name == fl.name and rep.ok == (ref[2] is None)
-        assert _same(_report_fields(rep), ref), (check.__name__, fl.name)
-        assert rep.ok == (not fl.name.startswith("skewed")), check.__name__
+    # the check evaluates the physical flux once and projects it on each
+    # normal; its jump-bound fields, and the witness of the first property
+    # it names, must equal the per-normal loops' bit for bit
+    rep = check_flux_contract(fl, n_samples=4000)
+    refs = {"jump bound": _per_normal_hypothesis_iii(fl, 4000),
+            "consistency": _per_normal_consistency(fl, 4000)}
+    assert rep.name == fl.name
+    assert rep.failed == tuple(p for p, ref in refs.items() if ref[2] is not None)
+    worst, tol, _, n = refs["jump bound"]
+    assert _same((rep.max_ratio, rep.tolerance, rep.n_samples), (worst, tol, n))
+    assert _same(rep.witness, refs[rep.failed[0]][2] if rep.failed else None)
+    assert rep.failed == {"skewed": ("jump bound", "consistency"),
+                          "drifting": ("consistency",)}.get(
+                              fl.name.split("[")[0], ())
 
 
 def test_fluxes_declare_where_c_f_holds():
@@ -315,22 +357,21 @@ def test_non_finite_c_f_rejected_at_construction(make):
         make()
 
 
-@pytest.mark.parametrize("check", [check_hypothesis_iii, conservativity_check,
-                                   consistency_check])
 @pytest.mark.parametrize("fl, lo, hi", [
     (rusanov(burgers((1.0,)), u_range=(0.0, 1.0)), 0.0, 1.0),
     (upwind_linear([1.0]), -2.0, 2.0),  # c_f holds for any state
 ])
-def test_checkers_sample_the_declared_state_range(check, fl, lo, hi):
+def test_checkers_sample_the_declared_state_range(fl, lo, hi):
     seen = []
 
     def evaluate(uK, uL, bn, uKK=None, uLL=None):
         seen.extend(np.ravel(x) for x in (uK, uL, uKK, uLL) if x is not None)
         return fl.evaluate(uK, uL, bn, uKK=uKK, uLL=uLL)
 
-    check(NumericalFlux(name=fl.name, flux=fl.flux, stencil=fl.stencil,
-                        c_f=fl.c_f, evaluate=evaluate, wave_speed=fl.wave_speed,
-                        u_range=fl.u_range), n_samples=500)
+    check_flux_contract(NumericalFlux(
+        name=fl.name, flux=fl.flux, stencil=fl.stencil, c_f=fl.c_f,
+        evaluate=evaluate, wave_speed=fl.wave_speed, u_range=fl.u_range),
+        n_samples=500)
     states = np.concatenate(seen)
     assert lo <= states.min() and states.max() <= hi
     assert states.min() < lo + 0.1 and states.max() > hi - 0.1
@@ -346,24 +387,23 @@ def test_jump_bound_checker_catches_understated_constant():
         evaluate=honest.evaluate,
         wave_speed=honest.wave_speed,
     )
-    rep = check_hypothesis_iii(lying, n_samples=5000)
-    assert not rep.ok
-    assert rep.witness is not None
+    rep = check_flux_contract(lying, n_samples=5000)
+    assert rep.failed == ("jump bound",)
     a, b, n, ratio = rep.witness
     assert ratio > 0.25
 
 
-def test_conservativity_checker_catches_one_sided_flux():
-    F = linear_advection([1.0])
-
-    def one_sided(uK, uL, bn, uKK=None, uLL=None):
-        # deliberately not antisymmetric: always bills the K side
-        return F.profile(np.asarray(uK, float)) * bn
-
-    bad = NumericalFlux(name="one-sided", flux=F, stencil=2, c_f=1.0,
-                        evaluate=one_sided, wave_speed=lambda a, b, n: 1.0)
-    rep = conservativity_check(bad)
-    assert not rep.ok and rep.witness is not None
+@pytest.mark.parametrize("name", sorted(BROKEN_FLUXES))
+def test_contract_check_names_what_a_broken_flux_breaks(name):
+    # a NaN flux fails every property: each comparison fails on NaN
+    make, failed = BROKEN_FLUXES[name]
+    rep = check_flux_contract(make())
+    assert rep.failed == failed and not rep.ok
+    assert rep.witness is not None
+    assert np.isnan(rep.max_ratio) == name.endswith(("nan", "1.5"))
+    if name == "nan-above-1.5":
+        a, b, n, ratio = rep.witness
+        assert a > 1.5 and np.isnan(ratio)
 
 
 def test_muscl_face_state_stays_in_convex_hull():

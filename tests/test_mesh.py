@@ -79,7 +79,7 @@ def test_validate_passes_and_reports(families):
         rep = validate(fam.build(0))
         assert rep.ok
         assert [n for n, _, _ in rep.checks] == [
-            "cell_partition", "inside_box", "boundary_on_box", "anchor_inside"]
+            "cell_partition", "boundary_on_box", "anchor_inside"]
 
 
 def test_validate_catches_a_damaged_file():
@@ -87,7 +87,7 @@ def test_validate_catches_a_damaged_file():
     text = _replace_line(_mesh_text(4), "cell 1 ", "cell 1 0.625 1 2\n")
     rep = validate(read_mesh(io.StringIO(text)))
     assert rep.failing() == ["anchor_inside"]
-    assert rep.checks[3][2].endswith(", not cell 1")
+    assert rep.checks[2][2].endswith(", not cell 1")
     with pytest.raises(MeshError, match="mesh validation failed: anchor_inside"):
         validate(read_mesh(io.StringIO(text)), raise_on_failure=True)
 
@@ -556,13 +556,10 @@ def _with_box(mesh, box_line):
     (build_cartesian_2d(4, 4), "# box 0.5 0.5 1.5 1.5"),
 ], ids=["1d", "2d"])
 def test_mesh_outside_its_box_fails_validation(mesh, box_line):
-    # the measure of the box is still 1, so only the two box checks can tell.
-    # No file fails inside_box alone: when boundary_on_box holds, cells that
-    # are consistently oriented cover no point outside the box, and when
-    # anchor_inside holds, every anchor lies in its cell
+    # the measure of the box is still 1, so only the box check can tell
     assert validate(mesh).ok
     loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
-    assert validate(loaded).failing() == ["inside_box", "boundary_on_box"]
+    assert validate(loaded).failing() == ["boundary_on_box"]
 
 
 def test_a_domain_cut_by_a_split_facet_fails_only_boundary_on_box():
@@ -818,7 +815,7 @@ def test_validate_needs_no_derived_array(families, name, level, scaled, kind, se
     # and volumes and areas positive (a zero-length edge is a zero-area cell)
     assert not removed & {"unit_normals", "face_closure", "cone_identity"}
     assert np.all(mesh.cell_volume > 0) and np.all(mesh.face_area > 0)
-    assert failing in ([], ["anchor_inside"], ["inside_box", "anchor_inside"])
+    assert failing in ([], ["anchor_inside"])
     # an anchor outside its cell, cones that overlap and a piece of measure
     # 0 fail the anchor test: one that passes it lies in its cell, and its
     # cones have positive measure and tile the cell
@@ -850,3 +847,45 @@ def test_reader_refuses_a_damaged_file_or_returns_a_finite_mesh(data):
         return
     for name, arr in _array_fields(mesh):
         assert np.all(np.isfinite(arr)), name
+
+
+def _inside_box(mesh) -> bool:
+    """The reference predicate: every anchor and face centroid lies in the
+    box, to within 4 eps max(|lo|, |hi|) per axis."""
+    lo, hi = mesh.box
+    slack = 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    pts = np.concatenate([mesh.cell_center, mesh.face_centroid])
+    return bool(np.all((pts >= lo - slack) & (pts <= hi + slack)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_file_that_leaves_its_box_fails_a_validate_check(data):
+    # validate does not check that the anchors and face centroids lie in the
+    # box: consistently oriented cells whose boundary faces lie on the box's
+    # sides cover nothing outside it, and an anchor inside its cell is in
+    # the box.  So a file with edited box, vertex, anchor or id fields that
+    # loads and leaves the box fails boundary_on_box or anchor_inside
+    lines = list(data.draw(st.sampled_from(_WRITTEN)))
+    dim = int(lines[0].split("dim=")[1].split()[0])
+    n_vertices = sum(x.startswith("vertex ") for x in lines)
+    editable = [i for i, x in enumerate(lines)
+                if x.startswith(("# box ", "vertex ", "cell "))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.sampled_from(editable))
+        parts = lines[i].split()
+        j = data.draw(st.integers(2, len(parts) - 1))
+        if parts[0] == "cell" and j >= 2 + dim:
+            parts[j] = str(data.draw(st.integers(0, n_vertices - 1)))
+        elif data.draw(st.booleans()):
+            parts[j] = repr(data.draw(st.floats(-0.5, 1.5)))
+        else:  # near the old value, down to the slack of the reference
+            parts[j] = repr(float(parts[j]) + data.draw(st.floats(-1.0, 1.0))
+                            * 10.0 ** data.draw(st.integers(-16, -1)))
+        lines[i] = " ".join(parts)
+    try:
+        mesh = read_mesh(io.StringIO("\n".join(lines) + "\n"))
+    except MeshError:
+        return
+    if not _inside_box(mesh):
+        assert {"boundary_on_box", "anchor_inside"} & set(validate(mesh).failing())

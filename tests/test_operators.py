@@ -147,6 +147,16 @@ def test_sup_bound_check_raises_on_inflated_field():
         sup_bound_check(10.0 * g, compute_quality(m), phi)
 
 
+def test_sup_bound_check_raises_on_a_nan_entry():
+    # np.max of the face norms is NaN, which no bound holds
+    m = uniform_1d_family(10).build(0)
+    phi = bump_corpus_spatial(1)[0]
+    g = discrete_gradient(m, phi)
+    g[3, 0] = np.nan
+    with pytest.raises(InvariantViolation, match="exceeds"):
+        sup_bound_check(g, compute_quality(m), phi)
+
+
 # ---------------------------------------------------------------------------
 # weak-star pairing study
 # ---------------------------------------------------------------------------
