@@ -408,7 +408,7 @@ def cmd_solve(cfg: dict[str, str]) -> int:
     problem = _resolve_problem(cfg, dim)
     field = solve(mesh, problem, cfl=_get_float(cfg, "cfl"))
     write_mesh(mesh, os.path.join(out, "mesh.txt"))
-    write_history(field, os.path.join(out, "history.txt"))
+    write_history(field, os.path.join(out, "history.npy"))
     n = field.grid.n_steps
     rows = []
     for i in (0, n):
@@ -419,7 +419,7 @@ def cmd_solve(cfg: dict[str, str]) -> int:
                       ["cell_id", "t", "u"], rows,
                       comments=_comments(cfg, "solve"))
     print(f"solved {n} steps to t={field.grid.t_final:g}; wrote mesh.txt, "
-          f"history.txt, snapshots.csv to {out}")
+          f"history.npy, snapshots.csv to {out}")
     return 0
 
 

@@ -81,7 +81,7 @@ from typing import Callable
 
 import numpy as np
 
-from .reports import open_text
+from .reports import open_file
 
 __all__ = [
     "MeshError",
@@ -665,7 +665,7 @@ def refine(family: MeshFamily, levels: int) -> list[Mesh]:
     for lvl, q in enumerate(quals):
         for name, cap in bands.items():
             val = getattr(q, name)
-            if val > REGULARITY_GUARD * cap:
+            if not val <= REGULARITY_GUARD * cap:
                 detail = ""
                 if name == "theta_grad":
                     ints = np.flatnonzero(meshes[lvl].interior)
@@ -784,7 +784,7 @@ def write_mesh(mesh: Mesh, path_or_buf) -> None:
     face and dual piece by the same code as the builders.  Reals carry 17
     significant digits, so a file reloads to the same mesh bit for bit.
     """
-    with open_text(path_or_buf, "w") as fh:
+    with open_file(path_or_buf, "w") as fh:
         fh.write(f"lwfv-mesh v3 dim={mesh.dim} nv={mesh.cell_vertex_ids.shape[1]}\n")
         fh.write(f"# box {_fmt_row(np.concatenate(mesh.box).tolist())}\n")
         for v, x in enumerate(mesh.vertices.tolist()):
@@ -819,7 +819,7 @@ def read_mesh(path_or_buf) -> Mesh:
     or orientation, a facet of three or more cells, or two cells on the
     same side of a facet (the last three as GeometryError).  :func:`validate` checks the rest.
     """
-    with open_text(path_or_buf) as fh:
+    with open_file(path_or_buf) as fh:
         header = " ".join(fh.readline().split())
         match = re.fullmatch(r"lwfv-mesh v3 dim=(\d+) nv=(\d+)", header)
         dim, nv = (int(g) for g in match.groups()) if match else (0, 0)

@@ -570,10 +570,10 @@ def gradient_weakstar_study(
                 * omega
                 * mesh.h_max
             )
-            if gap > bound * (1.0 + 1e-9):
+            if not gap <= bound * (1.0 + 1e-9):
                 raise InvariantViolation(
-                    f"weak pairing gap {gap:.6e} exceeds a-priori bound "
-                    f"{bound:.6e} at level {lvl} (psi {psi.name})"
+                    f"family {family.name!r}, level {lvl}: weak pairing gap "
+                    f"{gap:.6e} exceeds a-priori bound {bound:.6e} (psi {psi.name})"
                 )
             rows.append(
                 GradStudyRow(

@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "format_value",
     "config_digest",
-    "open_text",
+    "open_file",
     "write_csv",
     "write_text",
     "fit_decay_slope",
@@ -44,15 +44,16 @@ def config_digest(pairs: dict) -> str:
 
 
 @contextlib.contextmanager
-def open_text(path_or_buf, mode: str = "r"):
-    """A UTF-8 text stream for a path (str, bytes or os.PathLike), closed on
-    exit; any other argument is taken as an open stream and passed through
-    unclosed."""
+def open_file(path_or_buf, mode: str = "r"):
+    """A stream for a path (str, bytes or os.PathLike) in ``mode``, UTF-8
+    text unless the mode is binary, closed on exit; any other argument is
+    taken as an open stream and passed through unclosed."""
     if not isinstance(path_or_buf, (str, bytes, os.PathLike)):
         yield path_or_buf
         return
-    newline = "\n" if "w" in mode else None
-    with open(path_or_buf, mode, encoding="utf-8", newline=newline) as fh:
+    text = {} if "b" in mode else {
+        "encoding": "utf-8", "newline": "\n" if "w" in mode else None}
+    with open(path_or_buf, mode, **text) as fh:
         yield fh
 
 

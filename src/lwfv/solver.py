@@ -13,8 +13,8 @@ physical flux of the inside state.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +23,7 @@ import numpy as np
 from .flux import NumericalFlux
 from .mesh import Mesh, MeshError, far_neighbors
 from .operators import InvariantViolation, TimeGrid
-from .reports import open_text
+from .reports import open_file
 from .translations import IntegrableFunction, _cell_values, project_l1
 
 __all__ = [
@@ -74,7 +74,6 @@ class SpaceTimeField:
     grid: TimeGrid
     values: np.ndarray  # (n_steps + 1, n_cells)
     boundary: str = "periodic"
-    label: str = ""
     flux: NumericalFlux | None = None  # flux the history was produced with
 
     def __post_init__(self):
@@ -158,7 +157,6 @@ class Stepper:
             )
         self.mesh = mesh
         self.flux = flux
-        self.boundary = boundary
 
         int_ids = np.flatnonzero(mesh.interior)
         edge_faces = int_ids
@@ -382,97 +380,57 @@ def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
         history[n + 1] = u_next
 
     march(stp, grid, u0, record)
-    return SpaceTimeField(
-        mesh=mesh, grid=grid, values=history, boundary=problem.boundary,
-        label=f"{problem.flux.name}|{problem.u0.name}", flux=problem.flux,
-    )
+    return SpaceTimeField(mesh=mesh, grid=grid, values=history,
+                          boundary=problem.boundary, flux=problem.flux)
 
 
 # ---------------------------------------------------------------------------
-# history text format (versioned like the mesh format)
+# history files: one .npy array (numpy's own format, no pickle)
 # ---------------------------------------------------------------------------
-
-_HISTORY_MAGIC = "lwfv-history"
-_HISTORY_VERSION = "v1"
 
 
 def write_history(field: SpaceTimeField, path_or_buf) -> None:
-    """Plain-text dump of a full history.
-
-    Line 1: ``lwfv-history v1 dim=<d> n_cells=<n> n_steps=<N>``; comment
-    lines carry the boundary condition and label; then per node ``t <i> <t_i>``
-    followed by ``u <i> <v_0> ... <v_{n-1}>``.  All reals %.17g so the file
-    round-trips bit-exactly.
-    """
-    with open_text(path_or_buf, "w") as fh:
-        fh.write(f"{_HISTORY_MAGIC} {_HISTORY_VERSION} dim={field.mesh.dim} "
-                 f"n_cells={field.mesh.n_cells} n_steps={field.grid.n_steps}\n")
-        fh.write(f"# boundary {field.boundary}\n")
-        if field.label:
-            fh.write(f"# label {field.label}\n")
-        for i, t in enumerate(field.grid.nodes):
-            fh.write(f"t {i} {t:.17g}\n")
-            row = " ".join(f"{v:.17g}" for v in field.values[i])
-            fh.write(f"u {i} {row}\n")
+    """Save the history as one float64 ``.npy`` array whose row n is t_n
+    then u^n, to a path (under exactly that name) or a binary stream."""
+    table = np.column_stack([field.grid.nodes, field.values])
+    with open_file(path_or_buf, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
 
 
-def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray, dict]:
-    """Inverse of write_history; the mesh itself is not persisted, so the
-    result is (grid, values, metadata) rather than a SpaceTimeField.
-
-    Raises ValueError unless the header gives ``dim``, ``n_cells`` and
-    ``n_steps`` as non-negative integers and every node 0..n_steps has
-    exactly one ``t`` record (3 fields) and one ``u`` record (n_cells
-    values), and every time and state is finite.
-    """
-    with open_text(path_or_buf) as fh:
-        head = fh.readline().split()
-        if head[:2] != [_HISTORY_MAGIC, _HISTORY_VERSION]:
-            raise ValueError(f"not a {_HISTORY_MAGIC} {_HISTORY_VERSION} file")
-        info = dict(kv.split("=") for kv in head[2:])
-        for key in ("dim", "n_cells", "n_steps"):
-            if not info.get(key, "").isdecimal():
-                raise ValueError(f"history header needs {key}=<non-negative "
-                                 f"integer>, got {info.get(key)!r}")
-        n_cells = int(info["n_cells"])
-        n_steps = int(info["n_steps"])
-        meta = {"dim": int(info["dim"])}
-        width = {"t": 3, "u": n_cells + 2}
-        # nothing is sized from the header before the records are counted,
-        # so a header claiming more nodes than the file holds fails below
-        records = {"t": {}, "u": {}}
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            kind = parts[0]
-            if kind == "#":
-                if len(parts) >= 3:
-                    meta[parts[1]] = " ".join(parts[2:])
-                continue
-            if kind not in width:
-                raise ValueError(f"unknown history record {kind!r}")
-            i = int(parts[1]) if len(parts) > 1 else -1
-            if not 0 <= i <= n_steps:
-                raise ValueError(f"history {kind} record index {parts[1:2]} "
-                                 f"outside 0..{n_steps}")
-            if len(parts) != width[kind]:
-                raise ValueError(f"history {kind} record {i} has wrong length")
-            if i in records[kind]:
-                raise ValueError(f"history {kind} record {i} appears twice")
-            if kind == "t":
-                records[kind][i] = float(parts[2])
-            else:
-                records[kind][i] = np.array([float(x) for x in parts[2:]])
-    for kind, got in records.items():
-        if len(got) != n_steps + 1:
-            missing = itertools.islice(
-                (i for i in range(n_steps + 1) if i not in got), 5)
-            raise ValueError(f"history lacks {kind} records "
-                             f"{list(missing)} of 0..{n_steps}")
-    nodes = np.array([records["t"][i] for i in range(n_steps + 1)])
-    values = np.array([records["u"][i] for i in range(n_steps + 1)])
-    bad = ~np.isfinite(values).all(axis=1)
+def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray]:
+    """Inverse of write_history: the time grid and the states, as arrays of
+    their own, from a path or an open, seekable binary stream.  Raises
+    ValueError on an ``lwfv-history v1`` text file, on anything but a 2-d
+    float64 array of at least two rows and two columns (pickled data is
+    never unpickled), on a file shorter than its header says, before
+    allocating, on a non-finite time or state, naming the row, and on
+    times that ``TimeGrid`` refuses."""
+    fmt = np.lib.format
+    with open_file(path_or_buf, "rb") as fh:
+        start = fh.tell()
+        if fh.read(fmt.MAGIC_LEN) == b"lwfv-his":
+            raise ValueError("lwfv-history v1 text files are no longer read: "
+                             "rerun lwfv solve to write history.npy")
+        fh.seek(start)
+        # 2.0 and 3.0 share a header layout, and a float64 header is ASCII
+        read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
+                       else fmt.read_array_header_2_0)
+        shape, fortran, dtype = read_header(fh)
+        if dtype != np.float64 or len(shape) != 2 or min(shape) < 2:
+            raise ValueError(f"a history is a 2-d float64 array of at least "
+                             f"two rows and two columns, got {dtype} {shape}")
+        need = shape[0] * shape[1] * 8
+        start = fh.tell()
+        left = fh.seek(0, os.SEEK_END) - start
+        if left < need:
+            raise ValueError(f"history file is shorter than its header says: "
+                             f"{shape} needs {need} bytes, {left} follow")
+        fh.seek(start)
+        table = np.empty(shape, order="F" if fortran else "C")
+        if fh.readinto(table.T if fortran else table) != need:
+            raise ValueError("history file ended before its header's size")
+    bad = ~np.isfinite(table).all(axis=1)
     if np.any(bad):
-        raise ValueError(f"history u record {int(np.argmax(bad))} is not finite")
-    return TimeGrid(nodes=nodes), values, meta
+        raise ValueError(f"history row {int(np.argmax(bad))} holds a time or "
+                         f"a state that is not finite")
+    return TimeGrid(nodes=table[:, 0].copy()), table[:, 1:].copy()

@@ -191,16 +191,17 @@ def translation_decay_study(family: MeshFamily, u: IntegrableFunction,
         l1 = (u.l1_norm if u.l1_norm is not None
               else float(np.dot(mesh.cell_volume, np.abs(values))))
         bound_l1 = qual.n_faces_max * qual.theta * l1
-        if t_val > bound_l1 * (1.0 + 1e-9):
+        if not t_val <= bound_l1 * (1.0 + 1e-9):
             raise InvariantViolation(
-                f"T = {t_val:.6e} exceeds L1 bound {bound_l1:.6e} at level {lvl}"
+                f"family {family.name!r}, level {lvl}: T = {t_val:.6e} "
+                f"exceeds L1 bound {bound_l1:.6e}"
             )
         if u.lipschitz is not None:
             bound_lip = 2.0 * u.lipschitz * mesh.h_max * mesh.domain_measure
-            if t_val > bound_lip * (1.0 + 1e-9):
+            if not t_val <= bound_lip * (1.0 + 1e-9):
                 raise InvariantViolation(
-                    f"T = {t_val:.6e} exceeds Lipschitz bound {bound_lip:.6e} "
-                    f"at level {lvl}"
+                    f"family {family.name!r}, level {lvl}: T = {t_val:.6e} "
+                    f"exceeds Lipschitz bound {bound_lip:.6e}"
                 )
         else:
             bound_lip = math.nan
@@ -245,10 +246,10 @@ def uniform_decay_study(
         for p, u_p in enumerate(sequence):
             mat[lvl, p] = translation_seminorm(mesh, project_l1(mesh, u_p))
             bound = qual.n_faces_max * qual.theta * deltas_l1[p] + lim_col[lvl]
-            if mat[lvl, p] > bound * (1.0 + 1e-9):
+            if not mat[lvl, p] <= bound * (1.0 + 1e-9):
                 raise InvariantViolation(
-                    f"T[{lvl}][{p}] = {mat[lvl, p]:.6e} exceeds uniform "
-                    f"bound {bound:.6e}"
+                    f"family {family.name!r}, level {lvl}: T[{lvl}][{p}] = "
+                    f"{mat[lvl, p]:.6e} exceeds uniform bound {bound:.6e}"
                 )
         hs.append(mesh.h_max)
     return UniformDecayResult(

@@ -327,7 +327,9 @@ def test_solve_outputs_and_snapshots(tmp_path):
     )
     out = tmp_path / "s"
     assert run(["solve", "--config", str(cfgp), "--out", str(out)]) == 0
-    grid, vals, meta = read_history(str(out / "history.txt"))
+    assert sorted(q.name for q in out.iterdir()) == [
+        "history.npy", "mesh.txt", "snapshots.csv"]
+    grid, vals = read_history(str(out / "history.npy"))
     m = read_mesh(str(out / "mesh.txt"))
     lines = (out / "snapshots.csv").read_text().splitlines()
     assert lines[2] == "cell_id,t,u"
@@ -338,10 +340,13 @@ def test_solve_outputs_and_snapshots(tmp_path):
     assert len(first) == m.n_cells and len(last) == m.n_cells
     got_first = np.array([float(r[2]) for r in first])
     assert np.array_equal(got_first, vals[0])
-    # the stored mesh and history give the weak gap of the run in memory
+    # the stored mesh and history give the run in memory and its weak gap,
+    # bit for bit
     problem = Problem(flux=resolve_flux("upwind(1.0)", 1), u0=resolve_u0("bump", 1),
                       t_final=0.5)
     field = solve(uniform_1d_family(10).build(1), problem, cfl=0.5)
+    assert vals.tobytes() == field.values.tobytes()
+    assert grid.nodes.tobytes() == field.grid.nodes.tobytes()
     stored = SpaceTimeField(mesh=m, grid=grid, values=vals, flux=problem.flux)
     for phi in bump_corpus_spacetime(1, 0.5):
         assert weak_gap(stored, phi, problem.u0) == weak_gap(field, phi, problem.u0)
@@ -454,17 +459,23 @@ def test_bad_numbers_exit_2_with_one_error_line(tmp_path, capsys, subcommand,
 
 
 def test_outputs_byte_identical_across_out_dir(tmp_path):
-    cfgp = tmp_path / "v.cfg"
-    cfgp.write_text(
-        "family = uniform-1d\nn0 = 10\nflux = upwind(1.0)\nu0 = bump\n"
-        "t_final = 0.5\ncfl = 0.5\nlevels = 2\nphi_count = 2\n"
-    )
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert run(["lw-verify", "--config", str(cfgp), "--out", str(a)]) == 0
-    assert run(["lw-verify", "--config", str(cfgp), "--out", str(b)]) == 0
-    assert (a / "lw_report.csv").read_bytes() == (b / "lw_report.csv").read_bytes()
-    assert (a / "lw_summary.txt").read_bytes() == (b / "lw_summary.txt").read_bytes()
+    for command, config, files in [
+        ("lw-verify", "levels = 2\nphi_count = 2\n",
+         ["lw_report.csv", "lw_summary.txt"]),
+        ("solve", "level = 1\n", ["history.npy", "mesh.txt", "snapshots.csv"]),
+    ]:
+        cfgp = tmp_path / f"{command}.cfg"
+        cfgp.write_text(
+            "family = uniform-1d\nn0 = 10\nflux = upwind(1.0)\nu0 = bump\n"
+            "t_final = 0.5\ncfl = 0.5\n" + config
+        )
+        a = tmp_path / command / "a"
+        b = tmp_path / command / "b"
+        assert run([command, "--config", str(cfgp), "--out", str(a)]) == 0
+        assert run([command, "--config", str(cfgp), "--out", str(b)]) == 0
+        assert sorted(p.name for p in a.iterdir()) == files
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # the three scenarios of the README

@@ -263,6 +263,22 @@ def test_refine_guard_wording_uses_first_two_levels():
     assert [m.n_cells for m in meshes] == [4, 8, 16, 32, 64]
 
 
+def test_refine_guard_refuses_a_nan_parameter():
+    # level 2 has one anchor at NaN, so its theta_grad is NaN, which lies
+    # in no band
+    def build(m):
+        mesh = build_uniform_1d(4 * 2**m)
+        if m != 2:
+            return mesh
+        anchors = mesh.cell_center.copy()
+        anchors[5] = np.nan
+        return dataclasses.replace(mesh, cell_center=anchors)
+
+    with pytest.raises(RegularityError,
+                       match=r"^family nan-anchor: theta_grad = nan at level 2"):
+        refine(MeshFamily("nan-anchor", build), 3)
+
+
 # ---------------------------------------------------------------------------
 # read-only meshes, memoised levels, quality computed once
 # ---------------------------------------------------------------------------

@@ -193,6 +193,20 @@ def test_weakstar_study_validates_every_level():
                                 vector_corpus(1)[:1], levels=3)
 
 
+def test_weakstar_study_refuses_a_nan_gap():
+    # a psi whose w is NaN pairs to NaN, and a NaN gap meets no bound
+    psi = vector_corpus(1)[0]
+    w_nan = dataclasses.replace(psi.components[0],
+                                w=lambda x: np.full(x.shape[:-1], np.nan))
+    nan_psi = dataclasses.replace(psi, name="psi-nan", components=(w_nan,))
+    with pytest.raises(InvariantViolation,
+                       match=r"^family 'uniform_1d\(n0=10\)', level 0: weak "
+                             r"pairing gap nan exceeds a-priori bound .* "
+                             r"\(psi psi-nan\)$"):
+        gradient_weakstar_study(uniform_1d_family(10), bump_corpus_spatial(1)[0],
+                                [nan_psi], levels=2)
+
+
 def test_weakstar_gap_decays_on_uniform_families():
     for fam in (uniform_1d_family(10), cartesian_2d_family(4)):
         dim = fam.build(0).dim

@@ -6,7 +6,6 @@ the sorted cell order, written independently in oracles.py.
 """
 import hashlib
 import io
-import re
 
 import numpy as np
 import pytest
@@ -423,94 +422,154 @@ def test_history_round_trip_bit_exact(tmp_path):
     m = nonuniform_1d_family(6, ratio=2.0).build(0)
     f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
               cfl=0.5)
-    p1 = tmp_path / "h1.txt"
-    p2 = tmp_path / "h2.txt"
+    p1 = tmp_path / "h1.npy"
+    p2 = tmp_path / "h2.npy"
     write_history(f, str(p1))
-    grid, vals, meta = read_history(str(p1))
-    assert np.array_equal(vals, f.values)
-    assert np.array_equal(grid.nodes, f.grid.nodes)
-    assert meta["boundary"] == "periodic"
-    f2 = SpaceTimeField(mesh=m, grid=grid, values=vals, boundary=meta["boundary"],
-                        label=meta["label"])
-    write_history(f2, str(p2))
+    grid, vals = read_history(str(p1))
+    assert vals.tobytes() == f.values.tobytes()
+    assert grid.nodes.tobytes() == f.grid.nodes.tobytes()
+    # arrays of their own, not views into a table or a mapped file
+    assert vals.flags.owndata and grid.nodes.flags.owndata
+    write_history(SpaceTimeField(mesh=m, grid=grid, values=vals), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+    # numpy's own reader sees row n as t_n followed by u^n
+    table = np.load(p1, allow_pickle=False)
+    assert table.dtype == np.float64
+    assert table.shape == (f.grid.n_steps + 1, 1 + m.n_cells)
+    assert np.array_equal(table, np.column_stack([f.grid.nodes, f.values]))
 
 
 def test_history_round_trip_through_path(tmp_path):
-    # str, os.PathLike and open streams all name a history file
+    # str, os.PathLike and binary streams all name a history file
     m = uniform_1d_family(5).build(0)
     f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
               cfl=0.5)
-    p = tmp_path / "h.txt"
+    p = tmp_path / "h"  # no .npy suffix: the file keeps exactly this name
     write_history(f, p)
-    grid, vals, _ = read_history(p)
-    assert np.array_equal(vals, f.values)
-    assert np.array_equal(grid.nodes, f.grid.nodes)
-    with open(p, encoding="utf-8") as fh:
+    assert [q.name for q in tmp_path.iterdir()] == ["h"]
+    for source in (p, str(p)):
+        grid, vals = read_history(source)
+        assert np.array_equal(vals, f.values)
+        assert np.array_equal(grid.nodes, f.grid.nodes)
+    with open(p, "rb") as fh:
         assert np.array_equal(read_history(fh)[1], f.values)
+    buf = io.BytesIO()
+    write_history(f, buf)
+    assert buf.getvalue() == p.read_bytes()
+    buf.seek(0)
+    assert np.array_equal(read_history(buf)[1], f.values)
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """An object whose unpickling is recorded in _UNPICKLED."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
 
 
 def _written_history(tmp_path):
+    """A history file, the run's (N+1, 1 + n_cells) table and N."""
     m = uniform_1d_family(8).build(0)
     f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
               cfl=0.5)
-    p = tmp_path / "h.txt"
+    p = tmp_path / "h.npy"
     write_history(f, str(p))
-    return p, p.read_text().splitlines(keepends=True), f.grid.n_steps
+    return p, np.column_stack([f.grid.nodes, f.values]), f.grid.n_steps
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_history_reader_takes_every_npy_layout(tmp_path, version, order):
+    # another program's table may be column-major or carry a later header
+    _, table, _ = _written_history(tmp_path)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(table, order=order), version=version)
+    buf.seek(0)
+    grid, vals = read_history(buf)
+    assert vals.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
+    assert grid.nodes.tobytes() == np.ascontiguousarray(table[:, 0]).tobytes()
 
 
 def test_history_reader_rejects_truncated_file(tmp_path):
-    p, lines, _ = _written_history(tmp_path)
-    assert lines[-2].startswith("t ") and lines[-1].startswith("u ")
-    p.write_text("".join(lines[:-2]))  # drop the last t and u records
-    with pytest.raises(ValueError, match="lacks t records"):
-        read_history(str(p))
-
-
-@pytest.mark.parametrize("edit", ["duplicate", "index_range", "t_width", "u_only",
-                                  "no_n_cells", "nan_node", "nan_state"])
-def test_history_reader_rejects_malformed_records(tmp_path, edit):
-    p, lines, n = _written_history(tmp_path)
-    body = lines[3:]  # after the header and the two comment lines
-    t_last, u_last = body[-2], body[-1]
-    match = None
-    if edit == "no_n_cells":
-        lines[0] = re.sub(r" n_cells=\d+", "", lines[0])
-        match = "n_cells"
-    elif edit == "duplicate":
-        lines = lines[:-2] + [body[0], body[1]]
-    elif edit == "index_range":
-        lines = lines[:-2] + [t_last.replace(f"t {n} ", f"t {n + 1} "),
-                              u_last.replace(f"u {n} ", f"u {n + 1} ")]
-    elif edit == "t_width":
-        lines = lines[:-2] + [t_last.rstrip("\n") + " 0.5\n", u_last]
-    elif edit == "nan_node":
-        lines = lines[:-2] + [f"t {n} nan\n", u_last]
-        match = "finite"
-    elif edit == "nan_state":
-        # a NaN state at node 0 and an infinite one at node N
-        def last_value(u_line, value):
-            return u_line.rsplit(" ", 1)[0] + f" {value}\n"
-
-        lines = (lines[:3] + [body[0], last_value(body[1], "nan")] + body[2:-1]
-                 + [last_value(u_last, "inf")])
-        match = "u record 0 is not finite"
-    else:
-        lines = lines[:-2] + [u_last]
-    p.write_text("".join(lines))
-    with pytest.raises(ValueError, match=match):
-        read_history(str(p))
+    p, _, _ = _written_history(tmp_path)
+    data = p.read_bytes()
+    # the last state gone, and a cut inside the 128-byte header
+    for cut, match in ((data[:-8], "shorter than its header says"),
+                       (data[:100], "EOF: reading array header")):
+        p.write_bytes(cut)
+        for source in (str(p), io.BytesIO(cut)):
+            with pytest.raises(ValueError, match=match):
+                read_history(source)
 
 
 def test_history_reader_counts_records_before_allocating(tmp_path):
-    # a header claiming 10^15 steps over one node fails as missing records,
-    # not as an attempt to allocate petabytes for them
-    p = tmp_path / "h.txt"
-    p.write_text("lwfv-history v1 dim=1 n_cells=1 n_steps=1000000000000000\n"
-                 "t 0 0\nu 0 0.5\n")
-    with pytest.raises(ValueError, match=r"lacks t records \[1, 2, 3, 4, 5\] "
-                                         r"of 0\.\.1000000000000000"):
+    # a header claiming 10^15 rows over two fails as a short file, not as an
+    # attempt to allocate 16 PB for them (plain np.load raises MemoryError)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (10**15, 2)})
+    data = buf.getvalue() + np.array([[0.0, 0.5], [1.0, 0.5]]).tobytes()
+    p = tmp_path / "h.npy"
+    p.write_bytes(data)
+    for source in (str(p), io.BytesIO(data)):
+        with pytest.raises(ValueError, match=r"shorter than its header says: "
+                                             r"\(1000000000000000, 2\) needs "
+                                             r"16000000000000000 bytes, 32 follow"):
+            read_history(source)
+
+
+@pytest.mark.parametrize("edit", ["float32", "one_d", "one_row", "no_n_cells",
+                                  "pickled", "v1_text", "nan_node", "nan_state",
+                                  "inf_state", "duplicate", "u_only"])
+def test_history_reader_rejects_malformed_records(tmp_path, edit):
+    p, table, n = _written_history(tmp_path)
+    shape_error = "2-d float64 array of at least two rows and two columns"
+    if edit == "v1_text":
+        p.write_text("lwfv-history v1 dim=1 n_cells=1 n_steps=1\n"
+                     "t 0 0\nu 0 0.5\nt 1 1\nu 1 0.5\n")
+        match = "rerun lwfv solve"
+    elif edit == "pickled":
+        # an object array is pickled data, which the reader never unpickles
+        objects = table.astype(object)
+        objects[0, 1] = _Tripwire()
+        np.save(p, objects, allow_pickle=True)
+        assert np.load(p, allow_pickle=True)[0, 1] is None and _UNPICKLED
+        _UNPICKLED.clear()
+        match = shape_error + ", got object"
+    elif edit in ("float32", "one_d", "one_row", "no_n_cells", "u_only"):
+        # u_only: the states saved without their time column, so that the
+        # first cell's values pass for the times
+        np.save(p, {"float32": table.astype(np.float32), "one_d": table.ravel(),
+                    "one_row": table[:1], "no_n_cells": table[:, :1],
+                    "u_only": table[:, 1:]}[edit])
+        match = ("time grid must start at 0" if edit == "u_only"
+                 else shape_error)
+    else:
+        if edit == "nan_node":
+            table[3, 0] = np.nan
+            match = "row 3 holds a time"
+        elif edit == "nan_state":
+            # a NaN state at node 0 and an infinite one at node N
+            table[0, 2] = np.nan
+            table[n, -1] = np.inf
+            match = "row 0 holds a time or a state that is not finite"
+        elif edit == "inf_state":
+            table[n, -1] = -np.inf
+            match = f"row {n} holds"
+        else:  # duplicate: node 2 repeats node 1, and TimeGrid refuses it
+            table[2, 0] = table[1, 0]
+            match = "strictly increasing"
+        np.save(p, table)
+    with pytest.raises(ValueError, match=match):
         read_history(str(p))
+    assert not _UNPICKLED
 
 
 def test_march_rejects_a_nonuniform_grid():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwfv import (
+    IntegrableFunction,
+    InvariantViolation,
     cartesian_2d_family,
     interval_indicator,
     nonuniform_1d_family,
@@ -187,6 +189,36 @@ def test_uniform_decay_constant_sequence_equals_limit():
     mat = np.asarray(res.matrix)
     for j in range(mat.shape[1]):
         assert np.allclose(mat[:, j], res.limit_column, rtol=1e-14)
+
+
+def _sine(lipschitz=2 * np.pi, nan_above=np.inf):
+    """sin(2 pi x), NaN on x > nan_above, declaring both constants the
+    decay studies bound T by."""
+    def fn(x):
+        x = x[..., 0]
+        return np.where(x > nan_above, np.nan, np.sin(2 * np.pi * x))
+
+    return IntegrableFunction(fn=fn, lipschitz=lipschitz, l1_norm=2 / np.pi,
+                              name="sine")
+
+
+@pytest.mark.parametrize("datum, verdict", [
+    (_sine(nan_above=0.9), r"T = nan exceeds L1 bound \S+$"),
+    (_sine(lipschitz=np.nan), r"T = \S+ exceeds Lipschitz bound nan$"),
+], ids=["nan-T", "nan-lipschitz"])
+def test_decay_study_refuses_a_nan_comparison(datum, verdict):
+    # a NaN meets no bound, so neither T = nan nor a NaN bound passes
+    with pytest.raises(InvariantViolation,
+                       match=r"^family 'uniform_1d\(n0=10\)', level 0: " + verdict):
+        translation_decay_study(uniform_1d_family(10), datum, 2)
+
+
+def test_uniform_decay_study_refuses_a_nan_seminorm():
+    with pytest.raises(InvariantViolation,
+                       match=r"^family 'uniform_1d\(n0=10\)', level 0: "
+                             r"T\[0\]\[0\] = nan exceeds uniform bound"):
+        uniform_decay_study(uniform_1d_family(10), [_sine(nan_above=0.9)],
+                            _sine(), 2, deltas_l1=[0.1])
 
 
 # ---------------------------------------------------------------------------
