@@ -58,7 +58,7 @@ from .operators import (
     polynomial_bump,
     vector_corpus,
 )
-from .solver import BlowUpError, Problem, solve, write_history
+from .solver import BlowUpError, Problem, solve_to_file
 from .translations import (
     IntegrableFunction,
     interval_indicator,
@@ -121,12 +121,9 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(file_cfg)
-    if args.levels is not None:
-        cfg["levels"] = str(args.levels)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.out is not None:
-        cfg["out"] = args.out
+    for key in ("levels", "seed", "out"):
+        if (value := getattr(args, key)) is not None:
+            cfg[key] = str(value)
     return cfg
 
 
@@ -361,16 +358,12 @@ def cmd_translate_study(cfg: dict[str, str]) -> int:
     p_max = _get_int(cfg, "p_max", minimum=1)
     bump = polynomial_bump([0.5] * dim, [0.24] * dim, k=3, name="seq-bump")
     bump_l1 = _bump_l1(dim, [0.24] * dim, k=3)
-    seq = []
-    for p in range(1, p_max + 1):
-        seq.append(_perturbed_datum(u, bump, p))
+    seq = [_perturbed_datum(u, bump, p) for p in range(1, p_max + 1)]
     deltas = [bump_l1 / p for p in range(1, p_max + 1)]
     uni = uniform_decay_study(family, seq, u, levels, deltas_l1=deltas)
     header = ["level", "h", "T_limit"] + [f"T_p{p}" for p in range(1, p_max + 1)]
-    mat_rows = []
-    for i, lvl in enumerate(uni.levels):
-        mat_rows.append((lvl, uni.hs[i], uni.limit_column[i],
-                         *uni.matrix[i]))
+    mat_rows = [(lvl, uni.hs[i], uni.limit_column[i], *uni.matrix[i])
+                for i, lvl in enumerate(uni.levels)]
     reports.write_csv(os.path.join(out, "translate_matrix.csv"), header,
                       mat_rows, comments=_comments(cfg, "translate-study"))
     print(f"wrote translate_decay.csv and translate_matrix.csv to {out}")
@@ -406,19 +399,16 @@ def cmd_solve(cfg: dict[str, str]) -> int:
     out = _out_dir(cfg)
     mesh = family.build(_get_int(cfg, "level", minimum=0))
     problem = _resolve_problem(cfg, dim)
-    field = solve(mesh, problem, cfl=_get_float(cfg, "cfl"))
+    grid, u0, u_final = solve_to_file(mesh, problem,
+                                      os.path.join(out, "history.npy"),
+                                      cfl=_get_float(cfg, "cfl"))
     write_mesh(mesh, os.path.join(out, "mesh.txt"))
-    write_history(field, os.path.join(out, "history.npy"))
-    n = field.grid.n_steps
-    rows = []
-    for i in (0, n):
-        t = float(field.grid.nodes[i])
-        for c in range(mesh.n_cells):
-            rows.append((c, t, field.values[i, c]))
+    rows = [(c, float(grid.nodes[i]), u[c]) for i, u in ((0, u0), (-1, u_final))
+            for c in range(mesh.n_cells)]
     reports.write_csv(os.path.join(out, "snapshots.csv"),
                       ["cell_id", "t", "u"], rows,
                       comments=_comments(cfg, "solve"))
-    print(f"solved {n} steps to t={field.grid.t_final:g}; wrote mesh.txt, "
+    print(f"solved {grid.n_steps} steps to t={grid.t_final:g}; wrote mesh.txt, "
           f"history.npy, snapshots.csv to {out}")
     return 0
 

@@ -44,7 +44,6 @@ from .operators import InvariantViolation, SmoothTestFunction, TimeGrid
 from .reports import fit_decay_slope
 from .solver import BlowUpError, Problem, SpaceTimeField, Stepper, march, plan
 from .translations import (
-    GAUSS_ORDER,
     IntegrableFunction,
     SpacetimeSeminorm,
     _interior_jumps,
@@ -412,7 +411,7 @@ class _GapSums:
     def __init__(self, mesh: Mesh, grid: TimeGrid, phis, u0: IntegrableFunction,
                  flux: FluxFunction):
         verts = mesh.cell_vertices
-        pts, wq = quadrature.cell_rule(verts, GAUSS_ORDER)
+        pts, wq = quadrature.cell_rule(verts)
         # int u0(x) phi(x, 0) dx by the cell-integral rule of the
         # projections, one evaluation of u0 for all phis, summed in cell
         # order (np.sum adds pairwise, in another order): the cell rule on

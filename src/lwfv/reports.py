@@ -1,14 +1,13 @@
 """File output and slope fitting shared by the studies and the CLI.
 
 All floats are written with repr-exact %.17g so reruns produce
-byte-identical files; CSV and summary writes go through a temporary file
-and os.replace so readers never observe a partial file.
+byte-identical files.  Every file written to a path goes through
+:func:`open_file`, so it appears atomically and gets umask permissions.
 """
 from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -47,14 +46,28 @@ def config_digest(pairs: dict) -> str:
 def open_file(path_or_buf, mode: str = "r"):
     """A stream for a path (str, bytes or os.PathLike) in ``mode``, UTF-8
     text unless the mode is binary, closed on exit; any other argument is
-    taken as an open stream and passed through unclosed."""
+    taken as an open stream and passed through unclosed.  A write mode
+    writes a temporary beside the path, named after it and the process id,
+    which replaces the path on a clean exit and is removed on an error."""
     if not isinstance(path_or_buf, (str, bytes, os.PathLike)):
         yield path_or_buf
         return
     text = {} if "b" in mode else {
         "encoding": "utf-8", "newline": "\n" if "w" in mode else None}
-    with open(path_or_buf, mode, **text) as fh:
-        yield fh
+    if "w" not in mode:
+        with open(path_or_buf, mode, **text) as fh:
+            yield fh
+        return
+    head, name = os.path.split(os.fsdecode(path_or_buf))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, os.fsdecode(path_or_buf))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
@@ -68,17 +81,9 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_text(path: str, text: str) -> None:
-    """Write text atomically: to a temporary file, then os.replace."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write UTF-8 text atomically through :func:`open_file`."""
+    with open_file(path, "w") as fh:
+        fh.write(text)
 
 
 def fit_decay_slope(hs, values) -> float:

@@ -14,7 +14,6 @@ physical flux of the inside state.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +34,7 @@ __all__ = [
     "plan",
     "march",
     "solve",
-    "write_history",
+    "solve_to_file",
     "read_history",
 ]
 
@@ -389,48 +388,54 @@ def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def write_history(field: SpaceTimeField, path_or_buf) -> None:
-    """Save the history as one float64 ``.npy`` array whose row n is t_n
-    then u^n, to a path (under exactly that name) or a binary stream."""
-    table = np.column_stack([field.grid.nodes, field.values])
-    with open_file(path_or_buf, "wb") as fh:
-        np.save(fh, table, allow_pickle=False)
+def solve_to_file(mesh: Mesh, problem: Problem, path,
+                  cfl: float = 0.45) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+    """``solve`` that streams the history to ``path`` as it marches and
+    returns the grid, u^0 and u^N.  The file is one float64 ``.npy`` array
+    (N + 1, 1 + cells) whose row n is t_n then u^n, byte for byte what
+    ``np.save`` of the whole table writes, and appears once complete."""
+    stp, grid, u0 = plan(mesh, problem, cfl)
+    final = [u0]
+    with open_file(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.dtype(np.float64).str, "fortran_order": False,
+            "shape": (grid.n_steps + 1, 1 + mesh.n_cells)})
+        fh.write(grid.nodes[:1])
+        fh.write(u0)
+
+        def write_row(n, u, u_next, fv):
+            fh.write(grid.nodes[n + 1:n + 2])
+            fh.write(u_next)
+            final[0] = u_next
+
+        march(stp, grid, u0, write_row)
+    return grid, u0, final[0]
 
 
-def read_history(path_or_buf) -> tuple[TimeGrid, np.ndarray]:
-    """Inverse of write_history: the time grid and the states, as arrays of
-    their own, from a path or an open, seekable binary stream.  Raises
-    ValueError on an ``lwfv-history v1`` text file, on anything but a 2-d
+def read_history(path) -> tuple[TimeGrid, np.ndarray]:
+    """Inverse of solve_to_file: the time grid and the states, as arrays of
+    their own, from a path.  Raises ValueError on an ``lwfv-history v1``
+    text file, on an empty or cut header, on a file shorter than its header
+    says (the map finds it before allocating), on anything but a 2-d
     float64 array of at least two rows and two columns (pickled data is
-    never unpickled), on a file shorter than its header says, before
-    allocating, on a non-finite time or state, naming the row, and on
+    never unpickled), on a non-finite time or state, naming the row, and on
     times that ``TimeGrid`` refuses."""
-    fmt = np.lib.format
-    with open_file(path_or_buf, "rb") as fh:
-        start = fh.tell()
-        if fh.read(fmt.MAGIC_LEN) == b"lwfv-his":
+    with open(path, "rb") as fh:
+        if fh.read(8) == b"lwfv-his":
             raise ValueError("lwfv-history v1 text files are no longer read: "
                              "rerun lwfv solve to write history.npy")
-        fh.seek(start)
-        # 2.0 and 3.0 share a header layout, and a float64 header is ASCII
-        read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
-                       else fmt.read_array_header_2_0)
-        shape, fortran, dtype = read_header(fh)
-        if dtype != np.float64 or len(shape) != 2 or min(shape) < 2:
-            raise ValueError(f"a history is a 2-d float64 array of at least "
-                             f"two rows and two columns, got {dtype} {shape}")
-        need = shape[0] * shape[1] * 8
-        start = fh.tell()
-        left = fh.seek(0, os.SEEK_END) - start
-        if left < need:
-            raise ValueError(f"history file is shorter than its header says: "
-                             f"{shape} needs {need} bytes, {left} follow")
-        fh.seek(start)
-        table = np.empty(shape, order="F" if fortran else "C")
-        if fh.readinto(table.T if fortran else table) != need:
-            raise ValueError("history file ended before its header's size")
+    try:
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (EOFError, ValueError) as e:
+        why = ("it is shorter than its header says"
+               if "greater than file size" in str(e) else e)
+        raise ValueError(f"history file '{path}' cannot be read: {why}") from None
+    if table.dtype != np.float64 or table.ndim != 2 or min(table.shape) < 2:
+        raise ValueError(f"a history is a 2-d float64 array of at least "
+                         f"two rows and two columns, got {table.dtype} "
+                         f"{table.shape}")
     bad = ~np.isfinite(table).all(axis=1)
     if np.any(bad):
         raise ValueError(f"history row {int(np.argmax(bad))} holds a time or "
                          f"a state that is not finite")
-    return TimeGrid(nodes=table[:, 0].copy()), table[:, 1:].copy()
+    return TimeGrid(nodes=np.array(table[:, 0])), np.array(table[:, 1:])

@@ -33,9 +33,6 @@ __all__ = [
     "UniformDecayResult",
 ]
 
-GAUSS_ORDER = 4  # points per axis for smooth cell means
-
-
 @dataclass(frozen=True)
 class IntegrableFunction:
     """A scalar function of space with projection metadata.
@@ -103,7 +100,7 @@ def _part_rule(verts: np.ndarray, u: IntegrableFunction):
     ``(rows, pts, w)``, with the cells that meet it as ``rows``."""
     lo, hi = _interval_part(verts, u)
     rows = np.flatnonzero(hi > lo)
-    pts, w = quadrature.interval_rule(lo[rows], hi[rows], GAUSS_ORDER)
+    pts, w = quadrature.interval_rule(lo[rows], hi[rows], quadrature.GAUSS_ORDER)
     return rows, pts, w
 
 
@@ -111,7 +108,7 @@ def _cell_integrals(verts: np.ndarray, u: IntegrableFunction) -> np.ndarray:
     """Integral of u over every cell of a vertex batch (n_cells, n_vertices,
     d): the Gauss cell rule on the remainder of u, plus the length of
     K ∩ [a, b] for the indicator of its interval."""
-    pts, w = quadrature.cell_rule(verts, GAUSS_ORDER)
+    pts, w = quadrature.cell_rule(verts)
     rest = quadrature.rowdot(w, _remainder(u, pts))
     if u.interval is None:
         return rest

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lwfv.translations import GAUSS_ORDER
+from lwfv.quadrature import GAUSS_ORDER
 
 # Radon's 7-point degree-5 rule on a triangle (1948): the centroid and two
 # three-point orbits of barycentric points, with weights as fractions of

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,50 @@ def test_exit_code_3_for_failed_verification_2_for_bad_config(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and failure in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the run stopped mid-march: no history, no mesh, no temporary
+    assert os.listdir(out) == []
+
+
+def test_solve_allocates_less_than_its_history(tmp_path):
+    # the history streams to its file as the run marches; only u^0 and u^N
+    # stay in memory, for the snapshots
+    cfgp = tmp_path / "s.cfg"
+    cfgp.write_text("family = uniform-1d\nn0 = 10\nlevel = 4\nflux = upwind(1.0)\n"
+                    "u0 = bump\nt_final = 1.5\ncfl = 0.45\n")
+    out = tmp_path / "s"
+    tracemalloc.start()
+    try:
+        assert run(["solve", "--config", str(cfgp), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid, vals = read_history(out / "history.npy")
+    assert grid.n_steps > 200
+    assert peak < vals.nbytes, (peak, vals.nbytes)
+
+
+def test_outputs_get_the_permissions_of_the_umask(tmp_path):
+    # every file is written through one atomic writer, whose temporary
+    # must not keep a private mode
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text("family = uniform-1d\nn0 = 10\nflux = upwind(1.0)\nu0 = bump\n"
+                    "t_final = 0.5\ncfl = 0.5\nlevels = 2\nphi_count = 1\n")
+    old = os.umask(0o022)
+    try:
+        # a temporary that a killed run with this process id left behind
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / f".snapshots.csv.{os.getpid()}.tmp").write_text("cut")
+        for command in ("mesh-gen", "solve", "lw-verify"):
+            assert run([command, "--config", str(cfgp),
+                        "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    modes = {q.name: oct(q.stat().st_mode & 0o777)
+             for q in (tmp_path / "o").iterdir()}
+    assert sorted(modes) == ["history.npy", "lw_report.csv", "lw_summary.txt",
+                             "mesh.txt", "mesh_0.txt", "mesh_1.txt",
+                             "mesh_quality.csv", "snapshots.csv"]
+    assert set(modes.values()) == {"0o644"}, modes
 
 
 @pytest.mark.parametrize("subcommand, config, named", [

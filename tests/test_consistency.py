@@ -65,7 +65,7 @@ from lwfv.mesh import (
 )
 from lwfv.operators import InvariantViolation, TimeGrid, bump_corpus_spacetime
 from lwfv.solver import BlowUpError, SpaceTimeField, march, plan
-from lwfv.translations import GAUSS_ORDER, _part_rule, _remainder
+from lwfv.translations import _part_rule, _remainder
 from lwfv.reports import fit_decay_slope
 
 from oracles import (
@@ -694,7 +694,7 @@ def test_lw_study_names_family_and_level_of_a_blow_up():
 def _all_cells_gap_columns(mesh, phis, u0, flux):
     """The weak gap's columns with every test function evaluated on every
     cell: ``(cells, w_integral, b_grad_w, c_term)`` of ``_GapSums``."""
-    pts, wq = quadrature.cell_rule(mesh.cell_vertices, GAUSS_ORDER)
+    pts, wq = quadrature.cell_rule(mesh.cell_vertices)
     W = np.column_stack([quadrature.rowdot(wq, p.w(pts)) for p in phis])
     GW = np.stack([(wq[:, None, :] @ p.grad_w(pts))[:, 0] for p in phis], axis=-1)
     cells = np.flatnonzero(np.any(W != 0.0, axis=1) | np.any(GW != 0.0, axis=(1, 2)))

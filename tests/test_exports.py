@@ -67,6 +67,59 @@ def test_no_unused_imports():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
+_NP_SAVERS = {"save", "savez", "savez_compressed", "savetxt"}
+
+
+def _unguarded_writes(text: str) -> list[str]:
+    """Calls in module source ``text`` that write a file without going
+    through ``reports.open_file``, as "line: call": ``open`` with a mode
+    that is not a constant read mode, any ``tempfile`` call or import, and
+    an ``np.save`` (or ``savez``, ``savez_compressed``, ``savetxt``) whose
+    file is not a name that a ``with`` statement bound."""
+    tree = ast.parse(text)
+    streams = {item.optional_vars.id for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items
+               if isinstance(item.optional_vars, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            found.append((node.lineno, "from tempfile"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"),
+                ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id == "tempfile":
+                found.append((node.lineno, f"tempfile.{func.attr}"))
+            elif (func.value.id in ("np", "numpy") and func.attr in _NP_SAVERS
+                  and not (node.args and isinstance(node.args[0], ast.Name)
+                           and node.args[0].id in streams)):
+                found.append((node.lineno, f"np.{func.attr}"))
+    return [f"{line}: {call}" for line, call in sorted(found)]
+
+
+def test_every_file_is_written_through_reports_open_file():
+    # open_file makes a write atomic and gives it the umask's permissions;
+    # a writer that bypasses it loses both
+    assert _unguarded_writes(
+        "from tempfile import mkstemp\nopen(p, 'w')\nopen(p, mode='ab')\n"
+        "open(p, m)\ntempfile.mkstemp()\nnp.save('h.npy', a)\n"
+        "with open_file(p, 'wb') as fh:\n    np.save(fh, a)\n"
+        "open(p)\nopen(p, 'rb')\n") == [
+        "1: from tempfile", "2: open", "3: open", "4: open",
+        "5: tempfile.mkstemp", "6: np.save"]
+    found = {path.name: _unguarded_writes(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "lwfv").glob("*.py"))
+             if path.name != "reports.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def _defined_private_names(node) -> list[str]:
     """The private (``_x``, not ``__x__``) names a module-level statement
     defines as a function, a class or a constant."""

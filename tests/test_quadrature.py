@@ -31,7 +31,7 @@ def test_interval_rule_polynomial_exactness():
     verts = np.array([[0.25], [0.75]])
     # int_{1/4}^{3/4} x^5 dx = (0.75^6 - 0.25^6)/6
     exact = (0.75**6 - 0.25**6) / 6.0
-    got = _apply(cell_rule(verts[None], order=4), lambda p: p[:, 0] ** 5)
+    got = _apply(cell_rule(verts[None]), lambda p: p[:, 0] ** 5)
     assert got == pytest.approx(exact, rel=1e-14)
 
 
@@ -39,7 +39,7 @@ def test_rectangle_rule_tensor_exactness():
     verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]])
     # int x^3 y^2 over [0,1/2]x[0,1/4] = (1/64)(1/192) / ... = (0.5^4/4)(0.25^3/3)
     exact = (0.5**4 / 4.0) * (0.25**3 / 3.0)
-    got = _apply(cell_rule(verts[None], order=4), lambda p: p[:, 0] ** 3 * p[:, 1] ** 2)
+    got = _apply(cell_rule(verts[None]), lambda p: p[:, 0] ** 3 * p[:, 1] ** 2)
     assert got == pytest.approx(exact, rel=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_triangle_rule_affine_invariance():
 ])
 def test_batched_rules_treat_every_cell_alone(verts):
     # row i of a batch is exactly the rule of cell i on its own
-    pts, w = cell_rule(verts, order=4)
+    pts, w = cell_rule(verts)
     for i in range(len(verts)):
-        p1, w1 = cell_rule(verts[i : i + 1], order=4)
+        p1, w1 = cell_rule(verts[i : i + 1])
         assert np.array_equal(pts[i], p1[0]) and np.array_equal(w[i], w1[0])

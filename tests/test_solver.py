@@ -34,14 +34,13 @@ from lwfv.operators import InvariantViolation
 from lwfv.solver import (
     BlowUpError,
     Problem,
-    SpaceTimeField,
     Stepper,
     march,
     plan,
     read_history,
     select_dt,
     solve,
-    write_history,
+    solve_to_file,
 )
 
 from oracles import brute_muscl_step, brute_upwind_step, sorted_cell_order
@@ -420,17 +419,22 @@ def test_solve_history_shape_and_grid():
 
 def test_history_round_trip_bit_exact(tmp_path):
     m = nonuniform_1d_family(6, ratio=2.0).build(0)
-    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
-              cfl=0.5)
+    pr = Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25)
+    f = solve(m, pr, cfl=0.5)
     p1 = tmp_path / "h1.npy"
     p2 = tmp_path / "h2.npy"
-    write_history(f, str(p1))
+    grid, u0, u_final = solve_to_file(m, pr, str(p1), cfl=0.5)
+    assert np.array_equal(grid.nodes, f.grid.nodes)
+    assert u0.tobytes() == f.values[0].tobytes()
+    assert u_final.tobytes() == f.values[-1].tobytes()
     grid, vals = read_history(str(p1))
     assert vals.tobytes() == f.values.tobytes()
     assert grid.nodes.tobytes() == f.grid.nodes.tobytes()
     # arrays of their own, not views into a table or a mapped file
     assert vals.flags.owndata and grid.nodes.flags.owndata
-    write_history(SpaceTimeField(mesh=m, grid=grid, values=vals), str(p2))
+    assert type(vals) is np.ndarray and type(grid.nodes) is np.ndarray
+    # the streamed file is np.save of the whole table, byte for byte
+    np.save(p2, np.column_stack([grid.nodes, vals]), allow_pickle=False)
     assert p1.read_bytes() == p2.read_bytes()
     # numpy's own reader sees row n as t_n followed by u^n
     table = np.load(p1, allow_pickle=False)
@@ -440,24 +444,17 @@ def test_history_round_trip_bit_exact(tmp_path):
 
 
 def test_history_round_trip_through_path(tmp_path):
-    # str, os.PathLike and binary streams all name a history file
+    # str and os.PathLike both name a history file
     m = uniform_1d_family(5).build(0)
-    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
-              cfl=0.5)
+    pr = Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25)
+    f = solve(m, pr, cfl=0.5)
     p = tmp_path / "h"  # no .npy suffix: the file keeps exactly this name
-    write_history(f, p)
+    solve_to_file(m, pr, p, cfl=0.5)
     assert [q.name for q in tmp_path.iterdir()] == ["h"]
     for source in (p, str(p)):
         grid, vals = read_history(source)
         assert np.array_equal(vals, f.values)
         assert np.array_equal(grid.nodes, f.grid.nodes)
-    with open(p, "rb") as fh:
-        assert np.array_equal(read_history(fh)[1], f.values)
-    buf = io.BytesIO()
-    write_history(f, buf)
-    assert buf.getvalue() == p.read_bytes()
-    buf.seek(0)
-    assert np.array_equal(read_history(buf)[1], f.values)
 
 
 _UNPICKLED = []
@@ -477,10 +474,10 @@ class _Tripwire:
 def _written_history(tmp_path):
     """A history file, the run's (N+1, 1 + n_cells) table and N."""
     m = uniform_1d_family(8).build(0)
-    f = solve(m, Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25),
-              cfl=0.5)
+    pr = Problem(flux=upwind_linear([1.0]), u0=_sine_datum(), t_final=0.25)
+    f = solve(m, pr, cfl=0.5)
     p = tmp_path / "h.npy"
-    write_history(f, str(p))
+    solve_to_file(m, pr, str(p), cfl=0.5)
     return p, np.column_stack([f.grid.nodes, f.values]), f.grid.n_steps
 
 
@@ -488,11 +485,11 @@ def _written_history(tmp_path):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_history_reader_takes_every_npy_layout(tmp_path, version, order):
     # another program's table may be column-major or carry a later header
-    _, table, _ = _written_history(tmp_path)
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.asarray(table, order=order), version=version)
-    buf.seek(0)
-    grid, vals = read_history(buf)
+    p, table, _ = _written_history(tmp_path)
+    with open(p, "wb") as fh:
+        np.lib.format.write_array(fh, np.asarray(table, order=order),
+                                  version=version)
+    grid, vals = read_history(p)
     assert vals.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
     assert grid.nodes.tobytes() == np.ascontiguousarray(table[:, 0]).tobytes()
 
@@ -500,13 +497,13 @@ def test_history_reader_takes_every_npy_layout(tmp_path, version, order):
 def test_history_reader_rejects_truncated_file(tmp_path):
     p, _, _ = _written_history(tmp_path)
     data = p.read_bytes()
-    # the last state gone, and a cut inside the 128-byte header
+    # the last state gone, a cut inside the 128-byte header, and no header
     for cut, match in ((data[:-8], "shorter than its header says"),
-                       (data[:100], "EOF: reading array header")):
+                       (data[:100], "EOF: reading array header"),
+                       (b"", "cannot be read: No data left")):
         p.write_bytes(cut)
-        for source in (str(p), io.BytesIO(cut)):
-            with pytest.raises(ValueError, match=match):
-                read_history(source)
+        with pytest.raises(ValueError, match=match):
+            read_history(str(p))
 
 
 def test_history_reader_counts_records_before_allocating(tmp_path):
@@ -518,11 +515,8 @@ def test_history_reader_counts_records_before_allocating(tmp_path):
     data = buf.getvalue() + np.array([[0.0, 0.5], [1.0, 0.5]]).tobytes()
     p = tmp_path / "h.npy"
     p.write_bytes(data)
-    for source in (str(p), io.BytesIO(data)):
-        with pytest.raises(ValueError, match=r"shorter than its header says: "
-                                             r"\(1000000000000000, 2\) needs "
-                                             r"16000000000000000 bytes, 32 follow"):
-            read_history(source)
+    with pytest.raises(ValueError, match="shorter than its header says"):
+        read_history(str(p))
 
 
 @pytest.mark.parametrize("edit", ["float32", "one_d", "one_row", "no_n_cells",
@@ -542,7 +536,7 @@ def test_history_reader_rejects_malformed_records(tmp_path, edit):
         np.save(p, objects, allow_pickle=True)
         assert np.load(p, allow_pickle=True)[0, 1] is None and _UNPICKLED
         _UNPICKLED.clear()
-        match = shape_error + ", got object"
+        match = "cannot be read: .*Python objects"
     elif edit in ("float32", "one_d", "one_row", "no_n_cells", "u_only"):
         # u_only: the states saved without their time column, so that the
         # first cell's values pass for the times
