@@ -171,6 +171,14 @@ def _time_weights(phis, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return g_nodes[:-1], np.diff(g_nodes, axis=0)
 
 
+def _live_steps(*weights: np.ndarray) -> int:
+    """1 + the last step at which some time weight is nonzero (0 if none):
+    from there on every weight is exactly 0, so a sum may leave its rows at
+    their allocated zeros without moving a bit of the weighted sums."""
+    live = np.flatnonzero(np.any(np.hstack(weights) != 0.0, axis=1))
+    return int(live[-1]) + 1 if live.size else 0
+
+
 def _weighted(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_n weight[n] * rows[n], per test function."""
     return np.einsum("nm,nm->m", weight, rows)
@@ -189,11 +197,12 @@ class _StepBlocks:
     It collects the states u^n, ..., u^{n+b}, the interior edge fluxes and
     the interior face jumps u^n_K - u^n_L of b = BLOCK_STEPS consecutive
     steps, one row per step, and hands each full block to every sum as
-    ``block(n0, U, dU, F, J)``, n0 being the first step and dU = u^{n+1} -
-    u^n formed by one subtraction per block; ``flush()`` hands over the
-    last, partial block.  The jumps come from ``stp.interior_jumps``, which
-    reads the states of u^n that the step gathered, so no sum gathers the
-    states again.  Memory is O(BLOCK_STEPS * cells), in buffers allocated
+    ``block(n0, U, dU, F, J)``, in the order of ``sums``, n0 being the first
+    step and dU = u^{n+1} - u^n formed by one subtraction per block;
+    ``flush()`` hands over the last, partial block.  ``_SeminormSums``
+    overwrites dU and J with their absolute values, so it comes last.  The
+    jumps come from ``stp.interior_jumps``, which reads the states of u^n
+    that the step gathered, so no sum gathers the states again.  Memory is O(BLOCK_STEPS * cells), in buffers allocated
     once: a fresh dU per block made glibc's malloc trim and refault its
     heap top on every block of a process that had not yet grown its heap
     (about 5 700 page faults at level 3 of the 2d Burgers scenario).
@@ -242,10 +251,12 @@ class _SeminormSums:
 
     ``block(n0, U, dU, F, J)`` reads dU = u^{n+1} - u^n and the jumps J =
     u^n_K - u^n_L on the interior faces in face order (not U or F), for
-    n = 0..N-1; ``result()`` applies the slab widths.  ``lw_study`` hands
-    over the jumps each step gathered, ``spacetime_translation_seminorm``
-    those of ``_interior_jumps``.  Both parts sum over every face and every
-    cell, in O(faces + N) memory, not O(N * cells).
+    n = 0..N-1, and overwrites both with their absolute values, so every
+    other sum must have read the block first; ``result()`` applies the slab
+    widths.  ``lw_study`` hands over the jumps each step gathered,
+    ``spacetime_translation_seminorm`` those of ``_interior_jumps``.  Both
+    parts sum over every step, face and cell, in O(faces + N) memory, not
+    O(N * cells).
     """
 
     def __init__(self, mesh: Mesh, grid: TimeGrid):
@@ -254,15 +265,12 @@ class _SeminormSums:
         self.dts = grid.deltas
         self.space = np.zeros(grid.n_steps)  # sum_sigma |D_sigma| |u^n_K - u^n_L|
         self.time = np.zeros(grid.n_steps)  # sum_K |K| |u^{n+1}_K - u^n_K|
-        self._abs_j = np.empty((BLOCK_STEPS, self.dsig.size))
-        self._abs_du = np.empty((BLOCK_STEPS, self.vol.size))
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
               J: np.ndarray) -> None:
-        b = len(U)
-        rows = slice(n0, n0 + b)
-        np.matmul(np.abs(J, out=self._abs_j[:b]), self.dsig, out=self.space[rows])
-        np.matmul(np.abs(dU, out=self._abs_du[:b]), self.vol, out=self.time[rows])
+        rows = slice(n0, n0 + len(U))
+        np.matmul(np.abs(J, out=J), self.dsig, out=self.space[rows])
+        np.matmul(np.abs(dU, out=dU), self.vol, out=self.time[rows])
 
     def result(self) -> SpacetimeSeminorm:
         # the jump after step n separates slabs n and n + 1; the one after
@@ -282,10 +290,11 @@ class _PairingSums:
     states u^n, dU = u^{n+1} - u^n and F the normal numerical fluxes on the
     interior faces in face order, one row per step n (the jumps J are not
     read).  Each step stores one row per term and test function;
-    ``decompositions()`` applies the time weights.  T1, T2 and the five
-    terms each have their own row, so the two splits T1 = T1_1 + T1_2 + R1
-    and T2 = T2_tilde + R and the master identity check them against each
-    other.
+    ``decompositions()`` applies the time weights.  A block that starts
+    after the last step with a nonzero time weight (``_live_steps``) is not
+    read: its rows stay 0.  T1, T2 and the five terms each have their own
+    row, so the two splits T1 = T1_1 + T1_2 + R1 and T2 = T2_tilde + R and
+    the master identity check them against each other.
 
     Its columns are the anchor samples |K| w(x_K) and the face jumps
     w(x_K) - w(x_L), kept on their support rows: ``faces``, the interior
@@ -312,6 +321,7 @@ class _PairingSums:
                            np.searchsorted(self.cells, L[self.faces]))
         w_cells, self.w_jump = wc[self.cells], jump[self.faces]
         self.node_weight, self.step_weight = _time_weights(phis, grid)
+        self.n_live = _live_steps(self.node_weight, self.step_weight)
         f = ids[self.faces]
         vol = mesh.cell_volume[self.cells]
         self.vol_w = vol[:, None] * w_cells
@@ -331,6 +341,8 @@ class _PairingSums:
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
               J: np.ndarray) -> None:
+        if n0 >= self.n_live:
+            return
         b = len(U)
         Uc, dUc, fa, fb, fc = (x[:b] for x in self._bufs)
         # the ids index U, dU, F and gc, so "clip" never clips; with an
@@ -398,7 +410,9 @@ class _GapSums:
     block of steps at a time: built from the continuum datum u0 and the
     physical flux f, then ``block(n0, U, dU, F, J)`` as ``_StepBlocks``
     hands it over (only the states U are read, so ``weak_gap`` passes rows
-    of a stored history and nothing else), then ``gaps()``.
+    of a stored history and nothing else), then ``gaps()``.  As in
+    ``_PairingSums``, a block that starts after the last step with a
+    nonzero time weight is not read.
 
     Its columns are exact integrals by the cell quadrature rule: int_K w
     and b . int_K grad w, kept on the cells where some column is nonzero,
@@ -447,12 +461,15 @@ class _GapSums:
         self.step_weight = _time_weights(phis, grid)[1]
         self.slab_weight = np.column_stack([_slab_means(p.g, grid.nodes)
                                             for p in phis])
+        self.n_live = _live_steps(self.step_weight, self.slab_weight)
         self.profile = flux.profile
         self.rows = np.zeros((2, grid.n_steps, len(phis)))
         self._states = np.empty((BLOCK_STEPS, self.cells.size))  # reused per block
 
     def block(self, n0: int, U: np.ndarray, dU: np.ndarray, F: np.ndarray,
               J: np.ndarray) -> None:
+        if n0 >= self.n_live:
+            return
         b = len(U)
         # the cells index U, so "clip" never clips; with an output buffer,
         # the default "raise" would copy through a temporary
@@ -774,7 +791,8 @@ def _study_level(lvl: int, mesh: Mesh, problem: Problem,
     seminorm = _SeminormSums(mesh, grid)
     pairing = _PairingSums(mesh, grid, phi_set, u0, problem.flux.flux)
     gap = _GapSums(mesh, grid, phi_set, problem.u0, problem.flux.flux)
-    blocks = _StepBlocks(stp, [seminorm, pairing, gap])
+    # the seminorm overwrites dU and J, so it reads the blocks last
+    blocks = _StepBlocks(stp, [pairing, gap, seminorm])
     lo, hi = march(stp, grid, u0, blocks)
     blocks.flush()
     flux = problem.flux

@@ -3,16 +3,17 @@
 All rules return (points, weights) with weights summing to the measure of the
 integration domain, so ``weights @ f(points)`` approximates the integral and
 ``weights @ f(points) / measure`` the mean.
+
+The two Gauss-Legendre rules lwfv uses, 4 points per cell axis and 6 per
+time slab, are a table of the doubles that numpy's
+``numpy.polynomial.legendre.leggauss`` returns, so ``import lwfv`` loads no
+``numpy.polynomial``; a test compares them with ``leggauss`` byte for byte.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-# numpy imports numpy.polynomial lazily; here it loads with this module
-# rather than inside the first call that needs a rule
-from numpy.polynomial import legendre
 
 GAUSS_ORDER = 4  # points per axis of the interval and rectangle cell rules
 
@@ -38,15 +39,32 @@ _TRI_BARY = np.array(
 _TRI_WEIGHTS = np.array([9 / 40, _TRI_WA, _TRI_WA, _TRI_WA, _TRI_WB, _TRI_WB, _TRI_WB])
 
 
-@functools.cache
+def _read_only(*values: float) -> np.ndarray:
+    """A read-only array of ``values``: the table's arrays are shared."""
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
+# nodes and weights on [-1, 1] by number of points: leggauss(4) for the cell
+# rules (GAUSS_ORDER), leggauss(6) for the time slabs of the weak gap
+_GAUSS_LEGENDRE = {
+    4: (_read_only(-0.8611363115940526, -0.33998104358485626,
+                   0.33998104358485626, 0.8611363115940526),
+        _read_only(0.34785484513745357, 0.6521451548625464,
+                   0.6521451548625464, 0.34785484513745357)),
+    6: (_read_only(-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                   0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        _read_only(0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                   0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+}
+
+
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], computed once per ``npts`` (each rule
-    is an eigenvalue solve).  Every caller shares the cached arrays, so they
-    are read-only."""
-    x, w = legendre.leggauss(npts)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    """Nodes and weights on [-1, 1] of the ``npts``-point rule, 4 or 6; any
+    other ``npts`` raises KeyError.  Every caller shares the table's arrays,
+    so they are read-only."""
+    return _GAUSS_LEGENDRE[npts]
 
 
 def rowdot(w: np.ndarray, vals: np.ndarray) -> np.ndarray:

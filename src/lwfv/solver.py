@@ -387,6 +387,8 @@ def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
 # history files: one .npy array (numpy's own format, no pickle)
 # ---------------------------------------------------------------------------
 
+_READ_BYTES = 1 << 20  # size of the row blocks read_history reads
+
 
 def solve_to_file(mesh: Mesh, problem: Problem, path,
                   cfl: float = 0.45) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
@@ -414,28 +416,56 @@ def solve_to_file(mesh: Mesh, problem: Problem, path,
 
 def read_history(path) -> tuple[TimeGrid, np.ndarray]:
     """Inverse of solve_to_file: the time grid and the states, as arrays of
-    their own, from a path.  Raises ValueError on an ``lwfv-history v1``
-    text file, on an empty or cut header, on a file shorter than its header
-    says (the map finds it before allocating), on anything but a 2-d
-    float64 array of at least two rows and two columns (pickled data is
-    never unpickled), on a non-finite time or state, naming the row, and on
-    times that ``TimeGrid`` refuses."""
+    their own, from a path.  ``np.load`` maps the file only for its header
+    and size; the times and the states are then read from the header's
+    offset straight into their arrays, a row block of about 1 MB at a time
+    (a Fortran-order table in two reads), so the states are held once.
+    Raises ValueError on an ``lwfv-history v1`` text file, on an empty or
+    cut header, on a file shorter than its header says (the map finds it
+    before allocating, a read that comes up short after it), on anything
+    but a 2-d float64 array of at least two rows and two columns (pickled
+    data is never unpickled), on a non-finite time or state, naming the
+    row, and on times that ``TimeGrid`` refuses."""
     with open(path, "rb") as fh:
         if fh.read(8) == b"lwfv-his":
             raise ValueError("lwfv-history v1 text files are no longer read: "
                              "rerun lwfv solve to write history.npy")
+    cannot = f"history file '{path}' cannot be read"
+    short = "it is shorter than its header says"
     try:
         table = np.load(path, mmap_mode="r", allow_pickle=False)
     except (EOFError, ValueError) as e:
-        why = ("it is shorter than its header says"
-               if "greater than file size" in str(e) else e)
-        raise ValueError(f"history file '{path}' cannot be read: {why}") from None
+        why = short if "greater than file size" in str(e) else e
+        raise ValueError(f"{cannot}: {why}") from None
     if table.dtype != np.float64 or table.ndim != 2 or min(table.shape) < 2:
         raise ValueError(f"a history is a 2-d float64 array of at least "
                          f"two rows and two columns, got {table.dtype} "
                          f"{table.shape}")
-    bad = ~np.isfinite(table).all(axis=1)
+    (n_rows, width), offset = table.shape, table.offset
+    fortran = not table.flags.c_contiguous
+    del table  # unmapped with none of its pages read
+    nodes = np.empty(n_rows)
+    states = np.empty((n_rows, width - 1), order="F" if fortran else "C")
+
+    def read_into(fh, arr):
+        if fh.readinto(arr) != arr.nbytes:
+            raise ValueError(f"{cannot}: {short}")
+
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        if fortran:  # the time column, then one column per cell
+            read_into(fh, nodes)
+            read_into(fh, states.T)
+        else:  # rows t_n, u^n
+            block = max(1, _READ_BYTES // (8 * width))
+            buf = np.empty((min(block, n_rows), width))
+            for r0 in range(0, n_rows, block):
+                part = buf[:min(block, n_rows - r0)]
+                read_into(fh, part)
+                nodes[r0:r0 + len(part)] = part[:, 0]
+                states[r0:r0 + len(part)] = part[:, 1:]
+    bad = ~(np.isfinite(nodes) & np.isfinite(states).all(axis=1))
     if np.any(bad):
         raise ValueError(f"history row {int(np.argmax(bad))} holds a time or "
                          f"a state that is not finite")
-    return TimeGrid(nodes=np.array(table[:, 0])), np.array(table[:, 1:])
+    return TimeGrid(nodes=nodes), states

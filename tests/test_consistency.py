@@ -665,6 +665,40 @@ def test_lw_study_does_not_depend_on_the_block_size(monkeypatch, block_steps):
             assert gb == pytest.approx(ga, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["1d-periodic-rusanov", "triangulated-2d"])
+def test_pairing_and_gap_stop_where_the_test_functions_stop(monkeypatch, case):
+    # every phi vanishes from its t_cut on, so a block of steps that starts
+    # there meets only zero time weights: the pairing and the weak gap leave
+    # its rows at 0, and NaN states, fluxes and jumps in it move no bit of a
+    # term or a gap (a sum that read them would turn them into NaN)
+    family, problem, cfl = ORACLE_CASES[case]()
+    phis = bump_corpus_spacetime(2 if case == "triangulated-2d" else 1,
+                                 problem.t_final)
+    t_cut = max(p.t_cut for p in phis)
+    clean = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    real, poisoned = consistency._StepBlocks, []
+
+    class Poisoned:
+        def __init__(self, sums, nodes):
+            self.sums, self.nodes = sums, nodes
+
+        def block(self, n0, U, dU, F, J):
+            if self.nodes[n0] >= t_cut:
+                poisoned.append(n0)
+                U, dU, F, J = (np.full_like(x, np.nan) for x in (U, dU, F, J))
+            self.sums.block(n0, U, dU, F, J)
+
+    def blocks(stp, sums):
+        nodes = plan(stp.mesh, problem, cfl)[1].nodes
+        return real(stp, [s if isinstance(s, consistency._SeminormSums)
+                          else Poisoned(s, nodes) for s in sums])
+
+    monkeypatch.setattr(consistency, "_StepBlocks", blocks)
+    got = lw_study(family, problem, phis, levels=2, cfl=cfl)
+    assert poisoned  # the last level, which runs in this process
+    assert _bits(got) == _bits(clean)
+
+
 def test_lw_study_names_family_and_level_of_a_blow_up():
     # a consistent central flux with negative dissipation grows every mode
     # until the guard of march fires

@@ -205,6 +205,18 @@ def test_import_loads_no_numpy_random_or_hashlib():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # the two Gauss-Legendre rules are a table of leggauss's doubles, so
+    # numpy.polynomial's 7 modules (about 1.3 MB resident) stay unloaded
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lwfv; print(sorted(m for m in sys.modules"
+         " if m.startswith('numpy.polynomial')))"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_loads_no_process_pool():
     # lw_study forks with os alone; multiprocessing and concurrent.futures
     # would lengthen the import and grow the heap the benchmark's

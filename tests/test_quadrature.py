@@ -27,6 +27,13 @@ def test_gauss_legendre_is_leggauss_computed_once_and_read_only(npts):
             arr[0] = 0.0
 
 
+def test_gauss_legendre_refuses_an_order_outside_its_table():
+    # only the cell rule's 4 points and the time slab's 6 are tabulated
+    for npts in (1, 5, 7):
+        with pytest.raises(KeyError):
+            gauss_legendre(npts)
+
+
 def test_interval_rule_polynomial_exactness():
     verts = np.array([[0.25], [0.75]])
     # int_{1/4}^{3/4} x^5 dx = (0.75^6 - 0.25^6)/6

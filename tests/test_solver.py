@@ -6,6 +6,8 @@ the sorted cell order, written independently in oracles.py.
 """
 import hashlib
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from lwfv.solver import (
 )
 
 from oracles import brute_muscl_step, brute_upwind_step, sorted_cell_order
+from test_exports import _subprocess_env
 
 
 def _sine_datum():
@@ -517,6 +520,60 @@ def test_history_reader_counts_records_before_allocating(tmp_path):
     p.write_bytes(data)
     with pytest.raises(ValueError, match="shorter than its header says"):
         read_history(str(p))
+
+
+def test_history_reader_refuses_a_file_that_shrinks_after_its_size_check(
+        tmp_path, monkeypatch):
+    # a read that comes up short raises; it never returns the rest of an
+    # uninitialised array
+    p, _, _ = _written_history(tmp_path)
+    load = np.load
+
+    def load_then_cut(*args, **kwargs):
+        table = load(*args, **kwargs)
+        with open(p, "r+b") as fh:
+            fh.truncate(p.stat().st_size - 8)
+        return table
+
+    monkeypatch.setattr(np, "load", load_then_cut)
+    with pytest.raises(ValueError, match="shorter than its header says"):
+        read_history(p)
+
+
+# Starts the Python command argv[1:] and exits with its status.  A process
+# begins with the ru_maxrss of the one that started it (Linux keeps it
+# across fork and exec), so a measured reader is started by this small
+# process, not by the test runner.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_history_reader_holds_the_states_once(tmp_path):
+    # the states are read into their own array, past the map, about 1 MB
+    # at a time: the peak grows by their bytes plus the finiteness mask,
+    # not by a mapped table and its copy (twice their bytes)
+    n_rows, n_cells = 1025, 4096  # 32 MiB of states
+    p = tmp_path / "h.npy"
+    with open(p, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": "<f8", "fortran_order": False, "shape": (n_rows, 1 + n_cells)})
+        row = np.full(1 + n_cells, 0.5)
+        for n in range(n_rows):
+            row[0] = n
+            fh.write(row.tobytes())
+    script = ("import resource, sys\n"
+              "from lwfv.solver import read_history\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "grid, vals = read_history(sys.argv[1])\n"
+              "assert vals.shape == (grid.n_steps + 1, int(sys.argv[2]))\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    out = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, "-c", script, str(p), str(n_cells)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    states_bytes = n_rows * n_cells * 8
+    assert int(out.stdout) * 1024 < 1.4 * states_bytes, out.stdout
 
 
 @pytest.mark.parametrize("edit", ["float32", "one_d", "one_row", "no_n_cells",
