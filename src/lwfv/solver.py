@@ -387,7 +387,7 @@ def solve(mesh: Mesh, problem: Problem, cfl: float = 0.45) -> SpaceTimeField:
 # history files: one .npy array (numpy's own format, no pickle)
 # ---------------------------------------------------------------------------
 
-_READ_BYTES = 1 << 20  # size of the row blocks read_history reads
+_READ_BYTES = 1 << 20  # size of the blocks read_history reads
 
 
 def solve_to_file(mesh: Mesh, problem: Problem, path,
@@ -414,12 +414,20 @@ def solve_to_file(mesh: Mesh, problem: Problem, path,
     return grid, u0, final[0]
 
 
+def _lowest_bad_row(finite: np.ndarray, bad: int, first_row: int = 0) -> int:
+    """The lower of ``bad`` and the first row whose entry of ``finite`` is
+    False, the entries counting rows from ``first_row``."""
+    return bad if finite.all() else min(bad, first_row + int(np.argmin(finite)))
+
+
 def read_history(path) -> tuple[TimeGrid, np.ndarray]:
     """Inverse of solve_to_file: the time grid and the states, as arrays of
     their own, from a path.  ``np.load`` maps the file only for its header
     and size; the times and the states are then read from the header's
     offset straight into their arrays, a row block of about 1 MB at a time
-    (a Fortran-order table in two reads), so the states are held once.
+    (a Fortran-order table: the time column, then a block of about 1 MB of
+    cell columns at a time), so the states are held once, and each block is
+    checked for finiteness as it lands.
     Raises ValueError on an ``lwfv-history v1`` text file, on an empty or
     cut header, on a file shorter than its header says (the map finds it
     before allocating, a read that comes up short after it), on anything
@@ -451,21 +459,29 @@ def read_history(path) -> tuple[TimeGrid, np.ndarray]:
         if fh.readinto(arr) != arr.nbytes:
             raise ValueError(f"{cannot}: {short}")
 
+    # the lowest row holding a non-finite time or state, checked a block
+    # at a time as it lands and reported once the whole file is read
+    bad = n_rows
     with open(path, "rb") as fh:
         fh.seek(offset)
-        if fortran:  # the time column, then one column per cell
+        if fortran:  # the time column, then a block of cell columns at a time
             read_into(fh, nodes)
-            read_into(fh, states.T)
+            bad = _lowest_bad_row(np.isfinite(nodes), bad)
+            block = max(1, _READ_BYTES // (8 * n_rows))
+            for c0 in range(0, width - 1, block):
+                part = states.T[c0:c0 + block]
+                read_into(fh, part)
+                bad = _lowest_bad_row(np.isfinite(part).all(axis=0), bad)
         else:  # rows t_n, u^n
             block = max(1, _READ_BYTES // (8 * width))
             buf = np.empty((min(block, n_rows), width))
             for r0 in range(0, n_rows, block):
                 part = buf[:min(block, n_rows - r0)]
                 read_into(fh, part)
+                bad = _lowest_bad_row(np.isfinite(part).all(axis=1), bad, r0)
                 nodes[r0:r0 + len(part)] = part[:, 0]
                 states[r0:r0 + len(part)] = part[:, 1:]
-    bad = ~(np.isfinite(nodes) & np.isfinite(states).all(axis=1))
-    if np.any(bad):
-        raise ValueError(f"history row {int(np.argmax(bad))} holds a time or "
+    if bad < n_rows:
+        raise ValueError(f"history row {bad} holds a time or "
                          f"a state that is not finite")
     return TimeGrid(nodes=nodes), states

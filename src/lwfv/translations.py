@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .mesh import Mesh, MeshFamily, compute_quality, refine
+from .mesh import Mesh, MeshFamily, _blocks, compute_quality, refine
 from .operators import InvariantViolation
 
 __all__ = [
@@ -123,9 +123,14 @@ def project_l1(mesh: Mesh, u: IntegrableFunction) -> np.ndarray:
     quadrature exact to degree 2 * GAUSS_ORDER - 1 on intervals and
     rectangles (degree 5 on triangles); the indicator part of interval data,
     which are 1d only, is the exact length of each cell's intersection with
-    the interval, and interval data raise ValueError on a 2d mesh.
+    the interval, and interval data raise ValueError on a 2d mesh.  The
+    cells are integrated a block of ``BLOCK_ROWS`` (:mod:`lwfv.mesh`) at a
+    time, and u is called on one block's points.
     """
-    return _cell_integrals(mesh.cell_vertices, u) / mesh.cell_volume
+    means = np.empty(mesh.n_cells)
+    for s in _blocks(mesh.n_cells):
+        means[s] = _cell_integrals(mesh.cell_vertices[s], u) / mesh.cell_volume[s]
+    return means
 
 
 def _cell_values(mesh: Mesh, values) -> np.ndarray:

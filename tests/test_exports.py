@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import lwfv
+from launcher import _subprocess_env
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(f"lwfv.{m.name}" for m in pkgutil.iter_modules(lwfv.__path__))
@@ -172,13 +173,6 @@ def test_import_loads_no_scipy_stats():
          " if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return env
 
 
 def test_import_loads_no_scipy():

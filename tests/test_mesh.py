@@ -7,6 +7,8 @@ run pinned once) and the builders are required to reproduce them.
 import dataclasses
 import hashlib
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from lwfv import (
     weak_gap,
     write_mesh,
 )
+from lwfv import mesh as mesh_module
 from lwfv.consistency import spacetime_translation_seminorm
 from lwfv.mesh import (
     build_cartesian_2d,
@@ -48,6 +51,7 @@ from lwfv.mesh import (
     _uniform_draws,
 )
 
+from launcher import _LAUNCH, _subprocess_env
 from oracles import (
     brute_cell_partition_defect,
     brute_dual_partition_defect,
@@ -402,6 +406,148 @@ def test_written_mesh_bytes_are_pinned(families, name, level):
     write_mesh(families[name].build(level), buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == PINNED_MESH_BYTES[name, level]
+
+
+# sha256 prefixes of "<dtype> <shape> " and the bytes of every derived array,
+# at levels that span several blocks of the set-up passes; recorded when
+# those passes still took a whole mesh at once
+PINNED_DERIVED_ARRAYS = {
+    ("uniform-1d", 9): {
+        "cell_volume": "a8c008803eb9eeb5",
+        "cell_diam": "a8c008803eb9eeb5",
+        "cell_vertices": "83ba801e61916066",
+        "face_vertex_ids": "fd209c7f0b061f1f",
+        "face_area": "f6ed630aee17076e",
+        "face_normal": "86bbe6d2f1f227bc",
+        "face_K": "5fa7056527385424",
+        "face_L": "49d7bb0cef615600",
+        "face_dk": "1a1fcffd568f8c01",
+        "face_dl": "5ae104872d32e3eb",
+        "face_centroid": "720b34aa4ba9f9dc",
+    },
+    ("nonuniform-1d", 9): {
+        "cell_volume": "b3b5258c1529d3b3",
+        "cell_diam": "b3b5258c1529d3b3",
+        "cell_vertices": "0bcb784c4234db5c",
+        "face_vertex_ids": "fd209c7f0b061f1f",
+        "face_area": "f6ed630aee17076e",
+        "face_normal": "86bbe6d2f1f227bc",
+        "face_K": "5fa7056527385424",
+        "face_L": "49d7bb0cef615600",
+        "face_dk": "21ca56772a73958f",
+        "face_dl": "2235defe07d1f2d4",
+        "face_centroid": "9dd0e18ff194e4dd",
+    },
+    ("cartesian-2d", 4): {
+        "cell_volume": "0f550818d0572ab5",
+        "cell_diam": "867204932c9bf8df",
+        "cell_vertices": "a07e13c2c272bcb3",
+        "face_vertex_ids": "10baef64b60075d8",
+        "face_area": "92b2986912d8903d",
+        "face_normal": "6408653ff0039f93",
+        "face_K": "d1b3ee1fd3866aee",
+        "face_L": "8026d1e41fa703d3",
+        "face_dk": "e5ec036bb2d9bbfa",
+        "face_dl": "a216c5d4e3fca1de",
+        "face_centroid": "aee017a1eace42e6",
+    },
+    ("triangular-2d", 4): {
+        "cell_volume": "62e3625d0272f1bf",
+        "cell_diam": "d40e1bfdcc27f748",
+        "cell_vertices": "e87ab959e801de53",
+        "face_vertex_ids": "23c3a6c4e50a06ae",
+        "face_area": "b4956f36efd6ff59",
+        "face_normal": "fc10888b67a9cb79",
+        "face_K": "5cc155b735316e71",
+        "face_L": "5cb98f777471cdb8",
+        "face_dk": "5ba51e581bfef68f",
+        "face_dl": "9046acb75fbf76e0",
+        "face_centroid": "26531239481c455b",
+    },
+}
+
+
+@pytest.mark.parametrize("name,level", sorted(PINNED_DERIVED_ARRAYS))
+def test_derived_arrays_are_pinned_across_blocks(families, name, level):
+    m = families[name].build(level)
+    assert m.n_faces > 2 * mesh_module.BLOCK_ROWS and m.n_cells > mesh_module.BLOCK_ROWS
+    digests = {}
+    for f in dataclasses.fields(m):
+        if not f.init:
+            a = getattr(m, f.name)
+            head = f"{a.dtype.str} {a.shape} ".encode()
+            digests[f.name] = hashlib.sha256(head + a.tobytes()).hexdigest()[:16]
+    assert digests == PINNED_DERIVED_ARRAYS[name, level]
+
+
+def _pushed(mesh, moves):
+    """The mesh with the anchor of cell c moved just across its face s, for
+    every (c, s) in ``moves``: to the face's centroid plus a thousandth of
+    the cell's diameter out of the cell."""
+    x = mesh.cell_center.copy()
+    for c, s in moves:
+        out = mesh.face_normal[s] if mesh.face_K[s] == c else -mesh.face_normal[s]
+        x[c] = mesh.face_centroid[s] + 1e-3 * mesh.cell_diam[c] * out
+    return dataclasses.replace(mesh, cell_center=x)
+
+
+def test_anchor_test_names_the_first_cell_in_k_then_l_order_across_blocks(families):
+    m = families["triangular-2d"].build(4)
+    block = mesh_module.BLOCK_ROWS
+    inner = np.flatnonzero(m.interior)
+    # c1 leaves through a face it owns as K, in the fourth block of faces;
+    # c2 through a face it owns only as L, in the second block, and c2 is
+    # the lower cell on the lower face, so only the K-then-L order puts c1
+    # first
+    s1 = int(inner[inner >= 3 * block][0])
+    c1 = int(m.face_K[s1])
+    s2 = int(next(s for s in inner[(inner >= block) & (inner < 2 * block)]
+                  if m.face_L[s] < c1 and c1 not in (m.face_K[s], m.face_L[s])))
+    c2 = int(m.face_L[s2])
+    assert s2 < s1 and c2 < c1
+    detail = "x_K more than 4 eps (|x_K| + h_K) inside every face of K, not cell {}"
+    for moves, cell in (([(c1, s1)], c1), ([(c2, s2)], c2), ([(c1, s1), (c2, s2)], c1)):
+        rep = validate(_pushed(m, moves))
+        assert rep.failing() == ["anchor_inside"], moves
+        assert rep.checks[2][2] == detail.format(cell), moves
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_setting_up_a_family_holds_its_meshes_and_one_block():
+    # refine, validate, rate and project levels 0-5 of the triangulation
+    # (32 768 cells at level 5) after a warm-up on a small family, in a
+    # process started by the small launcher, so that the test runner's
+    # peak is not its floor
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from lwfv import mesh, translations\n"
+        "datum = translations.smooth_function(lambda x: np.sin(x[..., 0]) * x[..., 1])\n"
+        "def set_up(family, levels):\n"
+        "    meshes = mesh.refine(family, levels)\n"
+        "    for m in meshes:\n"
+        "        mesh.validate(m)\n"
+        "        mesh.compute_quality(m)\n"
+        "        translations.project_l1(m, datum)\n"
+        "    return meshes\n"
+        "set_up(mesh.perturbed_triangular_2d_family(2), 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "meshes = set_up(mesh.perturbed_triangular_2d_family(4), 6)\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "nbytes = sum(a.nbytes for m in meshes for a in vars(m).values()\n"
+        "             if isinstance(a, np.ndarray))\n"
+        "print(rise * 1024, nbytes, mesh.BLOCK_ROWS)\n")
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, "-c", script],
+                         env=_subprocess_env(), capture_output=True, text=True,
+                         timeout=120, check=True)
+    rise, nbytes, block = map(int, out.stdout.split())
+    # the meshes themselves (10.2 MiB) and one block of scratch at 1 KiB a
+    # row: project_l1 on a triangle, the widest pass, takes about 0.4 KiB a
+    # row (7 points of 2 coordinates, a weight, a value and the datum's
+    # temporaries, in doubles), and the rest is room for the allocator.
+    # Passes over whole levels rose 25.2 MiB; blocks of 2 048 rows, 10.9
+    assert rise < nbytes + block * 1024, (rise, nbytes)
 
 
 def test_mesh_file_rejects_unknown_header():

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from lwfv import solver as solver_module
 from lwfv import (
     TimeGrid,
     cartesian_2d_family,
@@ -45,8 +46,8 @@ from lwfv.solver import (
     solve_to_file,
 )
 
+from launcher import _LAUNCH, _subprocess_env
 from oracles import brute_muscl_step, brute_upwind_step, sorted_cell_order
-from test_exports import _subprocess_env
 
 
 def _sine_datum():
@@ -540,19 +541,14 @@ def test_history_reader_refuses_a_file_that_shrinks_after_its_size_check(
         read_history(p)
 
 
-# Starts the Python command argv[1:] and exits with its status.  A process
-# begins with the ru_maxrss of the one that started it (Linux keeps it
-# across fork and exec), so a measured reader is started by this small
-# process, not by the test runner.
-_LAUNCH = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux only")
 def test_history_reader_holds_the_states_once(tmp_path):
     # the states are read into their own array, past the map, about 1 MB
-    # at a time: the peak grows by their bytes plus the finiteness mask,
-    # not by a mapped table and its copy (twice their bytes)
+    # at a time, and checked as each block lands: the peak grows by their
+    # bytes and a block (1.04 times their bytes), not by a mapped table and
+    # its copy (twice their bytes), nor by an (N+1) x cells finiteness mask
+    # (1.16 times)
     n_rows, n_cells = 1025, 4096  # 32 MiB of states
     p = tmp_path / "h.npy"
     with open(p, "wb") as fh:
@@ -573,7 +569,26 @@ def test_history_reader_holds_the_states_once(tmp_path):
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
         check=True)
     states_bytes = n_rows * n_cells * 8
-    assert int(out.stdout) * 1024 < 1.4 * states_bytes, out.stdout
+    assert int(out.stdout) * 1024 < 1.1 * states_bytes, out.stdout
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_history_reader_names_the_lowest_bad_row_across_blocks(tmp_path, monkeypatch,
+                                                               order):
+    # blocks of 3 rows (C order) or of 3 cell columns (Fortran order); the
+    # lowest non-finite row, 13, sits in a later block of either than an
+    # infinite state at row 17, and in a later one than the first
+    n_rows, n_cells = 20, 10
+    table = np.full((n_rows, 1 + n_cells), 0.5)
+    table[:, 0] = np.linspace(0.0, 1.0, n_rows)
+    table[13, 1 + 9] = np.nan
+    table[17, 1 + 2] = np.inf
+    p = tmp_path / "h.npy"
+    np.save(p, np.asarray(table, order=order))
+    width = (1 + n_cells) if order == "C" else n_rows
+    monkeypatch.setattr(solver_module, "_READ_BYTES", 8 * 3 * width)
+    with pytest.raises(ValueError, match="history row 13 holds a time or a state"):
+        read_history(p)
 
 
 @pytest.mark.parametrize("edit", ["float32", "one_d", "one_row", "no_n_cells",

@@ -20,9 +20,11 @@ from lwfv import (
     smooth_function,
     uniform_1d_family,
 )
+from lwfv import mesh as mesh_module
 from lwfv.consistency import _SeminormSums
 from lwfv.operators import TimeGrid
 from lwfv.translations import (
+    _cell_integrals,
     translation_decay_study,
     translation_seminorm,
     uniform_decay_study,
@@ -64,6 +66,29 @@ def test_smooth_projection_matches_dense_midpoint_means():
     dense = dense_cell_means_1d(np.append(lo, hi[-1]), lambda x: np.sin(2 * np.pi * x),
                                 nsub=512)
     assert np.max(np.abs(f - dense)) <= 1e-8
+
+
+@pytest.mark.parametrize("name, level, datum", [
+    ("uniform-1d", 9, "sine_datum_1d"),
+    ("nonuniform-1d", 9, "indicator"),
+    ("uniform-1d", 9, "indicator-plus-cosine"),
+    ("cartesian-2d", 4, "sine_datum_2d"),
+    ("triangular-2d", 4, "sine_datum_2d"),
+])
+def test_blocked_projection_is_the_whole_mesh_projection(families, request, name,
+                                                         level, datum):
+    m = families[name].build(level)
+    assert m.n_cells > mesh_module.BLOCK_ROWS
+    if datum == "indicator":
+        u = interval_indicator(0.25, 0.65)
+    elif datum == "indicator-plus-cosine":
+        u = IntegrableFunction(
+            fn=lambda x: np.cos(3.0 * x[..., 0]) + ((x[..., 0] >= 0.3) & (x[..., 0] <= 0.71)),
+            interval=(0.3, 0.71))
+    else:
+        u = request.getfixturevalue(datum)
+    whole = _cell_integrals(m.cell_vertices, u) / m.cell_volume
+    assert project_l1(m, u).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("family", [cartesian_2d_family(4),
