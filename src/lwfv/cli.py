@@ -277,7 +277,7 @@ def cmd_mesh_gen(cfg: dict[str, str]) -> int:
     rows = []
     for lvl, mesh in enumerate(meshes):
         validate(mesh, raise_on_failure=True)
-        write_mesh(mesh, os.path.join(out, f"mesh_{lvl}.txt"))
+        write_mesh(mesh, os.path.join(out, f"mesh_{lvl}.npz"))
         q = compute_quality(mesh)
         rows.append((lvl, mesh.n_cells, mesh.h_max, q.theta_grad, q.theta,
                      q.tau, q.n_faces_max))
@@ -402,13 +402,13 @@ def cmd_solve(cfg: dict[str, str]) -> int:
     grid, u0, u_final = solve_to_file(mesh, problem,
                                       os.path.join(out, "history.npy"),
                                       cfl=_get_float(cfg, "cfl"))
-    write_mesh(mesh, os.path.join(out, "mesh.txt"))
+    write_mesh(mesh, os.path.join(out, "mesh.npz"))
     rows = [(c, float(grid.nodes[i]), u[c]) for i, u in ((0, u0), (-1, u_final))
             for c in range(mesh.n_cells)]
     reports.write_csv(os.path.join(out, "snapshots.csv"),
                       ["cell_id", "t", "u"], rows,
                       comments=_comments(cfg, "solve"))
-    print(f"solved {grid.n_steps} steps to t={grid.t_final:g}; wrote mesh.txt, "
+    print(f"solved {grid.n_steps} steps to t={grid.t_final:g}; wrote mesh.npz, "
           f"history.npy, snapshots.csv to {out}")
     return 0
 

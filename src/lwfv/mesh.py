@@ -75,7 +75,8 @@ import functools
 import itertools
 import math
 import operator
-import re
+import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -696,29 +697,27 @@ def compute_quality(mesh: Mesh) -> MeshQuality:
 
 
 def _sides(mesh: Mesh):
-    """Every (cell, face of the cell) pair, a block at a time: ``(faces,
-    cells, side)`` for the K side of each face, then the L side of each
-    interior face (``side`` "K" or "L"), in face order; ``faces`` is a
-    slice on the K side and an index array on the L side."""
+    """Every (cell, face of the cell) pair, a block of faces at a time:
+    ``(faces, cells, n_k)`` for the K side of each face of the block, then
+    the L side of each of its interior faces, in face order, so the first
+    ``n_k`` pairs are the K sides."""
     for s in _blocks(mesh.n_faces):
-        yield s, mesh.face_K[s], "K"
-    for s in _blocks(mesh.n_faces):
-        faces = s.start + np.flatnonzero(mesh.face_L[s] >= 0)
-        yield faces, mesh.face_L[faces], "L"
+        inner = s.start + np.flatnonzero(mesh.face_L[s] >= 0)
+        yield (np.concatenate([np.arange(s.start, s.stop), inner]),
+               np.concatenate([mesh.face_K[s], mesh.face_L[inner]]), s.stop - s.start)
 
 
 def _measure_quality(mesh: Mesh) -> MeshQuality:
     # the maxima of every block, so that a NaN ratio is the result, as it is
     # of one np.max over the whole mesh
     theta_grad, theta, tau = [0.0], [0.0], [0.0]
-    for faces, cells, side in _sides(mesh):
-        if side == "L":
-            theta_grad.append(_theta_grad_ratios(mesh, faces).max(initial=0.0))
-        dsig = mesh.face_dk[faces] + mesh.face_dl[faces]
-        part = (mesh.face_dk if side == "K" else mesh.face_dl)[faces]
+    for faces, cells, n_k in _sides(mesh):
+        theta_grad.append(_theta_grad_ratios(mesh, faces[n_k:]).max(initial=0.0))
+        dk, dl = mesh.face_dk[faces], mesh.face_dl[faces]
+        part = np.concatenate([dk[:n_k], dl[n_k:]])
         vol = mesh.cell_volume[cells]
         pos = part > 0
-        theta.append((dsig / vol).max(initial=0.0))
+        theta.append(((dk + dl) / vol).max(initial=0.0))
         tau.append((vol[pos] / part[pos]).max(initial=0.0))
     return MeshQuality(
         theta_grad=float(np.max(theta_grad)),
@@ -829,9 +828,9 @@ def validate(mesh: Mesh, raise_on_failure: bool = False) -> ValidationReport:
 
 
 def _first_short_anchor(mesh: Mesh) -> int | None:
-    """The first cell, K sides before L sides (:func:`_sides`), whose anchor
-    is not more than 4 eps (|x_K|_inf + h_K) inside one of its faces, or
-    None (see :func:`validate`)."""
+    """The cell of the first K side, in face order, whose anchor is not
+    more than 4 eps (|x_K|_inf + h_K) inside its face, else that of the
+    first such L side, else None (see :func:`validate`)."""
     # the signed cone height (x_K - s) . (-n_K,sigma) over every face sigma
     # of every cell K, s the face's first vertex and n_K,sigma the normal out
     # of K: the K side of every face, then the L side of the interior ones.
@@ -843,139 +842,120 @@ def _first_short_anchor(mesh: Mesh) -> int | None:
     # passes lies inside its cell and each of its cones has a positive
     # height, and one more than 2 tol inside every face passes
     tol = 4 * np.finfo(float).eps
-    for faces, cells, side in _sides(mesh):
+    first_l = None
+    for faces, cells, n_k in _sides(mesh):
         outward = mesh.face_normal[faces]
-        if side == "L":
-            outward *= -1.0
+        outward[n_k:] *= -1.0
         start = mesh.vertices[mesh.face_vertex_ids[faces, 0]]
         x = mesh.cell_center[cells]
         height = -np.einsum("fd,fd->f", x - start, outward)
         reach = np.abs(x).max(axis=1) + mesh.cell_diam[cells]
         short = ~(height > tol * reach)
-        if short.any():
-            return int(cells[np.argmax(short)])
-    return None
+        if short[:n_k].any():
+            return int(cells[np.argmax(short[:n_k])])
+        if first_l is None and short[n_k:].any():
+            first_l = int(cells[n_k + np.argmax(short[n_k:])])
+    return first_l
 
 
 # ---------------------------------------------------------------------------
-# text file format
+# mesh files: the four defining arrays as .npy members of a zip
 # ---------------------------------------------------------------------------
 
-_FMT = "{:.17g}"
-
-
-def _fmt_row(xs) -> str:
-    return " ".join(_FMT.format(x) for x in xs)
+# the members of a mesh file, ``<name>.npy``, in file order, and their dtypes
+_MEMBERS = {"vertices": np.dtype(np.float64), "cell_vertex_ids": np.dtype(np.int64),
+            "cell_center": np.dtype(np.float64), "box": np.dtype(np.float64)}
 
 
 def write_mesh(mesh: Mesh, path_or_buf) -> None:
-    """Write the line-oriented text format.
-
-    header: ``lwfv-mesh v3 dim=<d> nv=<vertices per cell>``, then ``# box``
-    vertex lines: ``vertex <id> <x...>``
-    cell lines: ``cell <id> <anchor...> <vertex ids...>``
+    """Write the four arrays that define ``mesh`` as the ``.npy`` members
+    ``vertices``, ``cell_vertex_ids``, ``cell_center`` and ``box`` (lo and hi
+    as a (2, d) array) of an uncompressed zip, which ``np.load`` reads.
 
     Only what defines the mesh is written: :func:`read_mesh` derives every
-    face and dual piece by the same code as the builders.  Reals carry 17
-    significant digits, so a file reloads to the same mesh bit for bit.
+    face and dual piece by the same code as the builders, so a file reloads
+    to the same mesh bit for bit.  Every member is dated 1980-01-01 by its
+    own ``ZipInfo``, not by whatever zipfile or numpy would stamp, so the
+    same mesh gives the same bytes on every write.
     """
-    with open_file(path_or_buf, "w") as fh:
-        fh.write(f"lwfv-mesh v3 dim={mesh.dim} nv={mesh.cell_vertex_ids.shape[1]}\n")
-        fh.write(f"# box {_fmt_row(np.concatenate(mesh.box).tolist())}\n")
-        for v, x in enumerate(mesh.vertices.tolist()):
-            fh.write(f"vertex {v} {_fmt_row(x)}\n")
-        cells = zip(mesh.cell_center.tolist(), mesh.cell_vertex_ids.tolist())
-        for c, (x, ids) in enumerate(cells):
-            fh.write(f"cell {c} {_fmt_row(x)} {' '.join(map(str, ids))}\n")
+    arrays = (mesh.vertices, mesh.cell_vertex_ids, mesh.cell_center, np.stack(mesh.box))
+    with open_file(path_or_buf, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        for (name, dtype), array in zip(_MEMBERS.items(), arrays):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as member:
+                np.lib.format.write_array(member, array.astype(dtype, copy=False),
+                                          allow_pickle=False)
 
 
-def _ordered(rows: dict[int, tuple], kind: str) -> list:
-    """Rows by id, after checking the ids are exactly 0..n-1."""
-    if sorted(rows) != list(range(len(rows))):
-        missing = sorted(set(range(len(rows))) - set(rows))
-        raise MeshError(
-            f"{kind} ids must be 0..{len(rows) - 1}; missing {missing[:5]}"
-        )
-    return [rows[i] for i in range(len(rows))]
+def _read_member(zf: zipfile.ZipFile, name: str, dtype: np.dtype, size: int) -> np.ndarray:
+    """The array of the member ``<name>.npy`` of a ``size``-byte file, read
+    once its zip entry and its ``.npy`` header have been checked, so that
+    neither can make the reader allocate more than the file holds."""
+    info = zf.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise MeshError(f"member {name} is compressed: a mesh file's members are stored")
+    if not info.compress_size == info.file_size <= size:
+        raise MeshError(f"member {name} claims {info.file_size} bytes of a {size}-byte file")
+    fmt = np.lib.format
+    with zf.open(info) as fh:
+        version = fmt.read_magic(fh)
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran, got = read_header(fh)
+        if got != dtype or len(shape) != 2 or min(shape) < 1:
+            raise MeshError(f"member {name} must be a non-empty 2-d {dtype} array, "
+                            f"got {got} of shape {shape}")
+        nbytes, held = math.prod(shape) * dtype.itemsize, info.file_size - fh.tell()
+        if nbytes != held:
+            raise MeshError(f"member {name}: its header promises {nbytes} bytes "
+                            f"of data, the member holds {held}")
+        data = fh.read(nbytes)
+    return np.ascontiguousarray(np.frombuffer(data, dtype).reshape(
+        shape, order="F" if fortran else "C"))
 
 
 def read_mesh(path_or_buf) -> Mesh:
-    """Load a mesh written by :func:`write_mesh`: its box, vertices, cells
-    and anchors, from which :class:`Mesh` derives the rest, so the mesh
+    """Load a mesh written by :func:`write_mesh`, or by ``np.savez`` of the
+    same four arrays, from which :class:`Mesh` derives the rest, so the mesh
     equals the one that was written, bit for bit.
 
-    Raises MeshError on a v1 or v2 file (``lwfv mesh-gen`` rewrites it from
-    the config that made it) and on a malformed file: a header without
-    nv = 2 in 1d or nv = 3 or 4 in 2d (the cells
-    :func:`quadrature.cell_rule` integrates), a line with the wrong field
-    count or a non-numeric or non-finite field, no box comment, a second
-    one, or one without lo < hi on every axis, vertex or cell ids other
-    than 0..n-1, a cell naming a missing vertex, a cell of the wrong shape
-    or orientation, a facet of three or more cells, or two cells on the
-    same side of a facet (the last three as GeometryError).  :func:`validate` checks the rest.
+    Raises MeshError on a ``lwfv-mesh`` text file (``lwfv mesh-gen``
+    rewrites it from the config that made it) and on a malformed file: not
+    a zip, or one that is cut or damaged (each member's CRC-32 is checked);
+    a member missing, extra or compressed; a member that is not a 2-d array
+    of its dtype (float64, int64 for the ids), or whose header promises
+    more bytes than it holds; cells other than intervals (d = 1, nv = 2),
+    triangles or rectangles (d = 2, nv = 3 or 4), the cells
+    :func:`quadrature.cell_rule` integrates; anchors not (n_cells, d), a box
+    not (2, d); a non-finite coordinate; a box without lo < hi on every
+    axis.  :class:`Mesh` raises on a cell naming a missing vertex and, as
+    GeometryError, on a cell of the wrong shape or orientation, a facet of
+    three or more cells, or two cells on the same side of a facet.
+    :func:`validate` checks the rest.
     """
-    with open_file(path_or_buf) as fh:
-        header = " ".join(fh.readline().split())
-        match = re.fullmatch(r"lwfv-mesh v3 dim=(\d+) nv=(\d+)", header)
-        dim, nv = (int(g) for g in match.groups()) if match else (0, 0)
-        if (dim, nv) not in ((1, 2), (2, 3), (2, 4)):
-            old = re.match(r"lwfv-mesh v[12] ", header)
-            raise MeshError(
-                f"not a lwfv-mesh v3 file of intervals (dim=1 nv=2), triangles "
-                f"or rectangles (dim=2 nv=3 or 4): {header!r}"
-                + ("; v1 and v2 files are no longer read: rerun mesh-gen to "
-                   "rewrite them" if old else ""))
-        box = ()
-        width = {"vertex": 2 + dim, "cell": 2 + dim + nv}
-        rows: dict[str, dict[int, tuple]] = {"vertex": {}, "cell": {}}
-        for lineno, line in enumerate(fh, 2):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "#":
-                if len(parts) >= 2 and parts[1] == "box":
-                    if box:
-                        raise MeshError(f"line {lineno}: a second box line")
-                    try:
-                        vals = np.array([float(v) for v in parts[2:]])
-                    except ValueError as e:
-                        raise MeshError(f"line {lineno}: box: {e}") from None
-                    if vals.size != 2 * dim:
-                        raise MeshError(f"line {lineno}: box line has {vals.size} "
-                                        f"values, expected {2 * dim}")
-                    box = (vals[:dim], vals[dim:])
-                    if not (np.all(np.isfinite(vals)) and np.all(box[0] < box[1])):
-                        raise MeshError(f"line {lineno}: box needs finite values "
-                                        f"with lo < hi, got {' '.join(parts[2:])}")
-                continue
-            kind = parts[0]
-            if kind not in width:
-                raise MeshError(f"line {lineno}: unrecognised line kind {kind!r}")
-            if len(parts) != width[kind]:
-                raise MeshError(
-                    f"line {lineno}: {kind} line has {len(parts)} fields, "
-                    f"expected {width[kind]}"
-                )
-            try:
-                ident = int(parts[1])
-                coords = [float(v) for v in parts[2 : 2 + dim]]
-                ids = [int(v) for v in parts[2 + dim :]]
-            except ValueError as e:
-                raise MeshError(f"line {lineno}: {e}") from None
-            if not all(map(math.isfinite, coords)):
-                raise MeshError(f"line {lineno}: non-finite coordinate")
-            if ident in rows[kind]:
-                raise MeshError(f"line {lineno}: duplicate {kind} id {ident}")
-            rows[kind][ident] = coords, ids
-    if not box:
-        raise MeshError("mesh file has no '# box' line")
-    vertices, cells = (_ordered(rows[k], k) for k in ("vertex", "cell"))
-    if not cells:
-        raise MeshError("mesh file has no cells")
-    try:
-        ids = np.array([i for _, i in cells], dtype=np.int64)
-    except OverflowError:
-        c = next(c for c, (_, i) in enumerate(cells) if not all(-2**63 <= v < 2**63 for v in i))
-        raise MeshError(f"cell {c}: vertex id outside 0..{len(vertices) - 1}") from None
-    return Mesh(np.array([x for x, _ in vertices]).reshape(-1, dim), ids,
-                np.array([x for x, _ in cells]), box)
+    with open_file(path_or_buf, "rb") as fh:
+        if fh.read(9) == b"lwfv-mesh":
+            raise MeshError("lwfv-mesh text files are no longer read: rerun "
+                            "mesh-gen to write the mesh as mesh_<level>.npz")
+        size = fh.seek(0, os.SEEK_END)
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                names = sorted(zf.namelist())
+                if names != sorted(f"{name}.npy" for name in _MEMBERS):
+                    raise MeshError(f"a mesh file holds the members {', '.join(_MEMBERS)}"
+                                    f" (.npy), got {', '.join(names)}")
+                vertices, ids, anchors, box = (_read_member(zf, name, dtype, size)
+                                               for name, dtype in _MEMBERS.items())
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError) as e:
+            raise MeshError(f"mesh file cannot be read: {str(e) or type(e).__name__}") from None
+    n_cells, nv = ids.shape
+    dim = vertices.shape[1]
+    if (dim, nv) not in ((1, 2), (2, 3), (2, 4)):
+        raise MeshError(f"cells of {nv} vertices in {dim}d: a mesh holds intervals "
+                        "(d = 1, nv = 2), triangles or rectangles (d = 2, nv = 3 or 4)")
+    if anchors.shape != (n_cells, dim) or box.shape != (2, dim):
+        raise MeshError(f"cell_center must be ({n_cells}, {dim}) and box (2, {dim}), "
+                        f"got {anchors.shape} and {box.shape}")
+    if not (np.isfinite(vertices).all() and np.isfinite(anchors).all()):
+        raise MeshError("a vertex or an anchor has a non-finite coordinate")
+    if not (np.isfinite(box).all() and np.all(box[0] < box[1])):
+        raise MeshError(f"box needs finite values with lo < hi, got {box.tolist()}")
+    return Mesh(vertices, ids, anchors, (box[0], box[1]))

@@ -25,7 +25,7 @@ from lwfv.operators import bump_corpus_spacetime, polynomial_bump
 from lwfv.solver import Problem, SpaceTimeField, read_history, solve
 
 from oracles import brute_jump_seminorm, cell_edges_1d, dense_cell_means_1d
-from test_mesh import STACKED_FILES
+from test_mesh import STACKED_CELLS, _file_with, _npy
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -135,14 +135,17 @@ def test_mesh_gen_outputs_and_quality_columns(tmp_path):
     out = tmp_path / "m"
     assert run(["mesh-gen", "--out", str(out), "--levels", "3"]) == 0
     files = sorted(p.name for p in out.iterdir())
-    assert files == ["mesh_0.txt", "mesh_1.txt", "mesh_2.txt", "mesh_quality.csv"]
+    assert files == ["mesh_0.npz", "mesh_1.npz", "mesh_2.npz", "mesh_quality.csv"]
     lines = (out / "mesh_quality.csv").read_text().splitlines()
     assert lines[0].startswith("# lwfv mesh-gen")
     assert lines[1].startswith("# config ")
     assert lines[2] == "level,n_cells,h,theta_grad,theta,tau,n_faces_max"
     assert len(lines) == 3 + 3
-    m = read_mesh(str(out / "mesh_1.txt"))
+    m = read_mesh(str(out / "mesh_1.npz"))
     assert m.n_cells == 20
+    with np.load(out / "mesh_1.npz") as written:
+        assert written.files == ["vertices", "cell_vertex_ids", "cell_center", "box"]
+        assert written["cell_vertex_ids"].shape == (20, 2)
 
 
 def test_mesh_gen_rates_each_level_once(tmp_path, rated_cells):
@@ -161,7 +164,7 @@ def test_mesh_stats_exit_codes(tmp_path, capsys):
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])
     cfgp = tmp_path / "s.cfg"
-    cfgp.write_text(f"mesh_file = {out / 'mesh_0.txt'}\n")
+    cfgp.write_text(f"mesh_file = {out / 'mesh_0.npz'}\n")
     assert run(["mesh-stats", "--config", str(cfgp),
                 "--out", str(tmp_path / "so")]) == 0
     text = capsys.readouterr().out
@@ -179,7 +182,7 @@ def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys)
     built = tmp_path / "built.cfg"
     built.write_text(family + "level = 2\n")
     loaded = tmp_path / "loaded.cfg"
-    loaded.write_text(f"mesh_file = {tmp_path / 'm' / 'mesh_2.txt'}\n")
+    loaded.write_text(f"mesh_file = {tmp_path / 'm' / 'mesh_2.npz'}\n")
     capsys.readouterr()
     stats = []
     for cfgp in (built, loaded):
@@ -194,13 +197,20 @@ def test_mesh_stats_of_a_written_level_matches_the_built_level(tmp_path, capsys)
     assert any("[ok] boundary_on_box" in x for x in stats[1])
 
 
+def _saved_arrays(path) -> dict:
+    """The four arrays of the mesh file at ``path``, as writable copies."""
+    with np.load(path) as written:
+        return {name: written[name].copy() for name in written.files}
+
+
 def test_mesh_stats_of_a_mesh_outside_its_box_exits_2(tmp_path, capsys):
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])
-    path = out / "mesh_0.txt"
-    text = path.read_text()
-    assert "# box 0 1\n" in text
-    path.write_text(text.replace("# box 0 1\n", "# box 5 6\n"))
+    path = out / "mesh_0.npz"
+    members = _saved_arrays(path)
+    assert members["box"].tolist() == [[0.0], [1.0]]
+    members["box"] = np.array([[5.0], [6.0]])
+    np.savez(path, **members)
     cfgp = tmp_path / "s.cfg"
     cfgp.write_text(f"mesh_file = {path}\n")
     capsys.readouterr()
@@ -217,13 +227,13 @@ def test_mesh_stats_of_a_domain_cut_inside_exits_2(tmp_path, capsys):
     # split into two boundary faces, which no other check sees
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])
-    path = out / "mesh_0.txt"
-    lines = path.read_text().splitlines(keepends=True)
-    cell = next(i for i, x in enumerate(lines) if x.startswith("cell 5 "))
-    assert lines[cell].endswith(" 5 6\n")
-    lines[cell] = lines[cell][: -len(" 5 6\n")] + " 11 6\n"
-    lines.insert(cell, "vertex 11 0.5\n")
-    path.write_text("".join(lines))
+    path = out / "mesh_0.npz"
+    members = _saved_arrays(path)
+    ids, vertices = members["cell_vertex_ids"], members["vertices"]
+    assert ids[5].tolist() == [5, 6] and len(vertices) == 11
+    ids[5] = [11, 6]
+    members["vertices"] = np.vstack([vertices, vertices[5:6]])
+    np.savez(path, **members)
     cfgp = tmp_path / "s.cfg"
     cfgp.write_text(f"mesh_file = {path}\n")
     capsys.readouterr()
@@ -236,33 +246,45 @@ def test_mesh_stats_of_a_domain_cut_inside_exits_2(tmp_path, capsys):
 def test_mesh_stats_rejects_malformed_file_with_exit_2(tmp_path, capsys):
     out = tmp_path / "m"
     run(["mesh-gen", "--out", str(out), "--levels", "1"])
-    lines = (out / "mesh_0.txt").read_text().splitlines(keepends=True)
-    vertex = next(i for i, x in enumerate(lines) if x.startswith("vertex 1 "))
-    cell = next(i for i, x in enumerate(lines) if x.startswith("cell 2 "))
-    missing_vertex, descending = lines.copy(), lines.copy()
-    missing_vertex[cell] = "cell 2 0.25 2 70\n"  # vertices 0..10 only
-    descending[cell] = "cell 2 0.25 3 2\n"
-    truncated = lines.copy()
-    truncated[cell] = "cell 2 0.1\n"
-    box = next(i for i, x in enumerate(lines) if x.startswith("# box "))
-    short_box, bad_box = lines.copy(), lines.copy()
-    short_box[box] = "# box 0\n"  # a 1d box needs two values
-    bad_box[box] = "# box 0 one\n"
-    v1_header, no_vertex = lines.copy(), lines.copy()
-    v1_header[0] = "lwfv-mesh v1 dim=1\n"  # a format that stored no vertices
-    no_vertex[vertex] = "vertex 1\n"
-    for name, text in (("missing", missing_vertex), ("truncated", truncated),
-                       ("short_box", short_box), ("bad_box", bad_box),
-                       ("v1_header", v1_header), ("no_vertex", no_vertex),
-                       ("descending", descending), *STACKED_FILES.items()):
-        path = tmp_path / f"{name}.txt"
-        path.write_text("".join(text))
+    good = out / "mesh_0.npz"
+    members = _saved_arrays(good)
+
+    def changed(name, row, value):
+        array = members[name].copy()
+        array[row] = value
+        return {**members, name: array}
+
+    def without(name):
+        return {k: v for k, v in members.items() if k != name}
+
+    cases = {
+        "missing": changed("cell_vertex_ids", 2, [2, 70]),  # vertices 0..10 only
+        "descending": changed("cell_vertex_ids", 2, [3, 2]),
+        "short_box": {**members, "box": members["box"][:1]},  # a 1d box is (2, 1)
+        "nan_box": changed("box", 1, np.nan),
+        "float_ids": {**members, "cell_vertex_ids": members["cell_vertex_ids"] * 1.0},
+        "no_anchors": without("cell_center"),
+        **STACKED_CELLS,
+        # a text file, a cut file, and a member whose header promises
+        # 16 TiB and holds none of it: np.load raises MemoryError on it
+        "text": b"lwfv-mesh v3 dim=1 nv=2\n# box 0 1\n",
+        "cut": good.read_bytes()[:-1],
+        "no_data": _file_with(without("cell_vertex_ids"), "cell_vertex_ids",
+                              _npy(shape=(2**40, 2))).getvalue(),
+    }
+    for name, case in cases.items():
+        path = tmp_path / f"{name}.npz"
+        if isinstance(case, bytes):
+            path.write_bytes(case)
+        else:
+            np.savez(path, **case)
         cfgp = tmp_path / f"{name}.cfg"
         cfgp.write_text(f"mesh_file = {path}\n")
         assert run(["mesh-stats", "--config", str(cfgp)]) == 2, name
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
         assert ("cells 0 and 1 lie on the same side" in err) == name.startswith("stacked")
+        assert ("rerun mesh-gen" in err) == (name == "text")
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "out-is-a-file",
@@ -329,9 +351,9 @@ def test_solve_outputs_and_snapshots(tmp_path):
     out = tmp_path / "s"
     assert run(["solve", "--config", str(cfgp), "--out", str(out)]) == 0
     assert sorted(q.name for q in out.iterdir()) == [
-        "history.npy", "mesh.txt", "snapshots.csv"]
+        "history.npy", "mesh.npz", "snapshots.csv"]
     grid, vals = read_history(str(out / "history.npy"))
-    m = read_mesh(str(out / "mesh.txt"))
+    m = read_mesh(str(out / "mesh.npz"))
     lines = (out / "snapshots.csv").read_text().splitlines()
     assert lines[2] == "cell_id,t,u"
     body = [ln.split(",") for ln in lines[3:]]
@@ -462,7 +484,7 @@ def test_outputs_get_the_permissions_of_the_umask(tmp_path):
     modes = {q.name: oct(q.stat().st_mode & 0o777)
              for q in (tmp_path / "o").iterdir()}
     assert sorted(modes) == ["history.npy", "lw_report.csv", "lw_summary.txt",
-                             "mesh.txt", "mesh_0.txt", "mesh_1.txt",
+                             "mesh.npz", "mesh_0.npz", "mesh_1.npz",
                              "mesh_quality.csv", "snapshots.csv"]
     assert set(modes.values()) == {"0o644"}, modes
 
@@ -507,7 +529,7 @@ def test_outputs_byte_identical_across_out_dir(tmp_path):
     for command, config, files in [
         ("lw-verify", "levels = 2\nphi_count = 2\n",
          ["lw_report.csv", "lw_summary.txt"]),
-        ("solve", "level = 1\n", ["history.npy", "mesh.txt", "snapshots.csv"]),
+        ("solve", "level = 1\n", ["history.npy", "mesh.npz", "snapshots.csv"]),
     ]:
         cfgp = tmp_path / f"{command}.cfg"
         cfgp.write_text(
@@ -578,7 +600,7 @@ def _readme_files(command, levels):
     text = README.read_text(encoding="utf-8")
     section = text.split("\n### Files written\n", 1)[1].split("\n### ", 1)[0]
     item = re.search(rf"^- `{command}`:(.*?)(?=^- |\Z)", section, re.M | re.S)
-    names = re.findall(r"`([\w<>]+\.(?:csv|txt))`", item.group(1))
+    names = re.findall(r"`([\w<>]+\.(?:csv|txt|npz))`", item.group(1))
     return sorted({n.replace("<level>", str(lvl)) for n in names
                    for lvl in range(levels)})
 
@@ -640,6 +662,6 @@ def test_mesh_gen_deterministic(tmp_path):
     b = tmp_path / "b"
     assert run(["mesh-gen", "--config", str(cfgp), "--out", str(a)]) == 0
     assert run(["mesh-gen", "--config", str(cfgp), "--out", str(b)]) == 0
-    assert (a / "mesh_1.txt").read_bytes() == (b / "mesh_1.txt").read_bytes()
+    assert (a / "mesh_1.npz").read_bytes() == (b / "mesh_1.npz").read_bytes()
     assert (a / "mesh_quality.csv").read_bytes() == \
         (b / "mesh_quality.csv").read_bytes()

@@ -71,12 +71,22 @@ def test_no_unused_imports():
 _NP_SAVERS = {"save", "savez", "savez_compressed", "savetxt"}
 
 
+def _writes(call: ast.Call) -> bool:
+    """Whether the mode of an ``open``-like call, its second argument or
+    ``mode=`` ("r" when absent), is anything but a constant read mode."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
 def _unguarded_writes(text: str) -> list[str]:
     """Calls in module source ``text`` that write a file without going
     through ``reports.open_file``, as "line: call": ``open`` with a mode
     that is not a constant read mode, any ``tempfile`` call or import, and
-    an ``np.save`` (or ``savez``, ``savez_compressed``, ``savetxt``) whose
-    file is not a name that a ``with`` statement bound."""
+    an ``np.save`` (or ``savez``, ``savez_compressed``, ``savetxt``) or a
+    writing ``zipfile.ZipFile`` whose file is not a name that a ``with``
+    statement bound."""
     tree = ast.parse(text)
     streams = {item.optional_vars.id for node in ast.walk(tree)
                if isinstance(node, ast.With) for item in node.items
@@ -89,19 +99,19 @@ def _unguarded_writes(text: str) -> list[str]:
             continue
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg == "mode"),
-                ast.Constant("r"))
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and not set(mode.value) & set("wax+")):
+            if _writes(node):
                 found.append((node.lineno, "open"))
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            on_stream = (node.args and isinstance(node.args[0], ast.Name)
+                         and node.args[0].id in streams)
             if func.value.id == "tempfile":
                 found.append((node.lineno, f"tempfile.{func.attr}"))
             elif (func.value.id in ("np", "numpy") and func.attr in _NP_SAVERS
-                  and not (node.args and isinstance(node.args[0], ast.Name)
-                           and node.args[0].id in streams)):
+                  and not on_stream):
                 found.append((node.lineno, f"np.{func.attr}"))
+            elif (func.value.id == "zipfile" and func.attr == "ZipFile" and _writes(node)
+                  and not on_stream):
+                found.append((node.lineno, "zipfile.ZipFile"))
     return [f"{line}: {call}" for line, call in sorted(found)]
 
 
@@ -111,10 +121,12 @@ def test_every_file_is_written_through_reports_open_file():
     assert _unguarded_writes(
         "from tempfile import mkstemp\nopen(p, 'w')\nopen(p, mode='ab')\n"
         "open(p, m)\ntempfile.mkstemp()\nnp.save('h.npy', a)\n"
+        "zipfile.ZipFile(p, 'w')\nzipfile.ZipFile(p, mode='a')\n"
         "with open_file(p, 'wb') as fh:\n    np.save(fh, a)\n"
-        "open(p)\nopen(p, 'rb')\n") == [
+        "    zipfile.ZipFile(fh, 'w')\n"
+        "open(p)\nopen(p, 'rb')\nzipfile.ZipFile(p)\nzipfile.ZipFile(p, 'r')\n") == [
         "1: from tempfile", "2: open", "3: open", "4: open",
-        "5: tempfile.mkstemp", "6: np.save"]
+        "5: tempfile.mkstemp", "6: np.save", "7: zipfile.ZipFile", "8: zipfile.ZipFile"]
     found = {path.name: _unguarded_writes(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "lwfv").glob("*.py"))
              if path.name != "reports.py"}

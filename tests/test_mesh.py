@@ -7,8 +7,12 @@ run pinned once) and the builders are required to reproduce them.
 import dataclasses
 import hashlib
 import io
+import struct
 import subprocess
 import sys
+import time
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -87,13 +91,15 @@ def test_validate_passes_and_reports(families):
 
 
 def test_validate_catches_a_damaged_file():
-    # cell 1's anchor moved into cell 2 of a file
-    text = _replace_line(_mesh_text(4), "cell 1 ", "cell 1 0.625 1 2\n")
-    rep = validate(read_mesh(io.StringIO(text)))
+    # cell 1's anchor moved into cell 2
+    members = _members(build_uniform_1d(4))
+    members["cell_center"][1] = 0.625
+    damaged = _mesh(members)
+    rep = validate(damaged)
     assert rep.failing() == ["anchor_inside"]
     assert rep.checks[2][2].endswith(", not cell 1")
     with pytest.raises(MeshError, match="mesh validation failed: anchor_inside"):
-        validate(read_mesh(io.StringIO(text)), raise_on_failure=True)
+        validate(damaged, raise_on_failure=True)
 
 
 def test_mesh_is_its_four_defining_arrays():
@@ -306,10 +312,7 @@ def test_mesh_arrays_are_read_only():
                         ("nonuniform", build_nonuniform_1d(8)),
                         ("cartesian", build_cartesian_2d(3, 2)),
                         ("triangular", build_perturbed_triangular_2d(4))):
-        buf = io.StringIO()
-        write_mesh(built, buf)
-        loaded = read_mesh(io.StringIO(buf.getvalue()))
-        for mesh in (built, loaded):
+        for mesh in (built, _reloaded(built)):
             arrays = _array_fields(mesh)
             assert len(arrays) >= 13, name
             for field_name, arr in arrays:
@@ -368,10 +371,39 @@ def test_quality_is_computed_once_per_mesh(rated_cells):
 # ---------------------------------------------------------------------------
 
 
+def _members(mesh) -> dict:
+    """The four arrays a mesh file holds, as copies that a test may edit."""
+    return {"vertices": mesh.vertices.copy(), "cell_vertex_ids": mesh.cell_vertex_ids.copy(),
+            "cell_center": mesh.cell_center.copy(), "box": np.stack(mesh.box)}
+
+
+def _file(members, save=np.savez) -> io.BytesIO:
+    """A mesh file of ``members`` as ``np.savez`` (or ``save``) writes it."""
+    buf = io.BytesIO()
+    save(buf, **members)
+    return io.BytesIO(buf.getvalue())
+
+
+def _written(mesh) -> bytes:
+    buf = io.BytesIO()
+    write_mesh(mesh, buf)
+    return buf.getvalue()
+
+
+def _reloaded(mesh):
+    return read_mesh(io.BytesIO(_written(mesh)))
+
+
+def _mesh(members) -> Mesh:
+    """The mesh of the four arrays of a file, built without a file."""
+    return Mesh(members["vertices"], members["cell_vertex_ids"], members["cell_center"],
+                tuple(members["box"]))
+
+
 def test_mesh_file_round_trip_bit_exact(tmp_path, families):
     for name, fam in families.items():
-        p1 = tmp_path / f"{name}-a.txt"
-        p2 = tmp_path / f"{name}-b.txt"
+        p1 = tmp_path / f"{name}-a.npz"
+        p2 = tmp_path / f"{name}-b.npz"
         m = fam.build(1)
         write_mesh(m, str(p1))
         m2 = read_mesh(str(p1))
@@ -385,27 +417,95 @@ def test_mesh_file_round_trip_bit_exact(tmp_path, families):
         assert q1.theta_grad == q2.theta_grad and q1.theta == q2.theta
 
 
-# sha256 of write_mesh output.  Re-recorded for the v3 format after a
-# comparison with the v2 files: the box, every anchor and every vertex row
-# kept its characters
+# sha256 of write_mesh output.  Re-recorded for the zip of .npy members,
+# which replaced the lwfv-mesh v3 text: the same four arrays, whose reloads
+# are compared bit for bit in test_loaded_mesh_computes_what_the_built_mesh_does
 PINNED_MESH_BYTES = {
-    ("uniform-1d", 0): "2181fb52e2158e2a5ba39476c2544608eb000f48cde27560f4661ad15b2dbdb0",
-    ("uniform-1d", 1): "5b98e5d0cb7757c5e571ed1accdc554e087ba52c292944cad50b56be8c5dd97d",
-    ("nonuniform-1d", 0): "c66ff93990ad031e978b31681da8316a816bb7ba7eb7e12f217ab9016ff7ff8b",
-    ("nonuniform-1d", 1): "216129b7de4e285d68a758f056b931c3391c54bb0a6c1abcb040219aba24dc68",
-    ("cartesian-2d", 0): "996316bacee8dbbeeb944c921ec520583e27536495fd1a35ea2e85f4db54270a",
-    ("cartesian-2d", 1): "11fc7f2901b207b021a7c8f0d2f43ae91c50f76240136cf6719ea5961d3628d8",
-    ("triangular-2d", 0): "529a62459d81b71c32ff3a52c471b322b9e4d36e23c3d3a5b00b506f8de51988",
-    ("triangular-2d", 1): "a57cf4b10e44df73e0f4f67d6cc2178220440ca92188774804f63db02f42d6bc",
+    ("uniform-1d", 0): "cc24378b7e25b786c73dffc2d848572e1a7cf6fce30fb52b61351a6e72df020e",
+    ("uniform-1d", 1): "70419d1cfc99701a962973247032a253bb72ef19e731b419de73af8405eadec4",
+    ("nonuniform-1d", 0): "d6fbb4479b62debee6e85c9a265c63981e4134f9300868bc074216584eb05d98",
+    ("nonuniform-1d", 1): "e0b37c195fe8cc0ec967de385826cf811e04e74402bc89250d66822b11e7e52c",
+    ("cartesian-2d", 0): "1595822423332bfdab40beab3ca911f8796918ed95b9c666b5e093a2e53f6e12",
+    ("cartesian-2d", 1): "ee11e820eee5047e3fbe75597096284335e82b357d1d5bf6c280f4652170e530",
+    ("triangular-2d", 0): "7e88f0e70091753e9ab1ef00119eb7a43667cd10b3ea71facd1af122ba1b75e8",
+    ("triangular-2d", 1): "225cb808f8f2cff20383b24d637789067c3978a042ccb456e41443e3ad10b8f5",
 }
 
 
 @pytest.mark.parametrize("name,level", sorted(PINNED_MESH_BYTES))
 def test_written_mesh_bytes_are_pinned(families, name, level):
-    buf = io.StringIO()
-    write_mesh(families[name].build(level), buf)
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256(_written(families[name].build(level))).hexdigest()
     assert digest == PINNED_MESH_BYTES[name, level]
+
+
+def test_written_mesh_bytes_do_not_follow_the_clock(monkeypatch):
+    # every member is dated 1980-01-01, so writes a second or a year apart
+    # agree; zipfile's writestr would stamp the time of the write
+    m = build_perturbed_triangular_2d(4)
+    written = []
+    for now in (1.7e9, 1.7e9 + 1.0, 1.7e9 + 3.2e7):
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        written.append(_written(m))
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("where", ["memory", "disk"])
+def test_a_mesh_saved_by_numpy_reads_back_bit_for_bit(tmp_path, where):
+    # np.savez of the four arrays is a mesh file, also with a
+    # Fortran-ordered member; and np.load reads what write_mesh writes
+    m = build_perturbed_triangular_2d(4)
+    members = _members(m)
+    for layout in ("C", "F"):
+        if layout == "F":
+            members["vertices"] = np.asfortranarray(members["vertices"])
+            members["cell_vertex_ids"] = np.asfortranarray(members["cell_vertex_ids"])
+        with np.load(_file(members)) as saved:
+            assert saved["vertices"].flags.f_contiguous == (layout == "F")
+        source = _file(members)
+        if where == "disk":
+            source = tmp_path / f"{layout}.npz"
+            np.savez(source, **members)
+        loaded = read_mesh(source)
+        for (field, a), (_, b) in zip(_array_fields(m), _array_fields(loaded)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (
+                layout, field)
+    with np.load(io.BytesIO(_written(m))) as written:
+        assert written.files == ["vertices", "cell_vertex_ids", "cell_center", "box"]
+        for name, array in _members(m).items():
+            assert (written[name].dtype, written[name].tobytes()) == (array.dtype,
+                                                                      array.tobytes())
+
+
+def test_a_mesh_with_int32_ids_writes_a_file_it_reads():
+    # the writer casts each member to its dtype, which the reader requires
+    m = build_cartesian_2d(3, 2)
+    narrow = Mesh(m.vertices, m.cell_vertex_ids.astype(np.int32), m.cell_center, m.box)
+    assert _written(narrow) == _written(m)
+
+
+def test_mesh_file_refuses_compressed_members():
+    # a stored member is read in one read bounded by the file's size; a
+    # compressed one could inflate past it
+    with pytest.raises(MeshError, match="member vertices is compressed"):
+        read_mesh(_file(_members(build_uniform_1d(3)), np.savez_compressed))
+
+
+def test_reading_a_level_4_triangulation_takes_at_most_twice_its_build():
+    # the reader checks the members and hands them to Mesh, which derives
+    # the rest by the builders' code: a read costs about a build
+    data = _written(build_perturbed_triangular_2d(64))
+
+    def best(call):
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    build = best(lambda: build_perturbed_triangular_2d(64))
+    read = best(lambda: read_mesh(io.BytesIO(data)))
+    assert read <= 2 * build, (read, build)
 
 
 # sha256 prefixes of "<dtype> <shape> " and the bytes of every derived array,
@@ -550,131 +650,215 @@ def test_setting_up_a_family_holds_its_meshes_and_one_block():
     assert rise < nbytes + block * 1024, (rise, nbytes)
 
 
-def test_mesh_file_rejects_unknown_header():
-    with pytest.raises(MeshError):
-        read_mesh(io.StringIO("bogus-header v9 dim=1\n"))
-
-
-def _text(mesh) -> str:
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
+def _npy(array=None, *, descr="<i8", shape=None) -> bytes:
+    """The bytes of ``np.save(array)``, or of a bare header of ``descr``
+    and ``shape``."""
+    buf = io.BytesIO()
+    if array is not None:
+        np.save(buf, array, allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": descr, "fortran_order": False, "shape": shape})
     return buf.getvalue()
 
 
-def _mesh_text(n: int = 3) -> str:
-    return _text(build_uniform_1d(n))
+def _file_with(members, name, data: bytes) -> io.BytesIO:
+    """The file of ``members`` with ``data`` stored as one more member
+    ``<name>.npy``, after any of that name."""
+    buf = _file(members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zipfile warns of a duplicate name
+        with zipfile.ZipFile(buf, "a") as zf:
+            zf.writestr(f"{name}.npy", data)
+    return io.BytesIO(buf.getvalue())
 
 
-def _replace_line(text: str, prefix: str, new: str) -> str:
-    lines = text.splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-    lines[i] = new
-    return "".join(lines)
+def test_mesh_file_rejects_unknown_header():
+    # not a zip, or a zip cut inside its first member
+    for data in (b"bogus-header v9 dim=1\n", b"", _written(build_uniform_1d(3))[:40]):
+        with pytest.raises(MeshError, match="mesh file cannot be read"):
+            read_mesh(io.BytesIO(data))
+
+
+def test_mesh_file_rejects_a_cut_or_damaged_file():
+    # a cut file has no end record, and the CRC-32 of every member catches a
+    # changed byte of its data
+    data = _written(build_perturbed_triangular_2d(2))
+    for n in (0, 100, len(data) // 2, len(data) - 1):
+        with pytest.raises(MeshError, match="mesh file cannot be read"):
+            read_mesh(io.BytesIO(data[:n]))
+    damaged = bytearray(data)
+    damaged[data.index(_members(build_perturbed_triangular_2d(2))["vertices"].tobytes()) + 30] ^= 1
+    with pytest.raises(MeshError, match="Bad CRC-32 for file 'vertices.npy'"):
+        read_mesh(io.BytesIO(bytes(damaged)))
 
 
 def test_mesh_file_rejects_a_vertex_id_out_of_range():
-    text = _mesh_text(3)  # vertices 0..3; cell 1 is vertices 1 and 2
-    for bad in ("cell 1 0.5 1 7\n", "cell 1 0.5 -1 2\n", "cell 1 0.5 1 4\n",
-                "cell 1 0.5 1 99999999999999999999999\n"):
-        with pytest.raises(MeshError, match="vertex id"):
-            read_mesh(io.StringIO(_replace_line(text, "cell 1 ", bad)))
+    for bad in ([1, 7], [-1, 2], [1, 4], [1, 2**63 - 1], [-2**63, 2]):
+        members = _members(build_uniform_1d(3))  # vertices 0..3; cell 1 is 1, 2
+        members["cell_vertex_ids"][1] = bad
+        with pytest.raises(MeshError, match="cell 1: vertex id"):
+            read_mesh(_file(members))
 
 
-def test_mesh_file_rejects_truncated_line():
-    text = _mesh_text(3)
-    with pytest.raises(MeshError, match="fields"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 2 ", "cell 2 0.33\n")))
-    with pytest.raises(MeshError, match="fields"):
-        read_mesh(io.StringIO(_replace_line(text, "vertex 3 ", "vertex 3 1 2\n")))
+def test_mesh_file_rejects_a_missing_or_extra_member():
+    # the member set is the format: no member may be missing, and no other
+    # may come along, a version tag included
+    for name in ("vertices", "cell_vertex_ids", "cell_center", "box"):
+        members = _members(build_uniform_1d(3))
+        del members[name]
+        with pytest.raises(MeshError, match=f"members .*, got (?!.*{name})"):
+            read_mesh(_file(members))
+    members = _members(build_uniform_1d(3))
+    with pytest.raises(MeshError, match="members .*, got .*version.npy"):
+        read_mesh(_file({**members, "version": np.array([[4]])}))
 
 
-def test_mesh_file_rejects_bad_ids():
-    text = _mesh_text(3)
-    line = next(x for x in text.splitlines() if x.startswith("cell 1 "))
-    with pytest.raises(MeshError, match="duplicate cell id 0"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 0" + line[6:] + "\n")))
-    with pytest.raises(MeshError, match="cell ids must be"):
-        read_mesh(io.StringIO(_replace_line(text, "cell 1 ", "cell 5" + line[6:] + "\n")))
-    vertex = next(x for x in text.splitlines() if x.startswith("vertex 2 "))
-    with pytest.raises(MeshError, match="vertex ids must be"):
-        read_mesh(io.StringIO(_replace_line(text, "vertex 2 ", "vertex 9" + vertex[8:] + "\n")))
+@pytest.mark.parametrize("name, value, error", [
+    ("cell_vertex_ids", lambda a: a.astype(float), "cell_vertex_ids must be a non-empty "
+     r"2-d int64 array, got float64 of shape \(3, 2\)"),
+    ("cell_vertex_ids", lambda a: a.astype(np.int32), "got int32"),
+    ("cell_vertex_ids", lambda a: a.astype(object), "got object"),
+    ("vertices", lambda a: a.astype(np.float32), "vertices must be .* float64 array, got float32"),
+    ("vertices", lambda a: a.ravel(), r"vertices must be a non-empty 2-d .* shape \(4,\)"),
+    ("cell_vertex_ids", lambda a: a[:, :, None], r"shape \(3, 2, 1\)"),
+    ("cell_vertex_ids", lambda a: a[:0], r"non-empty .* shape \(0, 2\)"),
+    ("cell_center", lambda a: a[:2],
+     r"cell_center must be \(3, 1\) and box \(2, 1\), got \(2, 1\)"),
+    ("cell_center", lambda a: np.hstack([a, a]), r"got \(3, 2\) and \(2, 1\)"),
+    ("box", lambda a: a[:1], r"got \(3, 1\) and \(1, 1\)"),
+    ("box", lambda a: np.vstack([a, a]), r"got \(3, 1\) and \(4, 1\)"),
+    ("box", lambda a: np.hstack([a, a]), r"got \(3, 1\) and \(2, 2\)"),
+], ids=["float-ids", "int32-ids", "pickled-ids", "float32-vertices", "1d-vertices",
+        "3d-ids", "no-cells", "anchors-short", "anchors-wide", "box-short", "box-long",
+        "box-wide"])
+def test_mesh_file_rejects_a_member_of_the_wrong_dtype_or_shape(name, value, error):
+    # members of another dtype are not converted: ids of 1.0 are refused,
+    # and pickled data is never unpickled
+    members = _members(build_uniform_1d(3))
+    members[name] = value(members[name])
+    with pytest.raises(MeshError, match=error):
+        read_mesh(_file(members))
+
+
+def test_mesh_file_rejects_a_header_that_promises_more_than_its_member_holds():
+    # np.load would allocate the header's 16 TiB before it found the data
+    # missing; the reader compares the header with the member first
+    members = _members(build_uniform_1d(3))
+    ids = members.pop("cell_vertex_ids")
+    for data, held in ((_npy(shape=(2**40, 2)), 0),
+                       (_npy(ids)[:-8], ids.nbytes - 8),
+                       (_npy(ids) + bytes(8), ids.nbytes + 8)):
+        with pytest.raises(MeshError, match=f"member cell_vertex_ids: its header promises "
+                                            f"[0-9]+ bytes of data, the member holds {held}$"):
+            read_mesh(_file_with(members, "cell_vertex_ids", data))
+
+
+def test_mesh_file_rejects_a_member_larger_than_the_file():
+    # the zip's record of a member's size is checked against the file before
+    # the member is read: with a header to match, a claim of 16 MiB in a file
+    # of a few hundred bytes would be read into a 16 MiB buffer
+    members = _members(build_uniform_1d(3))
+    ids = members.pop("cell_vertex_ids")
+    header = _npy(shape=(2**20, 2))
+    raw = bytearray(_file_with(members, "cell_vertex_ids", header + ids.tobytes()).getvalue())
+    claim = len(header) + 2**24
+    # the sizes in the central directory's record, 46 bytes before its name
+    struct.pack_into("<II", raw, raw.rindex(b"cell_vertex_ids.npy") - 46 + 20, claim, claim)
+    with pytest.raises(MeshError, match=f"member cell_vertex_ids claims {claim} bytes "
+                                        f"of a {len(raw)}-byte file"):
+        read_mesh(io.BytesIO(bytes(raw)))
+
+
+@pytest.mark.parametrize("name", ["vertices", "cell_center"])
+def test_mesh_file_rejects_a_non_finite_coordinate(name):
+    for value in (np.nan, np.inf):
+        members = _members(build_cartesian_2d(2, 2))
+        members[name][1, 1] = value
+        with pytest.raises(MeshError, match="non-finite coordinate"):
+            read_mesh(_file(members))
 
 
 def test_mesh_file_rejects_a_facet_of_three_cells():
     # cell 2 of four made a copy of cell 1: vertex 2 then ends three cells
-    text = _replace_line(_mesh_text(4), "cell 2 ", "cell 2 0.375 1 2\n")
+    members = _members(build_uniform_1d(4))
+    members["cell_vertex_ids"][2] = [1, 2]
+    members["cell_center"][2] = 0.375
     with pytest.raises(GeometryError, match="cell 2: a facet shared by 3 cells"):
-        read_mesh(io.StringIO(text))
+        read_mesh(_file(members))
 
 
 # two copies of one cell, which cover half the box and passed every check
-STACKED_FILES = {
-    "stacked-triangles": "lwfv-mesh v3 dim=2 nv=3\n# box 0 0 1 1\nvertex 0 0 0\n"
-                         "vertex 1 1 0\nvertex 2 0 1\ncell 0 0.25 0.25 0 1 2\n"
-                         "cell 1 0.25 0.25 0 1 2\n",
-    "stacked-intervals": "lwfv-mesh v3 dim=1 nv=2\n# box 0 1\nvertex 0 0\nvertex 1 0.5\n"
-                         "cell 0 0.25 0 1\ncell 1 0.25 0 1\n",
+STACKED_CELLS = {
+    "stacked-triangles": {"vertices": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                          "cell_vertex_ids": np.array([[0, 1, 2], [0, 1, 2]]),
+                          "cell_center": np.full((2, 2), 0.25),
+                          "box": np.array([[0.0, 0.0], [1.0, 1.0]])},
+    "stacked-intervals": {"vertices": np.array([[0.0], [0.5]]),
+                          "cell_vertex_ids": np.array([[0, 1], [0, 1]]),
+                          "cell_center": np.full((2, 1), 0.25),
+                          "box": np.array([[0.0], [1.0]])},
 }
 
 
-@pytest.mark.parametrize("name", sorted(STACKED_FILES))
+@pytest.mark.parametrize("name", sorted(STACKED_CELLS))
 def test_mesh_file_rejects_two_cells_on_one_side_of_a_facet(name):
     # a facet's second occurrence must run opposite to its first
+    members = {k: v.copy() for k, v in STACKED_CELLS[name].items()}
     with pytest.raises(GeometryError, match="cells 0 and 1 lie on the same side"):
-        read_mesh(io.StringIO(STACKED_FILES[name]))
+        _mesh(members)
 
 
 def test_mesh_file_rejects_a_second_box_line():
-    # the last one used to win silently
-    text = _replace_line(_mesh_text(3), "vertex 0 ", "# box 0 2\nvertex 0 0\n")
-    with pytest.raises(MeshError, match="line 3: a second box line"):
-        read_mesh(io.StringIO(text))
+    # a zip may hold two members of one name, of which zipfile reads the
+    # last: a second box would win silently
+    members = _members(build_uniform_1d(3))
+    with pytest.raises(MeshError, match="members .*, got box.npy, box.npy, "):
+        read_mesh(_file_with(members, "box", _npy(np.array([[0.0], [2.0]]))))
 
 
-@pytest.mark.parametrize("mesh, line, bad, error", [
-    (build_uniform_1d(3), "cell 1 ", "cell 1 0.5 2 1", "cell 1: not an ascending interval"),
-    (build_perturbed_triangular_2d(2), "cell 0 ", None,
+@pytest.mark.parametrize("mesh, name, row, value, error", [
+    (build_uniform_1d(3), "cell_vertex_ids", 1, [2, 1], "cell 1: not an ascending interval"),
+    (build_perturbed_triangular_2d(2), "cell_vertex_ids", 0, None,
      "cell 0: not a counter-clockwise triangle"),
     # (0, 0.5) of cell 0 moved to (0.1, 0.5): a trapezoid, which cell_rule
     # would integrate over its bounding box
-    (build_cartesian_2d(2, 2), "vertex 3 ", "vertex 3 0.10000000000000001 0.5",
-     "cell 0: not an axis-aligned rectangle"),
+    (build_cartesian_2d(2, 2), "vertices", 3, [0.1, 0.5], "cell 0: not an axis-aligned rectangle"),
     # a rectangle listed from another corner
-    (build_cartesian_2d(2, 2), "cell 0 ", "cell 0 0.25 0.25 1 4 3 0",
+    (build_cartesian_2d(2, 2), "cell_vertex_ids", 0, [1, 4, 3, 0],
      "cell 0: not an axis-aligned rectangle"),
 ], ids=["interval-descending", "triangle-clockwise", "trapezoid", "rectangle-rotated"])
-def test_mesh_file_rejects_a_cell_of_the_wrong_shape(mesh, line, bad, error):
-    text = _text(mesh)
-    if bad is None:  # the cell's vertex ids in the other orientation
-        parts = next(x for x in text.splitlines() if x.startswith(line)).split()
-        bad = " ".join(parts[:-3] + parts[:-4:-1])
+def test_mesh_file_rejects_a_cell_of_the_wrong_shape(mesh, name, row, value, error):
+    members = _members(mesh)
+    # None: the cell's vertex ids in the other orientation
+    members[name][row] = members[name][row, ::-1].copy() if value is None else value
     with pytest.raises(GeometryError, match=error):
-        read_mesh(io.StringIO(_replace_line(text, line, bad + "\n")))
+        read_mesh(_file(members))
 
 
 @pytest.mark.parametrize("mesh, box", [
-    (build_uniform_1d(3), None), (build_uniform_1d(3), "0 inf"),
-    (build_uniform_1d(3), "nan 1"), (build_uniform_1d(3), "1 1"),
-    (build_uniform_1d(3), "1 0"), (build_cartesian_2d(2, 2), "0 0 inf 1"),
-    (build_cartesian_2d(2, 2), "0 0.5 1 0.5"),
+    (build_uniform_1d(3), None), (build_uniform_1d(3), [[0], [np.inf]]),
+    (build_uniform_1d(3), [[np.nan], [1]]), (build_uniform_1d(3), [[1], [1]]),
+    (build_uniform_1d(3), [[1], [0]]), (build_cartesian_2d(2, 2), [[0, 0], [np.inf, 1]]),
+    (build_cartesian_2d(2, 2), [[0, 0.5], [1, 0.5]]),
 ], ids=["missing", "inf", "nan", "lo=hi", "lo>hi", "2d-inf", "2d-lo=hi"])
 def test_mesh_file_needs_a_finite_box(mesh, box):
     # |Omega| is the measure of the box: with an infinite one both
     # partition checks would pass as inf <= inf
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    text = _replace_line(buf.getvalue(), "# box ", "" if box is None else f"# box {box}\n")
+    members = _members(mesh)
+    if box is None:
+        del members["box"]
+    else:
+        members["box"] = np.array(box, dtype=float)
     with pytest.raises(MeshError, match="box"):
-        read_mesh(io.StringIO(text))
+        read_mesh(_file(members))
 
 
 def test_reloaded_mesh_keeps_its_measures_bit_for_bit():
     # |Omega| comes from the box, not from the file's cell volumes, which
     # add up to 0.9999999999999988 on this level
     m = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(2)
-    buf = io.StringIO()
-    write_mesh(m, buf)
-    loaded = read_mesh(io.StringIO(buf.getvalue()))
+    loaded = _reloaded(m)
     assert loaded.domain_measure == m.domain_measure == 1.0
     assert loaded.h_max == m.h_max == float(m.cell_diam.max())
 
@@ -683,64 +867,46 @@ def test_loaded_mesh_with_a_wrong_cell_volume_fails_the_cell_partition():
     # measured against the box, not against the volumes themselves.  The
     # file derives |K| from the vertices, so its cells shrink: the vertices
     # at x = 1 moved to x = 0.9, which also takes the right side off the box
-    m = build_cartesian_2d(4, 4)
-    buf = io.StringIO()
-    write_mesh(m, buf)
-    lines = buf.getvalue().splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        parts = line.split()
-        if parts[0] == "vertex" and parts[2] == "1":
-            lines[i] = f"vertex {parts[1]} 0.90000000000000002 {parts[3]}\n"
-    loaded = read_mesh(io.StringIO("".join(lines)))
+    members = _members(build_cartesian_2d(4, 4))
+    vertices = members["vertices"]
+    vertices[vertices[:, 0] == 1.0, 0] = 0.9
+    loaded = read_mesh(_file(members))
     assert loaded.cell_volume.sum() < 0.95
     assert validate(loaded).failing() == ["cell_partition", "boundary_on_box"]
     # the unit interval twice over, each copy with its own vertex ids: every
     # boundary face is on the box and every anchor inside its cell, and the
     # cells cover the box twice
-    twice = read_mesh(io.StringIO(
-        "lwfv-mesh v3 dim=1 nv=2\n# box 0 1\nvertex 0 0\nvertex 1 1\n"
-        "vertex 2 0\nvertex 3 1\ncell 0 0.5 0 1\ncell 1 0.5 2 3\n"))
+    twice = Mesh(np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([[0, 1], [2, 3]]),
+                 np.full((2, 1), 0.5), (np.zeros(1), np.ones(1)))
     assert validate(twice).failing() == ["cell_partition"]
 
 
-def _with_box(mesh, box_line):
-    """The text of ``mesh`` as written, with its box line replaced."""
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    lines = buf.getvalue().splitlines(keepends=True)
-    i = next(i for i, x in enumerate(lines) if x.startswith("# box "))
-    lines[i] = box_line + "\n"
-    return "".join(lines)
+def _with_box(mesh, lo, hi):
+    """``mesh`` with its box replaced."""
+    return Mesh(mesh.vertices, mesh.cell_vertex_ids, mesh.cell_center,
+                (np.array(lo, dtype=float), np.array(hi, dtype=float)))
 
 
-@pytest.mark.parametrize("mesh, box_line", [
-    (build_uniform_1d(4), "# box 5 6"),
-    (build_cartesian_2d(4, 4), "# box 0.5 0.5 1.5 1.5"),
+@pytest.mark.parametrize("mesh, lo, hi", [
+    (build_uniform_1d(4), [5], [6]),
+    (build_cartesian_2d(4, 4), [0.5, 0.5], [1.5, 1.5]),
 ], ids=["1d", "2d"])
-def test_mesh_outside_its_box_fails_validation(mesh, box_line):
+def test_mesh_outside_its_box_fails_validation(mesh, lo, hi):
     # the measure of the box is still 1, so only the box check can tell
     assert validate(mesh).ok
-    loaded = read_mesh(io.StringIO(_with_box(mesh, box_line)))
-    assert validate(loaded).failing() == ["boundary_on_box"]
+    assert validate(_with_box(mesh, lo, hi)).failing() == ["boundary_on_box"]
 
 
 def test_a_domain_cut_by_a_split_facet_fails_only_boundary_on_box():
     # the vertex at x = 0.5 given a second id for cell 2: the facet becomes
     # two boundary faces, and an outflow run would see a wall at x = 0.5
-    text = _mesh_text(4)
-    text = _replace_line(text, "cell 0 ", "vertex 5 0.5\n" + next(
-        x for x in text.splitlines(keepends=True) if x.startswith("cell 0 ")))
-    text = _replace_line(text, "cell 2 ", "cell 2 0.625 5 3\n")
-    cut = read_mesh(io.StringIO(text))
+    m = build_uniform_1d(4)
+    ids = m.cell_vertex_ids.copy()
+    ids[2] = [5, 3]
+    cut = Mesh(np.vstack([m.vertices, [[0.5]]]), ids, m.cell_center, m.box)
     assert cut.n_faces == 6 and np.sum(cut.face_L < 0) == 4
     assert validate(cut).failing() == ["boundary_on_box"]
     assert validate(build_uniform_1d(4)).ok
-
-
-def _reloaded(mesh):
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    return read_mesh(io.StringIO(buf.getvalue()))
 
 
 @pytest.mark.parametrize("name", ["uniform-1d", "nonuniform-1d", "cartesian-2d",
@@ -774,53 +940,76 @@ def test_loaded_mesh_computes_what_the_built_mesh_does(families, name, sine_datu
 
 
 def test_mesh_file_rejects_a_v1_file():
-    # v1 stored no vertices and v2 its faces; mesh-gen rewrites either
-    for header in ("lwfv-mesh v1 dim=1\n# policy cone\n", "lwfv-mesh v2 dim=1 nv=2\n"):
-        text = _mesh_text(3).replace("lwfv-mesh v3 dim=1 nv=2\n", header)
-        with pytest.raises(MeshError, match="v1 and v2 files are no longer read: "
+    # the text formats: v1 stored no vertices, v2 its faces, v3 the four
+    # arrays as lines; mesh-gen rewrites any of them
+    for head in ("lwfv-mesh v1 dim=1\n# policy cone\n", "lwfv-mesh v2 dim=1 nv=2\n",
+                 "lwfv-mesh v3 dim=1 nv=2\n# box 0 1\n"):
+        with pytest.raises(MeshError, match="lwfv-mesh text files are no longer read: "
                                             "rerun mesh-gen"):
-            read_mesh(io.StringIO(text))
+            read_mesh(io.BytesIO(head.encode()))
 
 
-@pytest.mark.parametrize("header", ["lwfv-mesh v2 dim=1 nv=3", "lwfv-mesh v2 dim=1 nv=1",
-                                    "lwfv-mesh v2 dim=2 nv=2", "lwfv-mesh v2 dim=2 nv=5",
-                                    "lwfv-mesh v2 dim=3 nv=4", "lwfv-mesh v2 dim=1",
-                                    "lwfv-mesh v2 dim=1 nv=two"])
-def test_mesh_file_rejects_a_cell_shape_without_a_rule(header):
-    # nv = 2 in 1d and 3 or 4 in 2d are the cells quadrature.cell_rule takes;
-    # the header as given (an old version) and its v3 twin
+_SHAPES_WITHOUT_A_RULE = [
+    ("lwfv-mesh v2 dim=1 nv=3", np.zeros((2, 3), np.int64), "intervals"),
+    ("lwfv-mesh v2 dim=1 nv=1", np.zeros((2, 1), np.int64), "intervals"),
+    ("lwfv-mesh v2 dim=2 nv=2", np.zeros((2, 2), np.int64), "intervals"),
+    ("lwfv-mesh v2 dim=2 nv=5", np.zeros((2, 5), np.int64), "intervals"),
+    ("lwfv-mesh v2 dim=3 nv=4", np.zeros((2, 4), np.int64), "intervals"),
+    # no count: ids without a vertex axis; a count that is no number: ids
+    # that are not integers
+    ("lwfv-mesh v2 dim=1", np.zeros(2, np.int64), "2-d int64"),
+    ("lwfv-mesh v2 dim=1 nv=two", np.zeros((2, 2), "<U3"), "2-d int64"),
+]
+
+
+@pytest.mark.parametrize("header, ids, error", _SHAPES_WITHOUT_A_RULE,
+                         ids=[case[0] for case in _SHAPES_WITHOUT_A_RULE])
+def test_mesh_file_rejects_a_cell_shape_without_a_rule(header, ids, error):
+    # nv = 2 in 1d and 3 or 4 in 2d are the cells quadrature.cell_rule
+    # takes.  A text file with the header as given (an old version) or its
+    # v3 twin is refused as text; a file of the arrays it describes, for
+    # its cells
     for version in ("v2", "v3"):
-        text = _replace_line(_mesh_text(3), "lwfv-mesh ",
-                             header.replace("v2", version) + "\n")
-        with pytest.raises(MeshError, match="intervals"):
-            read_mesh(io.StringIO(text))
+        with pytest.raises(MeshError, match="rerun mesh-gen"):
+            read_mesh(io.BytesIO((header.replace("v2", version) + "\n").encode()))
+    dim = int(header.split("dim=")[1].split()[0])
+    members = {"vertices": np.zeros((5, dim)), "cell_vertex_ids": ids,
+               "cell_center": np.zeros((2, dim)), "box": np.array([[0.0] * dim, [1.0] * dim])}
+    with pytest.raises(MeshError, match=error):
+        read_mesh(_file(members))
 
 
 def test_mesh_file_rejects_a_missing_vertex_coordinate():
-    text = _replace_line(_mesh_text(3), "vertex 1 ", "vertex 1\n")
-    with pytest.raises(MeshError, match="vertex line has 2 fields, expected 3"):
-        read_mesh(io.StringIO(text))
+    # the vertices of a 1d mesh without their coordinate, and those of a 2d
+    # one without their y
+    members = _members(build_uniform_1d(3))
+    members["vertices"] = members["vertices"][:, :0]
+    with pytest.raises(MeshError, match=r"vertices must be a non-empty .* shape \(4, 0\)"):
+        read_mesh(_file(members))
+    members = _members(build_cartesian_2d(2, 2))
+    members["vertices"] = members["vertices"][:, :1]
+    with pytest.raises(MeshError, match="cells of 4 vertices in 1d"):
+        read_mesh(_file(members))
 
 
-def _tiny_1d_text(anchor_1: float) -> str:
+def _tiny_1d(anchor_1: float) -> Mesh:
     """Four cells of [0, 1e-9], with cell 1's anchor as given."""
     xs = [0.0, 2.5e-10, 5e-10, 7.5e-10, 1e-9]
     anchors = [1.25e-10, anchor_1, 6.25e-10, 8.75e-10]
-    return ("lwfv-mesh v3 dim=1 nv=2\n# box 0 1e-09\n"
-            + "".join(f"vertex {i} {x!r}\n" for i, x in enumerate(xs))
-            + "".join(f"cell {c} {x!r} {c} {c + 1}\n" for c, x in enumerate(anchors)))
+    return Mesh(np.array(xs)[:, None], np.stack([np.arange(4), np.arange(1, 5)], axis=1),
+                np.array(anchors)[:, None], (np.zeros(1), np.array([1e-9])))
 
 
 def test_anchor_inside_scales_with_the_cell():
     # an interior anchor 5e-13 left of its cell, 0.2 % of the cell's width,
     # passed an absolute tolerance of 1e-12
-    assert validate(read_mesh(io.StringIO(_tiny_1d_text(3.75e-10)))).ok
-    bad = read_mesh(io.StringIO(_tiny_1d_text(2.5e-10 - 5e-13)))
+    assert validate(_tiny_1d(3.75e-10)).ok
+    bad = _tiny_1d(2.5e-10 - 5e-13)
     assert validate(bad).failing() == ["anchor_inside"]
 
 
 def test_loaded_mesh_validates(tmp_path):
-    p = tmp_path / "m.txt"
+    p = tmp_path / "m.npz"
     write_mesh(perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1), str(p))
     assert validate(read_mesh(str(p))).ok
 
@@ -984,27 +1173,30 @@ def test_validate_needs_no_derived_array(families, name, level, scaled, kind, se
     assert not removed or "anchor_inside" in failing
 
 
-_WRITTEN = [_text(m).splitlines() for m in (build_uniform_1d(3), build_nonuniform_1d(3),
-                                            build_cartesian_2d(2, 2),
-                                            build_perturbed_triangular_2d(2))]
+_SMALL_MESHES = (build_uniform_1d(3), build_nonuniform_1d(3), build_cartesian_2d(2, 2),
+                 build_perturbed_triangular_2d(2))
+_WRITTEN = [_written(m) for m in _SMALL_MESHES]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_reader_refuses_a_damaged_file_or_returns_a_finite_mesh(data):
-    # a file is outside input: one line deleted or one field replaced must
-    # give a MeshError (GeometryError included) or a mesh without NaN or inf
-    lines = list(data.draw(st.sampled_from(_WRITTEN)))
-    i = data.draw(st.integers(0, len(lines) - 1))
-    if data.draw(st.booleans()):
-        del lines[i]
+    # a file is outside input: one byte changed, deleted or inserted, or the
+    # file cut, must give a MeshError (GeometryError included) or a mesh
+    # without NaN or inf
+    raw = bytearray(data.draw(st.sampled_from(_WRITTEN)))
+    i = data.draw(st.integers(0, len(raw) - 1))
+    damage = data.draw(st.sampled_from(["change", "delete", "insert", "cut"]))
+    if damage == "change":
+        raw[i] ^= data.draw(st.integers(1, 255))
+    elif damage == "delete":
+        del raw[i]
+    elif damage == "insert":
+        raw.insert(i, data.draw(st.integers(0, 255)))
     else:
-        parts = lines[i].split()
-        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
-            st.sampled_from(["nan", "1e999", "-1", "99999", "x"]))
-        lines[i] = " ".join(parts)
+        del raw[i:]
     try:
-        mesh = read_mesh(io.StringIO("\n".join(lines) + "\n"))
+        mesh = read_mesh(io.BytesIO(bytes(raw)))
     except MeshError:
         return
     for name, arr in _array_fields(mesh):
@@ -1026,27 +1218,23 @@ def test_a_file_that_leaves_its_box_fails_a_validate_check(data):
     # validate does not check that the anchors and face centroids lie in the
     # box: consistently oriented cells whose boundary faces lie on the box's
     # sides cover nothing outside it, and an anchor inside its cell is in
-    # the box.  So a file with edited box, vertex, anchor or id fields that
+    # the box.  So a file with edited box, vertex, anchor or id entries that
     # loads and leaves the box fails boundary_on_box or anchor_inside
-    lines = list(data.draw(st.sampled_from(_WRITTEN)))
-    dim = int(lines[0].split("dim=")[1].split()[0])
-    n_vertices = sum(x.startswith("vertex ") for x in lines)
-    editable = [i for i, x in enumerate(lines)
-                if x.startswith(("# box ", "vertex ", "cell "))]
+    members = _members(data.draw(st.sampled_from(_SMALL_MESHES)))
+    n_vertices = len(members["vertices"])
     for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.sampled_from(editable))
-        parts = lines[i].split()
-        j = data.draw(st.integers(2, len(parts) - 1))
-        if parts[0] == "cell" and j >= 2 + dim:
-            parts[j] = str(data.draw(st.integers(0, n_vertices - 1)))
+        name = data.draw(st.sampled_from(sorted(members)))
+        entries = members[name].reshape(-1)
+        j = data.draw(st.integers(0, entries.size - 1))
+        if name == "cell_vertex_ids":
+            entries[j] = data.draw(st.integers(0, n_vertices - 1))
         elif data.draw(st.booleans()):
-            parts[j] = repr(data.draw(st.floats(-0.5, 1.5)))
+            entries[j] = data.draw(st.floats(-0.5, 1.5))
         else:  # near the old value, down to the slack of the reference
-            parts[j] = repr(float(parts[j]) + data.draw(st.floats(-1.0, 1.0))
-                            * 10.0 ** data.draw(st.integers(-16, -1)))
-        lines[i] = " ".join(parts)
+            entries[j] += data.draw(st.floats(-1.0, 1.0)) * 10.0 ** data.draw(
+                st.integers(-16, -1))
     try:
-        mesh = read_mesh(io.StringIO("\n".join(lines) + "\n"))
+        mesh = read_mesh(_file(members))
     except MeshError:
         return
     if not _inside_box(mesh):

@@ -32,7 +32,7 @@ from lwfv.flux import (
     rusanov,
     upwind_linear,
 )
-from lwfv.mesh import MeshError, build_perturbed_triangular_2d, read_mesh, write_mesh
+from lwfv.mesh import Mesh, MeshError, build_perturbed_triangular_2d
 from lwfv.operators import InvariantViolation
 from lwfv.solver import (
     BlowUpError,
@@ -275,19 +275,16 @@ def test_solve_rejects_bad_cfl():
 
 
 def _slid_triangulation(moves):
-    """The 4 x 4 triangulation's mesh file read back with each boundary
-    vertex ``(x, y)`` of ``moves`` slid along its side to ``(x, y')``, and
-    its boundary faces on x = 0 and on x = 1, each ordered by y, so left[i]
-    and right[i] are periodic partners when nothing has slid."""
+    """The 4 x 4 triangulation with each boundary vertex ``(x, y)`` of
+    ``moves`` slid along its side to ``(x, y')``, and its boundary faces on
+    x = 0 and on x = 1, each ordered by y, so left[i] and right[i] are
+    periodic partners when nothing has slid."""
     m = build_perturbed_triangular_2d(4)
     ids = {tuple(x): i for i, x in enumerate(m.vertices.tolist())}
-    buf = io.StringIO()
-    write_mesh(m, buf)
-    lines = buf.getvalue().splitlines(keepends=True)
+    vertices = m.vertices.copy()
     for (x, y), y_new in moves.items():
-        i = ids[x, y]
-        lines[lines.index(f"vertex {i} {x:.17g} {y:.17g}\n")] = f"vertex {i} {x!r} {y_new!r}\n"
-    m = read_mesh(io.StringIO("".join(lines)))
+        vertices[ids[x, y], 1] = y_new
+    m = Mesh(vertices, m.cell_vertex_ids, m.cell_center, m.box)
     c = m.face_centroid
     left, right = (np.flatnonzero(~m.interior & (c[:, 0] == x)) for x in (0.0, 1.0))
     return m, left[np.argsort(c[left, 1])], right[np.argsort(c[right, 1])]
