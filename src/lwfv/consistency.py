@@ -444,8 +444,8 @@ class _GapSums:
             rows = np.flatnonzero(meets)
             w = np.asarray(p.w(pts[rows]), dtype=float)
             W[rows, i] = quadrature.rowdot(wq[rows], w)
-            GW[rows, :, i] = (wq[rows, None, :]
-                              @ np.asarray(p.grad_w(pts[rows]), dtype=float))[:, 0]
+            grad = np.asarray(p.grad_w(pts[rows]), dtype=float)  # (rows, points, d)
+            GW[rows, :, i] = quadrature.rowdot(wq[rows, None], np.moveaxis(grad, -1, 1))
             # on the cell rule's points, phi(., 0) = w g(0)
             per_cell[rows, i] = quadrature.rowdot(wu[rows], w * p.g(0.0))
             if u0.interval is not None:
@@ -499,7 +499,7 @@ def _slab_means(fn, nodes: np.ndarray) -> np.ndarray:
     half = 0.5 * (nodes[1:] - nodes[:-1])
     pts = mid[:, None] + half[:, None] * xg[None, :]
     vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-    return half * (vals @ wg)
+    return half * quadrature.rowdot(wg, vals)
 
 
 def weak_gap(field: SpaceTimeField, phi: SmoothTestFunction,

@@ -1,8 +1,8 @@
 """Deterministic quadrature rules used for cell means and reference integrals.
 
 All rules return (points, weights) with weights summing to the measure of the
-integration domain, so ``weights @ f(points)`` approximates the integral and
-``weights @ f(points) / measure`` the mean.
+integration domain, so ``rowdot(weights, f(points))`` approximates the
+integral.  No rule and no sum here calls BLAS.
 
 The two Gauss-Legendre rules lwfv uses, 4 points per cell axis and 6 per
 time slab, are a table of the doubles that numpy's
@@ -25,18 +25,11 @@ _TRI_A = (6.0 - _SQRT15) / 21.0
 _TRI_B = (6.0 + _SQRT15) / 21.0
 _TRI_WA = (155.0 - _SQRT15) / 1200.0
 _TRI_WB = (155.0 + _SQRT15) / 1200.0
-_TRI_BARY = np.array(
-    [
-        [1 / 3, 1 / 3, 1 / 3],
-        [_TRI_A, _TRI_A, 1 - 2 * _TRI_A],
-        [_TRI_A, 1 - 2 * _TRI_A, _TRI_A],
-        [1 - 2 * _TRI_A, _TRI_A, _TRI_A],
-        [_TRI_B, _TRI_B, 1 - 2 * _TRI_B],
-        [_TRI_B, 1 - 2 * _TRI_B, _TRI_B],
-        [1 - 2 * _TRI_B, _TRI_B, _TRI_B],
-    ]
-)
-_TRI_WEIGHTS = np.array([9 / 40, _TRI_WA, _TRI_WA, _TRI_WA, _TRI_WB, _TRI_WB, _TRI_WB])
+
+_TRI_BARY = np.array([[1 / 3, 1 / 3, 1 / 3]] + [
+    orbit for a in (_TRI_A, _TRI_B)
+    for orbit in ([a, a, 1 - 2 * a], [a, 1 - 2 * a, a], [1 - 2 * a, a, a])])
+_TRI_WEIGHTS = np.array([9 / 40, *[_TRI_WA] * 3, *[_TRI_WB] * 3])
 
 
 def _read_only(*values: float) -> np.ndarray:
@@ -68,11 +61,13 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rowdot(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Per-cell sums w[i] . vals[i] of a batched rule's weights (n_cells,
-    n_points) against values at its points; each row is one BLAS dot, equal
-    to a dot over that cell alone on OpenBLAS's SkylakeX kernel but not under
-    OPENBLAS_CORETYPE=Prescott (ROADMAP direction 11)."""
-    return (w[:, None, :] @ vals[:, :, None])[:, 0, 0]
+    """Sums of ``w * vals`` over the last axis (a rule's points), with ``w``
+    broadcast against ``vals``: every weighted quadrature sum of lwfv.  Each
+    row is summed in one fixed order, numpy's einsum loop over a C-contiguous
+    row, which calls no BLAS and is built for numpy's baseline instruction
+    set; so a row sums to the same bits alone or in any batch, on every CPU.
+    Strided operands are copied, as einsum sums strided rows in another order."""
+    return np.einsum("...q,...q->...", np.ascontiguousarray(w), np.ascontiguousarray(vals))
 
 
 def interval_rule(a: np.ndarray, b: np.ndarray, npts: int):
@@ -97,12 +92,17 @@ def _rectangle_rule(lo: np.ndarray, hi: np.ndarray, npts: int):
 
 
 def triangle_rule(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-5 rule on every triangle of ``verts`` (n, 3, 2)."""
-    verts = np.asarray(verts, dtype=float)
-    v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+    """Degree-5 rule on every triangle of ``verts`` (n, 3, 2).  A point is
+    b0 v0 + b1 v1 + b2 v2, summed in that order, and stored point-major."""
+    v0, v1, v2 = (np.ascontiguousarray(verts[:, i], dtype=float) for i in range(3))
     area = 0.5 * np.abs((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
                         - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1]))
-    return _TRI_BARY @ verts, _TRI_WEIGHTS * area[:, None]
+    pts = np.empty((len(_TRI_BARY),) + v0.shape)
+    for p, (b0, b1, b2) in zip(pts, _TRI_BARY):
+        p[:] = b0 * v0
+        p += b1 * v1
+        p += b2 * v2
+    return pts.transpose(1, 0, 2), _TRI_WEIGHTS * area[:, None]
 
 
 def cell_rule(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -153,7 +153,7 @@ def translation_seminorm(mesh: Mesh, values: np.ndarray) -> float:
     """Sum over interior faces of |D_sigma| |u_K - u_L|, for the
     (n_cells,) cell values ``values``."""
     jumps = np.abs(_interior_jumps(mesh, _cell_values(mesh, values)))
-    return float(np.dot(mesh.face_dsig[mesh.interior], jumps))
+    return float(quadrature.rowdot(mesh.face_dsig[mesh.interior], jumps))
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def translation_decay_study(family: MeshFamily, u: IntegrableFunction,
         values = project_l1(mesh, u)
         t_val = translation_seminorm(mesh, values)
         l1 = (u.l1_norm if u.l1_norm is not None
-              else float(np.dot(mesh.cell_volume, np.abs(values))))
+              else float(quadrature.rowdot(mesh.cell_volume, np.abs(values))))
         bound_l1 = qual.n_faces_max * qual.theta * l1
         if not t_val <= bound_l1 * (1.0 + 1e-9):
             raise InvariantViolation(

@@ -730,7 +730,8 @@ def _all_cells_gap_columns(mesh, phis, u0, flux):
     cell: ``(cells, w_integral, b_grad_w, c_term)`` of ``_GapSums``."""
     pts, wq = quadrature.cell_rule(mesh.cell_vertices)
     W = np.column_stack([quadrature.rowdot(wq, p.w(pts)) for p in phis])
-    GW = np.stack([(wq[:, None, :] @ p.grad_w(pts))[:, 0] for p in phis], axis=-1)
+    GW = np.stack([quadrature.rowdot(wq[:, None], np.moveaxis(p.grad_w(pts), -1, 1))
+                   for p in phis], axis=-1)
     cells = np.flatnonzero(np.any(W != 0.0, axis=1) | np.any(GW != 0.0, axis=(1, 2)))
     wu = wq * _remainder(u0, pts)
     per_cell = np.column_stack(

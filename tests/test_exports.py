@@ -133,6 +133,38 @@ def test_every_file_is_written_through_reports_open_file():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+_BLAS_PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def _blas_products(text: str) -> list[str]:
+    """The BLAS products in module source ``text``, as "line: product": the
+    ``@`` operator (``@=`` too) and any attribute named dot, matmul, inner,
+    vdot or tensordot, on numpy or on an array."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_PRODUCTS:
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {op}" for line, op in sorted(found)]
+
+
+def test_quadrature_sums_call_no_blas_product():
+    # the BLAS kernel, chosen per CPU, sets the last bits of a product, so
+    # the quadrature sums, the projections and seminorms built on them and
+    # the gradient study's L1 distance go through quadrature.rowdot's fixed
+    # order instead; this holds where the cross-kernel test in
+    # test_solver.py skips
+    assert _blas_products("a @ b\nx @= y\nnp.dot(a, b)\nnumpy.matmul(a, b)\n"
+                          "np.inner(a, b)\nnp.vdot(a, b)\nnp.tensordot(a, b)\n"
+                          "a.dot(b)\nnp.einsum('q,q->', a, b)\na * b\n") == [
+        "1: @", "2: @", "3: dot", "4: matmul", "5: inner", "6: vdot",
+        "7: tensordot", "8: dot"]
+    found = {name: _blas_products((ROOT / "src" / "lwfv" / name).read_text(encoding="utf-8"))
+             for name in ("quadrature.py", "translations.py", "operators.py")}
+    assert found == {"quadrature.py": [], "translations.py": [], "operators.py": []}
+
+
 def _defined_private_names(node) -> list[str]:
     """The private (``_x``, not ``__x__``) names a module-level statement
     defines as a function, a class or a constant."""

@@ -22,6 +22,7 @@ from lwfv.operators import (
     InvariantViolation,
     SmoothTestFunction,
     TimeGrid,
+    _numeric_sup,
     bump_corpus_spacetime,
     bump_corpus_spatial,
     discrete_gradient,
@@ -355,6 +356,33 @@ def test_dt_sup_bounds_the_polished_time_derivative(dim):
         center = 0.5 * (phi.support[0] + phi.support[1])
         amplitude = abs(float(phi.w(center[None, :])[0]))
         assert phi.dt_sup >= amplitude * _time_max(phi.dg, phi), phi.name
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(len(x))
+        return f(x)
+    return g
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_polish_stops_at_a_smooth_maximum_once_rounding_is_reached(dim):
+    # the grid plus 23 rounds polished every sup to the rounding of the box's
+    # coordinates; a smooth maximum reaches the rounding of f in about 12
+    bump = polynomial_bump([0.5] * dim, [0.29] * dim, k=4)
+    calls = []
+    sup = _numeric_sup(_counted(_grad_norm(bump), calls), *bump.support)
+    assert len(calls) <= 1 + 15, len(calls)
+    assert sup >= _nelder_mead_max(_grad_norm(bump), *bump.support) * (1.0 - ROUNDING)
+
+
+def test_polish_runs_on_at_a_kink():
+    # the drops to a kink's neighbours shrink like the spacing, so the stop
+    # never fires early there: the max of 1 - |x - 1/3| is found to rounding
+    calls = []
+    f = lambda x: 1.0 - np.abs(x[:, 0] - 1.0 / 3.0)  # noqa: E731
+    sup = _numeric_sup(_counted(f, calls), np.zeros(1), np.ones(1))
+    assert sup >= 1.0 - ROUNDING and len(calls) > 1 + 20
 
 
 def _profile_slope_max(k):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from lwfv.quadrature import cell_rule, gauss_legendre, triangle_rule
+from lwfv.quadrature import cell_rule, gauss_legendre, rowdot, triangle_rule
 
 
 def _apply(rule, fn):
@@ -90,3 +90,21 @@ def test_batched_rules_treat_every_cell_alone(verts):
     for i in range(len(verts)):
         p1, w1 = cell_rule(verts[i : i + 1])
         assert np.array_equal(pts[i], p1[0]) and np.array_equal(w[i], w1[0])
+
+
+@pytest.mark.parametrize("npts", [6, 7, 16])
+def test_rowdot_sums_a_row_alike_alone_in_a_batch_and_strided(npts):
+    # the fixed order is per row: neither the batch around a row, nor the
+    # layout of its operands, nor weights broadcast over a column axis may
+    # change its bits
+    rng = np.random.default_rng(npts)
+    w, vals = rng.random((50, npts)), rng.standard_normal((50, npts, 2))
+    columns = rowdot(w[:, None], np.moveaxis(vals, -1, 1))  # (50, 2)
+    assert np.allclose(columns, np.sum(w[:, :, None] * vals, axis=1), rtol=1e-13)
+    for k in range(2):
+        contiguous = np.ascontiguousarray(vals[..., k])
+        assert rowdot(w, contiguous).tobytes() == columns[:, k].tobytes()
+        assert rowdot(w, vals[..., k]).tobytes() == columns[:, k].tobytes()
+        assert rowdot(np.asfortranarray(w), contiguous).tobytes() == columns[:, k].tobytes()
+        for i in (0, 17, 49):
+            assert rowdot(w[i], contiguous[i]) == columns[i, k]

@@ -6,8 +6,10 @@ the sorted cell order, written independently in oracles.py.
 """
 import hashlib
 import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +152,12 @@ def _sine_2d():
 # normal speed b . n in place of the normal: the histories must not move a bit.
 # 2d-cartesian-upwind re-recorded when the Cartesian faces took the numbering
 # by first occurrence and their measures the vertex arithmetic: its states
-# moved by at most 1.1e-16
+# moved by at most 1.1e-16.  All but 1d-rusanov-riemann, whose indicator
+# datum projects exactly, re-recorded when the quadrature sums and the
+# triangle rule's points stopped calling BLAS: the cell means of u0 took
+# the fixed order of quadrature.rowdot, and the states moved by at most
+# 4.4e-16 (1.0e-15 relative).  These digests hold under OpenBLAS's SkylakeX,
+# Haswell, Prescott and Zen kernels alike.
 PINNED_SOLVES = {
     "1d-rusanov-riemann": (
         lambda: (uniform_1d_family(10).build(2), rusanov(burgers((1.0,))),
@@ -159,28 +166,67 @@ PINNED_SOLVES = {
     "2d-triangulated-rusanov": (
         lambda: (perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(1),
                  rusanov(burgers((0.6, 0.8))), _sine_2d(), 0.1, "periodic"),
-        "5e598ae3c5400055a76f222d008dcde166b60232d03d5b6e2c0d4e3421e76911"),
+        "7666620a24dc669b37486136949723cf10ad0d20ecfcb8978c36ed1d42ad17c6"),
     "1d-muscl-periodic": (
         lambda: (uniform_1d_family(10).build(2), muscl_three_point([1.0]),
                  _sine_datum(), 0.25, "periodic"),
-        "c1d4bc94e322ccc5dd83f4211ed65b53cdb6af5690e11a8b76f8919295185f3b"),
+        "4342d7b53e8909247210409d5e07b0148bbc4f5c6ac44602880a76d37bbfa0c6"),
     "1d-muscl-outflow": (
         lambda: (uniform_1d_family(10).build(2), muscl_three_point([1.0]),
                  _bump_datum(), 0.25, "outflow"),
-        "bd667d2a86f56b369fe941f34916c45b066f9ad9db36e51915bb206124ee7e7d"),
+        "b2392e52184dabd9ff5afdf113b0e94ec0ad988ebaa10a5b6c84367fd445003b"),
     "2d-cartesian-upwind": (
         lambda: (cartesian_2d_family(4).build(1), upwind_linear([1.0, 0.5]),
                  _sine_2d(), 0.3, "periodic"),
-        "aa79775db74ede518215decbc78954af905de08db0ac76008a62fc41310b7cc0"),
+        "2b4403984c44faae14b22963fbdf70a110787c9f01c5234c746b25c6e7ceef3f"),
 }
+
+
+def _pinned_digest(case: str) -> str:
+    m, fl, u0, t_final, boundary = PINNED_SOLVES[case][0]()
+    field = solve(m, Problem(flux=fl, u0=u0, t_final=t_final, boundary=boundary))
+    return hashlib.sha256(field.values.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
 def test_solve_history_bits_are_pinned(case):
-    build, digest = PINNED_SOLVES[case]
-    m, fl, u0, t_final, boundary = build()
-    field = solve(m, Problem(flux=fl, u0=u0, t_final=t_final, boundary=boundary))
-    assert hashlib.sha256(field.values.tobytes()).hexdigest() == digest
+    assert _pinned_digest(case) == PINNED_SOLVES[case][1]
+
+
+def _kernel_bits() -> dict[str, str]:
+    """The pinned histories' digests and the sha256 of a level-4
+    triangulation's projection, whose points come from the triangle rule."""
+    bits = {case: _pinned_digest(case) for case in sorted(PINNED_SOLVES)}
+    mesh = perturbed_triangular_2d_family(4, jitter=0.3, seed=0).build(4)
+    bits["project_l1"] = hashlib.sha256(project_l1(mesh, _sine_2d()).tobytes()).hexdigest()
+    return bits
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, which
+    picks its kernel at run time and takes OPENBLAS_CORETYPE to pick another."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                           "OPENBLAS_CORETYPE selects no other kernel")
+def test_pinned_bits_do_not_depend_on_the_blas_kernel():
+    # the AVX2 and SSE3 kernels round a BLAS dot differently from each other
+    # and from an AVX-512 host's; no quadrature sum or point may go through one
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_solver; "
+            "print(json.dumps(test_solver._kernel_bits()))")
+    want = _kernel_bits()
+    for kernel in ("Haswell", "Prescott"):
+        env = dict(_subprocess_env(), OPENBLAS_CORETYPE=kernel)
+        out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == want, kernel
 
 
 @pytest.mark.parametrize("case", ["periodic-2d-rusanov", "outflow-1d-upwind",
